@@ -20,12 +20,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import rat
-from .curvature import (CONVENTION, curvature_matrix, det_bundle_curvature,
-                        principal_curvature_pair)
+from .curvature import (CONVENTION, JET_DEGREE, curvature_matrix,
+                        det_bundle_curvature, principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
                      UnsupportedIdealError)
-from .frames import (COORDINATE_KIND, decompose_coordinate_ideal,
-                     frame_on_zero_set, grammian, reconstruction_residual)
+from .frames import (COORDINATE_KIND, coordinate_power_data,
+                     decompose_coordinate_ideal, frame_on_zero_set, grammian,
+                     reconstruction_residual)
 from .ideals import (CATALOGUE, IdealSpec, localization_dim, zero_set)
 from .invariants import (cubic_positive_roots, lambda_mu_invariants,
                          polydisc_rigidity_report)
@@ -34,6 +35,7 @@ from .rkhs import WeightedPolydiscModule, submodule_kernel
 
 TASKS = ("kernel", "decompose", "metric", "curvature", "dimension",
          "compare", "cubic")
+POINT_TASKS = ("kernel", "dimension")  # the tasks that read task.points
 
 
 @dataclass(frozen=True)
@@ -342,21 +344,25 @@ def _build_frame(cfg: JobConfig, module, ideal):
 
     The full coordinate ideal gets the neighborhood frame; proper
     coordinate-power ideals get the zero-variety frame at the base point
-    (origin slice unless the config provides one).
+    (origin slice unless the config provides one).  The curvature task reads
+    only the 2-jet of the metric, so its frame stops at JET_DEGREE; a lower
+    trunc_degree still reaches the frame builder's own check first.
     """
-    from .frames import _coordinate_power_data
-    data = _coordinate_power_data(ideal)
+    trunc = cfg.trunc_degree
+    if cfg.task == "curvature":
+        trunc = min(trunc, JET_DEGREE)
+    data = coordinate_power_data(ideal)
     powers = tuple(p for _, p in data)
     t = len(data)
     if t == module.dim and all(p == 1 for p in powers):
         if cfg.base_point is not None and any(x != 0 for x in cfg.base_point):
             raise DomainError(
                 "the full coordinate ideal is decomposed around the origin")
-        return decompose_coordinate_ideal(module, cfg.trunc_degree, t)
+        return decompose_coordinate_ideal(module, trunc, t)
     base = cfg.base_point
     if base is None:
         base = (Fraction(0),) * module.dim
-    return frame_on_zero_set(module, ideal, base, cfg.trunc_degree)
+    return frame_on_zero_set(module, ideal, base, trunc)
 
 
 def run_task(cfg: JobConfig) -> Report:
@@ -386,8 +392,7 @@ def run_task(cfg: JobConfig) -> Report:
             raise InputError("compare_weights must be positive",
                              field="task.compare_weights")
         ideal = _build_ideal(cfg)
-        from .frames import _coordinate_power_data
-        data = _coordinate_power_data(ideal)
+        data = coordinate_power_data(ideal)
         powers = tuple(p for _, p in data)
         t = len(data)
         if t == module.dim:
@@ -406,8 +411,7 @@ def run_task(cfg: JobConfig) -> Report:
                 "comparison needs a transverse direction (fewer generators "
                 "than variables) or the bidisc coordinate ideal")
         rr = polydisc_rigidity_report(module.weights, powers,
-                                      cfg.compare_weights,
-                                      max(cfg.trunc_degree, 4))
+                                      cfg.compare_weights)
         report.add("equivalent", rr.equivalent)
         for name, v in rr.battery_left:
             report.add(f"left_{name}", v)
@@ -542,8 +546,7 @@ def run_task(cfg: JobConfig) -> Report:
             report.add("closed_form_kappa1", inv.kappa1)
             report.add("closed_form_kappa2", inv.kappa2)
         if frame.kind != COORDINATE_KIND and t == 1 and module.dim == 2:
-            pair = principal_curvature_pair(module, frame.gen_powers[0],
-                                            max(cfg.trunc_degree, 4))
+            pair = principal_curvature_pair(module, frame.gen_powers[0])
             report.add("transverse_norm_hessian", pair.raw)
             report.add("transverse_log_hessian", pair.log_based)
             report.diagnostics["transverse_convention_note"] = pair.note
@@ -574,7 +577,8 @@ def _build_parser():
         p.add_argument("--ideal-degree", type=int,
                        help="override the ideal truncation degree")
         p.add_argument("--point",
-                       help="override task points with one point, e.g. '1/3 0'")
+                       help="override task points with one point, e.g. "
+                            "'1/3 0' (kernel and dimension tasks only)")
     return parser
 
 
@@ -601,6 +605,11 @@ def main(argv=None) -> int:
                                  field="--ideal-degree")
             overrides["ideal_degree"] = args.ideal_degree
         if args.point is not None:
+            if args.task not in POINT_TASKS:
+                raise InputError(
+                    f"task {args.task!r} reads no points; --point applies "
+                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    field="--point")
             pt = _parse_vector(args.point, "--point")
             if any(abs(x) >= 1 for x in pt):
                 raise InputError("point lies outside the open polydisc",

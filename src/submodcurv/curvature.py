@@ -11,6 +11,16 @@ Conventions, fixed once here and echoed into every report:
     equal to the blockwise trace of the curvature matrix.
 
 With these signs the catalogued rank-one examples come out positive.
+
+Curvature at a point depends only on the 2-jet of H there, its terms of
+degree <= 2 in (w, wbar).  The blocks are the Chern-connection curvature
+H0^{-1} H_{i jbar} - H0^{-1} H_i H0^{-1} H_{jbar} of the constant, w_i,
+wbar_j and w_i wbar_j coefficient matrices (M. Cowen and R. Douglas,
+Complex geometry and operator theory, Acta Math. 141, 1978), and the
+det-bundle and line curvatures are (d d_{i jbar} - d_i d_{jbar}) / d^2 on
+the 2-jet of the scalar d.  Frames built only for curvature are therefore
+built at truncation degree 2; a metric truncated higher gives the same
+Fractions.
 """
 
 from __future__ import annotations
@@ -21,10 +31,11 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Optional
 
-from .algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
-                      mixed_hessian, pochhammer, rat, series_log)
+from .algebra import (MultiIndex, SeriesMatrix, TruncSeries,
+                      iter_multiindices, mixed_hessian, pochhammer, rat)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
-from .frames import MetricSeries, frame_on_zero_set, grammian
+from .frames import (MetricSeries, coordinate_power_data, frame_on_zero_set,
+                     grammian)
 from .ideals import IdealSpec
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
@@ -35,27 +46,43 @@ CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "det-bundle curvature = mixed Hessian of log det H "
               "(= blockwise trace of the curvature matrix)")
 
+# Every curvature value reads only the terms of degree <= 2 of a metric, so
+# frames built only for curvature are truncated here.
+JET_DEGREE = 2
+
 
 def line_curvature(h: TruncSeries, i: int, j: int) -> Fraction:
     """Mixed Hessian d_i dbar_j of log h at the base point, for a scalar
-    (line-bundle) metric h with positive value there.
+    (line-bundle) metric h with positive value there:
+    (h h_{i jbar} - h_i h_{jbar}) / h^2 on the 2-jet of h.
 
     Multiplying h by any positive constant, or by f * conj(f) for f with
     f(0) != 0, leaves the result unchanged.
     """
-    return mixed_hessian(series_log(h).series, i, j)
+    c = h.constant_term()
+    if c <= 0:
+        raise SingularityError(
+            f"scalar metric must be positive at the base point, got {c}")
+    hij = mixed_hessian(h, i, j)
+    zero = MultiIndex.zero(h.npairs)
+    hi = h.coefficient(MultiIndex.unit(h.npairs, i), zero)
+    hj = h.coefficient(zero, MultiIndex.unit(h.npairs, j))
+    return (c * hij - hi * hj) / (c * c)
 
 
 def det_bundle_curvature(metric: MetricSeries):
-    """Full matrix of mixed Hessians of log det H at the base point.
+    """Full matrix of mixed Hessians of log det H at the base point, read
+    off the 2-jet of det H by the line-bundle formula.
 
     Symbolic diagonal scales multiply det H by a positive constant only, so
     they drop out of the logarithm's derivatives and are ignored here.
     """
-    d = metric.matrix.det()
-    logd = series_log(d).series
-    m = metric.matrix.npairs
-    return tuple(tuple(mixed_hessian(logd, i, j) for j in range(m))
+    H = metric.matrix
+    jet = min(H.trunc, JET_DEGREE)
+    d = SeriesMatrix([[s.truncate(jet) for s in row]
+                      for row in H.entries]).det()
+    m = H.npairs
+    return tuple(tuple(line_curvature(d, i, j) for j in range(m))
                  for i in range(m))
 
 
@@ -106,66 +133,72 @@ def _fold_scales(metric: MetricSeries) -> SeriesMatrix:
     return SeriesMatrix(rows)
 
 
+def _two_jet(s: TruncSeries):
+    """Constant, w_i, wbar_j and w_i wbar_j coefficients of a series, read
+    in one pass: the terms that curvature at the base point depends on."""
+    m = s.npairs
+    const = Fraction(0)
+    dw = [Fraction(0)] * m
+    dwb = [Fraction(0)] * m
+    dwdwb = [[Fraction(0)] * m for _ in range(m)]
+    for key, v in s.coeffs.items():
+        degree = sum(key)
+        if degree == 0:
+            const = v
+        elif degree == 1:
+            slot = key.index(1)
+            if slot < m:
+                dw[slot] = v
+            else:
+                dwb[slot - m] = v
+        elif degree == 2:
+            slots = [k for k, e in enumerate(key) if e]
+            if len(slots) == 2 and slots[0] < m <= slots[1]:
+                dwdwb[slots[0]][slots[1] - m] = v
+    return const, dw, dwb, dwdwb
+
+
 def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
     """Curvature blocks d_i(H^{-1} dbar_j H)(base) for every variable pair.
 
-    Needs truncation degree >= 4 so the inverse-times-derivative product is
-    exact through the extraction order with margin.  Diagonal metrics with
-    symbolic scales are handled entrywise (the scales cancel); general
-    matrices must carry rational entries only.
+    At the base point the block equals H0^{-1} H_{i jbar} -
+    H0^{-1} H_i H0^{-1} H_{jbar}, where H0, H_i, H_{jbar} and H_{i jbar} are
+    the constant, w_i, wbar_j and w_i wbar_j coefficient matrices of H, so
+    only the 2-jet of H is read: truncation degree 2 suffices and a higher
+    degree changes no value.  Symbolic scales cancel on diagonal metrics;
+    general matrices must carry rational entries only.
     """
     H = metric.matrix
     m = H.npairs
     t = H.n
-    if H.trunc < 4:
-        raise TruncationError(
-            f"curvature_matrix needs truncation degree >= 4, got {H.trunc}")
-    if metric.scales is not None and metric.is_diagonal():
-        # h_k = scale_k * series: scale cancels in dbar(h)/h
-        blocks = []
-        for i in range(m):
-            row_i = []
-            for j in range(m):
-                block = [[Fraction(0)] * t for _ in range(t)]
-                for k in range(t):
-                    h = H[k, k]
-                    block[k][k] = line_curvature_unnormalized(h, i, j)
-                row_i.append(tuple(tuple(r) for r in block))
-            blocks.append(tuple(row_i))
-        return CurvatureTensor(metric.base_point, t, tuple(blocks),
-                               metric.free_slots)
-    Hf = _fold_scales(metric)
-    if Hf.det().constant_term() == 0:
-        raise SingularityError("metric is singular at the base point")
-    Hinv = Hf.inverse()
-    D1 = Hf.trunc - 1
+    if H.trunc < JET_DEGREE:
+        raise TruncationError(f"curvature_matrix needs truncation degree >= "
+                              f"{JET_DEGREE}, got {H.trunc}")
+    # scales on a diagonal H multiply it on the left by a constant matrix,
+    # which cancels in H^{-1} dbar H
+    matrix = H if metric.is_diagonal() else _fold_scales(metric)
+    jets = [[_two_jet(s) for s in row] for row in matrix.entries]
+    try:
+        H0inv = mat_inverse([[jet[0] for jet in row] for row in jets])
+    except SingularityError:
+        raise SingularityError("metric is singular at the base point") from None
+    # H0^{-1} H_i and H0^{-1} H_{jbar}, shared across the blocks
+    left = [mat_mul(H0inv, [[jet[1][i] for jet in row] for row in jets])
+            for i in range(m)]
+    right = [mat_mul(H0inv, [[jet[2][j] for jet in row] for row in jets])
+             for j in range(m)]
     blocks = []
     for i in range(m):
         row_i = []
         for j in range(m):
-            Bj = SeriesMatrix([[ (Hinv.entries[a][b].truncate(D1))
-                                 for b in range(t)] for a in range(t)]) @ \
-                 Hf.map(lambda s, jj=j: s.dwbar(jj))
-            block = tuple(
-                tuple(Bj.entries[a][b].dw(i).constant_term() for b in range(t))
-                for a in range(t))
-            row_i.append(block)
+            mixed = mat_mul(H0inv, [[jet[3][i][j] for jet in row]
+                                    for row in jets])
+            second = mat_mul(left[i], right[j])
+            row_i.append(tuple(tuple(mixed[a][b] - second[a][b]
+                                     for b in range(t)) for a in range(t)))
         blocks.append(tuple(row_i))
     return CurvatureTensor(metric.base_point, t, tuple(blocks),
                            metric.free_slots)
-
-
-def line_curvature_unnormalized(h: TruncSeries, i: int, j: int) -> Fraction:
-    """d_i(dbar_j h / h)(base) for a scalar metric entry; equals the mixed
-    Hessian of log h at the base point."""
-    c = h.constant_term()
-    if c <= 0:
-        raise SingularityError("scalar metric must be positive at the base")
-    # d_i(dbar_j h / h) at 0 = (h d_i dbar_j h - d_i h dbar_j h) / h^2 at 0
-    dij = mixed_hessian(h, i, j)
-    di = h.dw(i).constant_term()
-    dj = h.dwbar(j).constant_term()
-    return (c * dij - di * dj) / (c * c)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +342,17 @@ class PrincipalCurvaturePair:
     note: str = EQCC_NOTE
 
 
-def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
-                             trunc: int = 4) -> PrincipalCurvaturePair:
+def principal_curvature_pair(module: WeightedPolydiscModule,
+                             p: int) -> PrincipalCurvaturePair:
     """Both transverse-curvature readings for <z_1^p> on the bidisc at the
-    origin slice point."""
+    origin slice point, from a frame built at JET_DEGREE."""
     if module.dim != 2:
         raise DomainError("the principal curvature pair is a bidisc quantity")
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
     ideal = IdealSpec.coordinate_powers(2, (p,))
-    frame = frame_on_zero_set(module, ideal, (Fraction(0), Fraction(0)), trunc)
+    frame = frame_on_zero_set(module, ideal, (Fraction(0), Fraction(0)),
+                              JET_DEGREE)
     H = grammian(frame)
     h = H.matrix[0, 0]
     return PrincipalCurvaturePair(raw=mixed_hessian(h, 1, 1),
@@ -374,8 +408,7 @@ def zero_set_metric_fn(module: WeightedPolydiscModule, ideal: IdealSpec,
 
     Independent of the exact series machinery by construction.
     """
-    from .frames import _coordinate_power_data
-    data = _coordinate_power_data(ideal)
+    data = coordinate_power_data(ideal)
     gen_vars = [v for v, _ in data]
     v, p = data[k]
     lead = float(pochhammer(module.weights[v], p) / math.factorial(p))

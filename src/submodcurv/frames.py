@@ -196,7 +196,7 @@ def decompose_coordinate_ideal(module: WeightedPolydiscModule, trunc: int,
                        tuple(range(m)), leads)
 
 
-def _coordinate_power_data(ideal: IdealSpec):
+def coordinate_power_data(ideal: IdealSpec):
     """(var, power) per generator, sorted by variable; distinct vars only."""
     if ideal.family != MONOMIAL:
         raise UnsupportedIdealError(
@@ -230,7 +230,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
     if trunc < 2:
         raise TruncationError("frame truncation degree must be >= 2")
     m = module.dim
-    data = _coordinate_power_data(ideal)
+    data = coordinate_power_data(ideal)
     gen_vars = tuple(v for v, _ in data)
     gen_powers = tuple(p for _, p in data)
     base = tuple(rat(x) for x in base_point)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import mixed_hessian, pochhammer, rat
-from .curvature import line_curvature
+from .curvature import JET_DEGREE, line_curvature
 from .errors import DomainError
 from .frames import frame_on_zero_set, grammian
 from .ideals import IdealSpec
@@ -267,9 +267,11 @@ class RigidityReport:
         return self.equivalent
 
 
-def _curvature_battery(module: WeightedPolydiscModule, exponents, trunc: int):
+def _curvature_battery(module: WeightedPolydiscModule, exponents):
     """Curvature invariants of the coordinate-power submodule at the origin
     slice point, all read off Grammian metrics from the frame pipeline.
+    Every invariant depends on the 2-jet of a metric only, so the frames are
+    built at JET_DEGREE.
 
     transverse_k: mixed log-Hessian of ||F_1||^2 in each free direction
                   (recovers the transverse weights);
@@ -282,7 +284,7 @@ def _curvature_battery(module: WeightedPolydiscModule, exponents, trunc: int):
     t = len(exponents)
     origin = (Fraction(0),) * m
     ideal = IdealSpec.coordinate_powers(m, exponents)
-    metric = grammian(frame_on_zero_set(module, ideal, origin, trunc))
+    metric = grammian(frame_on_zero_set(module, ideal, origin, JET_DEGREE))
     free = [i for i in range(m) if i >= t]
     battery = []
     for i in free:
@@ -295,14 +297,14 @@ def _curvature_battery(module: WeightedPolydiscModule, exponents, trunc: int):
         shifted = list(exponents)
         shifted[k] += 1
         ideal_s = IdealSpec.coordinate_powers(m, shifted)
-        metric_s = grammian(frame_on_zero_set(module, ideal_s, origin, trunc))
+        metric_s = grammian(frame_on_zero_set(module, ideal_s, origin,
+                                              JET_DEGREE))
         battery.append((f"norm_hessian_gen{k+1}_shifted",
                         mixed_hessian(metric_s.matrix[k, k], i0, i0)))
     return tuple(battery)
 
 
-def polydisc_rigidity_report(weights1, exponents, weights2,
-                             trunc: int = 4) -> RigidityReport:
+def polydisc_rigidity_report(weights1, exponents, weights2) -> RigidityReport:
     """Decide equivalence of the coordinate-power submodule over two weight
     vectors, through curvature invariants only.
 
@@ -320,12 +322,12 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
             "than variables")
     mod1 = WeightedPolydiscModule(len(w1), w1)
     mod2 = WeightedPolydiscModule(len(w2), w2)
-    left = _curvature_battery(mod1, exponents, trunc)
-    right = _curvature_battery(mod2, exponents, trunc)
+    left = _curvature_battery(mod1, exponents)
+    right = _curvature_battery(mod2, exponents)
     names = tuple(name for name, _ in left)
     equivalent = [v for _, v in left] == [v for _, v in right]
     return RigidityReport(equivalent, left, right, names)
 
 
-def polydisc_rigidity(weights1, exponents, weights2, trunc: int = 4) -> bool:
-    return polydisc_rigidity_report(weights1, exponents, weights2, trunc).equivalent
+def polydisc_rigidity(weights1, exponents, weights2) -> bool:
+    return polydisc_rigidity_report(weights1, exponents, weights2).equivalent

@@ -158,8 +158,16 @@ def mat_mul(A, B):
     B = _as_matrix(B)
     if not A or not B or len(A[0]) != len(B):
         raise ShapeError("inner dimensions do not match")
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), Fraction(0))
-             for j in range(len(B[0]))] for i in range(len(A))]
+    out = []
+    for row in A:
+        acc = [Fraction(0)] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:  # curvature inputs are mostly zero: skip whole rows of B
+                for j, b in enumerate(brow):
+                    if b:
+                        acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def mat_identity(n):

@@ -227,6 +227,18 @@ points = 1/5 1/3
     assert "kernel_diag_1 = 4/9" in out
 
 
+@pytest.mark.parametrize("task", ("decompose", "metric", "curvature",
+                                  "compare", "cubic"))
+def test_main_point_rejected_by_tasks_without_points(tmp_path, capsys, task):
+    path = _write(tmp_path, BASE)
+    assert main([task, "--config", path, "--point", "1/2 1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: task {task!r} reads no points; --point applies only "
+        "to the kernel and dimension tasks (field '--point')\n")
+
+
 def test_main_subcommand_overrides_config_task(tmp_path, capsys):
     # one config reused for several tasks: the subcommand wins
     path = _write(tmp_path, BASE)

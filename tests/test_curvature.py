@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv.algebra import TruncSeries, series_inverse
+from submodcurv import curvature, invariants
+from submodcurv.algebra import SeriesMatrix, TruncSeries, series_inverse
 from submodcurv.curvature import (coordinate_det_fn, curvature_matrix,
                                   det_bundle_curvature, fd_log_hessian,
                                   fd_mixed_hessian, gauge_conjugate,
@@ -14,10 +15,11 @@ from submodcurv.curvature import (coordinate_det_fn, curvature_matrix,
                                   line_curvature, principal_curvature_pair,
                                   zero_set_metric_fn)
 from submodcurv.errors import TruncationError
-from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
-                               grammian)
+from submodcurv.frames import (MetricSeries, decompose_coordinate_ideal,
+                               frame_on_zero_set, grammian)
 from submodcurv.ideals import IdealSpec
-from submodcurv.invariants import lambda_mu_invariants
+from submodcurv.invariants import (lambda_mu_invariants,
+                                   polydisc_rigidity_report)
 from submodcurv.rkhs import WeightedPolydiscModule
 
 
@@ -58,10 +60,14 @@ def test_trace_identity():
         assert tensor.trace_matrix() == det_curv
 
 
-def test_curvature_matrix_needs_degree_four():
-    H = _coordinate_metric(F(1), F(1), trunc=3)
+def test_curvature_matrix_needs_degree_two():
+    H = _coordinate_metric(F(1), F(1), trunc=2)
+    assert curvature_matrix(H).trace_matrix() == det_bundle_curvature(H)
+    below = MetricSeries(SeriesMatrix([[s.truncate(1) for s in row]
+                                       for row in H.matrix.entries]),
+                         H.base_point, H.free_slots)
     with pytest.raises(TruncationError):
-        curvature_matrix(H)
+        curvature_matrix(below)
 
 
 def test_rank_one_curvature_equals_line_curvature():
@@ -72,6 +78,60 @@ def test_rank_one_curvature_equals_line_curvature():
     tensor = curvature_matrix(H)
     want = line_curvature(H.matrix[0, 0], 1, 1)
     assert tensor.block(1, 1)[0][0] == want
+
+
+# -- metamorphic: the truncation degree changes no curvature value ----------
+
+DEGREES = (2, 4, 6)
+
+
+def _curvatures(metric):
+    return curvature_matrix(metric).blocks, det_bundle_curvature(metric)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+@pytest.mark.parametrize("weights", ((1, 2, 3, 4),
+                                     (F(1, 2), F(3, 2), F(5, 2), F(1, 2))))
+def test_raising_degree_keeps_coordinate_curvature(m, weights):
+    mod = WeightedPolydiscModule(m, weights[:m])
+    got = [_curvatures(grammian(decompose_coordinate_ideal(mod, D)))
+           for D in DEGREES]
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("weights", ((1, 2, 3), (1, F(3, 2), F(1, 2))))
+def test_raising_degree_keeps_zero_set_curvature(weights):
+    # integer weights fold the base-point scales into the series; half-integer
+    # weights leave irrational scales carried symbolically
+    mod = WeightedPolydiscModule(3, weights)
+    ideal = IdealSpec.coordinate_powers(3, (2,))
+    base = (F(0), F(1, 2), F(-1, 3))
+    metrics = [grammian(frame_on_zero_set(mod, ideal, base, D))
+               for D in DEGREES]
+    assert all((H.scales is None) == (weights[1] == 2) for H in metrics)
+    got = [_curvatures(H) for H in metrics]
+    assert got[0] == got[1] == got[2]
+
+
+def test_raising_degree_keeps_principal_pair_and_battery(monkeypatch):
+    seen = []
+
+    def at_degree(D):
+        def build(module, ideal, base, trunc):
+            seen.append(trunc)
+            return frame_on_zero_set(module, ideal, base, D)
+        monkeypatch.setattr(curvature, "frame_on_zero_set", build)
+        monkeypatch.setattr(invariants, "frame_on_zero_set", build)
+        pairs = [principal_curvature_pair(WeightedPolydiscModule(2, w), p)
+                 for w in ((1, 2), (F(3, 2), F(1, 2))) for p in (1, 2)]
+        batteries = [polydisc_rigidity_report(w, exps, w).battery_left
+                     for w, exps in (((1, 2, 3), (2,)),
+                                     ((F(1, 2), F(3, 2), F(5, 2)), (1, 2)))]
+        return pairs, batteries
+
+    got = [at_degree(D) for D in DEGREES]
+    assert got[0] == got[1] == got[2]
+    assert set(seen) == {2}
 
 
 def _random_invertible(rng, n=2):
