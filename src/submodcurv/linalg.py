@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of Fraction.  Determinants and ranks go through
-fraction-free (Bareiss) elimination on a denominator-cleared integer copy so
-intermediate entries stay integral; solving and nullspaces use ordinary
+fraction-free (Bareiss) elimination on a copy whose rows are scaled to
+integers, so intermediate entries stay integral.  ``BareissFactor`` keeps one
+such sweep without pivoting: its pivots are the leading principal minors and
+its factors answer u^T A^{-1} v by integer substitution.  ``RowEchelon``
+tests a stream of sparse rows for independence, reducing each new row once
+against the rows kept so far.  Solving, inverses and nullspaces use ordinary
 Gauss-Jordan elimination over Fraction, which is exact anyway.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 from .algebra import rat
 from .errors import ShapeError, SingularityError
@@ -23,15 +27,19 @@ def _as_matrix(A):
 
 
 def _cleared_int_rows(M):
-    """Scale each row to integers; return (int rows, product of scalings)."""
-    rows, scaling = [], Fraction(1)
+    """Scale each row to integers; return (int rows, row multipliers)."""
+    rows, mults = [], []
     for row in M:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        rows.append([int(x * mult) for x in row])
-        scaling *= mult
-    return rows, scaling
+        mult = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
+        mults.append(mult)
+    return rows, mults
+
+
+def _common_denominator(vec):
+    """(integer vector, d) with vec = integer vector / d."""
+    d = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (d // x.denominator) for x in vec], d
 
 
 def mat_det(A) -> Fraction:
@@ -42,7 +50,7 @@ def mat_det(A) -> Fraction:
         return Fraction(1)
     if any(len(r) != n for r in M):
         raise ShapeError("determinant needs a square matrix")
-    rows, scaling = _cleared_int_rows(M)
+    rows, mults = _cleared_int_rows(M)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -60,7 +68,7 @@ def mat_det(A) -> Fraction:
                 rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
             rows[i][k] = 0
         prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scaling
+    return Fraction(sign * rows[n - 1][n - 1], prod(mults))
 
 
 def mat_rank(A) -> int:
@@ -197,13 +205,126 @@ def nullspace(A):
     return basis
 
 
+class BareissFactor:
+    """One fraction-free Bareiss sweep without pivoting over a square
+    rational matrix A (E. Bareiss, Math. Comp. 22, 1968).
+
+    Row i of A is scaled by the least integer s_i that clears it.  On the
+    integer matrix S A the k-th pivot is the k-th leading principal minor of
+    S A, so the k-th leading minor of A is pivot_k / (s_1 ... s_k).  The
+    sweep stops at the first zero pivot, which is then the last entry of
+    ``pivots``.  ``rows`` holds the compact fraction-free LU: the upper
+    triangle is each pivot row as it stood when it became the pivot row,
+    the strict lower triangle each eliminated column as it stood then.
+    """
+
+    def __init__(self, A):
+        M = _as_matrix(A)
+        n = len(M)
+        if any(len(r) != n for r in M):
+            raise ShapeError("factorization needs a square matrix")
+        rows, self.scalings = _cleared_int_rows(M)
+        pivots = []
+        prev = 1
+        for k in range(n):
+            pivot = rows[k][k]
+            pivots.append(pivot)
+            if pivot == 0:
+                break
+            tail = rows[k][k + 1:]
+            for i in range(k + 1, n):
+                row = rows[i]
+                lik = row[k]
+                row[k + 1:] = [(x * pivot - lik * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
+            prev = pivot
+        self.rows, self.pivots = rows, pivots
+
+    def leading_minors(self):
+        """Leading principal minors of A, up to the first zero one."""
+        out, scale = [], 1
+        for s, pivot in zip(self.scalings, self.pivots):
+            scale *= s
+            out.append(Fraction(pivot, scale))
+        return out
+
+    def inverse_form(self, u, v) -> Fraction:
+        """u^T A^{-1} v, by fraction-free forward and back substitution.
+
+        With y the integer column beta S v reduced as one more column of the
+        sweep, X = det(S A) (S A)^{-1} (beta S v) is integral (Cramer), and
+        row k of the sweep gives pivot_k X_k = det y_k - sum_{j>k} U_kj X_j
+        exactly; one Fraction is formed at the end.
+        """
+        rows, pivots = self.rows, self.pivots
+        n = len(rows)
+        if 0 in pivots:  # the sweep stopped at its first zero pivot
+            raise SingularityError("matrix is singular; cannot solve")
+        if len(u) != n or len(v) != n:
+            raise ShapeError("vector has wrong length")
+        y, beta = _common_denominator(
+            [rat(x) * s for x, s in zip(v, self.scalings)])
+        prev = 1
+        for k in range(n - 1):
+            pivot, yk = pivots[k], y[k]
+            for i in range(k + 1, n):
+                y[i] = (y[i] * pivot - rows[i][k] * yk) // prev
+            prev = pivot
+        det = pivots[-1] if n else 1
+        X = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = rows[k]
+            acc = det * y[k] - sum(row[j] * X[j] for j in range(k + 1, n))
+            X[k] = acc // pivots[k]
+        U, gamma = _common_denominator([rat(x) for x in u])
+        return Fraction(sum(a * b for a, b in zip(U, X)), det * beta * gamma)
+
+
+class RowEchelon:
+    """Rows in echelon form, grown one sparse row at a time.
+
+    A row is a dict {column index: value}.  Every kept row is scaled so that
+    its smallest column holds 1, and no two kept rows lead at the same
+    column, so a new row lies in the span of the kept ones iff reducing it
+    by the rows leading at its successive smallest columns leaves nothing.
+    """
+
+    def __init__(self):
+        self.rows = {}  # leading column -> row
+
+    def add(self, row) -> bool:
+        """Keep the row if it is independent of the kept rows; say whether."""
+        r = {c: rat(x) for c, x in row.items() if x}
+        while r:
+            lead = min(r)
+            pivot_row = self.rows.get(lead)
+            if pivot_row is None:
+                inv = 1 / r[lead]
+                self.rows[lead] = {c: x * inv for c, x in r.items()}
+                return True
+            f = r[lead]
+            for c, x in pivot_row.items():
+                rest = r.get(c, 0) - f * x
+                if rest:
+                    r[c] = rest
+                else:
+                    del r[c]
+        return False
+
+
 def leading_principal_minors(A):
-    """Determinants of the k-by-k upper-left blocks, k = 1..n."""
+    """Determinants of the k-by-k upper-left blocks, k = 1..n.
+
+    They are the pivots of one BareissFactor sweep.  Past a zero pivot the
+    sweep cannot go on, and each remaining block takes one mat_det.
+    """
     M = _as_matrix(A)
     n = len(M)
     if any(len(r) != n for r in M):
         raise ShapeError("principal minors need a square matrix")
-    return [mat_det([row[:k] for row in M[:k]]) for k in range(1, n + 1)]
+    minors = BareissFactor(M).leading_minors()
+    return minors + [mat_det([row[:k] for row in M[:k]])
+                     for k in range(len(minors) + 1, n + 1)]
 
 
 def is_positive_definite(A) -> bool:

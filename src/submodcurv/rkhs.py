@@ -19,6 +19,16 @@ representations, chosen by the ideal family:
 Exact evaluation works at real rational points of the open polydisc.  The
 integer-weight closed forms are rational; everything else goes through
 partial sums that carry an explicit rational remainder bound.
+
+A degree-N diagonal sum is never enumerated by multi-index.  Restricted to
+the exponents alpha >= gamma it factors over the coordinates, so it is the
+sum of the coefficients of t^0..t^N in a product of m univariate series
+sum_{a >= gamma_i} poch(l_i, a)/a! x_i^a t^a, whose coefficients follow the
+ratio recurrence c_{a+1} = c_a (l + a)/(a + 1); a monomial ideal's sum is an
+inclusion-exclusion of such products over the corners gamma_S of generator
+subsets S.  The Gram-form kernel picks its basis with one incremental
+echelon form and factors its Gram matrix once, by one Bareiss sweep, at
+construction.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from .algebra import MultiIndex, iter_multiindices, pochhammer, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import (COORDINATE_VANISHING, GENERAL, MONOMIAL, CATALOGUED,
                      IdealSpec, vanishing_point)
-from .linalg import leading_principal_minors, mat_rank, mat_solve
+from .linalg import BareissFactor, RowEchelon
 from .polynomials import Poly
 import math
 
@@ -177,19 +187,63 @@ def _diagonal_tail_bound(total_weight: Fraction, rho: Fraction, N: int) -> Fract
         n += 1
 
 
+def _slot_series(l: Fraction, x: Fraction, N: int):
+    """poch(l, a)/a! x^a for a = 0..N, as integers T_a over the common
+    denominator T_0 = N! (q d)^N, where l = p/q and x = n/d.
+
+    T_a = N!/a! (q d)^(N-a) n^a prod_{j<a} (p + j q) is an integer, and
+    T_{a+1} = T_a (p + a q) n / ((a + 1) q d) exactly.
+    """
+    p, q, n, d = l.numerator, l.denominator, x.numerator, x.denominator
+    term = math.factorial(N) * (q * d) ** N
+    series = [term]
+    for a in range(N):
+        term = term * (p + a * q) * n // ((a + 1) * q * d)
+        series.append(term)
+    return series
+
+
+def _graded_sum(series, gamma, N: int) -> int:
+    """sum over |alpha| <= N, alpha >= gamma of prod_i series_i[alpha_i]:
+    the coefficients of t^0..t^N of the product of the slot series, each
+    cut below its corner entry.  All slots but the last are convolved; the
+    last enters through its prefix sums."""
+    acc = [1] + [0] * N
+    for s, g in zip(series[:-1], gamma[:-1]):
+        out = [0] * (N + 1)
+        for a, ca in enumerate(acc):
+            if ca:
+                for b in range(g, N + 1 - a):
+                    out[a + b] += ca * s[b]
+        acc = out
+    prefix, run = [], 0
+    last, g = series[-1], gamma[-1]
+    for b in range(N + 1):
+        if b >= g:
+            run += last[b]
+        prefix.append(run)
+    return sum(ca * prefix[N - a] for a, ca in enumerate(acc) if ca)
+
+
+def _diagonal_sum(module, corners, z, w, N: int) -> Bounded:
+    """Degree-N diagonal sum over the exponents above some corner, by
+    inclusion-exclusion with the given signs, plus its remainder bound."""
+    x = [zi * wi for zi, wi in zip(z, w)]
+    series = [_slot_series(l, xi, N) for l, xi in zip(module.weights, x)]
+    denominator = math.prod(s[0] for s in series)
+    total = sum(sign * _graded_sum(series, gamma, N)
+                for gamma, sign in corners)
+    rho = max(abs(xi) for xi in x)
+    # the filtered diagonal is dominated termwise by the full diagonal
+    return Bounded(Fraction(total, denominator),
+                   _diagonal_tail_bound(sum(module.weights), rho, N))
+
+
 def ambient_kernel_bounded(module: WeightedPolydiscModule, z, w, N: int) -> Bounded:
     """Degree-N partial sum of the ambient kernel with a remainder bound."""
     z = _check_point(module, z, "z")
     w = _check_point(module, w, "w")
-    value = Fraction(0)
-    for alpha in iter_multiindices(module.dim, N):
-        c = diag_coeff(module, alpha)
-        term = c
-        for zi, wi, e in zip(z, w, alpha):
-            term *= (zi * wi) ** e
-        value += term
-    rho = max(abs(zi * wi) for zi, wi in zip(z, w))
-    return Bounded(value, _diagonal_tail_bound(sum(module.weights), rho, N))
+    return _diagonal_sum(module, (((0,) * module.dim, 1),), z, w, N)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +268,21 @@ class DiagonalFilteredKernel:
             if e.degree == 0:
                 raise DomainError("the unit monomial generates the whole module")
         self.default_trunc = default_trunc
+        self.corners = self._corners()
 
-    def supports(self, alpha) -> bool:
-        a = MultiIndex(alpha)
-        return any(g.divides(a) for g in self.generator_exponents)
+    def _corners(self):
+        """((gamma_S, sign), ...) for the inclusion-exclusion over nonempty
+        generator subsets S, where gamma_S is the componentwise max of the
+        exponents in S and sign = (-1)^(|S|+1).  Subsets sharing a corner
+        are merged and corners whose signs cancel are dropped."""
+        gens = self.generator_exponents
+        signs = {}
+        for mask in range(1, 1 << len(gens)):
+            chosen = [g for i, g in enumerate(gens) if mask >> i & 1]
+            gamma = tuple(max(col) for col in zip(*chosen))
+            sign = 1 if len(chosen) % 2 else -1
+            signs[gamma] = signs.get(gamma, 0) + sign
+        return tuple((g, c) for g, c in signs.items() if c)
 
     def eval_exact(self, z, w) -> Fraction:
         """Closed form by inclusion-exclusion over generator subsets.
@@ -233,20 +298,16 @@ class DiagonalFilteredKernel:
             raise DomainError(
                 "closed-form evaluation needs integer weights; "
                 "use eval_truncated for fractional weights")
-        gens = self.generator_exponents
+        x = [zi * wi for zi, wi in zip(z, w)]
         total = Fraction(0)
-        for mask in range(1, 1 << len(gens)):
-            chosen = [gens[i] for i in range(len(gens)) if mask >> i & 1]
-            gamma = MultiIndex(max(g[i] for g in chosen)
-                               for i in range(self.module.dim))
-            sign = -1 if bin(mask).count("1") % 2 == 0 else 1
+        for gamma, sign in self.corners:
             term = Fraction(1)
-            for l, zi, wi, g in zip(self.module.weights, z, w, gamma):
-                x = zi * wi
-                full = (1 - x) ** (-int(l))
-                head = sum((pochhammer(l, a) / math.factorial(a) * x ** a
-                            for a in range(g)), Fraction(0))
-                term *= full - head
+            for l, xi, g in zip(self.module.weights, x, gamma):
+                head, c = Fraction(0), Fraction(1)
+                for a in range(g):
+                    head += c
+                    c = c * (l + a) * xi / (a + 1)
+                term *= (1 - xi) ** (-int(l)) - head
             total += sign * term
         return total
 
@@ -255,17 +316,7 @@ class DiagonalFilteredKernel:
         w = _check_point(self.module, w, "w")
         if N is None:
             N = self.default_trunc
-        value = Fraction(0)
-        for alpha in iter_multiindices(self.module.dim, N):
-            if not self.supports(alpha):
-                continue
-            term = diag_coeff(self.module, alpha)
-            for zi, wi, e in zip(z, w, alpha):
-                term *= (zi * wi) ** e
-            value += term
-        rho = max(abs(zi * wi) for zi, wi in zip(z, w))
-        # the filtered diagonal is dominated termwise by the full diagonal
-        return Bounded(value, _diagonal_tail_bound(sum(self.module.weights), rho, N))
+        return _diagonal_sum(self.module, self.corners, z, w, N)
 
 
 class RankOneCorrectedKernel:
@@ -315,6 +366,9 @@ class GramFormKernel:
     basis holds a maximal independent subset of {z^beta p_j} with
     deg <= trunc_degree, picked greedily in a deterministic order; gram is
     the exact Gram matrix, positive definite by construction (checked).
+    One Bareiss sweep at construction gives both the check (its pivots are
+    the leading principal minors, kept as gram_minors) and the factors that
+    eval_exact substitutes into.
     """
 
     variant = "gram_form"
@@ -325,10 +379,11 @@ class GramFormKernel:
         self.basis = tuple(basis)
         self.gram = [list(row) for row in gram]
         self.trunc_degree = trunc_degree
-        minors = leading_principal_minors(self.gram)
-        if any(d <= 0 for d in minors):
+        factor = BareissFactor(self.gram)
+        if any(p <= 0 for p in factor.pivots):
             raise DomainError("Gram matrix is not positive definite")
-        self.gram_minors = minors
+        self.gram_minors = factor.leading_minors()
+        self._factor = factor
 
     @staticmethod
     def from_ideal(module: WeightedPolydiscModule, ideal: IdealSpec,
@@ -342,27 +397,26 @@ class GramFormKernel:
         for g in ideal.generators:
             for beta in iter_multiindices(m, trunc_degree - g.degree):
                 candidates.append(g.shift_by_monomial(beta))
-        # greedy maximal independent subset, deterministic given the order
+        # greedy maximal independent subset, deterministic given the order:
+        # a candidate is kept iff it leaves a residual against those kept
         index = {a: k for k, a in enumerate(iter_multiindices(m, trunc_degree))}
-        chosen, rows = [], []
-        for p in candidates:
-            row = [Fraction(0)] * len(index)
-            for k, v in p.coeffs.items():
-                row[index[k]] = v
-            if mat_rank(rows + [row]) > len(chosen):
-                chosen.append(p)
-                rows.append(row)
-        gram = [[poly_inner(module, a, b) for b in chosen] for a in chosen]
+        echelon = RowEchelon()
+        chosen = [p for p in candidates
+                  if echelon.add({index[k]: v for k, v in p.coeffs.items()})]
+        n = len(chosen)
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for i, a in enumerate(chosen):  # real coefficients: G is symmetric
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = poly_inner(module, a, chosen[j])
         return GramFormKernel(module, chosen, gram, trunc_degree)
 
     def eval_exact(self, z, w) -> Fraction:
         """b(z)^T G^{-1} b(w); exact for every rational weight vector."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        bw = [p.evaluate(w) for p in self.basis]
-        x = mat_solve(self.gram, bw)
-        return sum((p.evaluate(z) * xi for p, xi in zip(self.basis, x)),
-                   Fraction(0))
+        bz = [p.evaluate(z) for p in self.basis]
+        bw = bz if w == z else [p.evaluate(w) for p in self.basis]
+        return self._factor.inverse_form(bz, bw)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         # the Gram form *is* the degree-truncated kernel; no analytic tail

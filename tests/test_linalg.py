@@ -3,9 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodcurv.errors import ShapeError, SingularityError
-from submodcurv.linalg import (is_positive_definite, leading_principal_minors,
+from submodcurv.linalg import (BareissFactor, RowEchelon,
+                               is_positive_definite, leading_principal_minors,
                                mat_det, mat_identity, mat_inverse, mat_mul,
                                mat_rank, mat_solve, nullspace)
 
@@ -104,6 +107,75 @@ def test_principal_minors_and_definiteness():
     assert is_positive_definite(a)
     assert not is_positive_definite([[F(1), F(2)], [F(2), F(1)]])
     assert is_positive_definite([[F(1), F(0)], [F(0), F(3)]])
+
+
+_ENTRIES = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4),
+                            F(5, 3)])
+
+
+@st.composite
+def _matrices_with_zero_minors(draw):
+    """Small rational matrices; the leading k-by-k block is made singular
+    (a repeated row, or a zero corner) in about half of the draws."""
+    n = draw(st.integers(1, 5))
+    a = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    k = draw(st.integers(0, n))
+    if 2 <= k:
+        a[k - 1][:k] = a[0][:k]
+    elif k == 1:
+        a[0][0] = F(0)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_minors())
+def test_leading_minors_match_blockwise_det(a):
+    want = [mat_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+    assert leading_principal_minors(a) == want
+
+
+def test_leading_minors_past_a_zero_pivot():
+    assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
+    assert leading_principal_minors([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == \
+        [1, 0, -1]
+
+
+def test_bareiss_inverse_form_matches_solve():
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        a = _random_matrix(rng, n)
+        factor = BareissFactor(a)
+        if any(p == 0 for p in factor.pivots):
+            with pytest.raises(SingularityError):
+                factor.inverse_form([F(1)] * n, [F(1)] * n)
+            continue
+        u = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+        v = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+        x = mat_solve(a, v)
+        assert factor.inverse_form(u, v) == sum(p * q for p, q in zip(u, x))
+
+
+def test_row_echelon_keeps_what_raises_the_rank():
+    rng = random.Random(23)
+    for _ in range(20):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.4:  # a combination of earlier rows
+                p, q = rng.choice(rows), rng.choice(rows)
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                rows.append([x + c * y for x, y in zip(p, q)])
+            else:
+                rows.append([F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
+                             for _ in range(ncols)])
+        echelon, kept = RowEchelon(), []
+        for row in rows:
+            independent = mat_rank(kept + [row]) > len(kept)
+            assert echelon.add(dict(enumerate(row))) == independent
+            if independent:
+                kept.append(row)
+        assert len(echelon.rows) == mat_rank(rows)
 
 
 def test_shape_checks():

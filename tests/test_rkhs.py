@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from submodcurv.algebra import MultiIndex, iter_multiindices, pochhammer
 from submodcurv.errors import DomainError, TruncationError
 from submodcurv.ideals import IdealSpec
-from submodcurv.linalg import leading_principal_minors
+from submodcurv.linalg import (leading_principal_minors, mat_det, mat_rank,
+                               mat_solve)
 from submodcurv.polynomials import Poly, parse_poly
-from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
+from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
+                             _diagonal_tail_bound, ambient_kernel_bounded,
                              ambient_kernel_exact, diag_coeff,
                              monomial_norm_sq, poly_inner, submodule_kernel)
 
@@ -186,3 +190,131 @@ def test_kernel_symmetry_and_positivity():
             assert K.eval_exact(p, q) == K.eval_exact(q, p)
     gram = [[K.eval_exact(p, q) for q in pts] for p in pts]
     assert all(d > 0 for d in leading_principal_minors(gram))
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against the direct computations they replace
+
+
+def _reference_diagonal(module, gens, z, w, N):
+    """Degree-N diagonal sum by enumerating every multi-index alpha with
+    |alpha| <= N (kept iff some generator exponent divides it, or always
+    when gens is None), with c_alpha from pochhammer and factorials."""
+    x = [zi * wi for zi, wi in zip(z, w)]
+    # per-slot terms poch(l, a)/a! x^a, tabulated so that m = 4, N = 30
+    # (46k multi-indices) stays quick
+    slot = [[pochhammer(l, a) / math.factorial(a) * xi ** a
+             for a in range(N + 1)] for l, xi in zip(module.weights, x)]
+    value = F(0)
+    for alpha in iter_multiindices(module.dim, N):
+        if gens is not None and not any(MultiIndex(g).divides(alpha)
+                                        for g in gens):
+            continue
+        term = F(1)
+        for table, a in zip(slot, alpha):
+            term *= table[a]
+        value += term
+    rho = max(abs(xi) for xi in x)
+    return Bounded(value, _diagonal_tail_bound(sum(module.weights), rho, N))
+
+
+# generator exponent sets per dimension: one generator, nested, overlapping,
+# and one with a zero exponent slot
+_DIAGONAL_CASES = {
+    1: [[(2,)], [(1,), (3,)]],
+    2: [[(1, 1)], [(2, 1), (1, 2)], [(1, 0), (2, 3)], [(2, 0), (0, 3), (1, 1)]],
+    3: [[(1, 0, 2)], [(2, 1, 0), (0, 1, 1), (1, 1, 1)], [(1, 0, 0), (1, 2, 0)]],
+    4: [[(1, 0, 1, 0)], [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2)]],
+}
+_WEIGHTS = {  # integer and half-integer weights
+    1: [(F(2),), (F(1, 2),)],
+    2: [(F(1), F(3)), (F(3, 2), F(1))],
+    3: [(F(1), F(2), F(2)), (F(1, 2), F(2), F(5, 2))],
+    4: [(F(1), F(1), F(3), F(2)), (F(3, 2), F(1), F(1, 2), F(2))],
+}
+_POINTS = [(F(1, 3), F(-1, 2), F(2, 5), F(1, 4)),
+           (F(0), F(1, 5), F(-3, 7), F(0))]  # with zero coordinates
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [0, 1, 5, 30])
+def test_diagonal_sums_match_multiindex_loop(m, N):
+    z, w = (p[:m] for p in _POINTS)
+    for ws in _WEIGHTS[m]:
+        module = WeightedPolydiscModule(m, ws)
+        for zz, ww in ((z, w), (w, w)):
+            want = _reference_diagonal(module, None, zz, ww, N)
+            assert ambient_kernel_bounded(module, zz, ww, N) == want
+        if m == 4 and N == 30:
+            continue  # one 46k-term reference per weight vector is enough
+        for gens in _DIAGONAL_CASES[m]:
+            K = DiagonalFilteredKernel(module, gens)
+            for zz, ww in ((z, w), (w, w)):
+                want = _reference_diagonal(module, gens, zz, ww, N)
+                assert K.eval_truncated(zz, ww, N) == want
+
+
+def test_diagonal_sum_m4_degree30_filtered():
+    module = WeightedPolydiscModule(4, _WEIGHTS[4][1])
+    gens = _DIAGONAL_CASES[4][1]
+    z, w = _POINTS
+    K = DiagonalFilteredKernel(module, gens)
+    assert K.eval_truncated(z, w, 30) == _reference_diagonal(
+        module, gens, z, w, 30)
+
+
+def _reference_gram_basis(module, ideal, degree):
+    """The greedy scan: a candidate is kept iff it raises the rank of the
+    coefficient rows kept so far."""
+    m = module.dim
+    index = {a: k for k, a in enumerate(iter_multiindices(m, degree))}
+    chosen, rows = [], []
+    for g in ideal.generators:
+        for beta in iter_multiindices(m, degree - g.degree):
+            p = g.shift_by_monomial(beta)
+            row = [F(0)] * len(index)
+            for k, v in p.coeffs.items():
+                row[index[k]] = v
+            if mat_rank(rows + [row]) > len(chosen):
+                chosen.append(p)
+                rows.append(row)
+    return chosen
+
+
+_GRAM_IDEALS = [
+    (WeightedPolydiscModule(2, (F(3, 2), F(2))),
+     IdealSpec.catalogued("product_difference", 2)),
+    (WeightedPolydiscModule(2, (F(1), F(2))),
+     IdealSpec.from_generators(2, [parse_poly("z1^2 - z2", 2),
+                                   parse_poly("z1*z2", 2)])),
+    (WeightedPolydiscModule(2, (F(2), F(1, 2))),
+     IdealSpec.from_generators(2, [parse_poly("z1^3 - z2^2", 2)])),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_GRAM_IDEALS)))
+@pytest.mark.parametrize("degree", [4, 5, 6, 7, 8])
+def test_gram_form_matches_rank_scan_and_solve(case, degree):
+    module, ideal = _GRAM_IDEALS[case]
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    assert list(K.basis) == _reference_gram_basis(module, ideal, degree)
+    G = K.gram
+    assert K.gram_minors == [mat_det([row[:k] for row in G[:k]])
+                             for k in range(1, len(G) + 1)]
+    points = [(F(1, 3), F(1, 7)), (F(-1, 4), F(2, 5)), (F(0), F(-1, 2))]
+    for z in points:
+        bz = [p.evaluate(z) for p in K.basis]
+        for w in points:
+            x = mat_solve(G, [p.evaluate(w) for p in K.basis])
+            assert K.eval_exact(z, w) == sum(a * b for a, b in zip(bz, x))
+
+
+def test_gram_form_rejects_indefinite_gram():
+    m = WeightedPolydiscModule.hardy(2)
+    basis = [parse_poly("z1", 2), parse_poly("z2", 2), parse_poly("z1*z2", 2)]
+    for gram in ([[F(1), F(2), F(0)], [F(2), F(1), F(0)], [F(0), F(0), F(1)]],
+                 [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]],
+                 [[F(0), F(1), F(0)], [F(1), F(2), F(0)], [F(0), F(0), F(1)]],
+                 [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]]):
+        with pytest.raises(DomainError):
+            GramFormKernel(m, basis, gram, 2)
