@@ -9,7 +9,7 @@ localization dimensions, and rigidity decision procedures.
 
 from .algebra import (LogSeries, MultiIndex, SeriesMatrix, TruncSeries,
                       iter_multiindices, mixed_hessian, pochhammer, rat,
-                      series_det, series_exp, series_inverse, series_log)
+                      series_exp, series_inverse, series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
                         curvature_matrix, det_bundle_curvature,
                         fd_log_hessian, fd_mixed_hessian, gauge_conjugate,
@@ -57,6 +57,6 @@ __all__ = [
     "monomial_norm_sq", "parse_poly", "pochhammer", "poly_inner",
     "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
-    "reconstruction_residual", "series_det", "series_exp", "series_inverse",
+    "reconstruction_residual", "series_exp", "series_inverse",
     "series_log", "sturm_chain", "submodule_kernel", "zero_set",
 ]

@@ -9,6 +9,10 @@ Real-analytic germs (metrics, kernels restricted to the diagonal) become
 polynomials in these 2*m commuting variables; conjugation is the involution
 swapping the two halves.
 
+cofactor_det is the one determinant over rings other than the rationals:
+series matrices, polynomial matrices and the complex matrices of the float
+oracle all expand through it.  Rational matrices use linalg.mat_det.
+
 No floating point enters any function in this module.
 """
 
@@ -192,6 +196,9 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def _check_compat(self, other: "TruncSeries"):
         if self.npairs != other.npairs or self.trunc != other.trunc:
             raise ShapeError(
@@ -364,11 +371,6 @@ class TruncSeries:
         return f"TruncSeries({self.npairs} pairs, D={self.trunc}: {self})"
 
 
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Product of two truncated series (degree-filtered convolution)."""
-    return a * b
-
-
 def series_inverse(s: TruncSeries) -> TruncSeries:
     """Multiplicative inverse of a series with nonzero constant term.
 
@@ -530,7 +532,7 @@ class SeriesMatrix:
         return [[s.constant_term() for s in row] for row in self.entries]
 
     def det(self) -> TruncSeries:
-        return series_det(self)
+        return cofactor_det(self.entries)
 
     def inverse(self) -> "SeriesMatrix":
         """Inverse via adjugate / det; exact through the truncation degree."""
@@ -539,41 +541,42 @@ class SeriesMatrix:
             raise SingularityError("series matrix is singular at the base point")
         dinv = series_inverse(d)
         n = self.n
+        if n == 1:
+            return SeriesMatrix([[dinv]])
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = _series_minor(self, j, i)
+                # cofactor (j, i): drop row j and column i
+                minor = [r[:i] + r[i + 1:]
+                         for k, r in enumerate(self.entries) if k != j]
                 sign = -1 if (i + j) % 2 else 1
-                out[i][j] = (series_det_of_rows(minor, self.npairs, self.trunc)
-                             * dinv).scale(sign)
+                out[i][j] = (cofactor_det(minor) * dinv).scale(sign)
         return SeriesMatrix(out)
 
 
-def _series_minor(M: SeriesMatrix, drop_row: int, drop_col: int):
-    return [[M.entries[i][j] for j in range(M.n) if j != drop_col]
-            for i in range(M.n) if i != drop_row]
+def cofactor_det(rows):
+    """Determinant of a non-empty square list of lists over a commutative
+    ring, by cofactor expansion along the first row.
 
-
-def series_det_of_rows(rows, npairs, trunc) -> TruncSeries:
-    """Determinant of a list-of-lists of TruncSeries by cofactor expansion."""
+    Entries need only +, -, * and a truth value that is False exactly at
+    zero (Fraction, complex, TruncSeries, Poly); zero entries of the first
+    row are skipped.  The cost grows like n!, which is fine for the frame
+    counts and gauge sizes this package works at; Fraction matrices of any
+    size go through linalg.mat_det (Bareiss) instead.
+    """
     n = len(rows)
-    if n == 0:
-        return TruncSeries.one(npairs, trunc)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ShapeError("cofactor_det needs a non-empty square matrix")
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = TruncSeries.zero(npairs, trunc)
-    for j in range(n):
-        if rows[0][j].is_zero():
+    acc = None
+    for j, entry in enumerate(rows[0]):
+        if not entry:
             continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * series_det_of_rows(minor, npairs, trunc)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def series_det(M: SeriesMatrix) -> TruncSeries:
-    """Determinant of a SeriesMatrix (cofactor expansion; fine for the small
-    frame counts this package works at)."""
-    return series_det_of_rows(M.entries, M.npairs, M.trunc)
+        term = entry * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if acc is None:
+            acc = -term if j % 2 else term
+        else:
+            acc = acc - term if j % 2 else acc + term
+    # a first row of zeros: the determinant is that zero entry
+    return rows[0][0] if acc is None else acc

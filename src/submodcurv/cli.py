@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import rat
 from .curvature import (CONVENTION, JET_DEGREE, curvature_matrix,
                         det_bundle_curvature, principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
@@ -28,8 +27,9 @@ from .frames import (COORDINATE_KIND, coordinate_power_data,
                      decompose_coordinate_ideal, frame_on_zero_set, grammian,
                      reconstruction_residual)
 from .ideals import (CATALOGUE, IdealSpec, localization_dim, zero_set)
-from .invariants import (cubic_positive_roots, lambda_mu_invariants,
-                         polydisc_rigidity_report)
+from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
+                         lambda_mu_invariants, polydisc_rigidity_report)
+from .linalg import leading_principal_minors
 from .polynomials import parse_poly
 from .rkhs import WeightedPolydiscModule, submodule_kernel
 
@@ -399,7 +399,8 @@ def run_task(cfg: JobConfig) -> Report:
             if module.dim == 2 and powers == (1, 1):
                 a = lambda_mu_invariants(*module.weights)
                 b = lambda_mu_invariants(*cfg.compare_weights)
-                report.add("equivalent", a.as_pair() == b.as_pair())
+                report.add("equivalent", lambda_mu_equivalent(
+                    *module.weights, *cfg.compare_weights))
                 report.add("kappa1_left", a.kappa1)
                 report.add("kappa2_left", a.kappa2)
                 report.add("kappa1_right", b.kappa1)
@@ -510,7 +511,6 @@ def run_task(cfg: JobConfig) -> Report:
             for j in range(t):
                 report.add(f"metric_at_base_{i+1}{j+1}", base[i][j])
         report.add("hermitian", metric.matrix.is_hermitian())
-        from .linalg import leading_principal_minors
         minors = leading_principal_minors(base)
         report.add("positive_definite", all(d > 0 for d in minors))
         for k, d in enumerate(minors, 1):

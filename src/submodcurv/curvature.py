@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Optional
 
-from .algebra import (MultiIndex, SeriesMatrix, TruncSeries,
+from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, cofactor_det,
                       iter_multiindices, mixed_hessian, pochhammer, rat)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 from .frames import (MetricSeries, coordinate_power_data, frame_on_zero_set,
@@ -293,7 +293,7 @@ def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
             for b in range(t):
                 if vec[a * t + b] != 0:
                     entries[a][b] = entries[a][b] + xi * vec[a * t + b]
-    detp = _poly_det(entries)
+    detp = cofactor_det(entries)
     if detp.is_zero():
         return None
     for point in iter_product(range(t + 1), repeat=r):
@@ -306,21 +306,6 @@ def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
                             A[a][b] += point[idx] * vec[a * t + b]
             return tuple(tuple(row) for row in A)
     return None  # unreachable for nonzero detp by the grid argument
-
-
-def _poly_det(entries):
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = Poly.zero(entries[0][0].nvars)
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)]
-        term = entries[0][j] * _poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +408,6 @@ def zero_set_metric_fn(module: WeightedPolydiscModule, ideal: IdealSpec,
     return f
 
 
-def _complex_det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    acc = 0.0 + 0.0j
-    for j in range(n):
-        minor = [[M[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = M[0][j] * _complex_det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
-
-
 def coordinate_det_fn(module: WeightedPolydiscModule, t: Optional[int] = None,
                       degree_cap: int = 24) -> Callable:
     """Float evaluator of det H(w) for the coordinate-ideal frame Grammian,
@@ -489,5 +460,5 @@ def coordinate_det_fn(module: WeightedPolydiscModule, t: Optional[int] = None,
                         continue
                     # one factor of c_a total: s_i s_j c_a with svals = s*c
                     H[i][j] += si_c * svals[j] / float(c) * zpows[i] * cpows[j]
-        return _complex_det(H).real
+        return cofactor_det(H).real
     return f

@@ -89,12 +89,6 @@ class PowerProduct:
             out *= b ** int(e)
         return out
 
-    def float_value(self) -> float:
-        out = 1.0
-        for b, e in self.factors:
-            out *= float(b) ** float(e)
-        return out
-
     def is_one(self) -> bool:
         return not self.factors
 
@@ -134,20 +128,26 @@ class FrameSeries:
                      for v, p in zip(self.gen_vars, self.gen_powers))
 
 
+def _binomial_powers(m, trunc, base_point, top):
+    """binom_pow[j][n] = (wb*_j + ub_j)^n, the recentered conjugate variable
+    to the power n, for every variable j and n = 0..top."""
+    table = []
+    for j in range(m):
+        lin = (TruncSeries.wbar(m, trunc, j)
+               + TruncSeries.constant(m, trunc, base_point[j]))
+        powers = [TruncSeries.one(m, trunc)]
+        for _ in range(top):
+            powers.append(powers[-1] * lin)
+        table.append(powers)
+    return table
+
+
 def _build_splitting_frame(module, gen_vars, gen_powers, base_point, trunc):
     m = module.dim
     t = len(gen_vars)
     weights = module.weights
     zcap = trunc + max(gen_powers)
-    # precompute the recentered conjugate-variable expansions (wb*_j + ub_j)^n
-    base = [rat(x) for x in base_point]
-    binom_pow = []
-    for j in range(m):
-        per_var = [TruncSeries.one(m, trunc)]
-        lin = TruncSeries.wbar(m, trunc, j) + TruncSeries.constant(m, trunc, base[j])
-        for _ in range(zcap):
-            per_var.append(per_var[-1] * lin)
-        binom_pow.append(per_var)
+    binom_pow = _binomial_powers(m, trunc, base_point, zcap)
 
     vectors = [dict() for _ in range(t)]
     for alpha in iter_multiindices(m, zcap):
@@ -414,7 +414,6 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
     module = frame.module
     m = module.dim
     D = frame.trunc
-    base = frame.base_point
     zcap = D + max(frame.gen_powers)
 
     pbar = []
@@ -422,13 +421,7 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
         # conj(p_k)(base + u) = ub_v^p since the base vanishes there
         pbar.append(TruncSeries.wbar(m, D, v, p))
 
-    binom_pow = []
-    for j in range(m):
-        per_var = [TruncSeries.one(m, D)]
-        lin = TruncSeries.wbar(m, D, j) + TruncSeries.constant(m, D, base[j])
-        for _ in range(zcap):
-            per_var.append(per_var[-1] * lin)
-        binom_pow.append(per_var)
+    binom_pow = _binomial_powers(m, D, frame.base_point, zcap)
 
     residuals = {}
     for alpha in iter_multiindices(m, zcap):

@@ -11,7 +11,8 @@ The family tag decides which closed-form constructions apply downstream;
 nothing here attempts Groebner-style normal forms.  The localization
 dimension at a point w counts dim J_N - dim J'_N for spaces of generator
 multiples of bounded degree, which stabilizes at the fibre dimension of the
-associated quotient for the families treated here.
+associated quotient for the families treated here.  Both spans are ranked by
+feeding each multiple's sparse coefficients into a linalg.RowEchelon.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from .algebra import MultiIndex, iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
-from .linalg import mat_rank
+from .linalg import RowEchelon
 from .polynomials import Poly
 
 MONOMIAL = "monomial"
@@ -69,27 +70,6 @@ class PointSet:
 
     def describe(self) -> str:
         return "point (" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class UserParametrized:
-    """Caller-supplied variety data: sample points plus the codimension."""
-    nvars: int
-    samples: tuple
-    codim_value: int
-
-    @property
-    def codim(self) -> int:
-        return self.codim_value
-
-    def contains(self, point) -> Optional[bool]:
-        pt = tuple(rat(x) for x in point)
-        if any(pt == tuple(rat(c) for c in s) for s in self.samples):
-            return True
-        return None  # membership beyond the samples is unknown
-
-    def describe(self) -> str:
-        return f"user-parametrized variety (codim {self.codim_value})"
 
 
 # ---------------------------------------------------------------------------
@@ -337,35 +317,19 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
-    def monomial_rows(N):
-        index = {alpha: k for k, alpha in enumerate(iter_multiindices(m, N))}
-        return index
-
-    def row_of(poly: Poly, index):
-        row = [Fraction(0)] * len(index)
-        for k, v in poly.coeffs.items():
-            row[index[k]] = v
-        return row
-
     def span_dims(N):
-        index = monomial_rows(N)
-        j_rows = []
-        multiples = []
+        # each polynomial's coeffs is a sparse row keyed by monomial
+        j_span, jp_span = RowEchelon(), RowEchelon()
         for g in ideal.generators:
             dg = g.degree
             for beta in iter_multiindices(m, max(N - dg, 0)):
                 f = g.shift_by_monomial(beta)
-                multiples.append((f, beta.degree + dg))
-                j_rows.append(row_of(f, index))
-        jp_rows = []
-        for f, deg in multiples:
-            if deg <= N - 1:
-                for i in range(m):
-                    shifted = f.shift_by_monomial(MultiIndex.unit(m, i)) - f * w[i]
-                    jp_rows.append(row_of(shifted, index))
-        dim_j = mat_rank(j_rows) if j_rows else 0
-        dim_jp = mat_rank(jp_rows) if jp_rows else 0
-        return dim_j - dim_jp
+                j_span.add(f.coeffs)
+                if beta.degree + dg <= N - 1:
+                    for i in range(m):
+                        jp_span.add((f.shift_by_monomial(MultiIndex.unit(m, i))
+                                     - f * w[i]).coeffs)
+        return len(j_span.rows) - len(jp_span.rows)
 
     dims = []
     stabilized_at = None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import mixed_hessian, pochhammer, rat
 from .curvature import JET_DEGREE, line_curvature

@@ -6,8 +6,11 @@ integers, so intermediate entries stay integral.  ``BareissFactor`` keeps one
 such sweep without pivoting: its pivots are the leading principal minors and
 its factors answer u^T A^{-1} v by integer substitution.  ``RowEchelon``
 tests a stream of sparse rows for independence, reducing each new row once
-against the rows kept so far.  Solving, inverses and nullspaces use ordinary
-Gauss-Jordan elimination over Fraction, which is exact anyway.
+against the rows kept so far; the Gram-form basis and the localization span
+ranks both count rows with it.  Solving, inverses and nullspaces use ordinary
+Gauss-Jordan elimination over Fraction, which is exact anyway.  Determinants
+over other rings (series, polynomials, complex floats) are
+``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -283,10 +286,13 @@ class BareissFactor:
 class RowEchelon:
     """Rows in echelon form, grown one sparse row at a time.
 
-    A row is a dict {column index: value}.  Every kept row is scaled so that
-    its smallest column holds 1, and no two kept rows lead at the same
-    column, so a new row lies in the span of the kept ones iff reducing it
-    by the rows leading at its successive smallest columns leaves nothing.
+    A row is a dict {column: value}; columns are any hashable, totally
+    ordered keys (ints, or the MultiIndex monomials of a Poly's coeffs).
+    Every kept row is scaled so that its smallest column holds 1, and no two
+    kept rows lead at the same column, so a new row lies in the span of the
+    kept ones iff reducing it by the rows leading at its successive smallest
+    columns leaves nothing.  The number of kept rows is the rank of the rows
+    added.
     """
 
     def __init__(self):

@@ -56,6 +56,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
-                                iter_multiindices, mixed_hessian, pochhammer,
-                                rat, series_exp, series_inverse, series_log)
+                                cofactor_det, iter_multiindices, mixed_hessian,
+                                pochhammer, rat, series_exp, series_inverse,
+                                series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
+from submodcurv.linalg import mat_det, mat_solve
+from submodcurv.polynomials import Poly
 
 
 def test_rat_coercion():
@@ -197,3 +201,121 @@ def test_series_matrix_hermitian_check():
     assert h.is_hermitian()
     g = SeriesMatrix([[one, w1], [wb1.scale(F(3)), one]])
     assert not g.is_hermitian()
+
+
+def test_series_matrix_inverse_sizes_one_and_three():
+    one = TruncSeries.one(2, 3)
+    w1 = TruncSeries.w(2, 3, 0)
+    wb2 = TruncSeries.wbar(2, 3, 1)
+    single = SeriesMatrix([[one.scale(F(2)) + w1]])
+    assert single.inverse()[0, 0] == series_inverse(single[0, 0])
+    m = SeriesMatrix([[one + w1, wb2, TruncSeries.zero(2, 3)],
+                      [w1.scale(F(1, 2)), one.scale(F(3)), w1 * wb2],
+                      [wb2, TruncSeries.zero(2, 3), one - wb2]])
+    prod = m @ m.inverse()
+    eye = SeriesMatrix.identity(3, 2, 3)
+    assert all(prod[i, j] == eye[i, j] for i in range(3) for j in range(3))
+
+
+# -- cofactor_det against Bareiss --------------------------------------------
+
+_entry = st.one_of(st.just(F(0)), st.fractions(min_value=F(-5), max_value=F(5),
+                                               max_denominator=4))
+
+
+@st.composite
+def _rational_square(draw):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    zero_col = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        rows[zero_row] = [F(0)] * n
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = F(0)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_square())
+def test_cofactor_det_matches_bareiss(rows):
+    assert cofactor_det(rows) == mat_det(rows)
+
+
+def test_cofactor_det_shape_checks():
+    with pytest.raises(ShapeError):
+        cofactor_det([])
+    with pytest.raises(ShapeError):
+        cofactor_det([[F(1), F(2)]])
+    assert cofactor_det([[F(0), F(0)], [F(1), F(2)]]) == 0
+
+
+_point = st.tuples(*[st.fractions(min_value=F(-2), max_value=F(2),
+                                  max_denominator=5)] * 2)
+
+
+@st.composite
+def _poly_square(draw):
+    """Square matrices of bivariate polynomials of degree <= 2, many zero."""
+    n = draw(st.integers(1, 4))
+    monomials = list(iter_multiindices(2, 2))
+
+    def entry():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), _entry),
+                              max_size=3))
+        return Poly(2, dict(terms))
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_square(), _point)
+def test_cofactor_det_of_polys_commutes_with_evaluation(rows, point):
+    value = cofactor_det(rows)
+    assert isinstance(value, Poly)
+    assert value.evaluate(point) == mat_det(
+        [[p.evaluate(point) for p in row] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.lists(st.lists(_series_strategy(2, 1), min_size=n,
+                                       max_size=n), min_size=n, max_size=n)),
+       _point, _point)
+def test_cofactor_det_of_series_commutes_with_evaluation(rows, w, wb):
+    # entries of degree <= 1 and a determinant of degree <= 4: raising the
+    # truncation to 4 drops no term, so evaluation is a ring map here
+    rows = [[TruncSeries(2, 4, s.coeffs) for s in row] for row in rows]
+    value = cofactor_det(rows)
+    assert isinstance(value, TruncSeries)
+    assert value.evaluate(w, wb) == mat_det(
+        [[s.evaluate(w, wb) for s in row] for row in rows])
+
+
+def _det_at_i(re_rows, im_rows):
+    """det(A + iB) for rational A, B without complex arithmetic: interpolate
+    p(t) = det(A + tB) from Bareiss values at t = 0..n, then read off p(i)."""
+    n = len(re_rows)
+    ts = range(n + 1)
+    values = [mat_det([[a + t * b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(re_rows, im_rows)]) for t in ts]
+    coeffs = mat_solve([[F(t) ** k for k in range(n + 1)] for t in ts], values)
+    real = sum(c * (-1) ** (k // 2) for k, c in enumerate(coeffs) if k % 2 == 0)
+    imag = sum(c * (-1) ** (k // 2) for k, c in enumerate(coeffs) if k % 2 == 1)
+    return real, imag
+
+
+def test_cofactor_det_of_complex_matrices():
+    assert cofactor_det([[1 + 1j, 2], [3, 1j]]) == -7 + 1j
+    rng = random.Random(7)
+    for n in range(1, 6):
+        for _ in range(5):
+            re_rows = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(n)]
+                       for _ in range(n)]
+            im_rows = [[rng.choice((0, 1, -1, 2)) for _ in range(n)]
+                       for _ in range(n)]
+            # small Gaussian integers: the float expansion is exact
+            value = cofactor_det([[complex(a, b) for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(re_rows, im_rows)])
+            real, imag = _det_at_i(re_rows, im_rows)
+            assert (value.real, value.imag) == (real, imag)

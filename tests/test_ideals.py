@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from submodcurv.algebra import MultiIndex, iter_multiindices
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import (CoordinateSubspace, IdealSpec, PointSet,
                                localization_dim, minimality_certificate,
                                zero_set)
+from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import parse_poly
 
 
@@ -131,3 +133,77 @@ def test_dims_by_degree_regression():
     assert loc.dims_by_degree == ((2, 2), (3, 2))
     loc2 = localization_dim(ideal, OFF)
     assert loc2.dims_by_degree == ((2, 2), (3, 1), (4, 1))
+
+
+def _dense_dims_by_degree(ideal, point, max_degree):
+    """Reference: one dense row per generator multiple over the monomials of
+    degree <= N and one mat_rank per span, degree by degree until two
+    consecutive defects agree."""
+    m = ideal.nvars
+    w = [F(x) for x in point]
+
+    def defect(N):
+        index = {a: k for k, a in enumerate(iter_multiindices(m, N))}
+
+        def row(p):
+            out = [F(0)] * len(index)
+            for k, v in p.coeffs.items():
+                out[index[k]] = v
+            return out
+
+        j_rows, jp_rows = [], []
+        for g in ideal.generators:
+            for beta in iter_multiindices(m, max(N - g.degree, 0)):
+                f = g.shift_by_monomial(beta)
+                j_rows.append(row(f))
+                if beta.degree + g.degree <= N - 1:
+                    for i in range(m):
+                        jp_rows.append(row(
+                            f.shift_by_monomial(MultiIndex.unit(m, i))
+                            - f * w[i]))
+        return ((mat_rank(j_rows) if j_rows else 0)
+                - (mat_rank(jp_rows) if jp_rows else 0))
+
+    dims = []
+    for N in range(ideal.max_degree, max_degree + 1):
+        dims.append((N, defect(N)))
+        if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
+            break
+    return tuple(dims)
+
+
+_REFERENCE_CASES = [
+    # (generators or catalogue name, nvars, points, max_degree)
+    ("product_difference", 2,
+     [ORIGIN, OFF, (F(1, 5), F(2, 5)), (F(-1, 2), F(0))], 8),
+    (("z1^2", "z1 z2", "z2^3"), 2, [ORIGIN, (F(0), F(1, 2)), OFF], 8),
+    (("z1^3",), 2, [ORIGIN, (F(0), F(1, 3)), (F(1, 4), F(1, 5))], 8),
+    (("z1^2", "z1 z2", "z3"), 3,
+     [(F(0),) * 3, (F(0), F(1, 2), F(0)), (F(1, 3), F(0), F(0))], 6),
+    (("z1 + z2^2",), 2, [ORIGIN, (F(-1, 4), F(1, 2)), OFF], 8),
+    (("z1^2 - z2^3", "z1 z2^2"), 2, [ORIGIN, (F(1, 8), F(1, 4)), OFF], 8),
+    (("z1 z2 - z3^2", "z1 - z2 z3"), 3,
+     [(F(0),) * 3, (F(1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(-1, 5), F(1, 4))],
+     5),
+    # generators of degree 4 to 7, so the spans run to degrees 7 and 8
+    (("z1^5", "z1^2 z2^3", "z2^6"), 2, [ORIGIN, (F(0), F(1, 2)), OFF], 8),
+    (("z1^4 z2^3", "z1^6 - z2^5"), 2, [ORIGIN, OFF, (F(1, 2), F(0))], 8),
+    (("z1^3 - z2 z3", "z3^4"), 3,
+     [(F(0),) * 3, (F(1, 2), F(0), F(1, 3)), (F(1, 8), F(1, 2), F(0))], 6),
+]
+
+
+@pytest.mark.parametrize("gens,nvars,points,max_degree", _REFERENCE_CASES,
+                         ids=[f"case{k}" for k in range(len(_REFERENCE_CASES))])
+def test_localization_matches_dense_rank_reference(gens, nvars, points,
+                                                   max_degree):
+    if isinstance(gens, str):
+        ideal = IdealSpec.catalogued(gens, nvars)
+    else:
+        ideal = IdealSpec.from_generators(nvars, _gens(nvars, *gens))
+    for pt in points:
+        for cap in range(ideal.max_degree + 1, max_degree + 1):
+            ref = _dense_dims_by_degree(ideal, pt, cap)
+            loc = localization_dim(ideal, pt, cap)
+            assert loc.dims_by_degree == ref, (gens, pt, cap)
+            assert loc.dim == ref[-1][1]
