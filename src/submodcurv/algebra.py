@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -76,7 +77,8 @@ class MultiIndex(tuple):
     def __add__(self, other):
         if len(self) != len(other):
             raise ShapeError("multi-index length mismatch in +")
-        return MultiIndex(a + b for a, b in zip(self, other))
+        # sums of non-negative ints need no re-validation
+        return tuple.__new__(MultiIndex, map(operator.add, self, other))
 
     def __sub__(self, other):
         if len(self) != len(other):
@@ -116,6 +118,99 @@ def iter_multiindices(nvars: int, max_degree: int):
 
 
 # ---------------------------------------------------------------------------
+# Sparse term maps
+#
+# TruncSeries and polynomials.Poly both keep their coefficients as a dict
+# from MultiIndex exponents to nonzero Fractions, and both do their term
+# arithmetic through the functions below.
+
+_ZERO = Fraction(0)
+
+
+def clean_terms(coeffs: Mapping, width: int, cap: int | None = None) -> dict:
+    """coeffs with MultiIndex keys of length width and nonzero Fraction
+    values; with a cap, terms of total degree above it are dropped."""
+    clean = {}
+    for key, val in coeffs.items():
+        k = key if isinstance(key, MultiIndex) else MultiIndex(key)
+        if len(k) != width:
+            raise ShapeError(
+                f"exponent {tuple(k)} has length {len(k)}, expected {width}")
+        v = rat(val)
+        if v != 0 and (cap is None or k.degree <= cap):
+            clean[k] = v
+    return clean
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    """Sum of two term maps."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, _ZERO) + v
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
+    """Product of two term maps; with a cap, products of total degree above
+    it are never formed.  The terms of a drive the outer loop, and the
+    result lists its terms in the order the loops first reach them."""
+    out = {}
+    if cap is not None:
+        graded = [(kb, vb, kb.degree) for kb, vb in b.items()]
+    for ka, va in a.items():
+        if cap is None:
+            row = b.items()
+        else:
+            room = cap - ka.degree
+            row = [(kb, vb) for kb, vb, d in graded if d <= room]
+        for kb, vb in row:
+            k = ka + kb
+            s = out.get(k, _ZERO) + va * vb
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def eval_terms(coeffs: dict, vals) -> Fraction:
+    """Value of a term map at a point given slot by slot."""
+    total = _ZERO
+    for k, v in coeffs.items():
+        term = v
+        for x, e in zip(vals, k):
+            if e:
+                term *= x ** e
+        total += term
+    return total
+
+
+def format_terms(coeffs: dict, names) -> str:
+    """Terms in graded-lex order, each as coefficient*name^e*..., with unit
+    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2"."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in sorted(coeffs):
+        v = coeffs[k]
+        factors = "*".join(name if e == 1 else f"{name}^{e}"
+                           for name, e in zip(names, k) if e)
+        if not factors:
+            parts.append(str(v))
+        elif v == 1:
+            parts.append(factors)
+        elif v == -1:
+            parts.append("-" + factors)
+        else:
+            parts.append(f"{v}*" + factors)
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+# ---------------------------------------------------------------------------
 # Truncated multivariate series
 
 
@@ -137,18 +232,7 @@ class TruncSeries:
             raise DomainError(f"truncation degree must be >= 0, got {trunc}")
         self.npairs = npairs
         self.trunc = trunc
-        clean = {}
-        if coeffs:
-            width = 2 * npairs
-            for key, val in coeffs.items():
-                k = key if isinstance(key, MultiIndex) else MultiIndex(key)
-                if len(k) != width:
-                    raise ShapeError(
-                        f"series key {tuple(k)} has length {len(k)}, expected {width}")
-                v = rat(val)
-                if v != 0 and k.degree <= trunc:
-                    clean[k] = v
-        self.coeffs = clean
+        self.coeffs = clean_terms(coeffs, 2 * npairs, trunc) if coeffs else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -219,14 +303,8 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.constant(self.npairs, self.trunc, other)
         self._check_compat(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TruncSeries(self.npairs, self.trunc, out)
+        return TruncSeries(self.npairs, self.trunc,
+                           add_terms(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -253,24 +331,12 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compat(other)
-        D = self.trunc
-        out: dict = {}
-        # convolution with degree filtering; the smaller factor drives the loop
-        a, b = self, other
-        if len(a.coeffs) > len(b.coeffs):
+        # the smaller factor drives the outer loop
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
             a, b = b, a
-        for ka, va in a.coeffs.items():
-            da = ka.degree
-            for kb, vb in b.coeffs.items():
-                if da + kb.degree > D:
-                    continue
-                k = ka + kb
-                s = out.get(k, Fraction(0)) + va * vb
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return TruncSeries(self.npairs, self.trunc, out)
+        return TruncSeries(self.npairs, self.trunc,
+                           mul_terms(a, b, self.trunc))
 
     __rmul__ = __mul__
 
@@ -327,45 +393,12 @@ class TruncSeries:
         wbvals = [rat(x) for x in wbvals]
         if len(wvals) != self.npairs or len(wbvals) != self.npairs:
             raise ShapeError("evaluation point has wrong arity")
-        vals = wvals + wbvals
-        total = Fraction(0)
-        for k, v in self.coeffs.items():
-            term = v
-            for slot, e in enumerate(k):
-                if e:
-                    term *= vals[slot] ** e
-            total += term
-        return total
+        return eval_terms(self.coeffs, wvals + wbvals)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         m = self.npairs
-        parts = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            factors = []
-            for i in range(m):
-                if k[i] == 1:
-                    factors.append(f"w{i+1}")
-                elif k[i] > 1:
-                    factors.append(f"w{i+1}^{k[i]}")
-            for i in range(m):
-                e = k[m + i]
-                if e == 1:
-                    factors.append(f"wb{i+1}")
-                elif e > 1:
-                    factors.append(f"wb{i+1}^{e}")
-            if not factors:
-                parts.append(str(v))
-            elif v == 1:
-                parts.append("*".join(factors))
-            elif v == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{v}*" + "*".join(factors))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return format_terms(self.coeffs, [f"w{i+1}" for i in range(m)]
+                            + [f"wb{i+1}" for i in range(m)])
 
     def __repr__(self):
         return f"TruncSeries({self.npairs} pairs, D={self.trunc}: {self})"

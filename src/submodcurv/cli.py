@@ -352,13 +352,11 @@ def _build_frame(cfg: JobConfig, module, ideal):
     if cfg.task == "curvature":
         trunc = min(trunc, JET_DEGREE)
     data = coordinate_power_data(ideal)
-    powers = tuple(p for _, p in data)
-    t = len(data)
-    if t == module.dim and all(p == 1 for p in powers):
+    if len(data) == module.dim and all(p == 1 for _, p in data):
         if cfg.base_point is not None and any(x != 0 for x in cfg.base_point):
             raise DomainError(
                 "the full coordinate ideal is decomposed around the origin")
-        return decompose_coordinate_ideal(module, trunc, t)
+        return decompose_coordinate_ideal(module, trunc)
     base = cfg.base_point
     if base is None:
         base = (Fraction(0),) * module.dim
@@ -431,23 +429,20 @@ def run_task(cfg: JobConfig) -> Report:
         kern = submodule_kernel(module, ideal, cfg.ideal_degree)
         report.diagnostics["kernel_variant"] = kern.variant
         exact_ok = module.has_integer_weights() or kern.variant == "gram_form"
-        for k, p in enumerate(cfg.points, 1):
+
+        def add_value(name, z, w):
             if exact_ok:
-                report.add(f"kernel_diag_{k}", kern.eval_exact(p, p))
-            else:
-                bounded = kern.eval_truncated(p, p)
-                report.add(f"kernel_diag_{k}", bounded.value)
-                report.diagnostics[f"kernel_diag_{k}_remainder_bound"] = \
-                    float(bounded.bound)
-        if len(cfg.points) >= 2:
-            z, w = cfg.points[0], cfg.points[1]
-            if exact_ok:
-                report.add("kernel_offdiag_12", kern.eval_exact(z, w))
+                report.add(name, kern.eval_exact(z, w))
             else:
                 bounded = kern.eval_truncated(z, w)
-                report.add("kernel_offdiag_12", bounded.value)
-                report.diagnostics["kernel_offdiag_12_remainder_bound"] = \
+                report.add(name, bounded.value)
+                report.diagnostics[f"{name}_remainder_bound"] = \
                     float(bounded.bound)
+
+        for k, p in enumerate(cfg.points, 1):
+            add_value(f"kernel_diag_{k}", p, p)
+        if len(cfg.points) >= 2:
+            add_value("kernel_offdiag_12", cfg.points[0], cfg.points[1])
         if kern.variant == "gram_form":
             report.diagnostics["gram_basis_size"] = len(kern.basis)
             report.diagnostics["gram_truncation_degree"] = kern.trunc_degree

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Optional
+from typing import Callable
 
 from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, cofactor_det,
                       iter_multiindices, mixed_hessian, pochhammer, rat)
@@ -111,26 +111,15 @@ class CurvatureTensor:
             for i in range(m))
 
 
-def _fold_scales(metric: MetricSeries) -> SeriesMatrix:
-    """Fold symbolic scales into the stored series when they are rational;
-    refuse otherwise, since exact matrix algebra cannot absorb them."""
-    if metric.scales is None:
-        return metric.matrix
-    n = metric.matrix.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = metric.matrix[i, j]
-            if i == j:
-                if not metric.scales[i].is_rational():
-                    raise DomainError(
-                        "metric carries irrational symbolic scales; "
-                        "diagonal-only operations apply, not full matrix algebra")
-                s = s.scale(metric.scales[i].rational_value())
-            row.append(s)
-        rows.append(row)
-    return SeriesMatrix(rows)
+def _unscaled_matrix(metric: MetricSeries) -> SeriesMatrix:
+    """The metric's series matrix, for full matrix algebra.  grammian folds
+    every rational scale, so scales left on a metric are irrational, and
+    exact matrix algebra cannot absorb them."""
+    if metric.scales is not None:
+        raise DomainError(
+            "metric carries irrational symbolic scales; "
+            "diagonal-only operations apply, not full matrix algebra")
+    return metric.matrix
 
 
 def _two_jet(s: TruncSeries):
@@ -176,7 +165,7 @@ def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
                               f"{JET_DEGREE}, got {H.trunc}")
     # scales on a diagonal H multiply it on the left by a constant matrix,
     # which cancels in H^{-1} dbar H
-    matrix = H if metric.is_diagonal() else _fold_scales(metric)
+    matrix = H if metric.is_diagonal() else _unscaled_matrix(metric)
     jets = [[_two_jet(s) for s in row] for row in matrix.entries]
     try:
         H0inv = mat_inverse([[jet[0] for jet in row] for row in jets])
@@ -222,7 +211,7 @@ def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
 
     A has rational (hence real) entries, so A* is the transpose.
     """
-    Hf = _fold_scales(metric)
+    Hf = _unscaled_matrix(metric)
     t = Hf.n
     M = _check_square_rational(A, t)
     rows = []
@@ -408,36 +397,38 @@ def zero_set_metric_fn(module: WeightedPolydiscModule, ideal: IdealSpec,
     return f
 
 
-def coordinate_det_fn(module: WeightedPolydiscModule, t: Optional[int] = None,
-                      degree_cap: int = 24) -> Callable:
+# kernel terms summed by coordinate_det_fn: the tail beyond this degree is
+# far below double precision for |w| << 1
+FLOAT_DEGREE_CAP = 24
+
+
+def coordinate_det_fn(module: WeightedPolydiscModule) -> Callable:
     """Float evaluator of det H(w) for the coordinate-ideal frame Grammian,
     summed termwise in complex floats from the definition
-    H_ij = sum_a s_i s_j c_a w^(a - e_i) conj(w)^(a - e_j).
+    H_ij = sum_a s_i s_j c_a w^(a - e_i) conj(w)^(a - e_j) over the kernel
+    terms of degree <= FLOAT_DEGREE_CAP.
 
     No truncated-series arithmetic is involved, so this serves as an
-    independent cross-check of the exact pipeline near the origin; the
-    degree cap leaves a tail far below double precision for |w| << 1.
+    independent cross-check of the exact pipeline near the origin.
     """
     m = module.dim
-    if t is None:
-        t = m
     weights = module.weights
     terms = []
-    for alpha in iter_multiindices(m, degree_cap):
-        if all(alpha[k] == 0 for k in range(t)):
+    for alpha in iter_multiindices(m, FLOAT_DEGREE_CAP):
+        if not any(alpha):
             continue
-        denom = sum(weights[k] * alpha[k] for k in range(t))
+        denom = sum(weights[k] * alpha[k] for k in range(m))
         c = diag_coeff(module, alpha)
         svals = [float(weights[k] * alpha[k] / denom * c) if alpha[k] else 0.0
-                 for k in range(t)]
+                 for k in range(m)]
         terms.append((tuple(alpha), svals, c))
 
     def f(w):
-        H = [[0.0 + 0.0j for _ in range(t)] for _ in range(t)]
+        H = [[0.0 + 0.0j for _ in range(m)] for _ in range(m)]
         for alpha, svals, c in terms:
             zpows = []
             cpows = []
-            for i in range(t):
+            for i in range(m):
                 if svals[i] == 0.0:
                     zpows.append(0.0)
                     cpows.append(0.0)
@@ -451,11 +442,11 @@ def coordinate_det_fn(module: WeightedPolydiscModule, t: Optional[int] = None,
                         cp *= w[k].conjugate() ** ek
                 zpows.append(zp)
                 cpows.append(cp)
-            for i in range(t):
+            for i in range(m):
                 if svals[i] == 0.0:
                     continue
                 si_c = svals[i]
-                for j in range(t):
+                for j in range(m):
                     if svals[j] == 0.0:
                         continue
                     # one factor of c_a total: s_i s_j c_a with svals = s*c

@@ -18,11 +18,11 @@ Other splittings differ by a gauge transformation; the rule in force is
 recorded on the frame so reports can state it.
 
 Frame vectors are stored as maps from z-exponents to truncated series in the
-displacement (u, ubar) from the base point.  The Grammian pairs frames by
-monomial orthogonality; at a nonzero base point on the zero variety the
-metric instead comes from the recentered closed form, with positive constants
-that may be irrational (fractional powers) carried symbolically, since they
-never influence curvature.
+displacement (u, ubar) from the base point.  The Grammian of the
+coordinate-neighborhood frame pairs frame vectors by monomial orthogonality;
+the Grammian of a zero-variety frame is its recentered closed form, with a
+positive base-point constant that may be irrational (fractional powers)
+carried symbolically, since it never influences curvature.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class PowerProduct:
         merged[base] = merged.get(base, Fraction(0)) + exp
         return PowerProduct(tuple(sorted((b, e) for b, e in merged.items() if e != 0)))
 
-    def __mul__(self, other: "PowerProduct") -> "PowerProduct":
-        out = self
-        for b, e in other.factors:
-            out = out.times(b, e)
-        return out
-
     def is_rational(self) -> bool:
         return all(e.denominator == 1 for _, e in self.factors)
 
@@ -88,9 +82,6 @@ class PowerProduct:
         for b, e in self.factors:
             out *= b ** int(e)
         return out
-
-    def is_one(self) -> bool:
-        return not self.factors
 
     def __str__(self):
         if not self.factors:
@@ -172,22 +163,19 @@ def _build_splitting_frame(module, gen_vars, gen_powers, base_point, trunc):
     return vectors
 
 
-def decompose_coordinate_ideal(module: WeightedPolydiscModule, trunc: int,
-                               t: Optional[int] = None) -> FrameSeries:
-    """Frame for the submodule generated by z_1, ..., z_t near the origin.
+def decompose_coordinate_ideal(module: WeightedPolydiscModule,
+                               trunc: int) -> FrameSeries:
+    """Frame for the submodule generated by all the coordinates z_1, ..., z_m
+    near the origin.
 
     The frame lives over a full neighborhood of 0 (all variables vary), one
     vector per coordinate generator, with F^k(., 0) = l_k z_k.
     """
     m = module.dim
-    if t is None:
-        t = m
-    if not 1 <= t <= m:
-        raise DomainError(f"need 1 <= t <= {m}, got {t}")
     if trunc < 2:
         raise TruncationError("frame truncation degree must be >= 2")
-    gen_vars = tuple(range(t))
-    gen_powers = (1,) * t
+    gen_vars = tuple(range(m))
+    gen_powers = (1,) * m
     vectors = _build_splitting_frame(module, gen_vars, gen_powers,
                                      (Fraction(0),) * m, trunc)
     leads = tuple(module.weights[v] for v in gen_vars)
@@ -259,10 +247,11 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
 class MetricSeries:
     """Grammian of a frame as a matrix of truncated series.
 
-    Entry (i, j) is <F_j, F_i> expanded around the base point.  For
-    zero-variety frames at a nonzero base the diagonal carries a symbolic
-    positive constant (scales[k]); scales multiply the stored series and are
-    irrelevant to every log-derivative.  scales None means all ones.
+    Entry (i, j) is <F_j, F_i> expanded around the base point.  When the
+    base-point constant of a zero-variety frame is irrational the diagonal
+    carries it symbolically (scales[k], the same for every k); scales
+    multiply the stored series and are irrelevant to every log-derivative.
+    scales None means all ones.
     """
     matrix: SeriesMatrix
     base_point: tuple
@@ -282,34 +271,19 @@ class MetricSeries:
         return self.matrix.value_at_base()
 
 
-def _restrict_to_slice(series: TruncSeries, killed):
-    """Zero out terms that move in the killed directions (u_j or ub_j)."""
-    m = series.npairs
-    out = {}
-    for k, v in series.coeffs.items():
-        if all(k[j] == 0 and k[m + j] == 0 for j in killed):
-            out[k] = v
-    return TruncSeries(m, series.trunc, out)
-
-
 def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
+    """Grammian of a coordinate-neighborhood frame by monomial
+    orthogonality: H_ij = sum_a F^j_a conj(F^i_a) / diag_coeff(a)."""
     module = frame.module
     m = module.dim
     D = frame.trunc
     t = frame.count
-    killed = [] if frame.kind == COORDINATE_KIND else list(frame.gen_vars)
-    restricted = []
-    for vec in frame.vectors:
-        if killed:
-            restricted.append({a: _restrict_to_slice(s, killed)
-                               for a, s in vec.items()})
-        else:
-            restricted.append(vec)
+    vectors = frame.vectors
     entries = [[TruncSeries.zero(m, D) for _ in range(t)] for _ in range(t)]
     for i in range(t):
         for j in range(t):
             acc = TruncSeries.zero(m, D)
-            vi, vj = restricted[i], restricted[j]
+            vi, vj = vectors[i], vectors[j]
             if len(vi) > len(vj):
                 common = (a for a in vj if a in vi)
             else:
@@ -341,54 +315,49 @@ def _recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
 
 
 def _metric_by_closed_form(frame: FrameSeries):
-    """Diagonal zero-variety metric from the recentered product form."""
+    """Diagonal zero-variety metric from the recentered product form
+    H_kk = lead_k prod_{free i} (1 - w_i wbar_i)^(-l_i) about the base point.
+
+    The base-point constant prod_{free i} (1 - c_i^2)^(-l_i) is the same for
+    every generator.  It is folded into the series when it is rational, so
+    reported values are the true norms, and returned as each generator's
+    symbolic scale otherwise (an irrational power from fractional weights);
+    the scales are None when folded.
+    """
     module = frame.module
     m = module.dim
     D = frame.trunc
     t = frame.count
-    factors = {}
+    scale = PowerProduct.one()
+    common = TruncSeries.one(m, D)
     for i in frame.free_slots:
-        factors[i] = _recentered_inverse_power(
-            m, D, i, frame.base_point[i], module.weights[i])
+        c = rat(frame.base_point[i])
+        scale = scale.times(1 - c * c, -module.weights[i])
+        common = common * _recentered_inverse_power(m, D, i, c,
+                                                    module.weights[i])
+    if scale.is_rational():
+        fold, scales = scale.rational_value(), None
+    else:
+        fold, scales = 1, (scale,) * t
     entries = [[TruncSeries.zero(m, D) for _ in range(t)] for _ in range(t)]
-    scales = []
     for k in range(t):
-        s = TruncSeries.constant(m, D, frame.lead_coeffs[k])
-        scale = PowerProduct.one()
-        for i in frame.free_slots:
-            s = s * factors[i]
-            c = rat(frame.base_point[i])
-            scale = scale.times(1 - c * c, -module.weights[i])
-        entries[k][k] = s
-        scales.append(scale)
-    return SeriesMatrix(entries), tuple(scales)
+        entries[k][k] = common.scale(frame.lead_coeffs[k] * fold)
+    return SeriesMatrix(entries), scales
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
     """Grammian metric of a frame, exact through the truncation degree.
 
-    Coordinate-neighborhood frames and zero-variety frames based at the
-    origin slice pair off by monomial orthogonality.  A zero-variety frame
-    at a nonzero base point uses the recentered closed form instead, because
-    infinitely many kernel terms hit every series degree there; the two
-    routes agree where both apply.
+    A coordinate-neighborhood frame pairs off by monomial orthogonality.
+    A zero-variety frame, at the origin slice or any other base point, takes
+    the recentered closed form, which is diagonal; away from the origin
+    infinitely many kernel terms hit every series degree, and at the origin
+    the closed form equals the monomial sum over the slice.
     """
-    base_is_zero = all(x == 0 for x in frame.base_point)
-    scales = None
-    if frame.kind == COORDINATE_KIND or base_is_zero:
-        matrix = _metric_by_monomial_sum(frame)
+    if frame.kind == COORDINATE_KIND:
+        matrix, scales = _metric_by_monomial_sum(frame), None
     else:
         matrix, scales = _metric_by_closed_form(frame)
-        if all(s.is_rational() for s in scales):
-            # fold rational scale constants into the series so reported
-            # values are the true norms; symbolic carry is only for
-            # irrational powers arising from fractional weights
-            folded = [[matrix[i, j] for j in range(matrix.n)]
-                      for i in range(matrix.n)]
-            for k, s in enumerate(scales):
-                folded[k][k] = folded[k][k].scale(s.rational_value())
-            matrix = SeriesMatrix(folded)
-            scales = None
     if not matrix.is_hermitian():
         raise DegeneracyError("Grammian failed the Hermitian check")
     base_vals = matrix.value_at_base()

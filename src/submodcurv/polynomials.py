@@ -8,7 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import MultiIndex, rat
+from .algebra import (MultiIndex, add_terms, clean_terms, eval_terms,
+                      format_terms, mul_terms, rat)
 from .errors import DomainError, InputError, ShapeError
 
 
@@ -21,16 +22,7 @@ class Poly:
         if nvars < 1:
             raise DomainError(f"polynomial needs at least one variable, got {nvars}")
         self.nvars = nvars
-        clean = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                k = key if isinstance(key, MultiIndex) else MultiIndex(key)
-                if len(k) != nvars:
-                    raise ShapeError(f"exponent {tuple(k)} has wrong arity")
-                v = rat(val)
-                if v != 0:
-                    clean[k] = v
-        self.coeffs = clean
+        self.coeffs = clean_terms(coeffs, nvars) if coeffs else {}
 
     # -- constructors -------------------------------------------------------
 
@@ -89,14 +81,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nvars, other)
         self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, add_terms(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -118,16 +103,7 @@ class Poly:
                 return Poly.zero(self.nvars)
             return Poly(self.nvars, {k: c * v for k, v in self.coeffs.items()})
         self._check(other)
-        out: dict = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = ka + kb
-                s = out.get(k, Fraction(0)) + va * vb
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, mul_terms(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -148,36 +124,11 @@ class Poly:
         vals = [rat(x) for x in point]
         if len(vals) != self.nvars:
             raise ShapeError("evaluation point has wrong arity")
-        total = Fraction(0)
-        for k, v in self.coeffs.items():
-            term = v
-            for x, e in zip(vals, k):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        return eval_terms(self.coeffs, vals)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            factors = []
-            for i, e in enumerate(k):
-                if e == 1:
-                    factors.append(f"z{i+1}")
-                elif e > 1:
-                    factors.append(f"z{i+1}^{e}")
-            if not factors:
-                parts.append(str(v))
-            elif v == 1:
-                parts.append("*".join(factors))
-            elif v == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{v}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms(self.coeffs,
+                            [f"z{i+1}" for i in range(self.nvars)])
 
     def __repr__(self):
         return f"Poly({self.nvars}: {self})"

@@ -11,8 +11,8 @@ representations, chosen by the ideal family:
 
   DiagonalFilteredKernel   monomial ideals: the ambient diagonal restricted
                            to exponents divisible by some generator
-  RankOneCorrectedKernel   vanishing ideals of a point: Cholesky-style
-                           rank-one corrections of the ambient kernel
+  RankOneCorrectedKernel   vanishing ideals of a point: the ambient kernel
+                           minus one rank-one correction at the point
   GramFormKernel           anything else: exact Gram matrix of a degree-
                            truncated generating basis
 
@@ -320,31 +320,22 @@ class DiagonalFilteredKernel:
 
 
 class RankOneCorrectedKernel:
-    """Ambient kernel minus successive rank-one corrections, one per point:
-    the kernel of functions vanishing at all the correction points."""
+    """Ambient kernel minus one rank-one correction at a point a:
+    K(z, w) - K(z, a) K(a, w) / K(a, a), the kernel of the functions that
+    vanish at a."""
 
     variant = "rank_one_corrected"
 
-    def __init__(self, module: WeightedPolydiscModule, points,
+    def __init__(self, module: WeightedPolydiscModule, point,
                  default_trunc: int = 30):
         self.module = module
-        self.points = tuple(_check_point(module, p, "correction point")
-                            for p in points)
-        if not self.points:
-            raise DomainError("need at least one correction point")
+        self.point = _check_point(module, point, "correction point")
         self.default_trunc = default_trunc
 
     def _eval(self, z, w, base_eval):
-        def k(depth, x, y):
-            if depth == 0:
-                return base_eval(x, y)
-            a = self.points[depth - 1]
-            kxy = k(depth - 1, x, y)
-            kxa = k(depth - 1, x, a)
-            kay = k(depth - 1, a, y)
-            kaa = k(depth - 1, a, a)
-            return kxy - kxa * kay / kaa
-        return k(len(self.points), z, w)
+        a = self.point
+        return base_eval(z, w) - base_eval(z, a) * base_eval(a, w) \
+            / base_eval(a, a)
 
     def eval_exact(self, z, w) -> Fraction:
         z = _check_point(self.module, z, "z")
@@ -436,7 +427,7 @@ def submodule_kernel(module: WeightedPolydiscModule, ideal: IdealSpec,
     if trunc_degree < 1:
         raise TruncationError("truncation degree must be >= 1")
     if ideal.family == COORDINATE_VANISHING:
-        return RankOneCorrectedKernel(module, [vanishing_point(ideal)])
+        return RankOneCorrectedKernel(module, vanishing_point(ideal))
     if ideal.family == MONOMIAL:
         exps = [g.monomial_exponent() for g in ideal.generators]
         return DiagonalFilteredKernel(module, exps)

@@ -149,6 +149,30 @@ def test_ring_axioms(a, b, c):
     assert (a - b) + b == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(_series_strategy(trunc=4), _series_strategy(trunc=4))
+def test_series_and_poly_share_term_arithmetic(a, b):
+    """A series in (w, wb) and the polynomial in 4 variables with the same
+    terms multiply alike, up to the series dropping degrees above 4; both
+    match a product of plain tuples, and evaluate and print alike."""
+    naive = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in b.coeffs.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            naive[k] = naive.get(k, F(0)) + va * vb
+    naive = {k: v for k, v in naive.items() if v}
+    pa, pb = Poly(4, a.coeffs), Poly(4, b.coeffs)
+    assert (pa * pb).coeffs == naive
+    assert (a * b).coeffs == {k: v for k, v in naive.items() if sum(k) <= 4}
+    assert (pa + pb).coeffs == (a + b).coeffs
+    point = (F(1, 2), F(-1, 3), F(2, 5), F(3, 7))
+    assert pa.evaluate(point) == a.evaluate(point[:2], point[2:])
+    renamed = str(pa)
+    for old, new in (("z1", "w1"), ("z2", "w2"), ("z3", "wb1"), ("z4", "wb2")):
+        renamed = renamed.replace(old, new)
+    assert renamed == str(a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_series_strategy(), st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4))
 def test_inverse_property(s, c):

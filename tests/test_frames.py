@@ -2,12 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from submodcurv.algebra import MultiIndex, pochhammer
+from submodcurv.algebra import MultiIndex, TruncSeries, pochhammer
 from submodcurv.errors import (DegeneracyError, DomainError,
                                TruncationError)
 from submodcurv.frames import FrameSeries
-from submodcurv.frames import (_metric_by_closed_form, _metric_by_monomial_sum,
-                               decompose_coordinate_ideal, frame_on_zero_set,
+from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
                                frame_vector_at_base, grammian,
                                reconstruction_residual)
 from submodcurv.ideals import IdealSpec
@@ -84,19 +83,50 @@ def test_reconstruction_residual_zero_set_frames():
         assert reconstruction_residual(frame) == {}
 
 
+def _slice_monomial_metric(frame):
+    """Reference Grammian of a zero-variety frame at the origin: pair the
+    frame vectors by monomial orthogonality after dropping every term that
+    moves in a generator direction (u_v or ub_v), which restricts the frame
+    to the slice through the base point."""
+    m = frame.module.dim
+    D = frame.trunc
+
+    def on_slice(series):
+        return TruncSeries(m, D, {
+            k: v for k, v in series.coeffs.items()
+            if all(k[g] == 0 and k[m + g] == 0 for g in frame.gen_vars)})
+
+    vectors = [{a: on_slice(s) for a, s in vec.items()}
+               for vec in frame.vectors]
+    rows = []
+    for vi in vectors:
+        row = []
+        for vj in vectors:
+            acc = TruncSeries.zero(m, D)
+            for a in vi.keys() & vj.keys():
+                acc = acc + vj[a] * vi[a].conj() * (
+                    1 / diag_coeff(frame.module, a))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
 def test_grammian_paths_agree_at_origin():
+    """grammian takes every zero-variety frame through its closed form; at
+    the origin that must equal the monomial sum over the slice, entry for
+    entry, with no scale left over."""
     for mod, powers in [
         (WeightedPolydiscModule(2, (F(3, 2), F(1, 2))), (2,)),
         (WeightedPolydiscModule(2, (1, 2)), (1,)),
         (WeightedPolydiscModule(3, (1, 2, 1)), (1, 2)),
+        (WeightedPolydiscModule(3, (F(1, 2), F(3, 2), F(5, 2))), (1, 2)),
+        (WeightedPolydiscModule(2, (2, F(1, 3))), (3, 1)),
     ]:
         ideal = IdealSpec.coordinate_powers(mod.dim, powers)
         frame = frame_on_zero_set(mod, ideal, (F(0),) * mod.dim, 4)
-        closed, scales = _metric_by_closed_form(frame)
-        mono = _metric_by_monomial_sum(frame)
-        assert all(s.is_one() for s in scales)
-        for k in range(frame.count):
-            assert closed[k, k] == mono[k, k]
+        H = grammian(frame)
+        assert H.scales is None
+        assert H.matrix.entries == _slice_monomial_metric(frame)
 
 
 def test_zero_set_frames_orthogonal():

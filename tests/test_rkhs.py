@@ -131,13 +131,21 @@ def test_rank_one_corrected_kernel():
     assert K.eval_exact(z, w) == full - corr
 
 
-def test_rank_one_two_points():
+def test_rank_one_bounded_correction():
+    # fractional weights: the truncated correction is Bounded arithmetic in
+    # the order K(z,w) - K(z,a) K(a,w) / K(a,a), so its remainder bound too
+    mod = WeightedPolydiscModule(2, (F(1, 2), F(3, 2)))
+    a = (F(1, 4), F(-1, 3))
+    K = RankOneCorrectedKernel(mod, a)
+    z = (F(1, 5), F(1, 3))
+    w = (F(-1, 7), F(1, 2))
+    N = 12
+    b = [ambient_kernel_bounded(mod, x, y, N)
+         for x, y in ((z, w), (z, a), (a, w), (a, a))]
+    assert K.eval_truncated(z, w, N) == b[0] - b[1] * b[2] / b[3]
     hardy = WeightedPolydiscModule.hardy(1)
-    K = RankOneCorrectedKernel(hardy, [(F(1, 2),), (F(-1, 3),)])
-    assert K.eval_exact((F(1, 2),), (F(1, 2),)) == 0
-    assert K.eval_exact((F(-1, 3),), (F(-1, 3),)) == 0
-    v = K.eval_exact((F(1, 5),), (F(1, 5),))
-    assert v > 0
+    assert RankOneCorrectedKernel(hardy, (F(1, 2),)).eval_exact(
+        (F(1, 2),), (F(1, 2),)) == 0
 
 
 def _gram_schmidt_kernel(module, polys, z, w):
