@@ -360,29 +360,6 @@ class TruncSeries:
                 "terms beyond the original degree were never computed")
         return TruncSeries(self.npairs, new_trunc, self.coeffs)
 
-    def dw(self, i: int) -> "TruncSeries":
-        """Formal partial derivative with respect to w_i (0-based)."""
-        return self._formal_derivative(i)
-
-    def dwbar(self, i: int) -> "TruncSeries":
-        """Formal partial derivative with respect to wb_i (0-based)."""
-        return self._formal_derivative(self.npairs + i)
-
-    def _formal_derivative(self, slot: int) -> "TruncSeries":
-        if not 0 <= slot < 2 * self.npairs:
-            raise ShapeError(f"variable slot {slot} out of range")
-        out = {}
-        for k, v in self.coeffs.items():
-            e = k[slot]
-            if e == 0:
-                continue
-            down = list(k)
-            down[slot] = e - 1
-            out[MultiIndex(down)] = v * e
-        # derivative of an exactly known degree-D jet is only trustworthy
-        # to degree D-1; record that by dropping the truncation degree
-        return TruncSeries(self.npairs, max(self.trunc - 1, 0), out)
-
     def evaluate(self, wvals, wbvals) -> Fraction:
         """Evaluate the truncated polynomial at exact rational arguments.
 

@@ -348,18 +348,21 @@ def _build_frame(cfg: JobConfig, module, ideal):
     only the 2-jet of the metric, so its frame stops at JET_DEGREE; a lower
     trunc_degree still reaches the frame builder's own check first.
     """
+    base = cfg.base_point
+    if base is None:
+        base = (Fraction(0),) * module.dim
+    elif len(base) != module.dim:
+        raise InputError("base point arity does not match dimension",
+                         field="task.base_point")
     trunc = cfg.trunc_degree
     if cfg.task == "curvature":
         trunc = min(trunc, JET_DEGREE)
     data = coordinate_power_data(ideal)
     if len(data) == module.dim and all(p == 1 for _, p in data):
-        if cfg.base_point is not None and any(x != 0 for x in cfg.base_point):
+        if any(x != 0 for x in base):
             raise DomainError(
                 "the full coordinate ideal is decomposed around the origin")
         return decompose_coordinate_ideal(module, trunc)
-    base = cfg.base_point
-    if base is None:
-        base = (Fraction(0),) * module.dim
     return frame_on_zero_set(module, ideal, base, trunc)
 
 

@@ -17,18 +17,20 @@ and restricts on the zero variety to the product closed form
 Other splittings differ by a gauge transformation; the rule in force is
 recorded on the frame so reports can state it.
 
-Frame vectors are stored as maps from z-exponents to truncated series in the
-displacement (u, ubar) from the base point.  The Grammian of the
-coordinate-neighborhood frame pairs frame vectors by monomial orthogonality;
-the Grammian of a zero-variety frame is its recentered closed form, with a
-positive base-point constant that may be irrational (fractional powers)
-carried symbolically, since it never influences curvature.
+A frame is its spec; its vectors, maps from z-exponents to truncated series
+in the displacement (u, ubar) from the base point, are built on first read.
+The Grammian reads the spec alone: the coordinate-neighborhood Grammian
+sums the kernel terms s_i(a) s_j(a) c_a, and the Grammian of a zero-variety
+frame is its recentered closed form, with a positive base-point constant
+that may be irrational (fractional powers) carried symbolically, since it
+never influences curvature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -91,12 +93,13 @@ class PowerProduct:
 
 @dataclass(frozen=True)
 class FrameSeries:
-    """A finite frame for a submodule kernel near a base point.
+    """The spec of a finite frame for a submodule kernel near a base point.
 
-    vectors[k] maps a z-exponent to the truncated (u, ubar)-series of that
-    coefficient of F^k; generator k is the monomial z_{gen_vars[k]+1} to the
-    power gen_powers[k].  free_slots lists the variables transverse to the
+    Generator k is the monomial z_{gen_vars[k]+1} to the power
+    gen_powers[k]; free_slots lists the variables transverse to the
     generators (all variables for the coordinate-neighborhood kind).
+    vectors[k] maps a z-exponent to the truncated (u, ubar)-series of that
+    coefficient of F^k; it is built from the spec on first read.
     """
     module: WeightedPolydiscModule
     kind: str
@@ -104,14 +107,19 @@ class FrameSeries:
     trunc: int
     gen_vars: tuple
     gen_powers: tuple
-    vectors: tuple
     free_slots: tuple
     lead_coeffs: tuple
     splitting_note: str = SPLITTING_NOTE
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.gen_vars)
+
+    @cached_property
+    def vectors(self) -> tuple:
+        return _build_splitting_frame(self.module, self.gen_vars,
+                                      self.gen_powers, self.base_point,
+                                      self.trunc)
 
     def generator_polys(self):
         m = self.module.dim
@@ -160,7 +168,7 @@ def _build_splitting_frame(module, gen_vars, gen_powers, base_point, trunc):
                     series = series * binom_pow[j][e]
             if not series.is_zero():
                 vectors[k][alpha] = series
-    return vectors
+    return tuple(vectors)
 
 
 def decompose_coordinate_ideal(module: WeightedPolydiscModule,
@@ -174,14 +182,9 @@ def decompose_coordinate_ideal(module: WeightedPolydiscModule,
     m = module.dim
     if trunc < 2:
         raise TruncationError("frame truncation degree must be >= 2")
-    gen_vars = tuple(range(m))
-    gen_powers = (1,) * m
-    vectors = _build_splitting_frame(module, gen_vars, gen_powers,
-                                     (Fraction(0),) * m, trunc)
-    leads = tuple(module.weights[v] for v in gen_vars)
     return FrameSeries(module, COORDINATE_KIND, (Fraction(0),) * m, trunc,
-                       gen_vars, gen_powers, tuple(vectors),
-                       tuple(range(m)), leads)
+                       tuple(range(m)), (1,) * m, tuple(range(m)),
+                       module.weights)
 
 
 def coordinate_power_data(ideal: IdealSpec):
@@ -231,12 +234,11 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
             raise DomainError(
                 f"base point must lie on the zero variety: z{v+1} component "
                 f"is {base[v]}, expected 0")
-    vectors = _build_splitting_frame(module, gen_vars, gen_powers, base, trunc)
     free = tuple(i for i in range(m) if i not in gen_vars)
     leads = tuple(pochhammer(module.weights[v], p) / math.factorial(p)
                   for v, p in zip(gen_vars, gen_powers))
     return FrameSeries(module, ZERO_SET_KIND, base, trunc,
-                       gen_vars, gen_powers, tuple(vectors), free, leads)
+                       gen_vars, gen_powers, free, leads)
 
 
 # ---------------------------------------------------------------------------
@@ -272,28 +274,27 @@ class MetricSeries:
 
 
 def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
-    """Grammian of a coordinate-neighborhood frame by monomial
-    orthogonality: H_ij = sum_a F^j_a conj(F^i_a) / diag_coeff(a)."""
+    """Grammian of a coordinate-neighborhood frame, summed over the kernel
+    terms: each c_a with a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at
+    w^(a - e_i) wbar^(a - e_j) of H_ij.  That term has degree 2|a| - 2, so
+    |a| <= D//2 + 1 reaches the truncation degree D."""
     module = frame.module
     m = module.dim
-    D = frame.trunc
-    t = frame.count
-    vectors = frame.vectors
-    entries = [[TruncSeries.zero(m, D) for _ in range(t)] for _ in range(t)]
-    for i in range(t):
-        for j in range(t):
-            acc = TruncSeries.zero(m, D)
-            vi, vj = vectors[i], vectors[j]
-            if len(vi) > len(vj):
-                common = (a for a in vj if a in vi)
-            else:
-                common = (a for a in vi if a in vj)
-            for a in common:
-                term = vj[a] * vi[a].conj()
-                if not term.is_zero():
-                    acc = acc + term * (1 / diag_coeff(module, a))
-            entries[i][j] = acc
-    return SeriesMatrix(entries)
+    weights = module.weights
+    terms = [[{} for _ in range(m)] for _ in range(m)]
+    for a in iter_multiindices(m, frame.trunc // 2 + 1):
+        support = [k for k in range(m) if a[k]]
+        denom = sum(weights[k] * a[k] for k in support)
+        c = diag_coeff(module, a)
+        shares = {k: weights[k] * a[k] / denom for k in support}
+        downs = {k: tuple(e - (q == k) for q, e in enumerate(a))
+                 for k in support}
+        # plain tuples: a key concatenates the w-half and the wbar-half
+        for i in support:
+            for j in support:
+                terms[i][j][downs[i] + downs[j]] = shares[i] * shares[j] * c
+    return SeriesMatrix([[TruncSeries(m, frame.trunc, t) for t in row]
+                         for row in terms])
 
 
 def _recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
@@ -346,13 +347,13 @@ def _metric_by_closed_form(frame: FrameSeries):
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
-    """Grammian metric of a frame, exact through the truncation degree.
+    """Grammian metric of a frame, exact through the truncation degree,
+    read from the frame's spec; no frame vector is built.
 
-    A coordinate-neighborhood frame pairs off by monomial orthogonality.
-    A zero-variety frame, at the origin slice or any other base point, takes
-    the recentered closed form, which is diagonal; away from the origin
-    infinitely many kernel terms hit every series degree, and at the origin
-    the closed form equals the monomial sum over the slice.
+    A coordinate-neighborhood frame sums its kernel terms with their
+    splitting shares.  A zero-variety frame, at the origin slice or any other
+    base point, takes the recentered closed form, which is diagonal; away
+    from the origin infinitely many kernel terms hit every series degree.
     """
     if frame.kind == COORDINATE_KIND:
         matrix, scales = _metric_by_monomial_sum(frame), None

@@ -97,20 +97,6 @@ def test_conj_swaps_halves():
     assert c.conj() == s
 
 
-def test_formal_derivatives():
-    # d/dw1 (w1^2 wb2) = 2 w1 wb2
-    s = TruncSeries.monomial(2, 3, MultiIndex((2, 0)), MultiIndex((0, 1)))
-    d = s.dw(0)
-    assert d.coefficient(MultiIndex((1, 0)), MultiIndex((0, 1))) == 2
-    assert s.dwbar(0).is_zero()
-    # Leibniz on a product; differentiation drops one truncation degree
-    a = TruncSeries.one(2, 3) + TruncSeries.w(2, 3, 0)
-    b = TruncSeries.one(2, 3) + TruncSeries.wbar(2, 3, 0).scale(F(2))
-    lhs = (a * b).dw(0)
-    rhs = a.dw(0) * b.truncate(2) + a.truncate(2) * b.dw(0)
-    assert lhs == rhs
-
-
 def test_evaluate():
     s = TruncSeries.one(2, 2) + TruncSeries.w(2, 2, 1).scale(F(1, 2))
     assert s.evaluate((F(0), F(1, 3)), (F(0), F(0))) == F(7, 6)

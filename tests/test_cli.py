@@ -227,6 +227,32 @@ points = 1/5 1/3
     assert "kernel_diag_1 = 4/9" in out
 
 
+@pytest.mark.parametrize("generators,base", [
+    ("z1, z2", "0 0 0"),     # coordinate ideal, neighborhood frame
+    ("z1", "0 1/3 0"),       # zero-set frame, long base
+    ("z1^2", "0"),           # zero-set frame, short base
+])
+def test_main_base_point_arity_exit_2(tmp_path, capsys, generators, base):
+    path = _write(tmp_path, f"""
+[module]
+dimension = 2
+weights = 1 2
+
+[ideal]
+generators = {generators}
+
+[task]
+name = metric
+base_point = {base}
+""")
+    assert main(["metric", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: base point arity does not match dimension "
+        "(field 'task.base_point')\n")
+
+
 @pytest.mark.parametrize("task", ("decompose", "metric", "curvature",
                                   "compare", "cubic"))
 def test_main_point_rejected_by_tasks_without_points(tmp_path, capsys, task):

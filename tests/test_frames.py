@@ -1,11 +1,15 @@
+import dataclasses
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from submodcurv import frames
 from submodcurv.algebra import MultiIndex, TruncSeries, pochhammer
+from submodcurv.cli import main
 from submodcurv.errors import (DegeneracyError, DomainError,
                                TruncationError)
-from submodcurv.frames import FrameSeries
+from submodcurv.frames import ZERO_SET_KIND
 from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
                                frame_vector_at_base, grammian,
                                reconstruction_residual)
@@ -83,11 +87,11 @@ def test_reconstruction_residual_zero_set_frames():
         assert reconstruction_residual(frame) == {}
 
 
-def _slice_monomial_metric(frame):
-    """Reference Grammian of a zero-variety frame at the origin: pair the
-    frame vectors by monomial orthogonality after dropping every term that
-    moves in a generator direction (u_v or ub_v), which restricts the frame
-    to the slice through the base point."""
+def _paired_vectors_metric(frame):
+    """Reference Grammian: pair the frame vectors by monomial orthogonality,
+    H_ij = sum_a F^j_a conj(F^i_a) / diag_coeff(a).  A zero-variety frame
+    is first restricted to the slice through its base point by dropping
+    every term that moves in a generator direction (u_v or ub_v)."""
     m = frame.module.dim
     D = frame.trunc
 
@@ -96,8 +100,10 @@ def _slice_monomial_metric(frame):
             k: v for k, v in series.coeffs.items()
             if all(k[g] == 0 and k[m + g] == 0 for g in frame.gen_vars)})
 
-    vectors = [{a: on_slice(s) for a, s in vec.items()}
-               for vec in frame.vectors]
+    vectors = frame.vectors
+    if frame.kind == ZERO_SET_KIND:
+        vectors = [{a: on_slice(s) for a, s in vec.items()}
+                   for vec in vectors]
     rows = []
     for vi in vectors:
         row = []
@@ -126,7 +132,52 @@ def test_grammian_paths_agree_at_origin():
         frame = frame_on_zero_set(mod, ideal, (F(0),) * mod.dim, 4)
         H = grammian(frame)
         assert H.scales is None
-        assert H.matrix.entries == _slice_monomial_metric(frame)
+        assert H.matrix.entries == _paired_vectors_metric(frame)
+
+
+COORDINATE_WEIGHTS = [(1, 2), (F(1, 2), F(3, 2), F(5, 3)),
+                      (2, F(7, 3), 1, F(1, 2)), (1, 2, 3, 1, F(1, 2))]
+
+
+@pytest.mark.parametrize("weights", COORDINATE_WEIGHTS,
+                         ids=[f"m{len(w)}" for w in COORDINATE_WEIGHTS])
+def test_coordinate_grammian_equals_paired_vectors(weights):
+    """The coordinate Grammian summed over the kernel terms equals the
+    pairing of the frame vectors, entry for entry, off-diagonals included."""
+    mod = WeightedPolydiscModule(len(weights), weights)
+    for D in range(2, 7):
+        frame = decompose_coordinate_ideal(mod, D)
+        H = grammian(frame)
+        assert H.scales is None
+        assert H.matrix.entries == _paired_vectors_metric(frame), D
+
+
+def test_grammian_builds_no_frame_vectors():
+    mod = WeightedPolydiscModule(3, (1, 2, F(3, 2)))
+    ideal = IdealSpec.coordinate_powers(3, (1, 2))
+    for frame in [decompose_coordinate_ideal(mod, 4),
+                  frame_on_zero_set(mod, ideal, (F(0), F(0), F(1, 3)), 4)]:
+        grammian(frame)
+        assert "vectors" not in vars(frame), frame.kind
+        assert reconstruction_residual(frame) == {}
+        assert "vectors" in vars(frame)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("config", [
+    "metric/coordinate-m3-json", "metric/zero-set-offbase-rational",
+    "curvature/coordinate-m3-frac", "curvature/zero-set-offbase-m3",
+    "curvature/principal-origin-m2", "compare/battery-m3"])
+def test_metric_tasks_build_no_frame_vectors(config, monkeypatch):
+    """The metric and curvature tasks and the rigidity battery run with the
+    vector builder disabled."""
+    def refuse(*args):
+        raise AssertionError("frame vectors built")
+    monkeypatch.setattr(frames, "_build_splitting_frame", refuse)
+    path = GOLDEN / f"{config}.ini"
+    assert main([path.parent.name, "--config", str(path)]) == 0
 
 
 def test_zero_set_frames_orthogonal():
@@ -234,14 +285,11 @@ def test_degenerate_frame_rejected():
 
 
 def test_dependent_frame_fails_positivity():
-    mod = WeightedPolydiscModule(2, (1, 1))
-    good = decompose_coordinate_ideal(mod, 3)
-    doctored = FrameSeries(
-        module=good.module, kind=good.kind, base_point=good.base_point,
-        trunc=good.trunc, gen_vars=good.gen_vars, gen_powers=good.gen_powers,
-        vectors=(good.vectors[0], good.vectors[0]),  # duplicated vector
-        free_slots=good.free_slots, lead_coeffs=good.lead_coeffs,
-        splitting_note=good.splitting_note)
+    mod = WeightedPolydiscModule(3, (1, 1, 1))
+    good = frame_on_zero_set(mod, IdealSpec.coordinate_powers(3, (1, 2)),
+                             (F(0), F(0), F(1, 3)), 3)
+    doctored = dataclasses.replace(
+        good, lead_coeffs=(good.lead_coeffs[0], F(0)))  # a null generator
     with pytest.raises(DegeneracyError):
         grammian(doctored)
 
