@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -88,7 +89,9 @@ def parse_config(text: str) -> JobConfig:
     All validation failures raise InputError carrying the field (and line
     when the underlying reader reports one).
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates points, so only '#' opens an inline comment; a line
+    # that starts with ';' is still a comment
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.ParsingError as e:
@@ -559,7 +562,11 @@ def run_task(cfg: JobConfig) -> Report:
 # Entry point
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused by every
+    later main() call in the process; argparse reads the terminal width
+    when it formats a message, not here."""
     parser = argparse.ArgumentParser(
         prog="submodcurv",
         description="exact curvature invariants of polydisc submodules")

@@ -41,7 +41,7 @@ from .errors import (DegeneracyError, DomainError, ShapeError,
 from .ideals import MONOMIAL, IdealSpec
 from .linalg import leading_principal_minors
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff
+from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
@@ -99,7 +99,9 @@ class FrameSeries:
     gen_powers[k]; free_slots lists the variables transverse to the
     generators (all variables for the coordinate-neighborhood kind).
     vectors[k] maps a z-exponent to the truncated (u, ubar)-series of that
-    coefficient of F^k; it is built from the spec on first read.
+    coefficient of F^k; it is built from the spec on first read, as is
+    recentered_monomials, the table of conj(z)^beta about the base point
+    that the vectors and the reconstruction check share.
     """
     module: WeightedPolydiscModule
     kind: str
@@ -116,10 +118,12 @@ class FrameSeries:
         return len(self.gen_vars)
 
     @cached_property
+    def recentered_monomials(self) -> dict:
+        return _recentered_monomials(self)
+
+    @cached_property
     def vectors(self) -> tuple:
-        return _build_splitting_frame(self.module, self.gen_vars,
-                                      self.gen_powers, self.base_point,
-                                      self.trunc)
+        return _build_splitting_frame(self)
 
     def generator_polys(self):
         m = self.module.dim
@@ -127,45 +131,43 @@ class FrameSeries:
                      for v, p in zip(self.gen_vars, self.gen_powers))
 
 
-def _binomial_powers(m, trunc, base_point, top):
-    """binom_pow[j][n] = (wb*_j + ub_j)^n, the recentered conjugate variable
-    to the power n, for every variable j and n = 0..top."""
-    table = []
-    for j in range(m):
-        lin = (TruncSeries.wbar(m, trunc, j)
-               + TruncSeries.constant(m, trunc, base_point[j]))
-        powers = [TruncSeries.one(m, trunc)]
-        for _ in range(top):
-            powers.append(powers[-1] * lin)
-        table.append(powers)
+def _recentered_monomials(frame) -> dict:
+    """beta -> P(beta) = prod_j (ub_j + b_j)^beta_j, the conjugate monomial
+    conj(z)^beta about the base point b, for |beta| <= D + max power.  Each
+    P(beta) is its predecessor P(beta - e_j), j the first slot of beta,
+    times one linear factor."""
+    m = frame.module.dim
+    D = frame.trunc
+    lin = [TruncSeries.wbar(m, D, j) + frame.base_point[j] for j in range(m)]
+    table = {}
+    for beta in iter_multiindices(m, D + max(frame.gen_powers)):
+        j = next((j for j, e in enumerate(beta) if e), None)
+        if j is None:
+            table[beta] = TruncSeries.one(m, D)
+        else:
+            prev = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
+            table[beta] = table[prev] * lin[j]
     return table
 
 
-def _build_splitting_frame(module, gen_vars, gen_powers, base_point, trunc):
-    m = module.dim
-    t = len(gen_vars)
-    weights = module.weights
-    zcap = trunc + max(gen_powers)
-    binom_pow = _binomial_powers(m, trunc, base_point, zcap)
-
-    vectors = [dict() for _ in range(t)]
-    for alpha in iter_multiindices(m, zcap):
-        qualifying = [k for k in range(t)
-                      if alpha[gen_vars[k]] >= gen_powers[k]]
+def _build_splitting_frame(frame):
+    """F^k[alpha] = s_k(alpha) c_alpha P(alpha - p_k e_{v_k}) for every
+    kernel term alpha that generator k divides."""
+    weights = frame.module.weights
+    gens = tuple(enumerate(zip(frame.gen_vars, frame.gen_powers)))
+    monomials = frame.recentered_monomials
+    slots = diag_coeff_slots(frame.module, frame.trunc + max(frame.gen_powers))
+    vectors = [dict() for _ in gens]
+    for alpha in monomials:
+        qualifying = [(k, v, p) for k, (v, p) in gens if alpha[v] >= p]
         if not qualifying:
             continue
-        denom = sum(weights[gen_vars[k]] * alpha[gen_vars[k]]
-                    for k in qualifying)
-        c = diag_coeff(module, alpha)
-        for k in qualifying:
-            v = gen_vars[k]
+        denom = sum(weights[v] * alpha[v] for _, v, _ in qualifying)
+        c = math.prod(row[e] for row, e in zip(slots, alpha))
+        for k, v, p in qualifying:
             s = weights[v] * alpha[v] / denom
-            down = list(alpha)
-            down[v] -= gen_powers[k]
-            series = TruncSeries.constant(m, trunc, s * c)
-            for j, e in enumerate(down):
-                if e:
-                    series = series * binom_pow[j][e]
+            down = alpha[:v] + (alpha[v] - p,) + alpha[v + 1:]
+            series = monomials[down].scale(s * c)
             if not series.is_zero():
                 vectors[k][alpha] = series
     return tuple(vectors)
@@ -377,36 +379,31 @@ def grammian(frame: FrameSeries) -> MetricSeries:
 def reconstruction_residual(frame: FrameSeries) -> dict:
     """Residual of sum_k conj(p_k) F^k against the kernel, per z-exponent.
 
-    Returns only the nonzero residual series; an empty dict certifies the
-    reconstruction identity on the stored support through the truncation
-    degree.  Exact rational arithmetic throughout.
+    The kernel term at alpha is c_alpha P(alpha), read from the frame's
+    table of recentered conjugate monomials.  Returns only the nonzero
+    residual series; an empty dict certifies the reconstruction identity on
+    the stored support through the truncation degree.  Exact rational
+    arithmetic throughout.
     """
-    module = frame.module
-    m = module.dim
+    m = frame.module.dim
     D = frame.trunc
-    zcap = D + max(frame.gen_powers)
-
-    pbar = []
-    for v, p in zip(frame.gen_vars, frame.gen_powers):
-        # conj(p_k)(base + u) = ub_v^p since the base vanishes there
-        pbar.append(TruncSeries.wbar(m, D, v, p))
-
-    binom_pow = _binomial_powers(m, D, frame.base_point, zcap)
+    # conj(p_k)(base + u) = ub_v^p since the base vanishes there
+    pbar = [TruncSeries.wbar(m, D, v, p)
+            for v, p in zip(frame.gen_vars, frame.gen_powers)]
+    slots = diag_coeff_slots(frame.module, D + max(frame.gen_powers))
+    vectors = frame.vectors
 
     residuals = {}
-    for alpha in iter_multiindices(m, zcap):
+    for alpha, monomial in frame.recentered_monomials.items():
         if not any(alpha[v] >= p
                    for v, p in zip(frame.gen_vars, frame.gen_powers)):
             continue
         lhs = TruncSeries.zero(m, D)
         for k in range(frame.count):
-            fk = frame.vectors[k].get(alpha)
+            fk = vectors[k].get(alpha)
             if fk is not None:
                 lhs = lhs + pbar[k] * fk
-        rhs = TruncSeries.constant(m, D, diag_coeff(module, alpha))
-        for j, e in enumerate(alpha):
-            if e:
-                rhs = rhs * binom_pow[j][e]
+        rhs = monomial.scale(math.prod(row[e] for row, e in zip(slots, alpha)))
         diff = lhs - rhs
         if not diff.is_zero():
             residuals[alpha] = diff

@@ -86,6 +86,21 @@ def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     return out
 
 
+def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
+    """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
+    n = 0..N, by the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1), so
+    c_alpha = prod_i slots[i][alpha_i]."""
+    slots = []
+    for l in module.weights:
+        c = Fraction(1)
+        row = [c]
+        for n in range(N):
+            c = c * (l + n) / (n + 1)
+            row.append(c)
+        slots.append(tuple(row))
+    return tuple(slots)
+
+
 def monomial_norm_sq(module: WeightedPolydiscModule, alpha) -> Fraction:
     return 1 / diag_coeff(module, alpha)
 

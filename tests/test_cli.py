@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from submodcurv.cli import (JobConfig, main, parse_config, render_report,
-                            run_task)
+from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
+                            render_report, run_task)
 from submodcurv.errors import InputError
 
 BASE = """
@@ -280,3 +280,91 @@ def test_main_json_byte_identical(tmp_path, capsys):
     assert main(["curvature", "--config", path, "--output", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+POINTS_CONFIG = """
+; a full-line comment with a semicolon
+[module]
+dimension = 2
+weights = 1 1
+
+[ideal]
+generators = z1  # inline comment
+
+[task]
+name = kernel
+points = {points}
+"""
+
+
+@pytest.mark.parametrize("points", ["1/5 1/3; 1/7 1/2", "1/5 1/3 ; 1/7 1/2"])
+def test_points_separator_is_not_a_comment(tmp_path, capsys, points):
+    text = POINTS_CONFIG.format(points=points)
+    assert parse_config(text).points == ((F(1, 5), F(1, 3)), (F(1, 7), F(1, 2)))
+    assert parse_config(text).generators == ("z1",)
+    assert main(["kernel", "--config", _write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "kernel_diag_1 = " in out
+    assert "kernel_diag_2 = " in out
+    assert "kernel_offdiag_12 = " in out
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def _argparse_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+def test_job_after_other_jobs_prints_same_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = _write(tmp_path, BASE)
+    job = ["curvature", "--config", path, "--output", "json"]
+    _build_parser.cache_clear()
+    assert main(job) == 0
+    alone = capsys.readouterr()
+    assert main(["metric", "--config", path, "--trunc-degree", "4"]) == 0
+    assert main(["decompose", "--config", path]) == 0
+    assert main(["compare", "--config", path, "--point", "0 0"]) == 2
+    capsys.readouterr()
+    assert _argparse_exit(["dimension", "--config", path, "--bogus"],
+                          capsys)[0] == 2
+    assert main(job) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_argparse_error_after_success_is_unchanged(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = _write(tmp_path, BASE)
+    bad = ["curvature", "--config", path, "--trunc-degree", "x"]
+    _build_parser.cache_clear()
+    first = _argparse_exit(bad, capsys)
+    assert main(["curvature", "--config", path]) == 0
+    capsys.readouterr()
+    assert _argparse_exit(bad, capsys) == first
+    assert first[0] == 2
+    assert first[1].endswith(
+        "submodcurv curvature: error: argument --trunc-degree: invalid int "
+        "value: 'x'\n")
+
+
+def test_usage_wraps_to_columns_at_error_time(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, BASE)
+    bad = ["kernel", "--config", path, "--ideal-degree", "many"]
+    errors = {}
+    for columns in ("200", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        errors[columns] = _argparse_exit(bad, capsys)[1]
+        with pytest.raises(SystemExit):
+            _build_parser.__wrapped__().parse_args(bad)  # a fresh parser
+        assert capsys.readouterr().err == errors[columns], columns
+    usage = {c: err.split("\nsubmodcurv kernel: error")[0]
+             for c, err in errors.items()}
+    assert usage["200"].count("\n") == 0
+    assert usage["80"].count("\n") < usage["40"].count("\n")

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from submodcurv import frames
-from submodcurv.algebra import MultiIndex, TruncSeries, pochhammer
+from submodcurv.algebra import (MultiIndex, TruncSeries, iter_multiindices,
+                                pochhammer)
 from submodcurv.cli import main
+from submodcurv.curvature import curvature_matrix, det_bundle_curvature
 from submodcurv.errors import (DegeneracyError, DomainError,
                                TruncationError)
 from submodcurv.frames import ZERO_SET_KIND
@@ -14,7 +16,7 @@ from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
                                frame_vector_at_base, grammian,
                                reconstruction_residual)
 from submodcurv.ideals import IdealSpec
-from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff
+from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 E1 = MultiIndex.unit(2, 0)
 E2 = MultiIndex.unit(2, 1)
@@ -157,10 +159,14 @@ def test_grammian_builds_no_frame_vectors():
     ideal = IdealSpec.coordinate_powers(3, (1, 2))
     for frame in [decompose_coordinate_ideal(mod, 4),
                   frame_on_zero_set(mod, ideal, (F(0), F(0), F(1, 3)), 4)]:
-        grammian(frame)
+        H = grammian(frame)
+        det_bundle_curvature(H)
+        curvature_matrix(H)
         assert "vectors" not in vars(frame), frame.kind
+        assert "recentered_monomials" not in vars(frame), frame.kind
         assert reconstruction_residual(frame) == {}
         assert "vectors" in vars(frame)
+        assert "recentered_monomials" in vars(frame)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,8 +180,9 @@ def test_metric_tasks_build_no_frame_vectors(config, monkeypatch):
     """The metric and curvature tasks and the rigidity battery run with the
     vector builder disabled."""
     def refuse(*args):
-        raise AssertionError("frame vectors built")
+        raise AssertionError("frame vectors or monomial table built")
     monkeypatch.setattr(frames, "_build_splitting_frame", refuse)
+    monkeypatch.setattr(frames, "_recentered_monomials", refuse)
     path = GOLDEN / f"{config}.ini"
     assert main([path.parent.name, "--config", str(path)]) == 0
 
@@ -319,3 +326,136 @@ def test_splitting_weights_sum_to_one_on_support():
         assert v1[alpha].coefficient(Z, alpha - E1) == s1 * c
         assert v2[alpha].coefficient(Z, alpha - E2) == s2 * c
         assert s1 + s2 == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference frame builder: per kernel term, the share times c_alpha times one
+# series product per slot with a table of binomial powers (b_j + ub_j)^n.
+
+
+def _binomial_powers(m, trunc, base_point, top):
+    """binom_pow[j][n] = (wb*_j + ub_j)^n, the recentered conjugate variable
+    to the power n, for every variable j and n = 0..top."""
+    table = []
+    for j in range(m):
+        lin = (TruncSeries.wbar(m, trunc, j)
+               + TruncSeries.constant(m, trunc, base_point[j]))
+        powers = [TruncSeries.one(m, trunc)]
+        for _ in range(top):
+            powers.append(powers[-1] * lin)
+        table.append(powers)
+    return table
+
+
+def _reference_vectors(frame):
+    m = frame.module.dim
+    trunc = frame.trunc
+    gen_vars, gen_powers = frame.gen_vars, frame.gen_powers
+    weights = frame.module.weights
+    zcap = trunc + max(gen_powers)
+    binom_pow = _binomial_powers(m, trunc, frame.base_point, zcap)
+    vectors = [dict() for _ in gen_vars]
+    for alpha in iter_multiindices(m, zcap):
+        qualifying = [k for k in range(len(gen_vars))
+                      if alpha[gen_vars[k]] >= gen_powers[k]]
+        if not qualifying:
+            continue
+        denom = sum(weights[gen_vars[k]] * alpha[gen_vars[k]]
+                    for k in qualifying)
+        c = diag_coeff(frame.module, alpha)
+        for k in qualifying:
+            v = gen_vars[k]
+            s = weights[v] * alpha[v] / denom
+            down = list(alpha)
+            down[v] -= gen_powers[k]
+            series = TruncSeries.constant(m, trunc, s * c)
+            for j, e in enumerate(down):
+                if e:
+                    series = series * binom_pow[j][e]
+            if not series.is_zero():
+                vectors[k][alpha] = series
+    return tuple(vectors)
+
+
+def _reference_residual(frame):
+    """sum_k conj(p_k) F^k minus c_alpha prod_j (wb_j + ub_j)^alpha_j, the
+    kernel term rebuilt by one series product per slot."""
+    m = frame.module.dim
+    D = frame.trunc
+    zcap = D + max(frame.gen_powers)
+    pbar = [TruncSeries.wbar(m, D, v, p)
+            for v, p in zip(frame.gen_vars, frame.gen_powers)]
+    binom_pow = _binomial_powers(m, D, frame.base_point, zcap)
+    residuals = {}
+    for alpha in iter_multiindices(m, zcap):
+        if not any(alpha[v] >= p
+                   for v, p in zip(frame.gen_vars, frame.gen_powers)):
+            continue
+        lhs = TruncSeries.zero(m, D)
+        for k in range(frame.count):
+            fk = frame.vectors[k].get(alpha)
+            if fk is not None:
+                lhs = lhs + pbar[k] * fk
+        rhs = TruncSeries.constant(m, D, diag_coeff(frame.module, alpha))
+        for j, e in enumerate(alpha):
+            if e:
+                rhs = rhs * binom_pow[j][e]
+        diff = lhs - rhs
+        if not diff.is_zero():
+            residuals[alpha] = diff
+    return residuals
+
+
+REFERENCE_WEIGHTS = (F(3, 2), F(1, 2), F(5, 3), 2)
+
+
+def _reference_frames():
+    for m in range(2, 5):
+        mod = WeightedPolydiscModule(m, REFERENCE_WEIGHTS[:m])
+        for D in range(2, 7):
+            yield decompose_coordinate_ideal(mod, D)
+    mod = WeightedPolydiscModule(3, REFERENCE_WEIGHTS[:3])
+    for p in (1, 2, 3):
+        for powers, base in [((p,), (0, 0, 0)),
+                             ((p,), (0, F(1, 3), F(-1, 4))),
+                             ((p, 4 - p), (0, 0, 0)),
+                             ((p, 4 - p), (0, 0, F(2, 7)))]:
+            ideal = IdealSpec.coordinate_powers(3, powers)
+            for D in (2, 4, 6):
+                yield frame_on_zero_set(mod, ideal, base, D)
+
+
+def test_splitting_vectors_equal_binomial_power_reference():
+    """Coordinate frames m = 2..4, D = 2..6, and zero-set frames with powers
+    1..3 at the origin and off it: every vector entry, exactly."""
+    for frame in _reference_frames():
+        assert frame.vectors == _reference_vectors(frame), frame
+
+
+def test_residual_equals_reference_on_doctored_frame():
+    """With one frame entry doubled both residuals report the same nonzero
+    map; the check compares full series, not the shares' sum."""
+    mod = WeightedPolydiscModule(3, REFERENCE_WEIGHTS[:3])
+    for frame in [decompose_coordinate_ideal(mod, 4),
+                  frame_on_zero_set(mod, IdealSpec.coordinate_powers(3, (2,)),
+                                    (0, F(1, 3), F(-1, 4)), 4)]:
+        alpha = next(a for a in frame.vectors[0] if a.degree == 3)
+        doctored = [dict(vec) for vec in frame.vectors]
+        doctored[0][alpha] = doctored[0][alpha].scale(2)
+        vars(frame)["vectors"] = tuple(doctored)
+        got = reconstruction_residual(frame)
+        assert got
+        assert alpha in got
+        assert got == _reference_residual(frame)
+
+
+def test_diag_coeff_slots_multiply_to_diag_coeff():
+    for weights in [(1, 2), REFERENCE_WEIGHTS, (F(7, 3), F(1, 5), 3)]:
+        mod = WeightedPolydiscModule(len(weights), weights)
+        slots = diag_coeff_slots(mod, 7)
+        assert all(len(row) == 8 for row in slots)
+        for alpha in iter_multiindices(mod.dim, 7):
+            got = F(1)
+            for row, e in zip(slots, alpha):
+                got *= row[e]
+            assert got == diag_coeff(mod, alpha), alpha

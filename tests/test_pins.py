@@ -1,6 +1,8 @@
-"""Every pooled curvature-sweep job of the benchmark (perfbench/jobs.py),
-run in-process through the CLI, must still print what perfbench/pins.json
-pinned: the same exit code and the same SHA-256 of stdout and stderr.
+"""Every pooled curvature-sweep and task-mix job of the benchmark
+(perfbench/jobs.py), run in-process through the CLI one after another, must
+still print what perfbench/pins.json pinned: the same exit code and the
+same SHA-256 of stdout and stderr.  task-mix covers all seven tasks and
+every exit-2/3/4 path, argparse errors included, through one parser.
 
 Jobs listed as a known defect are pinned by exit code only; their values
 are checked by the benchmark's oracle, not by bytes.  This test only reads
@@ -20,7 +22,7 @@ import pytest
 import submodcurv.cli as cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOAD = "curvature-sweep"
+WORKLOADS = ("curvature-sweep", "task-mix")
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +43,13 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_curvature_sweep_matches_pins(jobs, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_pooled_jobs_match_pins(workload, jobs, tmp_path, monkeypatch):
     # argparse wraps usage messages to the terminal width; pins use 80
     monkeypatch.setenv("COLUMNS", "80")
     with open(PERFBENCH / "pins.json", encoding="utf-8") as fh:
         pins = json.load(fh)["jobs"]
-    pool = jobs.pool(WORKLOAD)
+    pool = jobs.pool(workload)
     assert pool
     mismatched = []
     for name, job in sorted(pool.items()):
