@@ -41,7 +41,7 @@ from .errors import (DegeneracyError, DomainError, ShapeError,
 from .ideals import MONOMIAL, IdealSpec
 from .linalg import leading_principal_minors
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
+from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
@@ -284,10 +284,12 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
     m = module.dim
     weights = module.weights
     terms = [[{} for _ in range(m)] for _ in range(m)]
-    for a in iter_multiindices(m, frame.trunc // 2 + 1):
+    top = frame.trunc // 2 + 1
+    slots = diag_coeff_slots(module, top)
+    for a in iter_multiindices(m, top):
         support = [k for k in range(m) if a[k]]
         denom = sum(weights[k] * a[k] for k in support)
-        c = diag_coeff(module, a)
+        c = math.prod(row[e] for row, e in zip(slots, a))
         shares = {k: weights[k] * a[k] / denom for k in support}
         downs = {k: tuple(e - (q == k) for q, e in enumerate(a))
                  for k in support}

@@ -182,13 +182,20 @@ _REFINE_WIDTH = Fraction(1, 16)
 
 def _refine(chain, a: Fraction, b: Fraction):
     """Narrow a one-root interval below _REFINE_WIDTH, collapsing to a
-    degenerate (r, r) pair when a bisection midpoint is an exact root."""
+    degenerate (r, r) pair when a bisection midpoint is an exact root.
+
+    chain[0] is squarefree and neither endpoint is a root, so the one root
+    in (a, b) is simple: it lies in (a, mid) iff p changes sign there.  The
+    sign at the left end never changes, since a only moves to a midpoint
+    of the same sign."""
     p = chain[0]
+    positive_at_a = upoly_eval(p, a) > 0
     while b - a > _REFINE_WIDTH:
         mid = (a + b) / 2
-        if upoly_eval(p, mid) == 0:
+        value = upoly_eval(p, mid)
+        if value == 0:
             return (mid, mid)
-        if count_roots_between(chain, a, mid) == 1:
+        if (value > 0) != positive_at_a:
             b = mid
         else:
             a = mid

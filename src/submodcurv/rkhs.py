@@ -13,8 +13,9 @@ representations, chosen by the ideal family:
                            to exponents divisible by some generator
   RankOneCorrectedKernel   vanishing ideals of a point: the ambient kernel
                            minus one rank-one correction at the point
-  GramFormKernel           anything else: exact Gram matrix of a degree-
-                           truncated generating basis
+  GramFormKernel           anything else: the degree-N ambient sum minus
+                           the kernel of the orthogonal complement of the
+                           degree-N generator multiples
 
 Exact evaluation works at real rational points of the open polydisc.  The
 integer-weight closed forms are rational; everything else goes through
@@ -26,9 +27,17 @@ sum of the coefficients of t^0..t^N in a product of m univariate series
 sum_{a >= gamma_i} poch(l_i, a)/a! x_i^a t^a, whose coefficients follow the
 ratio recurrence c_{a+1} = c_a (l + a)/(a + 1); a monomial ideal's sum is an
 inclusion-exclusion of such products over the corners gamma_S of generator
-subsets S.  The Gram-form kernel picks its basis with one incremental
-echelon form and factors its Gram matrix once, by one Bareiss sweep, at
-construction.
+subsets S.
+
+The Gram-form kernel works on the side the ideal removes.  One incremental
+echelon form picks a basis of V_N, the span of the generator multiples of
+degree <= N; back-substitution over its free columns gives a basis f of the
+orthogonal complement of V_N in the polynomials of degree <= N.  Its size is
+the codimension of V_N: 2 for product_difference at every N (the
+localization dimension at the origin), but 49 against 35 in V_N for a
+principal ideal in three variables at N = 6.  The complement's Gram matrix
+H is factored once, by one Bareiss sweep, at construction, and K(z, w) is
+the ambient degree-N sum minus f(z)^T H^{-1} f(w).
 """
 
 from __future__ import annotations
@@ -367,29 +376,47 @@ class RankOneCorrectedKernel:
 
 
 class GramFormKernel:
-    """Reproducing kernel of the span of generator multiples up to a degree.
+    """Reproducing kernel of V_N, the span of the generator multiples of
+    degree <= N = trunc_degree, inside P_N, the polynomials of degree <= N.
 
-    basis holds a maximal independent subset of {z^beta p_j} with
-    deg <= trunc_degree, picked greedily in a deterministic order; gram is
-    the exact Gram matrix, positive definite by construction (checked).
-    One Bareiss sweep at construction gives both the check (its pivots are
-    the leading principal minors, kept as gram_minors) and the factors that
-    eval_exact substitutes into.
+    P_N is the orthogonal sum of V_N and its complement W_N, so
+    K_{V_N} = K_{P_N} - K_{W_N}: the ambient degree-N diagonal sum minus
+    the kernel f(z)^T H^{-1} f(w) of W_N, where f is a basis of W_N
+    (``complement``) and H = ``gram`` its exact Gram matrix.  For
+    product_difference W_N has two polynomials at any N, against
+    C(N+2, 2) - 2 in V_N.
+
+    ``basis`` holds a maximal independent subset of {z^beta p_j} with
+    deg <= N, picked greedily in a deterministic order; it spans V_N
+    (len(basis) = dim V_N) and is not evaluated.  H must be positive
+    definite (checked).  One Bareiss sweep at construction gives both the
+    check (its pivots are the leading principal minors, kept as
+    gram_minors) and the factors that eval_exact substitutes into.
     """
 
     variant = "gram_form"
 
-    def __init__(self, module: WeightedPolydiscModule, basis, gram,
-                 trunc_degree: int):
+    def __init__(self, module: WeightedPolydiscModule, basis, complement,
+                 gram, trunc_degree: int):
         self.module = module
         self.basis = tuple(basis)
+        self.complement = tuple(complement)
         self.gram = [list(row) for row in gram]
         self.trunc_degree = trunc_degree
+        if any(f.degree > trunc_degree for f in self.complement):
+            raise DomainError("complement polynomial above the truncation degree")
         factor = BareissFactor(self.gram)
         if any(p <= 0 for p in factor.pivots):
             raise DomainError("Gram matrix is not positive definite")
         self.gram_minors = factor.leading_minors()
         self._factor = factor
+        # each f as integer terms over one denominator, for _complement_at
+        self._terms = []
+        for f in self.complement:
+            den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+            self._terms.append(
+                ([(a, c.numerator * (den // c.denominator))
+                  for a, c in f.coeffs.items()], den))
 
     @staticmethod
     def from_ideal(module: WeightedPolydiscModule, ideal: IdealSpec,
@@ -405,24 +432,70 @@ class GramFormKernel:
                 candidates.append(g.shift_by_monomial(beta))
         # greedy maximal independent subset, deterministic given the order:
         # a candidate is kept iff it leaves a residual against those kept
-        index = {a: k for k, a in enumerate(iter_multiindices(m, trunc_degree))}
+        monomials = list(iter_multiindices(m, trunc_degree))
+        index = {a: k for k, a in enumerate(monomials)}
         echelon = RowEchelon()
         chosen = [p for p in candidates
                   if echelon.add({index[k]: v for k, v in p.coeffs.items()})]
-        n = len(chosen)
+        # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
+        # every row v, i.e. g = f / c is a null vector of the echelon rows.
+        # One g per free column, by back-substitution: a kept row leads
+        # with 1 at its smallest column, so leads in descending order each
+        # take the value that clears their row; leads above the free
+        # column stay 0.
+        slots = diag_coeff_slots(module, trunc_degree)
+        coeff = [math.prod(row[e] for row, e in zip(slots, a))
+                 for a in monomials]
+        leads = sorted(echelon.rows, reverse=True)
+        nulls = []
+        for free in range(len(monomials)):
+            if free in echelon.rows:
+                continue
+            g = {free: Fraction(1)}
+            for lead in leads:
+                if lead < free:
+                    x = -sum(v * g[c] for c, v in echelon.rows[lead].items()
+                             if c in g)
+                    if x:
+                        g[lead] = x
+            nulls.append(g)
+        complement = [Poly(m, {monomials[k]: coeff[k] * x
+                               for k, x in g.items()}) for g in nulls]
+        # H_jk = <f_j, f_k> = sum_a c_a g_j[a] g_k[a]
+        n = len(nulls)
         gram = [[Fraction(0)] * n for _ in range(n)]
-        for i, a in enumerate(chosen):  # real coefficients: G is symmetric
-            for j in range(i, n):
-                gram[i][j] = gram[j][i] = poly_inner(module, a, chosen[j])
-        return GramFormKernel(module, chosen, gram, trunc_degree)
+        for j, gj in enumerate(nulls):
+            for k in range(j, n):
+                gk = nulls[k]
+                gram[j][k] = gram[k][j] = sum(
+                    coeff[a] * x * gk[a] for a, x in gj.items() if a in gk)
+        return GramFormKernel(module, chosen, complement, gram, trunc_degree)
+
+    def _complement_at(self, point):
+        """f(point), from one table of per-slot powers: with point_i =
+        n_i/d_i, row i holds n_i^e d_i^(N-e), so that z^a is
+        prod_i row_i[a_i] / prod_i d_i^N."""
+        N = self.trunc_degree
+        table = [[x.numerator ** e * x.denominator ** (N - e)
+                  for e in range(N + 1)] for x in point]
+        scale = math.prod(x.denominator for x in point) ** N
+        return [Fraction(sum(c * math.prod(row[e] for row, e in zip(table, a))
+                             for a, c in terms), den * scale)
+                for terms, den in self._terms]
 
     def eval_exact(self, z, w) -> Fraction:
-        """b(z)^T G^{-1} b(w); exact for every rational weight vector."""
+        """sum_{|a|<=N} c_a (zw)^a - f(z)^T H^{-1} f(w); exact for every
+        rational weight vector."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        bz = [p.evaluate(z) for p in self.basis]
-        bw = bz if w == z else [p.evaluate(w) for p in self.basis]
-        return self._factor.inverse_form(bz, bw)
+        corner = (((0,) * self.module.dim, 1),)
+        value = _diagonal_sum(self.module, corner, z, w,
+                              self.trunc_degree).value
+        if not self.complement:
+            return value
+        fz = self._complement_at(z)
+        fw = fz if w == z else self._complement_at(w)
+        return value - self._factor.inverse_form(fz, fw)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         # the Gram form *is* the degree-truncated kernel; no analytic tail

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from submodcurv import invariants
 from submodcurv.errors import DomainError
 from submodcurv.invariants import (cubic_positive_roots, lambda_mu_equivalent,
                                    lambda_mu_invariants, polydisc_rigidity,
@@ -94,6 +97,43 @@ def test_cubic_interval_brackets_root():
     cr = cubic_positive_roots(F(7, 3))
     lo, hi = cr.isolating_intervals[0]
     assert hi - lo <= F(1, 16)
+
+
+def _refine_by_chain_count(chain, a, b):
+    """The bisection that counts Sturm-chain sign variations on (a, mid) at
+    every step: the reference for invariants._refine."""
+    p = chain[0]
+    while b - a > invariants._REFINE_WIDTH:
+        mid = (a + b) / 2
+        if upoly_eval(p, mid) == 0:
+            return (mid, mid)
+        if count_roots_between(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
+
+
+def _intervals_agree(alpha):
+    got = cubic_positive_roots(alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_refine", _refine_by_chain_count)
+        want = cubic_positive_roots(alpha)
+    return got == want
+
+
+def test_refine_matches_chain_count_on_pooled_alphas(perfbench_jobs):
+    alphas = {job.meta["alpha"]
+              for job in perfbench_jobs.pool("task-mix").values()
+              if job.task == "cubic" and job.valid}
+    assert len(alphas) > 100
+    assert [a for a in sorted(alphas) if not _intervals_agree(F(a))] == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 60))
+def test_refine_matches_chain_count_sweep(n, d):
+    assert _intervals_agree(F(n, d))
 
 
 def test_cubic_rejects_nonpositive_alpha():

@@ -1,4 +1,4 @@
-"""Every pooled curvature-sweep and task-mix job of the benchmark
+"""Every pooled job of the benchmark's three workloads
 (perfbench/jobs.py), run in-process through the CLI one after another, must
 still print what perfbench/pins.json pinned: the same exit code and the
 same SHA-256 of stdout and stderr.  task-mix covers all seven tasks and
@@ -10,10 +10,8 @@ perfbench/.
 """
 
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,21 +20,7 @@ import pytest
 import submodcurv.cli as cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = ("curvature-sweep", "task-mix")
-
-
-@pytest.fixture(scope="module")
-def jobs():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_jobs", PERFBENCH / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class body is processed
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+WORKLOADS = ("curvature-sweep", "kernel-eval", "task-mix")
 
 
 def _sha(text):
@@ -44,7 +28,9 @@ def _sha(text):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_pooled_jobs_match_pins(workload, jobs, tmp_path, monkeypatch):
+def test_pooled_jobs_match_pins(workload, perfbench_jobs, tmp_path,
+                                monkeypatch):
+    jobs = perfbench_jobs
     # argparse wraps usage messages to the terminal width; pins use 80
     monkeypatch.setenv("COLUMNS", "80")
     with open(PERFBENCH / "pins.json", encoding="utf-8") as fh:

@@ -297,32 +297,71 @@ _GRAM_IDEALS = [
                                    parse_poly("z1*z2", 2)])),
     (WeightedPolydiscModule(2, (F(2), F(1, 2))),
      IdealSpec.from_generators(2, [parse_poly("z1^3 - z2^2", 2)])),
+    (WeightedPolydiscModule(3, (F(1), F(3, 2), F(2))),
+     IdealSpec.from_generators(3, [parse_poly("z1*z2 - z3^2", 3)])),
+    (WeightedPolydiscModule(3, (F(2, 3), F(3), F(5, 2))),
+     IdealSpec.from_generators(3, [parse_poly("z1 - z2*z3", 3)])),
 ]
+_GRAM_DEGREES = {2: [4, 5, 6, 7, 8], 3: [4, 5, 6]}
+_GRAM_CASES = [(degree, case) for case, (module, _) in enumerate(_GRAM_IDEALS)
+               for degree in _GRAM_DEGREES[module.dim]]
+_GRAM_POINTS = {2: [(F(1, 3), F(1, 7)), (F(-1, 4), F(2, 5)), (F(0), F(-1, 2))],
+                3: [(F(1, 3), F(1, 7), F(-2, 5)), (F(-1, 4), F(2, 5), F(0)),
+                    (F(0), F(-1, 2), F(3, 8))]}
 
 
-@pytest.mark.parametrize("case", range(len(_GRAM_IDEALS)))
-@pytest.mark.parametrize("degree", [4, 5, 6, 7, 8])
-def test_gram_form_matches_rank_scan_and_solve(case, degree):
+@pytest.mark.parametrize("degree,case", _GRAM_CASES)
+def test_gram_form_matches_rank_scan_and_solve(degree, case):
+    """The direct Gram form b(z)^T G^{-1} b(w) over the chosen basis, with G
+    built here by poly_inner, is the reference for the ambient sum minus
+    the complement correction."""
     module, ideal = _GRAM_IDEALS[case]
     K = GramFormKernel.from_ideal(module, ideal, degree)
     assert list(K.basis) == _reference_gram_basis(module, ideal, degree)
-    G = K.gram
-    assert K.gram_minors == [mat_det([row[:k] for row in G[:k]])
-                             for k in range(1, len(G) + 1)]
-    points = [(F(1, 3), F(1, 7)), (F(-1, 4), F(2, 5)), (F(0), F(-1, 2))]
-    for z in points:
-        bz = [p.evaluate(z) for p in K.basis]
-        for w in points:
-            x = mat_solve(G, [p.evaluate(w) for p in K.basis])
+    H = K.gram
+    assert K.gram_minors == [mat_det([row[:k] for row in H[:k]])
+                             for k in range(1, len(H) + 1)]
+    G = [[poly_inner(module, p, q) for q in K.basis] for p in K.basis]
+    points = _GRAM_POINTS[module.dim]
+    for w in points:
+        x = mat_solve(G, [p.evaluate(w) for p in K.basis])
+        for z in points:
+            bz = [p.evaluate(z) for p in K.basis]
             assert K.eval_exact(z, w) == sum(a * b for a, b in zip(bz, x))
+
+
+@pytest.mark.parametrize("case", range(len(_GRAM_IDEALS)))
+def test_gram_form_complement_fills_degree_n(case):
+    """basis and complement split the C(N+m, m) polynomials of degree <= N
+    into orthogonal parts, and gram is the complement's Gram matrix."""
+    module, ideal = _GRAM_IDEALS[case]
+    m = module.dim
+    for degree in _GRAM_DEGREES[m]:
+        K = GramFormKernel.from_ideal(module, ideal, degree)
+        assert len(K.basis) + len(K.complement) == math.comb(degree + m, m)
+        assert all(poly_inner(module, f, b) == 0
+                   for f in K.complement for b in K.basis)
+        assert K.gram == [[poly_inner(module, f, g) for g in K.complement]
+                          for f in K.complement]
+
+
+def test_product_difference_complement_is_two():
+    """The complement of product_difference has the size of the localization
+    dimension at the origin, whatever the degree."""
+    module = WeightedPolydiscModule(2, (F(1), F(5, 2)))
+    ideal = IdealSpec.catalogued("product_difference", 2)
+    for degree in range(2, 11):
+        K = GramFormKernel.from_ideal(module, ideal, degree)
+        assert len(K.complement) == 2
 
 
 def test_gram_form_rejects_indefinite_gram():
     m = WeightedPolydiscModule.hardy(2)
-    basis = [parse_poly("z1", 2), parse_poly("z2", 2), parse_poly("z1*z2", 2)]
+    complement = [parse_poly("z1", 2), parse_poly("z2", 2),
+                  parse_poly("z1*z2", 2)]
     for gram in ([[F(1), F(2), F(0)], [F(2), F(1), F(0)], [F(0), F(0), F(1)]],
                  [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]],
                  [[F(0), F(1), F(0)], [F(1), F(2), F(0)], [F(0), F(0), F(1)]],
                  [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]]):
         with pytest.raises(DomainError):
-            GramFormKernel(m, basis, gram, 2)
+            GramFormKernel(m, [], complement, gram, 2)
