@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 
@@ -102,9 +102,9 @@ class MultiIndex(tuple):
         return MultiIndex((0,) * n)
 
 
-def iter_multiindices(nvars: int, max_degree: int):
-    """All multi-indices of length nvars with total degree <= max_degree,
-    in graded-lex order."""
+def iter_multiindices(nvars: int, max_degree: int, min_degree: int = 0):
+    """All multi-indices of length nvars with total degree between
+    min_degree and max_degree, in graded-lex order."""
     def of_degree(n, d):
         if n == 1:
             yield (d,)
@@ -112,7 +112,7 @@ def iter_multiindices(nvars: int, max_degree: int):
         for first in range(d, -1, -1):
             for rest in of_degree(n - 1, d - first):
                 yield (first,) + rest
-    for d in range(max_degree + 1):
+    for d in range(min_degree, max_degree + 1):
         for t in of_degree(nvars, d):
             yield MultiIndex(t)
 
@@ -262,11 +262,6 @@ class TruncSeries:
         """The monomial wb_i^power (i is 0-based)."""
         key = MultiIndex.unit(2 * npairs, npairs + i, power)
         return TruncSeries(npairs, trunc, {key: 1})
-
-    @staticmethod
-    def monomial(npairs: int, trunc: int, wexp, wbexp, c=1) -> "TruncSeries":
-        key = MultiIndex(tuple(wexp) + tuple(wbexp))
-        return TruncSeries(npairs, trunc, {key: c})
 
     # -- basic queries -----------------------------------------------------
 
@@ -493,18 +488,6 @@ class SeriesMatrix:
               else TruncSeries.zero(npairs, trunc) for j in range(n)]
              for i in range(n)])
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return SeriesMatrix(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-             for i in range(self.n)])
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return SeriesMatrix(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(self.n)]
-             for i in range(self.n)])
-
     def _check_same_shape(self, other):
         if not isinstance(other, SeriesMatrix) or other.n != self.n:
             raise ShapeError("matrix shape mismatch")
@@ -524,18 +507,18 @@ class SeriesMatrix:
             out.append(row)
         return SeriesMatrix(out)
 
-    def map(self, f: Callable[[TruncSeries], TruncSeries]) -> "SeriesMatrix":
-        return SeriesMatrix([[f(s) for s in row] for row in self.entries])
-
-    def conj_transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[self.entries[j][i].conj() for j in range(self.n)]
-             for i in range(self.n)])
-
     def is_hermitian(self) -> bool:
-        ct = self.conj_transpose()
-        return all(ct.entries[i][j] == self.entries[i][j]
-                   for i in range(self.n) for j in range(self.n))
+        """Entry (i, j) is the conjugate of entry (j, i): for i <= j, each
+        coefficient of (j, i) sits at the key-swapped monomial of (i, j)."""
+        m = self.npairs
+        for i in range(self.n):
+            for j in range(i, self.n):
+                a = self.entries[i][j].coeffs
+                b = self.entries[j][i].coeffs
+                if len(a) != len(b) or any(a.get(k[m:] + k[:m]) != v
+                                           for k, v in b.items()):
+                    return False
+        return True
 
     def value_at_base(self):
         """Constant-term matrix as a list of lists of Fractions."""

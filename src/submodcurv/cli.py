@@ -478,8 +478,6 @@ def run_task(cfg: JobConfig) -> Report:
                 on_v = variety.contains(p)
                 if on_v is not None:
                     report.diagnostics[f"point_{k}_on_variety"] = on_v
-            if loc.monotone_violation:
-                report.diagnostics[f"monotonicity_flag_{k}"] = True
             if loc.conditional:
                 report.diagnostics[f"conditional_{k}"] = (
                     "general-family result; stabilization is heuristic")

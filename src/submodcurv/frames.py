@@ -46,10 +46,6 @@ from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
 
-SPLITTING_NOTE = ("kernel terms split over generators proportionally to "
-                  "weight*exponent on the generator variable, restricted to "
-                  "generators whose power divides the term")
-
 
 @dataclass(frozen=True)
 class PowerProduct:
@@ -111,7 +107,10 @@ class FrameSeries:
     gen_powers: tuple
     free_slots: tuple
     lead_coeffs: tuple
-    splitting_note: str = SPLITTING_NOTE
+    # not annotated, so a class constant rather than a field
+    splitting_note = ("kernel terms split over generators proportionally to "
+                      "weight*exponent on the generator variable, restricted "
+                      "to generators whose power divides the term")
 
     @property
     def count(self) -> int:

@@ -10,9 +10,9 @@ An IdealSpec is a finite generator list tagged with a structural family:
 The family tag decides which closed-form constructions apply downstream;
 nothing here attempts Groebner-style normal forms.  The localization
 dimension at a point w counts dim J_N - dim J'_N for spaces of generator
-multiples of bounded degree, which stabilizes at the fibre dimension of the
-associated quotient for the families treated here.  Both spans are ranked by
-feeding each multiple's sparse coefficients into a linalg.RowEchelon.
+multiples of bounded degree, in coordinates centred at w, where both spans
+grow degree by degree in one pair of linalg.RowEchelon forms.  The defect
+never increases; stopping at two equal consecutive values is a heuristic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import MultiIndex, iter_multiindices, rat
+from .algebra import MultiIndex, eval_terms, iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon
 from .polynomials import Poly
@@ -50,10 +50,6 @@ class CoordinateSubspace:
         pt = [rat(x) for x in point]
         return all(pt[i] == 0 for i in self.vanishing)
 
-    def describe(self) -> str:
-        vs = ", ".join(f"z{i+1} = 0" for i in sorted(self.vanishing))
-        return f"coordinate subspace {{{vs}}}"
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -67,9 +63,6 @@ class PointSet:
     def contains(self, point) -> bool:
         pt = tuple(rat(x) for x in point)
         return pt == self.coords
-
-    def describe(self) -> str:
-        return "point (" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +137,6 @@ class IdealSpec:
         gens = tuple(Poly.monomial(nvars, MultiIndex.unit(nvars, k, p))
                      for k, p in enumerate(powers))
         return IdealSpec(nvars, gens, MONOMIAL)
-
-    @staticmethod
-    def vanishing_at(point) -> "IdealSpec":
-        coords = tuple(rat(x) for x in point)
-        m = len(coords)
-        gens = tuple(Poly.variable(m, i) - Poly.constant(m, coords[i])
-                     for i in range(m))
-        return IdealSpec(m, gens, COORDINATE_VANISHING)
 
     @staticmethod
     def catalogued(name: str, nvars: int) -> "IdealSpec":
@@ -286,27 +271,25 @@ class LocalizationResult:
     dim: int
     stabilized_at: Optional[int]
     dims_by_degree: tuple = field(default=())
-    monotone_violation: bool = False
     conditional: bool = False
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilized_at is not None
 
 
 def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> LocalizationResult:
     """Dimension of the localization of the ideal at a point.
 
-    For each degree N let J_N be the span of the generator multiples
-    z^beta p_j of total degree <= N, and J'_N the span of (z_i - w_i) f with
-    f running over such multiples of degree <= N-1.  The defect
-    d_N = dim J_N - dim J'_N counts generators surviving localization at w;
-    it is reported stabilized once two consecutive degrees agree.
+    In the coordinates x = z - w centred at the point the generators are
+    q_j(x) = p_j(w + x).  J_N is the span of the multiples x^beta q_j of
+    total degree <= N, and J'_N the span of those with |beta| >= 1, i.e. of
+    the (z_i - w_i)-multiples of J_{N-1}.  The defect d_N = dim J_N -
+    dim J'_N counts generators surviving localization at w; it is reported
+    stabilized once two consecutive degrees agree.  Both spans only grow
+    with N, so each degree adds its new multiples to one pair of echelon
+    forms; J_N = J'_N + span(q_j) with the q_j fixed, so d_N never increases.
 
-    The stabilized value is provable for the monomial / coordinate /
-    catalogued families; for general ideals it is a conditional answer
-    (flagged in the result) since two equal consecutive defects do not rule
-    out a later drop.
+    The stopping rule is a heuristic for every family, and general ideals
+    are flagged conditional: equal consecutive defects do not rule out a
+    later drop (<z1^2, z2^2> in three variables at (1/3, 1/2, 0) has
+    d_2 = d_3 = 2 and d_N = 1 from N = 4).
     """
     m = ideal.nvars
     w = [rat(x) for x in point]
@@ -317,35 +300,27 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
-    def span_dims(N):
-        # each polynomial's coeffs is a sparse row keyed by monomial
-        j_span, jp_span = RowEchelon(), RowEchelon()
-        for g in ideal.generators:
-            dg = g.degree
-            for beta in iter_multiindices(m, max(N - dg, 0)):
-                f = g.shift_by_monomial(beta)
-                j_span.add(f.coeffs)
-                if beta.degree + dg <= N - 1:
-                    for i in range(m):
-                        jp_span.add((f.shift_by_monomial(MultiIndex.unit(m, i))
-                                     - f * w[i]).coeffs)
-        return len(j_span.rows) - len(jp_span.rows)
+    xs = [Poly.variable(m, i) + w[i] for i in range(m)]
+    # Poly.zero(m) + keeps a constant generator a Poly
+    centred = [(g.degree, Poly.zero(m) + eval_terms(g.coeffs, xs))
+               for g in ideal.generators]
 
+    j_span, jp_span = RowEchelon(), RowEchelon()
     dims = []
     stabilized_at = None
-    start = dmax
-    for N in range(start, max_degree + 1):
-        dims.append((N, span_dims(N)))
+    for N in range(dmax, max_degree + 1):
+        # the multiples new at degree N; the first degree adds all of them
+        for dg, q in centred:
+            low = N - dg if N > dmax else 0
+            for beta in iter_multiindices(m, N - dg, low):
+                row = q.shift_by_monomial(beta).coeffs
+                j_span.add(row)
+                if beta.degree:
+                    jp_span.add(row)
+        dims.append((N, len(j_span.rows) - len(jp_span.rows)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break
 
-    values = [d for _, d in dims]
-    monotone_violation = any(b > a for a, b in zip(values, values[1:]))
-    return LocalizationResult(
-        dim=values[-1],
-        stabilized_at=stabilized_at,
-        dims_by_degree=tuple(dims),
-        monotone_violation=monotone_violation,
-        conditional=(ideal.family == GENERAL),
-    )
+    return LocalizationResult(dims[-1][1], stabilized_at, tuple(dims),
+                              conditional=(ideal.family == GENERAL))

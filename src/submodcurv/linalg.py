@@ -7,10 +7,11 @@ such sweep without pivoting: its pivots are the leading principal minors and
 its factors answer u^T A^{-1} v by integer substitution.  ``RowEchelon``
 tests a stream of sparse rows for independence, reducing each new row once
 against the rows kept so far; the Gram-form basis and the localization span
-ranks both count rows with it.  Solving, inverses and nullspaces use ordinary
-Gauss-Jordan elimination over Fraction, which is exact anyway.  Determinants
-over other rings (series, polynomials, complex floats) are
-``algebra.cofactor_det``.
+ranks both count rows with it, and its back-substitution gives the null
+vectors of the Gram-form complement and of ``nullspace``.  Solving and
+inverses use ordinary Gauss-Jordan elimination over Fraction, which is exact
+anyway.  Determinants over other rings (series, polynomials, complex floats)
+are ``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -189,23 +190,19 @@ def mat_identity(n):
 def nullspace(A):
     """Basis of the right nullspace of A, as a list of column vectors.
 
-    Free variables are set to 1 one at a time, in increasing column order, so
-    the basis is deterministic.
+    One vector per free column of the echelon form, in increasing column
+    order: 1 at that column and 0 at every other free column, so the basis
+    is deterministic.
     """
     M = _as_matrix(A)
     if not M:
         return []
     ncols = len(M[0])
-    R, pivots = _rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for rowi, pc in enumerate(pivots):
-            v[pc] = -R[rowi][fc]
-        basis.append(v)
-    return basis
+    echelon = RowEchelon()
+    for row in M:
+        echelon.add(dict(enumerate(row)))
+    return [[g.get(c, Fraction(0)) for c in range(ncols)]
+            for g in echelon.null_vectors(ncols)]
 
 
 class BareissFactor:
@@ -316,6 +313,28 @@ class RowEchelon:
                 else:
                     del r[c]
         return False
+
+    def null_vectors(self, ncols):
+        """Null vectors of the kept rows over int columns 0..ncols-1: for
+        each free column c (no row leads there), in increasing order, the
+        sparse dict with 1 at c and 0 at every other free column.  By
+        back-substitution: every kept row leads with 1 at its smallest
+        column, so the leads below c, in descending order, each take the
+        value that clears their row; the leads above c stay 0."""
+        leads = sorted(self.rows, reverse=True)
+        out = []
+        for free in range(ncols):
+            if free in self.rows:
+                continue
+            g = {free: Fraction(1)}
+            for lead in leads:
+                if lead < free:
+                    x = -sum(v * g[c] for c, v in self.rows[lead].items()
+                             if c in g)
+                    if x:
+                        g[lead] = x
+            out.append(g)
+        return out
 
 
 def leading_principal_minors(A):

@@ -79,10 +79,6 @@ class WeightedPolydiscModule:
     def has_integer_weights(self) -> bool:
         return all(w.denominator == 1 for w in self.weights)
 
-    def describe(self) -> str:
-        return ("weighted module on D^%d with weights (%s)"
-                % (self.dim, ", ".join(str(w) for w in self.weights)))
-
 
 def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     """Kernel diagonal coefficient c_alpha = prod poch(l_i, a_i) / a_i!."""
@@ -279,9 +275,9 @@ class DiagonalFilteredKernel:
     restricted to exponents divisible by some generator."""
 
     variant = "diagonal_filtered"
+    default_trunc = 30
 
-    def __init__(self, module: WeightedPolydiscModule, generator_exponents,
-                 default_trunc: int = 30):
+    def __init__(self, module: WeightedPolydiscModule, generator_exponents):
         self.module = module
         self.generator_exponents = tuple(MultiIndex(e) for e in generator_exponents)
         if not self.generator_exponents:
@@ -291,7 +287,6 @@ class DiagonalFilteredKernel:
                 raise ShapeError("generator exponent arity mismatch")
             if e.degree == 0:
                 raise DomainError("the unit monomial generates the whole module")
-        self.default_trunc = default_trunc
         self.corners = self._corners()
 
     def _corners(self):
@@ -349,12 +344,11 @@ class RankOneCorrectedKernel:
     vanish at a."""
 
     variant = "rank_one_corrected"
+    default_trunc = 30
 
-    def __init__(self, module: WeightedPolydiscModule, point,
-                 default_trunc: int = 30):
+    def __init__(self, module: WeightedPolydiscModule, point):
         self.module = module
         self.point = _check_point(module, point, "correction point")
-        self.default_trunc = default_trunc
 
     def _eval(self, z, w, base_eval):
         a = self.point
@@ -438,27 +432,12 @@ class GramFormKernel:
         chosen = [p for p in candidates
                   if echelon.add({index[k]: v for k, v in p.coeffs.items()})]
         # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
-        # every row v, i.e. g = f / c is a null vector of the echelon rows.
-        # One g per free column, by back-substitution: a kept row leads
-        # with 1 at its smallest column, so leads in descending order each
-        # take the value that clears their row; leads above the free
-        # column stay 0.
+        # every row v, i.e. g = f / c is a null vector of the echelon rows;
+        # one g per free column
         slots = diag_coeff_slots(module, trunc_degree)
         coeff = [math.prod(row[e] for row, e in zip(slots, a))
                  for a in monomials]
-        leads = sorted(echelon.rows, reverse=True)
-        nulls = []
-        for free in range(len(monomials)):
-            if free in echelon.rows:
-                continue
-            g = {free: Fraction(1)}
-            for lead in leads:
-                if lead < free:
-                    x = -sum(v * g[c] for c, v in echelon.rows[lead].items()
-                             if c in g)
-                    if x:
-                        g[lead] = x
-            nulls.append(g)
+        nulls = echelon.null_vectors(len(monomials))
         complement = [Poly(m, {monomials[k]: coeff[k] * x
                                for k, x in g.items()}) for g in nulls]
         # H_jk = <f_j, f_k> = sum_a c_a g_j[a] g_k[a]

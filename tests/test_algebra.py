@@ -211,6 +211,10 @@ def test_series_matrix_hermitian_check():
     assert h.is_hermitian()
     g = SeriesMatrix([[one, w1], [wb1.scale(F(3)), one]])
     assert not g.is_hermitian()
+    # off-diagonal entries conjugate, only the (2, 2) entry is not real
+    d = SeriesMatrix([[one, w1.scale(F(2))], [wb1.scale(F(2)), one + w1]])
+    assert not d.is_hermitian()
+    assert SeriesMatrix([[one + w1 * wb1 + w1 + wb1]]).is_hermitian()
 
 
 def test_series_matrix_inverse_sizes_one_and_three():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.errors import ShapeError, SingularityError
-from submodcurv.linalg import (BareissFactor, RowEchelon,
+from submodcurv.linalg import (BareissFactor, RowEchelon, _rref,
                                is_positive_definite, leading_principal_minors,
                                mat_det, mat_identity, mat_inverse, mat_mul,
                                mat_rank, mat_solve, nullspace)
@@ -176,6 +176,41 @@ def test_row_echelon_keeps_what_raises_the_rank():
             if independent:
                 kept.append(row)
         assert len(echelon.rows) == mat_rank(rows)
+
+
+def _rref_nullspace(a):
+    """Reference: Gauss-Jordan RREF, each free column set to 1 in turn and
+    the pivot columns read off the reduced rows."""
+    ncols = len(a[0])
+    R, pivots = _rref([list(row) for row in a])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for rowi, pc in enumerate(pivots):
+            v[pc] = -R[rowi][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def _rational_rectangles(draw):
+    """Small rational matrices, some with a repeated row or a zero column."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        a[-1] = list(a[0])
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in a:
+            row[col] = F(0)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rectangles())
+def test_nullspace_matches_rref_reference(a):
+    assert nullspace(a) == _rref_nullspace(a)
 
 
 def test_shape_checks():
