@@ -348,13 +348,6 @@ class TruncSeries:
             out[MultiIndex(k[m:] + k[:m])] = v
         return TruncSeries(self.npairs, self.trunc, out)
 
-    def truncate(self, new_trunc: int) -> "TruncSeries":
-        if new_trunc > self.trunc:
-            raise ShapeError(
-                f"cannot extend truncation {self.trunc} to {new_trunc}; "
-                "terms beyond the original degree were never computed")
-        return TruncSeries(self.npairs, new_trunc, self.coeffs)
-
     def evaluate(self, wvals, wbvals) -> Fraction:
         """Evaluate the truncated polynomial at exact rational arguments.
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .curvature import (CONVENTION, JET_DEGREE, curvature_matrix,
-                        det_bundle_curvature, principal_curvature_pair)
+                        principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
                      UnsupportedIdealError)
 from .frames import (COORDINATE_KIND, coordinate_power_data,
@@ -397,7 +397,7 @@ def run_task(cfg: JobConfig) -> Report:
                              field="task.compare_weights")
         ideal = _build_ideal(cfg)
         data = coordinate_power_data(ideal)
-        powers = tuple(p for _, p in data)
+        gen_vars, powers = zip(*data)
         t = len(data)
         if t == module.dim:
             if module.dim == 2 and powers == (1, 1):
@@ -416,7 +416,7 @@ def run_task(cfg: JobConfig) -> Report:
                 "comparison needs a transverse direction (fewer generators "
                 "than variables) or the bidisc coordinate ideal")
         rr = polydisc_rigidity_report(module.weights, powers,
-                                      cfg.compare_weights)
+                                      cfg.compare_weights, gen_vars)
         report.add("equivalent", rr.equivalent)
         for name, v in rr.battery_left:
             report.add(f"left_{name}", v)
@@ -526,12 +526,12 @@ def run_task(cfg: JobConfig) -> Report:
         if cfg.trunc_degree < 4:
             raise DomainError("curvature task needs trunc_degree >= 4")
         m = module.dim
-        det_curv = det_bundle_curvature(metric)
+        tensor = curvature_matrix(metric)
+        det_curv = tensor.trace_matrix()  # the det-bundle curvature
         for i in range(m):
             for j in range(m):
                 report.add(f"det_bundle_curvature_{i+1}{j+1}",
                            det_curv[i][j])
-        tensor = curvature_matrix(metric)
         t = tensor.size
         for i in range(m):
             for j in range(m):
@@ -545,7 +545,8 @@ def run_task(cfg: JobConfig) -> Report:
             report.add("closed_form_kappa1", inv.kappa1)
             report.add("closed_form_kappa2", inv.kappa2)
         if frame.kind != COORDINATE_KIND and t == 1 and module.dim == 2:
-            pair = principal_curvature_pair(module, frame.gen_powers[0])
+            pair = principal_curvature_pair(module, frame.gen_powers[0],
+                                            frame.gen_vars[0])
             report.add("transverse_norm_hessian", pair.raw)
             report.add("transverse_log_hessian", pair.log_based)
             report.diagnostics["transverse_convention_note"] = pair.note

@@ -16,11 +16,12 @@ Curvature at a point depends only on the 2-jet of H there, its terms of
 degree <= 2 in (w, wbar).  The blocks are the Chern-connection curvature
 H0^{-1} H_{i jbar} - H0^{-1} H_i H0^{-1} H_{jbar} of the constant, w_i,
 wbar_j and w_i wbar_j coefficient matrices (M. Cowen and R. Douglas,
-Complex geometry and operator theory, Acta Math. 141, 1978), and the
-det-bundle and line curvatures are (d d_{i jbar} - d_i d_{jbar}) / d^2 on
-the 2-jet of the scalar d.  Frames built only for curvature are therefore
-built at truncation degree 2; a metric truncated higher gives the same
-Fractions.
+Complex geometry and operator theory, Acta Math. 141, 1978).  Jacobi's
+formula d log det H = tr(H^{-1} dH) makes the det-bundle curvature their
+blockwise trace, so no series determinant is taken.  A scalar metric h has
+line curvature (h h_{i jbar} - h_i h_{jbar}) / h^2 on its 2-jet.  Frames
+built only for curvature are therefore built at truncation degree 2; a
+metric truncated higher gives the same Fractions.
 """
 
 from __future__ import annotations
@@ -71,19 +72,13 @@ def line_curvature(h: TruncSeries, i: int, j: int) -> Fraction:
 
 
 def det_bundle_curvature(metric: MetricSeries):
-    """Full matrix of mixed Hessians of log det H at the base point, read
-    off the 2-jet of det H by the line-bundle formula.
-
-    Symbolic diagonal scales multiply det H by a positive constant only, so
-    they drop out of the logarithm's derivatives and are ignored here.
-    """
-    H = metric.matrix
-    jet = min(H.trunc, JET_DEGREE)
-    d = SeriesMatrix([[s.truncate(jet) for s in row]
-                      for row in H.entries]).det()
-    m = H.npairs
-    return tuple(tuple(line_curvature(d, i, j) for j in range(m))
-                 for i in range(m))
+    """Full matrix of mixed Hessians of log det H at the base point: the
+    blockwise trace of curvature_matrix(metric), by Jacobi's formula.
+    Symbolic scales on a diagonal metric multiply det H by a positive
+    constant and drop out; a non-diagonal metric with scales (grammian
+    never builds one) raises DomainError, and truncation degree below 2
+    raises TruncationError, as in curvature_matrix."""
+    return curvature_matrix(metric).trace_matrix()
 
 
 @dataclass(frozen=True)
@@ -104,11 +99,9 @@ class CurvatureTensor:
         return self.blocks[i][j]
 
     def trace_matrix(self):
-        m = len(self.blocks)
-        return tuple(
-            tuple(sum((self.blocks[i][j][k][k] for k in range(self.size)),
-                      Fraction(0)) for j in range(m))
-            for i in range(m))
+        return tuple(tuple(sum((block[k][k] for k in range(self.size)),
+                               Fraction(0)) for block in row)
+                     for row in self.blocks)
 
 
 def _unscaled_matrix(metric: MetricSeries) -> SeriesMatrix:
@@ -316,21 +309,21 @@ class PrincipalCurvaturePair:
     note: str = EQCC_NOTE
 
 
-def principal_curvature_pair(module: WeightedPolydiscModule,
-                             p: int) -> PrincipalCurvaturePair:
-    """Both transverse-curvature readings for <z_1^p> on the bidisc at the
-    origin slice point, from a frame built at JET_DEGREE."""
+def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
+                             gen_var: int = 0) -> PrincipalCurvaturePair:
+    """Both transverse-curvature readings for <z_v^p>, v = gen_var + 1, on
+    the bidisc at the origin slice point, from a frame built at JET_DEGREE."""
     if module.dim != 2:
         raise DomainError("the principal curvature pair is a bidisc quantity")
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    ideal = IdealSpec.coordinate_powers(2, (p,))
+    ideal = IdealSpec.monomial(2, [MultiIndex.unit(2, gen_var, p)])
     frame = frame_on_zero_set(module, ideal, (Fraction(0), Fraction(0)),
                               JET_DEGREE)
-    H = grammian(frame)
-    h = H.matrix[0, 0]
-    return PrincipalCurvaturePair(raw=mixed_hessian(h, 1, 1),
-                                  log_based=line_curvature(h, 1, 1))
+    h = grammian(frame).matrix[0, 0]
+    free = 1 - gen_var
+    return PrincipalCurvaturePair(raw=mixed_hessian(h, free, free),
+                                  log_based=line_curvature(h, free, free))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import mixed_hessian, pochhammer, rat
+from .algebra import MultiIndex, mixed_hessian, pochhammer, rat
 from .curvature import JET_DEGREE, line_curvature
 from .errors import DomainError
 from .frames import frame_on_zero_set, grammian
@@ -273,11 +273,11 @@ class RigidityReport:
         return self.equivalent
 
 
-def _curvature_battery(module: WeightedPolydiscModule, exponents):
-    """Curvature invariants of the coordinate-power submodule at the origin
-    slice point, all read off Grammian metrics from the frame pipeline.
-    Every invariant depends on the 2-jet of a metric only, so the frames are
-    built at JET_DEGREE.
+def _curvature_battery(module: WeightedPolydiscModule, data):
+    """Curvature invariants of the coordinate-power submodule generated by
+    z_{v+1}^i, (v, i) in data sorted by v, at the origin slice point, all
+    read off Grammian metrics from the frame pipeline.  Every invariant
+    depends on the 2-jet of a metric only, so frames are built at JET_DEGREE.
 
     transverse_k: mixed log-Hessian of ||F_1||^2 in each free direction
                   (recovers the transverse weights);
@@ -287,32 +287,33 @@ def _curvature_battery(module: WeightedPolydiscModule, exponents):
                   (l_k + i_k)/(i_k + 1), pinning the k-th weight).
     """
     m = module.dim
-    t = len(exponents)
     origin = (Fraction(0),) * m
-    ideal = IdealSpec.coordinate_powers(m, exponents)
-    metric = grammian(frame_on_zero_set(module, ideal, origin, JET_DEGREE))
-    free = [i for i in range(m) if i >= t]
+
+    def metric(shift=None):  # the ideal, its exponent `shift` raised by one
+        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p + (k == shift))
+                                       for k, (v, p) in enumerate(data)])
+        return grammian(frame_on_zero_set(module, ideal, origin, JET_DEGREE))
+
+    base = metric()
     battery = []
-    for i in free:
+    for i in base.free_slots:
         battery.append((f"transverse_log_curvature_w{i+1}",
-                        line_curvature(metric.matrix[0, 0], i, i)))
-    i0 = free[0]
-    for k in range(t):
+                        line_curvature(base.matrix[0, 0], i, i)))
+    i0 = base.free_slots[0]
+    for k in range(len(data)):
         battery.append((f"norm_hessian_gen{k+1}",
-                        mixed_hessian(metric.matrix[k, k], i0, i0)))
-        shifted = list(exponents)
-        shifted[k] += 1
-        ideal_s = IdealSpec.coordinate_powers(m, shifted)
-        metric_s = grammian(frame_on_zero_set(module, ideal_s, origin,
-                                              JET_DEGREE))
+                        mixed_hessian(base.matrix[k, k], i0, i0)))
         battery.append((f"norm_hessian_gen{k+1}_shifted",
-                        mixed_hessian(metric_s.matrix[k, k], i0, i0)))
+                        mixed_hessian(metric(k).matrix[k, k], i0, i0)))
     return tuple(battery)
 
 
-def polydisc_rigidity_report(weights1, exponents, weights2) -> RigidityReport:
+def polydisc_rigidity_report(weights1, exponents, weights2,
+                             gen_vars=None) -> RigidityReport:
     """Decide equivalence of the coordinate-power submodule over two weight
-    vectors, through curvature invariants only.
+    vectors, through curvature invariants only.  exponents[k] is the power
+    of the 0-based variable gen_vars[k] (default: variable k); generators
+    are numbered in variable order.
 
     Requires at least one free (transverse) variable: the exponent list must
     be shorter than the dimension.
@@ -326,10 +327,12 @@ def polydisc_rigidity_report(weights1, exponents, weights2) -> RigidityReport:
         raise DomainError(
             "the battery needs a transverse direction: fewer exponents "
             "than variables")
+    gen_vars = range(len(exponents)) if gen_vars is None else gen_vars
+    data = sorted(zip(gen_vars, exponents, strict=True))
     mod1 = WeightedPolydiscModule(len(w1), w1)
     mod2 = WeightedPolydiscModule(len(w2), w2)
-    left = _curvature_battery(mod1, exponents)
-    right = _curvature_battery(mod2, exponents)
+    left = _curvature_battery(mod1, data)
+    right = _curvature_battery(mod2, data)
     names = tuple(name for name, _ in left)
     equivalent = [v for _, v in left] == [v for _, v in right]
     return RigidityReport(equivalent, left, right, names)

@@ -91,6 +91,37 @@ def test_run_curvature_task_values():
             + results["curvature_block_11_22"]) == F(13, 9)
 
 
+SECOND_VARIABLE = """
+[module]
+dimension = 2
+weights = 1 3
+
+[ideal]
+generators = z2^2
+
+[task]
+name = {task}
+"""
+
+
+def test_principal_readings_follow_the_generator_variable():
+    # <z2^2> over weights (1, 3): the free variable is w1 with weight 1, so
+    # the transverse log curvature is 1 and the norm Hessians are
+    # poch(3, 2)/2! = 6 and poch(3, 3)/3! = 10, times 1
+    report = run_task(parse_config(SECOND_VARIABLE.format(task="curvature")))
+    results = {r["name"]: r["value"] for r in report.results}
+    assert results["det_bundle_curvature_11"] == 1
+    assert results["transverse_log_hessian"] == 1
+    assert results["transverse_norm_hessian"] == 6
+    report = run_task(parse_config(
+        SECOND_VARIABLE.format(task="compare") + "compare_weights = 1 3\n"))
+    results = {r["name"]: r["value"] for r in report.results}
+    assert results["left_transverse_log_curvature_w1"] == 1
+    assert "left_transverse_log_curvature_w2" not in results
+    assert results["left_norm_hessian_gen1"] == 6
+    assert results["left_norm_hessian_gen1_shifted"] == 10
+
+
 def test_run_cubic_task():
     report = run_task(parse_config("[task]\nname = cubic\nalpha = 1\n"))
     results = {r["name"]: r["value"] for r in report.results}

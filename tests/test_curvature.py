@@ -1,20 +1,23 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv import curvature, invariants
-from submodcurv.algebra import SeriesMatrix, TruncSeries, series_inverse
-from submodcurv.curvature import (coordinate_det_fn, curvature_matrix,
-                                  det_bundle_curvature, fd_log_hessian,
-                                  fd_mixed_hessian, gauge_conjugate,
-                                  gauge_equivalent, gauge_transform_metric,
-                                  line_curvature, principal_curvature_pair,
+from submodcurv import cli, curvature, invariants
+from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
+                                series_inverse)
+from submodcurv.curvature import (JET_DEGREE, coordinate_det_fn,
+                                  curvature_matrix, det_bundle_curvature,
+                                  fd_log_hessian, fd_mixed_hessian,
+                                  gauge_conjugate, gauge_equivalent,
+                                  gauge_transform_metric, line_curvature,
+                                  principal_curvature_pair,
                                   zero_set_metric_fn)
-from submodcurv.errors import TruncationError
+from submodcurv.errors import DomainError, TruncationError
 from submodcurv.frames import (MetricSeries, decompose_coordinate_ideal,
                                frame_on_zero_set, grammian)
 from submodcurv.ideals import IdealSpec
@@ -23,9 +26,31 @@ from submodcurv.invariants import (lambda_mu_invariants,
 from submodcurv.rkhs import WeightedPolydiscModule
 
 
+GOLDEN_CURVATURE = sorted(
+    (Path(__file__).parent / "golden" / "curvature").glob("*.ini"))
+
+
 def _coordinate_metric(lam, mu, trunc=4):
     mod = WeightedPolydiscModule(2, (lam, mu))
     return grammian(decompose_coordinate_ideal(mod, trunc))
+
+
+def _jet(s, degree):
+    """The terms of a series up to the given total degree."""
+    return TruncSeries(s.npairs, degree, s.coeffs)
+
+
+def _det_bundle_by_log_det(metric):
+    """Reference for det_bundle_curvature: the mixed Hessians of log det H
+    by their definition, the series determinant of the 2-jet of H and the
+    line-bundle formula for each (i, j).  Symbolic scales multiply det H by
+    a constant and are ignored."""
+    H = metric.matrix
+    jet = min(H.trunc, JET_DEGREE)
+    d = SeriesMatrix([[_jet(s, jet) for s in row] for row in H.entries]).det()
+    m = H.npairs
+    return tuple(tuple(line_curvature(d, i, j) for j in range(m))
+                 for i in range(m))
 
 
 def test_det_bundle_reference_values():
@@ -44,30 +69,50 @@ def test_det_bundle_matches_closed_form_grid():
         assert K[1][1] == inv.kappa2
 
 
-def test_weight_swap_symmetry():
-    Ka = det_bundle_curvature(_coordinate_metric(F(3, 2), F(2)))
-    Kb = det_bundle_curvature(_coordinate_metric(F(2), F(3, 2)))
-    assert Ka[0][0] == Kb[1][1]
-    assert Ka[1][1] == Kb[0][0]
-
-
 def test_trace_identity():
     for lam, mu in [(F(1), F(1)), (F(1), F(2)), (F(2), F(3)),
                     (F(1, 2), F(3, 2))]:
         H = _coordinate_metric(lam, mu)
-        tensor = curvature_matrix(H)
-        det_curv = det_bundle_curvature(H)
-        assert tensor.trace_matrix() == det_curv
+        want = _det_bundle_by_log_det(H)
+        assert curvature_matrix(H).trace_matrix() == want
+        assert det_bundle_curvature(H) == want
+
+
+@pytest.mark.parametrize("config", GOLDEN_CURVATURE,
+                         ids=[c.stem for c in GOLDEN_CURVATURE])
+def test_det_bundle_matches_log_det_on_golden_configs(config):
+    # the frame and metric the curvature task builds for the config
+    cfg = cli.parse_config(config.read_text(encoding="utf-8"))
+    module = cli._build_module(cfg)
+    H = grammian(cli._build_frame(cfg, module, cli._build_ideal(cfg)))
+    assert det_bundle_curvature(H) == _det_bundle_by_log_det(H)
 
 
 def test_curvature_matrix_needs_degree_two():
     H = _coordinate_metric(F(1), F(1), trunc=2)
-    assert curvature_matrix(H).trace_matrix() == det_bundle_curvature(H)
-    below = MetricSeries(SeriesMatrix([[s.truncate(1) for s in row]
+    assert curvature_matrix(H).trace_matrix() == _det_bundle_by_log_det(H)
+    below = MetricSeries(SeriesMatrix([[_jet(s, 1) for s in row]
                                        for row in H.matrix.entries]),
                          H.base_point, H.free_slots)
     with pytest.raises(TruncationError):
         curvature_matrix(below)
+    with pytest.raises(TruncationError):
+        det_bundle_curvature(below)
+
+
+def test_det_bundle_refuses_scaled_non_diagonal_metric():
+    # grammian never builds such a metric: scales are left only on the
+    # diagonal closed form of a zero-set frame
+    mod = WeightedPolydiscModule(3, (1, F(3, 2), F(1, 2)))
+    scaled = grammian(frame_on_zero_set(
+        mod, IdealSpec.coordinate_powers(3, (1,)), (F(0), F(1, 2), F(0)),
+        JET_DEGREE))
+    assert scaled.scales is not None
+    H = _coordinate_metric(F(1), F(2), trunc=JET_DEGREE)
+    assert not H.is_diagonal()
+    with pytest.raises(DomainError):
+        det_bundle_curvature(MetricSeries(H.matrix, H.base_point,
+                                          H.free_slots, scaled.scales[:2]))
 
 
 def test_rank_one_curvature_equals_line_curvature():
@@ -86,7 +131,9 @@ DEGREES = (2, 4, 6)
 
 
 def _curvatures(metric):
-    return curvature_matrix(metric).blocks, det_bundle_curvature(metric)
+    det_curv = _det_bundle_by_log_det(metric)
+    assert det_bundle_curvature(metric) == det_curv
+    return curvature_matrix(metric).blocks, det_curv
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -132,6 +179,71 @@ def test_raising_degree_keeps_principal_pair_and_battery(monkeypatch):
     got = [at_degree(D) for D in DEGREES]
     assert got[0] == got[1] == got[2]
     assert set(seen) == {2}
+
+
+# -- metamorphic: renaming variables permutes the curvature ----------------
+#
+# Variable i becomes variable sigma[i], carrying its weight and base-point
+# coordinate along.  Block (i, j) must move to (sigma[i], sigma[j]), and
+# within each block the frame slots follow their generator variables
+# (frames order generators by variable).  Every permutation is tried, so
+# the zero-set cases permute the free slots among themselves as well as
+# moving the generators.
+
+def _curvature_of(weights, gens, base):
+    """Det-bundle matrix and curvature tensor of the coordinate frame
+    (gens None) or of the zero-set frame of <z_{v+1}^p : (v, p) in gens>."""
+    m = len(weights)
+    mod = WeightedPolydiscModule(m, weights)
+    if gens is None:
+        frame = decompose_coordinate_ideal(mod, JET_DEGREE)
+    else:
+        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p)
+                                       for v, p in gens])
+        frame = frame_on_zero_set(mod, ideal, base, JET_DEGREE)
+    H = grammian(frame)
+    return det_bundle_curvature(H), curvature_matrix(H)
+
+
+def _renamed(sigma, values):
+    out = [None] * len(values)
+    for i, x in enumerate(values):
+        out[sigma[i]] = x
+    return tuple(out)
+
+
+PERMUTATION_CASES = {
+    # the m=2 weight swap
+    "coordinate-m2": ((F(3, 2), F(2)), None, (F(0), F(0))),
+    "coordinate-m3": ((F(1), F(2), F(3, 2)), None, (F(0),) * 3),
+    "coordinate-m3-frac": ((F(1, 2), F(3, 2), F(5, 3)), None, (F(0),) * 3),
+    "zero-set-m3": ((F(1), F(2), F(3, 2)), [(0, 2)],
+                    (F(0), F(1, 3), F(-1, 4))),
+    "zero-set-m4": ((F(1, 2), F(2), F(5, 3), F(3)), [(0, 1), (1, 3)],
+                    (F(0), F(0), F(1, 3), F(-1, 4))),
+}
+
+
+@pytest.mark.parametrize("case", PERMUTATION_CASES)
+def test_permuting_variables_permutes_curvature(case):
+    weights, gens, base = PERMUTATION_CASES[case]
+    m = len(weights)
+    det0, K0 = _curvature_of(weights, gens, base)
+    gen_vars = range(m) if gens is None else sorted(v for v, _ in gens)
+    for sigma in itertools.permutations(range(m)):
+        moved = None if gens is None else [(sigma[v], p) for v, p in gens]
+        det1, K1 = _curvature_of(_renamed(sigma, weights), moved,
+                                 _renamed(sigma, base))
+        # frame slot a (generator variable gen_vars[a]) becomes slot
+        # slot[a], the rank of sigma[gen_vars[a]] among the new variables
+        new_vars = sorted(sigma[v] for v in gen_vars)
+        slot = [new_vars.index(sigma[v]) for v in gen_vars]
+        assert K1.free_slots == tuple(sorted(sigma[i] for i in K0.free_slots))
+        for i, j in itertools.product(range(m), repeat=2):
+            assert det1[sigma[i]][sigma[j]] == det0[i][j]
+            block0, block1 = K0.block(i, j), K1.block(sigma[i], sigma[j])
+            for a, b in itertools.product(range(K0.size), repeat=2):
+                assert block1[slot[a]][slot[b]] == block0[a][b]
 
 
 def _random_invertible(rng, n=2):
@@ -186,18 +298,22 @@ def test_gauge_equivalent_rejects_distinct():
 
 
 def test_principal_pair_reference_values():
-    for lam, mu, p in [(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 2)]:
-        mod = WeightedPolydiscModule(2, (lam, mu))
-        pair = principal_curvature_pair(mod, p)
+    # lam is the generator's weight and mu the free variable's, with the
+    # generator on z1 and, weights swapped, on z2; <z2^2> over (1, 3) reads
+    # poch(3, 2)/2! = 6 and 1 in w1
+    for lam, mu, p in [(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 2), (3, 1, 2)]:
         fact = 1
         for k in range(1, p + 1):
             fact *= k
         poch = F(1)
         for k in range(p):
             poch *= lam + k
-        assert pair.raw == F(mu) * poch / fact
-        assert pair.log_based == F(mu)
-        assert "log" in pair.note
+        for gen_var, weights in ((0, (lam, mu)), (1, (mu, lam))):
+            mod = WeightedPolydiscModule(2, weights)
+            pair = principal_curvature_pair(mod, p, gen_var)
+            assert pair.raw == F(mu) * poch / fact
+            assert pair.log_based == F(mu)
+            assert "log" in pair.note
 
 
 # -- finite-difference oracle -----------------------------------------------

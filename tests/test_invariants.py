@@ -191,6 +191,28 @@ def test_rigidity_battery_closed_forms():
     assert report.equivalent
 
 
+def test_rigidity_battery_reads_the_generator_variables():
+    # <z2^2> over weights (1, 3): w1 is free, so the transverse curvature is
+    # l_1 = 1 and the norm Hessians are l_1 poch(3, 2)/2! = 6 and
+    # l_1 poch(3, 3)/3! = 10
+    report = polydisc_rigidity_report((1, 3), (2,), (1, 3), gen_vars=(1,))
+    assert report.battery_left == (
+        ("transverse_log_curvature_w1", 1), ("norm_hessian_gen1", 6),
+        ("norm_hessian_gen1_shifted", 10))
+    # <z3^2, z1> over (1, 2, 3): generators numbered in variable order, so
+    # gen1 is z1 (2 poch(1, 1)/1!, shifted 2 poch(1, 2)/2!) and gen2 is
+    # z3^2 (2 poch(3, 2)/2!, shifted 2 poch(3, 3)/3!)
+    report = polydisc_rigidity_report((1, 2, 3), (2, 1), (1, 2, 3),
+                                      gen_vars=(2, 0))
+    assert report.battery_left == (
+        ("transverse_log_curvature_w2", 2), ("norm_hessian_gen1", 2),
+        ("norm_hessian_gen1_shifted", 2), ("norm_hessian_gen2", 12),
+        ("norm_hessian_gen2_shifted", 20))
+    # the default puts the generators on z1..zt
+    assert polydisc_rigidity_report((3, 1), (2,), (3, 1)) == \
+        polydisc_rigidity_report((3, 1), (2,), (3, 1), gen_vars=(0,))
+
+
 def test_rigidity_needs_transverse_direction():
     with pytest.raises(DomainError):
         polydisc_rigidity_report((1, 2), (1, 1), (1, 2))

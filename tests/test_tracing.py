@@ -53,9 +53,13 @@ def test_every_span_and_counter_binds(tracing):
         tracer.end_job()
     finally:
         tracer.uninstall()
-    names = {span[3] for span in tracer.spans}
+    names = [span[3] for span in tracer.spans]
     assert {"job", "cli.run_task", "frames.frame_on_zero_set",
-            "frames.grammian", "curvature.curvature_matrix"} <= names
+            "frames.grammian", "curvature.curvature_matrix"} <= set(names)
+    # one curvature computation per job, and no series determinant: the
+    # det-bundle rows are the trace of the curvature blocks
+    assert names.count("curvature.curvature_matrix") == 1
+    assert "algebra.SeriesMatrix.det" not in names
     assert tracer.spans[0][6]["counts"]["algebra.series_mul_calls"] > 0
     after = _bindings()
     assert after.keys() == before.keys()
