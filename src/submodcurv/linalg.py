@@ -201,8 +201,9 @@ def nullspace(A):
     echelon = RowEchelon()
     for row in M:
         echelon.add(dict(enumerate(row)))
+    free = [c for c in range(ncols) if c not in echelon.rows]
     return [[g.get(c, Fraction(0)) for c in range(ncols)]
-            for g in echelon.null_vectors(ncols)]
+            for g in map(echelon.null_vector, free)]
 
 
 class BareissFactor:
@@ -314,27 +315,18 @@ class RowEchelon:
                     del r[c]
         return False
 
-    def null_vectors(self, ncols):
-        """Null vectors of the kept rows over int columns 0..ncols-1: for
-        each free column c (no row leads there), in increasing order, the
-        sparse dict with 1 at c and 0 at every other free column.  By
+    def null_vector(self, free):
+        """The null vector of the kept rows with 1 at a free column (no row
+        leads there) and 0 at every other free column, as a sparse dict.  By
         back-substitution: every kept row leads with 1 at its smallest
-        column, so the leads below c, in descending order, each take the
-        value that clears their row; the leads above c stay 0."""
-        leads = sorted(self.rows, reverse=True)
-        out = []
-        for free in range(ncols):
-            if free in self.rows:
-                continue
-            g = {free: Fraction(1)}
-            for lead in leads:
-                if lead < free:
-                    x = -sum(v * g[c] for c, v in self.rows[lead].items()
-                             if c in g)
-                    if x:
-                        g[lead] = x
-            out.append(g)
-        return out
+        column, so the leads below the free column, in descending order,
+        each take the value that clears their row; the leads above stay 0."""
+        g = {free: Fraction(1)}
+        for lead in sorted((c for c in self.rows if c < free), reverse=True):
+            x = -sum(v * g[c] for c, v in self.rows[lead].items() if c in g)
+            if x:
+                g[lead] = x
+        return g
 
 
 def leading_principal_minors(A):

@@ -29,15 +29,15 @@ ratio recurrence c_{a+1} = c_a (l + a)/(a + 1); a monomial ideal's sum is an
 inclusion-exclusion of such products over the corners gamma_S of generator
 subsets S.
 
-The Gram-form kernel works on the side the ideal removes.  One incremental
-echelon form picks a basis of V_N, the span of the generator multiples of
-degree <= N; back-substitution over its free columns gives a basis f of the
-orthogonal complement of V_N in the polynomials of degree <= N.  Its size is
-the codimension of V_N: 2 for product_difference at every N (the
-localization dimension at the origin), but 49 against 35 in V_N for a
-principal ideal in three variables at N = 6.  The complement's Gram matrix
-H is factored once, by one Bareiss sweep, at construction, and K(z, w) is
-the ambient degree-N sum minus f(z)^T H^{-1} f(w).
+The Gram-form kernel works on the side the ideal removes.  The monomials
+are orthogonal, so it splits along the components of the graph linking the
+monomials of each generator multiple of degree <= N.  Per component, an
+echelon form picks a basis of V_N, the span of those multiples, and
+back-substitution a basis f of its orthogonal complement in the polynomials
+of degree <= N: 2 of them for product_difference at every N, 49 against 35
+in V_N for a principal ideal in three variables at N = 6.  K(z, w) is the
+ambient degree-N sum minus f(z)^T H^{-1} f(w), H the block-diagonal Gram
+matrix of f: a division per 1x1 block, a Bareiss sweep per larger one.
 """
 
 from __future__ import annotations
@@ -369,6 +369,25 @@ class RankOneCorrectedKernel:
             z, w, lambda x, y: ambient_kernel_bounded(self.module, x, y, N))
 
 
+def _components(n, groups):
+    """The components of 0..n-1 once the indices of each group are joined,
+    each in increasing order, ordered by their least index (union-find)."""
+    parent = list(range(n))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+    for group in groups:
+        root, *rest = map(find, group)
+        for r in rest:
+            parent[r] = root
+    out = {}
+    for k in range(n):
+        out.setdefault(find(k), []).append(k)
+    return list(out.values())
+
+
 class GramFormKernel:
     """Reproducing kernel of V_N, the span of the generator multiples of
     degree <= N = trunc_degree, inside P_N, the polynomials of degree <= N.
@@ -383,9 +402,10 @@ class GramFormKernel:
     ``basis`` holds a maximal independent subset of {z^beta p_j} with
     deg <= N, picked greedily in a deterministic order; it spans V_N
     (len(basis) = dim V_N) and is not evaluated.  H must be positive
-    definite (checked).  One Bareiss sweep at construction gives both the
-    check (its pivots are the leading principal minors, kept as
-    gram_minors) and the factors that eval_exact substitutes into.
+    definite, checked on each block of its nonzero pattern; gram_minors,
+    its leading principal minors, are products of the blocks' ones.  A 1x1
+    block is one division; each larger one gets one Bareiss sweep, whose
+    pivots give its check and minors and whose factors eval_exact uses.
     """
 
     variant = "gram_form"
@@ -395,22 +415,40 @@ class GramFormKernel:
         self.module = module
         self.basis = tuple(basis)
         self.complement = tuple(complement)
-        self.gram = [list(row) for row in gram]
+        self.gram = H = [list(row) for row in gram]
         self.trunc_degree = trunc_degree
         if any(f.degree > trunc_degree for f in self.complement):
             raise DomainError("complement polynomial above the truncation degree")
-        factor = BareissFactor(self.gram)
-        if any(p <= 0 for p in factor.pivots):
-            raise DomainError("Gram matrix is not positive definite")
-        self.gram_minors = factor.leading_minors()
-        self._factor = factor
-        # each f as integer terms over one denominator, for _complement_at
-        self._terms = []
-        for f in self.complement:
-            den = math.lcm(*(c.denominator for c in f.coeffs.values()))
-            self._terms.append(
-                ([(a, c.numerator * (den // c.denominator))
-                  for a, c in f.coeffs.items()], den))
+        n = len(self.complement)
+        if len(H) != n or any(len(row) != n for row in H):
+            raise ShapeError("gram needs one row and column per complement")
+        # each f as integer terms over one common denominator
+        self._den = math.lcm(*(c.denominator for f in self.complement
+                               for c in f.coeffs.values()))
+        self._terms = [[(a, int(c * self._den)) for a, c in f.coeffs.items()]
+                       for f in self.complement]
+        # step[j]: the ratio of the leading minors of orders j + 1 and j
+        step, singles, self._factors = [None] * n, [], []
+        for block in _components(n, ((j, k) for j in range(n) for k in range(j)
+                                     if H[j][k] or H[k][j])):
+            if len(block) == 1:
+                minors = [rat(H[block[0]][block[0]])]
+                singles.append((block[0], minors[0]))
+            else:
+                factor = BareissFactor([[H[j][k] for k in block]
+                                        for j in block])
+                minors = factor.leading_minors()
+                self._factors.append((block, factor))
+            if any(d <= 0 for d in minors):
+                raise DomainError("Gram matrix is not positive definite")
+            for j, d, prev in zip(block, minors, [1] + minors):
+                step[j] = d / prev
+        minor = Fraction(1)
+        self.gram_minors = [minor := minor * d for d in step]
+        # 1 / H_jj over the 1x1 blocks, as integer multiples of 1 / _single_den
+        self._single_den = math.lcm(*(h.numerator for _, h in singles))
+        self._singles = [(j, self._single_den // h.numerator * h.denominator)
+                         for j, h in singles]
 
     @staticmethod
     def from_ideal(module: WeightedPolydiscModule, ideal: IdealSpec,
@@ -424,43 +462,49 @@ class GramFormKernel:
         for g in ideal.generators:
             for beta in iter_multiindices(m, trunc_degree - g.degree):
                 candidates.append(g.shift_by_monomial(beta))
-        # greedy maximal independent subset, deterministic given the order:
-        # a candidate is kept iff it leaves a residual against those kept
         monomials = list(iter_multiindices(m, trunc_degree))
         index = {a: k for k, a in enumerate(monomials)}
-        echelon = RowEchelon()
-        chosen = [p for p in candidates
-                  if echelon.add({index[k]: v for k, v in p.coeffs.items()})]
+        rows = [{index[k]: v for k, v in p.coeffs.items()} for p in candidates]
+        # the monomials are orthogonal, so P_N, V_N and W_N split along the
+        # components of the graph linking the monomials of each candidate:
+        # one echelon form per component, together the one over all rows
+        echelon_of = {k: e for cols in _components(len(monomials), rows)
+                      for e in [RowEchelon()] for k in cols}
+        # greedy maximal independent subset, deterministic given the order:
+        # a candidate is kept iff it leaves a residual against those kept
+        chosen = [p for p, row in zip(candidates, rows)
+                  if echelon_of[next(iter(row))].add(row)]
         # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
         # every row v, i.e. g = f / c is a null vector of the echelon rows;
         # one g per free column
         slots = diag_coeff_slots(module, trunc_degree)
         coeff = [math.prod(row[e] for row, e in zip(slots, a))
                  for a in monomials]
-        nulls = echelon.null_vectors(len(monomials))
-        complement = [Poly(m, {monomials[k]: coeff[k] * x
-                               for k, x in g.items()}) for g in nulls]
-        # H_jk = <f_j, f_k> = sum_a c_a g_j[a] g_k[a]
+        free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
+        nulls = [echelon_of[k].null_vector(k) for k in free]
+        fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
+        complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
+                      for f in fs]
+        # H_jk = <f_j, f_k> = sum_a f_j[a] g_k[a], 0 across components
         n = len(nulls)
         gram = [[Fraction(0)] * n for _ in range(n)]
-        for j, gj in enumerate(nulls):
-            for k in range(j, n):
-                gk = nulls[k]
-                gram[j][k] = gram[k][j] = sum(
-                    coeff[a] * x * gk[a] for a, x in gj.items() if a in gk)
+        for j, fj in enumerate(fs):
+            for k, gk in enumerate(nulls[j:], j):
+                if echelon_of[free[k]] is echelon_of[free[j]]:
+                    gram[j][k] = gram[k][j] = sum(
+                        x * gk[a] for a, x in fj.items() if a in gk)
         return GramFormKernel(module, chosen, complement, gram, trunc_degree)
 
     def _complement_at(self, point):
-        """f(point), from one table of per-slot powers: with point_i =
-        n_i/d_i, row i holds n_i^e d_i^(N-e), so that z^a is
-        prod_i row_i[a_i] / prod_i d_i^N."""
+        """(F, scale) with f(point) = F / scale for integers F, from one table
+        of per-slot powers: with point_i = n_i/d_i, row i holds
+        n_i^e d_i^(N-e), so that z^a is prod_i row_i[a_i] / prod_i d_i^N."""
         N = self.trunc_degree
         table = [[x.numerator ** e * x.denominator ** (N - e)
                   for e in range(N + 1)] for x in point]
-        scale = math.prod(x.denominator for x in point) ** N
-        return [Fraction(sum(c * math.prod(row[e] for row, e in zip(table, a))
-                             for a, c in terms), den * scale)
-                for terms, den in self._terms]
+        scale = self._den * math.prod(x.denominator for x in point) ** N
+        return [sum(c * math.prod(row[e] for row, e in zip(table, a))
+                    for a, c in terms) for terms in self._terms], scale
 
     def eval_exact(self, z, w) -> Fraction:
         """sum_{|a|<=N} c_a (zw)^a - f(z)^T H^{-1} f(w); exact for every
@@ -470,11 +514,15 @@ class GramFormKernel:
         corner = (((0,) * self.module.dim, 1),)
         value = _diagonal_sum(self.module, corner, z, w,
                               self.trunc_degree).value
-        if not self.complement:
-            return value
-        fz = self._complement_at(z)
-        fw = fz if w == z else self._complement_at(w)
-        return value - self._factor.inverse_form(fz, fw)
+        fz, sz = self._complement_at(z)
+        fw, sw = (fz, sz) if w == z else self._complement_at(w)
+        # F(z)^T H^{-1} F(w), block by block, over the scales at the end
+        form = Fraction(sum(fz[j] * fw[j] * c for j, c in self._singles),
+                        self._single_den)
+        for block, factor in self._factors:
+            form += factor.inverse_form([fz[j] for j in block],
+                                        [fw[j] for j in block])
+        return value - form / (sz * sw)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         # the Gram form *is* the degree-truncated kernel; no analytic tail

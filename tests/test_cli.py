@@ -6,6 +6,7 @@ import pytest
 from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
                             render_report, run_task)
 from submodcurv.errors import InputError
+from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
 BASE = """
 [module]
@@ -120,6 +121,36 @@ def test_principal_readings_follow_the_generator_variable():
     assert "left_transverse_log_curvature_w2" not in results
     assert results["left_norm_hessian_gen1"] == 6
     assert results["left_norm_hessian_gen1_shifted"] == 10
+
+
+TRUNCATED_KERNEL = """
+[module]
+dimension = 2
+weights = 1/2 3/2
+
+[ideal]
+generators = z1^2, z2
+
+[task]
+name = kernel
+points = 1/3 1/4
+trunc_degree = {degree}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="the kernel task echoes trunc_degree "
+                   "but sums to DiagonalFilteredKernel.default_trunc = 30")
+def test_kernel_task_sums_to_the_echoed_trunc_degree():
+    kern = DiagonalFilteredKernel(WeightedPolydiscModule(2, (F(1, 2), F(3, 2))),
+                                  [(2, 0), (0, 1)])
+    point = (F(1, 3), F(1, 4))
+    for degree in (3, 12):
+        report = run_task(parse_config(TRUNCATED_KERNEL.format(degree=degree)))
+        results = {r["name"]: r["value"] for r in report.results}
+        want = kern.eval_truncated(point, point, degree)
+        assert results["kernel_diag_1"] == want.value
+        assert report.diagnostics["kernel_diag_1_remainder_bound"] == \
+            float(want.bound)
 
 
 def test_run_cubic_task():

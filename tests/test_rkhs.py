@@ -2,11 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodcurv.algebra import MultiIndex, iter_multiindices, pochhammer
-from submodcurv.errors import DomainError, TruncationError
+from submodcurv.errors import DomainError, ShapeError, TruncationError
 from submodcurv.ideals import IdealSpec
-from submodcurv.linalg import (leading_principal_minors, mat_det, mat_rank,
+from submodcurv.linalg import (BareissFactor, RowEchelon,
+                               leading_principal_minors, mat_det, mat_rank,
                                mat_solve)
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
@@ -362,6 +365,138 @@ def test_gram_form_rejects_indefinite_gram():
     for gram in ([[F(1), F(2), F(0)], [F(2), F(1), F(0)], [F(0), F(0), F(1)]],
                  [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]],
                  [[F(0), F(1), F(0)], [F(1), F(2), F(0)], [F(0), F(0), F(1)]],
-                 [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]]):
+                 [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]],
+                 [[F(1), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(1)]],
+                 # block {0, 2} with determinant -3 around the 1x1 block {1}
+                 [[F(1), F(0), F(2)], [F(0), F(1), F(0)], [F(2), F(0), F(1)]]):
         with pytest.raises(DomainError):
             GramFormKernel(m, [], complement, gram, 2)
+
+
+def test_gram_form_needs_one_gram_row_per_complement():
+    m = WeightedPolydiscModule.hardy(2)
+    complement = [parse_poly("z1", 2), parse_poly("z2", 2)]
+    for gram in ([[F(1)]], [[F(1), F(0)], [F(0)]],
+                 [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]):
+        with pytest.raises(ShapeError):
+            GramFormKernel(m, [], complement, gram, 2)
+
+
+def test_gram_form_interleaved_blocks():
+    """A positive definite H whose blocks {0, 2} and {1} interleave: the
+    leading minors in the original order are those of mat_det, and the
+    block correction is f(z)^T H^{-1} f(w) by a dense solve."""
+    m = WeightedPolydiscModule(2, (F(3, 2), F(1)))
+    complement = [parse_poly("z1", 2), parse_poly("z2", 2),
+                  parse_poly("1/2*z1*z2 - z2^2", 2)]
+    H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
+    K = GramFormKernel(m, [], complement, H, 2)
+    assert K.gram_minors == [mat_det([row[:k] for row in H[:k]])
+                             for k in (1, 2, 3)]
+    assert K.gram_minors == leading_principal_minors(H)
+    z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
+    x = mat_solve(H, [f.evaluate(w) for f in complement])
+    form = sum(f.evaluate(z) * y for f, y in zip(complement, x))
+    assert K.eval_exact(z, w) == (ambient_kernel_bounded(m, z, w, 2).value
+                                  - form)
+
+
+def _gram_form_by_full_sweep(module, ideal, degree):
+    """The Gram form as one global computation: one echelon form over every
+    candidate, one null vector per free column over all columns, the full
+    Gram matrix by poly_inner and one BareissFactor sweep over all of it.
+    Returns (basis, complement, gram, gram_minors, evaluate), where
+    evaluate(z, w) is the ambient degree-N sum minus f(z)^T H^{-1} f(w)."""
+    m = module.dim
+    monomials = list(iter_multiindices(m, degree))
+    index = {a: k for k, a in enumerate(monomials)}
+    echelon = RowEchelon()
+    basis = [p for g in ideal.generators
+             for p in (g.shift_by_monomial(beta)
+                       for beta in iter_multiindices(m, degree - g.degree))
+             if echelon.add({index[a]: v for a, v in p.coeffs.items()})]
+    nulls = [echelon.null_vector(k) for k in range(len(monomials))
+             if k not in echelon.rows]
+    complement = [Poly(m, {monomials[k]: diag_coeff(module, monomials[k]) * x
+                           for k, x in g.items()}) for g in nulls]
+    gram = [[poly_inner(module, f, g) for g in complement] for f in complement]
+    factor = BareissFactor(gram)
+
+    def evaluate(z, w):
+        return (ambient_kernel_bounded(module, z, w, degree).value
+                - factor.inverse_form([f.evaluate(z) for f in complement],
+                                      [f.evaluate(w) for f in complement]))
+    return basis, complement, gram, factor.leading_minors(), evaluate
+
+
+def _assert_matches_full_sweep(module, ideal, degree, points):
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    basis, complement, gram, minors, evaluate = _gram_form_by_full_sweep(
+        module, ideal, degree)
+    assert list(K.basis) == basis
+    assert list(K.complement) == complement
+    assert K.gram == gram
+    assert K.gram_minors == minors
+    for z in points:
+        for w in points:
+            assert K.eval_exact(z, w) == evaluate(z, w)
+    return K
+
+
+@pytest.mark.parametrize("degree,case", _GRAM_CASES)
+def test_gram_form_by_components_matches_full_sweep(degree, case):
+    module, ideal = _GRAM_IDEALS[case]
+    _assert_matches_full_sweep(module, ideal, degree,
+                               _GRAM_POINTS[module.dim][:2])
+
+
+# ideals whose components hold several complement polynomials, so that H
+# has blocks larger than 1x1: up to 6 for the pair at N = 5, 6, and one
+# block of 21 out of 30 for the cubic at N = 10
+_MULTI_BLOCK = [
+    (3, ("z1 - z2*z3 + z1^2", "z2^2 - z1*z3"), 5),
+    (3, ("z1 - z2*z3 + z1^2", "z2^2 - z1*z3"), 6),
+    (2, ("z1^3 - z2^2 + z1*z2",), 8),
+    (2, ("z1^3 - z2^2 + z1*z2",), 10),
+]
+_weight = st.fractions(min_value=F(1, 3), max_value=F(4), max_denominator=3)
+_coord = st.fractions(min_value=F(-3, 4), max_value=F(3, 4),
+                      max_denominator=8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_MULTI_BLOCK), st.lists(_weight, min_size=3,
+                                               max_size=3),
+       st.lists(st.lists(_coord, min_size=3, max_size=3), min_size=2,
+                max_size=2))
+def test_multi_block_gram_form_matches_full_sweep(case, weights, points):
+    m, gens, degree = case
+    module = WeightedPolydiscModule(m, weights[:m])
+    ideal = IdealSpec.from_generators(m, [parse_poly(g, m) for g in gens])
+    K = _assert_matches_full_sweep(module, ideal, degree,
+                                   [tuple(p[:m]) for p in points])
+    assert K._factors  # the blocks larger than 1x1
+
+
+@pytest.mark.parametrize("exponents", [
+    [(2, 0, 0), (0, 1, 1)],
+    [(1, 1, 0), (0, 2, 1), (0, 0, 3)],
+    [(1, 0, 2)],
+])
+def test_gram_form_of_monomial_ideal_is_the_diagonal_sum(exponents):
+    """For a monomial ideal every component is one monomial, so H is
+    diagonal and the Gram form is DiagonalFilteredKernel's degree-N partial
+    sum, at fractional weights too."""
+    module = WeightedPolydiscModule(3, (F(1, 2), F(5, 3), F(3, 2)))
+    ideal = IdealSpec.monomial(3, exponents)
+    diagonal = DiagonalFilteredKernel(module, exponents)
+    points = _GRAM_POINTS[3]
+    for degree in (4, 6):
+        K = GramFormKernel.from_ideal(module, ideal, degree)
+        assert K._factors == []
+        assert all(K.gram[j][k] == 0 for j in range(len(K.gram))
+                   for k in range(len(K.gram)) if j != k)
+        for z in points:
+            for w in points:
+                assert K.eval_exact(z, w) == diagonal.eval_truncated(
+                    z, w, degree).value
