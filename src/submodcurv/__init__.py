@@ -11,10 +11,11 @@ from .algebra import (LogSeries, MultiIndex, SeriesMatrix, TruncSeries,
                       iter_multiindices, mixed_hessian, pochhammer, rat,
                       series_exp, series_inverse, series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
-                        curvature_matrix, det_bundle_curvature,
-                        fd_log_hessian, fd_mixed_hessian, gauge_conjugate,
-                        gauge_equivalent, gauge_transform_metric,
-                        line_curvature, principal_curvature_pair)
+                        curvature_matrix, curvature_tensor,
+                        det_bundle_curvature, fd_log_hessian,
+                        fd_mixed_hessian, gauge_conjugate, gauge_equivalent,
+                        gauge_transform_metric, line_curvature,
+                        principal_curvature_pair)
 from .errors import (DegeneracyError, DomainError, InputError, ShapeError,
                      SingularityError, SubmodcurvError, TruncationError,
                      UnsupportedIdealError)
@@ -48,8 +49,9 @@ __all__ = [
     "SubmodcurvError", "TruncSeries", "TruncationError",
     "UnsupportedIdealError", "WeightedPolydiscModule",
     "ambient_kernel_exact", "cubic_positive_roots", "curvature_matrix",
-    "decompose_coordinate_ideal", "det_bundle_curvature", "diag_coeff",
-    "fd_log_hessian", "fd_mixed_hessian", "frame_on_zero_set",
+    "curvature_tensor", "decompose_coordinate_ideal",
+    "det_bundle_curvature", "diag_coeff", "fd_log_hessian",
+    "fd_mixed_hessian", "frame_on_zero_set",
     "frame_vector_at_base", "gauge_conjugate", "gauge_equivalent",
     "gauge_transform_metric", "grammian", "iter_multiindices",
     "lambda_mu_equivalent", "lambda_mu_invariants", "line_curvature",

@@ -195,7 +195,8 @@ def format_terms(coeffs: dict, names) -> str:
     if not coeffs:
         return "0"
     parts = []
-    for k in sorted(coeffs):
+    # the graded-lex order of MultiIndex, without its per-comparison sums
+    for k in sorted(coeffs, key=lambda k: (sum(k), k)):
         v = coeffs[k]
         factors = "*".join(name if e == 1 else f"{name}^{e}"
                            for name, e in zip(names, k) if e)
@@ -233,6 +234,15 @@ class TruncSeries:
         self.npairs = npairs
         self.trunc = trunc
         self.coeffs = clean_terms(coeffs, 2 * npairs, trunc) if coeffs else {}
+
+    @classmethod
+    def _trusted(cls, npairs: int, trunc: int, coeffs: dict) -> "TruncSeries":
+        """A series over a term map that is already clean (MultiIndex keys of
+        length 2*npairs and degree <= trunc, nonzero Fraction values), as the
+        term arithmetic builds it from clean operands; nothing is checked."""
+        s = object.__new__(cls)
+        s.npairs, s.trunc, s.coeffs = npairs, trunc, coeffs
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -298,14 +308,14 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncSeries.constant(self.npairs, self.trunc, other)
         self._check_compat(other)
-        return TruncSeries(self.npairs, self.trunc,
-                           add_terms(self.coeffs, other.coeffs))
+        return TruncSeries._trusted(self.npairs, self.trunc,
+                                    add_terms(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.npairs, self.trunc,
-                           {k: -v for k, v in self.coeffs.items()})
+        return TruncSeries._trusted(self.npairs, self.trunc,
+                                    {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -319,8 +329,8 @@ class TruncSeries:
         c = rat(c)
         if c == 0:
             return TruncSeries.zero(self.npairs, self.trunc)
-        return TruncSeries(self.npairs, self.trunc,
-                           {k: c * v for k, v in self.coeffs.items()})
+        return TruncSeries._trusted(self.npairs, self.trunc,
+                                    {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -330,8 +340,8 @@ class TruncSeries:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        return TruncSeries(self.npairs, self.trunc,
-                           mul_terms(a, b, self.trunc))
+        return TruncSeries._trusted(self.npairs, self.trunc,
+                                    mul_terms(a, b, self.trunc))
 
     __rmul__ = __mul__
 
@@ -343,10 +353,10 @@ class TruncSeries:
         Coefficients are real rationals, so they are fixed by conjugation.
         """
         m = self.npairs
-        out = {}
-        for k, v in self.coeffs.items():
-            out[MultiIndex(k[m:] + k[:m])] = v
-        return TruncSeries(self.npairs, self.trunc, out)
+        # a swap of the halves of a valid key needs no re-validation
+        out = {tuple.__new__(MultiIndex, k[m:] + k[:m]): v
+               for k, v in self.coeffs.items()}
+        return TruncSeries._trusted(self.npairs, self.trunc, out)
 
     def evaluate(self, wvals, wbvals) -> Fraction:
         """Evaluate the truncated polynomial at exact rational arguments.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curvature import (CONVENTION, JET_DEGREE, curvature_matrix,
+from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
                         principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
                      UnsupportedIdealError)
@@ -348,8 +348,9 @@ def _build_frame(cfg: JobConfig, module, ideal):
     The full coordinate ideal gets the neighborhood frame; proper
     coordinate-power ideals get the zero-variety frame at the base point
     (origin slice unless the config provides one).  The curvature task reads
-    only the 2-jet of the metric, so its frame stops at JET_DEGREE; a lower
-    trunc_degree still reaches the frame builder's own check first.
+    the frame spec alone (curvature_tensor), in which no truncation degree
+    enters, so its frame stops at JET_DEGREE; a lower trunc_degree still
+    reaches the frame builder's own check first.
     """
     base = cfg.base_point
     if base is None:
@@ -501,9 +502,8 @@ def run_task(cfg: JobConfig) -> Report:
         report.diagnostics["base_point"] = [str(x) for x in frame.base_point]
         return report
 
-    metric = grammian(frame)
-
     if cfg.task == "metric":
+        metric = grammian(frame)
         base = metric.value_at_base()
         t = metric.size
         for i in range(t):
@@ -526,7 +526,7 @@ def run_task(cfg: JobConfig) -> Report:
         if cfg.trunc_degree < 4:
             raise DomainError("curvature task needs trunc_degree >= 4")
         m = module.dim
-        tensor = curvature_matrix(metric)
+        tensor = curvature_tensor(frame)
         det_curv = tensor.trace_matrix()  # the det-bundle curvature
         for i in range(m):
             for j in range(m):

@@ -1,4 +1,4 @@
-"""Curvature of Grammian metrics, gauge transformations, and a floating
+"""Curvature of the frame bundles, gauge transformations, and a floating
 cross-check oracle.
 
 Conventions, fixed once here and echoed into every report:
@@ -12,16 +12,22 @@ Conventions, fixed once here and echoed into every report:
 
 With these signs the catalogued rank-one examples come out positive.
 
-Curvature at a point depends only on the 2-jet of H there, its terms of
-degree <= 2 in (w, wbar).  The blocks are the Chern-connection curvature
-H0^{-1} H_{i jbar} - H0^{-1} H_i H0^{-1} H_{jbar} of the constant, w_i,
-wbar_j and w_i wbar_j coefficient matrices (M. Cowen and R. Douglas,
-Complex geometry and operator theory, Acta Math. 141, 1978).  Jacobi's
-formula d log det H = tr(H^{-1} dH) makes the det-bundle curvature their
-blockwise trace, so no series determinant is taken.  A scalar metric h has
-line curvature (h h_{i jbar} - h_i h_{jbar}) / h^2 on its 2-jet.  Frames
-built only for curvature are therefore built at truncation degree 2; a
-metric truncated higher gives the same Fractions.
+Curvature comes from the frame spec alone (curvature_tensor).  Every frame
+the package builds is a coordinate-power frame whose restriction to the
+zero variety is lead_k prod_free (1 - z_i wbar_i)^(-l_i), so its curvature
+has a closed form: the Chern-connection curvature
+H0^{-1} H_{i jbar} - H0^{-1} H_i H0^{-1} H_{jbar} of the metric's 2-jet
+(M. Cowen and R. Douglas, Complex geometry and operator theory, Acta Math.
+141, 1978), written out for the two frame kinds.  The principal pair and
+its norm readings are closed forms of the same metric.
+
+The metric route, frames.grammian (which the metric task reports) and
+then curvature_matrix on the 2-jet of H, stays as the tests' reference for
+every closed form.  Jacobi's formula
+d log det H = tr(H^{-1} dH) makes the det-bundle curvature the blockwise
+trace of the curvature matrix, so no series determinant is taken.  A scalar
+metric h has line curvature (h h_{i jbar} - h_i h_{jbar}) / h^2 on its
+2-jet; a metric truncated above degree 2 gives the same Fractions.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ from typing import Callable
 from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, cofactor_det,
                       iter_multiindices, mixed_hessian, pochhammer, rat)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
-from .frames import (MetricSeries, coordinate_power_data, frame_on_zero_set,
-                     grammian)
+from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
+                     coordinate_power_data)
 from .ideals import IdealSpec
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff
+from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
@@ -183,6 +189,52 @@ def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
                            metric.free_slots)
 
 
+def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
+    """Curvature blocks of a frame's Grammian at its base point, from the
+    frame spec alone: no metric series is built.
+
+    Coordinate frame (at the origin): H0 is diag(l_i), H_i and H_{jbar}
+    vanish, and the w_k wbar_q coefficient of H_ij is s_i(a) s_j(a) c_a
+    with a = e_i + e_k = e_j + e_q, so block (k, q) has entry (i, j)
+    s_i(a) s_j(a) c_a / l_i, and 0 when no such a exists.
+
+    Zero-variety frame at base c: H is diagonal with every entry a positive
+    constant times prod_free (1 - |w_i|^2)^(-l_i), so block (k, k) is
+    l_k / (1 - c_k^2)^2 times the identity for each free slot k, and every
+    other block is 0; the generator powers and lead coefficients drop out.
+    Equal to curvature_matrix(grammian(frame)).
+    """
+    module = frame.module
+    m = module.dim
+    t = frame.count
+    weights = module.weights
+    blocks = [[[[Fraction(0)] * t for _ in range(t)] for _ in range(m)]
+              for _ in range(m)]
+    if frame.kind == COORDINATE_KIND:
+        slots = diag_coeff_slots(module, 2)
+        for a in iter_multiindices(m, 2, 2):
+            support = [k for k in range(m) if a[k]]
+            denom = sum(weights[k] * a[k] for k in support)
+            c = math.prod(slots[k][a[k]] for k in support)
+            # (i, k): a = e_i + e_k, with the share of generator i
+            pairs = [(i, next(k for k in support if a[k] - (k == i)),
+                      weights[i] * a[i] / denom) for i in support]
+            for i, k, si in pairs:
+                for j, q, sj in pairs:
+                    blocks[k][q][i][j] = si * sj * c / weights[i]
+    else:
+        for k in frame.free_slots:
+            c = frame.base_point[k]
+            value = weights[k] / (1 - c * c) ** 2
+            for a in range(t):
+                blocks[k][k][a][a] = value
+    return CurvatureTensor(
+        frame.base_point, t,
+        tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
+              for brow in blocks),
+        frame.free_slots)
+
+
 # ---------------------------------------------------------------------------
 # Gauge transformations
 
@@ -312,18 +364,19 @@ class PrincipalCurvaturePair:
 def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
                              gen_var: int = 0) -> PrincipalCurvaturePair:
     """Both transverse-curvature readings for <z_v^p>, v = gen_var + 1, on
-    the bidisc at the origin slice point, from a frame built at JET_DEGREE."""
+    the bidisc at the origin slice point.  There ||F_1||^2 is
+    poch(l_v, p)/p! (1 - |w|^2)^(-l_free) in the free variable w, so its
+    mixed Hessian is poch(l_v, p)/p! l_free and that of its log is l_free."""
     if module.dim != 2:
         raise DomainError("the principal curvature pair is a bidisc quantity")
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    ideal = IdealSpec.monomial(2, [MultiIndex.unit(2, gen_var, p)])
-    frame = frame_on_zero_set(module, ideal, (Fraction(0), Fraction(0)),
-                              JET_DEGREE)
-    h = grammian(frame).matrix[0, 0]
-    free = 1 - gen_var
-    return PrincipalCurvaturePair(raw=mixed_hessian(h, free, free),
-                                  log_based=line_curvature(h, free, free))
+    if gen_var not in (0, 1):
+        raise DomainError(f"the generator variable must be 0 or 1, got "
+                          f"{gen_var}")
+    lam, mu = module.weights[gen_var], module.weights[1 - gen_var]
+    return PrincipalCurvaturePair(
+        raw=pochhammer(lam, p) / math.factorial(p) * mu, log_based=mu)
 
 
 # ---------------------------------------------------------------------------

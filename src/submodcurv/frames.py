@@ -288,16 +288,21 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
     for a in iter_multiindices(m, top):
         support = [k for k in range(m) if a[k]]
         denom = sum(weights[k] * a[k] for k in support)
-        c = math.prod(row[e] for row, e in zip(slots, a))
+        c = math.prod(slots[k][a[k]] for k in support)
         shares = {k: weights[k] * a[k] / denom for k in support}
         downs = {k: tuple(e - (q == k) for q, e in enumerate(a))
                  for k in support}
-        # plain tuples: a key concatenates the w-half and the wbar-half
-        for i in support:
-            for j in support:
-                terms[i][j][downs[i] + downs[j]] = shares[i] * shares[j] * c
-    return SeriesMatrix([[TruncSeries(m, frame.trunc, t) for t in row]
-                         for row in terms])
+        # a key concatenates the w-half and the wbar-half; the value is
+        # symmetric in (i, j), so each pair is multiplied out once
+        for x, i in enumerate(support):
+            ci = shares[i] * c
+            for j in support[x:]:
+                v = ci * shares[j]
+                terms[i][j][tuple.__new__(MultiIndex, downs[i] + downs[j])] = v
+                terms[j][i][tuple.__new__(MultiIndex, downs[j] + downs[i])] = v
+    # nonzero Fractions at keys of degree 2|a| - 2 <= D: already clean
+    return SeriesMatrix([[TruncSeries._trusted(m, frame.trunc, t)
+                          for t in row] for row in terms])
 
 
 def _recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:

@@ -14,13 +14,13 @@ by comparing the weights directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiIndex, mixed_hessian, pochhammer, rat
-from .curvature import JET_DEGREE, line_curvature
+from .algebra import MultiIndex, pochhammer, rat
 from .errors import DomainError
-from .frames import frame_on_zero_set, grammian
+from .frames import coordinate_power_data
 from .ideals import IdealSpec
 from .rkhs import WeightedPolydiscModule
 
@@ -275,36 +275,34 @@ class RigidityReport:
 
 def _curvature_battery(module: WeightedPolydiscModule, data):
     """Curvature invariants of the coordinate-power submodule generated by
-    z_{v+1}^i, (v, i) in data sorted by v, at the origin slice point, all
-    read off Grammian metrics from the frame pipeline.  Every invariant
-    depends on the 2-jet of a metric only, so frames are built at JET_DEGREE.
+    z_{v+1}^i, (v, i) in data, at the origin slice point.  There the frame
+    metric is diagonal with H_kk = poch(l_{v_k}, i_k)/i_k! times
+    prod_free (1 - |w_j|^2)^(-l_j), so every invariant is a closed form in
+    the weights.
 
-    transverse_k: mixed log-Hessian of ||F_1||^2 in each free direction
-                  (recovers the transverse weights);
+    transverse_k: mixed log-Hessian of ||F_1||^2 in each free direction,
+                  l_k (recovers the transverse weights);
     pair_k:       un-logged mixed Hessian of ||F_k||^2 in the first free
-                  direction, for the ideal and for the ideal with the k-th
-                  exponent raised by one (the shifted companion scales by
-                  (l_k + i_k)/(i_k + 1), pinning the k-th weight).
+                  direction, poch(l_{v_k}, i_k)/i_k! l_{i0}, for the ideal
+                  and for the ideal with the k-th exponent raised by one
+                  (the shifted companion scales by (l_k + i_k)/(i_k + 1),
+                  pinning the k-th weight).
     """
     m = module.dim
-    origin = (Fraction(0),) * m
-
-    def metric(shift=None):  # the ideal, its exponent `shift` raised by one
-        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p + (k == shift))
-                                       for k, (v, p) in enumerate(data)])
-        return grammian(frame_on_zero_set(module, ideal, origin, JET_DEGREE))
-
-    base = metric()
-    battery = []
-    for i in base.free_slots:
-        battery.append((f"transverse_log_curvature_w{i+1}",
-                        line_curvature(base.matrix[0, 0], i, i)))
-    i0 = base.free_slots[0]
-    for k in range(len(data)):
-        battery.append((f"norm_hessian_gen{k+1}",
-                        mixed_hessian(base.matrix[k, k], i0, i0)))
-        battery.append((f"norm_hessian_gen{k+1}_shifted",
-                        mixed_hessian(metric(k).matrix[k, k], i0, i0)))
+    # the frame builder's checks on the generators, and its variable order
+    data = coordinate_power_data(IdealSpec.monomial(
+        m, [MultiIndex.unit(m, v, p) for v, p in data]))
+    weights = module.weights
+    gen_vars = {v for v, _ in data}
+    free = [i for i in range(m) if i not in gen_vars]
+    battery = [(f"transverse_log_curvature_w{i+1}", weights[i])
+               for i in free]
+    l0 = weights[free[0]]
+    for k, (v, p) in enumerate(data):
+        for name, q in ((f"norm_hessian_gen{k+1}", p),
+                        (f"norm_hessian_gen{k+1}_shifted", p + 1)):
+            battery.append((name,
+                            pochhammer(weights[v], q) / math.factorial(q) * l0))
     return tuple(battery)
 
 

@@ -24,6 +24,15 @@ class Poly:
         self.nvars = nvars
         self.coeffs = clean_terms(coeffs, nvars) if coeffs else {}
 
+    @classmethod
+    def _trusted(cls, nvars: int, coeffs: dict) -> "Poly":
+        """A polynomial over a term map that is already clean (MultiIndex
+        keys of length nvars, nonzero Fraction values), as the term
+        arithmetic builds it from clean operands; nothing is checked."""
+        p = object.__new__(cls)
+        p.nvars, p.coeffs = nvars, coeffs
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -81,12 +90,13 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nvars, other)
         self._check(other)
-        return Poly(self.nvars, add_terms(self.coeffs, other.coeffs))
+        return Poly._trusted(self.nvars, add_terms(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {k: -v for k, v in self.coeffs.items()})
+        return Poly._trusted(self.nvars,
+                             {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -101,9 +111,10 @@ class Poly:
             c = rat(other)
             if c == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {k: c * v for k, v in self.coeffs.items()})
+            return Poly._trusted(self.nvars,
+                                 {k: c * v for k, v in self.coeffs.items()})
         self._check(other)
-        return Poly(self.nvars, mul_terms(self.coeffs, other.coeffs))
+        return Poly._trusted(self.nvars, mul_terms(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -118,7 +129,8 @@ class Poly:
     def shift_by_monomial(self, exps) -> "Poly":
         """Multiply by z^exps."""
         e = MultiIndex(exps)
-        return Poly(self.nvars, {k + e: v for k, v in self.coeffs.items()})
+        return Poly._trusted(self.nvars,
+                             {k + e: v for k, v in self.coeffs.items()})
 
     def evaluate(self, point) -> Fraction:
         vals = [rat(x) for x in point]

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
-                                cofactor_det, iter_multiindices, mixed_hessian,
-                                pochhammer, rat, series_exp, series_inverse,
-                                series_log)
+                                clean_terms, cofactor_det, iter_multiindices,
+                                mixed_hessian, pochhammer, rat, series_exp,
+                                series_inverse, series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
 from submodcurv.linalg import mat_det, mat_solve
@@ -157,6 +157,31 @@ def test_series_and_poly_share_term_arithmetic(a, b):
     for old, new in (("z1", "w1"), ("z2", "w2"), ("z3", "wb1"), ("z4", "wb2")):
         renamed = renamed.replace(old, new)
     assert renamed == str(a)
+
+
+def _assert_clean(coeffs, width, cap=None):
+    """The term map is its own clean_terms: MultiIndex keys, nonzero
+    Fraction values, no degree above the cap."""
+    assert all(type(k) is MultiIndex for k in coeffs)
+    assert all(type(v) is F for v in coeffs.values())
+    assert clean_terms(coeffs, width, cap) == coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_strategy(), _series_strategy(), _coef)
+def test_term_arithmetic_results_are_clean(a, b, c):
+    """Sums, negations, scalings (by 0 too), products and conjugates skip
+    the constructor's clean-up, so they must build clean term maps; so do
+    the Poly sums, products and shifts over the same terms."""
+    for r in (a + b, a - b, -a, a.scale(c), a.scale(0), a * b, a * c,
+              a.conj()):
+        _assert_clean(r.coeffs, 4, 3)
+    assert a.scale(0).is_zero() and (a * 0).is_zero()
+    pa, pb = Poly(4, a.coeffs), Poly(4, b.coeffs)
+    for r in (pa + pb, pa - pb, -pa, pa * pb, pa * c, pa * 0,
+              pa.shift_by_monomial((1, 0, 2, 0))):
+        _assert_clean(r.coeffs, 4)
+    assert (pa * 0).is_zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv import cli, curvature, invariants
+from submodcurv import cli, invariants
 from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
-                                series_inverse)
-from submodcurv.curvature import (JET_DEGREE, coordinate_det_fn,
-                                  curvature_matrix, det_bundle_curvature,
+                                mixed_hessian, series_inverse)
+from submodcurv.curvature import (JET_DEGREE, PrincipalCurvaturePair,
+                                  coordinate_det_fn, curvature_matrix,
+                                  curvature_tensor, det_bundle_curvature,
                                   fd_log_hessian, fd_mixed_hessian,
                                   gauge_conjugate, gauge_equivalent,
                                   gauge_transform_metric, line_curvature,
                                   principal_curvature_pair,
                                   zero_set_metric_fn)
 from submodcurv.errors import DomainError, TruncationError
-from submodcurv.frames import (MetricSeries, decompose_coordinate_ideal,
+from submodcurv.frames import (COORDINATE_KIND, MetricSeries,
+                               coordinate_power_data,
+                               decompose_coordinate_ideal,
                                frame_on_zero_set, grammian)
 from submodcurv.ideals import IdealSpec
 from submodcurv.invariants import (lambda_mu_invariants,
@@ -26,8 +30,9 @@ from submodcurv.invariants import (lambda_mu_invariants,
 from submodcurv.rkhs import WeightedPolydiscModule
 
 
-GOLDEN_CURVATURE = sorted(
-    (Path(__file__).parent / "golden" / "curvature").glob("*.ini"))
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CURVATURE = sorted((GOLDEN / "curvature").glob("*.ini"))
+GOLDEN_COMPARE = sorted((GOLDEN / "compare").glob("*.ini"))
 
 
 def _coordinate_metric(lam, mu, trunc=4):
@@ -160,25 +165,214 @@ def test_raising_degree_keeps_zero_set_curvature(weights):
     assert got[0] == got[1] == got[2]
 
 
-def test_raising_degree_keeps_principal_pair_and_battery(monkeypatch):
-    seen = []
+def _reference_pair(module, p, gen_var=0, degree=JET_DEGREE):
+    """The metric route to the principal pair: the Grammian of the frame of
+    <z_v^p> at the origin, then the mixed Hessians of its one entry and of
+    that entry's log in the free direction."""
+    ideal = IdealSpec.monomial(2, [MultiIndex.unit(2, gen_var, p)])
+    frame = frame_on_zero_set(module, ideal, (F(0), F(0)), degree)
+    h = grammian(frame).matrix[0, 0]
+    free = 1 - gen_var
+    return PrincipalCurvaturePair(raw=mixed_hessian(h, free, free),
+                                  log_based=line_curvature(h, free, free))
 
-    def at_degree(D):
-        def build(module, ideal, base, trunc):
-            seen.append(trunc)
-            return frame_on_zero_set(module, ideal, base, D)
-        monkeypatch.setattr(curvature, "frame_on_zero_set", build)
-        monkeypatch.setattr(invariants, "frame_on_zero_set", build)
-        pairs = [principal_curvature_pair(WeightedPolydiscModule(2, w), p)
-                 for w in ((1, 2), (F(3, 2), F(1, 2))) for p in (1, 2)]
-        batteries = [polydisc_rigidity_report(w, exps, w).battery_left
+
+def _reference_battery(module, data, degree=JET_DEGREE):
+    """The metric route to the rigidity battery: Grammians of the frames of
+    the ideal and of each one-exponent-raised companion at the origin, read
+    through line_curvature and mixed_hessian."""
+    m = module.dim
+    origin = (F(0),) * m
+
+    def metric(shift=None):
+        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p + (k == shift))
+                                       for k, (v, p) in enumerate(data)])
+        return grammian(frame_on_zero_set(module, ideal, origin, degree))
+
+    base = metric()
+    battery = [(f"transverse_log_curvature_w{i+1}",
+                line_curvature(base.matrix[0, 0], i, i))
+               for i in base.free_slots]
+    i0 = base.free_slots[0]
+    for k in range(len(data)):
+        battery.append((f"norm_hessian_gen{k+1}",
+                        mixed_hessian(base.matrix[k, k], i0, i0)))
+        battery.append((f"norm_hessian_gen{k+1}_shifted",
+                        mixed_hessian(metric(k).matrix[k, k], i0, i0)))
+    return tuple(battery)
+
+
+def test_raising_degree_keeps_principal_pair_and_battery():
+    # the metric route reads the same pair and battery at every frame
+    # degree, and the closed forms equal it
+    pair_cases = [(WeightedPolydiscModule(2, w), p)
+                  for w in ((1, 2), (F(3, 2), F(1, 2))) for p in (1, 2)]
+    battery_cases = [(WeightedPolydiscModule(len(w), w),
+                      [(v, p) for v, p in enumerate(exps)])
                      for w, exps in (((1, 2, 3), (2,)),
                                      ((F(1, 2), F(3, 2), F(5, 2)), (1, 2)))]
-        return pairs, batteries
+    for module, p in pair_cases:
+        got = [_reference_pair(module, p, degree=D) for D in DEGREES]
+        assert got[0] == got[1] == got[2] == principal_curvature_pair(module, p)
+    for module, data in battery_cases:
+        got = [_reference_battery(module, data, D) for D in DEGREES]
+        assert got[0] == got[1] == got[2] == \
+            invariants._curvature_battery(module, data)
 
-    got = [at_degree(D) for D in DEGREES]
-    assert got[0] == got[1] == got[2]
-    assert set(seen) == {2}
+
+# -- the closed forms against the metric route ------------------------------
+
+
+def _metric_route(frame):
+    return curvature_matrix(grammian(frame))
+
+
+@pytest.mark.parametrize("config", GOLDEN_CURVATURE + GOLDEN_COMPARE,
+                         ids=[f"{c.parent.name}/{c.stem}"
+                              for c in GOLDEN_CURVATURE + GOLDEN_COMPARE])
+def test_closed_forms_match_metric_route_on_golden_configs(config):
+    cfg = cli.parse_config(config.read_text(encoding="utf-8"))
+    module = cli._build_module(cfg)
+    ideal = cli._build_ideal(cfg)
+    if cfg.task == "curvature":
+        frame = cli._build_frame(cfg, module, ideal)
+        assert curvature_tensor(frame) == _metric_route(frame)
+        if frame.kind != COORDINATE_KIND and frame.count == 1 \
+                and module.dim == 2:
+            args = (module, frame.gen_powers[0], frame.gen_vars[0])
+            assert principal_curvature_pair(*args) == _reference_pair(*args)
+        return
+    data = coordinate_power_data(ideal)
+    for weights in (module.weights, cfg.compare_weights):
+        other = WeightedPolydiscModule(module.dim, weights)
+        if len(data) == module.dim:  # the bidisc coordinate ideal
+            frame = decompose_coordinate_ideal(other, JET_DEGREE)
+            tensor = curvature_tensor(frame)
+            assert tensor == _metric_route(frame)
+            trace = tensor.trace_matrix()
+            assert (trace[0][0], trace[1][1]) == \
+                lambda_mu_invariants(*weights).as_pair()
+        else:
+            assert invariants._curvature_battery(other, data) == \
+                _reference_battery(other, data)
+
+
+_WEIGHTS = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 3), F(7, 3),
+                            F(3), F(5, 2)))
+
+
+@st.composite
+def _base_value(draw):
+    d = draw(st.integers(2, 9))
+    return F(draw(st.integers(1 - d, d - 1)), d)
+
+
+@st.composite
+def _zero_set_case(draw, max_gens=None):
+    """Weights, (variable, power) generator data sorted by variable, on any
+    variables, and a base point with rational free-slot values |c| < 1."""
+    m = draw(st.integers(2, 5))
+    weights = tuple(draw(_WEIGHTS) for _ in range(m))
+    gen_vars = sorted(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                    max_size=max_gens or m, unique=True)))
+    data = [(v, draw(st.integers(1, 3))) for v in gen_vars]
+    base = tuple(F(0) if i in gen_vars else draw(_base_value())
+                 for i in range(m))
+    return weights, data, base
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_set_case())
+def test_zero_set_tensor_matches_metric_route(case):
+    weights, data, base = case
+    m = len(weights)
+    module = WeightedPolydiscModule(m, weights)
+    ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p) for v, p in data])
+    frame = frame_on_zero_set(module, ideal, base, JET_DEGREE)
+    assert curvature_tensor(frame) == _metric_route(frame)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda m: st.lists(_WEIGHTS, min_size=m, max_size=m)))
+def test_coordinate_tensor_matches_metric_route(weights):
+    frame = decompose_coordinate_ideal(
+        WeightedPolydiscModule(len(weights), weights), JET_DEGREE)
+    assert curvature_tensor(frame) == _metric_route(frame)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_set_case().filter(lambda case: len(case[1]) < len(case[0])))
+def test_battery_matches_metric_route(case):
+    weights, data, _ = case
+    module = WeightedPolydiscModule(len(weights), weights)
+    assert invariants._curvature_battery(module, data) == \
+        _reference_battery(module, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WEIGHTS, _WEIGHTS, st.integers(1, 4), st.integers(0, 1))
+def test_principal_pair_matches_metric_route(lam, mu, p, gen_var):
+    module = WeightedPolydiscModule(2, (lam, mu))
+    assert principal_curvature_pair(module, p, gen_var) == \
+        _reference_pair(module, p, gen_var)
+
+
+# -- the curvature, principal-pair and rigidity paths build no Grammian -----
+
+
+def _metric_route_ran(*args, **kwargs):
+    raise AssertionError("the metric route ran")
+
+
+ERROR_CASES = {
+    # (trunc_degree, base point, generators) -> exit code, stderr
+    "trunc-degree-3": (("3", None, "z1^2"), 3,
+                       "precondition violated: curvature task needs "
+                       "trunc_degree >= 4\n"),
+    "base-off-zero-set": (("4", "1/2 0", "z1^2"), 3,
+                          "precondition violated: base point must lie on "
+                          "the zero variety: z1 component is 1/2, "
+                          "expected 0\n"),
+    "general-ideal": (("4", None, "z1*z2 - z2^2"), 4,
+                      "unsupported ideal family: zero-set frames need a "
+                      "monomial ideal of coordinate powers\n"),
+}
+
+
+def test_curvature_paths_build_no_grammian(monkeypatch, capsys, tmp_path):
+    replaced = 0
+    for name, module in list(sys.modules.items()):
+        if name != "submodcurv" and not name.startswith("submodcurv."):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is grammian or value is curvature_matrix:
+                monkeypatch.setattr(module, key, _metric_route_ran)
+                replaced += 1
+    # the defining modules, cli's grammian and the package namespace
+    assert replaced >= 5
+    for config in GOLDEN_CURVATURE + GOLDEN_COMPARE:
+        task = config.parent.name
+        assert cli.main([task, "--config", str(config)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == \
+            config.with_suffix(".out").read_bytes()
+    assert principal_curvature_pair(WeightedPolydiscModule(2, (1, 3)), 2,
+                                    1) == PrincipalCurvaturePair(6, 1)
+    assert polydisc_rigidity_report((1, 3), (2,), (1, 3),
+                                    gen_vars=(1,)).battery_left == (
+        ("transverse_log_curvature_w1", 1), ("norm_hessian_gen1", 6),
+        ("norm_hessian_gen1_shifted", 10))
+    for case, ((degree, base, gens), code, message) in ERROR_CASES.items():
+        lines = ["[module]", "dimension = 2", "weights = 1 2", "[ideal]",
+                 f"generators = {gens}", "[task]", "name = curvature",
+                 f"trunc_degree = {degree}"]
+        if base is not None:
+            lines.append(f"base_point = {base}")
+        path = tmp_path / f"{case}.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["curvature", "--config", str(path)]) == code, case
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message), case
 
 
 # -- metamorphic: renaming variables permutes the curvature ----------------
@@ -314,6 +508,8 @@ def test_principal_pair_reference_values():
             assert pair.raw == F(mu) * poch / fact
             assert pair.log_based == F(mu)
             assert "log" in pair.note
+    with pytest.raises(DomainError):
+        principal_curvature_pair(WeightedPolydiscModule(2, (1, 2)), 1, 2)
 
 
 # -- finite-difference oracle -----------------------------------------------

@@ -46,21 +46,30 @@ def test_every_span_and_counter_binds(tracing):
         for name in [*tracing.SPANS, *tracing.COUNTERS]:
             bound = tracer._resolve(name)
             assert hasattr(bound, "__wrapped__"), name
-        tracer.begin_job(0, "curvature")
-        config = GOLDEN / "curvature" / "zero-set-offbase-m3.ini"
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(["curvature", "--config", str(config)]) == 0
-        tracer.end_job()
+        for index, (task, config) in enumerate((
+                ("curvature", "zero-set-offbase-m3.ini"),
+                ("metric", "zero-set-offbase-rational.ini"))):
+            tracer.begin_job(index, task)
+            with redirect_stdout(io.StringIO()):
+                assert cli.main([task, "--config",
+                                 str(GOLDEN / task / config)]) == 0
+            tracer.end_job()
     finally:
         tracer.uninstall()
-    names = [span[3] for span in tracer.spans]
-    assert {"job", "cli.run_task", "frames.frame_on_zero_set",
-            "frames.grammian", "curvature.curvature_matrix"} <= set(names)
-    # one curvature computation per job, and no series determinant: the
-    # det-bundle rows are the trace of the curvature blocks
-    assert names.count("curvature.curvature_matrix") == 1
-    assert "algebra.SeriesMatrix.det" not in names
-    assert tracer.spans[0][6]["counts"]["algebra.series_mul_calls"] > 0
+    names = {job: [span[3] for span in tracer.spans if span[2] == job]
+             for job in (0, 1)}
+    # the curvature job reads the frame spec: no Grammian, no curvature of
+    # a metric and no series determinant
+    assert {"job", "cli.run_task", "frames.frame_on_zero_set"} <= \
+        set(names[0])
+    assert not {"frames.grammian", "curvature.curvature_matrix",
+                "curvature.det_bundle_curvature",
+                "algebra.SeriesMatrix.det"} & set(names[0])
+    # the metric job builds the Grammian, by series products
+    assert names[1].count("frames.grammian") == 1
+    metric_root = next(span for span in tracer.spans
+                       if span[2] == 1 and span[3] == "job")
+    assert metric_root[6]["counts"]["algebra.series_mul_calls"] > 0
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
