@@ -9,19 +9,17 @@ localization dimensions, and rigidity decision procedures.
 
 from .algebra import (LogSeries, MultiIndex, SeriesMatrix, TruncSeries,
                       iter_multiindices, mixed_hessian, pochhammer, rat,
-                      series_exp, series_inverse, series_log)
+                      series_inverse, series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
                         curvature_matrix, curvature_tensor,
-                        det_bundle_curvature, fd_log_hessian,
-                        fd_mixed_hessian, gauge_conjugate, gauge_equivalent,
-                        gauge_transform_metric, line_curvature,
-                        principal_curvature_pair)
+                        det_bundle_curvature, gauge_conjugate,
+                        gauge_equivalent, gauge_transform_metric,
+                        line_curvature, principal_curvature_pair)
 from .errors import (DegeneracyError, DomainError, InputError, ShapeError,
                      SingularityError, SubmodcurvError, TruncationError,
                      UnsupportedIdealError)
 from .frames import (FrameSeries, MetricSeries, decompose_coordinate_ideal,
-                     frame_on_zero_set, frame_vector_at_base, grammian,
-                     reconstruction_residual)
+                     frame_on_zero_set, grammian, reconstruction_residual)
 from .ideals import (CATALOGUE, CoordinateSubspace, IdealSpec,
                      LocalizationResult, MinimalityCertificate, PointSet,
                      localization_dim, minimality_certificate, zero_set)
@@ -50,15 +48,14 @@ __all__ = [
     "UnsupportedIdealError", "WeightedPolydiscModule",
     "ambient_kernel_exact", "cubic_positive_roots", "curvature_matrix",
     "curvature_tensor", "decompose_coordinate_ideal",
-    "det_bundle_curvature", "diag_coeff", "fd_log_hessian",
-    "fd_mixed_hessian", "frame_on_zero_set",
-    "frame_vector_at_base", "gauge_conjugate", "gauge_equivalent",
-    "gauge_transform_metric", "grammian", "iter_multiindices",
+    "det_bundle_curvature", "diag_coeff", "frame_on_zero_set",
+    "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
+    "grammian", "iter_multiindices",
     "lambda_mu_equivalent", "lambda_mu_invariants", "line_curvature",
     "localization_dim", "minimality_certificate", "mixed_hessian",
     "monomial_norm_sq", "parse_poly", "pochhammer", "poly_inner",
     "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
-    "reconstruction_residual", "series_exp", "series_inverse",
+    "reconstruction_residual", "series_inverse",
     "series_log", "sturm_chain", "submodule_kernel", "zero_set",
 ]

@@ -10,8 +10,9 @@ polynomials in these 2*m commuting variables; conjugation is the involution
 swapping the two halves.
 
 cofactor_det is the one determinant over rings other than the rationals:
-series matrices, polynomial matrices and the complex matrices of the float
-oracle all expand through it.  Rational matrices use linalg.mat_det.
+series matrices and polynomial matrices expand through it, and so do the
+complex matrices of the floating-point oracle, which lives in the tests.
+Rational matrices use linalg.mat_det.
 
 No floating point enters any function in this module.
 """
@@ -19,7 +20,6 @@ No floating point enters any function in this module.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -428,18 +428,6 @@ def series_log(s: TruncSeries) -> LogSeries:
     return LogSeries(v * acc, c)
 
 
-def series_exp(s: TruncSeries) -> TruncSeries:
-    """Exponential of a series with zero constant term (so the result is
-    rational), via the truncated factorial sum."""
-    if s.constant_term() != 0:
-        raise DomainError("series_exp needs zero constant term for exactness")
-    D = s.trunc
-    acc = TruncSeries.constant(s.npairs, D, Fraction(1, math.factorial(D)))
-    for k in range(D - 1, -1, -1):
-        acc = TruncSeries.constant(s.npairs, D, Fraction(1, math.factorial(k))) + s * acc
-    return acc
-
-
 def mixed_hessian(s: TruncSeries, i: int, j: int) -> Fraction:
     """d^2 s / (dw_i dwb_j) evaluated at the base point (0-based i, j).
 
@@ -483,32 +471,6 @@ class SeriesMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    @staticmethod
-    def identity(n: int, npairs: int, trunc: int) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[TruncSeries.one(npairs, trunc) if i == j
-              else TruncSeries.zero(npairs, trunc) for j in range(n)]
-             for i in range(n)])
-
-    def _check_same_shape(self, other):
-        if not isinstance(other, SeriesMatrix) or other.n != self.n:
-            raise ShapeError("matrix shape mismatch")
-
-    def __matmul__(self, other):
-        self._check_same_shape(other)
-        n = self.n
-        z = TruncSeries.zero(self.npairs, self.trunc)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = z
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
 
     def is_hermitian(self) -> bool:
         """Entry (i, j) is the conjugate of entry (j, i): for i <= j, each

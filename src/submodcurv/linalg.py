@@ -182,11 +182,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
 def nullspace(A):
     """Basis of the right nullspace of A, as a list of column vectors.
 
@@ -343,7 +338,3 @@ def leading_principal_minors(A):
     return minors + [mat_det([row[:k] for row in M[:k]])
                      for k in range(len(minors) + 1, n + 1)]
 
-
-def is_positive_definite(A) -> bool:
-    """Sylvester's criterion on a matrix assumed (real) symmetric."""
-    return all(d > 0 for d in leading_principal_minors(A))

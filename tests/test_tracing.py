@@ -65,8 +65,10 @@ def test_every_span_and_counter_binds(tracing):
     assert not {"frames.grammian", "curvature.curvature_matrix",
                 "curvature.det_bundle_curvature",
                 "algebra.SeriesMatrix.det"} & set(names[0])
-    # the metric job builds the Grammian, by series products
+    # the metric job builds the Grammian, by series products, and checks
+    # its leading principal minors once
     assert names[1].count("frames.grammian") == 1
+    assert names[1].count("linalg.leading_principal_minors") == 1
     metric_root = next(span for span in tracer.spans
                        if span[2] == 1 and span[3] == "job")
     assert metric_root[6]["counts"]["algebra.series_mul_calls"] > 0
