@@ -490,8 +490,8 @@ def run_task(cfg: JobConfig) -> Report:
     if cfg.task == "decompose":
         report.add("frame_count", frame.count)
         report.add("frame_kind", frame.kind)
-        for k in range(frame.count):
-            report.add(f"generator_{k+1}", str(frame.generator_polys()[k]))
+        for k, gen in enumerate(frame.generator_polys()):
+            report.add(f"generator_{k+1}", str(gen))
             report.add(f"lead_coefficient_{k+1}", frame.lead_coeffs[k])
         residual = reconstruction_residual(frame)
         report.add("reconstruction_exact", not residual)

@@ -18,12 +18,15 @@ Other splittings differ by a gauge transformation; the rule in force is
 recorded on the frame so reports can state it.
 
 A frame is its spec; its vectors, maps from z-exponents to truncated series
-in the displacement (u, ubar) from the base point, are built on first read.
-The Grammian reads the spec alone: the coordinate-neighborhood Grammian
-sums the kernel terms s_i(a) s_j(a) c_a, and the Grammian of a zero-variety
-frame is its recentered closed form, with a positive base-point constant
-that may be irrational (fractional powers) carried symbolically, since it
-never influences curvature.
+in the displacement (u, ubar) from the base point, are built on first read,
+which only the tests and the benchmark's tracer do.  The Grammian and the
+reconstruction check read the spec alone.  The coordinate-neighborhood
+Grammian sums the kernel terms s_i(a) s_j(a) c_a; a zero-variety Grammian
+is the outer product of one finite coefficient table per free slot, with a
+positive base-point constant that may be irrational (fractional powers)
+carried symbolically, since it never influences curvature.  The base point
+vanishes on each generator variable, so conj(p_k) F^k restores exactly the
+share s_k of each kernel term, and the check sums the shares.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (DegeneracyError, DomainError, ShapeError,
 from .ideals import MONOMIAL, IdealSpec
 from .linalg import leading_principal_minors
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff_slots
+from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
@@ -55,10 +58,6 @@ class PowerProduct:
     irrational power.  Factors with base 1 or exponent 0 are dropped.
     """
     factors: tuple = ()
-
-    @staticmethod
-    def one() -> "PowerProduct":
-        return PowerProduct(())
 
     def times(self, base, exp) -> "PowerProduct":
         base, exp = rat(base), rat(exp)
@@ -95,9 +94,10 @@ class FrameSeries:
     gen_powers[k]; free_slots lists the variables transverse to the
     generators (all variables for the coordinate-neighborhood kind).
     vectors[k] maps a z-exponent to the truncated (u, ubar)-series of that
-    coefficient of F^k; it is built from the spec on first read, as is
-    recentered_monomials, the table of conj(z)^beta about the base point
-    that the vectors and the reconstruction check share.
+    coefficient of F^k.  It and recentered_monomials, the table of
+    conj(z)^beta about the base point it is built from, are built on first
+    read; no task reads the vectors, and the reconstruction check reads the
+    table only where the splitting shares fail to sum to 1.
     """
     module: WeightedPolydiscModule
     kind: str
@@ -138,33 +138,38 @@ def _recentered_monomials(frame) -> dict:
     m = frame.module.dim
     D = frame.trunc
     lin = [TruncSeries.wbar(m, D, j) + frame.base_point[j] for j in range(m)]
-    table = {}
-    for beta in iter_multiindices(m, D + max(frame.gen_powers)):
-        j = next((j for j, e in enumerate(beta) if e), None)
-        if j is None:
-            table[beta] = TruncSeries.one(m, D)
-        else:
-            prev = beta[:j] + (beta[j] - 1,) + beta[j + 1:]
-            table[beta] = table[prev] * lin[j]
+    table = {MultiIndex.zero(m): TruncSeries.one(m, D)}
+    for beta in iter_multiindices(m, D + max(frame.gen_powers), 1):
+        j = next(j for j, e in enumerate(beta) if e)
+        table[beta] = table[beta[:j] + (beta[j] - 1,) + beta[j + 1:]] * lin[j]
     return table
+
+
+def _generators(frame) -> tuple:
+    """(k, v, p, l_v) per generator z_v^p, l as integers of the same ratios."""
+    weights = frame.module.weights
+    scale = math.lcm(*(w.denominator for w in weights))
+    return tuple((k, v, p, int(weights[v] * scale)) for k, (v, p)
+                 in enumerate(zip(frame.gen_vars, frame.gen_powers)))
+
+
+def _splitting_shares(gens, alpha) -> list:
+    """(k, v, p, s_k(alpha)) for each of the _generators dividing z^alpha."""
+    parts = [(k, v, p, w * alpha[v]) for k, v, p, w in gens if alpha[v] >= p]
+    denom = sum(x for *_, x in parts)
+    return [(k, v, p, Fraction(x, denom)) for k, v, p, x in parts]
 
 
 def _build_splitting_frame(frame):
     """F^k[alpha] = s_k(alpha) c_alpha P(alpha - p_k e_{v_k}) for every
     kernel term alpha that generator k divides."""
-    weights = frame.module.weights
-    gens = tuple(enumerate(zip(frame.gen_vars, frame.gen_powers)))
+    gens = _generators(frame)
     monomials = frame.recentered_monomials
     slots = diag_coeff_slots(frame.module, frame.trunc + max(frame.gen_powers))
     vectors = [dict() for _ in gens]
     for alpha in monomials:
-        qualifying = [(k, v, p) for k, (v, p) in gens if alpha[v] >= p]
-        if not qualifying:
-            continue
-        denom = sum(weights[v] * alpha[v] for _, v, _ in qualifying)
         c = math.prod(row[e] for row, e in zip(slots, alpha))
-        for k, v, p in qualifying:
-            s = weights[v] * alpha[v] / denom
+        for k, v, p, s in _splitting_shares(gens, alpha):
             down = alpha[:v] + (alpha[v] - p,) + alpha[v + 1:]
             series = monomials[down].scale(s * c)
             if not series.is_zero():
@@ -308,22 +313,25 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
                           for t in row] for row in terms])
 
 
-def _recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
-    """(1 - w w_bar)^(-weight) recentered at a real rational center,
-    normalized by its value there: the series of (1 - v)^(-weight) with
-    v = (c*u + c*ub + u*ub) / (1 - c^2)."""
-    c = rat(center)
-    denom = 1 - c * c
-    u = TruncSeries.w(m, trunc, slot)
-    ub = TruncSeries.wbar(m, trunc, slot)
-    v = (u.scale(c) + ub.scale(c) + u * ub).scale(Fraction(1) / denom)
-    acc = TruncSeries.constant(m, trunc, pochhammer(weight, trunc)
-                               / math.factorial(trunc))
-    for n in range(trunc - 1, -1, -1):
-        acc = TruncSeries.constant(m, trunc,
-                                   pochhammer(weight, n) / math.factorial(n)) \
-            + v * acc
-    return acc
+def _slot_coefficients(weight, c, trunc) -> dict:
+    """(beta, gamma) -> [u^beta ub^gamma] of ((1 - (c+u)(c+ub)) / (1 - c^2))
+    ^(-l), l = weight, for beta + gamma <= trunc, zero entries left out:
+    (l)_beta/beta! sum_{j <= min(beta, gamma)} C(beta, j) (l+beta)_{gamma-j}
+    /(gamma-j)! c^(beta+gamma-2j) q^(beta+gamma-j), q = 1/(1 - c^2).  With
+    n = beta + gamma the j-th term is C(beta, j) C(n-j, beta) lq[n-j]
+    c^(n-2j), lq[k] = (l)_k/k! q^k; the table is symmetric in (beta, gamma)."""
+    q = 1 / (1 - c * c)
+    lq = [pochhammer(weight, k) / math.factorial(k) * q ** k
+          for k in range(trunc + 1)]
+    cpow = [c ** k for k in range(trunc + 1)]
+    table = {}
+    for b in range(trunc // 2 + 1):
+        for n in range(2 * b, trunc + 1):
+            x = sum(math.comb(b, j) * math.comb(n - j, b) * lq[n - j]
+                    * cpow[n - 2 * j] for j in range(b + 1))
+            if x:
+                table[b, n - b] = table[n - b, b] = x
+    return table
 
 
 def _metric_by_closed_form(frame: FrameSeries):
@@ -340,21 +348,25 @@ def _metric_by_closed_form(frame: FrameSeries):
     m = module.dim
     D = frame.trunc
     t = frame.count
-    scale = PowerProduct.one()
-    common = TruncSeries.one(m, D)
+    scale = PowerProduct()
+    # disjoint slots: the product of their tables is the outer product
+    terms = {MultiIndex.zero(2 * m): Fraction(1)}
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         scale = scale.times(1 - c * c, -module.weights[i])
-        common = common * _recentered_inverse_power(m, D, i, c,
-                                                    module.weights[i])
+        table = _slot_coefficients(module.weights[i], c, D).items()
+        terms = {tuple.__new__(MultiIndex, k[:i] + (b,) + k[i + 1:m + i]
+                               + (g,) + k[m + i + 1:]): a * x
+                 for k, a in terms.items() for room in (D - sum(k),)
+                 for (b, g), x in table if b + g <= room}
+    common = TruncSeries._trusted(m, D, terms)
     if scale.is_rational():
         fold, scales = scale.rational_value(), None
     else:
         fold, scales = 1, (scale,) * t
-    entries = [[TruncSeries.zero(m, D) for _ in range(t)] for _ in range(t)]
-    for k in range(t):
-        entries[k][k] = common.scale(frame.lead_coeffs[k] * fold)
-    return SeriesMatrix(entries), scales
+    return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold) if k == j
+                          else TruncSeries.zero(m, D) for j in range(t)]
+                         for k in range(t)]), scales
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
@@ -372,8 +384,7 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         matrix, scales = _metric_by_closed_form(frame)
     if not matrix.is_hermitian():
         raise DegeneracyError("Grammian failed the Hermitian check")
-    base_vals = matrix.value_at_base()
-    minors = leading_principal_minors(base_vals)
+    minors = leading_principal_minors(matrix.value_at_base())
     if any(d <= 0 for d in minors):
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
@@ -389,33 +400,22 @@ def grammian(frame: FrameSeries) -> MetricSeries:
 def reconstruction_residual(frame: FrameSeries) -> dict:
     """Residual of sum_k conj(p_k) F^k against the kernel, per z-exponent.
 
-    The kernel term at alpha is c_alpha P(alpha), read from the frame's
-    table of recentered conjugate monomials.  Returns only the nonzero
-    residual series; an empty dict certifies the reconstruction identity on
-    the stored support through the truncation degree.  Exact rational
-    arithmetic throughout.
+    The kernel term at alpha is c_alpha P(alpha), P(alpha) = conj(z)^alpha
+    about the base point, which vanishes on each generator variable: so
+    P(alpha) = ub_v^p P(alpha - p e_v) through degree D, and the residual
+    at alpha is (sum_k s_k(alpha) - 1) c_alpha P(alpha), a series built only
+    where the shares do not sum to 1.  Only nonzero residuals are returned;
+    an empty dict certifies the identity through the truncation degree.
     """
-    m = frame.module.dim
-    D = frame.trunc
-    # conj(p_k)(base + u) = ub_v^p since the base vanishes there
-    pbar = [TruncSeries.wbar(m, D, v, p)
-            for v, p in zip(frame.gen_vars, frame.gen_powers)]
-    slots = diag_coeff_slots(frame.module, D + max(frame.gen_powers))
-    vectors = frame.vectors
-
+    gens = _generators(frame)
     residuals = {}
-    for alpha, monomial in frame.recentered_monomials.items():
-        if not any(alpha[v] >= p
-                   for v, p in zip(frame.gen_vars, frame.gen_powers)):
-            continue
-        lhs = TruncSeries.zero(m, D)
-        for k in range(frame.count):
-            fk = vectors[k].get(alpha)
-            if fk is not None:
-                lhs = lhs + pbar[k] * fk
-        rhs = monomial.scale(math.prod(row[e] for row, e in zip(slots, alpha)))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            residuals[alpha] = diff
+    for alpha in iter_multiindices(frame.module.dim,
+                                   frame.trunc + max(frame.gen_powers)):
+        shares = _splitting_shares(gens, alpha)
+        total = sum(s for *_, s in shares)
+        if shares and total != 1:
+            diff = frame.recentered_monomials[alpha].scale(
+                (total - 1) * diag_coeff(frame.module, alpha))
+            if not diff.is_zero():
+                residuals[alpha] = diff
     return residuals
-

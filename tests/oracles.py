@@ -7,7 +7,9 @@ in floats and difference them, with no truncated-series arithmetic.  The
 exact helpers (series exponential, series matrix product and identity,
 rational identity matrix, Sylvester's criterion, a frame vector frozen at
 its base point, the geometric sum) build fixtures and references for the
-unit tests.
+unit tests.  The reconstruction residual by full series products and the
+Horner expansion of a recentered inverse power are the references for the
+library's share-sum residual and coefficient-table metric.
 """
 
 from __future__ import annotations
@@ -80,6 +82,51 @@ def mat_identity(n):
 def is_positive_definite(A) -> bool:
     """Sylvester's criterion on a matrix assumed (real) symmetric."""
     return all(d > 0 for d in leading_principal_minors(A))
+
+
+def full_reconstruction_residual(frame: FrameSeries) -> dict:
+    """The reconstruction residual by full series products: per kernel term
+    alpha, sum_k ub_v^p F^k[alpha] minus c_alpha P(alpha), read from the
+    frame vectors and the frame's table of recentered conjugate monomials.
+    The same contract as frames.reconstruction_residual: only the nonzero
+    residual series are returned."""
+    m = frame.module.dim
+    D = frame.trunc
+    # conj(p_k)(base + u) = ub_v^p since the base vanishes there
+    pbar = [TruncSeries.wbar(m, D, v, p)
+            for v, p in zip(frame.gen_vars, frame.gen_powers)]
+    vectors = frame.vectors
+    residuals = {}
+    for alpha, monomial in frame.recentered_monomials.items():
+        if not any(alpha[v] >= p
+                   for v, p in zip(frame.gen_vars, frame.gen_powers)):
+            continue
+        lhs = TruncSeries.zero(m, D)
+        for k in range(frame.count):
+            fk = vectors[k].get(alpha)
+            if fk is not None:
+                lhs = lhs + pbar[k] * fk
+        diff = lhs - monomial.scale(diag_coeff(frame.module, alpha))
+        if not diff.is_zero():
+            residuals[alpha] = diff
+    return residuals
+
+
+def recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
+    """(1 - w w_bar)^(-weight) recentered at a real rational center,
+    normalized by its value there, by Horner's scheme: the series of
+    (1 - v)^(-weight) with v = (c*u + c*ub + u*ub) / (1 - c^2)."""
+    c = Fraction(center)
+    u = TruncSeries.w(m, trunc, slot)
+    ub = TruncSeries.wbar(m, trunc, slot)
+    v = (u.scale(c) + ub.scale(c) + u * ub).scale(1 / (1 - c * c))
+    acc = TruncSeries.constant(m, trunc, pochhammer(weight, trunc)
+                               / math.factorial(trunc))
+    for n in range(trunc - 1, -1, -1):
+        acc = TruncSeries.constant(m, trunc,
+                                   pochhammer(weight, n) / math.factorial(n)) \
+            + v * acc
+    return acc
 
 
 def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:

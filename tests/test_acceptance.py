@@ -26,7 +26,8 @@ from submodcurv import (DiagonalFilteredKernel, GramFormKernel, IdealSpec,
                         principal_rigidity, polydisc_rigidity,
                         reconstruction_residual)
 from submodcurv.algebra import TruncSeries
-from oracles import (coordinate_det_fn, fd_log_hessian, geometric_sum,
+from oracles import (coordinate_det_fn, fd_log_hessian,
+                     full_reconstruction_residual, geometric_sum,
                      zero_set_metric_fn)
 from test_curvature import _det_bundle_by_log_det
 
@@ -271,8 +272,10 @@ def test_criterion_8_property_suites():
         ideal = IdealSpec.coordinate_powers(2, (p,))
         frame = frame_on_zero_set(mod, ideal, (F(0), b2), 4)
         assert reconstruction_residual(frame) == {}
+        assert full_reconstruction_residual(frame) == {}
         frame2 = decompose_coordinate_ideal(mod, 4)
         assert reconstruction_residual(frame2) == {}
+        assert full_reconstruction_residual(frame2) == {}
 
     @settings(max_examples=30, deadline=None)
     @given(_weight, _weight, _weight, st.sampled_from([F(0), F(1, 3)]))

@@ -241,6 +241,24 @@ def test_metric_task_checks_its_grammian_once(monkeypatch):
     assert all(d > 0 for d in minors)
 
 
+def test_decompose_task_builds_generator_polys_once(monkeypatch):
+    from submodcurv.frames import FrameSeries
+    calls = []
+    generator_polys = FrameSeries.generator_polys
+
+    def counted(self):
+        calls.append(self)
+        return generator_polys(self)
+
+    monkeypatch.setattr(FrameSeries, "generator_polys", counted)
+    report = run_task(parse_config(METRIC.replace("name = metric",
+                                                  "name = decompose")))
+    assert len(calls) == 1
+    results = {r["name"]: r["value"] for r in report.results}
+    assert [results["generator_1"], results["generator_2"]] == ["z1", "z2^2"]
+    assert results["reconstruction_exact"] is True
+
+
 def test_metric_task_degenerate_frame_exit_3(tmp_path, capsys, monkeypatch):
     build = cli._build_frame
 

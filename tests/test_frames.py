@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submodcurv import frames
+from submodcurv import cli, frames
 from submodcurv.algebra import (MultiIndex, TruncSeries, iter_multiindices,
                                 pochhammer)
 from submodcurv.cli import main
@@ -17,7 +19,9 @@ from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
 from submodcurv.ideals import IdealSpec
 from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
-from oracles import frame_vector_at_base
+import oracles
+from oracles import (frame_vector_at_base, full_reconstruction_residual,
+                     recentered_inverse_power)
 
 E1 = MultiIndex.unit(2, 0)
 E2 = MultiIndex.unit(2, 1)
@@ -163,9 +167,10 @@ def test_grammian_builds_no_frame_vectors():
         H = grammian(frame)
         det_bundle_curvature(H)
         curvature_matrix(H)
+        assert reconstruction_residual(frame) == {}
         assert "vectors" not in vars(frame), frame.kind
         assert "recentered_monomials" not in vars(frame), frame.kind
-        assert reconstruction_residual(frame) == {}
+        assert full_reconstruction_residual(frame) == {}
         assert "vectors" in vars(frame)
         assert "recentered_monomials" in vars(frame)
 
@@ -186,6 +191,39 @@ def test_metric_tasks_build_no_frame_vectors(config, monkeypatch):
     monkeypatch.setattr(frames, "_recentered_monomials", refuse)
     path = GOLDEN / f"{config}.ini"
     assert main([path.parent.name, "--config", str(path)]) == 0
+
+
+DECOMPOSE_CONFIGS = sorted(GOLDEN.glob("decompose/*.ini"))
+ZERO_SET_METRIC_CONFIGS = sorted(GOLDEN.glob("metric/zero-set-*.ini"))
+
+
+@pytest.mark.parametrize("config", DECOMPOSE_CONFIGS + ZERO_SET_METRIC_CONFIGS,
+                         ids=lambda c: f"{c.parent.name}/{c.stem}")
+def test_decompose_task_builds_no_frame_vectors(config, monkeypatch, capsys):
+    """The decompose task checks the reconstruction and the zero-set
+    metric task fills its coefficient tables with the vector builder, the
+    monomial table and the Horner reference all disabled; the reports stay
+    byte-identical."""
+    def refuse(*args):
+        raise AssertionError("frame vectors, monomial table or Horner built")
+    monkeypatch.setattr(frames, "_build_splitting_frame", refuse)
+    monkeypatch.setattr(frames, "_recentered_monomials", refuse)
+    monkeypatch.setattr(oracles, "recentered_inverse_power", refuse)
+    assert main([config.parent.name, "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == config.with_suffix(".out").read_bytes()
+
+
+@pytest.mark.parametrize("config", DECOMPOSE_CONFIGS,
+                         ids=lambda c: c.stem)
+def test_residual_equals_full_residual_on_golden_configs(config):
+    """The share-sum residual and the full series residual both certify
+    the frame of every golden decompose config."""
+    cfg = cli.parse_config(config.read_text(encoding="utf-8"))
+    module = cli._build_module(cfg)
+    frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
+    assert reconstruction_residual(frame) == {}
+    assert full_reconstruction_residual(frame) == {}
 
 
 def test_zero_set_frames_orthogonal():
@@ -434,8 +472,10 @@ def test_splitting_vectors_equal_binomial_power_reference():
 
 
 def test_residual_equals_reference_on_doctored_frame():
-    """With one frame entry doubled both residuals report the same nonzero
-    map; the check compares full series, not the shares' sum."""
+    """With one frame entry doubled the full series residual and the
+    binomial-power reference report the same nonzero map; they compare full
+    series, not the shares' sum.  The library residual reads the shares
+    alone, so the doctored vectors leave it empty."""
     mod = WeightedPolydiscModule(3, REFERENCE_WEIGHTS[:3])
     for frame in [decompose_coordinate_ideal(mod, 4),
                   frame_on_zero_set(mod, IdealSpec.coordinate_powers(3, (2,)),
@@ -444,10 +484,141 @@ def test_residual_equals_reference_on_doctored_frame():
         doctored = [dict(vec) for vec in frame.vectors]
         doctored[0][alpha] = doctored[0][alpha].scale(2)
         vars(frame)["vectors"] = tuple(doctored)
-        got = reconstruction_residual(frame)
+        got = full_reconstruction_residual(frame)
         assert got
         assert alpha in got
         assert got == _reference_residual(frame)
+        assert reconstruction_residual(frame) == {}
+
+
+DOCTORED_SHARE_CASES = [
+    # (weights, powers or None for the coordinate frame, base, alpha)
+    (REFERENCE_WEIGHTS[:3], None, (0, 0, 0), (1, 1, 1)),
+    (REFERENCE_WEIGHTS[:3], None, (0, 0, 0), (2, 0, 1)),
+    (REFERENCE_WEIGHTS[:3], (2,), (0, F(1, 3), F(-1, 4)), (2, 1, 0)),
+    (REFERENCE_WEIGHTS[:3], (1, 3), (0, 0, F(2, 7)), (1, 3, 1)),
+    ((1, 2), (2,), (0, F(1, 3)), (3, 1)),
+]
+
+
+@pytest.mark.parametrize("weights, powers, base, alpha", DOCTORED_SHARE_CASES)
+def test_residual_equals_full_residual_on_doctored_shares(
+        weights, powers, base, alpha, monkeypatch):
+    """With one splitting share doubled, the vectors built from the doctored
+    shares fail the reconstruction at alpha alone, and the share-sum
+    residual equals the full series residual and the binomial-power
+    reference, entry for entry."""
+    shares = frames._splitting_shares
+
+    def doctored(gens, a):
+        out = shares(gens, a)
+        if a == alpha:
+            k, v, p, s = out[0]
+            out[0] = (k, v, p, 2 * s)
+        return out
+    monkeypatch.setattr(frames, "_splitting_shares", doctored)
+    mod = WeightedPolydiscModule(len(weights), weights)
+    if powers is None:
+        frame = decompose_coordinate_ideal(mod, 4)
+    else:
+        frame = frame_on_zero_set(
+            mod, IdealSpec.coordinate_powers(mod.dim, powers), base, 4)
+    got = reconstruction_residual(frame)
+    assert list(got) == [alpha]
+    assert got == full_reconstruction_residual(frame)
+    assert got == _reference_residual(frame)
+
+
+def test_recentered_monomials_factor_through_generators():
+    """The share lemma: the base point vanishes on every generator
+    variable, so P(alpha) = ub_v^p P(alpha - p e_v) exactly, through the
+    truncation degree, for every generator z_v^p dividing z^alpha."""
+    for frame in _reference_frames():
+        m, D = frame.module.dim, frame.trunc
+        table = frame.recentered_monomials
+        for v, p in zip(frame.gen_vars, frame.gen_powers):
+            pbar = TruncSeries.wbar(m, D, v, p)
+            for alpha, monomial in table.items():
+                if alpha[v] >= p:
+                    down = alpha[:v] + (alpha[v] - p,) + alpha[v + 1:]
+                    assert monomial == pbar * table[down], (frame, alpha)
+
+
+# ---------------------------------------------------------------------------
+# Zero-set metric: coefficient tables against the Horner reference
+
+
+def _closed_form_by_horner(frame):
+    """The zero-set Grammian entries and scales with each free slot's factor
+    expanded by Horner's scheme and multiplied in as a series."""
+    m, D = frame.module.dim, frame.trunc
+    scale = frames.PowerProduct()
+    common = TruncSeries.one(m, D)
+    for i in frame.free_slots:
+        c, l = F(frame.base_point[i]), frame.module.weights[i]
+        scale = scale.times(1 - c * c, -l)
+        common = common * recentered_inverse_power(m, D, i, c, l)
+    fold = scale.rational_value() if scale.is_rational() else 1
+    scales = None if scale.is_rational() else (scale,) * frame.count
+    entries = [[TruncSeries.zero(m, D) for _ in range(frame.count)]
+               for _ in range(frame.count)]
+    for k, lead in enumerate(frame.lead_coeffs):
+        entries[k][k] = common.scale(lead * fold)
+    return entries, scales
+
+
+SLOT_WEIGHTS = (F(1), F(2), F(3, 2), F(5, 3))
+SLOT_CENTERS = (F(0), F(1, 3), F(-1, 4), F(2, 7))
+
+
+@pytest.mark.parametrize("weight", SLOT_WEIGHTS, ids=str)
+@pytest.mark.parametrize("center", SLOT_CENTERS, ids=str)
+def test_slot_coefficients_equal_horner(weight, center):
+    """Each slot's coefficient table is the Horner series of the recentered
+    inverse power, coefficient for coefficient, at D = 6."""
+    table = frames._slot_coefficients(weight, center, 6)
+    got = TruncSeries(1, 6, {MultiIndex(k): v for k, v in table.items()})
+    assert got == recentered_inverse_power(1, 6, 0, center, weight)
+    assert len(got.coeffs) == len(table)  # no zero entry stored
+
+
+def test_zero_set_metric_equals_horner_on_golden_configs():
+    for config in ZERO_SET_METRIC_CONFIGS:
+        cfg = cli.parse_config(config.read_text(encoding="utf-8"))
+        module = cli._build_module(cfg)
+        frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
+        matrix, scales = frames._metric_by_closed_form(frame)
+        assert (matrix.entries, scales) == _closed_form_by_horner(frame), \
+            config.stem
+
+
+_slot_weight = st.fractions(min_value=F(1, 4), max_value=F(7, 2),
+                            max_denominator=5)
+_center = st.fractions(min_value=F(-5, 6), max_value=F(5, 6),
+                       max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_zero_set_metric_equals_horner_sweep(data):
+    """m = 2..4, fractional weights, any generator variables and powers,
+    rational base points on the zero set, D = 2..6: the coefficient-table
+    metric equals the Horner-series metric, entries and scales."""
+    m = data.draw(st.integers(2, 4))
+    weights = data.draw(st.lists(_slot_weight, min_size=m, max_size=m))
+    t = data.draw(st.integers(1, m - 1))
+    gen_vars = data.draw(st.permutations(range(m)))[:t]
+    exps = [[0] * m for _ in range(t)]
+    for row, v in zip(exps, gen_vars):
+        row[v] = data.draw(st.integers(1, 3))
+    ideal = IdealSpec.monomial(m, [tuple(row) for row in exps])
+    base = tuple(F(0) if i in gen_vars else data.draw(_center)
+                 for i in range(m))
+    D = data.draw(st.integers(2, 6))
+    frame = frame_on_zero_set(WeightedPolydiscModule(m, weights), ideal,
+                              base, D)
+    matrix, scales = frames._metric_by_closed_form(frame)
+    assert (matrix.entries, scales) == _closed_form_by_horner(frame)
 
 
 def test_diag_coeff_slots_multiply_to_diag_coeff():
