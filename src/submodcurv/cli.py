@@ -1,9 +1,11 @@
 """Config-driven command line interface.
 
 Tasks: kernel, decompose, metric, curvature, dimension, compare, cubic.
-Each reads a sectioned key=value config file; command-line flags override
-individual fields.  Reports render as deterministic text or JSON: the same
-config always produces byte-identical output.
+Each reads a sectioned key=value config file whose sections and keys are the
+SCHEMA table; command-line flags override single fields, and a degree or a
+point gets the same checks from a flag as from its key (_check_fields).
+Reports render as deterministic text or JSON, echoing every set JobConfig
+field but output: the same config always produces byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 violated mathematical precondition,
 4 unsupported ideal family for the requested operation.
@@ -16,7 +18,7 @@ import configparser
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -82,6 +84,79 @@ def _parse_int(text: str, fieldname: str) -> int:
         raise InputError(f"not an integer: {text.strip()!r}", field=fieldname)
 
 
+def _parse_name(text: str, fieldname: str) -> str:
+    return text.strip()
+
+
+def _parse_generators(text: str, fieldname: str) -> tuple:
+    return tuple(g.strip() for g in text.split(",") if g.strip())
+
+
+def _parse_catalogue(text: str, fieldname: str) -> str:
+    name = text.strip()
+    if name not in CATALOGUE:
+        raise InputError(f"unknown catalogue ideal {name!r}; known: "
+                         f"{', '.join(sorted(CATALOGUE))}", field=fieldname)
+    return name
+
+
+def _checked(parse, ok, message):
+    """parse, then reject a value for which ok(value) is false."""
+    def parser(text, fieldname):
+        value = parse(text, fieldname)
+        if not ok(value):
+            raise InputError(message, field=fieldname)
+        return value
+    return parser
+
+
+# section -> key -> parser(text, "section.key"), each parser checking its
+# own value.  Keys are read in this order; every key but task.name is the
+# JobConfig field of the same name.
+SCHEMA = {
+    "module": {
+        "dimension": _checked(_parse_int, lambda n: n >= 1,
+                              "dimension must be >= 1"),
+        "weights": _checked(_parse_vector, lambda ws: all(w > 0 for w in ws),
+                            "weights must be positive"),
+    },
+    "ideal": {
+        "generators": _checked(_parse_generators, bool,
+                               "empty generator list"),
+        "catalogue": _parse_catalogue,
+        "family": _parse_name,
+    },
+    "task": {
+        "name": _parse_name,
+        "points": _parse_points,
+        "base_point": _parse_vector,
+        "trunc_degree": _parse_int,
+        "ideal_degree": _parse_int,
+        "alpha": _parse_rational,
+        "compare_weights": _parse_vector,
+        "output": _parse_name,
+    },
+}
+FLAG_LABELS = {"trunc_degree": "--trunc-degree",
+               "ideal_degree": "--ideal-degree", "points": "--point"}
+
+
+def _check_fields(fields: dict, labels: dict):
+    """The checks a degree or a point gets whether it comes from the config
+    file or from a flag; labels maps each field to its name in messages."""
+    for key in ("trunc_degree", "ideal_degree"):
+        if fields.get(key, 1) < 1:
+            raise InputError(f"{key} must be >= 1", field=labels[key])
+    for key, pts in (("points", fields.get("points", ())),
+                     ("base_point", (fields["base_point"],)
+                      if "base_point" in fields else ())):
+        for pt in pts:
+            if any(abs(x) >= 1 for x in pt):
+                raise InputError(
+                    f"point ({', '.join(str(x) for x in pt)}) lies outside "
+                    "the open polydisc", field=labels[key])
+
+
 def parse_config(text: str) -> JobConfig:
     """Parse sectioned key=value config source into a JobConfig.
 
@@ -100,114 +175,42 @@ def parse_config(text: str) -> JobConfig:
     except configparser.Error as e:
         raise InputError(f"config syntax: {e}")
 
-    known = {"module", "ideal", "task"}
     for section in cp.sections():
-        if section not in known:
+        if section not in SCHEMA:
             raise InputError(f"unknown section [{section}]", field=section)
 
-    kw = {}
-
-    if cp.has_section("module"):
-        sec = cp["module"]
+    fields = {}
+    for section, parsers in SCHEMA.items():
+        sec = cp[section] if section in cp else {}
         for key in sec:
-            if key not in ("dimension", "weights"):
-                raise InputError(f"unknown key {key!r} in [module]", field=key)
-        if "dimension" in sec:
-            kw["dimension"] = _parse_int(sec["dimension"], "module.dimension")
-            if kw["dimension"] < 1:
-                raise InputError("dimension must be >= 1",
-                                 field="module.dimension")
-        if "weights" in sec:
-            kw["weights"] = _parse_vector(sec["weights"], "module.weights")
-            if any(w <= 0 for w in kw["weights"]):
-                raise InputError("weights must be positive",
-                                 field="module.weights")
-        if ("dimension" in kw) != ("weights" in kw):
+            if key not in parsers:
+                raise InputError(f"unknown key {key!r} in [{section}]",
+                                 field=key)
+        for key, at in (("generators", "ideal"), ("family", "ideal.family")):
+            if "catalogue" in sec and key in sec:
+                raise InputError(f"give either {key} or a catalogue name, "
+                                 "not both", field=at)
+        fields.update((key, parse(sec[key], f"{section}.{key}"))
+                      for key, parse in parsers.items() if key in sec)
+        if ("dimension" in fields) != ("weights" in fields):
             raise InputError("[module] needs both dimension and weights",
                              field="module")
-        if "dimension" in kw and len(kw["weights"]) != kw["dimension"]:
+        if len(fields.get("weights", ())) != fields.get("dimension", 0):
             raise InputError(
-                f"got {len(kw['weights'])} weights for dimension "
-                f"{kw['dimension']}", field="module.weights")
+                f"got {len(fields['weights'])} weights for dimension "
+                f"{fields['dimension']}", field="module.weights")
 
-    if cp.has_section("ideal"):
-        sec = cp["ideal"]
-        for key in sec:
-            if key not in ("generators", "family", "catalogue"):
-                raise InputError(f"unknown key {key!r} in [ideal]", field=key)
-        if "generators" in sec and "catalogue" in sec:
-            raise InputError("give either generators or a catalogue name, "
-                             "not both", field="ideal")
-        if "generators" in sec:
-            gens = tuple(g.strip() for g in sec["generators"].split(",")
-                         if g.strip())
-            if not gens:
-                raise InputError("empty generator list",
-                                 field="ideal.generators")
-            kw["generators"] = gens
-        if "catalogue" in sec:
-            name = sec["catalogue"].strip()
-            if name not in CATALOGUE:
-                raise InputError(
-                    f"unknown catalogue ideal {name!r}; known: "
-                    f"{', '.join(sorted(CATALOGUE))}", field="ideal.catalogue")
-            kw["catalogue"] = name
-        if "family" in sec:
-            kw["family"] = sec["family"].strip()
-
-    task = None
-    if cp.has_section("task"):
-        sec = cp["task"]
-        allowed = ("name", "points", "base_point", "trunc_degree",
-                   "ideal_degree", "alpha", "compare_weights", "output")
-        for key in sec:
-            if key not in allowed:
-                raise InputError(f"unknown key {key!r} in [task]", field=key)
-        if "name" in sec:
-            task = sec["name"].strip()
-        if "points" in sec:
-            kw["points"] = _parse_points(sec["points"], "task.points")
-        if "base_point" in sec:
-            kw["base_point"] = _parse_vector(sec["base_point"],
-                                             "task.base_point")
-        if "trunc_degree" in sec:
-            kw["trunc_degree"] = _parse_int(sec["trunc_degree"],
-                                            "task.trunc_degree")
-        if "ideal_degree" in sec:
-            kw["ideal_degree"] = _parse_int(sec["ideal_degree"],
-                                            "task.ideal_degree")
-        if "alpha" in sec:
-            kw["alpha"] = _parse_rational(sec["alpha"], "task.alpha")
-        if "compare_weights" in sec:
-            kw["compare_weights"] = _parse_vector(sec["compare_weights"],
-                                                  "task.compare_weights")
-        if "output" in sec:
-            kw["output"] = sec["output"].strip()
-
+    task = fields.pop("name", None)
     if task is None:
         raise InputError("missing task name ([task] name = ...)",
                          field="task.name")
     if task not in TASKS:
         raise InputError(f"unknown task {task!r}; choose from "
                          f"{', '.join(TASKS)}", field="task.name")
-    if kw.get("output", "text") not in ("text", "json"):
+    if fields.get("output", "text") not in ("text", "json"):
         raise InputError("output must be text or json", field="task.output")
-    if kw.get("trunc_degree", 6) < 1:
-        raise InputError("trunc_degree must be >= 1",
-                         field="task.trunc_degree")
-    if kw.get("ideal_degree", 6) < 1:
-        raise InputError("ideal_degree must be >= 1",
-                         field="task.ideal_degree")
-    for label, pts in (("task.points", kw.get("points", ())),
-                       ("task.base_point",
-                        (kw["base_point"],) if kw.get("base_point") else ())):
-        for pt in pts:
-            if any(abs(x) >= 1 for x in pt):
-                raise InputError(
-                    f"point ({', '.join(str(x) for x in pt)}) lies outside "
-                    "the open polydisc", field=label)
-
-    return JobConfig(task=task, **kw)
+    _check_fields(fields, {key: f"task.{key}" for key in SCHEMA["task"]})
+    return JobConfig(task=task, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +232,7 @@ class Report:
 def _encode(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, str, float)):
         return value
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
@@ -316,29 +315,22 @@ def _build_ideal(cfg: JobConfig) -> IdealSpec:
         raise InputError(str(e), field="ideal")
 
 
+def _echo_value(value):
+    if isinstance(value, tuple):
+        return [_echo_value(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def _input_echo(cfg: JobConfig) -> dict:
-    echo = {"task": cfg.task}
-    if cfg.dimension is not None:
-        echo["dimension"] = cfg.dimension
-    if cfg.weights is not None:
-        echo["weights"] = [str(w) for w in cfg.weights]
-    if cfg.generators is not None:
-        echo["generators"] = list(cfg.generators)
-    if cfg.catalogue is not None:
-        echo["catalogue"] = cfg.catalogue
-    if cfg.family is not None:
-        echo["family"] = cfg.family
-    if cfg.points:
-        echo["points"] = [[str(x) for x in p] for p in cfg.points]
-    if cfg.base_point is not None:
-        echo["base_point"] = [str(x) for x in cfg.base_point]
-    if cfg.alpha is not None:
-        echo["alpha"] = str(cfg.alpha)
-    if cfg.compare_weights is not None:
-        echo["compare_weights"] = [str(w) for w in cfg.compare_weights]
-    echo["trunc_degree"] = cfg.trunc_degree
-    echo["ideal_degree"] = cfg.ideal_degree
-    return echo
+    return {key: _echo_value(value) for key, value in vars(cfg).items()
+            if key != "output" and value not in (None, ())}
+
+
+def _require_points(cfg: JobConfig, module):
+    _require(cfg, "points")
+    if any(len(p) != module.dim for p in cfg.points):
+        raise InputError("point arity does not match dimension",
+                         field="task.points")
 
 
 def _build_frame(cfg: JobConfig, module, ideal):
@@ -427,11 +419,7 @@ def run_task(cfg: JobConfig) -> Report:
 
     if cfg.task == "kernel":
         ideal = _build_ideal(cfg)
-        _require(cfg, "points")
-        for p in cfg.points:
-            if len(p) != module.dim:
-                raise InputError("point arity does not match dimension",
-                                 field="task.points")
+        _require_points(cfg, module)
         kern = submodule_kernel(module, ideal, cfg.ideal_degree)
         report.diagnostics["kernel_variant"] = kern.variant
         exact_ok = module.has_integer_weights() or kern.variant == "gram_form"
@@ -459,16 +447,13 @@ def run_task(cfg: JobConfig) -> Report:
 
     if cfg.task == "dimension":
         ideal = _build_ideal(cfg)
-        _require(cfg, "points")
+        _require_points(cfg, module)
         try:
             variety = zero_set(ideal)
         except (UnsupportedIdealError, DomainError):
             variety = None
         max_deg = max(cfg.ideal_degree, ideal.max_degree + 1)
         for k, p in enumerate(cfg.points, 1):
-            if len(p) != module.dim:
-                raise InputError("point arity does not match dimension",
-                                 field="task.points")
             loc = localization_dim(ideal, p, max_deg)
             report.add(f"localization_dim_{k}", loc.dim)
             report.add(f"stabilized_at_{k}", loc.stabilized_at)
@@ -595,31 +580,18 @@ def main(argv=None) -> int:
         except OSError as e:
             raise InputError(f"cannot read config: {e}")
         cfg = parse_config(text)
-        overrides = {"task": args.task}
-        if args.output:
-            overrides["output"] = args.output
-        if args.trunc_degree is not None:
-            if args.trunc_degree < 1:
-                raise InputError("trunc_degree must be >= 1",
-                                 field="--trunc-degree")
-            overrides["trunc_degree"] = args.trunc_degree
-        if args.ideal_degree is not None:
-            if args.ideal_degree < 1:
-                raise InputError("ideal_degree must be >= 1",
-                                 field="--ideal-degree")
-            overrides["ideal_degree"] = args.ideal_degree
+        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
+                 "ideal_degree": args.ideal_degree}
         if args.point is not None:
             if args.task not in POINT_TASKS:
                 raise InputError(
                     f"task {args.task!r} reads no points; --point applies "
                     f"only to the {' and '.join(POINT_TASKS)} tasks",
                     field="--point")
-            pt = _parse_vector(args.point, "--point")
-            if any(abs(x) >= 1 for x in pt):
-                raise InputError("point lies outside the open polydisc",
-                                 field="--point")
-            overrides["points"] = (pt,)
-        cfg = JobConfig(**{**cfg.__dict__, **overrides})
+            flags["points"] = (_parse_vector(args.point, "--point"),)
+        overrides = {k: v for k, v in flags.items() if v is not None}
+        _check_fields(overrides, FLAG_LABELS)
+        cfg = replace(cfg, task=args.task, **overrides)
         report = run_task(cfg)
         sys.stdout.write(render_report(report, cfg.output))
         return 0

@@ -77,46 +77,25 @@ def upoly_deriv(p):
     return _trim(tuple(k * p[k] for k in range(1, len(p))))
 
 
-def _upoly_rem(a, b):
-    """Remainder of a by b over the rationals."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        for k in range(len(b)):
-            a[shift + k] -= f * b[k]
-        a.pop()
-    return _trim(a)
-
-
-def _upoly_divexact(a, b):
-    """Exact quotient a / b; remainder must vanish."""
+def _upoly_divmod(a, b):
+    """Quotient and remainder of a by b over the rationals."""
     a = list(a)
     q = [Fraction(0)] * (len(a) - len(b) + 1)
     db, lb = len(b) - 1, b[-1]
     while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
         f = a[-1] / lb
         shift = len(a) - 1 - db
         q[shift] = f
         for k in range(len(b)):
             a[shift + k] -= f * b[k]
         a.pop()
-    if _trim(a):
-        raise DomainError("inexact polynomial division")
-    return _trim(q)
+    return _trim(q), _trim(a)
 
 
 def upoly_gcd(a, b):
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _upoly_rem(a, b)
+        a, b = b, _upoly_divmod(a, b)[1]
     if not a:
         return ()
     return tuple(c / a[-1] for c in a)  # monic
@@ -129,7 +108,10 @@ def squarefree_part(p):
     g = upoly_gcd(p, upoly_deriv(p))
     if len(g) <= 1:
         return p
-    return _upoly_divexact(p, g)
+    q, r = _upoly_divmod(p, g)
+    if r:
+        raise DomainError("inexact polynomial division")
+    return q
 
 
 def sturm_chain(p):
@@ -137,7 +119,7 @@ def sturm_chain(p):
     p = _trim(p)
     chain = [p, _trim(upoly_deriv(p))]
     while chain[-1] and len(chain[-1]) > 1:
-        r = _upoly_rem(chain[-2], chain[-1])
+        r = _upoly_divmod(chain[-2], chain[-1])[1]
         chain.append(tuple(-c for c in r))
         if not chain[-1]:
             chain.pop()
@@ -251,15 +233,13 @@ def cubic_positive_roots(alpha) -> CubicReport:
 
 def principal_rigidity(lam, mu, p: int, lam2, mu2) -> bool:
     """Whether <z_1^p> over weights (lam, mu) and the same ideal over
-    (lam2, mu2) are equivalent, decided on the invariant pair
-    (mu * poch(lam, p), mu * poch(lam, p+1)) obtained from the transverse
-    curvature of the frame and of its degree-shifted companion."""
-    lam, mu, lam2, mu2 = rat(lam), rat(mu), rat(lam2), rat(mu2)
+    (lam2, mu2) are equivalent, decided on the curvature battery of
+    polydisc_rigidity: the transverse curvature mu and the norm Hessians
+    mu poch(lam, p)/p! and mu poch(lam, p+1)/(p+1)! of the frame and of its
+    degree-shifted companion."""
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    left = (mu * pochhammer(lam, p), mu * pochhammer(lam, p + 1))
-    right = (mu2 * pochhammer(lam2, p), mu2 * pochhammer(lam2, p + 1))
-    return left == right
+    return polydisc_rigidity((lam, mu), (p,), (lam2, mu2))
 
 
 @dataclass(frozen=True)

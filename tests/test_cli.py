@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -402,6 +403,131 @@ def test_main_point_rejected_by_tasks_without_points(tmp_path, capsys, task):
     assert captured.err == (
         f"config error: task {task!r} reads no points; --point applies only "
         "to the kernel and dimension tasks (field '--point')\n")
+
+
+KERNEL_JOB = """
+[module]
+dimension = 2
+weights = 1 1
+
+[ideal]
+generators = z1
+
+[task]
+name = kernel
+points = 0 0
+"""
+
+
+def _config_error(tmp_path, capsys, task, config, flags=()):
+    """The stderr of a job that must fail with exit code 2 and no report."""
+    assert main([task, "--config", _write(tmp_path, config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+# One fault each, given by a flag and by the config key it overrides: both
+# get the same check and message, and the --point message names the point.
+SHARED_CHECKS = [
+    ("kernel", KERNEL_JOB, ("--trunc-degree", "0"),
+     "trunc_degree must be >= 1 (field '--trunc-degree')"),
+    ("kernel", KERNEL_JOB + "trunc_degree = 0\n", (),
+     "trunc_degree must be >= 1 (field 'task.trunc_degree')"),
+    ("kernel", KERNEL_JOB, ("--ideal-degree", "0"),
+     "ideal_degree must be >= 1 (field '--ideal-degree')"),
+    ("kernel", KERNEL_JOB + "ideal_degree = 0\n", (),
+     "ideal_degree must be >= 1 (field 'task.ideal_degree')"),
+    ("kernel", KERNEL_JOB, ("--point", "2 0"),
+     "point (2, 0) lies outside the open polydisc (field '--point')"),
+    ("kernel", KERNEL_JOB.replace("points = 0 0", "points = 2 0"), (),
+     "point (2, 0) lies outside the open polydisc (field 'task.points')"),
+    ("metric", KERNEL_JOB.replace("points = 0 0", "base_point = 2 0"), (),
+     "point (2, 0) lies outside the open polydisc (field 'task.base_point')"),
+]
+
+
+def test_catalogue_with_family_exit_2(tmp_path, capsys):
+    # a catalogue ideal has its own family, so a forced family would be
+    # ignored while the report echoed it
+    config = KERNEL_JOB.replace(
+        "generators = z1", "catalogue = product_difference\nfamily = monomial")
+    assert _config_error(tmp_path, capsys, "dimension", config) == (
+        "config error: give either family or a catalogue name, not both "
+        "(field 'ideal.family')\n")
+
+
+MODULE_2 = "[module]\ndimension = 2\nweights = 1 1\n\n"
+
+# Inputs with two or more faults and the one error reported.  Flags are all
+# parsed before any is checked, as config keys are, so in the last two cases
+# the --point error comes before the degree error.
+FIRST_ERRORS = [
+    ("kernel", "[module]\ndimension = 0\nweights = 1 -1\n\n"
+     "[task]\nname = kernel\n", (),
+     "dimension must be >= 1 (field 'module.dimension')"),
+    ("kernel", MODULE_2 + "[ideal]\ngenerators = ,\ncatalogue = nope\n\n"
+     "[task]\nname = kernel\n", (),
+     "give either generators or a catalogue name, not both (field 'ideal')"),
+    ("dimension", MODULE_2 + "[ideal]\ncatalogue = product_difference\n"
+     "family = monomial\ngenerators = z1\n\n[task]\nname = dimension\n", (),
+     "give either generators or a catalogue name, not both (field 'ideal')"),
+    ("cubic", "[task]\nname = cubic\ntrunc_degree = 0\nalpha = x\n", (),
+     "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
+     "(field 'task.alpha')"),
+    ("cubic", "[task]\nname = dance\nalpha = x\n", (),
+     "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
+     "(field 'task.alpha')"),
+    ("cubic", "[module]\ndimension = 2\n\n[task]\nname = cubic\n"
+     "alpha = x\n", (),
+     "[module] needs both dimension and weights (field 'module')"),
+    ("kernel", "[module]\ndimension = 2\nweights = 1\n\n[ideal]\n"
+     "generators = ,\n\n[task]\nname = kernel\n", (),
+     "got 1 weights for dimension 2 (field 'module.weights')"),
+    ("kernel", "[module]\ndimension = 2\nweights = 1 -1\n\n[ideal]\n"
+     "generators = z1\ncatalogue = x\n\n[task]\nname = kernel\n", (),
+     "weights must be positive (field 'module.weights')"),
+    ("cubic", "[module]\ndimension = x\nweights = 1 1\n\n[task]\n"
+     "name = cubic\nmystery = 1\n", (),
+     "not an integer: 'x' (field 'module.dimension')"),
+    ("cubic", "[module]\ndimension = x\n\n[bogus]\na = 1\n\n[task]\n"
+     "name = cubic\n", (), "unknown section [bogus] (field 'bogus')"),
+    ("cubic", "[task]\noutput = yaml\ntrunc_degree = 0\n", (),
+     "missing task name ([task] name = ...) (field 'task.name')"),
+    ("cubic", "[task]\nname = cubic\noutput = yaml\ntrunc_degree = 0\n", (),
+     "output must be text or json (field 'task.output')"),
+    ("kernel", KERNEL_JOB.replace("points = 0 0", "points = 2 0\n"
+                                  "base_point = 0 3\nideal_degree = 0"), (),
+     "ideal_degree must be >= 1 (field 'task.ideal_degree')"),
+    ("kernel", KERNEL_JOB + "trunc_degree = 0\n", ("--trunc-degree", "3"),
+     "trunc_degree must be >= 1 (field 'task.trunc_degree')"),
+    ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--ideal-degree", "0"),
+     "trunc_degree must be >= 1 (field '--trunc-degree')"),
+    ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--point", "2 0"),
+     "trunc_degree must be >= 1 (field '--trunc-degree')"),
+    ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--point", "x"),
+     "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
+     "(field '--point')"),
+    ("curvature", KERNEL_JOB, ("--ideal-degree", "0", "--point", "0 0"),
+     "task 'curvature' reads no points; --point applies only to the kernel "
+     "and dimension tasks (field '--point')"),
+]
+
+
+@pytest.mark.parametrize("task,config,flags,error",
+                         SHARED_CHECKS + FIRST_ERRORS,
+                         ids=[e for *_, e in SHARED_CHECKS + FIRST_ERRORS])
+def test_config_error_message(tmp_path, capsys, task, config, flags, error):
+    assert _config_error(tmp_path, capsys, task, config, flags) == \
+        f"config error: {error}\n"
+
+
+def test_readme_key_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {tuple(cell.strip(" `[]") for cell in line.split("|")[1:3])
+            for line in readme.splitlines() if line.startswith("| `[")}
+    assert rows == {(section, key) for section, keys in cli.SCHEMA.items()
+                    for key in keys}
 
 
 def test_main_subcommand_overrides_config_task(tmp_path, capsys):

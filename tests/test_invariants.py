@@ -49,6 +49,29 @@ def test_squarefree_part():
     assert len(sf) == 2
 
 
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _upoly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rationals, max_size=8),
+       st.lists(_rationals, min_size=1, max_size=5).filter(lambda b: b[-1]))
+def test_upoly_divmod_is_long_division(a, b):
+    a, b = tuple(a), tuple(b)
+    q, r = invariants._upoly_divmod(a, b)
+    assert len(r) < len(b)  # deg r < deg b, the zero remainder being ()
+    qb = _upoly_mul(q, b) if q else []
+    total = [x + y for x, y in itertools.zip_longest(qb, r, fillvalue=F(0))]
+    assert invariants._trim(total) == invariants._trim(a)
+
+
 def test_sturm_count_quadratic():
     # x^2 - 2: one root in (0, 2), one in (-2, 0)
     p = (F(-2), F(0), F(1))
@@ -147,12 +170,15 @@ def test_cubic_rejects_nonpositive_alpha():
 
 
 def test_principal_rigidity_reference_cases():
-    # (1,2) vs (2,1) at p=1: pairs (2,4) vs (2,6)
+    # (1,2) vs (2,1) at p=1: batteries (2, 2, 2) vs (1, 2, 3)
     assert principal_rigidity(1, 2, 1, 2, 1) is False
-    # (3,1) vs (1,3) at p=1: pairs (3,12) vs (3,6)
+    # (3,1) vs (1,3) at p=1: batteries (1, 3, 6) vs (3, 3, 3)
     assert principal_rigidity(3, 1, 1, 1, 3) is False
     assert principal_rigidity(2, 3, 2, 2, 3) is True
     assert principal_rigidity(F(1, 2), F(5, 2), 3, F(1, 2), F(5, 2)) is True
+    for lam, mu, lam2, mu2 in ((0, 1, 1, 1), (1, 1, 1, -2)):
+        with pytest.raises(DomainError):
+            principal_rigidity(lam, mu, 1, lam2, mu2)
 
 
 def test_principal_rigidity_iff_equal_weights():
