@@ -26,8 +26,7 @@ from .ideals import (CATALOGUE, CoordinateSubspace, IdealSpec,
 from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
                          cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity,
-                         polydisc_rigidity_report, principal_rigidity,
-                         sturm_chain)
+                         polydisc_rigidity_report, principal_rigidity)
 from .polynomials import Poly, parse_poly
 from .rkhs import (DiagonalFilteredKernel, GramFormKernel,
                    RankOneCorrectedKernel, WeightedPolydiscModule,
@@ -57,5 +56,5 @@ __all__ = [
     "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
     "reconstruction_residual", "series_inverse",
-    "series_log", "sturm_chain", "submodule_kernel", "zero_set",
+    "series_log", "submodule_kernel", "zero_set",
 ]

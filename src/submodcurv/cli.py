@@ -164,8 +164,10 @@ def parse_config(text: str) -> JobConfig:
     when the underlying reader reports one).
     """
     # ';' separates points, so only '#' opens an inline comment; a line
-    # that starts with ';' is still a comment
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # that starts with ';' is still a comment.  Values are read verbatim:
+    # with interpolation a '%' would raise while the value is read
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
     try:
         cp.read_string(text)
     except configparser.ParsingError as e:

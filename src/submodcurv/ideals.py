@@ -10,15 +10,17 @@ An IdealSpec is a finite generator list tagged with a structural family:
 The family tag decides which closed-form constructions apply downstream;
 nothing here attempts Groebner-style normal forms.  The localization
 dimension at a point w counts dim J_N - dim J'_N for spaces of generator
-multiples of bounded degree, in coordinates centred at w, where both spans
-grow degree by degree in one pair of linalg.RowEchelon forms.  The defect
-never increases; stopping at two equal consecutive values is a heuristic.
+multiples of bounded degree, in coordinates centred at w.  J'_N grows
+degree by degree in one linalg.RowEchelon of integer rows, and the defect
+is the number of generators a copy of it still accepts.  The defect never
+increases; stopping at two equal consecutive values is a heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .algebra import MultiIndex, eval_terms, iter_multiindices, rat
@@ -282,9 +284,10 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
     total degree <= N, and J'_N the span of those with |beta| >= 1, i.e. of
     the (z_i - w_i)-multiples of J_{N-1}.  The defect d_N = dim J_N -
     dim J'_N counts generators surviving localization at w; it is reported
-    stabilized once two consecutive degrees agree.  Both spans only grow
-    with N, so each degree adds its new multiples to one pair of echelon
-    forms; J_N = J'_N + span(q_j) with the q_j fixed, so d_N never increases.
+    stabilized once two consecutive degrees agree.  J'_N only grows with N,
+    so each degree adds its new multiples to one echelon form; J_N = J'_N +
+    span(q_j) with the q_j fixed, so d_N is the number of q_j that a copy of
+    that form still accepts, and it never increases.
 
     The stopping rule is a heuristic for every family, and general ideals
     are flagged conditional: equal consecutive defects do not rule out a
@@ -301,23 +304,27 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
     xs = [Poly.variable(m, i) + w[i] for i in range(m)]
-    # Poly.zero(m) + keeps a constant generator a Poly
-    centred = [(g.degree, Poly.zero(m) + eval_terms(g.coeffs, xs))
-               for g in ideal.generators]
+    # the terms of each q_j keyed by plain tuples, which compare in C (a
+    # MultiIndex comparison sums degrees in Python; any column order gives
+    # the same ranks)
+    centred = []
+    for g in ideal.generators:
+        # Poly.zero(m) + keeps a constant generator a Poly
+        q = Poly.zero(m) + eval_terms(g.coeffs, xs)
+        centred.append((g.degree, [(tuple(k), v) for k, v in q.coeffs.items()]))
 
-    j_span, jp_span = RowEchelon(), RowEchelon()
+    jp_span = RowEchelon()
     dims = []
     stabilized_at = None
     for N in range(dmax, max_degree + 1):
-        # the multiples new at degree N; the first degree adds all of them
-        for dg, q in centred:
-            low = N - dg if N > dmax else 0
+        # the multiples with |beta| >= 1 new at degree N
+        for dg, terms in centred:
+            low = N - dg if N > dmax else 1
             for beta in iter_multiindices(m, N - dg, low):
-                row = q.shift_by_monomial(beta).coeffs
-                j_span.add(row)
-                if beta.degree:
-                    jp_span.add(row)
-        dims.append((N, len(j_span.rows) - len(jp_span.rows)))
+                jp_span.add({tuple(map(add, e, beta)): c for e, c in terms})
+        # d_N = rank(J'_N + span q_j) - rank J'_N, whatever the row order
+        probe = RowEchelon(jp_span.rows)
+        dims.append((N, sum(probe.add(dict(terms)) for _, terms in centred)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break

@@ -6,10 +6,11 @@ of such metrics leads to the cubic
 
     x^3 - (3a - 2) x^2 - (2a - 3) x - a = 0,
 
-whose unique positive root is certified here by exact Sturm chains over the
-rationals.  The rigidity deciders compare submodules over different weight
-vectors through curvature invariants computed by the frame pipeline, never
-by comparing the weights directly.
+whose discriminant is negative for every a > 0: it has exactly one real
+root, that root is positive, and it is isolated here by bisection with
+exact integer sign tests.  The rigidity deciders compare submodules over
+different weight vectors through curvature invariants computed by the frame
+pipeline, never by comparing the weights directly.
 """
 
 from __future__ import annotations
@@ -56,97 +57,11 @@ def lambda_mu_equivalent(lam1, mu1, lam2, mu2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact univariate root counting (dense coefficient tuples, ascending order)
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def upoly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def upoly_deriv(p):
-    return _trim(tuple(k * p[k] for k in range(1, len(p))))
-
-
-def _upoly_divmod(a, b):
-    """Quotient and remainder of a by b over the rationals."""
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) >= len(b):
-        f = a[-1] / lb
-        shift = len(a) - 1 - db
-        q[shift] = f
-        for k in range(len(b)):
-            a[shift + k] -= f * b[k]
-        a.pop()
-    return _trim(q), _trim(a)
-
-
-def upoly_gcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _upoly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return tuple(c / a[-1] for c in a)  # monic
-
-
-def squarefree_part(p):
-    p = _trim(p)
-    if len(p) <= 2:
-        return p
-    g = upoly_gcd(p, upoly_deriv(p))
-    if len(g) <= 1:
-        return p
-    q, r = _upoly_divmod(p, g)
-    if r:
-        raise DomainError("inexact polynomial division")
-    return q
-
-
-def sturm_chain(p):
-    """Canonical Sturm chain of a squarefree polynomial."""
-    p = _trim(p)
-    chain = [p, _trim(upoly_deriv(p))]
-    while chain[-1] and len(chain[-1]) > 1:
-        r = _upoly_divmod(chain[-2], chain[-1])[1]
-        chain.append(tuple(-c for c in r))
-        if not chain[-1]:
-            chain.pop()
-            break
-    return [c for c in chain if c]
-
-
-def _sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def variations_at(chain, x: Fraction) -> int:
-    return _sign_variations([upoly_eval(c, x) for c in chain])
-
-
-def count_roots_between(chain, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in the open interval (a, b); the endpoints must
-    not be roots of the chain's first polynomial."""
-    p = chain[0]
-    if upoly_eval(p, a) == 0 or upoly_eval(p, b) == 0:
-        raise DomainError("Sturm endpoints must not be roots")
-    return variations_at(chain, a) - variations_at(chain, b)
+# The cubic family's positive root (coefficient tuples, ascending order)
 
 
 def cauchy_root_bound(p) -> Fraction:
-    p = _trim(p)
+    """1 + max |c_i / c_n|: every root of p lies strictly inside it."""
     lead = p[-1]
     return 1 + max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
 
@@ -162,69 +77,57 @@ class CubicReport:
 _REFINE_WIDTH = Fraction(1, 16)
 
 
-def _refine(chain, a: Fraction, b: Fraction):
+def _refine(p, a: Fraction, b: Fraction):
     """Narrow a one-root interval below _REFINE_WIDTH, collapsing to a
     degenerate (r, r) pair when a bisection midpoint is an exact root.
 
-    chain[0] is squarefree and neither endpoint is a root, so the one root
-    in (a, b) is simple: it lies in (a, mid) iff p changes sign there.  The
+    p has one root in (a, b), a simple one, and neither endpoint is a
+    root, so the root lies in (a, mid) iff p changes sign there.  The
     sign at the left end never changes, since a only moves to a midpoint
-    of the same sign."""
-    p = chain[0]
-    positive_at_a = upoly_eval(p, a) > 0
-    while b - a > _REFINE_WIDTH:
-        mid = (a + b) / 2
-        value = upoly_eval(p, mid)
+    of the same sign.  Signs are read in integers: with p scaled to integer
+    coefficients C_i and the endpoints kept as lo/v and hi/v, p(u/v) has
+    the sign of sum_i C_i u^i v^(n-i)."""
+    den = math.lcm(*(c.denominator for c in p))
+    coeffs = [c.numerator * den // c.denominator for c in p]
+
+    def sign_form(u, v):
+        acc, vk = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            vk *= v
+            acc = acc * u + c * vk
+        return acc
+
+    v = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * v // a.denominator, b.numerator * v // b.denominator
+    positive_at_a = sign_form(lo, v) > 0
+    width_num, width_den = _REFINE_WIDTH.as_integer_ratio()
+    while (hi - lo) * width_den > v * width_num:
+        mid, v = lo + hi, 2 * v  # the midpoint, over the doubled denominator
+        value = sign_form(mid, v)
         if value == 0:
-            return (mid, mid)
+            return (Fraction(mid, v),) * 2
         if (value > 0) != positive_at_a:
-            b = mid
+            lo, hi = 2 * lo, mid
         else:
-            a = mid
-    return (a, b)
-
-
-def _isolate(chain, a: Fraction, b: Fraction, out):
-    """Split (a, b) until each piece holds exactly one root of chain[0]."""
-    n = count_roots_between(chain, a, b)
-    if n == 0:
-        return
-    if n == 1:
-        out.append(_refine(chain, a, b))
-        return
-    p = chain[0]
-    mid = (a + b) / 2
-    if upoly_eval(p, mid) == 0:
-        # an exact rational root: record it and recurse on a punctured
-        # window whose radius shrinks until it separates mid from the rest
-        out.append((mid, mid))
-        eps = (b - a) / 16
-        while (upoly_eval(p, mid - eps) == 0 or upoly_eval(p, mid + eps) == 0
-               or count_roots_between(chain, mid - eps, mid + eps) != 1):
-            eps /= 2
-        _isolate(chain, a, mid - eps, out)
-        _isolate(chain, mid + eps, b, out)
-        return
-    _isolate(chain, a, mid, out)
-    _isolate(chain, mid, b, out)
+            lo, hi = mid, 2 * hi
+    return (Fraction(lo, v), Fraction(hi, v))
 
 
 def cubic_positive_roots(alpha) -> CubicReport:
     """Exact count and isolation of the positive roots of
-    x^3 - (3a-2) x^2 - (2a-3) x - a for a rational parameter a > 0."""
+    p = x^3 - (3a-2) x^2 - (2a-3) x - a for a rational parameter a > 0.
+
+    The discriminant of p is -8 (9a^4 + 2a^3 - 20a^2 + 2a + 9), and with
+    t = a + 1/a >= 2 the bracket is a^2 (9t^2 + 2t - 38) >= 2a^2 > 0.  So p
+    is squarefree with one real root, which is positive because the
+    product of the roots is a > 0: the count is 1, and bisection on
+    (0, Cauchy bound) isolates the root (p(0) = -a != 0)."""
     a = rat(alpha)
     if a <= 0:
         raise DomainError(f"the cubic family is parametrized by alpha > 0, got {a}")
     coeffs = (-a, -(2 * a - 3), -(3 * a - 2), Fraction(1))
-    sf = squarefree_part(coeffs)
-    chain = sturm_chain(sf)
-    bound = cauchy_root_bound(sf)
-    # p(0) = -a != 0 and the Cauchy bound is strict, so endpoints are safe
-    count = count_roots_between(chain, Fraction(0), bound)
-    intervals = []
-    _isolate(chain, Fraction(0), bound, intervals)
-    intervals.sort()
-    return CubicReport(a, coeffs, count, tuple(intervals))
+    interval = _refine(coeffs, Fraction(0), cauchy_root_bound(coeffs))
+    return CubicReport(a, coeffs, 1, (interval,))
 
 
 # ---------------------------------------------------------------------------

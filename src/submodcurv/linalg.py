@@ -5,9 +5,10 @@ fraction-free (Bareiss) elimination on a copy whose rows are scaled to
 integers, so intermediate entries stay integral.  ``BareissFactor`` keeps one
 such sweep without pivoting: its pivots are the leading principal minors and
 its factors answer u^T A^{-1} v by integer substitution.  ``RowEchelon``
-tests a stream of sparse rows for independence, reducing each new row once
-against the rows kept so far; the Gram-form basis and the localization span
-ranks both count rows with it, and its back-substitution gives the null
+tests a stream of sparse rows for independence, reducing each new row once,
+fraction-free, against the primitive integer rows kept so far; the
+Gram-form basis and the localization span ranks both count rows with it,
+and its back-substitution (one division by each lead) gives the null
 vectors of the Gram-form complement and of ``nullspace``.  Solving and
 inverses use ordinary Gauss-Jordan elimination over Fraction, which is exact
 anyway.  Determinants over other rings (series, polynomials, complex floats)
@@ -17,7 +18,7 @@ are ``algebra.cofactor_det``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .algebra import rat
 from .errors import ShapeError, SingularityError
@@ -279,31 +280,39 @@ class BareissFactor:
 class RowEchelon:
     """Rows in echelon form, grown one sparse row at a time.
 
-    A row is a dict {column: value}; columns are any hashable, totally
-    ordered keys (ints, or the MultiIndex monomials of a Poly's coeffs).
-    Every kept row is scaled so that its smallest column holds 1, and no two
-    kept rows lead at the same column, so a new row lies in the span of the
-    kept ones iff reducing it by the rows leading at its successive smallest
+    A row is a dict {column: value} of ints or Fractions; columns are any
+    hashable, totally ordered keys (ints, or exponent tuples).  Every kept
+    row is a primitive integer row: its denominators are cleared once and
+    it is divided by its content.  No two kept rows lead at the same
+    (smallest) column, so a new row lies in the span of the kept ones iff
+    reducing it fraction-free by the rows leading at its successive smallest
     columns leaves nothing.  The number of kept rows is the rank of the rows
-    added.
+    added.  ``rows`` seeds a copy of another echelon's kept rows; ``add``
+    never mutates a kept row, so the copy may share them.
     """
 
-    def __init__(self):
-        self.rows = {}  # leading column -> row
+    def __init__(self, rows=()):
+        self.rows = dict(rows)  # leading column -> row
 
     def add(self, row) -> bool:
         """Keep the row if it is independent of the kept rows; say whether."""
-        r = {c: rat(x) for c, x in row.items() if x}
+        den = lcm(*(x.denominator for x in row.values()))
+        r = {c: x.numerator * (den // x.denominator)
+             for c, x in row.items() if x}
         while r:
             lead = min(r)
             pivot_row = self.rows.get(lead)
             if pivot_row is None:
-                inv = 1 / r[lead]
-                self.rows[lead] = {c: x * inv for c, x in r.items()}
+                content = gcd(*r.values())
+                self.rows[lead] = {c: x // content for c, x in r.items()}
                 return True
-            f = r[lead]
+            # r <- a r - b p clears the lead; a, b coprime keep r small
+            g = gcd(pivot_row[lead], r[lead])
+            a, b = pivot_row[lead] // g, r[lead] // g
+            if a != 1:
+                r = {c: a * x for c, x in r.items()}
             for c, x in pivot_row.items():
-                rest = r.get(c, 0) - f * x
+                rest = r.get(c, 0) - b * x
                 if rest:
                     r[c] = rest
                 else:
@@ -312,15 +321,16 @@ class RowEchelon:
 
     def null_vector(self, free):
         """The null vector of the kept rows with 1 at a free column (no row
-        leads there) and 0 at every other free column, as a sparse dict.  By
-        back-substitution: every kept row leads with 1 at its smallest
-        column, so the leads below the free column, in descending order,
-        each take the value that clears their row; the leads above stay 0."""
+        leads there) and 0 at every other free column, as a sparse dict of
+        Fractions.  By back-substitution: the leads below the free column,
+        in descending order, each take the value that clears their row
+        (divided by the row's lead entry); the leads above stay 0."""
         g = {free: Fraction(1)}
         for lead in sorted((c for c in self.rows if c < free), reverse=True):
-            x = -sum(v * g[c] for c, v in self.rows[lead].items() if c in g)
+            row = self.rows[lead]
+            x = -sum(v * g[c] for c, v in row.items() if c in g)
             if x:
-                g[lead] = x
+                g[lead] = x / row[lead]
         return g
 
 

@@ -9,7 +9,10 @@ rational identity matrix, Sylvester's criterion, a frame vector frozen at
 its base point, the geometric sum) build fixtures and references for the
 unit tests.  The reconstruction residual by full series products and the
 Horner expansion of a recentered inverse power are the references for the
-library's share-sum residual and coefficient-table metric.
+library's share-sum residual and coefficient-table metric.  The routes the
+integer fast paths replaced stay here as their references: the localization
+dimension by two Fraction echelon forms, and the cubic's positive roots by
+a squarefree part, a Sturm chain and chain-count bisection.
 """
 
 from __future__ import annotations
@@ -19,11 +22,15 @@ from fractions import Fraction
 from typing import Callable
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                                iter_multiindices, pochhammer)
+                                eval_terms, iter_multiindices, pochhammer,
+                                rat)
 from submodcurv.errors import DomainError, ShapeError
 from submodcurv.frames import FrameSeries, coordinate_power_data
-from submodcurv.ideals import IdealSpec
+from submodcurv.ideals import GENERAL, IdealSpec, LocalizationResult
+from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
+                                   cauchy_root_bound)
 from submodcurv.linalg import leading_principal_minors
+from submodcurv.polynomials import Poly
 from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff
 
 
@@ -137,6 +144,222 @@ def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:
         if c != 0:
             out[a] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Replaced exact routes: the references for the integer fast paths
+
+
+class FractionRowEchelon:
+    """The Fraction echelon form that linalg.RowEchelon replaced: every kept
+    row is scaled so that its smallest column holds 1, and a new row is
+    reduced by the rows leading at its successive smallest columns."""
+
+    def __init__(self):
+        self.rows = {}  # leading column -> row
+
+    def add(self, row) -> bool:
+        r = {c: Fraction(x) for c, x in row.items() if x}
+        while r:
+            lead = min(r)
+            pivot_row = self.rows.get(lead)
+            if pivot_row is None:
+                inv = 1 / r[lead]
+                self.rows[lead] = {c: x * inv for c, x in r.items()}
+                return True
+            f = r[lead]
+            for c, x in pivot_row.items():
+                rest = r.get(c, 0) - f * x
+                if rest:
+                    r[c] = rest
+                else:
+                    del r[c]
+        return False
+
+
+def localization_dim_two_spans(ideal: IdealSpec, point,
+                               max_degree: int = 8) -> LocalizationResult:
+    """The localization route that ideals.localization_dim replaced: every
+    multiple x^beta q_j goes into J_N, those with |beta| >= 1 also into
+    J'_N, two Fraction echelon forms keyed by MultiIndex monomials, and
+    d_N = rank J_N - rank J'_N, with the same checks and stopping rule."""
+    m = ideal.nvars
+    w = [rat(x) for x in point]
+    if len(w) != m:
+        raise DomainError(
+            f"point has arity {len(w)}, ideal lives in {m} variables")
+    dmax = ideal.max_degree
+    if max_degree < dmax + 1:
+        raise DomainError(
+            f"max_degree {max_degree} too small; need at least {dmax + 1}")
+    xs = [Poly.variable(m, i) + w[i] for i in range(m)]
+    centred = [(g.degree, Poly.zero(m) + eval_terms(g.coeffs, xs))
+               for g in ideal.generators]
+    j_span, jp_span = FractionRowEchelon(), FractionRowEchelon()
+    dims = []
+    stabilized_at = None
+    for N in range(dmax, max_degree + 1):
+        for dg, q in centred:
+            low = N - dg if N > dmax else 0
+            for beta in iter_multiindices(m, N - dg, low):
+                row = q.shift_by_monomial(beta).coeffs
+                j_span.add(row)
+                if beta.degree:
+                    jp_span.add(row)
+        dims.append((N, len(j_span.rows) - len(jp_span.rows)))
+        if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
+            stabilized_at = N
+            break
+    return LocalizationResult(dims[-1][1], stabilized_at, tuple(dims),
+                              conditional=(ideal.family == GENERAL))
+
+
+# Univariate polynomials are dense coefficient tuples, ascending order.
+
+
+def upoly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def upoly_eval(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def upoly_deriv(p):
+    return upoly_trim(tuple(k * p[k] for k in range(1, len(p))))
+
+
+def upoly_divmod(a, b):
+    """Quotient and remainder of a by b over the rationals."""
+    a = list(a)
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) >= len(b):
+        f = a[-1] / lb
+        shift = len(a) - 1 - db
+        q[shift] = f
+        for k in range(len(b)):
+            a[shift + k] -= f * b[k]
+        a.pop()
+    return upoly_trim(q), upoly_trim(a)
+
+
+def upoly_gcd(a, b):
+    a, b = upoly_trim(a), upoly_trim(b)
+    while b:
+        a, b = b, upoly_divmod(a, b)[1]
+    if not a:
+        return ()
+    return tuple(c / a[-1] for c in a)  # monic
+
+
+def squarefree_part(p):
+    p = upoly_trim(p)
+    if len(p) <= 2:
+        return p
+    g = upoly_gcd(p, upoly_deriv(p))
+    if len(g) <= 1:
+        return p
+    q, r = upoly_divmod(p, g)
+    if r:
+        raise DomainError("inexact polynomial division")
+    return q
+
+
+def sturm_chain(p):
+    """Canonical Sturm chain of a squarefree polynomial."""
+    p = upoly_trim(p)
+    chain = [p, upoly_trim(upoly_deriv(p))]
+    while chain[-1] and len(chain[-1]) > 1:
+        r = upoly_divmod(chain[-2], chain[-1])[1]
+        chain.append(tuple(-c for c in r))
+        if not chain[-1]:
+            chain.pop()
+            break
+    return [c for c in chain if c]
+
+
+def _sign_variations(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def variations_at(chain, x: Fraction) -> int:
+    return _sign_variations([upoly_eval(c, x) for c in chain])
+
+
+def count_roots_between(chain, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in the open interval (a, b); the endpoints must
+    not be roots of the chain's first polynomial."""
+    p = chain[0]
+    if upoly_eval(p, a) == 0 or upoly_eval(p, b) == 0:
+        raise DomainError("Sturm endpoints must not be roots")
+    return variations_at(chain, a) - variations_at(chain, b)
+
+
+def refine_by_chain_count(chain, a, b):
+    """The bisection that counts Sturm-chain sign variations on (a, mid) at
+    every step, in Fractions."""
+    p = chain[0]
+    while b - a > _REFINE_WIDTH:
+        mid = (a + b) / 2
+        if upoly_eval(p, mid) == 0:
+            return (mid, mid)
+        if count_roots_between(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
+
+
+def _isolate(chain, a: Fraction, b: Fraction, out):
+    """Split (a, b) until each piece holds exactly one root of chain[0]."""
+    n = count_roots_between(chain, a, b)
+    if n == 0:
+        return
+    if n == 1:
+        out.append(refine_by_chain_count(chain, a, b))
+        return
+    p = chain[0]
+    mid = (a + b) / 2
+    if upoly_eval(p, mid) == 0:
+        # an exact rational root: record it and recurse on a punctured
+        # window whose radius shrinks until it separates mid from the rest
+        out.append((mid, mid))
+        eps = (b - a) / 16
+        while (upoly_eval(p, mid - eps) == 0 or upoly_eval(p, mid + eps) == 0
+               or count_roots_between(chain, mid - eps, mid + eps) != 1):
+            eps /= 2
+        _isolate(chain, a, mid - eps, out)
+        _isolate(chain, mid + eps, b, out)
+        return
+    _isolate(chain, a, mid, out)
+    _isolate(chain, mid, b, out)
+
+
+def cubic_positive_roots_by_sturm(alpha) -> CubicReport:
+    """The cubic route that invariants.cubic_positive_roots replaced: the
+    squarefree part, its Sturm chain, the root count on (0, Cauchy bound)
+    and isolation by chain counts, for any alpha > 0."""
+    a = rat(alpha)
+    if a <= 0:
+        raise DomainError(
+            f"the cubic family is parametrized by alpha > 0, got {a}")
+    coeffs = (-a, -(2 * a - 3), -(3 * a - 2), Fraction(1))
+    sf = squarefree_part(coeffs)
+    chain = sturm_chain(sf)
+    bound = cauchy_root_bound(sf)
+    count = count_roots_between(chain, Fraction(0), bound)
+    intervals = []
+    _isolate(chain, Fraction(0), bound, intervals)
+    intervals.sort()
+    return CubicReport(a, coeffs, count, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

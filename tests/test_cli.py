@@ -522,6 +522,14 @@ def test_config_error_message(tmp_path, capsys, task, config, flags, error):
         f"config error: {error}\n"
 
 
+def test_percent_in_a_value_is_a_config_error(tmp_path, capsys):
+    # a '%' is an ordinary character of a value, not an interpolation
+    config = "[task]\nname = cubic\nalpha = 1%\n"
+    assert _config_error(tmp_path, capsys, "cubic", config) == (
+        "config error: not a rational number: '1%' (Invalid literal for "
+        "Fraction: '1%') (field 'task.alpha')\n")
+
+
 def test_readme_key_table_matches_schema():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = {tuple(cell.strip(" `[]") for cell in line.split("|")[1:3])

@@ -1,14 +1,21 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import submodcurv.cli as cli
 from submodcurv.algebra import MultiIndex, iter_multiindices
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import (CoordinateSubspace, IdealSpec, PointSet,
                                localization_dim, minimality_certificate,
                                zero_set)
 from submodcurv.linalg import mat_rank
-from submodcurv.polynomials import parse_poly
+from submodcurv.polynomials import Poly, parse_poly
+
+from oracles import localization_dim_two_spans
 
 
 def _gens(dim, *srcs):
@@ -218,6 +225,70 @@ def test_dims_by_degree_never_increase(gens, nvars, points, max_degree):
     for pt in points:
         values = [d for _, d in localization_dim(ideal, pt, max_degree).dims_by_degree]
         assert all(b <= a for a, b in zip(values, values[1:])), (gens, pt)
+
+
+def _outcome(localize, args):
+    try:
+        return localize(*args)
+    except DomainError as exc:
+        return (type(exc), str(exc))
+
+
+def test_localization_matches_two_span_route_on_pooled_jobs(perfbench_jobs,
+                                                            tmp_path,
+                                                            monkeypatch):
+    """Every localization_dim call of the pooled task-mix dimension jobs,
+    recorded through the CLI, gives the result of the two-span route."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return localization_dim(*args)
+
+    monkeypatch.setattr(cli, "localization_dim", recording)
+    path = tmp_path / "job.cfg"
+    for job in perfbench_jobs.pool("task-mix").values():
+        if job.task != "dimension":
+            continue
+        path.write_text(job.config, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                cli.main(job.argv(str(path)))
+            except SystemExit:
+                pass
+    assert len(calls) == 852
+    assert [args for args in calls
+            if _outcome(localization_dim, args)
+            != _outcome(localization_dim_two_spans, args)] == []
+
+
+_small = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+
+
+@st.composite
+def _small_localizations(draw):
+    """An ideal of one to three generators of degree <= 3 in m <= 3
+    variables, a point and a degree cap."""
+    m = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m),
+                             min_size=1, max_size=3, unique=True))
+        coeffs = {e: draw(_small.filter(bool)) for e in exps
+                  if sum(e) <= 3}
+        if not coeffs:
+            coeffs = {exps[0][:-1] + (1,) if m > 1 else (1,): F(1)}
+        gens.append(Poly(m, coeffs))
+    ideal = IdealSpec.from_generators(m, gens)
+    point = tuple(draw(_small) for _ in range(m))
+    cap = ideal.max_degree + draw(st.integers(1, 2))
+    return ideal, point, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_localizations())
+def test_localization_matches_two_span_route(case):
+    assert localization_dim(*case) == localization_dim_two_spans(*case)
 
 
 @pytest.mark.xfail(strict=True, reason="two equal consecutive defects stop "

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from submodcurv import invariants
@@ -10,8 +10,11 @@ from submodcurv.errors import DomainError
 from submodcurv.invariants import (cubic_positive_roots, lambda_mu_equivalent,
                                    lambda_mu_invariants, polydisc_rigidity,
                                    polydisc_rigidity_report,
-                                   principal_rigidity, count_roots_between,
-                                   squarefree_part, sturm_chain, upoly_eval)
+                                   principal_rigidity)
+
+from oracles import (count_roots_between, cubic_positive_roots_by_sturm,
+                     refine_by_chain_count, squarefree_part, sturm_chain,
+                     upoly_divmod, upoly_eval, upoly_trim)
 
 
 def test_kappa_closed_forms():
@@ -32,7 +35,7 @@ def test_lambda_mu_equivalence_is_weight_equality():
         assert lambda_mu_equivalent(l1, m1, l2, m2) == want
 
 
-# -- univariate machinery -----------------------------------------------------
+# -- the Sturm route kept as the cubic's reference -----------------------------
 
 
 def test_upoly_eval_horner():
@@ -65,11 +68,11 @@ def _upoly_mul(a, b):
        st.lists(_rationals, min_size=1, max_size=5).filter(lambda b: b[-1]))
 def test_upoly_divmod_is_long_division(a, b):
     a, b = tuple(a), tuple(b)
-    q, r = invariants._upoly_divmod(a, b)
+    q, r = upoly_divmod(a, b)
     assert len(r) < len(b)  # deg r < deg b, the zero remainder being ()
     qb = _upoly_mul(q, b) if q else []
     total = [x + y for x, y in itertools.zip_longest(qb, r, fillvalue=F(0))]
-    assert invariants._trim(total) == invariants._trim(a)
+    assert upoly_trim(total) == upoly_trim(a)
 
 
 def test_sturm_count_quadratic():
@@ -122,27 +125,8 @@ def test_cubic_interval_brackets_root():
     assert hi - lo <= F(1, 16)
 
 
-def _refine_by_chain_count(chain, a, b):
-    """The bisection that counts Sturm-chain sign variations on (a, mid) at
-    every step: the reference for invariants._refine."""
-    p = chain[0]
-    while b - a > invariants._REFINE_WIDTH:
-        mid = (a + b) / 2
-        if upoly_eval(p, mid) == 0:
-            return (mid, mid)
-        if count_roots_between(chain, a, mid) == 1:
-            b = mid
-        else:
-            a = mid
-    return (a, b)
-
-
-def _intervals_agree(alpha):
-    got = cubic_positive_roots(alpha)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariants, "_refine", _refine_by_chain_count)
-        want = cubic_positive_roots(alpha)
-    return got == want
+def _agrees_with_sturm(alpha):
+    return cubic_positive_roots(alpha) == cubic_positive_roots_by_sturm(alpha)
 
 
 def test_refine_matches_chain_count_on_pooled_alphas(perfbench_jobs):
@@ -150,13 +134,51 @@ def test_refine_matches_chain_count_on_pooled_alphas(perfbench_jobs):
               for job in perfbench_jobs.pool("task-mix").values()
               if job.task == "cubic" and job.valid}
     assert len(alphas) > 100
-    assert [a for a in sorted(alphas) if not _intervals_agree(F(a))] == []
+    assert [a for a in sorted(alphas) if not _agrees_with_sturm(F(a))] == []
+
+
+def test_cubic_matches_sturm_route_on_a_grid():
+    # the 3120 values n/d in (0, 4] with d < 40
+    alphas = {F(n, d) for d in range(1, 40) for n in range(1, 4 * d + 1)}
+    assert [a for a in sorted(alphas) if not _agrees_with_sturm(a)] == []
+
+
+def test_cubic_matches_sturm_route_inside_the_two_sign_window():
+    # 2/3 < a < 3/2 is where Descartes' rule leaves one or three positive
+    # roots open; the discriminant is negative there too
+    lo, hi = F(2, 3), F(3, 2)
+    alphas = [lo + (hi - lo) * F(k, 600) for k in range(601)]
+    alphas += [F(1) + F(s, 10 ** e) for e in range(1, 9) for s in (-1, 1)]
+    for a in alphas:
+        d, c, b, _ = cubic_positive_roots(a).coefficients
+        disc = (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c
+                - 4 * c ** 3 - 27 * d * d)
+        assert disc == -8 * (9 * a ** 4 + 2 * a ** 3 - 20 * a ** 2 + 2 * a + 9)
+        assert disc < 0, a
+        assert _agrees_with_sturm(a), a
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 400), st.integers(1, 60))
 def test_refine_matches_chain_count_sweep(n, d):
-    assert _intervals_agree(F(n, d))
+    assert _agrees_with_sturm(F(n, d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals,
+       st.integers(1, 3))
+def test_refine_matches_chain_count_on_one_root_intervals(r, s, a, w, k):
+    """_refine on (x - r)(x - s)^k, rational ends around r alone."""
+    width = abs(w) + F(1, 7)
+    a, b = r - width * F(1, 3) - abs(a) / 5, r + width
+    assume(not a <= s <= b)
+    p = [F(-r), F(1)]
+    for _ in range(k):
+        p = _upoly_mul(p, [F(-s), F(1)])
+    p = tuple(x * F(3, 7) for x in p)
+    chain = sturm_chain(squarefree_part(p))
+    assert count_roots_between(chain, a, b) == 1
+    assert invariants._refine(p, a, b) == refine_by_chain_count(chain, a, b)
 
 
 def test_cubic_rejects_nonpositive_alpha():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -157,26 +158,81 @@ def test_bareiss_inverse_form_matches_solve():
         assert factor.inverse_form(u, v) == sum(p * q for p, q in zip(u, x))
 
 
+def _is_primitive_integer_row(row):
+    values = list(row.values())
+    return (all(type(x) is int and x for x in values)
+            and math.gcd(*values) == 1)
+
+
+def _echelon_rank_case(rng, kind):
+    """Rows of Fractions, of ints, or of both, some combinations of
+    earlier rows."""
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        if rows and rng.random() < 0.4:  # a combination of earlier rows
+            p, q = rng.choice(rows), rng.choice(rows)
+            c = rng.randint(-3, 3) if kind == "int" else \
+                F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([x + c * y for x, y in zip(p, q)])
+        elif kind == "int":
+            rows.append([rng.choice((0, 0, 1, -2, 3, 6)) * rng.randint(1, 3)
+                         for _ in range(ncols)])
+        else:
+            rows.append([F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
+                         for _ in range(ncols)])
+    if kind == "mixed":  # whole Fractions as ints, the rest as given
+        rows = [[int(x) if x.denominator == 1 else x for x in row]
+                for row in rows]
+    return rows
+
+
 def test_row_echelon_keeps_what_raises_the_rank():
     rng = random.Random(23)
-    for _ in range(20):
-        ncols = rng.randint(1, 6)
-        rows = []
-        for _ in range(rng.randint(1, 8)):
-            if rows and rng.random() < 0.4:  # a combination of earlier rows
-                p, q = rng.choice(rows), rng.choice(rows)
-                c = F(rng.randint(-3, 3), rng.randint(1, 3))
-                rows.append([x + c * y for x, y in zip(p, q)])
-            else:
-                rows.append([F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3))
-                             for _ in range(ncols)])
-        echelon, kept = RowEchelon(), []
-        for row in rows:
-            independent = mat_rank(kept + [row]) > len(kept)
-            assert echelon.add(dict(enumerate(row))) == independent
-            if independent:
-                kept.append(row)
-        assert len(echelon.rows) == mat_rank(rows)
+    for kind in ("fraction", "int", "mixed"):
+        for _ in range(20):
+            rows = _echelon_rank_case(rng, kind)
+            echelon, kept = RowEchelon(), []
+            for row in rows:
+                independent = mat_rank(kept + [row]) > len(kept)
+                assert echelon.add(dict(enumerate(row))) == independent
+                if independent:
+                    kept.append(row)
+            assert len(echelon.rows) == mat_rank(rows)
+            assert all(_is_primitive_integer_row(r) and min(r) == lead
+                       for lead, r in echelon.rows.items())
+
+
+def test_row_echelon_copy_shares_rows_without_growing_them():
+    echelon = RowEchelon()
+    echelon.add({0: 2, 1: 4, 2: 6})
+    echelon.add({1: F(3, 2), 2: 9})
+    before = {lead: dict(r) for lead, r in echelon.rows.items()}
+    probe = RowEchelon(echelon.rows)
+    assert not probe.add({0: 1, 1: F(7, 2), 2: 12})
+    assert probe.add({2: 5}) and len(probe.rows) == 3
+    assert echelon.rows == before and len(echelon.rows) == 2
+
+
+def test_null_vector_with_non_unit_leads_matches_rref_reference():
+    rng = random.Random(29)
+    seen_non_unit = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(2, 7)
+        a = [[F(rng.choice((0, 0, 2, -3, 4, 6, -9)), rng.choice((1, 1, 5)))
+              for _ in range(ncols)] for _ in range(nrows)]
+        echelon = RowEchelon()
+        for row in a:
+            echelon.add(dict(enumerate(row)))
+        seen_non_unit += any(abs(r[lead]) != 1
+                             for lead, r in echelon.rows.items())
+        free = [c for c in range(ncols) if c not in echelon.rows]
+        got = [[g.get(c, F(0)) for c in range(ncols)]
+               for g in map(echelon.null_vector, free)]
+        assert got == _rref_nullspace(a)
+        for v in got:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+    assert seen_non_unit > 10
 
 
 def _rref_nullspace(a):
