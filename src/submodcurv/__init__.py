@@ -7,7 +7,7 @@ Grammian metrics, curvature matrices, determinant-bundle curvature,
 localization dimensions, and rigidity decision procedures.
 """
 
-from .algebra import (LogSeries, MultiIndex, SeriesMatrix, TruncSeries,
+from .algebra import (LogSeries, SeriesMatrix, TruncSeries,
                       iter_multiindices, mixed_hessian, pochhammer, rat,
                       series_inverse, series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
@@ -40,7 +40,7 @@ __all__ = [
     "CurvatureTensor", "DegeneracyError", "DiagonalFilteredKernel",
     "DomainError", "FrameSeries", "GramFormKernel", "IdealSpec",
     "InputError", "LambdaMuInvariant", "LocalizationResult", "LogSeries",
-    "MetricSeries", "MinimalityCertificate", "MultiIndex", "PointSet",
+    "MetricSeries", "MinimalityCertificate", "PointSet",
     "Poly", "PrincipalCurvaturePair", "RankOneCorrectedKernel",
     "RigidityReport", "SeriesMatrix", "ShapeError", "SingularityError",
     "SubmodcurvError", "TruncSeries", "TruncationError",

@@ -1,7 +1,7 @@
 """Exact scalar and truncated-series arithmetic.
 
 Everything here is over the rationals: scalars are fractions.Fraction,
-exponents are MultiIndex tuples, and power series are truncated at a fixed
+exponents are plain int tuples, and power series are truncated at a fixed
 total degree with sparse Fraction coefficients.  A TruncSeries lives in 2*m
 formal variables: the first m slots of each exponent key are the holomorphic
 variables w_1..w_m, the last m slots their formal conjugates wb_1..wb_m.
@@ -19,11 +19,10 @@ No floating point enters any function in this module.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 
@@ -56,55 +55,25 @@ def pochhammer(a: Fraction, n: int) -> Fraction:
     return out
 
 
-@functools.total_ordering
-class MultiIndex(tuple):
-    """Exponent vector ordered by graded lexicographic order.
+def exponent(exps) -> tuple:
+    """exps as a tuple of non-negative ints: the one check an exponent gets
+    where it enters from outside the term arithmetic, whose sums, slices
+    and swaps of checked tuples stay valid."""
+    t = tuple(int(e) for e in exps)
+    if any(e < 0 for e in t):
+        raise DomainError(f"negative exponent in multi-index {t}")
+    return t
 
-    Total degree decides first; ties break lexicographically.  Instances are
-    plain tuples of non-negative ints, so they hash and unpack like tuples.
-    """
 
-    def __new__(cls, exps: Iterable[int]):
-        t = tuple(int(e) for e in exps)
-        if any(e < 0 for e in t):
-            raise DomainError(f"negative exponent in multi-index {t}")
-        return super().__new__(cls, t)
-
-    @property
-    def degree(self) -> int:
-        return sum(self)
-
-    def __add__(self, other):
-        if len(self) != len(other):
-            raise ShapeError("multi-index length mismatch in +")
-        # sums of non-negative ints need no re-validation
-        return tuple.__new__(MultiIndex, map(operator.add, self, other))
-
-    def __sub__(self, other):
-        if len(self) != len(other):
-            raise ShapeError("multi-index length mismatch in -")
-        return MultiIndex(a - b for a, b in zip(self, other))
-
-    def divides(self, other) -> bool:
-        """Componentwise <=, i.e. the monomial z^self divides z^other."""
-        return len(self) == len(other) and all(a <= b for a, b in zip(self, other))
-
-    def __lt__(self, other):
-        return (self.degree, tuple(self)) < (sum(other), tuple(other))
-
-    @staticmethod
-    def unit(n: int, i: int, power: int = 1) -> "MultiIndex":
-        """The multi-index power * e_i of length n (i is 0-based)."""
-        return MultiIndex(power if k == i else 0 for k in range(n))
-
-    @staticmethod
-    def zero(n: int) -> "MultiIndex":
-        return MultiIndex((0,) * n)
+def unit(n: int, i: int, power: int = 1) -> tuple:
+    """The exponent power * e_i of length n (i is 0-based)."""
+    return tuple(power if k == i else 0 for k in range(n))
 
 
 def iter_multiindices(nvars: int, max_degree: int, min_degree: int = 0):
-    """All multi-indices of length nvars with total degree between
-    min_degree and max_degree, in graded-lex order."""
+    """All exponent tuples of length nvars with total degree between
+    min_degree and max_degree, by degree and, within one degree, in
+    descending lexicographic order."""
     def of_degree(n, d):
         if n == 1:
             yield (d,)
@@ -113,31 +82,32 @@ def iter_multiindices(nvars: int, max_degree: int, min_degree: int = 0):
             for rest in of_degree(n - 1, d - first):
                 yield (first,) + rest
     for d in range(min_degree, max_degree + 1):
-        for t in of_degree(nvars, d):
-            yield MultiIndex(t)
+        yield from of_degree(nvars, d)
 
 
 # ---------------------------------------------------------------------------
 # Sparse term maps
 #
 # TruncSeries and polynomials.Poly both keep their coefficients as a dict
-# from MultiIndex exponents to nonzero Fractions, and both do their term
-# arithmetic through the functions below.
+# from exponent tuples (plain tuples of non-negative ints) to nonzero
+# Fractions, and both do their term arithmetic through the functions below;
+# the degree of a key is its sum, and the product of two terms is keyed by
+# the slotwise sum of their keys.
 
 _ZERO = Fraction(0)
 
 
 def clean_terms(coeffs: Mapping, width: int, cap: int | None = None) -> dict:
-    """coeffs with MultiIndex keys of length width and nonzero Fraction
+    """coeffs with exponent keys of length width and nonzero Fraction
     values; with a cap, terms of total degree above it are dropped."""
     clean = {}
     for key, val in coeffs.items():
-        k = key if isinstance(key, MultiIndex) else MultiIndex(key)
+        k = exponent(key)
         if len(k) != width:
             raise ShapeError(
-                f"exponent {tuple(k)} has length {len(k)}, expected {width}")
+                f"exponent {k} has length {len(k)}, expected {width}")
         v = rat(val)
-        if v != 0 and (cap is None or k.degree <= cap):
+        if v != 0 and (cap is None or sum(k) <= cap):
             clean[k] = v
     return clean
 
@@ -160,15 +130,15 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
     result lists its terms in the order the loops first reach them."""
     out = {}
     if cap is not None:
-        graded = [(kb, vb, kb.degree) for kb, vb in b.items()]
+        graded = [(kb, vb, sum(kb)) for kb, vb in b.items()]
     for ka, va in a.items():
         if cap is None:
             row = b.items()
         else:
-            room = cap - ka.degree
+            room = cap - sum(ka)
             row = [(kb, vb) for kb, vb, d in graded if d <= room]
         for kb, vb in row:
-            k = ka + kb
+            k = tuple(map(operator.add, ka, kb))
             s = out.get(k, _ZERO) + va * vb
             if s == 0:
                 out.pop(k, None)
@@ -195,7 +165,6 @@ def format_terms(coeffs: dict, names) -> str:
     if not coeffs:
         return "0"
     parts = []
-    # the graded-lex order of MultiIndex, without its per-comparison sums
     for k in sorted(coeffs, key=lambda k: (sum(k), k)):
         v = coeffs[k]
         factors = "*".join(name if e == 1 else f"{name}^{e}"
@@ -218,7 +187,7 @@ def format_terms(coeffs: dict, names) -> str:
 class TruncSeries:
     """Sparse truncated series in w_1..w_m and their formal conjugates.
 
-    coeffs maps MultiIndex keys of length 2*npairs (w-half then wb-half) to
+    coeffs maps exponent keys of length 2*npairs (w-half then wb-half) to
     nonzero Fractions; every key has total degree <= trunc.  Terms beyond the
     truncation degree are dropped by every operation, so the invariant is
     maintained by construction.
@@ -237,7 +206,7 @@ class TruncSeries:
 
     @classmethod
     def _trusted(cls, npairs: int, trunc: int, coeffs: dict) -> "TruncSeries":
-        """A series over a term map that is already clean (MultiIndex keys of
+        """A series over a term map that is already clean (exponent keys of
         length 2*npairs and degree <= trunc, nonzero Fraction values), as the
         term arithmetic builds it from clean operands; nothing is checked."""
         s = object.__new__(cls)
@@ -251,7 +220,7 @@ class TruncSeries:
         c = rat(c)
         if c == 0:
             return TruncSeries(npairs, trunc)
-        return TruncSeries(npairs, trunc, {MultiIndex.zero(2 * npairs): c})
+        return TruncSeries(npairs, trunc, {(0,) * (2 * npairs): c})
 
     @staticmethod
     def zero(npairs: int, trunc: int) -> "TruncSeries":
@@ -264,23 +233,21 @@ class TruncSeries:
     @staticmethod
     def w(npairs: int, trunc: int, i: int, power: int = 1) -> "TruncSeries":
         """The monomial w_i^power (i is 0-based)."""
-        key = MultiIndex.unit(2 * npairs, i, power)
-        return TruncSeries(npairs, trunc, {key: 1})
+        return TruncSeries(npairs, trunc, {unit(2 * npairs, i, power): 1})
 
     @staticmethod
     def wbar(npairs: int, trunc: int, i: int, power: int = 1) -> "TruncSeries":
         """The monomial wb_i^power (i is 0-based)."""
-        key = MultiIndex.unit(2 * npairs, npairs + i, power)
-        return TruncSeries(npairs, trunc, {key: 1})
+        return TruncSeries(npairs, trunc,
+                           {unit(2 * npairs, npairs + i, power): 1})
 
     # -- basic queries -----------------------------------------------------
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get(MultiIndex.zero(2 * self.npairs), Fraction(0))
+        return self.coeffs.get((0,) * (2 * self.npairs), Fraction(0))
 
     def coefficient(self, wexp, wbexp) -> Fraction:
-        key = MultiIndex(tuple(wexp) + tuple(wbexp))
-        return self.coeffs.get(key, Fraction(0))
+        return self.coeffs.get(tuple(wexp) + tuple(wbexp), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -353,10 +320,9 @@ class TruncSeries:
         Coefficients are real rationals, so they are fixed by conjugation.
         """
         m = self.npairs
-        # a swap of the halves of a valid key needs no re-validation
-        out = {tuple.__new__(MultiIndex, k[m:] + k[:m]): v
-               for k, v in self.coeffs.items()}
-        return TruncSeries._trusted(self.npairs, self.trunc, out)
+        return TruncSeries._trusted(self.npairs, self.trunc,
+                                    {k[m:] + k[:m]: v
+                                     for k, v in self.coeffs.items()})
 
     def evaluate(self, wvals, wbvals) -> Fraction:
         """Evaluate the truncated polynomial at exact rational arguments.
@@ -438,9 +404,7 @@ def mixed_hessian(s: TruncSeries, i: int, j: int) -> Fraction:
         raise ShapeError(f"hessian indices ({i},{j}) out of range for m={m}")
     if s.trunc < 2:
         raise TruncationError("mixed_hessian needs truncation degree >= 2")
-    wexp = MultiIndex.unit(m, i)
-    wbexp = MultiIndex.unit(m, j)
-    return s.coefficient(wexp, wbexp)
+    return s.coefficient(unit(m, i), unit(m, j))
 
 
 # ---------------------------------------------------------------------------

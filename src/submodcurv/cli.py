@@ -3,7 +3,8 @@
 Tasks: kernel, decompose, metric, curvature, dimension, compare, cubic.
 Each reads a sectioned key=value config file whose sections and keys are the
 SCHEMA table; command-line flags override single fields, and a degree or a
-point gets the same checks from a flag as from its key (_check_fields).
+point gets the same checks from a flag as from its key (_check_fields), once
+the flags are applied, so a valid flag replaces a bad value in the file.
 Reports render as deterministic text or JSON, echoing every set JobConfig
 field but output: the same config always produces byte-identical output.
 
@@ -18,7 +19,7 @@ import configparser
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -137,7 +138,7 @@ SCHEMA = {
         "output": _parse_name,
     },
 }
-FLAG_LABELS = {"trunc_degree": "--trunc-degree",
+FLAG_LABELS = {"output": "--output", "trunc_degree": "--trunc-degree",
                "ideal_degree": "--ideal-degree", "points": "--point"}
 
 
@@ -157,11 +158,13 @@ def _check_fields(fields: dict, labels: dict):
                     "the open polydisc", field=labels[key])
 
 
-def parse_config(text: str) -> JobConfig:
-    """Parse sectioned key=value config source into a JobConfig.
+def parse_config(text: str, args=None) -> JobConfig:
+    """Parse sectioned key=value config source into a JobConfig; args, the
+    parsed command line, overrides the task and the fields its flags set.
 
     All validation failures raise InputError carrying the field (and line
-    when the underlying reader reports one).
+    when the underlying reader reports one).  The degrees and points are
+    checked after the overrides, each under the key or flag it came from.
     """
     # ';' separates points, so only '#' opens an inline comment; a line
     # that starts with ';' is still a comment.  Values are read verbatim:
@@ -211,7 +214,23 @@ def parse_config(text: str) -> JobConfig:
                          f"{', '.join(TASKS)}", field="task.name")
     if fields.get("output", "text") not in ("text", "json"):
         raise InputError("output must be text or json", field="task.output")
-    _check_fields(fields, {key: f"task.{key}" for key in SCHEMA["task"]})
+    labels = {key: f"task.{key}" for key in SCHEMA["task"]}
+    if args is not None:
+        task = args.task
+        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
+                 "ideal_degree": args.ideal_degree}
+        if args.point is not None:
+            if task not in POINT_TASKS:
+                raise InputError(
+                    f"task {task!r} reads no points; --point applies "
+                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    field="--point")
+            flags["points"] = (_parse_vector(args.point, "--point"),)
+        for key, value in flags.items():
+            if value is not None:
+                fields[key] = value
+                labels[key] = FLAG_LABELS[key]
+    _check_fields(fields, labels)
     return JobConfig(task=task, **fields)
 
 
@@ -581,19 +600,7 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as e:
             raise InputError(f"cannot read config: {e}")
-        cfg = parse_config(text)
-        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
-                 "ideal_degree": args.ideal_degree}
-        if args.point is not None:
-            if args.task not in POINT_TASKS:
-                raise InputError(
-                    f"task {args.task!r} reads no points; --point applies "
-                    f"only to the {' and '.join(POINT_TASKS)} tasks",
-                    field="--point")
-            flags["points"] = (_parse_vector(args.point, "--point"),)
-        overrides = {k: v for k, v in flags.items() if v is not None}
-        _check_fields(overrides, FLAG_LABELS)
-        cfg = replace(cfg, task=args.task, **overrides)
+        cfg = parse_config(text, args)
         report = run_task(cfg)
         sys.stdout.write(render_report(report, cfg.output))
         return 0

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, cofactor_det,
-                      iter_multiindices, mixed_hessian, pochhammer, rat)
+from .algebra import (SeriesMatrix, TruncSeries, cofactor_det,
+                      iter_multiindices, mixed_hessian, pochhammer, rat, unit)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 from .frames import COORDINATE_KIND, FrameSeries, MetricSeries
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
@@ -67,9 +67,9 @@ def line_curvature(h: TruncSeries, i: int, j: int) -> Fraction:
         raise SingularityError(
             f"scalar metric must be positive at the base point, got {c}")
     hij = mixed_hessian(h, i, j)
-    zero = MultiIndex.zero(h.npairs)
-    hi = h.coefficient(MultiIndex.unit(h.npairs, i), zero)
-    hj = h.coefficient(zero, MultiIndex.unit(h.npairs, j))
+    zero = (0,) * h.npairs
+    hi = h.coefficient(unit(h.npairs, i), zero)
+    hj = h.coefficient(zero, unit(h.npairs, j))
     return (c * hij - hi * hj) / (c * c)
 
 

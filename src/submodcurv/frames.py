@@ -37,8 +37,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (MultiIndex, SeriesMatrix, TruncSeries, iter_multiindices,
-                      pochhammer, rat)
+from .algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
+                      pochhammer, rat, unit)
 from .errors import (DegeneracyError, DomainError, ShapeError,
                      TruncationError, UnsupportedIdealError)
 from .ideals import MONOMIAL, IdealSpec
@@ -126,7 +126,7 @@ class FrameSeries:
 
     def generator_polys(self):
         m = self.module.dim
-        return tuple(Poly.monomial(m, MultiIndex.unit(m, v, p))
+        return tuple(Poly.monomial(m, unit(m, v, p))
                      for v, p in zip(self.gen_vars, self.gen_powers))
 
 
@@ -138,7 +138,7 @@ def _recentered_monomials(frame) -> dict:
     m = frame.module.dim
     D = frame.trunc
     lin = [TruncSeries.wbar(m, D, j) + frame.base_point[j] for j in range(m)]
-    table = {MultiIndex.zero(m): TruncSeries.one(m, D)}
+    table = {(0,) * m: TruncSeries.one(m, D)}
     for beta in iter_multiindices(m, D + max(frame.gen_powers), 1):
         j = next(j for j, e in enumerate(beta) if e)
         table[beta] = table[beta[:j] + (beta[j] - 1,) + beta[j + 1:]] * lin[j]
@@ -306,8 +306,8 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
             ci = shares[i] * c
             for j in support[x:]:
                 v = ci * shares[j]
-                terms[i][j][tuple.__new__(MultiIndex, downs[i] + downs[j])] = v
-                terms[j][i][tuple.__new__(MultiIndex, downs[j] + downs[i])] = v
+                terms[i][j][downs[i] + downs[j]] = v
+                terms[j][i][downs[j] + downs[i]] = v
     # nonzero Fractions at keys of degree 2|a| - 2 <= D: already clean
     return SeriesMatrix([[TruncSeries._trusted(m, frame.trunc, t)
                           for t in row] for row in terms])
@@ -350,13 +350,12 @@ def _metric_by_closed_form(frame: FrameSeries):
     t = frame.count
     scale = PowerProduct()
     # disjoint slots: the product of their tables is the outer product
-    terms = {MultiIndex.zero(2 * m): Fraction(1)}
+    terms = {(0,) * (2 * m): Fraction(1)}
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         scale = scale.times(1 - c * c, -module.weights[i])
         table = _slot_coefficients(module.weights[i], c, D).items()
-        terms = {tuple.__new__(MultiIndex, k[:i] + (b,) + k[i + 1:m + i]
-                               + (g,) + k[m + i + 1:]): a * x
+        terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
                  for k, a in terms.items() for room in (D - sum(k),)
                  for (b, g), x in table if b + g <= room}
     common = TruncSeries._trusted(m, D, terms)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from .algebra import MultiIndex, eval_terms, iter_multiindices, rat
+from .algebra import eval_terms, iter_multiindices, rat, unit
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon
 from .polynomials import Poly
@@ -108,9 +108,9 @@ class IdealSpec:
                 family = MONOMIAL
             elif _vanishing_point(nvars, gens) is not None:
                 family = COORDINATE_VANISHING
-            elif _match_catalogue(nvars, gens) is not None:
+            elif (found := _match_catalogue(nvars, gens)) is not None:
                 family = CATALOGUED
-                name = name or _match_catalogue(nvars, gens)
+                name = name or found
             else:
                 family = GENERAL
         if family not in (MONOMIAL, COORDINATE_VANISHING, CATALOGUED, GENERAL):
@@ -136,7 +136,7 @@ class IdealSpec:
             raise DomainError("need between 1 and nvars coordinate powers")
         if any(p < 1 for p in powers):
             raise DomainError("coordinate powers must be >= 1")
-        gens = tuple(Poly.monomial(nvars, MultiIndex.unit(nvars, k, p))
+        gens = tuple(Poly.monomial(nvars, unit(nvars, k, p))
                      for k, p in enumerate(powers))
         return IdealSpec(nvars, gens, MONOMIAL)
 
@@ -156,8 +156,8 @@ def _vanishing_point(nvars, gens):
     point = [None] * nvars
     for g in gens:
         # must be z_i - a_i: one linear term with coefficient 1 plus a constant
-        linear = [(k, v) for k, v in g.coeffs.items() if k.degree == 1]
-        consts = [v for k, v in g.coeffs.items() if k.degree == 0]
+        linear = [(k, v) for k, v in g.coeffs.items() if sum(k) == 1]
+        consts = [v for k, v in g.coeffs.items() if sum(k) == 0]
         if len(linear) != 1 or len(g.coeffs) - len(consts) != 1:
             return None
         k, v = linear[0]
@@ -304,27 +304,24 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
     xs = [Poly.variable(m, i) + w[i] for i in range(m)]
-    # the terms of each q_j keyed by plain tuples, which compare in C (a
-    # MultiIndex comparison sums degrees in Python; any column order gives
-    # the same ranks)
     centred = []
     for g in ideal.generators:
         # Poly.zero(m) + keeps a constant generator a Poly
         q = Poly.zero(m) + eval_terms(g.coeffs, xs)
-        centred.append((g.degree, [(tuple(k), v) for k, v in q.coeffs.items()]))
+        centred.append((g.degree, q.coeffs))
 
     jp_span = RowEchelon()
     dims = []
     stabilized_at = None
     for N in range(dmax, max_degree + 1):
         # the multiples with |beta| >= 1 new at degree N
-        for dg, terms in centred:
+        for dg, q in centred:
             low = N - dg if N > dmax else 1
             for beta in iter_multiindices(m, N - dg, low):
-                jp_span.add({tuple(map(add, e, beta)): c for e, c in terms})
+                jp_span.add({tuple(map(add, e, beta)): c for e, c in q.items()})
         # d_N = rank(J'_N + span q_j) - rank J'_N, whatever the row order
         probe = RowEchelon(jp_span.rows)
-        dims.append((N, sum(probe.add(dict(terms)) for _, terms in centred)))
+        dims.append((N, sum(probe.add(q) for _, q in centred)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MultiIndex, pochhammer, rat
+from .algebra import pochhammer, rat, unit
 from .errors import DomainError
 from .frames import coordinate_power_data
 from .ideals import IdealSpec
@@ -174,7 +174,7 @@ def _curvature_battery(module: WeightedPolydiscModule, data):
     m = module.dim
     # the frame builder's checks on the generators, and its variable order
     data = coordinate_power_data(IdealSpec.monomial(
-        m, [MultiIndex.unit(m, v, p) for v, p in data]))
+        m, [unit(m, v, p) for v, p in data]))
     weights = module.weights
     gen_vars = {v for v, _ in data}
     free = [i for i in range(m) if i not in gen_vars]

@@ -31,20 +31,16 @@ def _as_matrix(A):
     return M
 
 
-def _cleared_int_rows(M):
-    """Scale each row to integers; return (int rows, row multipliers)."""
-    rows, mults = [], []
-    for row in M:
-        mult = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (mult // x.denominator) for x in row])
-        mults.append(mult)
-    return rows, mults
-
-
 def _common_denominator(vec):
     """(integer vector, d) with vec = integer vector / d."""
     d = lcm(*(x.denominator for x in vec))
     return [x.numerator * (d // x.denominator) for x in vec], d
+
+
+def _cleared_int_rows(M):
+    """Scale each row to integers; return (int rows, row multipliers)."""
+    cleared = [_common_denominator(row) for row in M]
+    return [r for r, _ in cleared], [d for _, d in cleared]
 
 
 def mat_det(A) -> Fraction:

@@ -6,15 +6,16 @@ coefficients, plus a small parser for the textual syntax used in config files
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
-from .algebra import (MultiIndex, add_terms, clean_terms, eval_terms,
-                      format_terms, mul_terms, rat)
+from .algebra import (add_terms, clean_terms, eval_terms, exponent,
+                      format_terms, mul_terms, rat, unit)
 from .errors import DomainError, InputError, ShapeError
 
 
 class Poly:
-    """Sparse polynomial: MultiIndex (length nvars) -> nonzero Fraction."""
+    """Sparse polynomial: exponent tuple (length nvars) -> nonzero Fraction."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -26,7 +27,7 @@ class Poly:
 
     @classmethod
     def _trusted(cls, nvars: int, coeffs: dict) -> "Poly":
-        """A polynomial over a term map that is already clean (MultiIndex
+        """A polynomial over a term map that is already clean (exponent
         keys of length nvars, nonzero Fraction values), as the term
         arithmetic builds it from clean operands; nothing is checked."""
         p = object.__new__(cls)
@@ -41,16 +42,16 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
-        return Poly(nvars, {MultiIndex.zero(nvars): c})
+        return Poly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def monomial(nvars: int, exps, c=1) -> "Poly":
-        return Poly(nvars, {MultiIndex(exps): c})
+        return Poly(nvars, {tuple(exps): c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         """z_{i+1} as a polynomial (i is 0-based)."""
-        return Poly(nvars, {MultiIndex.unit(nvars, i): 1})
+        return Poly(nvars, {unit(nvars, i): 1})
 
     # -- queries -------------------------------------------------------------
 
@@ -63,12 +64,12 @@ class Poly:
     @property
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
-        return max((k.degree for k in self.coeffs), default=-1)
+        return max((sum(k) for k in self.coeffs), default=-1)
 
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
 
-    def monomial_exponent(self) -> MultiIndex:
+    def monomial_exponent(self) -> tuple:
         if not self.is_monomial():
             raise DomainError(f"{self} is not a monomial")
         return next(iter(self.coeffs))
@@ -128,9 +129,11 @@ class Poly:
 
     def shift_by_monomial(self, exps) -> "Poly":
         """Multiply by z^exps."""
-        e = MultiIndex(exps)
-        return Poly._trusted(self.nvars,
-                             {k + e: v for k, v in self.coeffs.items()})
+        e = exponent(exps)
+        if len(e) != self.nvars:
+            raise ShapeError("multi-index length mismatch in +")
+        return Poly._trusted(self.nvars, {tuple(map(add, k, e)): v
+                                          for k, v in self.coeffs.items()})
 
     def evaluate(self, point) -> Fraction:
         vals = [rat(x) for x in point]

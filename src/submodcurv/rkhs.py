@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import MultiIndex, iter_multiindices, pochhammer, rat
+from .algebra import exponent, iter_multiindices, pochhammer, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import (COORDINATE_VANISHING, GENERAL, MONOMIAL, CATALOGUED,
                      IdealSpec, vanishing_point)
@@ -82,7 +82,7 @@ class WeightedPolydiscModule:
 
 def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     """Kernel diagonal coefficient c_alpha = prod poch(l_i, a_i) / a_i!."""
-    a = MultiIndex(alpha)
+    a = exponent(alpha)
     if len(a) != module.dim:
         raise ShapeError(f"multi-index arity {len(a)} != dimension {module.dim}")
     out = Fraction(1)
@@ -155,27 +155,16 @@ class Bounded:
     value: Fraction
     bound: Fraction
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Bounded(rat(other), Fraction(0))
-        return Bounded(self.value + other.value, self.bound + other.bound)
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Bounded(rat(other), Fraction(0))
         return Bounded(self.value - other.value, self.bound + other.bound)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Bounded(rat(other), Fraction(0))
         return Bounded(self.value * other.value,
                        abs(self.value) * other.bound
                        + abs(other.value) * self.bound
                        + self.bound * other.bound)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Bounded(rat(other), Fraction(0))
         if abs(other.value) <= other.bound:
             raise DomainError(
                 "division by a bounded quantity whose interval contains zero")
@@ -279,13 +268,13 @@ class DiagonalFilteredKernel:
 
     def __init__(self, module: WeightedPolydiscModule, generator_exponents):
         self.module = module
-        self.generator_exponents = tuple(MultiIndex(e) for e in generator_exponents)
+        self.generator_exponents = tuple(exponent(e) for e in generator_exponents)
         if not self.generator_exponents:
             raise DomainError("need at least one generator exponent")
         for e in self.generator_exponents:
             if len(e) != module.dim:
                 raise ShapeError("generator exponent arity mismatch")
-            if e.degree == 0:
+            if sum(e) == 0:
                 raise DomainError("the unit monomial generates the whole module")
         self.corners = self._corners()
 

@@ -181,7 +181,7 @@ def localization_dim_two_spans(ideal: IdealSpec, point,
                                max_degree: int = 8) -> LocalizationResult:
     """The localization route that ideals.localization_dim replaced: every
     multiple x^beta q_j goes into J_N, those with |beta| >= 1 also into
-    J'_N, two Fraction echelon forms keyed by MultiIndex monomials, and
+    J'_N, two Fraction echelon forms keyed by exponent tuples, and
     d_N = rank J_N - rank J'_N, with the same checks and stopping rule."""
     m = ideal.nvars
     w = [rat(x) for x in point]
@@ -204,7 +204,7 @@ def localization_dim_two_spans(ideal: IdealSpec, point,
             for beta in iter_multiindices(m, N - dg, low):
                 row = q.shift_by_monomial(beta).coeffs
                 j_span.add(row)
-                if beta.degree:
+                if any(beta):
                     jp_span.add(row)
         dims.append((N, len(j_span.rows) - len(jp_span.rows)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:

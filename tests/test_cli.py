@@ -447,6 +447,22 @@ SHARED_CHECKS = [
 ]
 
 
+@pytest.mark.parametrize("config,flags", [
+    (KERNEL_JOB + "trunc_degree = 0\n", ("--trunc-degree", "3")),
+    (KERNEL_JOB + "ideal_degree = 0\n", ("--ideal-degree", "3")),
+    (KERNEL_JOB.replace("points = 0 0", "points = 2 0"), ("--point", "0 0")),
+], ids=["trunc_degree", "ideal_degree", "points"])
+def test_valid_flag_replaces_bad_config_value(tmp_path, capsys, config, flags):
+    # degrees and points are checked once the flags are applied, so the job
+    # runs as if the file had held the flag's value
+    assert main(["kernel", "--config", _write(tmp_path, KERNEL_JOB),
+                 *flags]) == 0
+    expected = capsys.readouterr().out
+    assert main(["kernel", "--config", _write(tmp_path, config), *flags]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
 def test_catalogue_with_family_exit_2(tmp_path, capsys):
     # a catalogue ideal has its own family, so a forced family would be
     # ignored while the report echoed it
@@ -499,7 +515,7 @@ FIRST_ERRORS = [
     ("kernel", KERNEL_JOB.replace("points = 0 0", "points = 2 0\n"
                                   "base_point = 0 3\nideal_degree = 0"), (),
      "ideal_degree must be >= 1 (field 'task.ideal_degree')"),
-    ("kernel", KERNEL_JOB + "trunc_degree = 0\n", ("--trunc-degree", "3"),
+    ("kernel", KERNEL_JOB + "trunc_degree = 0\n", ("--ideal-degree", "3"),
      "trunc_degree must be >= 1 (field 'task.trunc_degree')"),
     ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--ideal-degree", "0"),
      "trunc_degree must be >= 1 (field '--trunc-degree')"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, invariants
-from submodcurv.algebra import (MultiIndex, SeriesMatrix, TruncSeries,
-                                mixed_hessian)
+from submodcurv.algebra import (SeriesMatrix, TruncSeries, mixed_hessian,
+                                unit)
 from submodcurv.curvature import (JET_DEGREE, PrincipalCurvaturePair,
                                   curvature_matrix, curvature_tensor,
                                   det_bundle_curvature, gauge_conjugate,
@@ -169,7 +169,7 @@ def _reference_pair(module, p, gen_var=0, degree=JET_DEGREE):
     """The metric route to the principal pair: the Grammian of the frame of
     <z_v^p> at the origin, then the mixed Hessians of its one entry and of
     that entry's log in the free direction."""
-    ideal = IdealSpec.monomial(2, [MultiIndex.unit(2, gen_var, p)])
+    ideal = IdealSpec.monomial(2, [unit(2, gen_var, p)])
     frame = frame_on_zero_set(module, ideal, (F(0), F(0)), degree)
     h = grammian(frame).matrix[0, 0]
     free = 1 - gen_var
@@ -185,7 +185,7 @@ def _reference_battery(module, data, degree=JET_DEGREE):
     origin = (F(0),) * m
 
     def metric(shift=None):
-        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p + (k == shift))
+        ideal = IdealSpec.monomial(m, [unit(m, v, p + (k == shift))
                                        for k, (v, p) in enumerate(data)])
         return grammian(frame_on_zero_set(module, ideal, origin, degree))
 
@@ -287,7 +287,7 @@ def test_zero_set_tensor_matches_metric_route(case):
     weights, data, base = case
     m = len(weights)
     module = WeightedPolydiscModule(m, weights)
-    ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p) for v, p in data])
+    ideal = IdealSpec.monomial(m, [unit(m, v, p) for v, p in data])
     frame = frame_on_zero_set(module, ideal, base, JET_DEGREE)
     assert curvature_tensor(frame) == _metric_route(frame)
 
@@ -392,7 +392,7 @@ def _curvature_of(weights, gens, base):
     if gens is None:
         frame = decompose_coordinate_ideal(mod, JET_DEGREE)
     else:
-        ideal = IdealSpec.monomial(m, [MultiIndex.unit(m, v, p)
+        ideal = IdealSpec.monomial(m, [unit(m, v, p)
                                        for v, p in gens])
         frame = frame_on_zero_set(mod, ideal, base, JET_DEGREE)
     H = grammian(frame)

@@ -3,9 +3,15 @@ the package may write a float or complex literal or call float() or
 complex().  The floating-point oracles live in tests/oracles.py.  The one
 float in the package is the kernel task's remainder-bound diagnostic,
 which is reported next to an exact value, never in place of one.
+
+The package holds only what runs: a public name that nothing outside the
+tests reaches is a test helper, and the recorded ones may not grow.
 """
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import submodcurv
@@ -13,6 +19,7 @@ import submodcurv
 PACKAGE = Path(submodcurv.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ALLOWED = {("cli.py", "float(bounded.bound)")}
+ROOT = PACKAGE.parents[1]
 
 
 def _floats(tree):
@@ -32,3 +39,56 @@ def test_package_has_no_float_literals_or_conversions():
              for path in MODULES
              for node in _floats(ast.parse(path.read_text()))}
     assert found == ALLOWED
+
+
+# Public names reached only from the tests.  The gauge law and the
+# minimality certificate are kept as API; the rest wait for a decision to
+# keep them or move them to tests/oracles.py.
+TEST_ONLY_NAMES = {
+    "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
+    "line_curvature", "minimality_certificate", "monomial_norm_sq",
+    "poly_inner", "IdealSpec.coordinate_powers",
+    "MinimalityCertificate.minimal", "TruncSeries.conj",
+    "WeightedPolydiscModule.hardy",
+}
+# a span or counter name such as "algebra.TruncSeries.__mul__"
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _public_names():
+    """name -> the identifier that reaches it: every name of __all__, and
+    "Class.attr" for each public attribute of a package class."""
+    names = {name: name for name in submodcurv.__all__}
+    for path in MODULES:
+        module = importlib.import_module(f"submodcurv.{path.stem}")
+        for cname, cls in vars(module).items():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                names.update((f"{cname}.{attr}", attr) for attr in vars(cls)
+                             if not attr.startswith("_"))
+    return names
+
+
+def _referenced(paths):
+    """Identifiers read as a name or an attribute, or named by a dotted
+    string (the benchmark tracer binds its spans that way)."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and \
+                    _DOTTED.fullmatch(node.value):
+                found.update(node.value.split("."))
+    return found
+
+
+def test_test_only_public_names_do_not_grow():
+    reached = _referenced(path for tree in ("src", "scripts", "perfbench")
+                          for path in (ROOT / tree).rglob("*.py"))
+    assert reached >= {"cubic_positive_roots", "series_log", "shift_by_monomial"}
+    test_only = {name for name, ident in _public_names().items()
+                 if ident not in reached}
+    assert test_only <= TEST_ONLY_NAMES

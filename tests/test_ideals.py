@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submodcurv.cli as cli
-from submodcurv.algebra import MultiIndex, iter_multiindices
+from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import (CoordinateSubspace, IdealSpec, PointSet,
                                localization_dim, minimality_certificate,
@@ -162,10 +162,10 @@ def _dense_dims_by_degree(ideal, point, max_degree):
             for beta in iter_multiindices(m, max(N - g.degree, 0)):
                 f = g.shift_by_monomial(beta)
                 j_rows.append(row(f))
-                if beta.degree + g.degree <= N - 1:
+                if sum(beta) + g.degree <= N - 1:
                     for i in range(m):
                         jp_rows.append(row(
-                            f.shift_by_monomial(MultiIndex.unit(m, i))
+                            f.shift_by_monomial(unit(m, i))
                             - f * w[i]))
         return ((mat_rank(j_rows) if j_rows else 0)
                 - (mat_rank(jp_rows) if jp_rows else 0))
