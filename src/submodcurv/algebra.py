@@ -58,8 +58,13 @@ def pochhammer(a: Fraction, n: int) -> Fraction:
 def exponent(exps) -> tuple:
     """exps as a tuple of non-negative ints: the one check an exponent gets
     where it enters from outside the term arithmetic, whose sums, slices
-    and swaps of checked tuples stay valid."""
-    t = tuple(int(e) for e in exps)
+    and swaps of checked tuples stay valid.  Only integers pass: a
+    Fraction, float or str exponent is rejected, never truncated."""
+    exps = tuple(exps)
+    try:
+        t = tuple(map(operator.index, exps))
+    except TypeError:
+        raise DomainError(f"non-integer exponent in multi-index {exps!r}")
     if any(e < 0 for e in t):
         raise DomainError(f"negative exponent in multi-index {t}")
     return t

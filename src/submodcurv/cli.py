@@ -143,8 +143,10 @@ FLAG_LABELS = {"output": "--output", "trunc_degree": "--trunc-degree",
 
 
 def _check_fields(fields: dict, labels: dict):
-    """The checks a degree or a point gets whether it comes from the config
-    file or from a flag; labels maps each field to its name in messages."""
+    """The checks a field gets whether it comes from the config file or
+    from a flag; labels maps each field to its name in messages."""
+    if fields.get("output", "text") not in ("text", "json"):
+        raise InputError("output must be text or json", field=labels["output"])
     for key in ("trunc_degree", "ideal_degree"):
         if fields.get(key, 1) < 1:
             raise InputError(f"{key} must be >= 1", field=labels[key])
@@ -158,19 +160,32 @@ def _check_fields(fields: dict, labels: dict):
                     "the open polydisc", field=labels[key])
 
 
+@functools.cache
+def _config_reader() -> configparser.ConfigParser:
+    """The config reader, built on the first parse_config call and reused
+    by every later one: building one costs more than a job's read."""
+    # ';' separates points, so only '#' opens an inline comment; a line
+    # that starts with ';' is still a comment.  Values are read verbatim:
+    # with interpolation a '%' would raise while the value is read
+    return configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                     interpolation=None)
+
+
 def parse_config(text: str, args=None) -> JobConfig:
     """Parse sectioned key=value config source into a JobConfig; args, the
     parsed command line, overrides the task and the fields its flags set.
 
     All validation failures raise InputError carrying the field (and line
-    when the underlying reader reports one).  The degrees and points are
-    checked after the overrides, each under the key or flag it came from.
+    when the underlying reader reports one).  The output, degrees and
+    points are checked after the overrides, each under its key or flag.
+    Every call empties and reuses the process's one config reader, so
+    calls must not run in concurrent threads.
     """
-    # ';' separates points, so only '#' opens an inline comment; a line
-    # that starts with ';' is still a comment.  Values are read verbatim:
-    # with interpolation a '%' would raise while the value is read
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
+    cp = _config_reader()
+    # clear() keeps [DEFAULT]; emptying first also drops what a read that
+    # raised part-way left behind
+    cp.clear()
+    cp.defaults().clear()
     try:
         cp.read_string(text)
     except configparser.ParsingError as e:
@@ -186,7 +201,9 @@ def parse_config(text: str, args=None) -> JobConfig:
 
     fields = {}
     for section, parsers in SCHEMA.items():
-        sec = cp[section] if section in cp else {}
+        # each section read once: its own keys first, then [DEFAULT]'s
+        vals = dict(cp.items(section)) if cp.has_section(section) else {}
+        sec = {k: vals[k] for k in cp.options(section)} if vals else {}
         for key in sec:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",
@@ -212,8 +229,6 @@ def parse_config(text: str, args=None) -> JobConfig:
     if task not in TASKS:
         raise InputError(f"unknown task {task!r}; choose from "
                          f"{', '.join(TASKS)}", field="task.name")
-    if fields.get("output", "text") not in ("text", "json"):
-        raise InputError("output must be text or json", field="task.output")
     labels = {key: f"task.{key}" for key in SCHEMA["task"]}
     if args is not None:
         task = args.task

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Optional
 
-from .algebra import eval_terms, iter_multiindices, rat, unit
+from .algebra import iter_multiindices, rat, unit
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon
 from .polynomials import Poly
@@ -268,6 +269,23 @@ def minimality_certificate(ideal: IdealSpec) -> MinimalityCertificate:
 # Localization dimension
 
 
+def _centre(coeffs: dict, w) -> dict:
+    """The term map of p(w + x) for the term map coeffs of p: each term
+    c z^a expands slot by slot as c prod_i sum_k C(a_i, k) w_i^(a_i-k) x_i^k."""
+    out = {}
+    for a, c in coeffs.items():
+        terms = {(): c}
+        for ai, wi in zip(a, w):
+            # a zero w_i leaves only k = a_i
+            ks = range(ai + 1) if wi else (ai,)
+            factors = [(k, comb(ai, k) * wi ** (ai - k)) for k in ks]
+            terms = {e + (k,): v * f for e, v in terms.items()
+                     for k, f in factors}
+        for e, v in terms.items():
+            out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
 @dataclass(frozen=True)
 class LocalizationResult:
     dim: int
@@ -303,12 +321,7 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
-    xs = [Poly.variable(m, i) + w[i] for i in range(m)]
-    centred = []
-    for g in ideal.generators:
-        # Poly.zero(m) + keeps a constant generator a Poly
-        q = Poly.zero(m) + eval_terms(g.coeffs, xs)
-        centred.append((g.degree, q.coeffs))
+    centred = [(g.degree, _centre(g.coeffs, w)) for g in ideal.generators]
 
     jp_span = RowEchelon()
     dims = []

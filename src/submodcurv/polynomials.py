@@ -122,8 +122,8 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(n):
+        out = self if n else Poly.constant(self.nvars, 1)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -211,14 +211,13 @@ class _Tokenizer:
 def parse_poly(text: str, nvars: int) -> Poly:
     """Parse polynomial source into a Poly over z1..z{nvars}."""
     tk = _Tokenizer(text, nvars)
+    zero = (0,) * nvars
 
     def parse_expr() -> Poly:
-        sign = 1
         c = tk.peek()
         if c in "+-":
             tk.pos += 1
-            sign = -1 if c == "-" else 1
-        out = parse_term() * sign
+        out = -parse_term() if c == "-" else parse_term()
         while True:
             c = tk.peek()
             if c == "+":
@@ -265,7 +264,8 @@ def parse_poly(text: str, nvars: int) -> Poly:
             tk.pos += 1
             return inner
         if c.isdigit():
-            return Poly.constant(nvars, tk.take_number())
+            value = tk.take_number()
+            return Poly._trusted(nvars, {zero: value} if value else {})
         if c == "z":
             tk.pos += 1
             start = tk.pos
@@ -278,7 +278,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
                 raise InputError(
                     f"variable z{idx} out of range for {nvars} variables",
                     column=start)
-            return Poly.variable(nvars, idx - 1)
+            return Poly._trusted(nvars, {unit(nvars, idx - 1): Fraction(1)})
         if c == "":
             raise tk.error("unexpected end of input")
         raise tk.error(f"unexpected character {c!r}")

@@ -12,7 +12,10 @@ Horner expansion of a recentered inverse power are the references for the
 library's share-sum residual and coefficient-table metric.  The routes the
 integer fast paths replaced stay here as their references: the localization
 dimension by two Fraction echelon forms, and the cubic's positive roots by
-a squarefree part, a Sturm chain and chain-count bisection.
+a squarefree part, a Sturm chain and chain-count bisection.  So do the
+input routes that term maps replaced: the polynomial parse by Poly
+arithmetic from the constant 1, and the centring of a generator by
+evaluating it at the polynomials z_i + w_i.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from typing import Callable
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                                 eval_terms, iter_multiindices, pochhammer,
                                 rat)
-from submodcurv.errors import DomainError, ShapeError
+from submodcurv.errors import DomainError, InputError, ShapeError
 from submodcurv.frames import FrameSeries, coordinate_power_data
 from submodcurv.ideals import GENERAL, IdealSpec, LocalizationResult
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
 from submodcurv.linalg import leading_principal_minors
-from submodcurv.polynomials import Poly
+from submodcurv.polynomials import Poly, _Tokenizer
 from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff
 
 
@@ -150,6 +153,103 @@ def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:
 # Replaced exact routes: the references for the integer fast paths
 
 
+def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:
+    """The parse that polynomials.parse_poly replaced, on the same grammar
+    and tokenizer: every atom is built through Poly.constant or
+    Poly.variable, a leading sign multiplies the first term by -1 or 1,
+    and a power multiplies up from the constant 1."""
+    tk = _Tokenizer(text, nvars)
+
+    def power(base: Poly, n: int) -> Poly:
+        out = Poly.constant(nvars, 1)
+        for _ in range(n):
+            out = out * base
+        return out
+
+    def parse_expr() -> Poly:
+        sign = 1
+        c = tk.peek()
+        if c in "+-":
+            tk.pos += 1
+            sign = -1 if c == "-" else 1
+        out = parse_term() * sign
+        while True:
+            c = tk.peek()
+            if c == "+":
+                tk.pos += 1
+                out = out + parse_term()
+            elif c == "-":
+                tk.pos += 1
+                out = out - parse_term()
+            else:
+                return out
+
+    def parse_term() -> Poly:
+        out = parse_factor()
+        while True:
+            c = tk.peek()
+            if c == "*":
+                tk.pos += 1
+                out = out * parse_factor()
+            elif c.isdigit() or c == "z" or c == "(":
+                out = out * parse_factor()
+            else:
+                return out
+
+    def parse_factor() -> Poly:
+        base = parse_atom()
+        c = tk.peek()
+        if c == "^":
+            tk.pos += 1
+            return power(base, tk.take_int())
+        if c == "*" and tk.text[tk.pos:tk.pos + 2] == "**":
+            tk.pos += 2
+            return power(base, tk.take_int())
+        return base
+
+    def parse_atom() -> Poly:
+        c = tk.peek()
+        if c == "(":
+            tk.pos += 1
+            inner = parse_expr()
+            if tk.peek() != ")":
+                raise tk.error("expected ')'")
+            tk.pos += 1
+            return inner
+        if c.isdigit():
+            return Poly.constant(nvars, tk.take_number())
+        if c == "z":
+            tk.pos += 1
+            start = tk.pos
+            while tk.pos < len(tk.text) and tk.text[tk.pos].isdigit():
+                tk.pos += 1
+            if start == tk.pos:
+                raise tk.error("expected a variable index after 'z'")
+            idx = int(tk.text[start:tk.pos])
+            if not 1 <= idx <= nvars:
+                raise InputError(
+                    f"variable z{idx} out of range for {nvars} variables",
+                    column=start)
+            return Poly.variable(nvars, idx - 1)
+        if c == "":
+            raise tk.error("unexpected end of input")
+        raise tk.error(f"unexpected character {c!r}")
+
+    result = parse_expr()
+    if tk.peek() != "":
+        raise tk.error(f"trailing input {tk.text[tk.pos:]!r}")
+    return result
+
+
+def centre_by_eval_terms(g: Poly, point) -> Poly:
+    """The centring that ideals.localization_dim replaced: g(w + x), by
+    evaluating g's terms at the polynomials x_i + w_i with Poly products
+    (Poly.zero + keeps a constant generator a Poly)."""
+    m = g.nvars
+    xs = [Poly.variable(m, i) + rat(w) for i, w in enumerate(point)]
+    return Poly.zero(m) + eval_terms(g.coeffs, xs)
+
+
 class FractionRowEchelon:
     """The Fraction echelon form that linalg.RowEchelon replaced: every kept
     row is scaled so that its smallest column holds 1, and a new row is
@@ -192,8 +292,7 @@ def localization_dim_two_spans(ideal: IdealSpec, point,
     if max_degree < dmax + 1:
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
-    xs = [Poly.variable(m, i) + w[i] for i in range(m)]
-    centred = [(g.degree, Poly.zero(m) + eval_terms(g.coeffs, xs))
+    centred = [(g.degree, centre_by_eval_terms(g, w))
                for g in ideal.generators]
     j_span, jp_span = FractionRowEchelon(), FractionRowEchelon()
     dims = []

@@ -72,8 +72,19 @@ def test_exponent_entries_reject_bad_exponents(entry):
     build, width_message = EXPONENT_ENTRIES[entry]
     for exps, error, message in [
             ((-1, 0), DomainError, "negative exponent in multi-index (-1, 0)"),
-            (("x", 0), ValueError, "invalid literal for int() with base 10"),
-            ((None, 1), TypeError, "int() argument must be"),
+            # an exponent that is not an int is rejected, not truncated
+            ((F(1, 2), 0), DomainError,
+             "non-integer exponent in multi-index (Fraction(1, 2), 0)"),
+            ((F(2), 0), DomainError,
+             "non-integer exponent in multi-index (Fraction(2, 1), 0)"),
+            ((1.7, 0), DomainError,
+             "non-integer exponent in multi-index (1.7, 0)"),
+            (("x", 0), DomainError,
+             "non-integer exponent in multi-index ('x', 0)"),
+            (("1", 0), DomainError,
+             "non-integer exponent in multi-index ('1', 0)"),
+            ((None, 1), DomainError,
+             "non-integer exponent in multi-index (None, 1)"),
             ((1, 0, 0), ShapeError, width_message)]:
         with pytest.raises(error, match=re.escape(message)):
             build(exps)

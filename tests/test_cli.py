@@ -451,10 +451,11 @@ SHARED_CHECKS = [
     (KERNEL_JOB + "trunc_degree = 0\n", ("--trunc-degree", "3")),
     (KERNEL_JOB + "ideal_degree = 0\n", ("--ideal-degree", "3")),
     (KERNEL_JOB.replace("points = 0 0", "points = 2 0"), ("--point", "0 0")),
-], ids=["trunc_degree", "ideal_degree", "points"])
+    (KERNEL_JOB + "output = yaml\n", ("--output", "json")),
+], ids=["trunc_degree", "ideal_degree", "points", "output"])
 def test_valid_flag_replaces_bad_config_value(tmp_path, capsys, config, flags):
-    # degrees and points are checked once the flags are applied, so the job
-    # runs as if the file had held the flag's value
+    # the output, degrees and points are checked once the flags are
+    # applied, so the job runs as if the file had held the flag's value
     assert main(["kernel", "--config", _write(tmp_path, KERNEL_JOB),
                  *flags]) == 0
     expected = capsys.readouterr().out
@@ -476,8 +477,8 @@ def test_catalogue_with_family_exit_2(tmp_path, capsys):
 MODULE_2 = "[module]\ndimension = 2\nweights = 1 1\n\n"
 
 # Inputs with two or more faults and the one error reported.  Flags are all
-# parsed before any is checked, as config keys are, so in the last two cases
-# the --point error comes before the degree error.
+# parsed before any is checked, as config keys are, so in the last three
+# cases the --point error comes before the output or degree error.
 FIRST_ERRORS = [
     ("kernel", "[module]\ndimension = 0\nweights = 1 -1\n\n"
      "[task]\nname = kernel\n", (),
@@ -522,6 +523,9 @@ FIRST_ERRORS = [
     ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--point", "2 0"),
      "trunc_degree must be >= 1 (field '--trunc-degree')"),
     ("kernel", KERNEL_JOB, ("--trunc-degree", "0", "--point", "x"),
+     "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
+     "(field '--point')"),
+    ("kernel", KERNEL_JOB + "output = yaml\n", ("--point", "x"),
      "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
      "(field '--point')"),
     ("curvature", KERNEL_JOB, ("--ideal-degree", "0", "--point", "0 0"),
@@ -657,3 +661,58 @@ def test_usage_wraps_to_columns_at_error_time(tmp_path, capsys, monkeypatch):
              for c, err in errors.items()}
     assert usage["200"].count("\n") == 0
     assert usage["80"].count("\n") < usage["40"].count("\n")
+
+
+# parse_config reuses one config reader per process: nothing one config
+# leaves in it may reach the next.
+DEFAULTS_JOB = "[DEFAULT]\nalpha = 2\n\n[task]\nname = cubic\n"
+DUPLICATE_JOB = ("[task]\nname = cubic\n\n[module]\ndimension = 2\n\n"
+                 "[task]\nalpha = 1\n")
+
+
+@pytest.fixture
+def fresh_reader():
+    """The parse of BASE by a newly built reader."""
+    cli._config_reader.cache_clear()
+    yield parse_config(BASE)
+    cli._config_reader.cache_clear()
+
+
+def test_reader_forgets_defaults(fresh_reader):
+    assert parse_config(DEFAULTS_JOB).alpha == 2
+    # a kept [DEFAULT] alpha would be an unknown key in [module]
+    assert parse_config(BASE) == fresh_reader
+
+
+def test_reader_forgets_a_read_that_raised(fresh_reader):
+    with pytest.raises(InputError, match="config syntax: .*'task' already "
+                       "exists"):
+        parse_config(DUPLICATE_JOB)
+    # a kept [module] would merge with BASE's
+    assert parse_config(BASE) == fresh_reader
+    assert parse_config("[task]\nname = cubic\nalpha = 1\n").alpha == 1
+
+
+def test_section_keys_come_before_default_keys():
+    with pytest.raises(InputError) as exc:
+        parse_config("[DEFAULT]\nfoo = 1\n\n[module]\nbar = 2\n")
+    assert str(exc.value) == "unknown key 'bar' in [module] (field 'bar')"
+
+
+def test_main_builds_one_config_reader(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class Counting(cli.configparser.ConfigParser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.configparser, "ConfigParser", Counting)
+    cli._config_reader.cache_clear()
+    try:
+        path = _write(tmp_path, BASE)
+        assert main(["curvature", "--config", path]) == 0
+        assert main(["metric", "--config", path]) == 0
+    finally:
+        cli._config_reader.cache_clear()
+    assert len(built) <= 1
