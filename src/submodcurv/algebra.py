@@ -171,14 +171,14 @@ def format_terms(coeffs: dict, names) -> str:
         return "0"
     parts = []
     for k in sorted(coeffs, key=lambda k: (sum(k), k)):
-        v = coeffs[k]
+        v = str(coeffs[k])
         factors = "*".join(name if e == 1 else f"{name}^{e}"
                            for name, e in zip(names, k) if e)
         if not factors:
-            parts.append(str(v))
-        elif v == 1:
+            parts.append(v)
+        elif v == "1":
             parts.append(factors)
-        elif v == -1:
+        elif v == "-1":
             parts.append("-" + factors)
         else:
             parts.append(f"{v}*" + factors)

@@ -39,7 +39,8 @@ from itertools import product as iter_product
 from .algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                       iter_multiindices, mixed_hessian, pochhammer, rat, unit)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
-from .frames import COORDINATE_KIND, FrameSeries, MetricSeries
+from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
+                     share_generators, share_numerators)
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
 from .rkhs import WeightedPolydiscModule, diag_coeff_slots
@@ -48,6 +49,8 @@ CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
               "det-bundle curvature = mixed Hessian of log det H "
               "(= blockwise trace of the curvature matrix)")
+
+_ZERO = Fraction(0)
 
 # Every curvature value reads only the terms of degree <= 2 of a metric, so
 # frames built only for curvature are truncated here.
@@ -101,9 +104,15 @@ class CurvatureTensor:
         return self.blocks[i][j]
 
     def trace_matrix(self):
-        return tuple(tuple(sum((block[k][k] for k in range(self.size)),
-                               Fraction(0)) for block in row)
+        """Blockwise traces.  Only the nonzero diagonal entries are summed,
+        and a zero trace is Fraction(0), as every entry is a Fraction."""
+        return tuple(tuple(_trace(block) for block in row)
                      for row in self.blocks)
+
+
+def _trace(block) -> Fraction:
+    diagonal = [row[k] for k, row in enumerate(block) if row[k]]
+    return sum(diagonal[1:], diagonal[0]) if diagonal else _ZERO
 
 
 def _unscaled_matrix(metric: MetricSeries) -> SeriesMatrix:
@@ -192,7 +201,10 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
     Coordinate frame (at the origin): H0 is diag(l_i), H_i and H_{jbar}
     vanish, and the w_k wbar_q coefficient of H_ij is s_i(a) s_j(a) c_a
     with a = e_i + e_k = e_j + e_q, so block (k, q) has entry (i, j)
-    s_i(a) s_j(a) c_a / l_i, and 0 when no such a exists.
+    s_i(a) s_j(a) c_a / l_i, and 0 when no such a exists.  The shares are
+    the Grammian's integer numerators x_i over one denominator
+    (frames.share_numerators), l_i = L_i / scale and c_a = num/den, so each
+    entry is one reduced Fraction(num x_i x_j scale, den denom^2 L_i).
 
     Zero-variety frame at base c: H is diagonal with every entry a positive
     constant times prod_free (1 - |w_i|^2)^(-l_i), so block (k, k) is
@@ -204,20 +216,26 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
     m = module.dim
     t = frame.count
     weights = module.weights
-    blocks = [[[[Fraction(0)] * t for _ in range(t)] for _ in range(m)]
+    blocks = [[[[_ZERO] * t for _ in range(t)] for _ in range(m)]
               for _ in range(m)]
     if frame.kind == COORDINATE_KIND:
+        gens, scale = share_generators(frame)
         slots = diag_coeff_slots(module, 2)
+        nums = [[c.numerator for c in row] for row in slots]
+        dens = [[c.denominator for c in row] for row in slots]
         for a in iter_multiindices(m, 2, 2):
-            support = [k for k in range(m) if a[k]]
-            denom = sum(weights[k] * a[k] for k in support)
-            c = math.prod(slots[k][a[k]] for k in support)
-            # (i, k): a = e_i + e_k, with the share of generator i
-            pairs = [(i, next(k for k in support if a[k] - (k == i)),
-                      weights[i] * a[i] / denom) for i in support]
-            for i, k, si in pairs:
-                for j, q, sj in pairs:
-                    blocks[k][q][i][j] = si * sj * c / weights[i]
+            parts, denom = share_numerators(gens, a)
+            num = math.prod(nums[v][a[v]] for _, v, _, _ in parts) * scale
+            den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) \
+                * denom * denom
+            # (i, k, x_i): a = e_i + e_k, x_i the share numerator of
+            # generator i
+            pairs = [(i, next(k for k in range(m) if a[k] - (k == v)), x)
+                     for i, v, _, x in parts]
+            for i, k, xi in pairs:
+                ni, di = num * xi, den * gens[i][3]
+                for j, q, xj in pairs:
+                    blocks[k][q][i][j] = Fraction(ni * xj, di)
     else:
         for k in frame.free_slots:
             c = frame.base_point[k]

@@ -21,7 +21,8 @@ A frame is its spec; its vectors, maps from z-exponents to truncated series
 in the displacement (u, ubar) from the base point, are built on first read,
 which only the tests and the benchmark's tracer do.  The Grammian and the
 reconstruction check read the spec alone.  The coordinate-neighborhood
-Grammian sums the kernel terms s_i(a) s_j(a) c_a; a zero-variety Grammian
+Grammian sums the kernel terms s_i(a) s_j(a) c_a, with the shares in
+integers (share_numerators); a zero-variety Grammian
 is the outer product of one finite coefficient table per free slot, with a
 positive base-point constant that may be irrational (fractional powers)
 carried symbolically, since it never influences curvature.  The base point
@@ -145,25 +146,36 @@ def _recentered_monomials(frame) -> dict:
     return table
 
 
-def _generators(frame) -> tuple:
-    """(k, v, p, l_v) per generator z_v^p, l as integers of the same ratios."""
+def share_generators(frame):
+    """(gens, scale): gens holds (k, v, p, L_v) per generator z_v^p, where
+    scale is the lcm of the weights' denominators and L = scale * weights,
+    the weights as integers of the same ratios."""
     weights = frame.module.weights
     scale = math.lcm(*(w.denominator for w in weights))
-    return tuple((k, v, p, int(weights[v] * scale)) for k, (v, p)
-                 in enumerate(zip(frame.gen_vars, frame.gen_powers)))
+    L = [w.numerator * (scale // w.denominator) for w in weights]
+    return tuple((k, v, p, L[v]) for k, (v, p)
+                 in enumerate(zip(frame.gen_vars, frame.gen_powers))), scale
+
+
+def share_numerators(gens, alpha):
+    """The splitting rule in integers: (parts, denom), parts holding
+    (k, v, p, x_k) for each of share_generators' gens dividing z^alpha, with
+    x_k = L_v alpha_v and denom = sum x_k, so that s_k(alpha) = x_k / denom."""
+    parts = [(k, v, p, w * alpha[v]) for k, v, p, w in gens if alpha[v] >= p]
+    return parts, sum(x for *_, x in parts)
 
 
 def _splitting_shares(gens, alpha) -> list:
-    """(k, v, p, s_k(alpha)) for each of the _generators dividing z^alpha."""
-    parts = [(k, v, p, w * alpha[v]) for k, v, p, w in gens if alpha[v] >= p]
-    denom = sum(x for *_, x in parts)
+    """(k, v, p, s_k(alpha)) for each of share_generators' gens dividing
+    z^alpha."""
+    parts, denom = share_numerators(gens, alpha)
     return [(k, v, p, Fraction(x, denom)) for k, v, p, x in parts]
 
 
 def _build_splitting_frame(frame):
     """F^k[alpha] = s_k(alpha) c_alpha P(alpha - p_k e_{v_k}) for every
     kernel term alpha that generator k divides."""
-    gens = _generators(frame)
+    gens, _ = share_generators(frame)
     monomials = frame.recentered_monomials
     slots = diag_coeff_slots(frame.module, frame.trunc + max(frame.gen_powers))
     vectors = [dict() for _ in gens]
@@ -286,28 +298,32 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
     """Grammian of a coordinate-neighborhood frame, summed over the kernel
     terms: each c_a with a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at
     w^(a - e_i) wbar^(a - e_j) of H_ij.  That term has degree 2|a| - 2, so
-    |a| <= D//2 + 1 reaches the truncation degree D."""
-    module = frame.module
-    m = module.dim
-    weights = module.weights
+    1 <= |a| <= D//2 + 1 reaches the truncation degree D.  The shares are
+    integer numerators x_k over one denominator (share_numerators), and
+    c_a = num/den with num and den the products of the diag_coeff_slots
+    numerators and denominators, so each term is one reduced
+    Fraction(num x_i x_j, den denom^2)."""
+    m = frame.module.dim
+    gens, _ = share_generators(frame)
     terms = [[{} for _ in range(m)] for _ in range(m)]
     top = frame.trunc // 2 + 1
-    slots = diag_coeff_slots(module, top)
-    for a in iter_multiindices(m, top):
-        support = [k for k in range(m) if a[k]]
-        denom = sum(weights[k] * a[k] for k in support)
-        c = math.prod(slots[k][a[k]] for k in support)
-        shares = {k: weights[k] * a[k] / denom for k in support}
-        downs = {k: tuple(e - (q == k) for q, e in enumerate(a))
-                 for k in support}
+    slots = diag_coeff_slots(frame.module, top)
+    nums = [[c.numerator for c in row] for row in slots]
+    dens = [[c.denominator for c in row] for row in slots]
+    for a in iter_multiindices(m, top, 1):
+        parts, denom = share_numerators(gens, a)
+        num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
+        den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
+        downs = [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
+                 for k, v, _, x in parts]
         # a key concatenates the w-half and the wbar-half; the value is
         # symmetric in (i, j), so each pair is multiplied out once
-        for x, i in enumerate(support):
-            ci = shares[i] * c
-            for j in support[x:]:
-                v = ci * shares[j]
-                terms[i][j][downs[i] + downs[j]] = v
-                terms[j][i][downs[j] + downs[i]] = v
+        for y, (i, xi, di) in enumerate(downs):
+            ni = num * xi
+            for j, xj, dj in downs[y:]:
+                v = Fraction(ni * xj, den)
+                terms[i][j][di + dj] = v
+                terms[j][i][dj + di] = v
     # nonzero Fractions at keys of degree 2|a| - 2 <= D: already clean
     return SeriesMatrix([[TruncSeries._trusted(m, frame.trunc, t)
                           for t in row] for row in terms])
@@ -406,7 +422,7 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
     where the shares do not sum to 1.  Only nonzero residuals are returned;
     an empty dict certifies the identity through the truncation degree.
     """
-    gens = _generators(frame)
+    gens, _ = share_generators(frame)
     residuals = {}
     for alpha in iter_multiindices(frame.module.dim,
                                    frame.trunc + max(frame.gen_powers)):

@@ -94,13 +94,15 @@ def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
 def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
     """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
     n = 0..N, by the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1), so
-    c_alpha = prod_i slots[i][alpha_i]."""
+    c_alpha = prod_i slots[i][alpha_i].  With l_i = p/q each step is one
+    Fraction(num (p + n q), den q (n + 1)) of integers."""
     slots = []
     for l in module.weights:
+        p, q = l.numerator, l.denominator
         c = Fraction(1)
         row = [c]
         for n in range(N):
-            c = c * (l + n) / (n + 1)
+            c = Fraction(c.numerator * (p + n * q), c.denominator * q * (n + 1))
             row.append(c)
         slots.append(tuple(row))
     return tuple(slots)

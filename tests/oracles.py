@@ -11,10 +11,11 @@ unit tests.  The reconstruction residual by full series products and the
 Horner expansion of a recentered inverse power are the references for the
 library's share-sum residual and coefficient-table metric.  The routes the
 integer fast paths replaced stay here as their references: the localization
-dimension by two Fraction echelon forms, and the cubic's positive roots by
-a squarefree part, a Sturm chain and chain-count bisection.  So do the
-input routes that term maps replaced: the polynomial parse by Poly
-arithmetic from the constant 1, and the centring of a generator by
+dimension by two Fraction echelon forms, the cubic's positive roots by a
+squarefree part, a Sturm chain and chain-count bisection, and the
+coordinate Grammian and curvature blocks with Fraction splitting shares.
+So do the input routes that term maps replaced: the polynomial parse by
+Poly arithmetic from the constant 1, and the centring of a generator by
 evaluating it at the polynomials z_i + w_i.
 """
 
@@ -34,7 +35,8 @@ from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.polynomials import Poly, _Tokenizer
-from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff
+from submodcurv.rkhs import (WeightedPolydiscModule, diag_coeff,
+                            diag_coeff_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,60 @@ def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Replaced exact routes: the references for the integer fast paths
+
+
+def metric_by_fraction_shares(frame: FrameSeries) -> SeriesMatrix:
+    """The coordinate-neighborhood Grammian that
+    frames._metric_by_monomial_sum replaced: the same sum over the kernel
+    terms with each share l_k a_k / sum_j l_j a_j a Fraction of the
+    weights, c_a a product of Fractions, and every term s_i s_j c_a
+    multiplied out in Fractions; the keys go in in the same order."""
+    module = frame.module
+    m = module.dim
+    weights = module.weights
+    terms = [[{} for _ in range(m)] for _ in range(m)]
+    top = frame.trunc // 2 + 1
+    slots = diag_coeff_slots(module, top)
+    for a in iter_multiindices(m, top):
+        support = [k for k in range(m) if a[k]]
+        denom = sum(weights[k] * a[k] for k in support)
+        c = math.prod(slots[k][a[k]] for k in support)
+        shares = {k: weights[k] * a[k] / denom for k in support}
+        downs = {k: tuple(e - (q == k) for q, e in enumerate(a))
+                 for k in support}
+        for x, i in enumerate(support):
+            ci = shares[i] * c
+            for j in support[x:]:
+                v = ci * shares[j]
+                terms[i][j][downs[i] + downs[j]] = v
+                terms[j][i][downs[j] + downs[i]] = v
+    return SeriesMatrix([[TruncSeries._trusted(m, frame.trunc, t)
+                          for t in row] for row in terms])
+
+
+def coordinate_tensor_by_fraction_shares(frame: FrameSeries) -> tuple:
+    """The coordinate blocks that curvature.curvature_tensor replaced:
+    block (k, q) has entry (i, j) s_i(a) s_j(a) c_a / l_i for
+    a = e_i + e_k = e_j + e_q, with Fraction shares and weights, and 0
+    where no such a exists."""
+    module = frame.module
+    m = module.dim
+    t = frame.count
+    weights = module.weights
+    blocks = [[[[Fraction(0)] * t for _ in range(t)] for _ in range(m)]
+              for _ in range(m)]
+    slots = diag_coeff_slots(module, 2)
+    for a in iter_multiindices(m, 2, 2):
+        support = [k for k in range(m) if a[k]]
+        denom = sum(weights[k] * a[k] for k in support)
+        c = math.prod(slots[k][a[k]] for k in support)
+        pairs = [(i, next(k for k in support if a[k] - (k == i)),
+                  weights[i] * a[i] / denom) for i in support]
+        for i, k, si in pairs:
+            for j, q, sj in pairs:
+                blocks[k][q][i][j] = si * sj * c / weights[i]
+    return tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
+                 for brow in blocks)
 
 
 def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:

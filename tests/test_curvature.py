@@ -26,8 +26,10 @@ from submodcurv.invariants import (lambda_mu_invariants,
                                    polydisc_rigidity_report)
 from submodcurv.rkhs import WeightedPolydiscModule
 
-from oracles import (coordinate_det_fn, fd_log_hessian, fd_mixed_hessian,
-                     geometric_sum, zero_set_metric_fn)
+from oracles import (coordinate_det_fn, coordinate_tensor_by_fraction_shares,
+                     fd_log_hessian, fd_mixed_hessian, geometric_sum,
+                     zero_set_metric_fn)
+from test_frames import share_weights
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,6 +301,45 @@ def test_coordinate_tensor_matches_metric_route(weights):
     frame = decompose_coordinate_ideal(
         WeightedPolydiscModule(len(weights), weights), JET_DEGREE)
     assert curvature_tensor(frame) == _metric_route(frame)
+
+
+@settings(max_examples=80, deadline=None)
+@given(share_weights())
+def test_coordinate_tensor_equals_fraction_share_reference(weights):
+    """The integer-share coordinate blocks equal the Fraction-share
+    reference entry for entry, and every entry is a Fraction."""
+    frame = decompose_coordinate_ideal(
+        WeightedPolydiscModule(len(weights), weights), JET_DEGREE)
+    blocks = curvature_tensor(frame).blocks
+    assert blocks == coordinate_tensor_by_fraction_shares(frame)
+    assert all(type(x) is F for brow in blocks for block in brow
+               for row in block for x in row)
+
+
+def _trace_by_full_sum(tensor):
+    return tuple(tuple(sum((block[k][k] for k in range(tensor.size)), F(0))
+                       for block in row) for row in tensor.blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(share_weights(), _zero_set_case())
+def test_trace_matrix_equals_full_diagonal_sum(weights, case):
+    """trace_matrix sums only the nonzero diagonal entries; it equals the
+    full sum from Fraction(0), and a zero trace is still a Fraction, which
+    a JSON report writes as {"num": 0, "den": 1}, not as 0."""
+    frames_ = [decompose_coordinate_ideal(
+        WeightedPolydiscModule(len(weights), weights), JET_DEGREE)]
+    zweights, data, base = case
+    m = len(zweights)
+    frames_.append(frame_on_zero_set(
+        WeightedPolydiscModule(m, zweights),
+        IdealSpec.monomial(m, [unit(m, v, p) for v, p in data]), base,
+        JET_DEGREE))
+    for frame in frames_:
+        tensor = curvature_tensor(frame)
+        trace = tensor.trace_matrix()
+        assert trace == _trace_by_full_sum(tensor)
+        assert all(type(x) is F for row in trace for x in row)
 
 
 @settings(max_examples=40, deadline=None)

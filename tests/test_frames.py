@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -636,3 +637,65 @@ def test_diag_coeff_slots_multiply_to_diag_coeff():
             for row, e in zip(slots, alpha):
                 got *= row[e]
             assert got == diag_coeff(mod, alpha), alpha
+
+
+# ---------------------------------------------------------------------------
+# Integer splitting shares against the Fraction-share references
+
+PRIMES_TO_60 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                59)
+
+
+@st.composite
+def share_weights(draw):
+    """Weights n/d for m = 1..5 slots.  In half the draws the denominators
+    are distinct primes up to 59 or 1, pairwise coprime, so the lcm scale
+    is their product; otherwise each d is any integer up to 60."""
+    m = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        primes = draw(st.lists(st.sampled_from(PRIMES_TO_60), min_size=m,
+                               max_size=m, unique=True))
+        dens = [p if draw(st.booleans()) else 1 for p in primes]
+    else:
+        dens = draw(st.lists(st.integers(1, 60), min_size=m, max_size=m))
+    return tuple(F(draw(st.integers(1, 4 * d)), d) for d in dens)
+
+
+def _entry_items(matrix):
+    return [[list(s.coeffs.items()) for s in row] for row in matrix.entries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(share_weights(), st.integers(2, 8))
+def test_coordinate_grammian_equals_fraction_share_reference(weights, D):
+    """The integer-share Grammian equals the Fraction-share reference in
+    every term value and in the key order of every entry."""
+    frame = decompose_coordinate_ideal(
+        WeightedPolydiscModule(len(weights), weights), D)
+    got = frames._metric_by_monomial_sum(frame)
+    want = oracles.metric_by_fraction_shares(frame)
+    assert _entry_items(got) == _entry_items(want)
+    assert all(type(v) is F for row in got.entries for s in row
+               for v in s.coeffs.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(share_weights())
+def test_splitting_shares_equal_fraction_ratios(weights):
+    """share_numerators keeps the weights' ratios: x_k / denom is
+    l_k a_k / sum_j l_j a_j on every kernel term a, and the slots of
+    diag_coeff_slots are poch(l, n)/n!."""
+    mod = WeightedPolydiscModule(len(weights), weights)
+    frame = decompose_coordinate_ideal(mod, 2)
+    gens, scale = frames.share_generators(frame)
+    assert [L for *_, L in gens] == [w * scale for w in mod.weights]
+    assert all(type(L) is int for *_, L in gens)
+    for a in iter_multiindices(mod.dim, 4, 1):
+        parts, denom = frames.share_numerators(gens, a)
+        total = sum(w * e for w, e in zip(mod.weights, a))
+        assert [(k, F(x, denom)) for k, _, _, x in parts] == \
+            [(k, mod.weights[k] * a[k] / total)
+             for k in range(mod.dim) if a[k]]
+    for w, row in zip(mod.weights, diag_coeff_slots(mod, 4)):
+        assert list(row) == [pochhammer(w, n) / math.factorial(n)
+                             for n in range(5)]
