@@ -30,8 +30,7 @@ from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
 from .polynomials import Poly, parse_poly
 from .rkhs import (DiagonalFilteredKernel, GramFormKernel,
                    RankOneCorrectedKernel, WeightedPolydiscModule,
-                   ambient_kernel_exact, diag_coeff, monomial_norm_sq,
-                   poly_inner, submodule_kernel)
+                   diag_coeff, submodule_kernel)
 
 __version__ = "0.1.0"
 
@@ -45,14 +44,14 @@ __all__ = [
     "RigidityReport", "SeriesMatrix", "ShapeError", "SingularityError",
     "SubmodcurvError", "TruncSeries", "TruncationError",
     "UnsupportedIdealError", "WeightedPolydiscModule",
-    "ambient_kernel_exact", "cubic_positive_roots", "curvature_matrix",
+    "cubic_positive_roots", "curvature_matrix",
     "curvature_tensor", "decompose_coordinate_ideal",
     "det_bundle_curvature", "diag_coeff", "frame_on_zero_set",
     "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
     "grammian", "iter_multiindices",
     "lambda_mu_equivalent", "lambda_mu_invariants", "line_curvature",
     "localization_dim", "minimality_certificate", "mixed_hessian",
-    "monomial_norm_sq", "parse_poly", "pochhammer", "poly_inner",
+    "parse_poly", "pochhammer",
     "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
     "reconstruction_residual", "series_inverse",

@@ -19,7 +19,14 @@ representations, chosen by the ideal family:
 
 Exact evaluation works at real rational points of the open polydisc.  The
 integer-weight closed forms are rational; everything else goes through
-partial sums that carry an explicit rational remainder bound.
+partial sums that carry an explicit rational remainder bound.  The bound is
+integer arithmetic with one Fraction at its close, and it is computed only
+where a report prints it: by ambient_kernel_bounded and the eval_truncated
+of the monomial and point kernels.  The Gram form, whose value is the
+degree-N kernel itself, reads the partial sum alone.  Each public call
+checks its points once; the rank-one kernel computes K(a, a) once per
+degree, and at w = z takes K(a, w) to be K(z, a), the same value at real
+points.
 
 A degree-N diagonal sum is never enumerated by multi-index.  Restricted to
 the exponents alpha >= gamma it factors over the coordinates, so it is the
@@ -108,27 +115,6 @@ def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
     return tuple(slots)
 
 
-def monomial_norm_sq(module: WeightedPolydiscModule, alpha) -> Fraction:
-    return 1 / diag_coeff(module, alpha)
-
-
-def poly_inner(module: WeightedPolydiscModule, p: Poly, q: Poly) -> Fraction:
-    """Inner product <p, q> via monomial orthogonality.
-
-    Coefficients are real rationals, so no conjugation shows up.
-    """
-    if p.nvars != module.dim or q.nvars != module.dim:
-        raise ShapeError("polynomial arity does not match the module dimension")
-    if len(p.coeffs) > len(q.coeffs):
-        p, q = q, p
-    total = Fraction(0)
-    for k, v in p.coeffs.items():
-        u = q.coeffs.get(k)
-        if u is not None:
-            total += v * u / diag_coeff(module, k)
-    return total
-
-
 def _check_point(module, point, label="point"):
     pt = tuple(rat(x) for x in point)
     if len(pt) != module.dim:
@@ -138,16 +124,15 @@ def _check_point(module, point, label="point"):
     return pt
 
 
-def ambient_kernel_exact(module: WeightedPolydiscModule, z, w) -> Fraction:
-    """prod (1 - z_i w_i)^(-l_i) at real rational points; integer weights only."""
-    z = _check_point(module, z, "z")
-    w = _check_point(module, w, "w")
-    if not module.has_integer_weights():
-        raise DomainError("closed-form ambient kernel needs integer weights")
-    out = Fraction(1)
+def _ambient_exact(module, z, w) -> Fraction:
+    """prod (1 - z_i w_i)^(-l_i) at checked points and integer weights: with
+    z_i w_i = n/d, each factor is d^l / (d - n)^l, so one Fraction."""
+    num = den = 1
     for l, zi, wi in zip(module.weights, z, w):
-        out *= (1 - zi * wi) ** (-int(l))
-    return out
+        n, d = zi.numerator * wi.numerator, zi.denominator * wi.denominator
+        num *= d ** l.numerator
+        den *= (d - n) ** l.numerator
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -179,22 +164,42 @@ class Bounded:
 def _diagonal_tail_bound(total_weight: Fraction, rho: Fraction, N: int) -> Fraction:
     """Upper bound for sum_{n > N} poch(L, n)/n! rho^n with 0 <= rho < 1.
 
-    Works by summing exact terms until the term ratio rho (L+n)/(n+1) drops
-    below 1, then closing with a geometric tail.
+    It covers the diagonal sums of every kernel on the m-variable module:
+    sum_{|alpha| = n} prod_i poch(l_i, alpha_i)/alpha_i! = poch(L, n)/n!
+    for L = l_1 + ... + l_m (the t^n coefficients of
+    prod_i (1 - t)^(-l_i) = (1 - t)^(-L)), so with rho = max_i |z_i w_i|
+    the degree-n part of the ambient diagonal, and of any filtered one,
+    is at most poch(L, n)/n! rho^n in absolute value.
+
+    The term ratio is rho (L + n)/(n + 1).  For L >= 1 it falls with n:
+    exact terms are summed until it drops below 1, and a geometric tail
+    in that ratio closes the sum.  For L < 1 it rises toward rho, so the
+    first term closes with ratio rho.  In integers, with L = P/Q and
+    rho = r/s, term n is num/den for num = prod_{k<n} (P + kQ) r^n and
+    den = Q^n n! s^n, the ratio is up/down = r (P + nQ) / (s Q (n + 1)),
+    and the running sum is kept over the running denominator: one
+    Fraction is formed, at the close.
     """
     if rho == 0:
         return Fraction(0)
     if not 0 < rho < 1:
         raise DomainError(f"tail bound needs 0 <= rho < 1, got {rho}")
+    P, Q = total_weight.numerator, total_weight.denominator
+    r, s = rho.numerator, rho.denominator
     n = N + 1
-    term = pochhammer(total_weight, n) / math.factorial(n) * rho ** n
-    total = Fraction(0)
+    num = math.prod(range(P, P + n * Q, Q)) * r ** n
+    den = Q ** n * math.factorial(n) * s ** n
+    if P < Q:
+        return Fraction(num * s, den * (s - r))
+    total = 0
     while True:
-        ratio = rho * (total_weight + n) / (n + 1)
-        if ratio < 1:
-            return total + term / (1 - ratio)
-        total += term
-        term *= ratio
+        up, down = r * (P + n * Q), s * Q * (n + 1)
+        if up < down:
+            return Fraction(total * (down - up) + num * down,
+                            den * (down - up))
+        total = (total + num) * down
+        num *= up
+        den *= down
         n += 1
 
 
@@ -236,25 +241,33 @@ def _graded_sum(series, gamma, N: int) -> int:
     return sum(ca * prefix[N - a] for a, ca in enumerate(acc) if ca)
 
 
-def _diagonal_sum(module, corners, z, w, N: int) -> Bounded:
-    """Degree-N diagonal sum over the exponents above some corner, by
-    inclusion-exclusion with the given signs, plus its remainder bound."""
-    x = [zi * wi for zi, wi in zip(z, w)]
+def _diagonal_value(module, corners, x, N: int) -> Fraction:
+    """Degree-N diagonal sum at x_i = z_i w_i over the exponents above some
+    corner, by inclusion-exclusion with the given signs."""
     series = [_slot_series(l, xi, N) for l, xi in zip(module.weights, x)]
-    denominator = math.prod(s[0] for s in series)
-    total = sum(sign * _graded_sum(series, gamma, N)
-                for gamma, sign in corners)
-    rho = max(abs(xi) for xi in x)
-    # the filtered diagonal is dominated termwise by the full diagonal
-    return Bounded(Fraction(total, denominator),
-                   _diagonal_tail_bound(sum(module.weights), rho, N))
+    total = sum(sign * _graded_sum(series, gamma, N) for gamma, sign in corners)
+    return Fraction(total, math.prod(s[0] for s in series))
+
+
+def _diagonal_sum(module, corners, z, w, N: int) -> Bounded:
+    """The degree-N diagonal sum and its remainder bound: the filtered
+    diagonal is dominated termwise by the full one."""
+    x = [zi * wi for zi, wi in zip(z, w)]
+    return Bounded(_diagonal_value(module, corners, x, N),
+                   _diagonal_tail_bound(sum(module.weights),
+                                        max(map(abs, x)), N))
+
+
+def _ambient_corners(module):
+    """The one corner, 0, whose filter keeps every exponent."""
+    return (((0,) * module.dim, 1),)
 
 
 def ambient_kernel_bounded(module: WeightedPolydiscModule, z, w, N: int) -> Bounded:
     """Degree-N partial sum of the ambient kernel with a remainder bound."""
     z = _check_point(module, z, "z")
     w = _check_point(module, w, "w")
-    return _diagonal_sum(module, (((0,) * module.dim, 1),), z, w, N)
+    return _diagonal_sum(module, _ambient_corners(module), z, w, N)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +292,8 @@ class DiagonalFilteredKernel:
             if sum(e) == 0:
                 raise DomainError("the unit monomial generates the whole module")
         self.corners = self._corners()
+        # per slot, the largest corner exponent: how far eval_exact's tails go
+        self._reach = tuple(map(max, zip(*(g for g, _ in self.corners))))
 
     def _corners(self):
         """((gamma_S, sign), ...) for the inclusion-exclusion over nonempty
@@ -301,6 +316,11 @@ class DiagonalFilteredKernel:
         those >= the componentwise max gamma_S, and the coordinatewise sum
         sum_{a >= g} poch(l,a)/a! x^a is the full binomial series minus a
         polynomial, which is rational iff the weight is a positive integer.
+        Each slot's tails are written once per evaluation, for g up to the
+        slot's largest corner exponent G: with x = n/d and C_a =
+        poch(l, a)/a!, the tail at g is T_g / ((d - n)^l d^G) for the
+        integer T_g = d^(l+G) - (d - n)^l sum_{a<g} C_a n^a d^(G-a).  A
+        corner is then one product of integers, and the sum one Fraction.
         """
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
@@ -308,18 +328,21 @@ class DiagonalFilteredKernel:
             raise DomainError(
                 "closed-form evaluation needs integer weights; "
                 "use eval_truncated for fractional weights")
-        x = [zi * wi for zi, wi in zip(z, w)]
-        total = Fraction(0)
-        for gamma, sign in self.corners:
-            term = Fraction(1)
-            for l, xi, g in zip(self.module.weights, x, gamma):
-                head, c = Fraction(0), Fraction(1)
-                for a in range(g):
-                    head += c
-                    c = c * (l + a) * xi / (a + 1)
-                term *= (1 - xi) ** (-int(l)) - head
-            total += sign * term
-        return total
+        tails, denominator = [], 1
+        for l, zi, wi, G in zip(self.module.weights, z, w, self._reach):
+            l = l.numerator
+            n, d = zi.numerator * wi.numerator, zi.denominator * wi.denominator
+            full, rest = d ** (l + G), (d - n) ** l
+            row, head, c = [full], 0, 1
+            for a in range(G):
+                head += c * n ** a * d ** (G - a)
+                c = c * (l + a) // (a + 1)
+                row.append(full - rest * head)
+            tails.append(row)
+            denominator *= rest * d ** G
+        total = sum(sign * math.prod(row[g] for row, g in zip(tails, gamma))
+                    for gamma, sign in self.corners)
+        return Fraction(total, denominator)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         z = _check_point(self.module, z, "z")
@@ -340,24 +363,33 @@ class RankOneCorrectedKernel:
     def __init__(self, module: WeightedPolydiscModule, point):
         self.module = module
         self.point = _check_point(module, point, "correction point")
+        self._at_point = {}  # K(a, a) by truncation degree, None for exact
 
-    def _eval(self, z, w, base_eval):
+    def _eval(self, z, w, base_eval, key):
         a = self.point
-        return base_eval(z, w) - base_eval(z, a) * base_eval(a, w) \
-            / base_eval(a, a)
+        kza = base_eval(z, a)
+        kaw = kza if w == z else base_eval(a, w)
+        kaa = self._at_point.get(key)
+        if kaa is None:
+            kaa = self._at_point[key] = base_eval(a, a)
+        return base_eval(z, w) - kza * kaw / kaa
 
     def eval_exact(self, z, w) -> Fraction:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        return self._eval(z, w, lambda x, y: ambient_kernel_exact(self.module, x, y))
+        if not self.module.has_integer_weights():
+            raise DomainError("closed-form ambient kernel needs integer weights")
+        return self._eval(z, w, lambda x, y: _ambient_exact(self.module, x, y),
+                          None)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
         if N is None:
             N = self.default_trunc
+        corners = _ambient_corners(self.module)
         return self._eval(
-            z, w, lambda x, y: ambient_kernel_bounded(self.module, x, y, N))
+            z, w, lambda x, y: _diagonal_sum(self.module, corners, x, y, N), N)
 
 
 def _components(n, groups):
@@ -416,7 +448,8 @@ class GramFormKernel:
         # each f as integer terms over one common denominator
         self._den = math.lcm(*(c.denominator for f in self.complement
                                for c in f.coeffs.values()))
-        self._terms = [[(a, int(c * self._den)) for a, c in f.coeffs.items()]
+        self._terms = [[(a, c.numerator * (self._den // c.denominator))
+                        for a, c in f.coeffs.items()]
                        for f in self.complement]
         # step[j]: the ratio of the leading minors of orders j + 1 and j
         step, singles, self._factors = [None] * n, [], []
@@ -467,12 +500,14 @@ class GramFormKernel:
                   if echelon_of[next(iter(row))].add(row)]
         # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
         # every row v, i.e. g = f / c is a null vector of the echelon rows;
-        # one g per free column
-        slots = diag_coeff_slots(module, trunc_degree)
-        coeff = [math.prod(row[e] for row, e in zip(slots, a))
-                 for a in monomials]
+        # one g per free column.  c_a is needed only where some g is nonzero
         free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
         nulls = [echelon_of[k].null_vector(k) for k in free]
+        slots = diag_coeff_slots(module, trunc_degree)
+        coeff = {}
+        for g in nulls:
+            for k in g.keys() - coeff.keys():
+                coeff[k] = math.prod(row[e] for row, e in zip(slots, monomials[k]))
         fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
         complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
                       for f in fs]
@@ -502,9 +537,9 @@ class GramFormKernel:
         rational weight vector."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        corner = (((0,) * self.module.dim, 1),)
-        value = _diagonal_sum(self.module, corner, z, w,
-                              self.trunc_degree).value
+        value = _diagonal_value(self.module, _ambient_corners(self.module),
+                                [zi * wi for zi, wi in zip(z, w)],
+                                self.trunc_degree)
         fz, sz = self._complement_at(z)
         fw, sw = (fz, sz) if w == z else self._complement_at(w)
         # F(z)^T H^{-1} F(w), block by block, over the scales at the end

@@ -16,7 +16,13 @@ squarefree part, a Sturm chain and chain-count bisection, and the
 coordinate Grammian and curvature blocks with Fraction splitting shares.
 So do the input routes that term maps replaced: the polynomial parse by
 Poly arithmetic from the constant 1, and the centring of a generator by
-evaluating it at the polynomials z_i + w_i.
+evaluating it at the polynomials z_i + w_i.  The kernel routes are here
+too: the remainder bound, the integer-weight ambient kernel
+(ambient_kernel_exact, public until no kernel called it) and the monomial
+closed form in Fractions, the rank-one correction with all four ambient
+evaluations, and the Gram complement from the full table of c_a; with
+them the monomial inner product that the Gram-form tests build Gram
+matrices from.
 """
 
 from __future__ import annotations
@@ -33,10 +39,12 @@ from submodcurv.frames import FrameSeries, coordinate_power_data
 from submodcurv.ideals import GENERAL, IdealSpec, LocalizationResult
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
-from submodcurv.linalg import leading_principal_minors
+from submodcurv.linalg import RowEchelon, leading_principal_minors
 from submodcurv.polynomials import Poly, _Tokenizer
-from submodcurv.rkhs import (WeightedPolydiscModule, diag_coeff,
-                            diag_coeff_slots)
+from submodcurv.rkhs import (DiagonalFilteredKernel, RankOneCorrectedKernel,
+                             WeightedPolydiscModule, _check_point,
+                             _components, ambient_kernel_bounded, diag_coeff,
+                             diag_coeff_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,28 @@ def mat_identity(n):
 def is_positive_definite(A) -> bool:
     """Sylvester's criterion on a matrix assumed (real) symmetric."""
     return all(d > 0 for d in leading_principal_minors(A))
+
+
+def monomial_norm_sq(module: WeightedPolydiscModule, alpha) -> Fraction:
+    """||z^alpha||^2 = 1 / diag_coeff(alpha)."""
+    return 1 / diag_coeff(module, alpha)
+
+
+def poly_inner(module: WeightedPolydiscModule, p: Poly, q: Poly) -> Fraction:
+    """Inner product <p, q> via monomial orthogonality.
+
+    Coefficients are real rationals, so no conjugation shows up.
+    """
+    if p.nvars != module.dim or q.nvars != module.dim:
+        raise ShapeError("polynomial arity does not match the module dimension")
+    if len(p.coeffs) > len(q.coeffs):
+        p, q = q, p
+    total = Fraction(0)
+    for k, v in p.coeffs.items():
+        u = q.coeffs.get(k)
+        if u is not None:
+            total += v * u / diag_coeff(module, k)
+    return total
 
 
 def full_reconstruction_residual(frame: FrameSeries) -> dict:
@@ -207,6 +237,113 @@ def coordinate_tensor_by_fraction_shares(frame: FrameSeries) -> tuple:
                 blocks[k][q][i][j] = si * sj * c / weights[i]
     return tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
                  for brow in blocks)
+
+
+def diagonal_tail_bound_by_fractions(total_weight: Fraction, rho: Fraction,
+                                     N: int) -> Fraction:
+    """The remainder bound that rkhs._diagonal_tail_bound writes in
+    integers, in Fractions: exact terms poch(L, n)/n! rho^n are summed while
+    the ratio rho (L + n)/(n + 1) is at least 1, and the tail closes as a
+    geometric series in the largest ratio still to come, which is the
+    current one for L >= 1 (the ratios fall) and rho for L < 1 (they rise
+    toward rho)."""
+    if rho == 0:
+        return Fraction(0)
+    if not 0 < rho < 1:
+        raise DomainError(f"tail bound needs 0 <= rho < 1, got {rho}")
+    n = N + 1
+    term = pochhammer(total_weight, n) / math.factorial(n) * rho ** n
+    if total_weight < 1:
+        return term / (1 - rho)
+    total = Fraction(0)
+    while True:
+        ratio = rho * (total_weight + n) / (n + 1)
+        if ratio < 1:
+            return total + term / (1 - ratio)
+        total += term
+        term *= ratio
+        n += 1
+
+
+def ambient_kernel_exact(module: WeightedPolydiscModule, z, w) -> Fraction:
+    """prod (1 - z_i w_i)^(-l_i) at real rational points, integer weights
+    only, as a product of Fraction powers: the reference for the integer
+    closed form rkhs._ambient_exact."""
+    z = _check_point(module, z, "z")
+    w = _check_point(module, w, "w")
+    if not module.has_integer_weights():
+        raise DomainError("closed-form ambient kernel needs integer weights")
+    out = Fraction(1)
+    for l, zi, wi in zip(module.weights, z, w):
+        out *= (1 - zi * wi) ** (-int(l))
+    return out
+
+
+def filtered_kernel_by_corner_loop(kernel: DiagonalFilteredKernel, z,
+                                   w) -> Fraction:
+    """DiagonalFilteredKernel.eval_exact one corner at a time: for every
+    corner and slot, the head sum_{a < g} poch(l, a)/a! x^a by the ratio
+    recurrence in Fractions, subtracted from (1 - x)^(-l)."""
+    x = [rat(zi) * rat(wi) for zi, wi in zip(z, w)]
+    total = Fraction(0)
+    for gamma, sign in kernel.corners:
+        term = Fraction(1)
+        for l, xi, g in zip(kernel.module.weights, x, gamma):
+            head, c = Fraction(0), Fraction(1)
+            for a in range(g):
+                head += c
+                c = c * (l + a) * xi / (a + 1)
+            term *= (1 - xi) ** (-int(l)) - head
+        total += sign * term
+    return total
+
+
+def rank_one_by_four_calls(kernel: RankOneCorrectedKernel, z, w, N=None):
+    """K(z, w) - K(z, a) K(a, w) / K(a, a) with four ambient evaluations,
+    all made: the closed form when N is None, else the Bounded degree-N
+    sums."""
+    module, a = kernel.module, kernel.point
+    z, w = tuple(map(rat, z)), tuple(map(rat, w))
+    if N is None:
+        def K(x, y):
+            return ambient_kernel_exact(module, x, y)
+    else:
+        def K(x, y):
+            return ambient_kernel_bounded(module, x, y, N)
+    return K(z, w) - K(z, a) * K(a, w) / K(a, a)
+
+
+def gram_complement_by_full_table(module: WeightedPolydiscModule,
+                                  ideal: IdealSpec, degree: int) -> tuple:
+    """(complement, gram) as GramFormKernel.from_ideal built them with c_a
+    tabulated, as a product of Fractions, for every monomial of degree
+    <= N: the same components, echelon forms and null vectors, then
+    f = c g and H_jk = sum_a f_j[a] g_k[a] inside a component."""
+    m = module.dim
+    monomials = list(iter_multiindices(m, degree))
+    index = {a: k for k, a in enumerate(monomials)}
+    rows = [{index[k]: v for k, v in g.shift_by_monomial(beta).coeffs.items()}
+            for g in ideal.generators
+            for beta in iter_multiindices(m, degree - g.degree)]
+    echelon_of = {k: e for cols in _components(len(monomials), rows)
+                  for e in [RowEchelon()] for k in cols}
+    for row in rows:
+        echelon_of[next(iter(row))].add(row)
+    slots = diag_coeff_slots(module, degree)
+    coeff = [math.prod(row[e] for row, e in zip(slots, a)) for a in monomials]
+    free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
+    nulls = [echelon_of[k].null_vector(k) for k in free]
+    fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
+    complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
+                  for f in fs]
+    n = len(nulls)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for j, fj in enumerate(fs):
+        for k, gk in enumerate(nulls[j:], j):
+            if echelon_of[free[k]] is echelon_of[free[j]]:
+                gram[j][k] = gram[k][j] = sum(
+                    x * gk[a] for a, x in fj.items() if a in gk)
+    return complement, gram
 
 
 def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:

@@ -46,8 +46,8 @@ def test_package_has_no_float_literals_or_conversions():
 # keep them or move them to tests/oracles.py.
 TEST_ONLY_NAMES = {
     "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
-    "line_curvature", "minimality_certificate", "monomial_norm_sq",
-    "poly_inner", "IdealSpec.coordinate_powers",
+    "line_curvature", "minimality_certificate",
+    "IdealSpec.coordinate_powers",
     "MinimalityCertificate.minimal", "TruncSeries.conj",
     "WeightedPolydiscModule.hardy",
 }

@@ -14,9 +14,12 @@ from submodcurv.linalg import (BareissFactor, RowEchelon,
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
-                             _diagonal_tail_bound, ambient_kernel_bounded,
-                             ambient_kernel_exact, diag_coeff,
-                             monomial_norm_sq, poly_inner, submodule_kernel)
+                             _ambient_exact, _diagonal_tail_bound,
+                             ambient_kernel_bounded, diag_coeff,
+                             submodule_kernel)
+
+import oracles
+from oracles import ambient_kernel_exact, monomial_norm_sq, poly_inner
 
 
 def test_module_validation():
@@ -226,7 +229,8 @@ def _reference_diagonal(module, gens, z, w, N):
             term *= table[a]
         value += term
     rho = max(abs(xi) for xi in x)
-    return Bounded(value, _diagonal_tail_bound(sum(module.weights), rho, N))
+    return Bounded(value, oracles.diagonal_tail_bound_by_fractions(
+        sum(module.weights), rho, N))
 
 
 # generator exponent sets per dimension: one generator, nested, overlapping,
@@ -500,3 +504,170 @@ def test_gram_form_of_monomial_ideal_is_the_diagonal_sum(exponents):
             for w in points:
                 assert K.eval_exact(z, w) == diagonal.eval_truncated(
                     z, w, degree).value
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel routes against their references in tests/oracles.py,
+# and the remainder bound against the tail it bounds
+
+
+def _poch_terms(L, rho, start, stop):
+    """poch(L, n)/n! rho^n for start <= n < stop, in Fractions."""
+    term = pochhammer(L, start) / math.factorial(start) * rho ** start
+    for n in range(start, stop):
+        yield term
+        term *= rho * (L + n) / (n + 1)
+
+
+_total_weight = st.fractions(min_value=F(1, 6), max_value=F(24),
+                             max_denominator=6)
+_rho_near_one = st.one_of(
+    st.integers(2, 20).map(lambda k: 1 - F(1, k)),
+    st.fractions(min_value=F(1, 2), max_value=F(19, 20),
+                 max_denominator=60))
+# L > 1, N and j >= 0 with rho chosen so that the term ratio
+# rho (L + n)/(n + 1) is exactly 1 at n = N + 1 + j
+_unit_ratio_draw = st.builds(
+    lambda L, N, j: (L, (N + 2 + j) / (L + N + 1 + j), N),
+    st.fractions(min_value=F(7, 6), max_value=F(24), max_denominator=6),
+    st.integers(0, 6), st.integers(0, 20))
+
+
+def test_tail_bound_integer_route_equals_fraction_route():
+    """Small N, rho near 1 and large L, so that most draws sum exact terms
+    before the geometric close; some hit a term ratio of exactly 1."""
+    looped, unit_ratio = [], []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(_total_weight, _rho_near_one,
+                               st.integers(0, 6)), _unit_ratio_draw))
+    def check(draw):
+        L, rho, N = draw
+        assert _diagonal_tail_bound(L, rho, N) == \
+            oracles.diagonal_tail_bound_by_fractions(L, rho, N)
+        n = N + 1
+        ratio = rho * (L + n) / (n + 1)
+        if ratio >= 1:
+            looped.append(draw)
+        while ratio > 1:
+            n += 1
+            ratio = rho * (L + n) / (n + 1)
+        if ratio == 1:
+            unit_ratio.append(draw)
+
+    check()
+    assert len(looped) >= 120
+    assert len(unit_ratio) >= 40
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), _rho_near_one, st.integers(0, 8))
+def test_tail_bound_covers_the_integer_weight_tail(L, rho, N):
+    """(1 - rho)^(-L) - sum_{n <= N} poch(L, n)/n! rho^n <= bound."""
+    head = sum(_poch_terms(F(L), rho, 0, N + 1))
+    assert 0 < (1 - rho) ** (-L) - head <= _diagonal_tail_bound(F(L), rho, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=6),
+       st.fractions(min_value=F(1, 10), max_value=F(9, 10),
+                    max_denominator=10),
+       st.integers(0, 4))
+def test_tail_bound_exceeds_every_partial_tail(L, rho, N):
+    """At fractional L, L < 1 included, where the term ratios rise toward
+    rho: the bound is above 120 terms of the tail."""
+    assert sum(_poch_terms(L, rho, N + 1, N + 121)) <= \
+        _diagonal_tail_bound(L, rho, N)
+
+
+def test_bounded_sum_contains_the_kernel_below_unit_weight():
+    """Weight 1/2 in one variable: K(z, z) = (1 - z^2)^(-1/2) = 4/sqrt(7) at
+    z = 3/4 lies in [value - bound, value + bound] (compared by squares)."""
+    module = WeightedPolydiscModule(1, (F(1, 2),))
+    for N in (0, 5, 20):
+        b = ambient_kernel_bounded(module, (F(3, 4),), (F(3, 4),), N)
+        assert (b.value - b.bound) ** 2 <= F(16, 7) <= (b.value + b.bound) ** 2
+
+
+def test_integer_ambient_kernel_equals_fraction_powers():
+    for m in (1, 2, 3, 4):
+        for ws in (_WEIGHTS[m][0], tuple(F(k) for k in (3, 1, 4, 2)[:m])):
+            module = WeightedPolydiscModule(m, ws)
+            for z in (p[:m] for p in _POINTS):
+                for w in (p[:m] for p in _POINTS):
+                    assert _ambient_exact(module, z, w) == \
+                        ambient_kernel_exact(module, z, w)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_filtered_closed_form_equals_corner_loop(m):
+    points = [p[:m] for p in _POINTS] + [(F(-2, 3), F(5, 6), F(-1, 9),
+                                          F(3, 4))[:m]]
+    for ws in (_WEIGHTS[m][0], tuple(F(k) for k in (3, 1, 4, 2)[:m])):
+        module = WeightedPolydiscModule(m, ws)
+        for gens in _DIAGONAL_CASES[m]:
+            K = DiagonalFilteredKernel(module, gens)
+            for z in points:
+                for w in points:
+                    assert K.eval_exact(z, w) == \
+                        oracles.filtered_kernel_by_corner_loop(K, z, w)
+
+
+@pytest.mark.parametrize("weights", [(F(1), F(2)), (F(1, 2), F(3, 2))])
+def test_rank_one_reuse_equals_four_calls(weights):
+    """K(a, a) kept per degree, K(a, z) read as K(z, a) at w = z: the same
+    values as four ambient evaluations, across degrees and at the point."""
+    module = WeightedPolydiscModule(2, weights)
+    a = (F(1, 4), F(-1, 3))
+    K = RankOneCorrectedKernel(module, a)
+    points = [(F(1, 5), F(1, 3)), (F(-1, 7), F(1, 2)), a, (F(0), F(2, 3))]
+    for N in (12, 5, 12):
+        for z in points:
+            for w in points:
+                assert K.eval_truncated(z, w, N) == \
+                    oracles.rank_one_by_four_calls(K, z, w, N)
+    for z in points:
+        for w in points:
+            if module.has_integer_weights():
+                assert K.eval_exact(z, w) == \
+                    oracles.rank_one_by_four_calls(K, z, w)
+            else:
+                with pytest.raises(DomainError):
+                    K.eval_exact(z, w)
+
+
+def test_rank_one_sums_each_kernel_value_once(monkeypatch):
+    from submodcurv import rkhs
+    calls = []
+    diagonal_sum = rkhs._diagonal_sum
+    monkeypatch.setattr(rkhs, "_diagonal_sum",
+                        lambda *args: calls.append(args) or diagonal_sum(*args))
+    K = RankOneCorrectedKernel(WeightedPolydiscModule(2, (F(1, 2), F(3, 2))),
+                               (F(1, 4), F(-1, 3)))
+    z, w = (F(1, 5), F(1, 3)), (F(-1, 7), F(1, 2))
+    counts = []
+    for args in ((z, z, 12), (z, z, 12), (z, w, 12), (z, z, 8)):
+        K.eval_truncated(*args)
+        counts.append(len(calls))
+    # K(z, a), K(a, a), K(z, z); then K(a, a) is kept; K(a, w) is one more;
+    # a new degree sums its own K(a, a)
+    assert counts == [3, 5, 8, 11]
+
+
+_PRINCIPAL_M3 = (WeightedPolydiscModule(3, (F(5, 2), F(1, 3), F(2))),
+                 IdealSpec.from_generators(
+                     3, [parse_poly("z1*z2*z3 - z1^2 + z2", 3)]))
+
+
+@pytest.mark.parametrize("degree,case",
+                         _GRAM_CASES + [(6, len(_GRAM_IDEALS))])
+def test_gram_complement_from_restricted_table_equals_full_table(degree,
+                                                                  case):
+    module, ideal = [*_GRAM_IDEALS, _PRINCIPAL_M3][case]
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    complement, gram = oracles.gram_complement_by_full_table(
+        module, ideal, degree)
+    assert list(K.complement) == complement
+    assert [list(f.coeffs) for f in K.complement] == \
+        [list(f.coeffs) for f in complement]
+    assert K.gram == gram
