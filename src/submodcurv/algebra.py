@@ -445,14 +445,10 @@ class SeriesMatrix:
         """Entry (i, j) is the conjugate of entry (j, i): for i <= j, each
         coefficient of (j, i) sits at the key-swapped monomial of (i, j)."""
         m = self.npairs
-        for i in range(self.n):
-            for j in range(i, self.n):
-                a = self.entries[i][j].coeffs
-                b = self.entries[j][i].coeffs
-                if len(a) != len(b) or any(a.get(k[m:] + k[:m]) != v
-                                           for k, v in b.items()):
-                    return False
-        return True
+        return all(
+            self.entries[i][j].coeffs == {k[m:] + k[:m]: v for k, v
+                                          in self.entries[j][i].coeffs.items()}
+            for i in range(self.n) for j in range(i, self.n))
 
     def value_at_base(self):
         """Constant-term matrix as a list of lists of Fractions."""

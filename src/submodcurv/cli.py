@@ -18,6 +18,7 @@ import argparse
 import configparser
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,11 +59,28 @@ class JobConfig:
     compare_weights: Optional[tuple] = None
 
 
+# the spelling nearly every value uses: ASCII [+-]digits[/digits]
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rational(text: str, fieldname: str) -> Fraction:
+    """A rational as Fraction(text) reads it.  The plain spelling with a
+    nonzero denominator is built from its integers; every other one
+    (decimals, exponents, underscores, non-ASCII digits, a zero
+    denominator) goes to Fraction(text), so the values and the errors
+    are Fraction's own."""
+    text = text.strip()
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain:
+        num, den = plain.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den):
+            return Fraction(int(num), int(den))
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"not a rational number: {text.strip()!r} ({e})",
+        raise InputError(f"not a rational number: {text!r} ({e})",
                          field=fieldname)
 
 
@@ -160,15 +178,80 @@ def _check_fields(fields: dict, labels: dict):
                     "the open polydisc", field=labels[key])
 
 
-@functools.cache
-def _config_reader() -> configparser.ConfigParser:
-    """The config reader, built on the first parse_config call and reused
-    by every later one: building one costs more than a job's read."""
-    # ';' separates points, so only '#' opens an inline comment; a line
-    # that starts with ';' is still a comment.  Values are read verbatim:
-    # with interpolation a '%' would raise while the value is read
-    return configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                     interpolation=None)
+def _read_config(text: str):
+    """The sections of a config text, read as configparser reads it with
+    '#' inline comments, strict duplicates and no interpolation: a dict
+    section -> {key: value} in file order, and the [DEFAULT] keys.
+
+    Lines split on '\n' alone, as configparser's StringIO does.  A line
+    whose stripped text starts with '#' or ';' is a comment, and a '#'
+    at the start or after whitespace opens an inline comment (';' is an
+    ordinary character in a value, where it separates points).  Keys are
+    lower-cased and end at the first '=' or ':'.  A line indented deeper
+    than the key's line continues its value, blank lines inside a value
+    are kept, and each value is joined by '\n' and rstripped.  Errors are
+    configparser's own, with its source name and line numbers.
+    """
+    sections, defaults = {}, {}
+    cursect = sectname = optname = error = None
+    indent_level = 0
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, 1):
+        value = line.strip()
+        if not value:
+            if cursect is not None and optname:
+                cursect[optname] += "\n"
+            continue
+        if value[0] in "#;":
+            continue
+        at = line.find("#")  # not at 0, where the line is a comment
+        while at != -1 and not line[at - 1].isspace():
+            at = line.find("#", at + 1)
+        if at != -1:
+            value = line[:at].strip()
+        indent = len(line) - len(line.lstrip())
+        if cursect is not None and optname and indent > indent_level:
+            cursect[optname] += "\n" + value
+            continue
+        indent_level = indent
+        close = value.rfind("]")
+        if value[0] == "[" and close > 1:
+            sectname = value[1:close]
+            if sectname == "DEFAULT":
+                cursect = defaults
+            elif sectname in sections:
+                raise configparser.DuplicateSectionError(
+                    sectname, "<string>", lineno)
+            else:
+                cursect = sections[sectname] = {}
+            optname = None
+            continue
+        eq, colon = value.find("="), value.find(":")
+        cut = eq if colon == -1 or -1 < eq < colon else colon
+        if cursect is None or cut <= 0:
+            # a line before any section, or one with no delimiter or no
+            # key before it; the errors quote the line with its '\n', as
+            # configparser reads it
+            raw = line + "\n" if lineno < len(lines) else line
+            if cursect is None:
+                raise configparser.MissingSectionHeaderError(
+                    "<string>", lineno, raw)
+            if error is None:
+                error = configparser.ParsingError("<string>")
+            error.append(lineno, repr(raw))
+            if cut == -1:
+                continue
+        optname = value[:cut].rstrip().lower()
+        if optname in cursect:
+            raise configparser.DuplicateOptionError(
+                sectname, optname, "<string>", lineno)
+        cursect[optname] = value[cut + 1:].strip()
+    if error is not None:
+        raise error
+    for sect in (defaults, *sections.values()):
+        for key, value in sect.items():
+            sect[key] = value.rstrip()
+    return sections, defaults
 
 
 def parse_config(text: str, args=None) -> JobConfig:
@@ -178,16 +261,9 @@ def parse_config(text: str, args=None) -> JobConfig:
     All validation failures raise InputError carrying the field (and line
     when the underlying reader reports one).  The output, degrees and
     points are checked after the overrides, each under its key or flag.
-    Every call empties and reuses the process's one config reader, so
-    calls must not run in concurrent threads.
     """
-    cp = _config_reader()
-    # clear() keeps [DEFAULT]; emptying first also drops what a read that
-    # raised part-way left behind
-    cp.clear()
-    cp.defaults().clear()
     try:
-        cp.read_string(text)
+        sections, defaults = _read_config(text)
     except configparser.ParsingError as e:
         line = e.errors[0][0] if getattr(e, "errors", None) else None
         raise InputError(f"config syntax: {e.message.splitlines()[0]}",
@@ -195,15 +271,18 @@ def parse_config(text: str, args=None) -> JobConfig:
     except configparser.Error as e:
         raise InputError(f"config syntax: {e}")
 
-    for section in cp.sections():
+    for section in sections:
         if section not in SCHEMA:
             raise InputError(f"unknown section [{section}]", field=section)
 
     fields = {}
     for section, parsers in SCHEMA.items():
-        # each section read once: its own keys first, then [DEFAULT]'s
-        vals = dict(cp.items(section)) if cp.has_section(section) else {}
-        sec = {k: vals[k] for k in cp.options(section)} if vals else {}
+        # a section's own keys first, then [DEFAULT]'s, as configparser
+        # lists them; [DEFAULT] reaches only the sections present
+        sec = sections.get(section, {})
+        if section in sections:
+            for key, value in defaults.items():
+                sec.setdefault(key, value)
         for key in sec:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",

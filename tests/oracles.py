@@ -14,9 +14,11 @@ integer fast paths replaced stay here as their references: the localization
 dimension by two Fraction echelon forms, the cubic's positive roots by a
 squarefree part, a Sturm chain and chain-count bisection, and the
 coordinate Grammian and curvature blocks with Fraction splitting shares.
-So do the input routes that term maps replaced: the polynomial parse by
-Poly arithmetic from the constant 1, and the centring of a generator by
-evaluating it at the polynomials z_i + w_i.  The kernel routes are here
+So do the input routes that term maps and integers replaced: the
+polynomial parse by Poly arithmetic from the constant 1, the centring of a
+generator by evaluating it at the polynomials z_i + w_i, the config parse
+by configparser and the rational parse by Fraction(str); and the Hermitian
+check as a loop over each pair's coefficients.  The kernel routes are here
 too: the remainder bound, the integer-weight ambient kernel
 (ambient_kernel_exact, public until no kernel called it) and the monomial
 closed form in Fractions, the rank-one correction with all four ambient
@@ -27,6 +29,8 @@ matrices from.
 
 from __future__ import annotations
 
+import configparser
+import functools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -34,6 +38,8 @@ from typing import Callable
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                                 eval_terms, iter_multiindices, pochhammer,
                                 rat)
+from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
+                            JobConfig, _check_fields, _parse_vector)
 from submodcurv.errors import DomainError, InputError, ShapeError
 from submodcurv.frames import FrameSeries, coordinate_power_data
 from submodcurv.ideals import GENERAL, IdealSpec, LocalizationResult
@@ -441,6 +447,117 @@ def centre_by_eval_terms(g: Poly, point) -> Poly:
     m = g.nvars
     xs = [Poly.variable(m, i) + rat(w) for i, w in enumerate(point)]
     return Poly.zero(m) + eval_terms(g.coeffs, xs)
+
+
+def parse_rational_by_fraction_str(text: str, fieldname: str) -> Fraction:
+    """The rational parse that cli._parse_rational's integer path
+    replaced: every spelling through Fraction(str)."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"not a rational number: {text.strip()!r} ({e})",
+                         field=fieldname)
+
+
+@functools.cache
+def _config_reader() -> configparser.ConfigParser:
+    """The config reader, built on the first parse_config call and reused
+    by every later one: building one costs more than a job's read."""
+    # ';' separates points, so only '#' opens an inline comment; a line
+    # that starts with ';' is still a comment.  Values are read verbatim:
+    # with interpolation a '%' would raise while the value is read
+    return configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                     interpolation=None)
+
+
+def parse_config_by_configparser(text: str, args=None) -> JobConfig:
+    """The parse_config that cli's line reader replaced: the same schema
+    checks over configparser's read of the text.
+
+    Every call empties and reuses the process's one config reader, so
+    calls must not run in concurrent threads.
+    """
+    cp = _config_reader()
+    # clear() keeps [DEFAULT]; emptying first also drops what a read that
+    # raised part-way left behind
+    cp.clear()
+    cp.defaults().clear()
+    try:
+        cp.read_string(text)
+    except configparser.ParsingError as e:
+        line = e.errors[0][0] if getattr(e, "errors", None) else None
+        raise InputError(f"config syntax: {e.message.splitlines()[0]}",
+                         line=line)
+    except configparser.Error as e:
+        raise InputError(f"config syntax: {e}")
+
+    for section in cp.sections():
+        if section not in SCHEMA:
+            raise InputError(f"unknown section [{section}]", field=section)
+
+    fields = {}
+    for section, parsers in SCHEMA.items():
+        # each section read once: its own keys first, then [DEFAULT]'s
+        vals = dict(cp.items(section)) if cp.has_section(section) else {}
+        sec = {k: vals[k] for k in cp.options(section)} if vals else {}
+        for key in sec:
+            if key not in parsers:
+                raise InputError(f"unknown key {key!r} in [{section}]",
+                                 field=key)
+        for key, at in (("generators", "ideal"), ("family", "ideal.family")):
+            if "catalogue" in sec and key in sec:
+                raise InputError(f"give either {key} or a catalogue name, "
+                                 "not both", field=at)
+        fields.update((key, parse(sec[key], f"{section}.{key}"))
+                      for key, parse in parsers.items() if key in sec)
+        if ("dimension" in fields) != ("weights" in fields):
+            raise InputError("[module] needs both dimension and weights",
+                             field="module")
+        if len(fields.get("weights", ())) != fields.get("dimension", 0):
+            raise InputError(
+                f"got {len(fields['weights'])} weights for dimension "
+                f"{fields['dimension']}", field="module.weights")
+
+    task = fields.pop("name", None)
+    if task is None:
+        raise InputError("missing task name ([task] name = ...)",
+                         field="task.name")
+    if task not in TASKS:
+        raise InputError(f"unknown task {task!r}; choose from "
+                         f"{', '.join(TASKS)}", field="task.name")
+    labels = {key: f"task.{key}" for key in SCHEMA["task"]}
+    if args is not None:
+        task = args.task
+        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
+                 "ideal_degree": args.ideal_degree}
+        if args.point is not None:
+            if task not in POINT_TASKS:
+                raise InputError(
+                    f"task {task!r} reads no points; --point applies "
+                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    field="--point")
+            flags["points"] = (_parse_vector(args.point, "--point"),)
+        for key, value in flags.items():
+            if value is not None:
+                fields[key] = value
+                labels[key] = FLAG_LABELS[key]
+    _check_fields(fields, labels)
+    return JobConfig(task=task, **fields)
+
+
+def is_hermitian_by_pair_loop(matrix: SeriesMatrix) -> bool:
+    """The Hermitian check that SeriesMatrix.is_hermitian's one dict
+    comparison per pair replaced: a length test, then each coefficient
+    of (j, i) looked up at the key-swapped monomial of (i, j)."""
+    m = matrix.npairs
+    for i in range(matrix.n):
+        for j in range(i, matrix.n):
+            a = matrix.entries[i][j].coeffs
+            b = matrix.entries[j][i].coeffs
+            if len(a) != len(b) or any(a.get(k[m:] + k[:m]) != v
+                                       for k, v in b.items()):
+                return False
+    return True
 
 
 class FractionRowEchelon:

@@ -17,7 +17,8 @@ from submodcurv.polynomials import Poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              diag_coeff)
 
-from oracles import geometric_sum, series_exp, series_identity, series_matmul
+from oracles import (geometric_sum, is_hermitian_by_pair_loop, series_exp,
+                     series_identity, series_matmul)
 
 
 def test_rat_coercion():
@@ -159,12 +160,16 @@ def test_evaluate():
 _coef = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
 
 
-def _series_strategy(npairs=2, trunc=3):
+def _series_keys(npairs=2, trunc=3):
     # coefficient keys concatenate the w-half and the wbar-half
-    keys = [w + wb
+    return [w + wb
             for w in iter_multiindices(npairs, trunc)
             for wb in iter_multiindices(npairs, trunc)
             if sum(w) + sum(wb) <= trunc]
+
+
+def _series_strategy(npairs=2, trunc=3):
+    keys = _series_keys(npairs, trunc)
 
     def build(pairs):
         coeffs = {}
@@ -292,6 +297,40 @@ def test_series_matrix_hermitian_check():
     d = SeriesMatrix([[one, w1.scale(F(2))], [wb1.scale(F(2)), one + w1]])
     assert not d.is_hermitian()
     assert SeriesMatrix([[one + w1 * wb1 + w1 + wb1]]).is_hermitian()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_hermitian_check_matches_pair_loop(data):
+    """Mirrored term maps are Hermitian; after one mutation of an entry
+    (a changed value, a dropped key, an extra key) the one dict comparison
+    per pair gives the pair loop's verdict."""
+    n = data.draw(st.integers(1, 3))
+    upper = {(i, j): data.draw(_series_strategy())
+             for i in range(n) for j in range(i, n)}
+    entries = [[None] * n for _ in range(n)]
+    for (i, j), s in upper.items():
+        if i == j:
+            s = s + s.conj()
+        entries[i][j], entries[j][i] = s, s.conj()
+    h = SeriesMatrix(entries)
+    assert h.is_hermitian() and is_hermitian_by_pair_loop(h)
+    i, j = data.draw(st.sampled_from(sorted(upper)))
+    i, j = data.draw(st.sampled_from([(i, j), (j, i)]))
+    coeffs = dict(entries[i][j].coeffs)
+    mutation = data.draw(st.sampled_from(["value", "drop", "extra"]))
+    if mutation == "extra" or not coeffs:
+        key = data.draw(st.sampled_from(list(_series_keys())))
+        coeffs[key] = coeffs.get(key, F(0)) + data.draw(_coef.filter(bool))
+    else:
+        key = data.draw(st.sampled_from(sorted(coeffs)))
+        if mutation == "drop":
+            del coeffs[key]
+        else:
+            coeffs[key] += data.draw(_coef.filter(bool))
+    entries[i][j] = TruncSeries(h.npairs, h.trunc, coeffs)
+    g = SeriesMatrix(entries)
+    assert g.is_hermitian() == is_hermitian_by_pair_loop(g)
 
 
 def test_series_matrix_inverse_sizes_one_and_three():

@@ -1,9 +1,12 @@
+import configparser
 import dataclasses
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodcurv import cli
 from submodcurv.algebra import SeriesMatrix
@@ -12,6 +15,9 @@ from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
 from submodcurv.errors import InputError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
+
+from oracles import (parse_config_by_configparser,
+                     parse_rational_by_fraction_str)
 
 BASE = """
 [module]
@@ -663,8 +669,8 @@ def test_usage_wraps_to_columns_at_error_time(tmp_path, capsys, monkeypatch):
     assert usage["80"].count("\n") < usage["40"].count("\n")
 
 
-# parse_config reuses one config reader per process: nothing one config
-# leaves in it may reach the next.
+# parse_config keeps no state between calls: nothing one config leaves
+# behind may reach the next.
 DEFAULTS_JOB = "[DEFAULT]\nalpha = 2\n\n[task]\nname = cubic\n"
 DUPLICATE_JOB = ("[task]\nname = cubic\n\n[module]\ndimension = 2\n\n"
                  "[task]\nalpha = 1\n")
@@ -672,10 +678,8 @@ DUPLICATE_JOB = ("[task]\nname = cubic\n\n[module]\ndimension = 2\n\n"
 
 @pytest.fixture
 def fresh_reader():
-    """The parse of BASE by a newly built reader."""
-    cli._config_reader.cache_clear()
-    yield parse_config(BASE)
-    cli._config_reader.cache_clear()
+    """The parse of BASE before any other config in the test."""
+    return parse_config(BASE)
 
 
 def test_reader_forgets_defaults(fresh_reader):
@@ -699,20 +703,171 @@ def test_section_keys_come_before_default_keys():
     assert str(exc.value) == "unknown key 'bar' in [module] (field 'bar')"
 
 
-def test_main_builds_one_config_reader(tmp_path, capsys, monkeypatch):
-    built = []
+def test_main_builds_no_config_parser(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ConfigParser was built")
 
-    class Counting(cli.configparser.ConfigParser):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(cli.configparser, "ConfigParser", refuse)
+    path = _write(tmp_path, BASE)
+    assert main(["curvature", "--config", path]) == 0
+    assert main(["metric", "--config", path]) == 0
 
-    monkeypatch.setattr(cli.configparser, "ConfigParser", Counting)
-    cli._config_reader.cache_clear()
+
+# The line reader against configparser, its reference: drawn config texts,
+# well formed and malformed, must give the same JobConfig or the same
+# error text and line.
+_VALUES = {
+    "dimension": ["2"],
+    "weights": ["1 2", "1/2 3", "3/2, 5/2"],
+    "generators": ["z1, z2", "z1*z2 - z2^2, z1^3 + z2", "z1"],
+    "catalogue": ["product_difference"],
+    "family": ["general"],
+    "name": ["cubic", "kernel", "curvature", "metric"],
+    "points": ["1/3 0; 1/5 1/2", "1/3 -1/4"],
+    "base_point": ["0 1/3", "1/2 -1/2"],
+    "trunc_degree": ["4", "6"],
+    "ideal_degree": ["3", "6"],
+    "alpha": ["2", "1/2", "-3/4", "+7/14", "1.5", "1e1", "1_0", "\u0663"],
+    "compare_weights": ["1 1", "2 1"],
+    "output": ["text", "json"],
+}
+_BAD_VALUES = ["0", "x", "1 -1", "3/0", "1\x0c/2", "yaml", "dance", "nope",
+               ",", ""]
+_SECTIONS = ["module", "ideal", "task", "DEFAULT", "bogus", "Task"]
+_ODD = ["=", ":", "%", ";", "#", " #", "%(x)s", "\x0c", "\x1c", "\r", "\t",
+        "\x85", "\u2028", "[", "]", "a", "1", "z1", " "]
+_space = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\x1c"])
+_odd_text = st.lists(st.sampled_from(_ODD), max_size=4).map("".join)
+
+
+@st.composite
+def _key_line(draw, key, pad=""):
+    """key = value, its key in drawn letter case, its value good, bad or
+    odd, with drawn spacing, delimiter and tail."""
+    value = draw(st.sampled_from(_VALUES.get(key, ["1"])))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        value = draw(st.sampled_from(_BAD_VALUES) | _odd_text)
+    elif kind == 1:
+        value += draw(st.sampled_from([" # note", "# not a comment",
+                                       " ; kept", "%", " = 2", ": 3"]))
+    if draw(st.booleans()):
+        key = "".join(c.upper() if draw(st.booleans()) else c for c in key)
+    return (pad + key + draw(_space) + draw(st.sampled_from("=:"))
+            + draw(_space) + value + draw(_space))
+
+
+_noise_line = st.one_of(
+    st.tuples(st.sampled_from(list(_VALUES) + ["mystery", ""]),
+              _space).flatmap(lambda key_pad: _key_line(*key_pad)),
+    st.builds(lambda pad, name, tail: f"{pad}[{name}]{tail}", _space,
+              st.sampled_from(_SECTIONS), st.sampled_from(["", " # c", "x"])),
+    st.builds(lambda pad, c, text: pad + c + text, _space,
+              st.sampled_from("#;"), _odd_text),
+    st.builds(lambda pad, text: "  " + pad + text, _space, _odd_text),
+    _space, _odd_text,
+    st.sampled_from(["[]", "[module", "= 1", ": x", "\r", "\x0c\x0c"]),
+    st.sampled_from(["alpha", "output", "name", "dimension"]).flatmap(
+        lambda key: _key_line(key).map(lambda line: "[DEFAULT]\n" + line)),
+)
+
+
+@st.composite
+def _config_text(draw):
+    """A job's sections, with some of their keys, then noise lines at
+    drawn places: none in about half the texts."""
+    lines = []
+    if draw(st.integers(0, 3)):
+        keys = {"task": ["name"] + draw(st.lists(st.sampled_from(
+            list(cli.SCHEMA["task"])[1:]), max_size=3, unique=True))}
+        if draw(st.booleans()):
+            keys["module"] = ["dimension", "weights"]
+        if draw(st.booleans()):
+            keys["ideal"] = draw(st.sampled_from(
+                [["generators"], ["catalogue"], ["generators", "family"]]))
+        for section in draw(st.permutations(list(keys))):
+            lines.append(f"[{section}]")
+            lines.extend(draw(_key_line(key)) for key in keys[section])
+            lines.append("")
+    for _ in range(draw(st.integers(0, 4)) * draw(st.integers(0, 1))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_noise_line))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n  "]))
+
+
+def _outcome(parse, text):
     try:
-        path = _write(tmp_path, BASE)
-        assert main(["curvature", "--config", path]) == 0
-        assert main(["metric", "--config", path]) == 0
-    finally:
-        cli._config_reader.cache_clear()
-    assert len(built) <= 1
+        return parse(text)
+    except InputError as e:
+        return str(e), e.line
+
+
+def _sections_by_configparser(text):
+    """configparser's read of the text as a section -> {key: value} view,
+    each section's own keys then the [DEFAULT] keys, and the [DEFAULT]
+    keys; or its error."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as e:
+        return type(e), str(e)
+    return ({section: {key: cp.get(section, key)
+                       for key in cp.options(section)}
+             for section in cp.sections()}, cp.defaults())
+
+
+def _sections_by_line_reader(text):
+    try:
+        sections, defaults = cli._read_config(text)
+    except configparser.Error as e:
+        return type(e), str(e)
+    return ({section: {**own, **{key: value for key, value
+                                 in defaults.items() if key not in own}}
+             for section, own in sections.items()}, defaults)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_config_text())
+def test_line_reader_matches_configparser(text):
+    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+    assert _outcome(parse_config, text) == \
+        _outcome(parse_config_by_configparser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "[task]\nname = cubic\nalpha = 1\x0c/2\n",
+    "[task]\nname = cubic\nalpha = 1\n  \n\n   /2\n# c\n",
+    "[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nalpha = 2\n",
+    "[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nAlpha: 2\n",
+    "[task]\nname = cubic\n= 1\n= 2\n",
+    "[task]\nname = cubic\nno delimiter\n[task]\n",
+    "alpha = 1\n[task]\nname = cubic\n",
+    "[task] # c\nname = cubic # c\nalpha = 3/4#5\n",
+    "[task]\nname = cubic\nalpha = 1/3\n  [module]\n",
+    "[task]\r\nname = cubic\r\nalpha = 1\r\n",
+    "[DEFAULT]\nalpha = 2\n[task]\nname = cubic\nalpha = 1\n",
+    "[DEFAULT]\noutput = json\n[task]\nname = cubic\n",
+    "[task]\nname = cubic\n\n[DEFAULT]\nalpha = 1 \n\n",
+    "[task]\nname = cubic\n\x0calpha = 1\n",
+])
+def test_line_reader_matches_configparser_on_edge_cases(text):
+    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+    assert _outcome(parse_config, text) == \
+        _outcome(parse_config_by_configparser, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.from_regex(r"[ \t]*[+-]?[0-9]{1,4}(/[0-9]{1,3})?[ \t]*",
+                     fullmatch=True)
+       | st.text(st.sampled_from("0123456789+-/._eE \x0c\u0663\u00b2"),
+                 max_size=8))
+def test_parse_rational_matches_fraction_str(text):
+    def outcome(parse):
+        try:
+            value = parse(text, "task.alpha")
+        except InputError as e:
+            return str(e)
+        assert type(value) is F
+        return value
+    assert outcome(cli._parse_rational) == \
+        outcome(parse_rational_by_fraction_str)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from submodcurv import rkhs
 from submodcurv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,3 +28,22 @@ def test_golden_report_bytes(config, capsys):
     assert main([config.parent.name, "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == config.with_suffix(".out").read_bytes()
+
+
+def test_golden_kernel_runs_the_remainder_bound_loop(monkeypatch, capsys):
+    """Some golden kernel report sums exact terms in the remainder bound:
+    total weight L >= 1 and a first term ratio rho (L + N + 1)/(N + 2) of
+    at least 1, so _diagonal_tail_bound enters its summation loop."""
+    calls = []
+    bound = rkhs._diagonal_tail_bound
+
+    def recorded(total_weight, rho, N):
+        calls.append((total_weight, rho, N))
+        return bound(total_weight, rho, N)
+
+    monkeypatch.setattr(rkhs, "_diagonal_tail_bound", recorded)
+    for config in CONFIGS:
+        if config.parent.name == "kernel":
+            assert main(["kernel", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert any(L >= 1 and rho * (L + N + 1) >= N + 2 for L, rho, N in calls)
