@@ -26,8 +26,6 @@ from typing import Mapping
 
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints / strings / Fractions to Fraction, rejecting floats.
@@ -440,15 +438,6 @@ class SeriesMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def is_hermitian(self) -> bool:
-        """Entry (i, j) is the conjugate of entry (j, i): for i <= j, each
-        coefficient of (j, i) sits at the key-swapped monomial of (i, j)."""
-        m = self.npairs
-        return all(
-            self.entries[i][j].coeffs == {k[m:] + k[:m]: v for k, v
-                                          in self.entries[j][i].coeffs.items()}
-            for i in range(self.n) for j in range(i, self.n))
 
     def value_at_base(self):
         """Constant-term matrix as a list of lists of Fractions."""

@@ -340,8 +340,8 @@ class Report:
     diagnostics: dict = field(default_factory=dict)
     convention: str = CONVENTION
 
-    def add(self, name, value, units=None):
-        self.results.append({"name": name, "value": value, "units": units})
+    def add(self, name, value):
+        self.results.append({"name": name, "value": value})
 
 
 def _encode(value):
@@ -357,10 +357,6 @@ def _encode(value):
 
 
 def _render_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -375,7 +371,7 @@ def render_report(report: Report, output: str) -> str:
             "task": report.task,
             "input": _encode(report.input_echo),
             "results": [{"name": r["name"], "value": _encode(r["value"]),
-                         "units": r["units"]} for r in report.results],
+                         "units": None} for r in report.results],
             "diagnostics": _encode(report.diagnostics),
             "convention": report.convention,
         }
@@ -386,8 +382,7 @@ def render_report(report: Report, output: str) -> str:
         lines.append(f"  {k} = {_render_value(report.input_echo[k])}")
     lines.append("results:")
     for r in report.results:
-        unit = f" [{r['units']}]" if r["units"] else ""
-        lines.append(f"  {r['name']} = {_render_value(r['value'])}{unit}")
+        lines.append(f"  {r['name']} = {_render_value(r['value'])}")
     lines.append("diagnostics:")
     for k in sorted(report.diagnostics):
         lines.append(f"  {k} = {_render_value(report.diagnostics[k])}")
@@ -608,8 +603,8 @@ def run_task(cfg: JobConfig) -> Report:
         for i in range(t):
             for j in range(t):
                 report.add(f"metric_at_base_{i+1}{j+1}", base[i][j])
-        # grammian returns only Hermitian metrics with positive leading
-        # principal minors at the base point, which it keeps
+        # grammian's builders are Hermitian by construction, and it returns
+        # only metrics with positive leading principal minors, which it keeps
         report.add("hermitian", True)
         report.add("positive_definite", True)
         for k, d in enumerate(metric.minors, 1):

@@ -37,13 +37,13 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                      iter_multiindices, mixed_hessian, pochhammer, rat, unit)
+                      mixed_hessian, pochhammer, rat, unit)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
-                     share_generators, share_numerators)
+                     coordinate_terms, share_generators)
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff_slots
+from .rkhs import WeightedPolydiscModule
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
@@ -201,10 +201,10 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
     Coordinate frame (at the origin): H0 is diag(l_i), H_i and H_{jbar}
     vanish, and the w_k wbar_q coefficient of H_ij is s_i(a) s_j(a) c_a
     with a = e_i + e_k = e_j + e_q, so block (k, q) has entry (i, j)
-    s_i(a) s_j(a) c_a / l_i, and 0 when no such a exists.  The shares are
-    the Grammian's integer numerators x_i over one denominator
-    (frames.share_numerators), l_i = L_i / scale and c_a = num/den, so each
-    entry is one reduced Fraction(num x_i x_j scale, den denom^2 L_i).
+    s_i(a) s_j(a) c_a / l_i, and 0 when no such a exists.  The terms with
+    |a| = 2 come from frames.coordinate_terms, the Grammian's walk, and
+    l_i = L_i / scale, so each entry is one reduced
+    Fraction(num x_i x_j scale, den L_i).
 
     Zero-variety frame at base c: H is diagonal with every entry a positive
     constant times prod_free (1 - |w_i|^2)^(-l_i), so block (k, k) is
@@ -220,20 +220,11 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
               for _ in range(m)]
     if frame.kind == COORDINATE_KIND:
         gens, scale = share_generators(frame)
-        slots = diag_coeff_slots(module, 2)
-        nums = [[c.numerator for c in row] for row in slots]
-        dens = [[c.denominator for c in row] for row in slots]
-        for a in iter_multiindices(m, 2, 2):
-            parts, denom = share_numerators(gens, a)
-            num = math.prod(nums[v][a[v]] for _, v, _, _ in parts) * scale
-            den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) \
-                * denom * denom
-            # (i, k, x_i): a = e_i + e_k, x_i the share numerator of
-            # generator i
-            pairs = [(i, next(k for k in range(m) if a[k] - (k == v)), x)
-                     for i, v, _, x in parts]
+        for num, den, downs in coordinate_terms(frame, 2, 2):
+            # (i, k, x_i): a - e_i = e_k
+            pairs = [(i, d.index(1), x) for i, x, d in downs]
             for i, k, xi in pairs:
-                ni, di = num * xi, den * gens[i][3]
+                ni, di = num * xi * scale, den * gens[i][3]
                 for j, q, xj in pairs:
                     blocks[k][q][i][j] = Fraction(ni * xj, di)
     else:

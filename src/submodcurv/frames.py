@@ -294,30 +294,38 @@ class MetricSeries:
         return self.matrix.value_at_base()
 
 
+def coordinate_terms(frame: FrameSeries, low: int, top: int):
+    """The kernel terms c_a of a coordinate-neighborhood frame with
+    low <= |a| <= top, in integers: one (num, den, downs) per a, with
+    num/den = c_a / denom^2, denom the sum of the share numerators, and
+    downs holding (i, x_i, a - e_i) per generator z_i dividing z^a, x_i its
+    share numerator (share_numerators).  c_a is the product of the
+    diag_coeff_slots entries of a's support, so num and den are the products
+    of their numerators and denominators."""
+    gens, _ = share_generators(frame)
+    slots = diag_coeff_slots(frame.module, top)
+    nums = [[c.numerator for c in row] for row in slots]
+    dens = [[c.denominator for c in row] for row in slots]
+    for a in iter_multiindices(frame.module.dim, top, low):
+        parts, denom = share_numerators(gens, a)
+        num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
+        den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
+        yield num, den, [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
+                         for k, v, _, x in parts]
+
+
 def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
     """Grammian of a coordinate-neighborhood frame, summed over the kernel
     terms: each c_a with a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at
     w^(a - e_i) wbar^(a - e_j) of H_ij.  That term has degree 2|a| - 2, so
-    1 <= |a| <= D//2 + 1 reaches the truncation degree D.  The shares are
-    integer numerators x_k over one denominator (share_numerators), and
-    c_a = num/den with num and den the products of the diag_coeff_slots
-    numerators and denominators, so each term is one reduced
-    Fraction(num x_i x_j, den denom^2)."""
+    1 <= |a| <= D//2 + 1 reaches the truncation degree D.  Each term is one
+    reduced Fraction(num x_i x_j, den) of coordinate_terms.  The value is
+    symmetric in (i, j), and one write puts it at the key of H_ij and at the
+    key-swapped key of H_ji, so H is Hermitian by construction."""
     m = frame.module.dim
-    gens, _ = share_generators(frame)
     terms = [[{} for _ in range(m)] for _ in range(m)]
-    top = frame.trunc // 2 + 1
-    slots = diag_coeff_slots(frame.module, top)
-    nums = [[c.numerator for c in row] for row in slots]
-    dens = [[c.denominator for c in row] for row in slots]
-    for a in iter_multiindices(m, top, 1):
-        parts, denom = share_numerators(gens, a)
-        num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
-        den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
-        downs = [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
-                 for k, v, _, x in parts]
-        # a key concatenates the w-half and the wbar-half; the value is
-        # symmetric in (i, j), so each pair is multiplied out once
+    for num, den, downs in coordinate_terms(frame, 1, frame.trunc // 2 + 1):
+        # a key concatenates the w-half and the wbar-half
         for y, (i, xi, di) in enumerate(downs):
             ni = num * xi
             for j, xj, dj in downs[y:]:
@@ -358,7 +366,9 @@ def _metric_by_closed_form(frame: FrameSeries):
     every generator.  It is folded into the series when it is rational, so
     reported values are the true norms, and returned as each generator's
     symbolic scale otherwise (an irrational power from fractional weights);
-    the scales are None when folded.
+    the scales are None when folded.  H is diagonal, and each slot table is
+    symmetric in (beta, gamma), so every entry is its own key-swapped
+    conjugate: H is Hermitian by construction.
     """
     module = frame.module
     m = module.dim
@@ -397,8 +407,8 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         matrix, scales = _metric_by_monomial_sum(frame), None
     else:
         matrix, scales = _metric_by_closed_form(frame)
-    if not matrix.is_hermitian():
-        raise DegeneracyError("Grammian failed the Hermitian check")
+    # both builders are Hermitian by construction; a FrameSeries built by
+    # hand may carry any lead_coeffs, so positivity is checked
     minors = leading_principal_minors(matrix.value_at_base())
     if any(d <= 0 for d in minors):
         raise DegeneracyError(

@@ -24,7 +24,7 @@ from math import comb
 from operator import add
 from typing import Optional
 
-from .algebra import iter_multiindices, rat, unit
+from .algebra import exponent, iter_multiindices, rat, unit
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon
 from .polynomials import Poly
@@ -132,7 +132,7 @@ class IdealSpec:
     @staticmethod
     def coordinate_powers(nvars: int, powers) -> "IdealSpec":
         """<z_1^{i_1}, ..., z_t^{i_t}> with powers = (i_1, ..., i_t), t <= m."""
-        powers = tuple(int(p) for p in powers)
+        powers = exponent(powers)
         if not 1 <= len(powers) <= nvars:
             raise DomainError("need between 1 and nvars coordinate powers")
         if any(p < 1 for p in powers):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import pochhammer, rat, unit
+from .algebra import exponent, pochhammer, rat, unit
 from .errors import DomainError
 from .frames import coordinate_power_data
 from .ideals import IdealSpec
@@ -140,7 +140,7 @@ def principal_rigidity(lam, mu, p: int, lam2, mu2) -> bool:
     polydisc_rigidity: the transverse curvature mu and the norm Hessians
     mu poch(lam, p)/p! and mu poch(lam, p+1)/(p+1)! of the frame and of its
     degree-shifted companion."""
-    if p < 1:
+    if exponent((p,))[0] < 1:
         raise DomainError(f"need p >= 1, got {p}")
     return polydisc_rigidity((lam, mu), (p,), (lam2, mu2))
 
@@ -203,7 +203,7 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
     w2 = tuple(rat(x) for x in weights2)
     if len(w1) != len(w2):
         raise DomainError("weight vectors must share the dimension")
-    exponents = tuple(int(e) for e in exponents)
+    exponents = exponent(exponents)
     if len(exponents) >= len(w1):
         raise DomainError(
             "the battery needs a transverse direction: fewer exponents "

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Determinants and ranks go through
-fraction-free (Bareiss) elimination on a copy whose rows are scaled to
-integers, so intermediate entries stay integral.  ``BareissFactor`` keeps one
-such sweep without pivoting: its pivots are the leading principal minors and
-its factors answer u^T A^{-1} v by integer substitution.  ``RowEchelon``
-tests a stream of sparse rows for independence, reducing each new row once,
+Matrices are lists of lists of Fraction.  Determinants, ranks, solves and
+inverses go through one fraction-free (Bareiss) sweep with row pivoting on
+a copy whose rows are scaled to integers, so intermediate entries stay
+integral; solves and inverses back-substitute in integers and form one
+Fraction per entry.  ``BareissFactor`` keeps such a sweep without
+pivoting: its pivots are the leading principal minors and its factors
+answer u^T A^{-1} v by integer substitution.  ``RowEchelon`` tests a
+stream of sparse rows for independence, reducing each new row once,
 fraction-free, against the primitive integer rows kept so far; the
 Gram-form basis and the localization span ranks both count rows with it,
 and its back-substitution (one division by each lead) gives the null
-vectors of the Gram-form complement and of ``nullspace``.  Solving and
-inverses use ordinary Gauss-Jordan elimination over Fraction, which is exact
-anyway.  Determinants over other rings (series, polynomials, complex floats)
-are ``algebra.cofactor_det``.
+vectors of the Gram-form complement and of ``nullspace``.  Determinants
+over other rings (series, polynomials, complex floats) are
+``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -43,123 +44,97 @@ def _cleared_int_rows(M):
     return [r for r, _ in cleared], [d for _, d in cleared]
 
 
-def mat_det(A) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination."""
+def _square(A, what):
     M = _as_matrix(A)
+    if any(len(r) != len(M) for r in M):
+        raise ShapeError(f"{what} needs a square matrix")
+    return M
+
+
+def _sweep(M, ncols):
+    """One fraction-free Bareiss sweep with row pivoting over the first
+    ncols columns of M's integer-cleared rows; later columns are carried
+    along.  Returns (rows, pivots, sign, mults): the swept integer rows,
+    the pivot column of each of the first len(pivots) rows, the sign of the
+    row permutation and the row multipliers.  A column with no nonzero entry
+    at or below the next pivot row is skipped.  When every one of n square
+    columns has a pivot, the last pivot is the determinant of the permuted
+    integer matrix."""
+    rows, mults = _cleared_int_rows(M)
+    pivots, sign, prev = [], 1, 1
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot = rows[k][col]
+        tail = rows[k][col + 1:]
+        for row in rows[k + 1:]:
+            lead = row[col]
+            row[col:] = [0] + [(x * pivot - lead * y) // prev
+                               for x, y in zip(row[col + 1:], tail)]
+        pivots.append(col)
+        prev = pivot
+    return rows, pivots, sign, mults
+
+
+def mat_det(A) -> Fraction:
+    """Determinant: sign * last pivot / row multipliers, 0 below full rank."""
+    M = _square(A, "determinant")
     n = len(M)
     if n == 0:
         return Fraction(1)
-    if any(len(r) != n for r in M):
-        raise ShapeError("determinant needs a square matrix")
-    rows, mults = _cleared_int_rows(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = pivot
-    return Fraction(sign * rows[n - 1][n - 1], prod(mults))
+    rows, pivots, sign, mults = _sweep(M, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1], prod(mults))
 
 
 def mat_rank(A) -> int:
-    """Rank by fraction-free elimination with full pivot search per column."""
+    """Rank: the number of pivots of one sweep over every column."""
     M = _as_matrix(A)
-    if not M:
-        return 0
-    rows, _ = _cleared_int_rows(M)
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pivot = rows[row][col]
-        for i in range(row + 1, nrows):
-            for j in range(col + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][col] * rows[row][j]) // prev
-            rows[i][col] = 0
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return len(_sweep(M, len(M[0]))[1]) if M else 0
 
 
-def _rref(M):
-    """Reduced row echelon form over Fraction; returns (rref, pivot columns)."""
-    R = [row[:] for row in M]
-    nrows = len(R)
-    ncols = len(R[0]) if R else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if R[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        R[row], R[piv] = R[piv], R[row]
-        inv = Fraction(1) / R[row][col]
-        R[row] = [x * inv for x in R[row]]
-        for r in range(nrows):
-            if r != row and R[r][col] != 0:
-                f = R[r][col]
-                R[r] = [a - f * b for a, b in zip(R[r], R[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return R, pivots
+def _solve_columns(M, columns, what):
+    """The solutions x of M x = b for square M and each column b, from one
+    sweep of [M | columns].  With d the last pivot, d x is integral
+    (Cramer), and pivot row k gives U_kk (d x_k) = d y_k - sum_{j>k} U_kj
+    (d x_j) exactly, y the swept column; each entry is one Fraction."""
+    n = len(M)
+    rows, pivots, _, _ = _sweep([M[i] + [b[i] for b in columns]
+                                 for i in range(n)], n)
+    if len(pivots) < n:
+        raise SingularityError(f"matrix is singular; cannot {what}")
+    d = rows[-1][n - 1] if n else 1
+    out = []
+    for c in range(n, n + len(columns)):
+        X = [0] * n
+        for k in reversed(range(n)):
+            row = rows[k]
+            X[k] = (d * row[c] - sum(row[j] * X[j]
+                                     for j in range(k + 1, n))) // row[k]
+        out.append([Fraction(x, d) for x in X])
+    return out
 
 
 def mat_solve(A, b):
     """Solve A x = b exactly; raises SingularityError if A is singular."""
-    M = _as_matrix(A)
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ShapeError("solve needs a square matrix")
+    M = _square(A, "solve")
     rhs = [rat(x) for x in b]
-    if len(rhs) != n:
+    if len(rhs) != len(M):
         raise ShapeError("right-hand side has wrong length")
-    aug = [M[i] + [rhs[i]] for i in range(n)]
-    R, pivots = _rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise SingularityError("matrix is singular; cannot solve")
-    return [R[i][n] for i in range(n)]
+    return _solve_columns(M, [rhs], "solve")[0]
 
 
 def mat_inverse(A):
-    M = _as_matrix(A)
+    M = _square(A, "inverse")
     n = len(M)
-    if any(len(r) != n for r in M):
-        raise ShapeError("inverse needs a square matrix")
-    aug = [M[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    R, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularityError("matrix is singular; cannot invert")
-    return [row[n:] for row in R]
+    columns = [[int(i == j) for i in range(n)] for j in range(n)]
+    return [list(row) for row in zip(*_solve_columns(M, columns, "invert"))]
 
 
 def mat_mul(A, B):
@@ -212,10 +187,8 @@ class BareissFactor:
     """
 
     def __init__(self, A):
-        M = _as_matrix(A)
+        M = _square(A, "factorization")
         n = len(M)
-        if any(len(r) != n for r in M):
-            raise ShapeError("factorization needs a square matrix")
         rows, self.scalings = _cleared_int_rows(M)
         pivots = []
         prev = 1
@@ -336,10 +309,8 @@ def leading_principal_minors(A):
     They are the pivots of one BareissFactor sweep.  Past a zero pivot the
     sweep cannot go on, and each remaining block takes one mat_det.
     """
-    M = _as_matrix(A)
+    M = _square(A, "leading_principal_minors")
     n = len(M)
-    if any(len(r) != n for r in M):
-        raise ShapeError("principal minors need a square matrix")
     minors = BareissFactor(M).leading_minors()
     return minors + [mat_det([row[:k] for row in M[:k]])
                      for k in range(len(minors) + 1, n + 1)]

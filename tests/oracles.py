@@ -17,8 +17,10 @@ coordinate Grammian and curvature blocks with Fraction splitting shares.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
 generator by evaluating it at the polynomials z_i + w_i, the config parse
-by configparser and the rational parse by Fraction(str); and the Hermitian
-check as a loop over each pair's coefficients.  The kernel routes are here
+by configparser and the rational parse by Fraction(str); the Hermitian
+check as a loop over each pair's coefficients, which the Grammian builders
+meet by construction; and Gauss-Jordan elimination over Fraction, the
+nullspace reference.  The kernel routes are here
 too: the remainder bound, the integer-weight ambient kernel
 (ambient_kernel_exact, public until no kernel called it) and the monomial
 closed form in Fractions, the rank-one correction with all four ambient
@@ -546,9 +548,10 @@ def parse_config_by_configparser(text: str, args=None) -> JobConfig:
 
 
 def is_hermitian_by_pair_loop(matrix: SeriesMatrix) -> bool:
-    """The Hermitian check that SeriesMatrix.is_hermitian's one dict
-    comparison per pair replaced: a length test, then each coefficient
-    of (j, i) looked up at the key-swapped monomial of (i, j)."""
+    """Whether entry (i, j) of a series matrix is the conjugate of entry
+    (j, i): a length test, then each coefficient of (j, i) looked up at the
+    key-swapped monomial of (i, j).  Both Grammian builders write H_ji as
+    the key-swapped H_ij, so frames.grammian does not check it."""
     m = matrix.npairs
     for i in range(matrix.n):
         for j in range(i, matrix.n):
@@ -558,6 +561,37 @@ def is_hermitian_by_pair_loop(matrix: SeriesMatrix) -> bool:
                                        for k, v in b.items()):
                 return False
     return True
+
+
+def _rref(M):
+    """Reduced row echelon form over Fraction, the Gauss-Jordan elimination
+    that linalg's solves and inverses used before its one pivoting
+    Bareiss sweep; returns (rref, pivot columns)."""
+    R = [row[:] for row in M]
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(row, nrows):
+            if R[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        R[row], R[piv] = R[piv], R[row]
+        inv = Fraction(1) / R[row][col]
+        R[row] = [x * inv for x in R[row]]
+        for r in range(nrows):
+            if r != row and R[r][col] != 0:
+                f = R[r][col]
+                R[r] = [a - f * b for a, b in zip(R[r], R[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return R, pivots
 
 
 class FractionRowEchelon:

@@ -28,7 +28,7 @@ from submodcurv import (DiagonalFilteredKernel, GramFormKernel, IdealSpec,
 from submodcurv.algebra import TruncSeries
 from oracles import (coordinate_det_fn, fd_log_hessian,
                      full_reconstruction_residual, geometric_sum,
-                     zero_set_metric_fn)
+                     is_hermitian_by_pair_loop, zero_set_metric_fn)
 from test_curvature import _det_bundle_by_log_det
 
 
@@ -283,7 +283,8 @@ def test_criterion_8_property_suites():
         mod = WeightedPolydiscModule(3, (lam, mu, nu))
         ideal = IdealSpec.coordinate_powers(3, (1, 2))
         frame = frame_on_zero_set(mod, ideal, (F(0), F(0), b3), 4)
-        H = grammian(frame)  # raises DegeneracyError unless Hermitian + PD
+        H = grammian(frame)  # raises DegeneracyError unless PD
+        assert is_hermitian_by_pair_loop(H.matrix)
         vals = H.matrix.value_at_base()
         assert all(vals[i][j] == vals[j][i] for i in range(2)
                    for j in range(2))

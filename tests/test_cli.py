@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli
-from submodcurv.algebra import SeriesMatrix
 from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
                             render_report, run_task)
 from submodcurv.errors import InputError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
-from oracles import (parse_config_by_configparser,
+from oracles import (is_hermitian_by_pair_loop, parse_config_by_configparser,
                      parse_rational_by_fraction_str)
 
 BASE = """
@@ -227,16 +226,20 @@ trunc_degree = 3
 
 
 def test_metric_task_checks_its_grammian_once(monkeypatch):
+    """The metric task builds one Grammian, which is Hermitian by
+    construction (the pair-loop oracle agrees), and reports the leading
+    minors that grammian checked."""
     calls = []
-    is_hermitian = SeriesMatrix.is_hermitian
+    grammian = cli.grammian
 
-    def counted(self):
-        calls.append(self)
-        return is_hermitian(self)
+    def recorded(frame):
+        calls.append(grammian(frame))
+        return calls[-1]
 
-    monkeypatch.setattr(SeriesMatrix, "is_hermitian", counted)
+    monkeypatch.setattr(cli, "grammian", recorded)
     report = run_task(parse_config(METRIC))
     assert len(calls) == 1
+    assert is_hermitian_by_pair_loop(calls[0].matrix)
     results = {r["name"]: r["value"] for r in report.results}
     assert results["hermitian"] is True
     assert results["positive_definite"] is True

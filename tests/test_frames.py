@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, frames
-from submodcurv.algebra import (TruncSeries, iter_multiindices, unit,
-                                pochhammer)
+from submodcurv.algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
+                                unit, pochhammer)
 from submodcurv.cli import main
 from submodcurv.curvature import curvature_matrix, det_bundle_curvature
 from submodcurv.errors import (DegeneracyError, DomainError,
@@ -22,7 +22,7 @@ from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 import oracles
 from oracles import (frame_vector_at_base, full_reconstruction_residual,
-                     recentered_inverse_power)
+                     is_hermitian_by_pair_loop, recentered_inverse_power)
 
 E1 = unit(2, 0)
 E2 = unit(2, 1)
@@ -677,6 +677,47 @@ def test_coordinate_grammian_equals_fraction_share_reference(weights, D):
     assert _entry_items(got) == _entry_items(want)
     assert all(type(v) is F for row in got.entries for s in row
                for v in s.coeffs.values())
+
+
+def _metric_without_mirror(frame):
+    """_metric_by_monomial_sum with the (j, i) write left out."""
+    m = frame.module.dim
+    terms = [[{} for _ in range(m)] for _ in range(m)]
+    for num, den, downs in frames.coordinate_terms(frame, 1,
+                                                   frame.trunc // 2 + 1):
+        for y, (i, xi, di) in enumerate(downs):
+            for j, xj, dj in downs[y:]:
+                terms[i][j][di + dj] = F(num * xi * xj, den)
+    return SeriesMatrix([[TruncSeries(m, frame.trunc, t) for t in row]
+                         for row in terms])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_grammians_are_hermitian_by_construction(data):
+    """grammian does not check the Hermitian symmetry; both builders meet
+    it.  Coordinate frames with m = 2..4 and D = 2..6, and zero-set frames
+    with fractional weights off the origin, pass the pair-loop oracle; a
+    monomial sum that skips the (j, i) write fails it."""
+    m = data.draw(st.integers(2, 4))
+    fractional = _slot_weight.filter(lambda w: w.denominator > 1)
+    weights = data.draw(st.lists(fractional, min_size=m, max_size=m))
+    module = WeightedPolydiscModule(m, weights)
+    D = data.draw(st.integers(2, 6))
+    coordinate = decompose_coordinate_ideal(module, D)
+    assert is_hermitian_by_pair_loop(grammian(coordinate).matrix)
+    t = data.draw(st.integers(1, m - 1))
+    gen_vars = data.draw(st.permutations(range(m)))[:t]
+    ideal = IdealSpec.monomial(m, [unit(m, v, data.draw(st.integers(1, 3)))
+                                   for v in gen_vars])
+    base = tuple(F(0) if i in gen_vars else data.draw(_center.filter(bool))
+                 for i in range(m))
+    zero_set = frame_on_zero_set(module, ideal, base, D)
+    assert is_hermitian_by_pair_loop(grammian(zero_set).matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames, "_metric_by_monomial_sum",
+                      _metric_without_mirror)
+        assert not is_hermitian_by_pair_loop(grammian(coordinate).matrix)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from submodcurv import rkhs
+from submodcurv import linalg, rkhs
 from submodcurv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,3 +47,21 @@ def test_golden_kernel_runs_the_remainder_bound_loop(monkeypatch, capsys):
             assert main(["kernel", "--config", str(config)]) == 0
     capsys.readouterr()
     assert any(L >= 1 and rho * (L + N + 1) >= N + 2 for L, rho, N in calls)
+
+
+def test_golden_kernel_runs_a_gram_block(monkeypatch, capsys):
+    """Some golden kernel report evaluates a Gram block larger than 1x1,
+    so BareissFactor.inverse_form runs on a pinned report."""
+    sizes = []
+    inverse_form = linalg.BareissFactor.inverse_form
+
+    def recorded(self, u, v):
+        sizes.append(len(u))
+        return inverse_form(self, u, v)
+
+    monkeypatch.setattr(linalg.BareissFactor, "inverse_form", recorded)
+    for config in CONFIGS:
+        if config.parent.name == "kernel":
+            assert main(["kernel", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert any(n > 1 for n in sizes)

@@ -49,6 +49,12 @@ def test_coordinate_powers_constructor():
     assert i.max_degree == 2
 
 
+def test_coordinate_powers_rejects_non_integer_powers():
+    for p in (F(5, 2), 1.9, "2", F(2)):  # 5/2 once built z1^2
+        with pytest.raises(DomainError):
+            IdealSpec.coordinate_powers(2, (p,))
+
+
 def test_zero_sets():
     v = zero_set(IdealSpec.coordinate_powers(3, (2, 1)))
     assert isinstance(v, CoordinateSubspace)

@@ -261,6 +261,16 @@ def test_rigidity_battery_reads_the_generator_variables():
         polydisc_rigidity_report((3, 1), (2,), (3, 1), gen_vars=(0,))
 
 
+@pytest.mark.parametrize("p", [F(3, 2), 1.9, "2", F(2)], ids=repr)
+def test_rigidity_rejects_non_integer_exponents(p):
+    """An exponent that is not an int is rejected, never truncated: 3/2
+    and 1.9 once ran as p = 1, and "2" as p = 2."""
+    with pytest.raises(DomainError):
+        polydisc_rigidity_report((1, 2), (p,), (1, 2))
+    with pytest.raises(DomainError):
+        principal_rigidity(1, 2, p, 1, 2)
+
+
 def test_rigidity_needs_transverse_direction():
     with pytest.raises(DomainError):
         polydisc_rigidity_report((1, 2), (1, 1), (1, 2))

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.errors import ShapeError, SingularityError
-from submodcurv.linalg import (BareissFactor, RowEchelon, _rref,
+from submodcurv.linalg import (BareissFactor, RowEchelon,
                                leading_principal_minors, mat_det, mat_inverse,
                                mat_mul, mat_rank, mat_solve, nullspace)
 
-from oracles import is_positive_definite, mat_identity
+from oracles import _rref, is_positive_definite, mat_identity
 
 
 def _brute_det(m):
@@ -103,6 +103,30 @@ def test_inverse():
         assert mat_mul(mat_inverse(a), a) == eye
 
 
+def test_solve_and_inverse_with_a_row_swap():
+    """A zero in the pivot position: the sweep swaps rows first."""
+    swap = [[F(0), F(1)], [F(1), F(0)]]
+    assert mat_solve(swap, [F(2), F(-1, 3)]) == [F(-1, 3), F(2)]
+    assert mat_inverse(swap) == swap
+    a = [[F(0), F(2), F(1)], [F(0), F(1, 2), F(3)], [F(-3, 4), F(1), F(0)]]
+    assert mat_mul(a, mat_inverse(a)) == mat_identity(3)
+    x = [F(1, 2), F(-2), F(5, 3)]
+    assert mat_solve(a, [sum(p * q for p, q in zip(row, x))
+                         for row in a]) == x
+
+
+def test_solve_and_inverse_singular():
+    for a in ([[F(0), F(0)], [F(0), F(0)]],
+              [[F(0), F(1)], [F(0), F(2)]],  # a column with no pivot
+              [[F(1), F(2), F(3)], [F(1, 2), F(1), F(3, 2)],
+               [F(0), F(1), F(1)]]):
+        assert mat_det(a) == 0
+        with pytest.raises(SingularityError):
+            mat_solve(a, [F(1)] * len(a))
+        with pytest.raises(SingularityError):
+            mat_inverse(a)
+
+
 def test_principal_minors_and_definiteness():
     a = [[F(2), F(1)], [F(1), F(2)]]
     assert leading_principal_minors(a) == [F(2), F(3)]
@@ -134,6 +158,25 @@ def _matrices_with_zero_minors(draw):
 def test_leading_minors_match_blockwise_det(a):
     want = [mat_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
     assert leading_principal_minors(a) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_minors())
+def test_solve_and_inverse_match_gauss_jordan(a):
+    """The pivoting sweep against the Gauss-Jordan reference, on matrices
+    whose leading blocks are often singular, so rows are swapped."""
+    n = len(a)
+    R, pivots = _rref([row + [F(i == j) for j in range(n)]
+                       for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(SingularityError):
+            mat_inverse(a)
+        with pytest.raises(SingularityError):
+            mat_solve(a, [F(1)] * n)
+        return
+    assert mat_inverse(a) == [row[n:] for row in R]
+    assert mat_solve(a, [row[0] for row in a]) == \
+        [F(i == 0) for i in range(n)]
 
 
 def test_leading_minors_past_a_zero_pivot():

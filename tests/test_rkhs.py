@@ -308,6 +308,13 @@ _GRAM_IDEALS = [
      IdealSpec.from_generators(3, [parse_poly("z1*z2 - z3^2", 3)])),
     (WeightedPolydiscModule(3, (F(2, 3), F(3), F(5, 2))),
      IdealSpec.from_generators(3, [parse_poly("z1 - z2*z3", 3)])),
+    # Gram blocks larger than 1x1: the golden kernel/gram-blocks ideal, with
+    # 2x2 blocks, and a unit at the origin whose complement is one block of
+    # N + 1 polynomials
+    (WeightedPolydiscModule(2, (F(1), F(3, 2))),
+     IdealSpec.from_generators(2, [parse_poly("z1^2 + z1*z2 + z2^2", 2)])),
+    (WeightedPolydiscModule(2, (F(2), F(1, 2))),
+     IdealSpec.from_generators(2, [parse_poly("z1 + z2 + 1", 2)])),
 ]
 _GRAM_DEGREES = {2: [4, 5, 6, 7, 8], 3: [4, 5, 6]}
 _GRAM_CASES = [(degree, case) for case, (module, _) in enumerate(_GRAM_IDEALS)
