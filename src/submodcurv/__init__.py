@@ -8,8 +8,8 @@ localization dimensions, and rigidity decision procedures.
 """
 
 from .algebra import (LogSeries, SeriesMatrix, TruncSeries,
-                      iter_multiindices, mixed_hessian, pochhammer, rat,
-                      series_inverse, series_log)
+                      iter_multiindices, mixed_hessian, rat, series_inverse,
+                      series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
                         curvature_matrix, curvature_tensor,
                         det_bundle_curvature, gauge_conjugate,
@@ -51,7 +51,7 @@ __all__ = [
     "grammian", "iter_multiindices",
     "lambda_mu_equivalent", "lambda_mu_invariants", "line_curvature",
     "localization_dim", "minimality_certificate", "mixed_hessian",
-    "parse_poly", "pochhammer",
+    "parse_poly",
     "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
     "reconstruction_residual", "series_inverse",

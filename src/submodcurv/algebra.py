@@ -42,17 +42,6 @@ def rat(x) -> Fraction:
     raise DomainError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-def pochhammer(a: Fraction, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer needs n >= 0, got {n}")
-    a = rat(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 def exponent(exps) -> tuple:
     """exps as a tuple of non-negative ints: the one check an exponent gets
     where it enters from outside the term arithmetic, whose sums, slices

@@ -338,10 +338,15 @@ class Report:
     input_echo: dict
     results: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-    convention: str = CONVENTION
 
     def add(self, name, value):
         self.results.append({"name": name, "value": value})
+
+    def add_matrix(self, name, rows):
+        """One result name_ij per entry, i and j counted from 1."""
+        for i, row in enumerate(rows, 1):
+            for j, value in enumerate(row, 1):
+                self.add(f"{name}_{i}{j}", value)
 
 
 def _encode(value):
@@ -373,7 +378,7 @@ def render_report(report: Report, output: str) -> str:
             "results": [{"name": r["name"], "value": _encode(r["value"]),
                          "units": None} for r in report.results],
             "diagnostics": _encode(report.diagnostics),
-            "convention": report.convention,
+            "convention": CONVENTION,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     lines = [f"task: {report.task}"]
@@ -386,7 +391,7 @@ def render_report(report: Report, output: str) -> str:
     lines.append("diagnostics:")
     for k in sorted(report.diagnostics):
         lines.append(f"  {k} = {_render_value(report.diagnostics[k])}")
-    lines.append(f"convention: {report.convention}")
+    lines.append(f"convention: {CONVENTION}")
     return "\n".join(lines) + "\n"
 
 
@@ -570,9 +575,8 @@ def run_task(cfg: JobConfig) -> Report:
             report.diagnostics[f"dims_by_degree_{k}"] = \
                 [[n, d] for n, d in loc.dims_by_degree]
             if variety is not None:
-                on_v = variety.contains(p)
-                if on_v is not None:
-                    report.diagnostics[f"point_{k}_on_variety"] = on_v
+                report.diagnostics[f"point_{k}_on_variety"] = \
+                    variety.contains(p)
             if loc.conditional:
                 report.diagnostics[f"conditional_{k}"] = (
                     "general-family result; stabilization is heuristic")
@@ -598,17 +602,14 @@ def run_task(cfg: JobConfig) -> Report:
 
     if cfg.task == "metric":
         metric = grammian(frame)
-        base = metric.value_at_base()
-        t = metric.size
-        for i in range(t):
-            for j in range(t):
-                report.add(f"metric_at_base_{i+1}{j+1}", base[i][j])
+        report.add_matrix("metric_at_base", metric.value_at_base())
         # grammian's builders are Hermitian by construction, and it returns
         # only metrics with positive leading principal minors, which it keeps
         report.add("hermitian", True)
         report.add("positive_definite", True)
         for k, d in enumerate(metric.minors, 1):
             report.add(f"principal_minor_{k}", d)
+        t = metric.size
         report.diagnostics["metric_series"] = {
             f"H_{i+1}{j+1}": str(metric.matrix[i, j])
             for i in range(t) for j in range(t)}
@@ -620,21 +621,12 @@ def run_task(cfg: JobConfig) -> Report:
     if cfg.task == "curvature":
         if cfg.trunc_degree < 4:
             raise DomainError("curvature task needs trunc_degree >= 4")
-        m = module.dim
         tensor = curvature_tensor(frame)
-        det_curv = tensor.trace_matrix()  # the det-bundle curvature
-        for i in range(m):
-            for j in range(m):
-                report.add(f"det_bundle_curvature_{i+1}{j+1}",
-                           det_curv[i][j])
+        report.add_matrix("det_bundle_curvature", tensor.trace_matrix())
+        for i, row in enumerate(tensor.blocks, 1):
+            for j, block in enumerate(row, 1):
+                report.add_matrix(f"curvature_block_{i}{j}", block)
         t = tensor.size
-        for i in range(m):
-            for j in range(m):
-                block = tensor.block(i, j)
-                for a in range(t):
-                    for b in range(t):
-                        report.add(f"curvature_block_{i+1}{j+1}_{a+1}{b+1}",
-                                   block[a][b])
         if frame.kind == COORDINATE_KIND and module.dim == 2 and t == 2:
             inv = lambda_mu_invariants(*module.weights)
             report.add("closed_form_kappa1", inv.kappa1)

@@ -31,19 +31,18 @@ metric h has line curvature (h h_{i jbar} - h_i h_{jbar}) / h^2 on its
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
 from .algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                      mixed_hessian, pochhammer, rat, unit)
+                      mixed_hessian, rat, unit)
 from .errors import DomainError, ShapeError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
 from .linalg import mat_det, mat_inverse, mat_mul, nullspace
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule
+from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
@@ -98,7 +97,6 @@ class CurvatureTensor:
     size: int
     blocks: tuple
     free_slots: tuple
-    convention: str = CONVENTION
 
     def block(self, i: int, j: int):
         return self.blocks[i][j]
@@ -289,8 +287,7 @@ def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
         tuple(tuple(tuple(row) for row in mat_mul(mat_mul(Minv, [list(r) for r in K.blocks[i][j]]), M))
               for j in range(len(K.blocks[i])))
         for i in range(len(K.blocks)))
-    return CurvatureTensor(K.base_point, K.size, blocks, K.free_slots,
-                           K.convention)
+    return CurvatureTensor(K.base_point, K.size, blocks, K.free_slots)
 
 
 def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
@@ -379,7 +376,7 @@ def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
     if gen_var not in (0, 1):
         raise DomainError(f"the generator variable must be 0 or 1, got "
                           f"{gen_var}")
-    lam, mu = module.weights[gen_var], module.weights[1 - gen_var]
+    mu = module.weights[1 - gen_var]
     return PrincipalCurvaturePair(
-        raw=pochhammer(lam, p) / math.factorial(p) * mu, log_based=mu)
+        raw=diag_coeff_slots(module, p)[gen_var][p] * mu, log_based=mu)
 

@@ -38,8 +38,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
-                      pochhammer, rat, unit)
+from .algebra import SeriesMatrix, TruncSeries, iter_multiindices, rat, unit
 from .errors import (DegeneracyError, DomainError, ShapeError,
                      TruncationError, UnsupportedIdealError)
 from .ideals import MONOMIAL, IdealSpec
@@ -253,8 +252,8 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
                 f"base point must lie on the zero variety: z{v+1} component "
                 f"is {base[v]}, expected 0")
     free = tuple(i for i in range(m) if i not in gen_vars)
-    leads = tuple(pochhammer(module.weights[v], p) / math.factorial(p)
-                  for v, p in zip(gen_vars, gen_powers))
+    slots = diag_coeff_slots(module, max(gen_powers))
+    leads = tuple(slots[v][p] for v, p in data)
     return FrameSeries(module, ZERO_SET_KIND, base, trunc,
                        gen_vars, gen_powers, free, leads)
 
@@ -337,16 +336,17 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
                           for t in row] for row in terms])
 
 
-def _slot_coefficients(weight, c, trunc) -> dict:
+def _slot_coefficients(row, c) -> dict:
     """(beta, gamma) -> [u^beta ub^gamma] of ((1 - (c+u)(c+ub)) / (1 - c^2))
-    ^(-l), l = weight, for beta + gamma <= trunc, zero entries left out:
+    ^(-l) for beta + gamma <= trunc, zero entries left out, where row is
+    l's diag_coeff_slots row (l)_n/n!, n = 0..trunc:
     (l)_beta/beta! sum_{j <= min(beta, gamma)} C(beta, j) (l+beta)_{gamma-j}
     /(gamma-j)! c^(beta+gamma-2j) q^(beta+gamma-j), q = 1/(1 - c^2).  With
     n = beta + gamma the j-th term is C(beta, j) C(n-j, beta) lq[n-j]
     c^(n-2j), lq[k] = (l)_k/k! q^k; the table is symmetric in (beta, gamma)."""
+    trunc = len(row) - 1
     q = 1 / (1 - c * c)
-    lq = [pochhammer(weight, k) / math.factorial(k) * q ** k
-          for k in range(trunc + 1)]
+    lq = [x * q ** k for k, x in enumerate(row)]
     cpow = [c ** k for k in range(trunc + 1)]
     table = {}
     for b in range(trunc // 2 + 1):
@@ -375,12 +375,13 @@ def _metric_by_closed_form(frame: FrameSeries):
     D = frame.trunc
     t = frame.count
     scale = PowerProduct()
+    slots = diag_coeff_slots(module, D)
     # disjoint slots: the product of their tables is the outer product
     terms = {(0,) * (2 * m): Fraction(1)}
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         scale = scale.times(1 - c * c, -module.weights[i])
-        table = _slot_coefficients(module.weights[i], c, D).items()
+        table = _slot_coefficients(slots[i], c).items()
         terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
                  for k, a in terms.items() for room in (D - sum(k),)
                  for (b, g), x in table if b + g <= room}

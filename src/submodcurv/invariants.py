@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import exponent, pochhammer, rat, unit
-from .errors import DomainError
-from .frames import coordinate_power_data
-from .ideals import IdealSpec
-from .rkhs import WeightedPolydiscModule
+from .algebra import exponent, rat
+from .errors import DomainError, UnsupportedIdealError
+from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,6 @@ def principal_rigidity(lam, mu, p: int, lam2, mu2) -> bool:
     polydisc_rigidity: the transverse curvature mu and the norm Hessians
     mu poch(lam, p)/p! and mu poch(lam, p+1)/(p+1)! of the frame and of its
     degree-shifted companion."""
-    if exponent((p,))[0] < 1:
-        raise DomainError(f"need p >= 1, got {p}")
     return polydisc_rigidity((lam, mu), (p,), (lam2, mu2))
 
 
@@ -158,8 +154,9 @@ class RigidityReport:
 
 def _curvature_battery(module: WeightedPolydiscModule, data):
     """Curvature invariants of the coordinate-power submodule generated by
-    z_{v+1}^i, (v, i) in data, at the origin slice point.  There the frame
-    metric is diagonal with H_kk = poch(l_{v_k}, i_k)/i_k! times
+    z_{v+1}^i, (v, i) in data (distinct v, sorted, i >= 1), at the origin
+    slice point.  There the frame metric is diagonal with
+    H_kk = poch(l_{v_k}, i_k)/i_k! (a diag_coeff_slots entry) times
     prod_free (1 - |w_j|^2)^(-l_j), so every invariant is a closed form in
     the weights.
 
@@ -171,21 +168,17 @@ def _curvature_battery(module: WeightedPolydiscModule, data):
                   (the shifted companion scales by (l_k + i_k)/(i_k + 1),
                   pinning the k-th weight).
     """
-    m = module.dim
-    # the frame builder's checks on the generators, and its variable order
-    data = coordinate_power_data(IdealSpec.monomial(
-        m, [unit(m, v, p) for v, p in data]))
     weights = module.weights
     gen_vars = {v for v, _ in data}
-    free = [i for i in range(m) if i not in gen_vars]
+    free = [i for i in range(module.dim) if i not in gen_vars]
     battery = [(f"transverse_log_curvature_w{i+1}", weights[i])
                for i in free]
     l0 = weights[free[0]]
+    slots = diag_coeff_slots(module, max(p for _, p in data) + 1)
     for k, (v, p) in enumerate(data):
-        for name, q in ((f"norm_hessian_gen{k+1}", p),
-                        (f"norm_hessian_gen{k+1}_shifted", p + 1)):
-            battery.append((name,
-                            pochhammer(weights[v], q) / math.factorial(q) * l0))
+        battery.append((f"norm_hessian_gen{k+1}", slots[v][p] * l0))
+        battery.append((f"norm_hessian_gen{k+1}_shifted",
+                        slots[v][p + 1] * l0))
     return tuple(battery)
 
 
@@ -196,22 +189,35 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
     of the 0-based variable gen_vars[k] (default: variable k); generators
     are numbered in variable order.
 
-    Requires at least one free (transverse) variable: the exponent list must
-    be shorter than the dimension.
+    Requires one or more exponents, each >= 1, on distinct variables, and a
+    free (transverse) variable: fewer exponents than variables.
     """
     w1 = tuple(rat(x) for x in weights1)
     w2 = tuple(rat(x) for x in weights2)
-    if len(w1) != len(w2):
+    m = len(w1)
+    if len(w2) != m:
         raise DomainError("weight vectors must share the dimension")
     exponents = exponent(exponents)
-    if len(exponents) >= len(w1):
+    if len(exponents) >= m:
         raise DomainError(
             "the battery needs a transverse direction: fewer exponents "
             "than variables")
-    gen_vars = range(len(exponents)) if gen_vars is None else gen_vars
-    data = sorted(zip(gen_vars, exponents, strict=True))
-    mod1 = WeightedPolydiscModule(len(w1), w1)
-    mod2 = WeightedPolydiscModule(len(w2), w2)
+    if not exponents or min(exponents) < 1:
+        raise DomainError(f"need one or more generator exponents, each >= 1, "
+                          f"got {exponents}")
+    gen_vars = tuple(range(len(exponents)) if gen_vars is None else gen_vars)
+    if len(gen_vars) != len(exponents):
+        raise DomainError(f"need one generator variable per exponent, got "
+                          f"{len(gen_vars)} for {len(exponents)} exponents")
+    if not all(isinstance(v, int) and 0 <= v < m for v in gen_vars):
+        raise DomainError(f"generator variables must be integers in "
+                          f"0..{m - 1}, got {gen_vars}")
+    if len(set(gen_vars)) != len(gen_vars):
+        raise UnsupportedIdealError(
+            "two generators share a variable; the generating set is redundant")
+    data = sorted(zip(gen_vars, exponents))
+    mod1 = WeightedPolydiscModule(m, w1)
+    mod2 = WeightedPolydiscModule(m, w2)
     left = _curvature_battery(mod1, data)
     right = _curvature_battery(mod2, data)
     names = tuple(name for name, _ in left)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import exponent, iter_multiindices, pochhammer, rat
+from .algebra import exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import (COORDINATE_VANISHING, GENERAL, MONOMIAL, CATALOGUED,
                      IdealSpec, vanishing_point)
@@ -88,21 +88,21 @@ class WeightedPolydiscModule:
 
 
 def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
-    """Kernel diagonal coefficient c_alpha = prod poch(l_i, a_i) / a_i!."""
+    """Kernel diagonal coefficient c_alpha = prod poch(l_i, a_i) / a_i!,
+    the product of the diag_coeff_slots entries of alpha."""
     a = exponent(alpha)
     if len(a) != module.dim:
         raise ShapeError(f"multi-index arity {len(a)} != dimension {module.dim}")
-    out = Fraction(1)
-    for w, e in zip(module.weights, a):
-        out *= pochhammer(w, e) / math.factorial(e)
-    return out
+    slots = diag_coeff_slots(module, max(a))
+    return math.prod(row[e] for row, e in zip(slots, a))
 
 
 def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
     """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
     n = 0..N, by the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1), so
     c_alpha = prod_i slots[i][alpha_i].  With l_i = p/q each step is one
-    Fraction(num (p + n q), den q (n + 1)) of integers."""
+    Fraction(num (p + n q), den q (n + 1)) of integers.  Every poch(l, n)/n!
+    in the package, closed forms included, is read from this table."""
     slots = []
     for l in module.weights:
         p, q = l.numerator, l.denominator
@@ -425,10 +425,9 @@ class GramFormKernel:
     ``basis`` holds a maximal independent subset of {z^beta p_j} with
     deg <= N, picked greedily in a deterministic order; it spans V_N
     (len(basis) = dim V_N) and is not evaluated.  H must be positive
-    definite, checked on each block of its nonzero pattern; gram_minors,
-    its leading principal minors, are products of the blocks' ones.  A 1x1
-    block is one division; each larger one gets one Bareiss sweep, whose
-    pivots give its check and minors and whose factors eval_exact uses.
+    definite, checked on each block of its nonzero pattern.  A 1x1 block
+    is one division; each larger one gets one Bareiss sweep, whose pivots
+    give its check and whose factors eval_exact uses.
     """
 
     variant = "gram_form"
@@ -451,8 +450,7 @@ class GramFormKernel:
         self._terms = [[(a, c.numerator * (self._den // c.denominator))
                         for a, c in f.coeffs.items()]
                        for f in self.complement]
-        # step[j]: the ratio of the leading minors of orders j + 1 and j
-        step, singles, self._factors = [None] * n, [], []
+        singles, self._factors = [], []
         for block in _components(n, ((j, k) for j in range(n) for k in range(j)
                                      if H[j][k] or H[k][j])):
             if len(block) == 1:
@@ -465,10 +463,6 @@ class GramFormKernel:
                 self._factors.append((block, factor))
             if any(d <= 0 for d in minors):
                 raise DomainError("Gram matrix is not positive definite")
-            for j, d, prev in zip(block, minors, [1] + minors):
-                step[j] = d / prev
-        minor = Fraction(1)
-        self.gram_minors = [minor := minor * d for d in step]
         # 1 / H_jj over the 1x1 blocks, as integer multiples of 1 / _single_den
         self._single_den = math.lcm(*(h.numerator for _, h in singles))
         self._singles = [(j, self._single_den // h.numerator * h.denominator)

@@ -6,10 +6,11 @@ evaluate the frame norms and the coordinate Grammian determinant directly
 in floats and difference them, with no truncated-series arithmetic.  The
 exact helpers (series exponential, series matrix product and identity,
 rational identity matrix, Sylvester's criterion, a frame vector frozen at
-its base point, the geometric sum) build fixtures and references for the
-unit tests.  The reconstruction residual by full series products and the
-Horner expansion of a recentered inverse power are the references for the
-library's share-sum residual and coefficient-table metric.  The routes the
+its base point, the geometric sum, the rising factorial) build fixtures
+and references for the unit tests.  The reconstruction residual by full
+series products and the Horner expansion of a recentered inverse power
+are the references for the library's share-sum residual and
+coefficient-table metric.  The routes the
 integer fast paths replaced stay here as their references: the localization
 dimension by two Fraction echelon forms, the cubic's positive roots by a
 squarefree part, a Sturm chain and chain-count bisection, and the
@@ -38,8 +39,7 @@ from fractions import Fraction
 from typing import Callable
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                                eval_terms, iter_multiindices, pochhammer,
-                                rat)
+                                eval_terms, iter_multiindices, rat)
 from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
                             JobConfig, _check_fields, _parse_vector)
 from submodcurv.errors import DomainError, InputError, ShapeError
@@ -57,6 +57,19 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, RankOneCorrectedKernel,
 
 # ---------------------------------------------------------------------------
 # Exact helpers
+
+
+def pochhammer(a: Fraction, n: int) -> Fraction:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1, as a
+    product: the reference for the package's one coefficient table
+    rkhs.diag_coeff_slots, whose rows are (a)_n/n! by a ratio recurrence."""
+    if n < 0:
+        raise DomainError(f"pochhammer needs n >= 0, got {n}")
+    a = rat(a)
+    out = Fraction(1)
+    for k in range(n):
+        out *= a + k
+    return out
 
 
 def series_exp(s: TruncSeries) -> TruncSeries:

@@ -70,7 +70,7 @@ def test_criterion_2_principal_power_curvature_pair():
     # both transverse-curvature readings for <z1^p>, exact, with the
     # convention note attached
     failures = []
-    from submodcurv.algebra import pochhammer
+    from oracles import pochhammer
     for lam in (F(1), F(2)):
         for mu in (F(1), F(2)):
             for p in (1, 2, 3):

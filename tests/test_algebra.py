@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries,
                                 clean_terms, cofactor_det, iter_multiindices,
-                                mixed_hessian, pochhammer, rat,
+                                mixed_hessian, rat,
                                 series_inverse, series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
@@ -17,8 +17,8 @@ from submodcurv.polynomials import Poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              diag_coeff)
 
-from oracles import (geometric_sum, is_hermitian_by_pair_loop, series_exp,
-                     series_identity, series_matmul)
+from oracles import (geometric_sum, is_hermitian_by_pair_loop, pochhammer,
+                     series_exp, series_identity, series_matmul)
 
 
 def test_rat_coercion():

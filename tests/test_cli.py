@@ -543,9 +543,24 @@ FIRST_ERRORS = [
 ]
 
 
+def _error_ids(cases):
+    """One id per case: its error text, numbered 0, 1, ... in case order
+    where several cases share the text, the ids pytest gave them before
+    strict parametrization ids turned repeats into a collection error."""
+    texts = [e for *_, e in cases]
+    seen = {}
+    ids = []
+    for e in texts:
+        if texts.count(e) > 1:
+            seen[e] = seen.get(e, -1) + 1
+            e += str(seen[e])
+        ids.append(e)
+    return ids
+
+
 @pytest.mark.parametrize("task,config,flags,error",
                          SHARED_CHECKS + FIRST_ERRORS,
-                         ids=[e for *_, e in SHARED_CHECKS + FIRST_ERRORS])
+                         ids=_error_ids(SHARED_CHECKS + FIRST_ERRORS))
 def test_config_error_message(tmp_path, capsys, task, config, flags, error):
     assert _config_error(tmp_path, capsys, task, config, flags) == \
         f"config error: {error}\n"

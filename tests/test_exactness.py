@@ -6,6 +6,10 @@ which is reported next to an exact value, never in place of one.
 
 The package holds only what runs: a public name that nothing outside the
 tests reaches is a test helper, and the recorded ones may not grow.
+
+Each number is computed in one place: the kernel coefficients
+poch(l, n)/n! come from rkhs.diag_coeff_slots alone, so no other module
+calls math.factorial and none defines or imports a rising factorial.
 """
 
 import ast
@@ -92,3 +96,25 @@ def test_test_only_public_names_do_not_grow():
     test_only = {name for name, ident in _public_names().items()
                  if ident not in reached}
     assert test_only <= TEST_ONLY_NAMES
+
+
+def _factorial_calls_and_pochhammer(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "factorial":
+            yield ast.unparse(node)
+        elif isinstance(node, ast.FunctionDef) and node.name == "pochhammer":
+            yield f"def {node.name}"
+        elif isinstance(node, ast.alias) and \
+                node.name in ("pochhammer", "factorial"):
+            yield f"import {node.name}"
+        elif isinstance(node, ast.Name) and node.id == "pochhammer":
+            yield node.id
+
+
+def test_one_module_computes_the_kernel_coefficients():
+    found = {(path.name, what)
+             for path in MODULES
+             for what in _factorial_calls_and_pochhammer(
+                 ast.parse(path.read_text()))}
+    assert found == {("rkhs.py", "math.factorial")}
+    assert not hasattr(submodcurv, "pochhammer")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from submodcurv import linalg, rkhs
+from submodcurv import algebra, cli, linalg, rkhs
 from submodcurv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,3 +65,31 @@ def test_golden_kernel_runs_a_gram_block(monkeypatch, capsys):
             assert main(["kernel", "--config", str(config)]) == 0
     capsys.readouterr()
     assert any(n > 1 for n in sizes)
+
+
+def test_golden_frame_tasks_run_no_series_product(monkeypatch, capsys):
+    """The metric, curvature and decompose reports read the frame spec: the
+    Grammian is a kernel-term sum or an outer product of slot tables, the
+    curvature a closed form and the reconstruction check a share sum, so
+    no TruncSeries product runs.  Building a frame's vectors, which no task
+    does, is the control that the counter counts."""
+    calls = []
+    mul = algebra.TruncSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(algebra.TruncSeries, "__mul__", counted)
+    monkeypatch.setattr(algebra.TruncSeries, "__rmul__", counted)
+    tasks = ("metric", "curvature", "decompose")
+    configs = [c for c in CONFIGS if c.parent.name in tasks]
+    assert {c.parent.name for c in configs} == set(tasks)
+    for config in configs:
+        assert main([config.parent.name, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    cfg = cli.parse_config(configs[0].read_text(encoding="utf-8"))
+    module = cli._build_module(cfg)
+    cli._build_frame(cfg, module, cli._build_ideal(cfg)).vectors
+    assert calls

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from submodcurv import invariants
-from submodcurv.errors import DomainError
+from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.invariants import (cubic_positive_roots, lambda_mu_equivalent,
                                    lambda_mu_invariants, polydisc_rigidity,
                                    polydisc_rigidity_report,
@@ -274,3 +274,36 @@ def test_rigidity_rejects_non_integer_exponents(p):
 def test_rigidity_needs_transverse_direction():
     with pytest.raises(DomainError):
         polydisc_rigidity_report((1, 2), (1, 1), (1, 2))
+
+
+@pytest.mark.parametrize("exponents,gen_vars,message", [
+    # one variable short: zip(strict=True) once raised a bare ValueError
+    ((1, 2), (0,), "one generator variable per exponent"),
+    ((1,), (0, 1), "one generator variable per exponent"),
+    # variable 5 in m = 3, and exponent 0, once read as mixed generators
+    ((1,), (5,), "generator variables must be integers in 0..2"),
+    ((1,), (-1,), "generator variables must be integers in 0..2"),
+    ((1,), (F(1),), "generator variables must be integers in 0..2"),
+    ((0,), (0,), "generator exponents, each >= 1"),
+    ((0,), None, "generator exponents, each >= 1"),
+    ((), None, "one or more generator exponents"),
+], ids=["short-vars", "long-vars", "var-out-of-range", "negative-var",
+        "fraction-var", "zero-exponent", "zero-exponent-default-vars",
+        "no-exponent"])
+def test_rigidity_rejects_bad_generator_pairs(exponents, gen_vars, message):
+    """Each (variable, exponent) pair the battery reads is checked where it
+    enters, with a DomainError that names the fault."""
+    with pytest.raises(DomainError, match=message):
+        polydisc_rigidity_report((1, 2, 3), exponents, (1, 2, 3),
+                                 gen_vars=gen_vars)
+
+
+def test_rigidity_rejects_a_shared_variable():
+    with pytest.raises(UnsupportedIdealError, match="share a variable"):
+        polydisc_rigidity_report((1, 2, 3), (1, 2), (1, 2, 3),
+                                 gen_vars=(1, 1))
+
+
+def test_principal_rigidity_needs_p_at_least_one():
+    with pytest.raises(DomainError, match="each >= 1"):
+        principal_rigidity(1, 2, 0, 1, 2)

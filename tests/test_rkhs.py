@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv.algebra import iter_multiindices, pochhammer
+from submodcurv.algebra import iter_multiindices
 from submodcurv.errors import DomainError, ShapeError, TruncationError
 from submodcurv.ideals import IdealSpec
 from submodcurv.linalg import (BareissFactor, RowEchelon,
-                               leading_principal_minors, mat_det, mat_rank,
+                               leading_principal_minors, mat_rank,
                                mat_solve)
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
@@ -19,7 +19,8 @@ from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              submodule_kernel)
 
 import oracles
-from oracles import ambient_kernel_exact, monomial_norm_sq, poly_inner
+from oracles import (ambient_kernel_exact, monomial_norm_sq, pochhammer,
+                     poly_inner)
 
 
 def test_module_validation():
@@ -332,9 +333,6 @@ def test_gram_form_matches_rank_scan_and_solve(degree, case):
     module, ideal = _GRAM_IDEALS[case]
     K = GramFormKernel.from_ideal(module, ideal, degree)
     assert list(K.basis) == _reference_gram_basis(module, ideal, degree)
-    H = K.gram
-    assert K.gram_minors == [mat_det([row[:k] for row in H[:k]])
-                             for k in range(1, len(H) + 1)]
     G = [[poly_inner(module, p, q) for q in K.basis] for p in K.basis]
     points = _GRAM_POINTS[module.dim]
     for w in points:
@@ -395,16 +393,12 @@ def test_gram_form_needs_one_gram_row_per_complement():
 
 def test_gram_form_interleaved_blocks():
     """A positive definite H whose blocks {0, 2} and {1} interleave: the
-    leading minors in the original order are those of mat_det, and the
     block correction is f(z)^T H^{-1} f(w) by a dense solve."""
     m = WeightedPolydiscModule(2, (F(3, 2), F(1)))
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("1/2*z1*z2 - z2^2", 2)]
     H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
     K = GramFormKernel(m, [], complement, H, 2)
-    assert K.gram_minors == [mat_det([row[:k] for row in H[:k]])
-                             for k in (1, 2, 3)]
-    assert K.gram_minors == leading_principal_minors(H)
     z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
     x = mat_solve(H, [f.evaluate(w) for f in complement])
     form = sum(f.evaluate(z) * y for f, y in zip(complement, x))
@@ -416,7 +410,7 @@ def _gram_form_by_full_sweep(module, ideal, degree):
     """The Gram form as one global computation: one echelon form over every
     candidate, one null vector per free column over all columns, the full
     Gram matrix by poly_inner and one BareissFactor sweep over all of it.
-    Returns (basis, complement, gram, gram_minors, evaluate), where
+    Returns (basis, complement, gram, evaluate), where
     evaluate(z, w) is the ambient degree-N sum minus f(z)^T H^{-1} f(w)."""
     m = module.dim
     monomials = list(iter_multiindices(m, degree))
@@ -437,17 +431,16 @@ def _gram_form_by_full_sweep(module, ideal, degree):
         return (ambient_kernel_bounded(module, z, w, degree).value
                 - factor.inverse_form([f.evaluate(z) for f in complement],
                                       [f.evaluate(w) for f in complement]))
-    return basis, complement, gram, factor.leading_minors(), evaluate
+    return basis, complement, gram, evaluate
 
 
 def _assert_matches_full_sweep(module, ideal, degree, points):
     K = GramFormKernel.from_ideal(module, ideal, degree)
-    basis, complement, gram, minors, evaluate = _gram_form_by_full_sweep(
+    basis, complement, gram, evaluate = _gram_form_by_full_sweep(
         module, ideal, degree)
     assert list(K.basis) == basis
     assert list(K.complement) == complement
     assert K.gram == gram
-    assert K.gram_minors == minors
     for z in points:
         for w in points:
             assert K.eval_exact(z, w) == evaluate(z, w)

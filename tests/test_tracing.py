@@ -65,8 +65,10 @@ def test_every_span_and_counter_binds(tracing):
     assert not {"frames.grammian", "curvature.curvature_matrix",
                 "curvature.det_bundle_curvature",
                 "algebra.SeriesMatrix.det"} & set(names[0])
-    # the metric job builds the Grammian, by series products, and checks
-    # its leading principal minors once
+    # the metric job builds the Grammian and checks its leading principal
+    # minors once; the series products counted below come from the
+    # tracer's own _frame_terms, which reads frame.vectors, as the task
+    # itself runs none (test_golden_frame_tasks_run_no_series_product)
     assert names[1].count("frames.grammian") == 1
     assert names[1].count("linalg.leading_principal_minors") == 1
     metric_root = next(span for span in tracer.spans
