@@ -8,21 +8,17 @@ localization dimensions, and rigidity decision procedures.
 """
 
 from .algebra import (LogSeries, SeriesMatrix, TruncSeries,
-                      iter_multiindices, mixed_hessian, rat, series_inverse,
-                      series_log)
+                      iter_multiindices, rat, series_inverse, series_log)
 from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
                         curvature_matrix, curvature_tensor,
-                        det_bundle_curvature, gauge_conjugate,
-                        gauge_equivalent, gauge_transform_metric,
-                        line_curvature, principal_curvature_pair)
+                        det_bundle_curvature, principal_curvature_pair)
 from .errors import (DegeneracyError, DomainError, InputError, ShapeError,
                      SingularityError, SubmodcurvError, TruncationError,
                      UnsupportedIdealError)
 from .frames import (FrameSeries, MetricSeries, decompose_coordinate_ideal,
                      frame_on_zero_set, grammian, reconstruction_residual)
 from .ideals import (CATALOGUE, CoordinateSubspace, IdealSpec,
-                     LocalizationResult, MinimalityCertificate, PointSet,
-                     localization_dim, minimality_certificate, zero_set)
+                     LocalizationResult, PointSet, localization_dim, zero_set)
 from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
                          cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity,
@@ -39,21 +35,16 @@ __all__ = [
     "CurvatureTensor", "DegeneracyError", "DiagonalFilteredKernel",
     "DomainError", "FrameSeries", "GramFormKernel", "IdealSpec",
     "InputError", "LambdaMuInvariant", "LocalizationResult", "LogSeries",
-    "MetricSeries", "MinimalityCertificate", "PointSet",
-    "Poly", "PrincipalCurvaturePair", "RankOneCorrectedKernel",
-    "RigidityReport", "SeriesMatrix", "ShapeError", "SingularityError",
-    "SubmodcurvError", "TruncSeries", "TruncationError",
-    "UnsupportedIdealError", "WeightedPolydiscModule",
-    "cubic_positive_roots", "curvature_matrix",
-    "curvature_tensor", "decompose_coordinate_ideal",
-    "det_bundle_curvature", "diag_coeff", "frame_on_zero_set",
-    "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
-    "grammian", "iter_multiindices",
-    "lambda_mu_equivalent", "lambda_mu_invariants", "line_curvature",
-    "localization_dim", "minimality_certificate", "mixed_hessian",
-    "parse_poly",
-    "polydisc_rigidity", "polydisc_rigidity_report",
+    "MetricSeries", "PointSet", "Poly", "PrincipalCurvaturePair",
+    "RankOneCorrectedKernel", "RigidityReport", "SeriesMatrix",
+    "ShapeError", "SingularityError", "SubmodcurvError", "TruncSeries",
+    "TruncationError", "UnsupportedIdealError", "WeightedPolydiscModule",
+    "cubic_positive_roots", "curvature_matrix", "curvature_tensor",
+    "decompose_coordinate_ideal", "det_bundle_curvature", "diag_coeff",
+    "frame_on_zero_set", "grammian", "iter_multiindices",
+    "lambda_mu_equivalent", "lambda_mu_invariants", "localization_dim",
+    "parse_poly", "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
-    "reconstruction_residual", "series_inverse",
-    "series_log", "submodule_kernel", "zero_set",
+    "reconstruction_residual", "series_inverse", "series_log",
+    "submodule_kernel", "zero_set",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError, ShapeError, SingularityError, TruncationError
+from .errors import DomainError, ShapeError, SingularityError
 
 
 def rat(x) -> Fraction:
@@ -139,18 +139,6 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
     return out
 
 
-def eval_terms(coeffs: dict, vals) -> Fraction:
-    """Value of a term map at a point given slot by slot."""
-    total = _ZERO
-    for k, v in coeffs.items():
-        term = v
-        for x, e in zip(vals, k):
-            if e:
-                term *= x ** e
-        total += term
-    return total
-
-
 def format_terms(coeffs: dict, names) -> str:
     """Terms in graded-lex order, each as coefficient*name^e*..., with unit
     coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2"."""
@@ -238,9 +226,6 @@ class TruncSeries:
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * (2 * self.npairs), Fraction(0))
 
-    def coefficient(self, wexp, wbexp) -> Fraction:
-        return self.coeffs.get(tuple(wexp) + tuple(wbexp), Fraction(0))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -304,30 +289,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    # -- structural operations ---------------------------------------------
-
-    def conj(self) -> "TruncSeries":
-        """Formal conjugation: swap the w and wb halves of every exponent.
-
-        Coefficients are real rationals, so they are fixed by conjugation.
-        """
-        m = self.npairs
-        return TruncSeries._trusted(self.npairs, self.trunc,
-                                    {k[m:] + k[:m]: v
-                                     for k, v in self.coeffs.items()})
-
-    def evaluate(self, wvals, wbvals) -> Fraction:
-        """Evaluate the truncated polynomial at exact rational arguments.
-
-        This is a plain polynomial evaluation of the jet; the caller owns any
-        statement about how well the jet approximates the analytic function.
-        """
-        wvals = [rat(x) for x in wvals]
-        wbvals = [rat(x) for x in wbvals]
-        if len(wvals) != self.npairs or len(wbvals) != self.npairs:
-            raise ShapeError("evaluation point has wrong arity")
-        return eval_terms(self.coeffs, wvals + wbvals)
-
     def __str__(self):
         m = self.npairs
         return format_terms(self.coeffs, [f"w{i+1}" for i in range(m)]
@@ -384,19 +345,6 @@ def series_log(s: TruncSeries) -> LogSeries:
     for k in range(D - 1, 0, -1):
         acc = TruncSeries.constant(s.npairs, D, Fraction((-1) ** (k + 1), k)) + v * acc
     return LogSeries(v * acc, c)
-
-
-def mixed_hessian(s: TruncSeries, i: int, j: int) -> Fraction:
-    """d^2 s / (dw_i dwb_j) evaluated at the base point (0-based i, j).
-
-    For a series this is just the coefficient of w_i * wb_j.
-    """
-    m = s.npairs
-    if not (0 <= i < m and 0 <= j < m):
-        raise ShapeError(f"hessian indices ({i},{j}) out of range for m={m}")
-    if s.trunc < 2:
-        raise TruncationError("mixed_hessian needs truncation degree >= 2")
-    return s.coefficient(unit(m, i), unit(m, j))
 
 
 # ---------------------------------------------------------------------------

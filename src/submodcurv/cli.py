@@ -49,7 +49,6 @@ class JobConfig:
     dimension: Optional[int] = None
     weights: Optional[tuple] = None
     generators: Optional[tuple] = None  # polynomial source strings
-    family: Optional[str] = None
     catalogue: Optional[str] = None
     points: tuple = ()
     base_point: Optional[tuple] = None
@@ -143,7 +142,6 @@ SCHEMA = {
         "generators": _checked(_parse_generators, bool,
                                "empty generator list"),
         "catalogue": _parse_catalogue,
-        "family": _parse_name,
     },
     "task": {
         "name": _parse_name,
@@ -287,10 +285,9 @@ def parse_config(text: str, args=None) -> JobConfig:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",
                                  field=key)
-        for key, at in (("generators", "ideal"), ("family", "ideal.family")):
-            if "catalogue" in sec and key in sec:
-                raise InputError(f"give either {key} or a catalogue name, "
-                                 "not both", field=at)
+        if "catalogue" in sec and "generators" in sec:
+            raise InputError("give either generators or a catalogue name, "
+                             "not both", field="ideal")
         fields.update((key, parse(sec[key], f"{section}.{key}"))
                       for key, parse in parsers.items() if key in sec)
         if ("dimension" in fields) != ("weights" in fields):
@@ -425,7 +422,7 @@ def _build_ideal(cfg: JobConfig) -> IdealSpec:
             raise InputError(f"bad generator {src!r}: {e}",
                              field="ideal.generators")
     try:
-        return IdealSpec.from_generators(cfg.dimension, gens, cfg.family)
+        return IdealSpec.from_generators(cfg.dimension, gens)
     except DomainError as e:
         raise InputError(str(e), field="ideal")
 

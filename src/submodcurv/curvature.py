@@ -1,4 +1,4 @@
-"""Curvature of the frame bundles and gauge transformations.
+"""Curvature of the frame bundles.
 
 Conventions, fixed once here and echoed into every report:
 
@@ -24,24 +24,22 @@ The metric route, frames.grammian (which the metric task reports) and
 then curvature_matrix on the 2-jet of H, stays as the tests' reference for
 every closed form.  Jacobi's formula
 d log det H = tr(H^{-1} dH) makes the det-bundle curvature the blockwise
-trace of the curvature matrix, so no series determinant is taken.  A scalar
-metric h has line curvature (h h_{i jbar} - h_i h_{jbar}) / h^2 on its
-2-jet; a metric truncated above degree 2 gives the same Fractions.
+trace of the curvature matrix, so no series determinant is taken.  A
+metric truncated above degree 2 gives the same Fractions.  The gauge law
+above and the line curvature of a scalar metric are checked in the tests
+(tests/oracles.py), not computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
-from .algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                      mixed_hessian, rat, unit)
-from .errors import DomainError, ShapeError, SingularityError, TruncationError
+from .algebra import SeriesMatrix, TruncSeries
+from .errors import DomainError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
-from .linalg import mat_det, mat_inverse, mat_mul, nullspace
-from .polynomials import Poly
+from .linalg import mat_inverse, mat_mul
 from .rkhs import WeightedPolydiscModule, diag_coeff_slots
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
@@ -54,25 +52,6 @@ _ZERO = Fraction(0)
 # Every curvature value reads only the terms of degree <= 2 of a metric, so
 # frames built only for curvature are truncated here.
 JET_DEGREE = 2
-
-
-def line_curvature(h: TruncSeries, i: int, j: int) -> Fraction:
-    """Mixed Hessian d_i dbar_j of log h at the base point, for a scalar
-    (line-bundle) metric h with positive value there:
-    (h h_{i jbar} - h_i h_{jbar}) / h^2 on the 2-jet of h.
-
-    Multiplying h by any positive constant, or by f * conj(f) for f with
-    f(0) != 0, leaves the result unchanged.
-    """
-    c = h.constant_term()
-    if c <= 0:
-        raise SingularityError(
-            f"scalar metric must be positive at the base point, got {c}")
-    hij = mixed_hessian(h, i, j)
-    zero = (0,) * h.npairs
-    hi = h.coefficient(unit(h.npairs, i), zero)
-    hj = h.coefficient(zero, unit(h.npairs, j))
-    return (c * hij - hi * hj) / (c * c)
 
 
 def det_bundle_curvature(metric: MetricSeries):
@@ -236,112 +215,6 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
         tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
               for brow in blocks),
         frame.free_slots)
-
-
-# ---------------------------------------------------------------------------
-# Gauge transformations
-
-
-def _check_square_rational(A, size=None):
-    M = [[rat(x) for x in row] for row in A]
-    n = len(M)
-    if any(len(r) != n for r in M):
-        raise ShapeError("gauge matrix must be square")
-    if size is not None and n != size:
-        raise ShapeError(f"gauge matrix must be {size}x{size}, got {n}x{n}")
-    if mat_det(M) == 0:
-        raise SingularityError("gauge matrix is not invertible")
-    return M
-
-
-def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
-    """Metric of the re-combined frame F' = F A:  H' = A* H A.
-
-    A has rational (hence real) entries, so A* is the transpose.
-    """
-    Hf = _unscaled_matrix(metric)
-    t = Hf.n
-    M = _check_square_rational(A, t)
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            acc = TruncSeries.zero(Hf.npairs, Hf.trunc)
-            for k in range(t):
-                for l in range(t):
-                    c = M[k][i] * M[l][j]
-                    if c != 0:
-                        acc = acc + Hf.entries[k][l].scale(c)
-            row.append(acc)
-        rows.append(row)
-    return MetricSeries(SeriesMatrix(rows), metric.base_point,
-                        metric.free_slots, None)
-
-
-def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
-    """Curvature of the gauge-transformed frame: every block goes to
-    A^{-1} block A."""
-    M = _check_square_rational(A, K.size)
-    Minv = mat_inverse(M)
-    blocks = tuple(
-        tuple(tuple(tuple(row) for row in mat_mul(mat_mul(Minv, [list(r) for r in K.blocks[i][j]]), M))
-              for j in range(len(K.blocks[i])))
-        for i in range(len(K.blocks)))
-    return CurvatureTensor(K.base_point, K.size, blocks, K.free_slots)
-
-
-def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
-    """Invertible rational A with A^{-1} K1 A = K2 blockwise, or None.
-
-    The intertwining equations K1_b A = A K2_b are linear in A; an
-    invertible element of their solution space is found, when one exists, by
-    expanding the determinant of a generic combination as an exact
-    polynomial and scanning a small deterministic grid (a nonzero polynomial
-    of per-variable degree <= t cannot vanish on a grid with t+1 values per
-    variable).
-    """
-    if K1.size != K2.size or len(K1.blocks) != len(K2.blocks):
-        raise ShapeError("curvature tensors have different shapes")
-    t = K1.size
-    rows = []
-    for i in range(len(K1.blocks)):
-        for j in range(len(K1.blocks[i])):
-            B1 = K1.blocks[i][j]
-            B2 = K2.blocks[i][j]
-            for r in range(t):
-                for c in range(t):
-                    row = [Fraction(0)] * (t * t)
-                    for s in range(t):
-                        row[s * t + c] += B1[r][s]
-                        row[r * t + s] -= B2[s][c]
-                    rows.append(row)
-    if not rows:
-        raise ShapeError("curvature tensors carry no blocks")
-    basis = nullspace(rows)
-    if not basis:
-        return None
-    r = len(basis)
-    # det of sum x_i X_i as an exact polynomial in x_1..x_r
-    entries = [[Poly.zero(r) for _ in range(t)] for _ in range(t)]
-    for idx, vec in enumerate(basis):
-        xi = Poly.variable(r, idx)
-        for a in range(t):
-            for b in range(t):
-                if vec[a * t + b] != 0:
-                    entries[a][b] = entries[a][b] + xi * vec[a * t + b]
-    detp = cofactor_det(entries)
-    if detp.is_zero():
-        return None
-    for point in iter_product(range(t + 1), repeat=r):
-        if detp.evaluate([Fraction(x) for x in point]) != 0:
-            A = [[Fraction(0)] * t for _ in range(t)]
-            for idx, vec in enumerate(basis):
-                if point[idx]:
-                    for a in range(t):
-                        for b in range(t):
-                            A[a][b] += point[idx] * vec[a * t + b]
-            return tuple(tuple(row) for row in A)
-    return None  # unreachable for nonzero detp by the grid argument
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,10 @@ def coordinate_power_data(ideal: IdealSpec):
     for g in ideal.generators:
         e = g.monomial_exponent()
         support = [i for i, x in enumerate(e) if x > 0]
+        if not support:
+            raise UnsupportedIdealError(
+                f"generator {g} is a constant, so the ideal is the whole "
+                "ring; no zero-set frame")
         if len(support) != 1:
             raise UnsupportedIdealError(
                 f"generator {g} mixes variables; no closed-form frame")

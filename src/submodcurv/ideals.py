@@ -7,10 +7,12 @@ An IdealSpec is a finite generator list tagged with a structural family:
   catalogued            a named ideal from the built-in catalogue
   general               anything else
 
-The family tag decides which closed-form constructions apply downstream;
-nothing here attempts Groebner-style normal forms.  The localization
-dimension at a point w counts dim J_N - dim J'_N for spaces of generator
-multiples of bounded degree, in coordinates centred at w.  J'_N grows
+IdealSpec.from_generators reads the family off the generators, so the
+same generators always get the same family.  The family tag decides which
+closed-form constructions apply downstream; nothing here attempts
+Groebner-style normal forms.  The localization dimension at a point w
+counts dim J_N - dim J'_N for spaces of generator multiples of bounded
+degree, in coordinates centred at w.  J'_N grows
 degree by degree in one linalg.RowEchelon of integer rows, and the defect
 is the number of generators a copy of it still accepts.  The defect never
 increases; stopping at two equal consecutive values is a heuristic.
@@ -24,7 +26,7 @@ from math import comb
 from operator import add
 from typing import Optional
 
-from .algebra import exponent, iter_multiindices, rat, unit
+from .algebra import iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon
 from .polynomials import Poly
@@ -45,10 +47,6 @@ class CoordinateSubspace:
     nvars: int
     vanishing: frozenset
 
-    @property
-    def codim(self) -> int:
-        return len(self.vanishing)
-
     def contains(self, point) -> bool:
         pt = [rat(x) for x in point]
         return all(pt[i] == 0 for i in self.vanishing)
@@ -58,10 +56,6 @@ class CoordinateSubspace:
 class PointSet:
     """A single point of the polydisc."""
     coords: tuple
-
-    @property
-    def codim(self) -> int:
-        return len(self.coords)
 
     def contains(self, point) -> bool:
         pt = tuple(rat(x) for x in point)
@@ -97,48 +91,27 @@ class IdealSpec:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_generators(nvars: int, generators, family: Optional[str] = None,
-                        name: Optional[str] = None) -> "IdealSpec":
-        """Build an IdealSpec, auto-classifying the family when not forced."""
+    def from_generators(nvars: int, generators) -> "IdealSpec":
+        """Build an IdealSpec, classifying the generators into a family.
+
+        Monomial wins over vanishing-point: a monomial ideal that happens to
+        vanish only at the origin still carries the full diagonal structure
+        (frames, filtered kernels)."""
         gens = tuple(generators)
-        if family is None:
-            # monomial wins over vanishing-point: a monomial ideal that
-            # happens to vanish only at the origin still carries the full
-            # diagonal structure (frames, filtered kernels)
-            if all(g.is_monomial() for g in gens):
-                family = MONOMIAL
-            elif _vanishing_point(nvars, gens) is not None:
-                family = COORDINATE_VANISHING
-            elif (found := _match_catalogue(nvars, gens)) is not None:
-                family = CATALOGUED
-                name = name or found
-            else:
-                family = GENERAL
-        if family not in (MONOMIAL, COORDINATE_VANISHING, CATALOGUED, GENERAL):
-            raise DomainError(f"unknown ideal family {family!r}")
-        if family == CATALOGUED:
-            if name is None:
-                name = _match_catalogue(nvars, gens)
-            if name is None or name not in CATALOGUE:
-                raise UnsupportedIdealError(
-                    f"catalogued family requires a known catalogue name, got {name!r}")
+        name = None
+        if all(g.is_monomial() for g in gens):
+            family = MONOMIAL
+        elif _vanishing_point(nvars, gens) is not None:
+            family = COORDINATE_VANISHING
+        elif (name := _match_catalogue(nvars, gens)) is not None:
+            family = CATALOGUED
+        else:
+            family = GENERAL
         return IdealSpec(nvars, gens, family, name)
 
     @staticmethod
     def monomial(nvars: int, exponent_lists) -> "IdealSpec":
         gens = tuple(Poly.monomial(nvars, e) for e in exponent_lists)
-        return IdealSpec(nvars, gens, MONOMIAL)
-
-    @staticmethod
-    def coordinate_powers(nvars: int, powers) -> "IdealSpec":
-        """<z_1^{i_1}, ..., z_t^{i_t}> with powers = (i_1, ..., i_t), t <= m."""
-        powers = exponent(powers)
-        if not 1 <= len(powers) <= nvars:
-            raise DomainError("need between 1 and nvars coordinate powers")
-        if any(p < 1 for p in powers):
-            raise DomainError("coordinate powers must be >= 1")
-        gens = tuple(Poly.monomial(nvars, unit(nvars, k, p))
-                     for k, p in enumerate(powers))
         return IdealSpec(nvars, gens, MONOMIAL)
 
     @staticmethod
@@ -213,7 +186,7 @@ def _match_catalogue(nvars, gens):
 
 
 # ---------------------------------------------------------------------------
-# Zero sets and minimality
+# Zero sets
 
 
 def zero_set(ideal: IdealSpec):
@@ -242,27 +215,6 @@ def zero_set(ideal: IdealSpec):
         return CoordinateSubspace(ideal.nvars, frozenset(vanishing))
     raise UnsupportedIdealError(
         "no exact zero-set computation for general ideals")
-
-
-@dataclass(frozen=True)
-class MinimalityCertificate:
-    status: str              # "minimal_by_codim" or "hypothesis_fails"
-    codim: int
-    generator_count: int
-
-    @property
-    def minimal(self) -> bool:
-        return self.status == "minimal_by_codim"
-
-
-def minimality_certificate(ideal: IdealSpec) -> MinimalityCertificate:
-    """Certify minimal generation by comparing generator count with the
-    zero-set codimension.  Equality certifies; anything else only reports
-    that this particular sufficient condition failed."""
-    v = zero_set(ideal)
-    t = len(ideal.generators)
-    status = "minimal_by_codim" if v.codim == t else "hypothesis_fails"
-    return MinimalityCertificate(status, v.codim, t)
 
 
 # ---------------------------------------------------------------------------

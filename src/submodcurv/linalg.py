@@ -11,9 +11,8 @@ stream of sparse rows for independence, reducing each new row once,
 fraction-free, against the primitive integer rows kept so far; the
 Gram-form basis and the localization span ranks both count rows with it,
 and its back-substitution (one division by each lead) gives the null
-vectors of the Gram-form complement and of ``nullspace``.  Determinants
-over other rings (series, polynomials, complex floats) are
-``algebra.cofactor_det``.
+vectors of the Gram-form complement.  Determinants over other rings
+(series, polynomials, complex floats) are ``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -152,25 +151,6 @@ def mat_mul(A, B):
                         acc[j] += a * b
         out.append(acc)
     return out
-
-
-def nullspace(A):
-    """Basis of the right nullspace of A, as a list of column vectors.
-
-    One vector per free column of the echelon form, in increasing column
-    order: 1 at that column and 0 at every other free column, so the basis
-    is deterministic.
-    """
-    M = _as_matrix(A)
-    if not M:
-        return []
-    ncols = len(M[0])
-    echelon = RowEchelon()
-    for row in M:
-        echelon.add(dict(enumerate(row)))
-    free = [c for c in range(ncols) if c not in echelon.rows]
-    return [[g.get(c, Fraction(0)) for c in range(ncols)]
-            for g in map(echelon.null_vector, free)]
 
 
 class BareissFactor:

@@ -9,8 +9,8 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-from .algebra import (add_terms, clean_terms, eval_terms, exponent,
-                      format_terms, mul_terms, rat, unit)
+from .algebra import (add_terms, clean_terms, exponent, format_terms,
+                      mul_terms, rat, unit)
 from .errors import DomainError, InputError, ShapeError
 
 
@@ -134,12 +134,6 @@ class Poly:
             raise ShapeError("multi-index length mismatch in +")
         return Poly._trusted(self.nvars, {tuple(map(add, k, e)): v
                                           for k, v in self.coeffs.items()})
-
-    def evaluate(self, point) -> Fraction:
-        vals = [rat(x) for x in point]
-        if len(vals) != self.nvars:
-            raise ShapeError("evaluation point has wrong arity")
-        return eval_terms(self.coeffs, vals)
 
     def __str__(self):
         return format_terms(self.coeffs,

@@ -79,10 +79,6 @@ class WeightedPolydiscModule:
             raise DomainError(f"weights must be positive, got {ws}")
         object.__setattr__(self, "weights", ws)
 
-    @staticmethod
-    def hardy(dim: int) -> "WeightedPolydiscModule":
-        return WeightedPolydiscModule(dim, (Fraction(1),) * dim)
-
     def has_integer_weights(self) -> bool:
         return all(w.denominator == 1 for w in self.weights)
 

@@ -27,27 +27,38 @@ too: the remainder bound, the integer-weight ambient kernel
 closed form in Fractions, the rank-one correction with all four ambient
 evaluations, and the Gram complement from the full table of c_a; with
 them the monomial inner product that the Gram-form tests build Gram
-matrices from.
+matrices from.  Last, the public API that nothing but the tests read:
+evaluation, coefficient lookup and conjugation of term maps, the mixed
+Hessian and line curvature of a scalar metric, the nullspace, the Hardy
+module, coordinate-power ideals, zero-set codimension with the minimality
+certificate, and the gauge action on metrics and curvature tensors.
 """
 
 from __future__ import annotations
 
 import configparser
 import functools
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
-                                eval_terms, iter_multiindices, rat)
+                                exponent, iter_multiindices, rat, unit)
 from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
                             JobConfig, _check_fields, _parse_vector)
-from submodcurv.errors import DomainError, InputError, ShapeError
-from submodcurv.frames import FrameSeries, coordinate_power_data
-from submodcurv.ideals import GENERAL, IdealSpec, LocalizationResult
+from submodcurv.curvature import CurvatureTensor, _unscaled_matrix
+from submodcurv.errors import (DomainError, InputError, ShapeError,
+                               SingularityError, TruncationError)
+from submodcurv.frames import FrameSeries, MetricSeries, coordinate_power_data
+from submodcurv.ideals import (GENERAL, MONOMIAL, CoordinateSubspace,
+                               IdealSpec, LocalizationResult, PointSet,
+                               zero_set)
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
-from submodcurv.linalg import RowEchelon, leading_principal_minors
+from submodcurv.linalg import (RowEchelon, leading_principal_minors, mat_det,
+                               mat_inverse, mat_mul)
 from submodcurv.polynomials import Poly, _Tokenizer
 from submodcurv.rkhs import (DiagonalFilteredKernel, RankOneCorrectedKernel,
                              WeightedPolydiscModule, _check_point,
@@ -145,6 +156,248 @@ def poly_inner(module: WeightedPolydiscModule, p: Poly, q: Poly) -> Fraction:
         if u is not None:
             total += v * u / diag_coeff(module, k)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Term-map queries, zero-set data and the gauge action: package API until
+# nothing but the tests read it
+
+
+def eval_terms(coeffs: dict, vals) -> Fraction:
+    """Value of a term map at a point given slot by slot."""
+    total = Fraction(0)
+    for k, v in coeffs.items():
+        term = v
+        for x, e in zip(vals, k):
+            if e:
+                term *= x ** e
+        total += term
+    return total
+
+
+def evaluate_poly(p: Poly, point) -> Fraction:
+    vals = [rat(x) for x in point]
+    if len(vals) != p.nvars:
+        raise ShapeError("evaluation point has wrong arity")
+    return eval_terms(p.coeffs, vals)
+
+
+def evaluate_series(s: TruncSeries, wvals, wbvals) -> Fraction:
+    """The truncated polynomial at exact rational arguments: a plain
+    polynomial evaluation of the jet."""
+    wvals = [rat(x) for x in wvals]
+    wbvals = [rat(x) for x in wbvals]
+    if len(wvals) != s.npairs or len(wbvals) != s.npairs:
+        raise ShapeError("evaluation point has wrong arity")
+    return eval_terms(s.coeffs, wvals + wbvals)
+
+
+def coefficient(s: TruncSeries, wexp, wbexp) -> Fraction:
+    """The coefficient of w^wexp wb^wbexp."""
+    return s.coeffs.get(tuple(wexp) + tuple(wbexp), Fraction(0))
+
+
+def conj(s: TruncSeries) -> TruncSeries:
+    """Formal conjugation: swap the w and wb halves of every exponent.
+    Coefficients are real rationals, so they are fixed by conjugation."""
+    m = s.npairs
+    return TruncSeries(m, s.trunc,
+                       {k[m:] + k[:m]: v for k, v in s.coeffs.items()})
+
+
+def mixed_hessian(s: TruncSeries, i: int, j: int) -> Fraction:
+    """d^2 s / (dw_i dwb_j) at the base point (0-based i, j): the
+    coefficient of w_i wb_j."""
+    m = s.npairs
+    if not (0 <= i < m and 0 <= j < m):
+        raise ShapeError(f"hessian indices ({i},{j}) out of range for m={m}")
+    if s.trunc < 2:
+        raise TruncationError("mixed_hessian needs truncation degree >= 2")
+    return coefficient(s, unit(m, i), unit(m, j))
+
+
+def line_curvature(h: TruncSeries, i: int, j: int) -> Fraction:
+    """Mixed Hessian d_i dbar_j of log h at the base point, for a scalar
+    (line-bundle) metric h with positive value there:
+    (h h_{i jbar} - h_i h_{jbar}) / h^2 on the 2-jet of h.
+
+    Multiplying h by any positive constant, or by f * conj(f) for f with
+    f(0) != 0, leaves the result unchanged.
+    """
+    c = h.constant_term()
+    if c <= 0:
+        raise SingularityError(
+            f"scalar metric must be positive at the base point, got {c}")
+    hij = mixed_hessian(h, i, j)
+    zero = (0,) * h.npairs
+    hi = coefficient(h, unit(h.npairs, i), zero)
+    hj = coefficient(h, zero, unit(h.npairs, j))
+    return (c * hij - hi * hj) / (c * c)
+
+
+def nullspace(A):
+    """Basis of the right nullspace of A, as a list of column vectors.
+
+    One vector per free column of the echelon form, in increasing column
+    order: 1 at that column and 0 at every other free column, so the basis
+    is deterministic.
+    """
+    M = [[rat(x) for x in row] for row in A]
+    if not M:
+        return []
+    ncols = len(M[0])
+    echelon = RowEchelon()
+    for row in M:
+        echelon.add(dict(enumerate(row)))
+    free = [c for c in range(ncols) if c not in echelon.rows]
+    return [[g.get(c, Fraction(0)) for c in range(ncols)]
+            for g in map(echelon.null_vector, free)]
+
+
+def hardy(dim: int) -> WeightedPolydiscModule:
+    """The Hardy module: every weight 1."""
+    return WeightedPolydiscModule(dim, (Fraction(1),) * dim)
+
+
+def coordinate_powers(nvars: int, powers) -> IdealSpec:
+    """<z_1^{i_1}, ..., z_t^{i_t}> with powers = (i_1, ..., i_t), t <= m."""
+    powers = exponent(powers)
+    if not 1 <= len(powers) <= nvars:
+        raise DomainError("need between 1 and nvars coordinate powers")
+    if any(p < 1 for p in powers):
+        raise DomainError("coordinate powers must be >= 1")
+    gens = tuple(Poly.monomial(nvars, unit(nvars, k, p))
+                 for k, p in enumerate(powers))
+    return IdealSpec(nvars, gens, MONOMIAL)
+
+
+def codim(zero: CoordinateSubspace | PointSet) -> int:
+    """Codimension of a zero-set descriptor: its vanishing coordinates, or
+    every coordinate of a point."""
+    if isinstance(zero, PointSet):
+        return len(zero.coords)
+    return len(zero.vanishing)
+
+
+@dataclass(frozen=True)
+class MinimalityCertificate:
+    status: str              # "minimal_by_codim" or "hypothesis_fails"
+    codim: int
+    generator_count: int
+
+    @property
+    def minimal(self) -> bool:
+        return self.status == "minimal_by_codim"
+
+
+def minimality_certificate(ideal: IdealSpec) -> MinimalityCertificate:
+    """Certify minimal generation by comparing generator count with the
+    zero-set codimension.  Equality certifies; anything else only reports
+    that this particular sufficient condition failed."""
+    c = codim(zero_set(ideal))
+    t = len(ideal.generators)
+    status = "minimal_by_codim" if c == t else "hypothesis_fails"
+    return MinimalityCertificate(status, c, t)
+
+
+def _check_square_rational(A, size=None):
+    M = [[rat(x) for x in row] for row in A]
+    n = len(M)
+    if any(len(r) != n for r in M):
+        raise ShapeError("gauge matrix must be square")
+    if size is not None and n != size:
+        raise ShapeError(f"gauge matrix must be {size}x{size}, got {n}x{n}")
+    if mat_det(M) == 0:
+        raise SingularityError("gauge matrix is not invertible")
+    return M
+
+
+def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
+    """Metric of the re-combined frame F' = F A:  H' = A* H A.
+
+    A has rational (hence real) entries, so A* is the transpose.
+    """
+    Hf = _unscaled_matrix(metric)
+    t = Hf.n
+    M = _check_square_rational(A, t)
+    rows = []
+    for i in range(t):
+        row = []
+        for j in range(t):
+            acc = TruncSeries.zero(Hf.npairs, Hf.trunc)
+            for k in range(t):
+                for l in range(t):
+                    c = M[k][i] * M[l][j]
+                    if c != 0:
+                        acc = acc + Hf.entries[k][l].scale(c)
+            row.append(acc)
+        rows.append(row)
+    return MetricSeries(SeriesMatrix(rows), metric.base_point,
+                        metric.free_slots, None)
+
+
+def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
+    """Curvature of the gauge-transformed frame: every block goes to
+    A^{-1} block A."""
+    M = _check_square_rational(A, K.size)
+    Minv = mat_inverse(M)
+    blocks = tuple(tuple(tuple(map(tuple, mat_mul(mat_mul(Minv, block), M)))
+                         for block in row) for row in K.blocks)
+    return CurvatureTensor(K.base_point, K.size, blocks, K.free_slots)
+
+
+def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
+    """Invertible rational A with A^{-1} K1 A = K2 blockwise, or None.
+
+    The intertwining equations K1_b A = A K2_b are linear in A; an
+    invertible element of their solution space is found, when one exists, by
+    expanding the determinant of a generic combination as an exact
+    polynomial and scanning a small deterministic grid (a nonzero polynomial
+    of per-variable degree <= t cannot vanish on a grid with t+1 values per
+    variable).
+    """
+    if K1.size != K2.size or len(K1.blocks) != len(K2.blocks):
+        raise ShapeError("curvature tensors have different shapes")
+    t = K1.size
+    rows = []
+    for i in range(len(K1.blocks)):
+        for j in range(len(K1.blocks[i])):
+            B1 = K1.blocks[i][j]
+            B2 = K2.blocks[i][j]
+            for r in range(t):
+                for c in range(t):
+                    row = [Fraction(0)] * (t * t)
+                    for s in range(t):
+                        row[s * t + c] += B1[r][s]
+                        row[r * t + s] -= B2[s][c]
+                    rows.append(row)
+    if not rows:
+        raise ShapeError("curvature tensors carry no blocks")
+    basis = nullspace(rows)
+    if not basis:
+        return None
+    r = len(basis)
+    # det of sum x_i X_i as an exact polynomial in x_1..x_r
+    entries = [[Poly.zero(r) for _ in range(t)] for _ in range(t)]
+    for idx, vec in enumerate(basis):
+        xi = Poly.variable(r, idx)
+        for a in range(t):
+            for b in range(t):
+                if vec[a * t + b] != 0:
+                    entries[a][b] = entries[a][b] + xi * vec[a * t + b]
+    detp = cofactor_det(entries)
+    if detp.is_zero():
+        return None
+    for point in itertools.product(range(t + 1), repeat=r):
+        if evaluate_poly(detp, [Fraction(x) for x in point]) != 0:
+            A = [[Fraction(0)] * t for _ in range(t)]
+            for idx, vec in enumerate(basis):
+                if point[idx]:
+                    for a in range(t):
+                        for b in range(t):
+                            A[a][b] += point[idx] * vec[a * t + b]
+            return tuple(tuple(row) for row in A)
+    return None  # unreachable for nonzero detp by the grid argument
 
 
 def full_reconstruction_residual(frame: FrameSeries) -> dict:
@@ -519,10 +772,9 @@ def parse_config_by_configparser(text: str, args=None) -> JobConfig:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",
                                  field=key)
-        for key, at in (("generators", "ideal"), ("family", "ideal.family")):
-            if "catalogue" in sec and key in sec:
-                raise InputError(f"give either {key} or a catalogue name, "
-                                 "not both", field=at)
+        if "catalogue" in sec and "generators" in sec:
+            raise InputError("give either generators or a catalogue name, "
+                             "not both", field="ideal")
         fields.update((key, parse(sec[key], f"{section}.{key}"))
                       for key, parse in parsers.items() if key in sec)
         if ("dimension" in fields) != ("weights" in fields):

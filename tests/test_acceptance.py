@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 from submodcurv import (DiagonalFilteredKernel, GramFormKernel, IdealSpec,
                         WeightedPolydiscModule, cubic_positive_roots,
                         curvature_matrix, decompose_coordinate_ideal,
-                        det_bundle_curvature, frame_on_zero_set, gauge_conjugate, gauge_equivalent,
-                        gauge_transform_metric, grammian,
-                        lambda_mu_invariants, line_curvature,
-                        localization_dim, principal_curvature_pair,
-                        principal_rigidity, polydisc_rigidity,
-                        reconstruction_residual)
+                        det_bundle_curvature, frame_on_zero_set, grammian,
+                        lambda_mu_invariants, localization_dim,
+                        principal_curvature_pair, principal_rigidity,
+                        polydisc_rigidity, reconstruction_residual)
 from submodcurv.algebra import TruncSeries
-from oracles import (coordinate_det_fn, fd_log_hessian,
-                     full_reconstruction_residual, geometric_sum,
-                     is_hermitian_by_pair_loop, zero_set_metric_fn)
+from oracles import (conj, coordinate_det_fn, coordinate_powers,
+                     fd_log_hessian, full_reconstruction_residual,
+                     gauge_conjugate, gauge_equivalent,
+                     gauge_transform_metric, geometric_sum,
+                     is_hermitian_by_pair_loop, line_curvature,
+                     zero_set_metric_fn)
 from test_curvature import _det_bundle_by_log_det
 
 
@@ -206,7 +207,7 @@ def test_criterion_7_oracle_agreement():
     ]:
         m = len(weights)
         mod = WeightedPolydiscModule(m, weights)
-        ideal = IdealSpec.coordinate_powers(m, powers)
+        ideal = coordinate_powers(m, powers)
         frame = frame_on_zero_set(mod, ideal, base, 5)
         h00 = grammian(frame).matrix[0, 0]
         fn = zero_set_metric_fn(mod, ideal, 0)
@@ -269,7 +270,7 @@ def test_criterion_8_property_suites():
            st.sampled_from([F(0), F(1, 3), F(-1, 4)]))
     def reconstruction_is_exact(lam, mu, p, b2):
         mod = WeightedPolydiscModule(2, (lam, mu))
-        ideal = IdealSpec.coordinate_powers(2, (p,))
+        ideal = coordinate_powers(2, (p,))
         frame = frame_on_zero_set(mod, ideal, (F(0), b2), 4)
         assert reconstruction_residual(frame) == {}
         assert full_reconstruction_residual(frame) == {}
@@ -281,7 +282,7 @@ def test_criterion_8_property_suites():
     @given(_weight, _weight, _weight, st.sampled_from([F(0), F(1, 3)]))
     def grammian_hermitian_positive(lam, mu, nu, b3):
         mod = WeightedPolydiscModule(3, (lam, mu, nu))
-        ideal = IdealSpec.coordinate_powers(3, (1, 2))
+        ideal = coordinate_powers(3, (1, 2))
         frame = frame_on_zero_set(mod, ideal, (F(0), F(0), b3), 4)
         H = grammian(frame)  # raises DegeneracyError unless PD
         assert is_hermitian_by_pair_loop(H.matrix)
@@ -298,7 +299,7 @@ def test_criterion_8_property_suites():
         x = TruncSeries.w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
         h = geometric_sum(x.scale(d))  # 1/(1 - d x)
         f = TruncSeries.constant(1, 4, c) + TruncSeries.w(1, 4, 0).scale(a)
-        g = h * f * f.conj()
+        g = h * f * conj(f)
         assert line_curvature(g, 0, 0) == line_curvature(h, 0, 0)
         assert line_curvature(h.scale(c), 0, 0) == line_curvature(h, 0, 0)
 

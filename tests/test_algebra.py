@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries,
                                 clean_terms, cofactor_det, iter_multiindices,
-                                mixed_hessian, rat,
-                                series_inverse, series_log)
+                                rat, series_inverse, series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
 from submodcurv.linalg import mat_det, mat_solve
@@ -17,8 +16,9 @@ from submodcurv.polynomials import Poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              diag_coeff)
 
-from oracles import (geometric_sum, is_hermitian_by_pair_loop, pochhammer,
-                     series_exp, series_identity, series_matmul)
+from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
+                     geometric_sum, is_hermitian_by_pair_loop, mixed_hessian,
+                     pochhammer, series_exp, series_identity, series_matmul)
 
 
 def test_rat_coercion():
@@ -101,7 +101,7 @@ def test_series_inverse_affine():
     s = TruncSeries.constant(1, 1, F(2)) + TruncSeries.w(1, 1, 0)
     inv = series_inverse(s)
     assert inv.constant_term() == F(1, 2)
-    assert inv.coefficient((1,), (0,)) == F(-1, 4)
+    assert coefficient(inv, (1,), (0,)) == F(-1, 4)
     assert (s * inv) == TruncSeries.one(1, 1)
 
 
@@ -115,7 +115,7 @@ def test_series_log_mercator():
     s = TruncSeries.one(1, 3) + TruncSeries.w(1, 3, 0)
     ls = series_log(s)
     assert ls.scale == 1
-    e = lambda k: ls.series.coefficient((k,), (0,))
+    e = lambda k: coefficient(ls.series, (k,), (0,))
     assert e(1) == 1 and e(2) == F(-1, 2) and e(3) == F(1, 3)
     assert ls.series.constant_term() == 0
 
@@ -144,15 +144,15 @@ def test_mixed_hessian_needs_degree_two():
 
 def test_conj_swaps_halves():
     s = TruncSeries.w(2, 2, 0) + TruncSeries.wbar(2, 2, 1).scale(F(3))
-    c = s.conj()
-    assert c.coefficient((0, 0), (1, 0)) == 1
-    assert c.coefficient((0, 1), (0, 0)) == 3
-    assert c.conj() == s
+    c = conj(s)
+    assert coefficient(c, (0, 0), (1, 0)) == 1
+    assert coefficient(c, (0, 1), (0, 0)) == 3
+    assert conj(c) == s
 
 
 def test_evaluate():
     s = TruncSeries.one(2, 2) + TruncSeries.w(2, 2, 1).scale(F(1, 2))
-    assert s.evaluate((F(0), F(1, 3)), (F(0), F(0))) == F(7, 6)
+    assert evaluate_series(s, (F(0), F(1, 3)), (F(0), F(0))) == F(7, 6)
 
 
 # -- property suite ----------------------------------------------------------
@@ -209,7 +209,7 @@ def test_series_and_poly_share_term_arithmetic(a, b):
     assert (a * b).coeffs == {k: v for k, v in naive.items() if sum(k) <= 4}
     assert (pa + pb).coeffs == (a + b).coeffs
     point = (F(1, 2), F(-1, 3), F(2, 5), F(3, 7))
-    assert pa.evaluate(point) == a.evaluate(point[:2], point[2:])
+    assert evaluate_poly(pa, point) == evaluate_series(a, point[:2], point[2:])
     renamed = str(pa)
     for old, new in (("z1", "w1"), ("z2", "w2"), ("z3", "wb1"), ("z4", "wb2")):
         renamed = renamed.replace(old, new)
@@ -231,7 +231,7 @@ def test_term_arithmetic_results_are_clean(a, b, c):
     the constructor's clean-up, so they must build clean term maps; so do
     the Poly sums, products and shifts over the same terms."""
     for r in (a + b, a - b, -a, a.scale(c), a.scale(0), a * b, a * c,
-              a.conj()):
+              conj(a)):
         _assert_clean(r.coeffs, 4, 3)
     assert a.scale(0).is_zero() and (a * 0).is_zero()
     pa, pb = Poly(4, a.coeffs), Poly(4, b.coeffs)
@@ -314,8 +314,8 @@ def test_hermitian_check_matches_pair_loop(data):
     entries = [[None] * n for _ in range(n)]
     for (i, j), s in upper.items():
         if i == j:
-            s = s + s.conj()
-        entries[i][j], entries[j][i] = s, s.conj()
+            s = s + conj(s)
+        entries[i][j], entries[j][i] = s, conj(s)
     h = SeriesMatrix(entries)
     assert is_hermitian_by_pair_loop(h)
     i, j = data.draw(st.sampled_from(sorted(upper)))
@@ -408,8 +408,8 @@ def _poly_square(draw):
 def test_cofactor_det_of_polys_commutes_with_evaluation(rows, point):
     value = cofactor_det(rows)
     assert isinstance(value, Poly)
-    assert value.evaluate(point) == mat_det(
-        [[p.evaluate(point) for p in row] for row in rows])
+    assert evaluate_poly(value, point) == mat_det(
+        [[evaluate_poly(p, point) for p in row] for row in rows])
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,8 +423,8 @@ def test_cofactor_det_of_series_commutes_with_evaluation(rows, w, wb):
     rows = [[TruncSeries(2, 4, s.coeffs) for s in row] for row in rows]
     value = cofactor_det(rows)
     assert isinstance(value, TruncSeries)
-    assert value.evaluate(w, wb) == mat_det(
-        [[s.evaluate(w, wb) for s in row] for row in rows])
+    assert evaluate_series(value, w, wb) == mat_det(
+        [[evaluate_series(s, w, wb) for s in row] for row in rows])
 
 
 def _det_at_i(re_rows, im_rows):

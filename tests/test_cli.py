@@ -358,6 +358,22 @@ name = decompose
     assert main(["decompose", "--config", path]) == 4
 
 
+@pytest.mark.parametrize("task", ["decompose", "metric", "curvature",
+                                  "compare"])
+def test_unit_ideal_exit_4_names_the_constant(tmp_path, capsys, task):
+    # <1> is the whole ring: its generator uses no variable, so it does not
+    # mix variables either
+    extra = "compare_weights = 1 3\n" if task == "compare" else ""
+    path = _write(tmp_path, "[module]\ndimension = 2\nweights = 1 2\n\n"
+                            "[ideal]\ngenerators = 1\n\n"
+                            f"[task]\nname = {task}\n{extra}")
+    assert main([task, "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "unsupported ideal family: generator 1 is a constant, so the "
+        "ideal is the whole ring; no zero-set frame\n")
+
+
 def test_main_point_override(tmp_path, capsys):
     path = _write(tmp_path, """
 [module]
@@ -473,14 +489,13 @@ def test_valid_flag_replaces_bad_config_value(tmp_path, capsys, config, flags):
     assert (captured.out, captured.err) == (expected, "")
 
 
-def test_catalogue_with_family_exit_2(tmp_path, capsys):
-    # a catalogue ideal has its own family, so a forced family would be
-    # ignored while the report echoed it
-    config = KERNEL_JOB.replace(
-        "generators = z1", "catalogue = product_difference\nfamily = monomial")
-    assert _config_error(tmp_path, capsys, "dimension", config) == (
-        "config error: give either family or a catalogue name, not both "
-        "(field 'ideal.family')\n")
+def test_family_key_exit_2(tmp_path, capsys):
+    # the family is read off the generators, so no key can force another
+    # kernel route for the same ideal
+    config = KERNEL_JOB.replace("generators = z1",
+                                "generators = z1\nfamily = general")
+    assert _config_error(tmp_path, capsys, "kernel", config) == (
+        "config error: unknown key 'family' in [ideal] (field 'family')\n")
 
 
 MODULE_2 = "[module]\ndimension = 2\nweights = 1 1\n\n"
@@ -496,7 +511,7 @@ FIRST_ERRORS = [
      "[task]\nname = kernel\n", (),
      "give either generators or a catalogue name, not both (field 'ideal')"),
     ("dimension", MODULE_2 + "[ideal]\ncatalogue = product_difference\n"
-     "family = monomial\ngenerators = z1\n\n[task]\nname = dimension\n", (),
+     "generators = z1\n\n[task]\nname = dimension\n", (),
      "give either generators or a catalogue name, not both (field 'ideal')"),
     ("cubic", "[task]\nname = cubic\ntrunc_degree = 0\nalpha = x\n", (),
      "not a rational number: 'x' (Invalid literal for Fraction: 'x') "
@@ -739,7 +754,6 @@ _VALUES = {
     "weights": ["1 2", "1/2 3", "3/2, 5/2"],
     "generators": ["z1, z2", "z1*z2 - z2^2, z1^3 + z2", "z1"],
     "catalogue": ["product_difference"],
-    "family": ["general"],
     "name": ["cubic", "kernel", "curvature", "metric"],
     "points": ["1/3 0; 1/5 1/2", "1/3 -1/4"],
     "base_point": ["0 1/3", "1/2 -1/2"],
@@ -802,7 +816,7 @@ def _config_text(draw):
             keys["module"] = ["dimension", "weights"]
         if draw(st.booleans()):
             keys["ideal"] = draw(st.sampled_from(
-                [["generators"], ["catalogue"], ["generators", "family"]]))
+                [["generators"], ["catalogue"]]))
         for section in draw(st.permutations(list(keys))):
             lines.append(f"[{section}]")
             lines.extend(draw(_key_line(key)) for key in keys[section])

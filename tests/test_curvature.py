@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, invariants
-from submodcurv.algebra import (SeriesMatrix, TruncSeries, mixed_hessian,
-                                unit)
+from submodcurv.algebra import SeriesMatrix, TruncSeries, unit
 from submodcurv.curvature import (JET_DEGREE, PrincipalCurvaturePair,
                                   curvature_matrix, curvature_tensor,
-                                  det_bundle_curvature, gauge_conjugate,
-                                  gauge_equivalent, gauge_transform_metric,
-                                  line_curvature, principal_curvature_pair)
+                                  det_bundle_curvature,
+                                  principal_curvature_pair)
 from submodcurv.errors import DomainError, TruncationError
 from submodcurv.frames import (COORDINATE_KIND, MetricSeries,
                                coordinate_power_data,
@@ -26,9 +24,11 @@ from submodcurv.invariants import (lambda_mu_invariants,
                                    polydisc_rigidity_report)
 from submodcurv.rkhs import WeightedPolydiscModule
 
-from oracles import (coordinate_det_fn, coordinate_tensor_by_fraction_shares,
-                     fd_log_hessian, fd_mixed_hessian, geometric_sum,
-                     zero_set_metric_fn)
+from oracles import (conj, coordinate_det_fn, coordinate_powers,
+                     coordinate_tensor_by_fraction_shares, fd_log_hessian,
+                     fd_mixed_hessian, gauge_conjugate, gauge_equivalent,
+                     gauge_transform_metric, geometric_sum, hardy,
+                     line_curvature, mixed_hessian, zero_set_metric_fn)
 from test_frames import share_weights
 
 
@@ -112,7 +112,7 @@ def test_det_bundle_refuses_scaled_non_diagonal_metric():
     # diagonal closed form of a zero-set frame
     mod = WeightedPolydiscModule(3, (1, F(3, 2), F(1, 2)))
     scaled = grammian(frame_on_zero_set(
-        mod, IdealSpec.coordinate_powers(3, (1,)), (F(0), F(1, 2), F(0)),
+        mod, coordinate_powers(3, (1,)), (F(0), F(1, 2), F(0)),
         JET_DEGREE))
     assert scaled.scales is not None
     H = _coordinate_metric(F(1), F(2), trunc=JET_DEGREE)
@@ -158,7 +158,7 @@ def test_raising_degree_keeps_zero_set_curvature(weights):
     # integer weights fold the base-point scales into the series; half-integer
     # weights leave irrational scales carried symbolically
     mod = WeightedPolydiscModule(3, weights)
-    ideal = IdealSpec.coordinate_powers(3, (2,))
+    ideal = coordinate_powers(3, (2,))
     base = (F(0), F(1, 2), F(-1, 3))
     metrics = [grammian(frame_on_zero_set(mod, ideal, base, D))
                for D in DEGREES]
@@ -557,7 +557,7 @@ def test_principal_pair_reference_values():
 
 
 def test_fd_matches_exact_line_curvature():
-    mod = WeightedPolydiscModule.hardy(2)
+    mod = hardy(2)
     ideal = IdealSpec.monomial(2, [(1, 0)])
     fn = zero_set_metric_fn(mod, ideal)
     got = fd_log_hessian(fn, (0.0, 0.3), 1, 1)
@@ -606,5 +606,5 @@ def test_line_curvature_log_factor_invariance(c, a):
     x = TruncSeries.w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
     h = geometric_sum(x)  # 1/(1 - x)
     f = TruncSeries.constant(1, 4, c) + TruncSeries.w(1, 4, 0).scale(a)
-    g = h * f * f.conj()
+    g = h * f * conj(f)
     assert line_curvature(g, 0, 0) == line_curvature(h, 0, 0)

@@ -5,7 +5,8 @@ float in the package is the kernel task's remainder-bound diagnostic,
 which is reported next to an exact value, never in place of one.
 
 The package holds only what runs: a public name that nothing outside the
-tests reaches is a test helper, and the recorded ones may not grow.
+tests reaches is a test helper and belongs in tests/oracles.py, and no
+module imports a name it never reads.
 
 Each number is computed in one place: the kernel coefficients
 poch(l, n)/n! come from rkhs.diag_coeff_slots alone, so no other module
@@ -45,16 +46,6 @@ def test_package_has_no_float_literals_or_conversions():
     assert found == ALLOWED
 
 
-# Public names reached only from the tests.  The gauge law and the
-# minimality certificate are kept as API; the rest wait for a decision to
-# keep them or move them to tests/oracles.py.
-TEST_ONLY_NAMES = {
-    "gauge_conjugate", "gauge_equivalent", "gauge_transform_metric",
-    "line_curvature", "minimality_certificate",
-    "IdealSpec.coordinate_powers",
-    "MinimalityCertificate.minimal", "TruncSeries.conj",
-    "WeightedPolydiscModule.hardy",
-}
 # a span or counter name such as "algebra.TruncSeries.__mul__"
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
@@ -89,13 +80,40 @@ def _referenced(paths):
     return found
 
 
-def test_test_only_public_names_do_not_grow():
+def test_no_public_name_is_test_only():
     reached = _referenced(path for tree in ("src", "scripts", "perfbench")
                           for path in (ROOT / tree).rglob("*.py"))
     assert reached >= {"cubic_positive_roots", "series_log", "shift_by_monomial"}
     test_only = {name for name, ident in _public_names().items()
                  if ident not in reached}
-    assert test_only <= TEST_ONLY_NAMES
+    assert test_only == set()
+
+
+def _unread_imports(tree):
+    """Names a module imports and never reads.  A name counts as read when
+    it is loaded anywhere in the module or listed in its __all__."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {(path.name, name)
+             for path in MODULES
+             for name in _unread_imports(ast.parse(path.read_text()))}
+    assert found == set()
+    # the check sees an unread import
+    assert _unread_imports(ast.parse("from math import gcd, lcm\nlcm")) == \
+        {"gcd"}
 
 
 def _factorial_calls_and_pochhammer(tree):

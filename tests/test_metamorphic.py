@@ -13,9 +13,16 @@ report must stay byte-identical.  The relations:
   a lower-degree element, which can enlarge the truncated span V_N;
 - z_i -> -z_i in every generator and every point, a diagonal unitary
   that maps monomials to monomials of the same norm.
+
+A permutation of the variables, applied to the generators, the weights
+and every point together, is a unitary between two modules; it must leave
+the rows byte-identical too.  It runs on the Gram-form inputs and on one
+golden kernel config of each other route: a monomial ideal (the filtered
+diagonal sum) and the vanishing ideal of a point (the rank-one correction).
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -49,15 +56,17 @@ def _variant(cfg):
 JOBS = _gram_form_jobs()
 
 
-def _results(cfg, gens, points):
-    """The result rows of the kernel task's text report for cfg with the
-    generators and points replaced."""
-    cfg = dataclasses.replace(cfg, generators=tuple(str(g) for g in gens),
-                              points=tuple(points))
+def _results(cfg, gens, points, weights=None):
+    """The kernel variant and the result rows of the kernel task's text
+    report for cfg with the generators, the points and, when given, the
+    weights replaced."""
+    cfg = dataclasses.replace(
+        cfg, generators=tuple(str(g) for g in gens), points=tuple(points),
+        weights=cfg.weights if weights is None else tuple(weights))
     report = run_task(cfg)
-    assert report.diagnostics["kernel_variant"] == "gram_form"
     out = render_report(report, "text")
-    return out[out.index("results:"):out.index("diagnostics:")]
+    return (report.diagnostics["kernel_variant"],
+            out[out.index("results:"):out.index("diagnostics:")])
 
 
 def _flip(poly: Poly, i: int) -> Poly:
@@ -93,5 +102,34 @@ def test_kernel_results_depend_on_the_submodule(name):
     cfg = JOBS[name]
     gens = [parse_poly(src, cfg.dimension) for src in cfg.generators]
     want = _results(cfg, gens, cfg.points)
+    assert want[0] == "gram_form"
     for relation, other, points in _presentations(gens, cfg.points):
         assert _results(cfg, other, points) == want, relation
+
+
+def _permute(poly: Poly, perm) -> Poly:
+    """poly with variable k of the result standing for variable perm[k]."""
+    return Poly(poly.nvars, {tuple(key[s] for s in perm): v
+                             for key, v in poly.coeffs.items()})
+
+
+PERMUTED = {**JOBS, **{
+    name: parse_config((GOLDEN_KERNEL / f"{name}.ini").read_text())
+    for name in ("monomial-half-bounded", "point-half-bounded")}}
+
+
+def test_permuted_inputs_cover_every_kernel_route():
+    assert {_variant(cfg) for cfg in PERMUTED.values()} == {
+        "gram_form", "diagonal_filtered", "rank_one_corrected"}
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTED))
+def test_kernel_results_survive_variable_permutations(name):
+    cfg = PERMUTED[name]
+    gens = [parse_poly(src, cfg.dimension) for src in cfg.generators]
+    want = _results(cfg, gens, cfg.points)
+    for perm in itertools.permutations(range(cfg.dimension)):
+        got = _results(cfg, [_permute(g, perm) for g in gens],
+                       [[p[s] for s in perm] for p in cfg.points],
+                       [cfg.weights[s] for s in perm])
+        assert got == want, perm

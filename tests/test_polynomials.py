@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from submodcurv.errors import DomainError, InputError
 from submodcurv.polynomials import Poly, parse_poly
 
-from oracles import parse_poly_by_poly_arithmetic
+from oracles import evaluate_poly, parse_poly_by_poly_arithmetic
 
 
 def test_parse_basic():
     p = parse_poly("z1^2 - 3/2 z2 + 1", 2)
-    assert p.evaluate((F(2), F(2))) == 4 - 3 + 1
-    assert p.evaluate((F(0), F(0))) == 1
+    assert evaluate_poly(p, (F(2), F(2))) == 4 - 3 + 1
+    assert evaluate_poly(p, (F(0), F(0))) == 1
     assert p.degree == 2
 
 
@@ -23,7 +23,7 @@ def test_parse_implicit_product_and_powers():
     assert p == q
     assert parse_poly("z1**3", 2) == parse_poly("z1^3", 2)
     r = parse_poly("2z1", 2)
-    assert r.evaluate((F(3), F(0))) == 6
+    assert evaluate_poly(r, (F(3), F(0))) == 6
 
 
 def test_parse_parens_expansion():
@@ -34,12 +34,12 @@ def test_parse_parens_expansion():
 
 def test_parse_rational_coefficients():
     p = parse_poly("3/2 z1 - 1/3", 2)
-    assert p.evaluate((F(2), F(0))) == 3 - F(1, 3)
+    assert evaluate_poly(p, (F(2), F(0))) == 3 - F(1, 3)
 
 
 def test_parse_unary_minus():
     p = parse_poly("-z1 + 2", 2)
-    assert p.evaluate((F(1), F(0))) == 1
+    assert evaluate_poly(p, (F(1), F(0))) == 1
     assert parse_poly("-(z1 - z2)", 2) == parse_poly("z2 - z1", 2)
 
 

@@ -19,8 +19,8 @@ from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              submodule_kernel)
 
 import oracles
-from oracles import (ambient_kernel_exact, monomial_norm_sq, pochhammer,
-                     poly_inner)
+from oracles import (ambient_kernel_exact, evaluate_poly, monomial_norm_sq,
+                     pochhammer, poly_inner)
 
 
 def test_module_validation():
@@ -32,11 +32,11 @@ def test_module_validation():
         WeightedPolydiscModule(2, (1, 0))
     with pytest.raises(DomainError):
         WeightedPolydiscModule(2, (1, 1, 1))
-    assert WeightedPolydiscModule.hardy(3).weights == (F(1),) * 3
+    assert oracles.hardy(3).weights == (F(1),) * 3
 
 
 def test_diag_coeff_values():
-    hardy = WeightedPolydiscModule.hardy(2)
+    hardy = oracles.hardy(2)
     assert diag_coeff(hardy, (3, 5)) == 1
     m = WeightedPolydiscModule(2, (2, 1))
     # poch(2, a)/a! = a + 1 in the first slot
@@ -59,7 +59,7 @@ def test_poly_inner_orthogonality():
 
 
 def test_ambient_kernel_product_form():
-    hardy = WeightedPolydiscModule.hardy(2)
+    hardy = oracles.hardy(2)
     z = (F(1, 3), F(1, 5))
     w = (F(1, 7), F(1, 2))
     want = 1 / ((1 - F(1, 3) * F(1, 7)) * (1 - F(1, 5) * F(1, 2)))
@@ -73,7 +73,7 @@ def test_ambient_kernel_product_form():
 
 def test_single_variable_filtered_kernel():
     # <z1>: the z1-divisible part of the Hardy kernel
-    hardy = WeightedPolydiscModule.hardy(2)
+    hardy = oracles.hardy(2)
     ideal = IdealSpec.monomial(2, [(1, 0)])
     K = submodule_kernel(hardy, ideal)
     assert K.variant == "diagonal_filtered"
@@ -85,7 +85,7 @@ def test_single_variable_filtered_kernel():
 
 
 def test_maximal_ideal_kernel_is_full_minus_one():
-    hardy = WeightedPolydiscModule.hardy(2)
+    hardy = oracles.hardy(2)
     ideal = IdealSpec.monomial(2, [(1, 0), (0, 1)])
     K = submodule_kernel(hardy, ideal)
     z = (F(1, 4), F(-1, 3))
@@ -119,7 +119,7 @@ def test_fractional_weights_need_truncation():
 
 
 def test_rank_one_corrected_kernel():
-    hardy = WeightedPolydiscModule.hardy(2)
+    hardy = oracles.hardy(2)
     g1 = parse_poly("z1 - 1/3", 2)
     g2 = parse_poly("z2", 2)
     ideal = IdealSpec.from_generators(2, [g1, g2])
@@ -150,7 +150,7 @@ def test_rank_one_bounded_correction():
     b = [ambient_kernel_bounded(mod, x, y, N)
          for x, y in ((z, w), (z, a), (a, w), (a, a))]
     assert K.eval_truncated(z, w, N) == b[0] - b[1] * b[2] / b[3]
-    hardy = WeightedPolydiscModule.hardy(1)
+    hardy = oracles.hardy(1)
     assert RankOneCorrectedKernel(hardy, (F(1, 2),)).eval_exact(
         (F(1, 2),), (F(1, 2),)) == 0
 
@@ -167,7 +167,8 @@ def _gram_schmidt_kernel(module, polys, z, w):
             basis.append(p)
     total = F(0)
     for q in basis:
-        total += q.evaluate(z) * q.evaluate(w) / poly_inner(module, q, q)
+        total += (evaluate_poly(q, z) * evaluate_poly(q, w)
+                  / poly_inner(module, q, q))
     return total
 
 
@@ -188,7 +189,7 @@ def test_gram_form_matches_gram_schmidt_oracle():
 
 
 def test_gram_form_needs_enough_degree():
-    m = WeightedPolydiscModule.hardy(2)
+    m = oracles.hardy(2)
     ideal = IdealSpec.monomial(2, [(3, 0)])
     with pytest.raises(TruncationError):
         GramFormKernel.from_ideal(m, ideal, 2)
@@ -336,9 +337,9 @@ def test_gram_form_matches_rank_scan_and_solve(degree, case):
     G = [[poly_inner(module, p, q) for q in K.basis] for p in K.basis]
     points = _GRAM_POINTS[module.dim]
     for w in points:
-        x = mat_solve(G, [p.evaluate(w) for p in K.basis])
+        x = mat_solve(G, [evaluate_poly(p, w) for p in K.basis])
         for z in points:
-            bz = [p.evaluate(z) for p in K.basis]
+            bz = [evaluate_poly(p, z) for p in K.basis]
             assert K.eval_exact(z, w) == sum(a * b for a, b in zip(bz, x))
 
 
@@ -368,7 +369,7 @@ def test_product_difference_complement_is_two():
 
 
 def test_gram_form_rejects_indefinite_gram():
-    m = WeightedPolydiscModule.hardy(2)
+    m = oracles.hardy(2)
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("z1*z2", 2)]
     for gram in ([[F(1), F(2), F(0)], [F(2), F(1), F(0)], [F(0), F(0), F(1)]],
@@ -383,7 +384,7 @@ def test_gram_form_rejects_indefinite_gram():
 
 
 def test_gram_form_needs_one_gram_row_per_complement():
-    m = WeightedPolydiscModule.hardy(2)
+    m = oracles.hardy(2)
     complement = [parse_poly("z1", 2), parse_poly("z2", 2)]
     for gram in ([[F(1)]], [[F(1), F(0)], [F(0)]],
                  [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]):
@@ -400,8 +401,8 @@ def test_gram_form_interleaved_blocks():
     H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
     K = GramFormKernel(m, [], complement, H, 2)
     z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
-    x = mat_solve(H, [f.evaluate(w) for f in complement])
-    form = sum(f.evaluate(z) * y for f, y in zip(complement, x))
+    x = mat_solve(H, [evaluate_poly(f, w) for f in complement])
+    form = sum(evaluate_poly(f, z) * y for f, y in zip(complement, x))
     assert K.eval_exact(z, w) == (ambient_kernel_bounded(m, z, w, 2).value
                                   - form)
 
@@ -429,8 +430,9 @@ def _gram_form_by_full_sweep(module, ideal, degree):
 
     def evaluate(z, w):
         return (ambient_kernel_bounded(module, z, w, degree).value
-                - factor.inverse_form([f.evaluate(z) for f in complement],
-                                      [f.evaluate(w) for f in complement]))
+                - factor.inverse_form(
+                    [evaluate_poly(f, z) for f in complement],
+                    [evaluate_poly(f, w) for f in complement]))
     return basis, complement, gram, evaluate
 
 
