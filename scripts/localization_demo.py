@@ -5,7 +5,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from submodcurv import IdealSpec, localization_dim, zero_set
+from submodcurv import IdealSpec, localization_dim
 
 
 def _fmt_point(pt):
@@ -22,10 +22,11 @@ def main(argv=None):
     pts = [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(1, 3)),
            (Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 4), Fraction(-1, 4)),
            (Fraction(1, 5), Fraction(2, 5))]
-    print("ideal <z1 z2, z1 - z2>, zero set:", zero_set(ideal))
+    print("ideal <z1 z2, z1 - z2>")
     for pt in pts:
         res = localization_dim(ideal, pt, args.max_degree)
-        print(f"  {_fmt_point(pt):>14}  dim {res.dim}  "
+        print(f"  {_fmt_point(pt):>14}  on V(I) {ideal.vanishes_at(pt)!s:<5}  "
+              f"dim {res.dim}  "
               f"stabilized at N={res.stabilized_at}  "
               f"defects {res.dims_by_degree}")
 
@@ -34,7 +35,8 @@ def main(argv=None):
         print(f"ideal <z1^{p}>")
         for pt in [(Fraction(0), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 5))]:
             res = localization_dim(ideal, pt, args.max_degree)
-            print(f"  {_fmt_point(pt):>14}  dim {res.dim}  "
+            print(f"  {_fmt_point(pt):>14}  "
+                  f"on V(I) {ideal.vanishes_at(pt)!s:<5}  dim {res.dim}  "
                   f"stabilized at N={res.stabilized_at}")
     return 0
 

@@ -17,8 +17,8 @@ from .errors import (DegeneracyError, DomainError, InputError, ShapeError,
                      UnsupportedIdealError)
 from .frames import (FrameSeries, MetricSeries, decompose_coordinate_ideal,
                      frame_on_zero_set, grammian, reconstruction_residual)
-from .ideals import (CATALOGUE, CoordinateSubspace, IdealSpec,
-                     LocalizationResult, PointSet, localization_dim, zero_set)
+from .ideals import (CATALOGUE, IdealSpec, LocalizationResult,
+                     localization_dim)
 from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
                          cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity,
@@ -31,11 +31,11 @@ from .rkhs import (DiagonalFilteredKernel, GramFormKernel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOGUE", "CONVENTION", "CoordinateSubspace", "CubicReport",
+    "CATALOGUE", "CONVENTION", "CubicReport",
     "CurvatureTensor", "DegeneracyError", "DiagonalFilteredKernel",
     "DomainError", "FrameSeries", "GramFormKernel", "IdealSpec",
     "InputError", "LambdaMuInvariant", "LocalizationResult", "LogSeries",
-    "MetricSeries", "PointSet", "Poly", "PrincipalCurvaturePair",
+    "MetricSeries", "Poly", "PrincipalCurvaturePair",
     "RankOneCorrectedKernel", "RigidityReport", "SeriesMatrix",
     "ShapeError", "SingularityError", "SubmodcurvError", "TruncSeries",
     "TruncationError", "UnsupportedIdealError", "WeightedPolydiscModule",
@@ -46,5 +46,5 @@ __all__ = [
     "parse_poly", "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
     "reconstruction_residual", "series_inverse", "series_log",
-    "submodule_kernel", "zero_set",
+    "submodule_kernel",
 ]

@@ -31,7 +31,8 @@ from .errors import (DomainError, InputError, SubmodcurvError,
 from .frames import (COORDINATE_KIND, coordinate_power_data,
                      decompose_coordinate_ideal, frame_on_zero_set, grammian,
                      reconstruction_residual)
-from .ideals import (CATALOGUE, IdealSpec, localization_dim, zero_set)
+from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
+                     localization_dim)
 from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity_report)
 from .polynomials import parse_poly
@@ -179,7 +180,8 @@ def _check_fields(fields: dict, labels: dict):
 def _read_config(text: str):
     """The sections of a config text, read as configparser reads it with
     '#' inline comments, strict duplicates and no interpolation: a dict
-    section -> {key: value} in file order, and the [DEFAULT] keys.
+    section -> {key: value} in file order.  [DEFAULT] is an ordinary
+    section here, which parse_config refuses as unknown.
 
     Lines split on '\n' alone, as configparser's StringIO does.  A line
     whose stripped text starts with '#' or ';' is a comment, and a '#'
@@ -190,7 +192,7 @@ def _read_config(text: str):
     are kept, and each value is joined by '\n' and rstripped.  Errors are
     configparser's own, with its source name and line numbers.
     """
-    sections, defaults = {}, {}
+    sections = {}
     cursect = sectname = optname = error = None
     indent_level = 0
     lines = text.split("\n")
@@ -215,13 +217,10 @@ def _read_config(text: str):
         close = value.rfind("]")
         if value[0] == "[" and close > 1:
             sectname = value[1:close]
-            if sectname == "DEFAULT":
-                cursect = defaults
-            elif sectname in sections:
+            if sectname in sections:
                 raise configparser.DuplicateSectionError(
                     sectname, "<string>", lineno)
-            else:
-                cursect = sections[sectname] = {}
+            cursect = sections[sectname] = {}
             optname = None
             continue
         eq, colon = value.find("="), value.find(":")
@@ -246,10 +245,10 @@ def _read_config(text: str):
         cursect[optname] = value[cut + 1:].strip()
     if error is not None:
         raise error
-    for sect in (defaults, *sections.values()):
+    for sect in sections.values():
         for key, value in sect.items():
             sect[key] = value.rstrip()
-    return sections, defaults
+    return sections
 
 
 def parse_config(text: str, args=None) -> JobConfig:
@@ -261,7 +260,7 @@ def parse_config(text: str, args=None) -> JobConfig:
     points are checked after the overrides, each under its key or flag.
     """
     try:
-        sections, defaults = _read_config(text)
+        sections = _read_config(text)
     except configparser.ParsingError as e:
         line = e.errors[0][0] if getattr(e, "errors", None) else None
         raise InputError(f"config syntax: {e.message.splitlines()[0]}",
@@ -275,12 +274,7 @@ def parse_config(text: str, args=None) -> JobConfig:
 
     fields = {}
     for section, parsers in SCHEMA.items():
-        # a section's own keys first, then [DEFAULT]'s, as configparser
-        # lists them; [DEFAULT] reaches only the sections present
         sec = sections.get(section, {})
-        if section in sections:
-            for key, value in defaults.items():
-                sec.setdefault(key, value)
         for key in sec:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",
@@ -560,10 +554,12 @@ def run_task(cfg: JobConfig) -> Report:
     if cfg.task == "dimension":
         ideal = _build_ideal(cfg)
         _require_points(cfg, module)
-        try:
-            variety = zero_set(ideal)
-        except (UnsupportedIdealError, DomainError):
-            variety = None
+        # point_k_on_variety only for point ideals, the catalogue and powers of
+        # single variables, as pinned; ROADMAP item 13's re-pin drops this rule
+        on_variety_rows = ideal.family != GENERAL and (
+            ideal.family != MONOMIAL or all(
+                sum(map(bool, g.monomial_exponent())) == 1
+                for g in ideal.generators))
         max_deg = max(cfg.ideal_degree, ideal.max_degree + 1)
         for k, p in enumerate(cfg.points, 1):
             loc = localization_dim(ideal, p, max_deg)
@@ -571,9 +567,9 @@ def run_task(cfg: JobConfig) -> Report:
             report.add(f"stabilized_at_{k}", loc.stabilized_at)
             report.diagnostics[f"dims_by_degree_{k}"] = \
                 [[n, d] for n, d in loc.dims_by_degree]
-            if variety is not None:
+            if on_variety_rows:
                 report.diagnostics[f"point_{k}_on_variety"] = \
-                    variety.contains(p)
+                    ideal.vanishes_at(p)
             if loc.conditional:
                 report.diagnostics[f"conditional_{k}"] = (
                     "general-family result; stabilization is heuristic")

@@ -1,4 +1,4 @@
-"""Polynomial ideals, their zero sets, and localization dimensions.
+"""Polynomial ideals, membership in their zero sets, localization dimensions.
 
 An IdealSpec is a finite generator list tagged with a structural family:
 
@@ -10,19 +10,20 @@ An IdealSpec is a finite generator list tagged with a structural family:
 IdealSpec.from_generators reads the family off the generators, so the
 same generators always get the same family.  The family tag decides which
 closed-form constructions apply downstream; nothing here attempts
-Groebner-style normal forms.  The localization dimension at a point w
-counts dim J_N - dim J'_N for spaces of generator multiples of bounded
-degree, in coordinates centred at w.  J'_N grows
-degree by degree in one linalg.RowEchelon of integer rows, and the defect
-is the number of generators a copy of it still accepts.  The defect never
-increases; stopping at two equal consecutive values is a heuristic.
+Groebner-style normal forms.  A point w is on V(I) exactly when every
+generator is 0 at w (IdealSpec.vanishes_at).  The localization dimension
+at w counts dim J_N - dim J'_N for spaces of generator multiples of
+bounded degree, in coordinates centred at w.  J'_N grows degree by degree
+in one linalg.RowEchelon of integer rows, and the defect is the number of
+generators a copy of it still accepts.  The defect never increases;
+stopping at two equal consecutive values is a heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import add
 from typing import Optional
 
@@ -38,31 +39,6 @@ GENERAL = "general"
 
 
 # ---------------------------------------------------------------------------
-# Zero set descriptors
-
-
-@dataclass(frozen=True)
-class CoordinateSubspace:
-    """{z : z_i = 0 for i in vanishing}; indices are 0-based."""
-    nvars: int
-    vanishing: frozenset
-
-    def contains(self, point) -> bool:
-        pt = [rat(x) for x in point]
-        return all(pt[i] == 0 for i in self.vanishing)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """A single point of the polydisc."""
-    coords: tuple
-
-    def contains(self, point) -> bool:
-        pt = tuple(rat(x) for x in point)
-        return pt == self.coords
-
-
-# ---------------------------------------------------------------------------
 # The ideal specification
 
 
@@ -71,7 +47,6 @@ class IdealSpec:
     nvars: int
     generators: tuple
     family: str
-    name: Optional[str] = None
 
     def __post_init__(self):
         if not self.generators:
@@ -88,6 +63,12 @@ class IdealSpec:
     def max_degree(self) -> int:
         return max(g.degree for g in self.generators)
 
+    def vanishes_at(self, point) -> bool:
+        """Whether the point lies on V(I): one exact sum per generator."""
+        w = [rat(x) for x in point]
+        return not any(sum(c * prod(map(pow, w, e)) for e, c in g.coeffs.items())
+                       for g in self.generators)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -98,16 +79,15 @@ class IdealSpec:
         vanish only at the origin still carries the full diagonal structure
         (frames, filtered kernels)."""
         gens = tuple(generators)
-        name = None
         if all(g.is_monomial() for g in gens):
             family = MONOMIAL
         elif _vanishing_point(nvars, gens) is not None:
             family = COORDINATE_VANISHING
-        elif (name := _match_catalogue(nvars, gens)) is not None:
+        elif _match_catalogue(nvars, gens):
             family = CATALOGUED
         else:
             family = GENERAL
-        return IdealSpec(nvars, gens, family, name)
+        return IdealSpec(nvars, gens, family)
 
     @staticmethod
     def monomial(nvars: int, exponent_lists) -> "IdealSpec":
@@ -119,8 +99,7 @@ class IdealSpec:
         if name not in CATALOGUE:
             raise UnsupportedIdealError(
                 f"unknown catalogue ideal {name!r}; known: {sorted(CATALOGUE)}")
-        builder, _ = CATALOGUE[name]
-        return IdealSpec(nvars, tuple(builder(nvars)), CATALOGUED, name)
+        return IdealSpec(nvars, tuple(CATALOGUE[name](nvars)), CATALOGUED)
 
 
 def _vanishing_point(nvars, gens):
@@ -154,7 +133,7 @@ def vanishing_point(ideal: IdealSpec):
 
 
 # ---------------------------------------------------------------------------
-# Catalogue of named ideals with hand-verified zero-set data
+# Catalogue of named ideals: name -> generator builder
 
 
 def _product_difference_gens(nvars):
@@ -165,56 +144,17 @@ def _product_difference_gens(nvars):
     return [z1 * z2, z1 - z2]
 
 
-def _product_difference_zeroset(nvars):
-    # z1 z2 = 0 and z1 = z2 force z1 = z2 = 0
-    return CoordinateSubspace(nvars, frozenset({0, 1}))
+CATALOGUE = {"product_difference": _product_difference_gens}
 
 
-CATALOGUE = {
-    "product_difference": (_product_difference_gens, _product_difference_zeroset),
-}
-
-
-def _match_catalogue(nvars, gens):
-    for name, (builder, _) in CATALOGUE.items():
+def _match_catalogue(nvars, gens) -> bool:
+    for builder in CATALOGUE.values():
         try:
             if tuple(builder(nvars)) == tuple(gens):
-                return name
+                return True
         except DomainError:
             continue
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Zero sets
-
-
-def zero_set(ideal: IdealSpec):
-    """Exact zero-set descriptor for the supported families.
-
-    Monomial ideals are handled when every generator is a power of a single
-    variable (the zero set is then a coordinate subspace).  A monomial ideal
-    with a genuinely mixed generator has a reducible zero set that none of
-    the descriptor kinds represents, so it is rejected rather than guessed.
-    """
-    if ideal.family == COORDINATE_VANISHING:
-        return PointSet(vanishing_point(ideal))
-    if ideal.family == CATALOGUED:
-        _, descriptor = CATALOGUE[ideal.name]
-        return descriptor(ideal.nvars)
-    if ideal.family == MONOMIAL:
-        vanishing = set()
-        for g in ideal.generators:
-            e = g.monomial_exponent()
-            support = [i for i, x in enumerate(e) if x > 0]
-            if len(support) != 1:
-                raise UnsupportedIdealError(
-                    f"zero set of mixed monomial generator {g} is a union of "
-                    "coordinate subspaces; supply the variety data explicitly")
-            vanishing.add(support[0])
-        return CoordinateSubspace(ideal.nvars, frozenset(vanishing))
-    raise UnsupportedIdealError(
-        "no exact zero-set computation for general ideals")
+    return False
 
 
 # ---------------------------------------------------------------------------

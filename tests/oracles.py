@@ -30,7 +30,8 @@ them the monomial inner product that the Gram-form tests build Gram
 matrices from.  Last, the public API that nothing but the tests read:
 evaluation, coefficient lookup and conjugation of term maps, the mixed
 Hessian and line curvature of a scalar metric, the nullspace, the Hardy
-module, coordinate-power ideals, zero-set codimension with the minimality
+module, coordinate-power ideals, the zero-set descriptors (the reference
+for IdealSpec.vanishes_at) with their codimension and the minimality
 certificate, and the gauge action on metrics and curvature tensors.
 """
 
@@ -50,11 +51,12 @@ from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
                             JobConfig, _check_fields, _parse_vector)
 from submodcurv.curvature import CurvatureTensor, _unscaled_matrix
 from submodcurv.errors import (DomainError, InputError, ShapeError,
-                               SingularityError, TruncationError)
+                               SingularityError, TruncationError,
+                               UnsupportedIdealError)
 from submodcurv.frames import FrameSeries, MetricSeries, coordinate_power_data
-from submodcurv.ideals import (GENERAL, MONOMIAL, CoordinateSubspace,
-                               IdealSpec, LocalizationResult, PointSet,
-                               zero_set)
+from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
+                               GENERAL, MONOMIAL, IdealSpec,
+                               LocalizationResult, vanishing_point)
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
 from submodcurv.linalg import (RowEchelon, leading_principal_minors, mat_det,
@@ -269,6 +271,55 @@ def coordinate_powers(nvars: int, powers) -> IdealSpec:
     gens = tuple(Poly.monomial(nvars, unit(nvars, k, p))
                  for k, p in enumerate(powers))
     return IdealSpec(nvars, gens, MONOMIAL)
+
+
+@dataclass(frozen=True)
+class CoordinateSubspace:
+    """{z : z_i = 0 for i in vanishing}; indices are 0-based."""
+    nvars: int
+    vanishing: frozenset
+
+    def contains(self, point) -> bool:
+        pt = [rat(x) for x in point]
+        return all(pt[i] == 0 for i in self.vanishing)
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """A single point of the polydisc."""
+    coords: tuple
+
+    def contains(self, point) -> bool:
+        pt = tuple(rat(x) for x in point)
+        return pt == self.coords
+
+
+def zero_set(ideal: IdealSpec) -> CoordinateSubspace | PointSet:
+    """Hand-written zero-set descriptor of a point ideal, a catalogued
+    ideal, or a monomial ideal whose every generator is a power of one
+    variable (the zero set is then a coordinate subspace); the reference
+    for IdealSpec.vanishes_at.  A mixed monomial generator has a
+    reducible zero set that no descriptor represents, so it is rejected
+    rather than guessed, as are general ideals."""
+    if ideal.family == COORDINATE_VANISHING:
+        return PointSet(vanishing_point(ideal))
+    if ideal.family == CATALOGUED:
+        # the one catalogue ideal, product_difference: z1 z2 = 0 and
+        # z1 = z2 force z1 = z2 = 0
+        assert list(CATALOGUE) == ["product_difference"]
+        return CoordinateSubspace(ideal.nvars, frozenset({0, 1}))
+    if ideal.family == MONOMIAL:
+        vanishing = set()
+        for g in ideal.generators:
+            support = [i for i, x in enumerate(g.monomial_exponent()) if x]
+            if len(support) != 1:
+                raise UnsupportedIdealError(
+                    f"zero set of mixed monomial generator {g} is a union "
+                    "of coordinate subspaces")
+            vanishing.add(support[0])
+        return CoordinateSubspace(ideal.nvars, frozenset(vanishing))
+    raise UnsupportedIdealError(
+        "no exact zero-set computation for general ideals")
 
 
 def codim(zero: CoordinateSubspace | PointSet) -> int:
@@ -740,7 +791,10 @@ def _config_reader() -> configparser.ConfigParser:
 
 def parse_config_by_configparser(text: str, args=None) -> JobConfig:
     """The parse_config that cli's line reader replaced: the same schema
-    checks over configparser's read of the text.
+    checks over configparser's read of the text.  configparser still
+    spreads a [DEFAULT] section over the others, where parse_config
+    refuses it as an unknown section, so the two agree on texts without
+    one.
 
     Every call empties and reuses the process's one config reader, so
     calls must not run in concurrent threads.

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli
-from submodcurv.cli import (JobConfig, _build_parser, main, parse_config,
-                            render_report, run_task)
+from submodcurv.cli import (_build_parser, main, parse_config, render_report,
+                            run_task)
 from submodcurv.errors import InputError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
@@ -716,8 +716,9 @@ def fresh_reader():
 
 
 def test_reader_forgets_defaults(fresh_reader):
-    assert parse_config(DEFAULTS_JOB).alpha == 2
-    # a kept [DEFAULT] alpha would be an unknown key in [module]
+    with pytest.raises(InputError, match=r"unknown section \[DEFAULT\]"):
+        parse_config(DEFAULTS_JOB)
+    # nothing of the refused job reaches the next parse
     assert parse_config(BASE) == fresh_reader
 
 
@@ -731,9 +732,13 @@ def test_reader_forgets_a_read_that_raised(fresh_reader):
 
 
 def test_section_keys_come_before_default_keys():
-    with pytest.raises(InputError) as exc:
-        parse_config("[DEFAULT]\nfoo = 1\n\n[module]\nbar = 2\n")
-    assert str(exc.value) == "unknown key 'bar' in [module] (field 'bar')"
+    # no [DEFAULT] key reaches a section: the header is an unknown
+    # section, refused before the keys of any section are read
+    for text in ("[DEFAULT]\nfoo = 1\n\n[module]\nbar = 2\n",
+                 "[module]\nbar = 2\n\n[DEFAULT]\nfoo = 1\n"):
+        with pytest.raises(InputError) as exc:
+            parse_config(text)
+        assert str(exc.value) == "unknown section [DEFAULT] (field 'DEFAULT')"
 
 
 def test_main_builds_no_config_parser(tmp_path, capsys, monkeypatch):
@@ -765,7 +770,7 @@ _VALUES = {
 }
 _BAD_VALUES = ["0", "x", "1 -1", "3/0", "1\x0c/2", "yaml", "dance", "nope",
                ",", ""]
-_SECTIONS = ["module", "ideal", "task", "DEFAULT", "bogus", "Task"]
+_SECTIONS = ["module", "ideal", "task", "bogus", "Task"]
 _ODD = ["=", ":", "%", ";", "#", " #", "%(x)s", "\x0c", "\x1c", "\r", "\t",
         "\x85", "\u2028", "[", "]", "a", "1", "z1", " "]
 _space = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\x1c"])
@@ -799,8 +804,6 @@ _noise_line = st.one_of(
     st.builds(lambda pad, text: "  " + pad + text, _space, _odd_text),
     _space, _odd_text,
     st.sampled_from(["[]", "[module", "= 1", ": x", "\r", "\x0c\x0c"]),
-    st.sampled_from(["alpha", "output", "name", "dimension"]).flatmap(
-        lambda key: _key_line(key).map(lambda line: "[DEFAULT]\n" + line)),
 )
 
 
@@ -835,27 +838,23 @@ def _outcome(parse, text):
 
 def _sections_by_configparser(text):
     """configparser's read of the text as a section -> {key: value} view,
-    each section's own keys then the [DEFAULT] keys, and the [DEFAULT]
-    keys; or its error."""
+    or its error."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         return type(e), str(e)
-    return ({section: {key: cp.get(section, key)
-                       for key in cp.options(section)}
-             for section in cp.sections()}, cp.defaults())
+    return {section: {key: cp.get(section, key)
+                      for key in cp.options(section)}
+            for section in cp.sections()}
 
 
 def _sections_by_line_reader(text):
     try:
-        sections, defaults = cli._read_config(text)
+        return cli._read_config(text)
     except configparser.Error as e:
         return type(e), str(e)
-    return ({section: {**own, **{key: value for key, value
-                                 in defaults.items() if key not in own}}
-             for section, own in sections.items()}, defaults)
 
 
 @settings(max_examples=600, deadline=None)
@@ -869,23 +868,41 @@ def test_line_reader_matches_configparser(text):
 @pytest.mark.parametrize("text", [
     "[task]\nname = cubic\nalpha = 1\x0c/2\n",
     "[task]\nname = cubic\nalpha = 1\n  \n\n   /2\n# c\n",
-    "[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nalpha = 2\n",
-    "[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nAlpha: 2\n",
     "[task]\nname = cubic\n= 1\n= 2\n",
     "[task]\nname = cubic\nno delimiter\n[task]\n",
     "alpha = 1\n[task]\nname = cubic\n",
     "[task] # c\nname = cubic # c\nalpha = 3/4#5\n",
     "[task]\nname = cubic\nalpha = 1/3\n  [module]\n",
     "[task]\r\nname = cubic\r\nalpha = 1\r\n",
-    "[DEFAULT]\nalpha = 2\n[task]\nname = cubic\nalpha = 1\n",
-    "[DEFAULT]\noutput = json\n[task]\nname = cubic\n",
-    "[task]\nname = cubic\n\n[DEFAULT]\nalpha = 1 \n\n",
     "[task]\nname = cubic\n\x0calpha = 1\n",
 ])
 def test_line_reader_matches_configparser_on_edge_cases(text):
     assert _sections_by_line_reader(text) == _sections_by_configparser(text)
     assert _outcome(parse_config, text) == \
         _outcome(parse_config_by_configparser, text)
+
+
+DEFAULT_DUPLICATE = ("config syntax: While reading from '<string>' "
+                     "[line  5]: section 'DEFAULT' already exists")
+DEFAULT_UNKNOWN = "unknown section [DEFAULT] (field 'DEFAULT')"
+
+
+@pytest.mark.parametrize("config,error", [
+    ("[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nalpha = 2\n",
+     DEFAULT_DUPLICATE),
+    ("[DEFAULT]\nalpha = 1\n[task]\nname = cubic\n[DEFAULT]\nAlpha: 2\n",
+     DEFAULT_DUPLICATE),
+    ("[DEFAULT]\nalpha = 2\n[task]\nname = cubic\nalpha = 1\n",
+     DEFAULT_UNKNOWN),
+    ("[DEFAULT]\noutput = json\n[task]\nname = cubic\n", DEFAULT_UNKNOWN),
+    ("[task]\nname = cubic\n\n[DEFAULT]\nalpha = 1 \n\n", DEFAULT_UNKNOWN),
+], ids=["duplicate", "duplicate-key-case", "shadowed-key", "output",
+        "last-section"])
+def test_default_section_is_a_config_error(tmp_path, capsys, config, error):
+    # [DEFAULT] is a section like any other, and the schema has none of
+    # that name; a second header is a duplicate section
+    assert _config_error(tmp_path, capsys, "cubic", config) == \
+        f"config error: {error}\n"
 
 
 @settings(max_examples=400, deadline=None)

@@ -6,7 +6,8 @@ which is reported next to an exact value, never in place of one.
 
 The package holds only what runs: a public name that nothing outside the
 tests reaches is a test helper and belongs in tests/oracles.py, and no
-module imports a name it never reads.
+module of the package, its tests or its scripts imports a name it never
+reads.
 
 Each number is computed in one place: the kernel coefficients
 poch(l, n)/n! come from rkhs.diag_coeff_slots alone, so no other module
@@ -107,8 +108,10 @@ def _unread_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_reads():
+    paths = [*MODULES, *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
     found = {(path.name, name)
-             for path in MODULES
+             for path in paths
              for name in _unread_imports(ast.parse(path.read_text()))}
     assert found == set()
     # the check sees an unread import

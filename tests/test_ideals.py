@@ -3,19 +3,19 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import submodcurv.cli as cli
 from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
-from submodcurv.ideals import (CoordinateSubspace, IdealSpec, PointSet,
-                               _centre, localization_dim, zero_set)
+from submodcurv.ideals import IdealSpec, _centre, localization_dim
 from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import Poly, parse_poly
 
-from oracles import (centre_by_eval_terms, codim, coordinate_powers,
-                     localization_dim_two_spans, minimality_certificate)
+from oracles import (CoordinateSubspace, PointSet, centre_by_eval_terms,
+                     codim, coordinate_powers, localization_dim_two_spans,
+                     minimality_certificate, zero_set)
 
 
 def _gens(dim, *srcs):
@@ -30,7 +30,7 @@ def test_family_detection():
     assert i2.family == "coordinate_vanishing"
     i3 = IdealSpec.from_generators(2, _gens(2, "z1 z2", "z1 - z2"))
     assert i3.family == "catalogued"
-    assert i3.name == "product_difference"
+    assert i3 == IdealSpec.catalogued("product_difference", 2)
     i4 = IdealSpec.from_generators(2, _gens(2, "z1 + z2^2"))
     assert i4.family == "general"
 
@@ -83,6 +83,82 @@ def test_minimality_certificate():
     c2 = minimality_certificate(
         IdealSpec.from_generators(2, _gens(2, "z1", "z1^2")))
     assert c2.status != "minimal_by_codim"
+
+
+# -- membership in V(I) by evaluating the generators -------------------------
+
+_coord = st.fractions(min_value=-1, max_value=1, max_denominator=6).filter(
+    lambda x: abs(x) < 1)
+_nonzero = _coord.filter(bool)
+
+
+def _powers(m, *terms):
+    """The ideal of the monomials c z_i^p for terms (c, i, p)."""
+    return IdealSpec.from_generators(
+        m, [Poly.monomial(m, unit(m, i, p), c) for c, i, p in terms])
+
+
+@st.composite
+def _described_ideal(draw):
+    """(ideal, point on V(I), point off it) for an ideal with a zero-set
+    descriptor: powers of single variables with any coefficients (a
+    variable may repeat), a point ideal, or product_difference, in 2 to 4
+    variables.  The point on V(I) zeroes the vanishing coordinates of a
+    drawn point; the point off it moves one of them."""
+    m = draw(st.integers(2, 4))
+    w = list(draw(st.tuples(*[_coord] * m)))
+    kind = draw(st.sampled_from(["powers", "point", "catalogue"]))
+    if kind == "powers":
+        terms = draw(st.lists(st.tuples(
+            _nonzero | st.integers(-3, 3).filter(bool),
+            st.integers(0, m - 1), st.integers(1, 3)), min_size=1, max_size=3))
+        ideal = _powers(m, *terms)
+        vanishing, target = {i for _, i, _ in terms}, [F(0)] * m
+    elif kind == "point":
+        ideal = IdealSpec.from_generators(
+            m, [Poly.variable(m, i) - a for i, a in enumerate(w)])
+        vanishing, target = set(range(m)), list(w)
+    else:
+        ideal = IdealSpec.catalogued("product_difference", m)
+        vanishing, target = {0, 1}, [F(0)] * m
+    on = [target[i] if i in vanishing else x for i, x in enumerate(w)]
+    off = list(on)
+    i = draw(st.sampled_from(sorted(vanishing)))
+    off[i] = draw(_coord.filter(lambda x: x != target[i]))
+    return ideal, tuple(on), tuple(off)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_described_ideal(), _coord, _coord)
+@example((_powers(2, (3, 0, 2)), (F(0), F(1, 2)), (F(1, 3), F(1, 2))),
+         F(0), F(0))
+@example((_powers(3, (1, 0, 2), (1, 0, 3)), (F(0), F(-1, 2), F(1, 5)),
+          (F(-1, 4), F(0), F(0))), F(1, 2), F(0))
+def test_vanishes_at_matches_the_zero_set_descriptor(case, x, y):
+    ideal, on, off = case
+    variety = zero_set(ideal)
+    assert ideal.vanishes_at(on) and variety.contains(on)
+    assert not ideal.vanishes_at(off) and not variety.contains(off)
+    # a point drawn with no regard to V(I)
+    free = (x, y) + on[2:]
+    assert ideal.vanishes_at(free) == variety.contains(free)
+
+
+@pytest.mark.parametrize("gens,point,on", [
+    (("z1*z2 - z3^2", "z1 - z2*z3"), (0, 0, 0), True),
+    (("z1*z2 - z3^2", "z1 - z2*z3"), (F(1, 8), F(1, 2), F(1, 4)), True),
+    # the first generator vanishes there, the second does not
+    (("z1*z2 - z3^2", "z1 - z2*z3"), (F(1, 2), F(1, 2), F(1, 2)), False),
+    (("z1 + z2^2",), (F(-1, 4), F(1, 2)), True),
+    (("z1 + z2^2",), (F(1, 4), F(1, 2)), False),
+    (("z1*z2",), (F(0), F(1, 2)), True),
+    (("z1*z2",), (F(1, 2), F(1, 2)), False),
+    (("z1 - z2", "z1*z2"), (F(0), F(0)), True),
+    (("z1 - z2", "z1*z2"), (F(1, 3), F(1, 3)), False),
+])
+def test_vanishes_at_on_ideals_without_descriptor(gens, point, on):
+    ideal = IdealSpec.from_generators(len(point), _gens(len(point), *gens))
+    assert ideal.vanishes_at(point) is on
 
 
 # -- localization dimensions -------------------------------------------------

@@ -19,6 +19,10 @@ and every point together, is a unitary between two modules; it must leave
 the rows byte-identical too.  It runs on the Gram-form inputs and on one
 golden kernel config of each other route: a monomial ideal (the filtered
 diagonal sum) and the vanishing ideal of a point (the rank-one correction).
+
+The dimension task's report must not depend on the presentation either:
+the generators reordered, or a redundant member appended.  Both are
+strict xfails today (ROADMAP items 4 and 13).
 """
 
 import dataclasses
@@ -133,3 +137,35 @@ def test_kernel_results_survive_variable_permutations(name):
                        [[p[s] for s in perm] for p in cfg.points],
                        [cfg.weights[s] for s in perm])
         assert got == want, perm
+
+
+def _dimension_rows(generators, points):
+    """The results and diagnostics of the dimension task's text report for
+    the generators at the points, with weights (1, 1)."""
+    cfg = JobConfig(task="dimension", dimension=2, weights=(F(1), F(1)),
+                    generators=generators, points=points, ideal_degree=8)
+    out = render_report(run_task(cfg), "text")
+    return out[out.index("results:"):out.index("convention:")]
+
+
+DIMENSION_POINTS = ((F(0), F(0)), (F(1, 3), F(1, 3)))
+
+
+# The dimension report reads point_k_on_variety and conditional_k off the
+# family of the generator tuple, so another presentation of the same ideal
+# gets other rows.  ROADMAP item 13 reports both from the ideal alone.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: only the "
+                   "catalogued order of z1*z2, z1 - z2 reports "
+                   "point_k_on_variety; the reversed order is general and "
+                   "reports conditional_k instead")
+def test_dimension_report_survives_reordered_generators():
+    assert _dimension_rows(("z1 - z2", "z1*z2"), DIMENSION_POINTS) == \
+        _dimension_rows(("z1*z2", "z1 - z2"), DIMENSION_POINTS)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the redundant "
+                   "member z1*z2 makes z1^2, z2 a mixed monomial ideal, "
+                   "which reports no point_k_on_variety rows")
+def test_dimension_report_survives_a_redundant_generator():
+    assert _dimension_rows(("z1^2", "z2", "z1*z2"), DIMENSION_POINTS) == \
+        _dimension_rows(("z1^2", "z2"), DIMENSION_POINTS)
