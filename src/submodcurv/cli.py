@@ -416,7 +416,7 @@ def _build_ideal(cfg: JobConfig) -> IdealSpec:
             raise InputError(f"bad generator {src!r}: {e}",
                              field="ideal.generators")
     try:
-        return IdealSpec.from_generators(cfg.dimension, gens)
+        return IdealSpec(cfg.dimension, tuple(gens))
     except DomainError as e:
         raise InputError(str(e), field="ideal")
 

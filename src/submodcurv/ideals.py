@@ -1,20 +1,22 @@
 """Polynomial ideals, membership in their zero sets, localization dimensions.
 
-An IdealSpec is a finite generator list tagged with a structural family:
+An IdealSpec is a finite generator list.  Its structural family is read
+off the generators when the spec is built, never supplied by the caller:
 
   monomial              every generator is a single monomial
-  coordinate_vanishing  generators z_i - a_i for one rational point a
+  coordinate_vanishing  generators z_i - a_i for one rational point a,
+                        which the spec keeps as its point
   catalogued            a named ideal from the built-in catalogue
   general               anything else
 
-IdealSpec.from_generators reads the family off the generators, so the
-same generators always get the same family.  The family tag decides which
-closed-form constructions apply downstream; nothing here attempts
-Groebner-style normal forms.  A point w is on V(I) exactly when every
-generator is 0 at w (IdealSpec.vanishes_at).  The localization dimension
-at w counts dim J_N - dim J'_N for spaces of generator multiples of
-bounded degree, in coordinates centred at w.  J'_N grows degree by degree
-in one linalg.RowEchelon of integer rows, and the defect is the number of
+So the same generators always get the same family, whichever constructor
+built them.  The family decides which closed-form constructions apply
+downstream; nothing here attempts Groebner-style normal forms.  A point
+w is on V(I) exactly when every generator is 0 at w
+(IdealSpec.vanishes_at).  The localization dimension at w counts
+dim J_N - dim J'_N for spaces of generator multiples of bounded degree,
+in coordinates centred at w.  J'_N grows degree by degree in one
+linalg.RowEchelon of integer rows, and the defect is the number of
 generators a copy of it still accepts.  The defect never increases;
 stopping at two equal consecutive values is a heuristic.
 """
@@ -46,7 +48,8 @@ GENERAL = "general"
 class IdealSpec:
     nvars: int
     generators: tuple
-    family: str
+    family: str = field(init=False)
+    point: Optional[tuple] = field(init=False)  # coordinate_vanishing only
 
     def __post_init__(self):
         if not self.generators:
@@ -56,8 +59,19 @@ class IdealSpec:
                 raise DomainError("generators must be Poly over the same variables")
             if g.is_zero():
                 raise DomainError("zero polynomial is not a valid generator")
-        if self.family == MONOMIAL and not all(g.is_monomial() for g in self.generators):
-            raise DomainError("monomial family requires monomial generators")
+        # monomial wins over vanishing-point: <z_1, ..., z_m> keeps the full
+        # diagonal structure (frames, filtered kernels)
+        point = None
+        if all(g.is_monomial() for g in self.generators):
+            family = MONOMIAL
+        elif (point := _vanishing_point(self.nvars, self.generators)):
+            family = COORDINATE_VANISHING
+        elif _match_catalogue(self.nvars, self.generators):
+            family = CATALOGUED
+        else:
+            family = GENERAL
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "point", point)
 
     @property
     def max_degree(self) -> int:
@@ -72,34 +86,16 @@ class IdealSpec:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_generators(nvars: int, generators) -> "IdealSpec":
-        """Build an IdealSpec, classifying the generators into a family.
-
-        Monomial wins over vanishing-point: a monomial ideal that happens to
-        vanish only at the origin still carries the full diagonal structure
-        (frames, filtered kernels)."""
-        gens = tuple(generators)
-        if all(g.is_monomial() for g in gens):
-            family = MONOMIAL
-        elif _vanishing_point(nvars, gens) is not None:
-            family = COORDINATE_VANISHING
-        elif _match_catalogue(nvars, gens):
-            family = CATALOGUED
-        else:
-            family = GENERAL
-        return IdealSpec(nvars, gens, family)
-
-    @staticmethod
     def monomial(nvars: int, exponent_lists) -> "IdealSpec":
-        gens = tuple(Poly.monomial(nvars, e) for e in exponent_lists)
-        return IdealSpec(nvars, gens, MONOMIAL)
+        return IdealSpec(nvars, tuple(Poly.monomial(nvars, e)
+                                      for e in exponent_lists))
 
     @staticmethod
     def catalogued(name: str, nvars: int) -> "IdealSpec":
         if name not in CATALOGUE:
             raise UnsupportedIdealError(
                 f"unknown catalogue ideal {name!r}; known: {sorted(CATALOGUE)}")
-        return IdealSpec(nvars, tuple(CATALOGUE[name](nvars)), CATALOGUED)
+        return IdealSpec(nvars, tuple(CATALOGUE[name](nvars)))
 
 
 def _vanishing_point(nvars, gens):
@@ -108,28 +104,15 @@ def _vanishing_point(nvars, gens):
         return None
     point = [None] * nvars
     for g in gens:
-        # must be z_i - a_i: one linear term with coefficient 1 plus a constant
-        linear = [(k, v) for k, v in g.coeffs.items() if sum(k) == 1]
-        consts = [v for k, v in g.coeffs.items() if sum(k) == 0]
-        if len(linear) != 1 or len(g.coeffs) - len(consts) != 1:
+        # must be z_i - a_i: one nonconstant term, z_i, plus a constant
+        terms = [e for e in g.coeffs if any(e)]
+        if len(terms) != 1 or sum(terms[0]) != 1 or g.coeffs[terms[0]] != 1:
             return None
-        k, v = linear[0]
-        if v != 1 or max(k) != 1:
-            return None
-        i = list(k).index(1)
+        i = terms[0].index(1)
         if point[i] is not None:
             return None
-        point[i] = -consts[0] if consts else Fraction(0)
-    if any(p is None for p in point):
-        return None
+        point[i] = -g.coeffs.get((0,) * nvars, Fraction(0))
     return tuple(point)
-
-
-def vanishing_point(ideal: IdealSpec):
-    pt = _vanishing_point(ideal.nvars, ideal.generators)
-    if pt is None:
-        raise DomainError("ideal is not the vanishing ideal of a point")
-    return pt
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ class Poly:
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         """z_{i+1} as a polynomial (i is 0-based)."""
+        if not 0 <= i < nvars:
+            raise ShapeError(f"variable index {i} outside 0..{nvars - 1} "
+                             f"for {nvars} variables")
         return Poly(nvars, {unit(nvars, i): 1})
 
     # -- queries -------------------------------------------------------------

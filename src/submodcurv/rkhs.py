@@ -7,7 +7,8 @@ diag_coeff(alpha) = prod_i poch(l_i, alpha_i) / alpha_i!.  Weight 1 in every
 slot is the Hardy module, weight 2 the unweighted Bergman module.
 
 Submodules generated by polynomial ideals get one of three kernel
-representations, chosen by the ideal family:
+representations, chosen by the family that IdealSpec reads off the
+generators:
 
   DiagonalFilteredKernel   monomial ideals: the ambient diagonal restricted
                            to exponents divisible by some generator
@@ -17,16 +18,16 @@ representations, chosen by the ideal family:
                            the kernel of the orthogonal complement of the
                            degree-N generator multiples
 
-Exact evaluation works at real rational points of the open polydisc.  The
-integer-weight closed forms are rational; everything else goes through
-partial sums that carry an explicit rational remainder bound.  The bound is
-integer arithmetic with one Fraction at its close, and it is computed only
-where a report prints it: by ambient_kernel_bounded and the eval_truncated
-of the monomial and point kernels.  The Gram form, whose value is the
-degree-N kernel itself, reads the partial sum alone.  Each public call
-checks its points once; the rank-one kernel computes K(a, a) once per
-degree, and at w = z takes K(a, w) to be K(z, a), the same value at real
-points.
+Exact evaluation works at real rational points of the open polydisc.  At
+integer weights the monomial and point kernels have one rational closed
+form; everything else goes through partial sums that carry an explicit
+rational remainder bound.  The bound is integer arithmetic with one
+Fraction at its close, and it is computed only where a report prints it:
+by ambient_kernel_bounded and the eval_truncated of the monomial and
+point kernels.  The Gram form, whose value is the degree-N kernel itself,
+reads the partial sum alone.  Each public call checks its points once;
+the rank-one kernel computes K(a, a) once per degree, and at w = z takes
+K(a, w) to be K(z, a), the same value at real points.
 
 A degree-N diagonal sum is never enumerated by multi-index.  Restricted to
 the exponents alpha >= gamma it factors over the coordinates, so it is the
@@ -34,7 +35,10 @@ sum of the coefficients of t^0..t^N in a product of m univariate series
 sum_{a >= gamma_i} poch(l_i, a)/a! x_i^a t^a, whose coefficients follow the
 ratio recurrence c_{a+1} = c_a (l + a)/(a + 1); a monomial ideal's sum is an
 inclusion-exclusion of such products over the corners gamma_S of generator
-subsets S.
+subsets S, and the ambient sum has the one corner 0.  Both closed-form
+kernels go through the same two corner functions: _diagonal_sum to degree
+N with its bound, and its exact twin _diagonal_exact, the full sum in
+closed form, which alone refuses fractional weights.
 
 The Gram-form kernel works on the side the ideal removes.  The monomials
 are orthogonal, so it splits along the components of the graph linking the
@@ -55,8 +59,7 @@ from typing import Optional
 
 from .algebra import exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
-from .ideals import (COORDINATE_VANISHING, GENERAL, MONOMIAL, CATALOGUED,
-                     IdealSpec, vanishing_point)
+from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
 from .linalg import BareissFactor, RowEchelon
 from .polynomials import Poly
 import math
@@ -118,17 +121,6 @@ def _check_point(module, point, label="point"):
     if any(abs(x) >= 1 for x in pt):
         raise DomainError(f"{label} {pt} is not inside the open polydisc")
     return pt
-
-
-def _ambient_exact(module, z, w) -> Fraction:
-    """prod (1 - z_i w_i)^(-l_i) at checked points and integer weights: with
-    z_i w_i = n/d, each factor is d^l / (d - n)^l, so one Fraction."""
-    num = den = 1
-    for l, zi, wi in zip(module.weights, z, w):
-        n, d = zi.numerator * wi.numerator, zi.denominator * wi.denominator
-        num *= d ** l.numerator
-        den *= (d - n) ** l.numerator
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -254,6 +246,41 @@ def _diagonal_sum(module, corners, z, w, N: int) -> Bounded:
                                         max(map(abs, x)), N))
 
 
+def _diagonal_exact(module, corners, z, w) -> Fraction:
+    """The full diagonal sum over the exponents above some corner, in closed
+    form: the exact twin of _diagonal_sum.
+
+    Over the exponents a >= g in one slot, sum poch(l, a)/a! x^a is the
+    binomial series (1 - x)^(-l) minus a polynomial, which is rational iff
+    the weight is a positive integer.  Each slot's tails are written once,
+    for g up to the slot's largest corner exponent G: with x = n/d and
+    C_a = poch(l, a)/a!, the tail at g is T_g / ((d - n)^l d^G) for the
+    integer T_g = d^(l+G) - (d - n)^l sum_{a<g} C_a n^a d^(G-a).  A corner
+    is then one product of integers, and the sum one Fraction.  At the
+    ambient corner 0 it is prod_i d_i^l_i / (d_i - n_i)^l_i.
+    """
+    if not module.has_integer_weights():
+        raise DomainError(
+            "closed-form evaluation needs integer weights; "
+            "use eval_truncated for fractional weights")
+    reach = map(max, zip(*(g for g, _ in corners)))
+    tails, denominator = [], 1
+    for l, zi, wi, G in zip(module.weights, z, w, reach):
+        l = l.numerator
+        n, d = zi.numerator * wi.numerator, zi.denominator * wi.denominator
+        full, rest = d ** (l + G), (d - n) ** l
+        row, head, c = [full], 0, 1
+        for a in range(G):
+            head += c * n ** a * d ** (G - a)
+            c = c * (l + a) // (a + 1)
+            row.append(full - rest * head)
+        tails.append(row)
+        denominator *= rest * d ** G
+    total = sum(sign * math.prod(row[g] for row, g in zip(tails, gamma))
+                for gamma, sign in corners)
+    return Fraction(total, denominator)
+
+
 def _ambient_corners(module):
     """The one corner, 0, whose filter keeps every exponent."""
     return (((0,) * module.dim, 1),)
@@ -288,8 +315,6 @@ class DiagonalFilteredKernel:
             if sum(e) == 0:
                 raise DomainError("the unit monomial generates the whole module")
         self.corners = self._corners()
-        # per slot, the largest corner exponent: how far eval_exact's tails go
-        self._reach = tuple(map(max, zip(*(g for g, _ in self.corners))))
 
     def _corners(self):
         """((gamma_S, sign), ...) for the inclusion-exclusion over nonempty
@@ -306,39 +331,11 @@ class DiagonalFilteredKernel:
         return tuple((g, c) for g, c in signs.items() if c)
 
     def eval_exact(self, z, w) -> Fraction:
-        """Closed form by inclusion-exclusion over generator subsets.
-
-        For a subset S the exponents divisible by every generator in S are
-        those >= the componentwise max gamma_S, and the coordinatewise sum
-        sum_{a >= g} poch(l,a)/a! x^a is the full binomial series minus a
-        polynomial, which is rational iff the weight is a positive integer.
-        Each slot's tails are written once per evaluation, for g up to the
-        slot's largest corner exponent G: with x = n/d and C_a =
-        poch(l, a)/a!, the tail at g is T_g / ((d - n)^l d^G) for the
-        integer T_g = d^(l+G) - (d - n)^l sum_{a<g} C_a n^a d^(G-a).  A
-        corner is then one product of integers, and the sum one Fraction.
-        """
+        """Closed form by inclusion-exclusion over generator subsets,
+        integer weights only."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        if not self.module.has_integer_weights():
-            raise DomainError(
-                "closed-form evaluation needs integer weights; "
-                "use eval_truncated for fractional weights")
-        tails, denominator = [], 1
-        for l, zi, wi, G in zip(self.module.weights, z, w, self._reach):
-            l = l.numerator
-            n, d = zi.numerator * wi.numerator, zi.denominator * wi.denominator
-            full, rest = d ** (l + G), (d - n) ** l
-            row, head, c = [full], 0, 1
-            for a in range(G):
-                head += c * n ** a * d ** (G - a)
-                c = c * (l + a) // (a + 1)
-                row.append(full - rest * head)
-            tails.append(row)
-            denominator *= rest * d ** G
-        total = sum(sign * math.prod(row[g] for row, g in zip(tails, gamma))
-                    for gamma, sign in self.corners)
-        return Fraction(total, denominator)
+        return _diagonal_exact(self.module, self.corners, z, w)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         z = _check_point(self.module, z, "z")
@@ -359,6 +356,7 @@ class RankOneCorrectedKernel:
     def __init__(self, module: WeightedPolydiscModule, point):
         self.module = module
         self.point = _check_point(module, point, "correction point")
+        self.corners = _ambient_corners(module)
         self._at_point = {}  # K(a, a) by truncation degree, None for exact
 
     def _eval(self, z, w, base_eval, key):
@@ -373,19 +371,16 @@ class RankOneCorrectedKernel:
     def eval_exact(self, z, w) -> Fraction:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        if not self.module.has_integer_weights():
-            raise DomainError("closed-form ambient kernel needs integer weights")
-        return self._eval(z, w, lambda x, y: _ambient_exact(self.module, x, y),
-                          None)
+        return self._eval(z, w, lambda x, y: _diagonal_exact(
+            self.module, self.corners, x, y), None)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
         if N is None:
             N = self.default_trunc
-        corners = _ambient_corners(self.module)
-        return self._eval(
-            z, w, lambda x, y: _diagonal_sum(self.module, corners, x, y, N), N)
+        return self._eval(z, w, lambda x, y: _diagonal_sum(
+            self.module, self.corners, x, y, N), N)
 
 
 def _components(n, groups):
@@ -558,10 +553,8 @@ def submodule_kernel(module: WeightedPolydiscModule, ideal: IdealSpec,
     if trunc_degree < 1:
         raise TruncationError("truncation degree must be >= 1")
     if ideal.family == COORDINATE_VANISHING:
-        return RankOneCorrectedKernel(module, vanishing_point(ideal))
+        return RankOneCorrectedKernel(module, ideal.point)
     if ideal.family == MONOMIAL:
         exps = [g.monomial_exponent() for g in ideal.generators]
         return DiagonalFilteredKernel(module, exps)
-    if ideal.family in (CATALOGUED, GENERAL):
-        return GramFormKernel.from_ideal(module, ideal, trunc_degree)
-    raise DomainError(f"unknown ideal family {ideal.family!r}")
+    return GramFormKernel.from_ideal(module, ideal, trunc_degree)

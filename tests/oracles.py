@@ -56,7 +56,7 @@ from submodcurv.errors import (DomainError, InputError, ShapeError,
 from submodcurv.frames import FrameSeries, MetricSeries, coordinate_power_data
 from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                GENERAL, MONOMIAL, IdealSpec,
-                               LocalizationResult, vanishing_point)
+                               LocalizationResult)
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
 from submodcurv.linalg import (RowEchelon, leading_principal_minors, mat_det,
@@ -270,7 +270,7 @@ def coordinate_powers(nvars: int, powers) -> IdealSpec:
         raise DomainError("coordinate powers must be >= 1")
     gens = tuple(Poly.monomial(nvars, unit(nvars, k, p))
                  for k, p in enumerate(powers))
-    return IdealSpec(nvars, gens, MONOMIAL)
+    return IdealSpec(nvars, gens)
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def zero_set(ideal: IdealSpec) -> CoordinateSubspace | PointSet:
     reducible zero set that no descriptor represents, so it is rejected
     rather than guessed, as are general ideals."""
     if ideal.family == COORDINATE_VANISHING:
-        return PointSet(vanishing_point(ideal))
+        return PointSet(ideal.point)
     if ideal.family == CATALOGUED:
         # the one catalogue ideal, product_difference: z1 z2 = 0 and
         # z1 = z2 force z1 = z2 = 0
@@ -593,7 +593,7 @@ def diagonal_tail_bound_by_fractions(total_weight: Fraction, rho: Fraction,
 def ambient_kernel_exact(module: WeightedPolydiscModule, z, w) -> Fraction:
     """prod (1 - z_i w_i)^(-l_i) at real rational points, integer weights
     only, as a product of Fraction powers: the reference for the integer
-    closed form rkhs._ambient_exact."""
+    closed form rkhs._diagonal_exact at the ambient corner 0."""
     z = _check_point(module, z, "z")
     w = _check_point(module, w, "w")
     if not module.has_integer_weights():

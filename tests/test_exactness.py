@@ -5,7 +5,8 @@ float in the package is the kernel task's remainder-bound diagnostic,
 which is reported next to an exact value, never in place of one.
 
 The package holds only what runs: a public name that nothing outside the
-tests reaches is a test helper and belongs in tests/oracles.py, and no
+tests reaches is a test helper and belongs in tests/oracles.py, so does a
+private module-level name that nothing in the package reads, and no
 module of the package, its tests or its scripts imports a name it never
 reads.
 
@@ -117,6 +118,45 @@ def test_no_module_imports_a_name_it_never_reads():
     # the check sees an unread import
     assert _unread_imports(ast.parse("from math import gcd, lcm\nlcm")) == \
         {"gcd"}
+
+
+def _unread_private_names(trees):
+    """(module, name) for each private module-level function, class or
+    constant that no top-level statement of the package reads, other than
+    the one that defines it; trees maps a module name to its ast."""
+    defined, reads = [], []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            elif isinstance(stmt, ast.AnnAssign):
+                names = {getattr(stmt.target, "id", "")}
+            else:
+                names = set()
+            defined += [(module, n, stmt) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+            reads.append((stmt, {node.id if isinstance(node, ast.Name)
+                                 else node.attr for node in ast.walk(stmt)
+                                 if isinstance(node, ast.Name)
+                                 and isinstance(node.ctx, ast.Load)
+                                 or isinstance(node, ast.Attribute)}))
+    return {(module, name) for module, name, home in defined
+            if not any(name in read for stmt, read in reads
+                       if stmt is not home)}
+
+
+def test_every_private_name_is_read_in_the_package():
+    """A private helper that only the tests call is test code: it belongs
+    in tests/oracles.py, as public names that only the tests reach do."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert _unread_private_names(trees) == set()
+    # the check sees a helper read only by itself, and an unread constant
+    assert _unread_private_names({
+        "a": ast.parse("_K = 1\ndef _f(n):\n    return _f(n - 1)\n"),
+        "b": ast.parse("from a import _g\n_g()\n_h = 2")}) == \
+        {("a", "_K"), ("a", "_f"), ("b", "_h")}
 
 
 def _factorial_calls_and_pochhammer(tree):

@@ -48,9 +48,7 @@ def test_coordinate_frame_metric_at_origin_is_weight_diagonal():
 def test_zero_set_frame_metric_at_origin():
     # <z1, z2^2> in three variables: leads are poch(w_v, p)/p!
     mod = WeightedPolydiscModule(3, (1, 1, 1))
-    ideal = IdealSpec.from_generators(
-        3, [IdealSpec.monomial(3, [(1, 0, 0)]).generators[0],
-            IdealSpec.monomial(3, [(0, 2, 0)]).generators[0]])
+    ideal = IdealSpec.monomial(3, [(1, 0, 0), (0, 2, 0)])
     frame = frame_on_zero_set(mod, ideal, (F(0),) * 3, 3)
     H = grammian(frame)
     assert H.value_at_base() == [[F(1), F(0)], [F(0), F(1)]]

@@ -12,6 +12,7 @@ from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import IdealSpec, _centre, localization_dim
 from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import Poly, parse_poly
+from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 
 from oracles import (CoordinateSubspace, PointSet, centre_by_eval_terms,
                      codim, coordinate_powers, localization_dim_two_spans,
@@ -19,27 +20,50 @@ from oracles import (CoordinateSubspace, PointSet, centre_by_eval_terms,
 
 
 def _gens(dim, *srcs):
-    return [parse_poly(s, dim) for s in srcs]
+    return tuple(parse_poly(s, dim) for s in srcs)
 
 
 def test_family_detection():
     # monomial wins even when the ideal vanishes only at the origin
-    i1 = IdealSpec.from_generators(2, _gens(2, "z1", "z2"))
+    i1 = IdealSpec(2, _gens(2, "z1", "z2"))
     assert i1.family == "monomial"
-    i2 = IdealSpec.from_generators(2, _gens(2, "z1 - 1/3", "z2"))
+    i2 = IdealSpec(2, _gens(2, "z1 - 1/3", "z2"))
     assert i2.family == "coordinate_vanishing"
-    i3 = IdealSpec.from_generators(2, _gens(2, "z1 z2", "z1 - z2"))
+    i3 = IdealSpec(2, _gens(2, "z1 z2", "z1 - z2"))
     assert i3.family == "catalogued"
     assert i3 == IdealSpec.catalogued("product_difference", 2)
-    i4 = IdealSpec.from_generators(2, _gens(2, "z1 + z2^2"))
+    i4 = IdealSpec(2, _gens(2, "z1 + z2^2"))
     assert i4.family == "general"
+
+
+def test_family_is_read_off_the_generators():
+    """The family and the point come from the generators alone: no caller
+    can tag <z1^2, z2> "general" and get the degree-6 Gram value
+    951772381/2176782336 in place of the closed form 7/16."""
+    gens = _gens(2, "z1^2", "z2")
+    with pytest.raises(TypeError):
+        IdealSpec(2, gens, "general")
+    module = WeightedPolydiscModule(2, (1, 2))
+    z = (F(1, 2), F(1, 3))
+    assert submodule_kernel(module, IdealSpec(2, gens)).eval_exact(z, z) == \
+        F(7, 16)
+    for spec, same in (
+            (IdealSpec(2, gens), IdealSpec.monomial(2, [(2, 0), (0, 1)])),
+            (IdealSpec(2, _gens(2, "z1 z2", "z1 - z2")),
+             IdealSpec.catalogued("product_difference", 2))):
+        assert spec == same
+        assert submodule_kernel(module, spec).variant == \
+            submodule_kernel(module, same).variant
+    assert IdealSpec(2, _gens(2, "z2", "z1 - 1/3")).point == (F(1, 3), F(0))
+    assert IdealSpec(2, _gens(2, "z1", "z2")).point is None
+    assert IdealSpec(2, _gens(2, "z1 z2", "z1 - z2")).point is None
 
 
 def test_ideal_validation():
     with pytest.raises(DomainError):
-        IdealSpec.from_generators(2, [])
+        IdealSpec(2, ())
     with pytest.raises(DomainError):
-        IdealSpec.from_generators(2, _gens(3, "z3"))
+        IdealSpec(2, _gens(3, "z3"))
 
 
 def test_coordinate_powers_constructor():
@@ -63,7 +87,7 @@ def test_zero_sets():
     assert v.contains((F(0), F(0), F(1, 2)))
     assert not v.contains((F(1, 3), F(0), F(0)))
 
-    p = zero_set(IdealSpec.from_generators(2, _gens(2, "z1 - 1/3", "z2")))
+    p = zero_set(IdealSpec(2, _gens(2, "z1 - 1/3", "z2")))
     assert isinstance(p, PointSet)
     assert p.contains((F(1, 3), F(0)))
 
@@ -81,7 +105,7 @@ def test_minimality_certificate():
     assert c.status == "minimal_by_codim"
     assert c.codim == 2 and c.generator_count == 2
     c2 = minimality_certificate(
-        IdealSpec.from_generators(2, _gens(2, "z1", "z1^2")))
+        IdealSpec(2, _gens(2, "z1", "z1^2")))
     assert c2.status != "minimal_by_codim"
 
 
@@ -94,8 +118,8 @@ _nonzero = _coord.filter(bool)
 
 def _powers(m, *terms):
     """The ideal of the monomials c z_i^p for terms (c, i, p)."""
-    return IdealSpec.from_generators(
-        m, [Poly.monomial(m, unit(m, i, p), c) for c, i, p in terms])
+    return IdealSpec(
+        m, tuple(Poly.monomial(m, unit(m, i, p), c) for c, i, p in terms))
 
 
 @st.composite
@@ -115,8 +139,8 @@ def _described_ideal(draw):
         ideal = _powers(m, *terms)
         vanishing, target = {i for _, i, _ in terms}, [F(0)] * m
     elif kind == "point":
-        ideal = IdealSpec.from_generators(
-            m, [Poly.variable(m, i) - a for i, a in enumerate(w)])
+        ideal = IdealSpec(
+            m, tuple(Poly.variable(m, i) - a for i, a in enumerate(w)))
         vanishing, target = set(range(m)), list(w)
     else:
         ideal = IdealSpec.catalogued("product_difference", m)
@@ -157,7 +181,7 @@ def test_vanishes_at_matches_the_zero_set_descriptor(case, x, y):
     (("z1 - z2", "z1*z2"), (F(1, 3), F(1, 3)), False),
 ])
 def test_vanishes_at_on_ideals_without_descriptor(gens, point, on):
-    ideal = IdealSpec.from_generators(len(point), _gens(len(point), *gens))
+    ideal = IdealSpec(len(point), _gens(len(point), *gens))
     assert ideal.vanishes_at(point) is on
 
 
@@ -193,9 +217,9 @@ def test_single_power_localization():
 
 
 def test_localization_invariant_under_row_operations():
-    a = IdealSpec.from_generators(2, _gens(2, "z1 z2", "z1 - z2"))
+    a = IdealSpec(2, _gens(2, "z1 z2", "z1 - z2"))
     # same ideal, generators changed by an invertible row operation
-    b = IdealSpec.from_generators(2, _gens(2, "z1 z2 + z1 - z2", "z1 - z2"))
+    b = IdealSpec(2, _gens(2, "z1 z2 + z1 - z2", "z1 - z2"))
     for pt in (ORIGIN, OFF, (F(1, 2), F(-1, 3))):
         la = localization_dim(a, pt)
         lb = localization_dim(b, pt)
@@ -209,7 +233,7 @@ def test_localization_point_arity():
 
 
 def test_general_family_flagged_conditional():
-    ideal = IdealSpec.from_generators(2, _gens(2, "z1 + z2^2"))
+    ideal = IdealSpec(2, _gens(2, "z1 + z2^2"))
     loc = localization_dim(ideal, ORIGIN)
     assert loc.conditional
     assert loc.dim == 1
@@ -288,7 +312,7 @@ def test_localization_matches_dense_rank_reference(gens, nvars, points,
     if isinstance(gens, str):
         ideal = IdealSpec.catalogued(gens, nvars)
     else:
-        ideal = IdealSpec.from_generators(nvars, _gens(nvars, *gens))
+        ideal = IdealSpec(nvars, _gens(nvars, *gens))
     for pt in points:
         for cap in range(ideal.max_degree + 1, max_degree + 1):
             ref = _dense_dims_by_degree(ideal, pt, cap)
@@ -303,7 +327,7 @@ def test_dims_by_degree_never_increase(gens, nvars, points, max_degree):
     if isinstance(gens, str):
         ideal = IdealSpec.catalogued(gens, nvars)
     else:
-        ideal = IdealSpec.from_generators(nvars, _gens(nvars, *gens))
+        ideal = IdealSpec(nvars, _gens(nvars, *gens))
     for pt in points:
         values = [d for _, d in localization_dim(ideal, pt, max_degree).dims_by_degree]
         assert all(b <= a for a, b in zip(values, values[1:])), (gens, pt)
@@ -361,7 +385,7 @@ def _small_localizations(draw):
         if not coeffs:
             coeffs = {exps[0][:-1] + (1,) if m > 1 else (1,): F(1)}
         gens.append(Poly(m, coeffs))
-    ideal = IdealSpec.from_generators(m, gens)
+    ideal = IdealSpec(m, tuple(gens))
     point = tuple(draw(_small) for _ in range(m))
     cap = ideal.max_degree + draw(st.integers(1, 2))
     return ideal, point, cap
@@ -411,6 +435,6 @@ def test_centring_examples():
 @pytest.mark.xfail(strict=True, reason="two equal consecutive defects stop "
                    "the scan at d_3 = 2; d_N = 1 from N = 4")
 def test_localization_off_the_zero_set_is_one():
-    ideal = IdealSpec.from_generators(3, _gens(3, "z1^2", "z2^2"))
+    ideal = IdealSpec(3, _gens(3, "z1^2", "z2^2"))
     loc = localization_dim(ideal, (F(1, 3), F(1, 2), F(0)), 9)
     assert loc.dim == 1

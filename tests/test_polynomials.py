@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv.errors import DomainError, InputError
+from submodcurv.errors import DomainError, InputError, ShapeError
 from submodcurv.polynomials import Poly, parse_poly
 
 from oracles import evaluate_poly, parse_poly_by_poly_arithmetic
@@ -65,6 +65,13 @@ def test_poly_algebra():
     assert (z1 ** 3).degree == 3
     assert Poly.zero(2).degree == -1
     assert Poly.constant(2, F(4)).degree == 0
+
+
+def test_variable_index_must_name_a_variable():
+    assert Poly.variable(2, 1) == parse_poly("z2", 2)
+    for nvars, i in ((1, 1), (2, 5), (2, -1), (3, 3)):
+        with pytest.raises(ShapeError, match=f"{i} .* {nvars} variables"):
+            Poly.variable(nvars, i)
 
 
 def test_monomial_queries():

@@ -14,13 +14,17 @@ from submodcurv.linalg import (BareissFactor, RowEchelon,
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
-                             _ambient_exact, _diagonal_tail_bound,
-                             ambient_kernel_bounded, diag_coeff,
-                             submodule_kernel)
+                             _ambient_corners, _diagonal_exact,
+                             _diagonal_tail_bound, ambient_kernel_bounded,
+                             diag_coeff, submodule_kernel)
 
 import oracles
 from oracles import (ambient_kernel_exact, evaluate_poly, monomial_norm_sq,
                      pochhammer, poly_inner)
+
+
+def _ideal(m, *srcs):
+    return IdealSpec(m, tuple(parse_poly(g, m) for g in srcs))
 
 
 def test_module_validation():
@@ -122,7 +126,7 @@ def test_rank_one_corrected_kernel():
     hardy = oracles.hardy(2)
     g1 = parse_poly("z1 - 1/3", 2)
     g2 = parse_poly("z2", 2)
-    ideal = IdealSpec.from_generators(2, [g1, g2])
+    ideal = IdealSpec(2, (g1, g2))
     assert ideal.family == "coordinate_vanishing"
     K = submodule_kernel(hardy, ideal)
     assert K.variant == "rank_one_corrected"
@@ -302,21 +306,20 @@ _GRAM_IDEALS = [
     (WeightedPolydiscModule(2, (F(3, 2), F(2))),
      IdealSpec.catalogued("product_difference", 2)),
     (WeightedPolydiscModule(2, (F(1), F(2))),
-     IdealSpec.from_generators(2, [parse_poly("z1^2 - z2", 2),
-                                   parse_poly("z1*z2", 2)])),
+     _ideal(2, "z1^2 - z2", "z1*z2")),
     (WeightedPolydiscModule(2, (F(2), F(1, 2))),
-     IdealSpec.from_generators(2, [parse_poly("z1^3 - z2^2", 2)])),
+     _ideal(2, "z1^3 - z2^2")),
     (WeightedPolydiscModule(3, (F(1), F(3, 2), F(2))),
-     IdealSpec.from_generators(3, [parse_poly("z1*z2 - z3^2", 3)])),
+     _ideal(3, "z1*z2 - z3^2")),
     (WeightedPolydiscModule(3, (F(2, 3), F(3), F(5, 2))),
-     IdealSpec.from_generators(3, [parse_poly("z1 - z2*z3", 3)])),
+     _ideal(3, "z1 - z2*z3")),
     # Gram blocks larger than 1x1: the golden kernel/gram-blocks ideal, with
     # 2x2 blocks, and a unit at the origin whose complement is one block of
     # N + 1 polynomials
     (WeightedPolydiscModule(2, (F(1), F(3, 2))),
-     IdealSpec.from_generators(2, [parse_poly("z1^2 + z1*z2 + z2^2", 2)])),
+     _ideal(2, "z1^2 + z1*z2 + z2^2")),
     (WeightedPolydiscModule(2, (F(2), F(1, 2))),
-     IdealSpec.from_generators(2, [parse_poly("z1 + z2 + 1", 2)])),
+     _ideal(2, "z1 + z2 + 1")),
 ]
 _GRAM_DEGREES = {2: [4, 5, 6, 7, 8], 3: [4, 5, 6]}
 _GRAM_CASES = [(degree, case) for case, (module, _) in enumerate(_GRAM_IDEALS)
@@ -478,7 +481,7 @@ _coord = st.fractions(min_value=F(-3, 4), max_value=F(3, 4),
 def test_multi_block_gram_form_matches_full_sweep(case, weights, points):
     m, gens, degree = case
     module = WeightedPolydiscModule(m, weights[:m])
-    ideal = IdealSpec.from_generators(m, [parse_poly(g, m) for g in gens])
+    ideal = _ideal(m, *gens)
     K = _assert_matches_full_sweep(module, ideal, degree,
                                    [tuple(p[:m]) for p in points])
     assert K._factors  # the blocks larger than 1x1
@@ -506,6 +509,38 @@ def test_gram_form_of_monomial_ideal_is_the_diagonal_sum(exponents):
             for w in points:
                 assert K.eval_exact(z, w) == diagonal.eval_truncated(
                     z, w, degree).value
+
+
+@pytest.mark.parametrize("weights", [(F(1), F(2)), (F(1, 2), F(3, 2), F(2)),
+                                     (F(3), F(1, 3))])
+def test_gram_form_of_point_ideal_is_the_rank_one_sum(weights):
+    """V_N for <z_i - a_i> is the polynomials of degree <= N vanishing at a,
+    whose complement in P_N is spanned by K_N(., a): the Gram form is the
+    rank-one correction of the degree-N ambient sums, exactly."""
+    m = len(weights)
+    module = WeightedPolydiscModule(m, weights)
+    a = (F(1, 4), F(-1, 3), F(2, 5))[:m]
+    ideal = IdealSpec(m, tuple(Poly.variable(m, i) - x
+                               for i, x in enumerate(a)))
+    rank_one = RankOneCorrectedKernel(module, a)
+    points = [(F(1, 3), F(1, 7), F(-2, 5))[:m], (F(-1, 2), F(0), F(3, 8))[:m]]
+    for N in (3, 5):
+        K = GramFormKernel.from_ideal(module, ideal, N)
+        for z in points:
+            for w in points:
+                assert K.eval_exact(z, w) == \
+                    rank_one.eval_truncated(z, w, N).value
+
+
+@pytest.mark.parametrize("case", range(len(_GRAM_IDEALS)))
+def test_gram_form_diagonal_never_decreases_in_degree(case):
+    """V_N lies in V_(N+1), so K_N(z, z), the largest |f(z)|^2/||f||^2 over
+    f in V_N, cannot fall as N grows."""
+    module, ideal = _GRAM_IDEALS[case]
+    for z in _GRAM_POINTS[module.dim]:
+        values = [GramFormKernel.from_ideal(module, ideal, N).eval_exact(z, z)
+                  for N in range(ideal.max_degree, 8)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +632,8 @@ def test_integer_ambient_kernel_equals_fraction_powers():
             module = WeightedPolydiscModule(m, ws)
             for z in (p[:m] for p in _POINTS):
                 for w in (p[:m] for p in _POINTS):
-                    assert _ambient_exact(module, z, w) == \
+                    assert _diagonal_exact(module, _ambient_corners(module),
+                                           z, w) == \
                         ambient_kernel_exact(module, z, w)
 
 
@@ -657,8 +693,7 @@ def test_rank_one_sums_each_kernel_value_once(monkeypatch):
 
 
 _PRINCIPAL_M3 = (WeightedPolydiscModule(3, (F(5, 2), F(1, 3), F(2))),
-                 IdealSpec.from_generators(
-                     3, [parse_poly("z1*z2*z3 - z1^2 + z2", 3)]))
+                 _ideal(3, "z1*z2*z3 - z1^2 + z2"))
 
 
 @pytest.mark.parametrize("degree,case",
