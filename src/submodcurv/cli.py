@@ -129,6 +129,10 @@ def _checked(parse, ok, message):
     return parser
 
 
+def _positive(vector) -> bool:
+    return all(x > 0 for x in vector)
+
+
 # section -> key -> parser(text, "section.key"), each parser checking its
 # own value.  Keys are read in this order; every key but task.name is the
 # JobConfig field of the same name.
@@ -136,7 +140,7 @@ SCHEMA = {
     "module": {
         "dimension": _checked(_parse_int, lambda n: n >= 1,
                               "dimension must be >= 1"),
-        "weights": _checked(_parse_vector, lambda ws: all(w > 0 for w in ws),
+        "weights": _checked(_parse_vector, _positive,
                             "weights must be positive"),
     },
     "ideal": {
@@ -151,7 +155,8 @@ SCHEMA = {
         "trunc_degree": _parse_int,
         "ideal_degree": _parse_int,
         "alpha": _parse_rational,
-        "compare_weights": _parse_vector,
+        "compare_weights": _checked(_parse_vector, _positive,
+                                    "compare_weights must be positive"),
         "output": _parse_name,
     },
 }
@@ -489,9 +494,6 @@ def run_task(cfg: JobConfig) -> Report:
         _require(cfg, "compare_weights")
         if len(cfg.compare_weights) != module.dim:
             raise InputError("compare_weights must match the dimension",
-                             field="task.compare_weights")
-        if any(w <= 0 for w in cfg.compare_weights):
-            raise InputError("compare_weights must be positive",
                              field="task.compare_weights")
         ideal = _build_ideal(cfg)
         data = coordinate_power_data(ideal)

@@ -205,30 +205,30 @@ def decompose_coordinate_ideal(module: WeightedPolydiscModule,
 
 
 def coordinate_power_data(ideal: IdealSpec):
-    """(var, power) per generator, sorted by variable; distinct vars only."""
+    """(var, power) per minimal generator, sorted by variable.  Constant
+    factors are dropped, and so is every generator that another one
+    divides: 3*z1^2 and z1^2, z1^3 both give the data of z1^2."""
     if ideal.family != MONOMIAL:
         raise UnsupportedIdealError(
             "zero-set frames need a monomial ideal of coordinate powers")
-    data = []
+    gens = {}
     for g in ideal.generators:
         e = g.monomial_exponent()
-        support = [i for i, x in enumerate(e) if x > 0]
-        if not support:
+        if not any(e):
             raise UnsupportedIdealError(
                 f"generator {g} is a constant, so the ideal is the whole "
                 "ring; no zero-set frame")
+        gens.setdefault(e, g)
+    data = []
+    for e, g in gens.items():
+        if any(f != e and all(a <= b for a, b in zip(f, e)) for f in gens):
+            continue
+        support = [i for i, x in enumerate(e) if x > 0]
         if len(support) != 1:
             raise UnsupportedIdealError(
                 f"generator {g} mixes variables; no closed-form frame")
-        if next(iter(g.coeffs.values())) != 1:
-            raise UnsupportedIdealError("generators must be monic monomials")
         data.append((support[0], e[support[0]]))
-    vars_seen = [v for v, _ in data]
-    if len(set(vars_seen)) != len(vars_seen):
-        raise UnsupportedIdealError(
-            "two generators share a variable; the generating set is redundant")
-    data.sort()
-    return data
+    return sorted(data)
 
 
 def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,

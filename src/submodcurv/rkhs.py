@@ -47,8 +47,9 @@ echelon form picks a basis of V_N, the span of those multiples, and
 back-substitution a basis f of its orthogonal complement in the polynomials
 of degree <= N: 2 of them for product_difference at every N, 49 against 35
 in V_N for a principal ideal in three variables at N = 6.  K(z, w) is the
-ambient degree-N sum minus f(z)^T H^{-1} f(w), H the block-diagonal Gram
-matrix of f: a division per 1x1 block, a Bareiss sweep per larger one.
+ambient degree-N sum minus f(z)^T H^{-1} f(w), H the Gram matrix of f,
+built and kept as one block per component (f of different components are
+orthogonal): a division per 1x1 block, a Bareiss sweep per larger one.
 """
 
 from __future__ import annotations
@@ -409,32 +410,27 @@ class GramFormKernel:
     P_N is the orthogonal sum of V_N and its complement W_N, so
     K_{V_N} = K_{P_N} - K_{W_N}: the ambient degree-N diagonal sum minus
     the kernel f(z)^T H^{-1} f(w) of W_N, where f is a basis of W_N
-    (``complement``) and H = ``gram`` its exact Gram matrix.  For
-    product_difference W_N has two polynomials at any N, against
-    C(N+2, 2) - 2 in V_N.
+    (``complement``) and H its exact Gram matrix.  For product_difference
+    W_N has two polynomials at any N, against C(N+2, 2) - 2 in V_N.
 
     ``basis`` holds a maximal independent subset of {z^beta p_j} with
     deg <= N, picked greedily in a deterministic order; it spans V_N
-    (len(basis) = dim V_N) and is not evaluated.  H must be positive
-    definite, checked on each block of its nonzero pattern.  A 1x1 block
-    is one division; each larger one gets one Bareiss sweep, whose pivots
-    give its check and whose factors eval_exact uses.
+    (len(basis) = dim V_N) and is not evaluated.  H is kept as
+    ``blocks = ((indices, H_c), ...)``, one per component, whose f are
+    orthogonal to every other's.  Each H_c must be positive definite: a
+    1x1 block is one division; each larger one gets one Bareiss sweep,
+    whose pivots give its check and whose factors eval_exact uses.
     """
 
     variant = "gram_form"
 
     def __init__(self, module: WeightedPolydiscModule, basis, complement,
-                 gram, trunc_degree: int):
+                 blocks, trunc_degree: int):
         self.module = module
         self.basis = tuple(basis)
         self.complement = tuple(complement)
-        self.gram = H = [list(row) for row in gram]
+        self.blocks = tuple(blocks)
         self.trunc_degree = trunc_degree
-        if any(f.degree > trunc_degree for f in self.complement):
-            raise DomainError("complement polynomial above the truncation degree")
-        n = len(self.complement)
-        if len(H) != n or any(len(row) != n for row in H):
-            raise ShapeError("gram needs one row and column per complement")
         # each f as integer terms over one common denominator
         self._den = math.lcm(*(c.denominator for f in self.complement
                                for c in f.coeffs.values()))
@@ -442,14 +438,12 @@ class GramFormKernel:
                         for a, c in f.coeffs.items()]
                        for f in self.complement]
         singles, self._factors = [], []
-        for block in _components(n, ((j, k) for j in range(n) for k in range(j)
-                                     if H[j][k] or H[k][j])):
+        for block, H in self.blocks:
             if len(block) == 1:
-                minors = [rat(H[block[0]][block[0]])]
+                minors = [rat(H[0][0])]
                 singles.append((block[0], minors[0]))
             else:
-                factor = BareissFactor([[H[j][k] for k in block]
-                                        for j in block])
+                factor = BareissFactor(H)
                 minors = factor.leading_minors()
                 self._factors.append((block, factor))
             if any(d <= 0 for d in minors):
@@ -477,7 +471,8 @@ class GramFormKernel:
         # the monomials are orthogonal, so P_N, V_N and W_N split along the
         # components of the graph linking the monomials of each candidate:
         # one echelon form per component, together the one over all rows
-        echelon_of = {k: e for cols in _components(len(monomials), rows)
+        components = _components(len(monomials), rows)
+        echelon_of = {k: e for cols in components
                       for e in [RowEchelon()] for k in cols}
         # greedy maximal independent subset, deterministic given the order:
         # a candidate is kept iff it leaves a residual against those kept
@@ -485,26 +480,28 @@ class GramFormKernel:
                   if echelon_of[next(iter(row))].add(row)]
         # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
         # every row v, i.e. g = f / c is a null vector of the echelon rows;
-        # one g per free column.  c_a is needed only where some g is nonzero
-        free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
-        nulls = [echelon_of[k].null_vector(k) for k in free]
+        # one g per free column, the complement in free-column order
+        position = {k: j for j, k in enumerate(
+            k for k in range(len(monomials)) if k not in echelon_of[k].rows)}
         slots = diag_coeff_slots(module, trunc_degree)
-        coeff = {}
-        for g in nulls:
-            for k in g.keys() - coeff.keys():
-                coeff[k] = math.prod(row[e] for row, e in zip(slots, monomials[k]))
-        fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
-        complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
-                      for f in fs]
-        # H_jk = <f_j, f_k> = sum_a f_j[a] g_k[a], 0 across components
-        n = len(nulls)
-        gram = [[Fraction(0)] * n for _ in range(n)]
-        for j, fj in enumerate(fs):
-            for k, gk in enumerate(nulls[j:], j):
-                if echelon_of[free[k]] is echelon_of[free[j]]:
-                    gram[j][k] = gram[k][j] = sum(
-                        x * gk[a] for a, x in fj.items() if a in gk)
-        return GramFormKernel(module, chosen, complement, gram, trunc_degree)
+        complement, blocks = [None] * len(position), []
+        for cols in components:
+            block = [k for k in cols if k in position]
+            if not block:
+                continue
+            nulls = [echelon_of[k].null_vector(k) for k in block]
+            # c_a only where some g of the component is nonzero
+            coeff = {k: math.prod(row[e] for row, e in zip(slots, monomials[k]))
+                     for k in set().union(*nulls)}
+            fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
+            for k, f in zip(block, fs):
+                complement[position[k]] = Poly(
+                    m, {monomials[a]: x for a, x in f.items()})
+            # H_c[j][k] = <f_j, f_k> = sum_a f_j[a] g_k[a]
+            blocks.append((tuple(position[k] for k in block),
+                           [[sum(x * g[a] for a, x in f.items() if a in g)
+                             for g in nulls] for f in fs]))
+        return GramFormKernel(module, chosen, complement, blocks, trunc_degree)
 
     def _complement_at(self, point):
         """(F, scale) with f(point) = F / scale for integers F, from one table

@@ -640,10 +640,11 @@ def rank_one_by_four_calls(kernel: RankOneCorrectedKernel, z, w, N=None):
 
 def gram_complement_by_full_table(module: WeightedPolydiscModule,
                                   ideal: IdealSpec, degree: int) -> tuple:
-    """(complement, gram) as GramFormKernel.from_ideal built them with c_a
-    tabulated, as a product of Fractions, for every monomial of degree
-    <= N: the same components, echelon forms and null vectors, then
-    f = c g and H_jk = sum_a f_j[a] g_k[a] inside a component."""
+    """(complement, gram): GramFormKernel.from_ideal's complement and its
+    full n x n Gram matrix, with c_a tabulated, as a product of Fractions,
+    for every monomial of degree <= N: the same components, echelon forms
+    and null vectors, then f = c g and H_jk = sum_a f_j[a] g_k[a] inside a
+    component, 0 across components."""
     m = module.dim
     monomials = list(iter_multiindices(m, degree))
     index = {a: k for k, a in enumerate(monomials)}

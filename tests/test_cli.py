@@ -581,6 +581,17 @@ def test_config_error_message(tmp_path, capsys, task, config, flags, error):
         f"config error: {error}\n"
 
 
+@pytest.mark.parametrize("task", ["cubic", "compare"])
+def test_compare_weights_are_checked_when_read(tmp_path, capsys, task):
+    # the schema checks the key whatever the task, as it checks weights:
+    # a cubic job that carries it no longer echoes a negative weight
+    config = (MODULE_2 + "[ideal]\ngenerators = z1\n\n[task]\n"
+              f"name = {task}\nalpha = 2\ncompare_weights = 1 -2\n")
+    assert _config_error(tmp_path, capsys, task, config) == (
+        "config error: compare_weights must be positive "
+        "(field 'task.compare_weights')\n")
+
+
 def test_percent_in_a_value_is_a_config_error(tmp_path, capsys):
     # a '%' is an ordinary character of a value, not an interpolation
     config = "[task]\nname = cubic\nalpha = 1%\n"

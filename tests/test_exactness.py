@@ -7,8 +7,8 @@ which is reported next to an exact value, never in place of one.
 The package holds only what runs: a public name that nothing outside the
 tests reaches is a test helper and belongs in tests/oracles.py, so does a
 private module-level name that nothing in the package reads, and no
-module of the package, its tests or its scripts imports a name it never
-reads.
+module of the package, its tests, its scripts or the benchmark driver
+imports a name it never reads.
 
 Each number is computed in one place: the kernel coefficients
 poch(l, n)/n! come from rkhs.diag_coeff_slots alone, so no other module
@@ -109,9 +109,10 @@ def _unread_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    paths = [*MODULES, *(ROOT / "tests").glob("*.py"),
-             *(ROOT / "scripts").glob("*.py")]
-    found = {(path.name, name)
+    dirs = [ROOT / name for name in ("tests", "scripts", "perfbench")]
+    paths = [*MODULES, *(path for d in dirs for path in d.glob("*.py"))]
+    assert {path.parent for path in paths} == {PACKAGE, *dirs}
+    found = {(str(path.relative_to(ROOT)), name)
              for path in paths
              for name in _unread_imports(ast.parse(path.read_text()))}
     assert found == set()

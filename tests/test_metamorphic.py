@@ -20,6 +20,11 @@ the rows byte-identical too.  It runs on the Gram-form inputs and on one
 golden kernel config of each other route: a monomial ideal (the filtered
 diagonal sum) and the vanishing ideal of a point (the rank-one correction).
 
+The frame tasks (curvature, metric, decompose, compare) read a monomial
+ideal through its minimal generating set: a generator with a constant
+factor, or one that another generator divides, reports what the minimal
+set reports, while the input echo keeps the generators as given.
+
 The dimension task's report must not depend on the presentation either:
 the generators reordered, or a redundant member appended.  Both are
 strict xfails today (ROADMAP items 4 and 13).
@@ -169,3 +174,32 @@ def test_dimension_report_survives_reordered_generators():
 def test_dimension_report_survives_a_redundant_generator():
     assert _dimension_rows(("z1^2", "z2", "z1*z2"), DIMENSION_POINTS) == \
         _dimension_rows(("z1^2", "z2"), DIMENSION_POINTS)
+
+
+# (given generators, the minimal generating set they normalise to)
+FRAME_PRESENTATIONS = [
+    (("3*z1^2",), ("z1^2",)),
+    (("z1^2", "z1^3"), ("z1^2",)),
+    (("z1", "z1*z2"), ("z1",)),
+    (("z2^2", "-1/2*z1", "z1*z2^3", "2*z1", "z1^4"), ("z1", "z2^2")),
+]
+
+
+def _frame_report(task, generators):
+    """(input echo, results and diagnostics) of the text report of a frame
+    task for the generators over weights (1, 2, 3/2) at base (0, 0, 1/3)."""
+    cfg = JobConfig(task=task, dimension=3, weights=(F(1), F(2), F(3, 2)),
+                    generators=generators, base_point=(F(0), F(0), F(1, 3)),
+                    compare_weights=(F(1), F(2), F(5, 2)))
+    out = render_report(run_task(cfg), "text")
+    return out[:out.index("results:")], out[out.index("results:"):]
+
+
+@pytest.mark.parametrize("task", ["curvature", "metric", "decompose",
+                                  "compare"])
+@pytest.mark.parametrize("given,minimal", FRAME_PRESENTATIONS)
+def test_frame_tasks_read_the_minimal_monomial_generators(task, given,
+                                                          minimal):
+    echo, rows = _frame_report(task, given)
+    assert rows == _frame_report(task, minimal)[1]
+    assert f"generators = [{', '.join(given)}]" in echo

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.algebra import iter_multiindices
-from submodcurv.errors import DomainError, ShapeError, TruncationError
+from submodcurv.errors import DomainError, TruncationError
 from submodcurv.ideals import IdealSpec
 from submodcurv.linalg import (BareissFactor, RowEchelon,
                                leading_principal_minors, mat_rank,
@@ -25,6 +25,17 @@ from oracles import (ambient_kernel_exact, evaluate_poly, monomial_norm_sq,
 
 def _ideal(m, *srcs):
     return IdealSpec(m, tuple(parse_poly(g, m) for g in srcs))
+
+
+def _assembled_gram(K):
+    """The full Gram matrix of K.complement, zero outside K.blocks."""
+    n = len(K.complement)
+    H = [[F(0)] * n for _ in range(n)]
+    for block, Hc in K.blocks:
+        for j, row in zip(block, Hc):
+            for k, x in zip(block, row):
+                H[j][k] = x
+    return H
 
 
 def test_module_validation():
@@ -349,7 +360,8 @@ def test_gram_form_matches_rank_scan_and_solve(degree, case):
 @pytest.mark.parametrize("case", range(len(_GRAM_IDEALS)))
 def test_gram_form_complement_fills_degree_n(case):
     """basis and complement split the C(N+m, m) polynomials of degree <= N
-    into orthogonal parts, and gram is the complement's Gram matrix."""
+    into orthogonal parts, and the blocks make up the complement's Gram
+    matrix."""
     module, ideal = _GRAM_IDEALS[case]
     m = module.dim
     for degree in _GRAM_DEGREES[m]:
@@ -357,8 +369,9 @@ def test_gram_form_complement_fills_degree_n(case):
         assert len(K.basis) + len(K.complement) == math.comb(degree + m, m)
         assert all(poly_inner(module, f, b) == 0
                    for f in K.complement for b in K.basis)
-        assert K.gram == [[poly_inner(module, f, g) for g in K.complement]
-                          for f in K.complement]
+        assert _assembled_gram(K) == [
+            [poly_inner(module, f, g) for g in K.complement]
+            for f in K.complement]
 
 
 def test_product_difference_complement_is_two():
@@ -375,24 +388,16 @@ def test_gram_form_rejects_indefinite_gram():
     m = oracles.hardy(2)
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("z1*z2", 2)]
-    for gram in ([[F(1), F(2), F(0)], [F(2), F(1), F(0)], [F(0), F(0), F(1)]],
-                 [[F(1), F(1), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]],
-                 [[F(0), F(1), F(0)], [F(1), F(2), F(0)], [F(0), F(0), F(1)]],
-                 [[F(1), F(0), F(0)], [F(0), F(2), F(0)], [F(0), F(0), F(-1)]],
-                 [[F(1), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(1)]],
-                 # block {0, 2} with determinant -3 around the 1x1 block {1}
-                 [[F(1), F(0), F(2)], [F(0), F(1), F(0)], [F(2), F(0), F(1)]]):
+    for blocks in ((((0, 1), [[F(1), F(2)], [F(2), F(1)]]), ((2,), [[F(1)]])),
+                   (((0, 1), [[F(1), F(1)], [F(1), F(1)]]), ((2,), [[F(1)]])),
+                   (((0, 1), [[F(0), F(1)], [F(1), F(2)]]), ((2,), [[F(1)]])),
+                   (((0,), [[F(1)]]), ((1,), [[F(2)]]), ((2,), [[F(-1)]])),
+                   (((0,), [[F(1)]]), ((1,), [[F(0)]]), ((2,), [[F(1)]])),
+                   # block {0, 2} with determinant -3 around the 1x1 block {1}
+                   (((0, 2), [[F(1), F(2)], [F(2), F(1)]]),
+                    ((1,), [[F(1)]]))):
         with pytest.raises(DomainError):
-            GramFormKernel(m, [], complement, gram, 2)
-
-
-def test_gram_form_needs_one_gram_row_per_complement():
-    m = oracles.hardy(2)
-    complement = [parse_poly("z1", 2), parse_poly("z2", 2)]
-    for gram in ([[F(1)]], [[F(1), F(0)], [F(0)]],
-                 [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]):
-        with pytest.raises(ShapeError):
-            GramFormKernel(m, [], complement, gram, 2)
+            GramFormKernel(m, [], complement, blocks, 2)
 
 
 def test_gram_form_interleaved_blocks():
@@ -402,7 +407,10 @@ def test_gram_form_interleaved_blocks():
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("1/2*z1*z2 - z2^2", 2)]
     H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
-    K = GramFormKernel(m, [], complement, H, 2)
+    K = GramFormKernel(m, [], complement,
+                       [((0, 2), [[F(2), F(1, 3)], [F(1, 3), F(5)]]),
+                        ((1,), [[F(3, 4)]])], 2)
+    assert _assembled_gram(K) == H
     z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
     x = mat_solve(H, [evaluate_poly(f, w) for f in complement])
     form = sum(evaluate_poly(f, z) * y for f, y in zip(complement, x))
@@ -445,7 +453,7 @@ def _assert_matches_full_sweep(module, ideal, degree, points):
         module, ideal, degree)
     assert list(K.basis) == basis
     assert list(K.complement) == complement
-    assert K.gram == gram
+    assert _assembled_gram(K) == gram
     for z in points:
         for w in points:
             assert K.eval_exact(z, w) == evaluate(z, w)
@@ -484,7 +492,26 @@ def test_multi_block_gram_form_matches_full_sweep(case, weights, points):
     ideal = _ideal(m, *gens)
     K = _assert_matches_full_sweep(module, ideal, degree,
                                    [tuple(p[:m]) for p in points])
-    assert K._factors  # the blocks larger than 1x1
+    assert any(len(block) > 1 for block, _ in K.blocks)
+
+
+@pytest.mark.parametrize("module,ideal,degree", [
+    *((module, ideal, degree) for degree, case in _GRAM_CASES
+      for module, ideal in [_GRAM_IDEALS[case]]),
+    *((WeightedPolydiscModule(m, (F(3, 2), F(1, 3), F(2))[:m]),
+       _ideal(m, *gens), degree) for m, gens, degree in _MULTI_BLOCK)])
+def test_gram_blocks_partition_the_complement_orthogonally(module, ideal,
+                                                           degree):
+    """The blocks' indices partition range(len(complement)), and every
+    inner product between the f of two different blocks is 0."""
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    indices = [j for block, _ in K.blocks for j in block]
+    assert sorted(indices) == list(range(len(K.complement)))
+    for b, (block, _) in enumerate(K.blocks):
+        for other, _ in K.blocks[b + 1:]:
+            assert all(poly_inner(module, K.complement[j],
+                                  K.complement[k]) == 0
+                       for j in block for k in other)
 
 
 @pytest.mark.parametrize("exponents", [
@@ -502,9 +529,7 @@ def test_gram_form_of_monomial_ideal_is_the_diagonal_sum(exponents):
     points = _GRAM_POINTS[3]
     for degree in (4, 6):
         K = GramFormKernel.from_ideal(module, ideal, degree)
-        assert K._factors == []
-        assert all(K.gram[j][k] == 0 for j in range(len(K.gram))
-                   for k in range(len(K.gram)) if j != k)
+        assert all(len(block) == 1 for block, _ in K.blocks)
         for z in points:
             for w in points:
                 assert K.eval_exact(z, w) == diagonal.eval_truncated(
@@ -707,4 +732,4 @@ def test_gram_complement_from_restricted_table_equals_full_table(degree,
     assert list(K.complement) == complement
     assert [list(f.coeffs) for f in K.complement] == \
         [list(f.coeffs) for f in complement]
-    assert K.gram == gram
+    assert _assembled_gram(K) == gram

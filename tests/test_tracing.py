@@ -77,3 +77,36 @@ def test_every_span_and_counter_binds(tracing):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_kernel_spans_carry_their_sizes(tracing):
+    """The Gram build span reads the candidate count off its arguments and
+    the basis size off the kernel it returns; the monomial kernel's
+    truncated sums record their multi-index counts."""
+    tracer = tracing.Tracer().install()
+    try:
+        for index, config in enumerate(("gram-blocks.ini",
+                                        "monomial-half-bounded.ini")):
+            tracer.begin_job(index, "kernel")
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["kernel", "--config",
+                                 str(GOLDEN / "kernel" / config)]) == 0
+            tracer.end_job()
+    finally:
+        tracer.uninstall()
+
+    def attrs(job, name):
+        return [span[6] for span in tracer.spans
+                if span[2] == job and span[3] == name]
+    # z1^2 + z1*z2 + z2^2 at N = 6: its C(6, 2) = 15 multiples of degree
+    # <= 6 are independent, so every candidate is kept
+    assert attrs(0, "rkhs.GramFormKernel.from_ideal") == \
+        [{"candidates": 15, "basis": 15}]
+    assert attrs(1, "rkhs.GramFormKernel.from_ideal") == []
+    sums = attrs(1, "rkhs.DiagonalFilteredKernel.eval_truncated")
+    assert sums and all(a == {"terms": 5456} for a in sums)  # C(30 + 3, 3)
+    metrics = tracing.layer_metrics([
+        dict(zip(("id", "parent", "job", "name", "start_ns", "end_ns",
+                  "attrs"), span)) for span in tracer.spans])
+    assert [metrics[name]["value"] for name in (
+        "rkhs.gram_candidates", "rkhs.gram_basis")] == [15, 15]
