@@ -296,6 +296,10 @@ def parse_config(text: str, args=None) -> JobConfig:
             raise InputError(
                 f"got {len(fields['weights'])} weights for dimension "
                 f"{fields['dimension']}", field="module.weights")
+        if ("dimension" in fields and "compare_weights" in fields
+                and len(fields["compare_weights"]) != fields["dimension"]):
+            raise InputError("compare_weights must match the dimension",
+                             field="task.compare_weights")
 
     task = fields.pop("name", None)
     if task is None:
@@ -492,9 +496,6 @@ def run_task(cfg: JobConfig) -> Report:
 
     if cfg.task == "compare":
         _require(cfg, "compare_weights")
-        if len(cfg.compare_weights) != module.dim:
-            raise InputError("compare_weights must match the dimension",
-                             field="task.compare_weights")
         ideal = _build_ideal(cfg)
         data = coordinate_power_data(ideal)
         gen_vars, powers = zip(*data)

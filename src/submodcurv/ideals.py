@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from operator import add
 from typing import Optional
@@ -80,6 +81,9 @@ class IdealSpec:
     def vanishes_at(self, point) -> bool:
         """Whether the point lies on V(I): one exact sum per generator."""
         w = [rat(x) for x in point]
+        if len(w) != self.nvars:
+            raise DomainError(f"point has arity {len(w)}, ideal lives in "
+                              f"{self.nvars} variables")
         return not any(sum(c * prod(map(pow, w, e)) for e, c in g.coeffs.items())
                        for g in self.generators)
 
@@ -95,7 +99,7 @@ class IdealSpec:
         if name not in CATALOGUE:
             raise UnsupportedIdealError(
                 f"unknown catalogue ideal {name!r}; known: {sorted(CATALOGUE)}")
-        return IdealSpec(nvars, tuple(CATALOGUE[name](nvars)))
+        return IdealSpec(nvars, CATALOGUE[name](nvars))
 
 
 def _vanishing_point(nvars, gens):
@@ -116,15 +120,17 @@ def _vanishing_point(nvars, gens):
 
 
 # ---------------------------------------------------------------------------
-# Catalogue of named ideals: name -> generator builder
+# Catalogue of named ideals: name -> generator builder, built once per
+# number of variables
 
 
+@cache
 def _product_difference_gens(nvars):
     if nvars < 2:
         raise DomainError("product_difference needs at least 2 variables")
     z1 = Poly.variable(nvars, 0)
     z2 = Poly.variable(nvars, 1)
-    return [z1 * z2, z1 - z2]
+    return (z1 * z2, z1 - z2)
 
 
 CATALOGUE = {"product_difference": _product_difference_gens}
@@ -133,7 +139,7 @@ CATALOGUE = {"product_difference": _product_difference_gens}
 def _match_catalogue(nvars, gens) -> bool:
     for builder in CATALOGUE.values():
         try:
-            if tuple(builder(nvars)) == tuple(gens):
+            if builder(nvars) == tuple(gens):
                 return True
         except DomainError:
             continue

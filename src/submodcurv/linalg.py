@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Determinants, ranks, solves and
-inverses go through one fraction-free (Bareiss) sweep with row pivoting on
-a copy whose rows are scaled to integers, so intermediate entries stay
-integral; solves and inverses back-substitute in integers and form one
-Fraction per entry.  ``BareissFactor`` keeps such a sweep without
-pivoting: its pivots are the leading principal minors and its factors
-answer u^T A^{-1} v by integer substitution.  ``RowEchelon`` tests a
-stream of sparse rows for independence, reducing each new row once,
-fraction-free, against the primitive integer rows kept so far; the
-Gram-form basis and the localization span ranks both count rows with it,
-and its back-substitution (one division by each lead) gives the null
-vectors of the Gram-form complement.  Determinants over other rings
-(series, polynomials, complex floats) are ``algebra.cofactor_det``.
+Matrices are lists of lists of Fraction.  ``BareissFactor`` is the one
+fraction-free (Bareiss) sweep: it runs on a copy whose rows are scaled to
+integers, so intermediate entries stay integral, and moves a row only when
+the next pivot is 0.  Its pivots give determinants and, up to the first
+row move, the leading principal minors; its one integer back-substitution
+answers solves, inverses and u^T A^{-1} v, forming one Fraction per entry.
+``RowEchelon`` tests a stream of sparse rows for independence, reducing
+each new row once, fraction-free, against the primitive integer rows kept
+so far; ranks, the Gram-form basis and the localization span ranks all
+count rows with it, and its back-substitution (one division by each lead)
+gives the null vectors of the Gram-form complement.  Determinants over
+other rings (series, polynomials, complex floats) are
+``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -50,90 +50,35 @@ def _square(A, what):
     return M
 
 
-def _sweep(M, ncols):
-    """One fraction-free Bareiss sweep with row pivoting over the first
-    ncols columns of M's integer-cleared rows; later columns are carried
-    along.  Returns (rows, pivots, sign, mults): the swept integer rows,
-    the pivot column of each of the first len(pivots) rows, the sign of the
-    row permutation and the row multipliers.  A column with no nonzero entry
-    at or below the next pivot row is skipped.  When every one of n square
-    columns has a pivot, the last pivot is the determinant of the permuted
-    integer matrix."""
-    rows, mults = _cleared_int_rows(M)
-    pivots, sign, prev = [], 1, 1
-    for col in range(ncols):
-        k = len(pivots)
-        piv = next((r for r in range(k, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pivot = rows[k][col]
-        tail = rows[k][col + 1:]
-        for row in rows[k + 1:]:
-            lead = row[col]
-            row[col:] = [0] + [(x * pivot - lead * y) // prev
-                               for x, y in zip(row[col + 1:], tail)]
-        pivots.append(col)
-        prev = pivot
-    return rows, pivots, sign, mults
-
-
 def mat_det(A) -> Fraction:
-    """Determinant: sign * last pivot / row multipliers, 0 below full rank."""
-    M = _square(A, "determinant")
-    n = len(M)
-    if n == 0:
-        return Fraction(1)
-    rows, pivots, sign, mults = _sweep(M, n)
-    if len(pivots) < n:
+    """Determinant: sign * last pivot / row scalings, 0 if singular."""
+    factor = BareissFactor(A)
+    if factor.singular:
         return Fraction(0)
-    return Fraction(sign * rows[-1][-1], prod(mults))
+    last = factor.pivots[-1] if factor.pivots else 1
+    return Fraction(factor.sign * last, prod(factor.scalings))
 
 
 def mat_rank(A) -> int:
-    """Rank: the number of pivots of one sweep over every column."""
-    M = _as_matrix(A)
-    return len(_sweep(M, len(M[0]))[1]) if M else 0
-
-
-def _solve_columns(M, columns, what):
-    """The solutions x of M x = b for square M and each column b, from one
-    sweep of [M | columns].  With d the last pivot, d x is integral
-    (Cramer), and pivot row k gives U_kk (d x_k) = d y_k - sum_{j>k} U_kj
-    (d x_j) exactly, y the swept column; each entry is one Fraction."""
-    n = len(M)
-    rows, pivots, _, _ = _sweep([M[i] + [b[i] for b in columns]
-                                 for i in range(n)], n)
-    if len(pivots) < n:
-        raise SingularityError(f"matrix is singular; cannot {what}")
-    d = rows[-1][n - 1] if n else 1
-    out = []
-    for c in range(n, n + len(columns)):
-        X = [0] * n
-        for k in reversed(range(n)):
-            row = rows[k]
-            X[k] = (d * row[c] - sum(row[j] * X[j]
-                                     for j in range(k + 1, n))) // row[k]
-        out.append([Fraction(x, d) for x in X])
-    return out
+    """Rank: the number of rows a RowEchelon keeps."""
+    echelon = RowEchelon()
+    for row in _as_matrix(A):
+        echelon.add(dict(enumerate(row)))
+    return len(echelon.rows)
 
 
 def mat_solve(A, b):
     """Solve A x = b exactly; raises SingularityError if A is singular."""
-    M = _square(A, "solve")
-    rhs = [rat(x) for x in b]
-    if len(rhs) != len(M):
-        raise ShapeError("right-hand side has wrong length")
-    return _solve_columns(M, [rhs], "solve")[0]
+    X, d = BareissFactor(A).solve(b)
+    return [Fraction(x, d) for x in X]
 
 
 def mat_inverse(A):
-    M = _square(A, "inverse")
-    n = len(M)
-    columns = [[int(i == j) for i in range(n)] for j in range(n)]
-    return [list(row) for row in zip(*_solve_columns(M, columns, "invert"))]
+    factor = BareissFactor(A)
+    n = len(factor.rows)
+    columns = [factor.solve([int(i == j) for i in range(n)])
+               for j in range(n)]
+    return [[Fraction(X[i], d) for X, d in columns] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -154,62 +99,74 @@ def mat_mul(A, B):
 
 
 class BareissFactor:
-    """One fraction-free Bareiss sweep without pivoting over a square
-    rational matrix A (E. Bareiss, Math. Comp. 22, 1968).
+    """One fraction-free Bareiss sweep over a square rational matrix A
+    (E. Bareiss, Math. Comp. 22, 1968).
 
-    Row i of A is scaled by the least integer s_i that clears it.  On the
-    integer matrix S A the k-th pivot is the k-th leading principal minor of
-    S A, so the k-th leading minor of A is pivot_k / (s_1 ... s_k).  The
-    sweep stops at the first zero pivot, which is then the last entry of
-    ``pivots``.  ``rows`` holds the compact fraction-free LU: the upper
-    triangle is each pivot row as it stood when it became the pivot row,
-    the strict lower triangle each eliminated column as it stood then.
+    Row i of A is scaled by the least integer s_i that clears it.  A row
+    moves only when the next pivot is 0: the first row below with a nonzero
+    entry in that column takes its place.  ``perm`` lists the rows of S A in
+    their swept order and ``sign`` is the sign of that permutation; the
+    sweep stops, with ``singular`` set, at a column with no pivot.  Before
+    the first row move the k-th pivot is the k-th leading principal minor
+    of S A, so the k-th leading minor of A is pivot_k / (s_1 ... s_k); on a
+    full sweep the last pivot is det(P S A).  ``rows`` holds the compact
+    fraction-free LU of P S A: the upper triangle is each pivot row as it
+    stood when it became the pivot row, the strict lower triangle each
+    eliminated column as it stood then.
     """
 
     def __init__(self, A):
         M = _square(A, "factorization")
         n = len(M)
         rows, self.scalings = _cleared_int_rows(M)
-        pivots = []
-        prev = 1
+        perm, sign, pivots, prev = list(range(n)), 1, [], 1
         for k in range(n):
+            if not rows[k][k]:
+                piv = next((r for r in range(k + 1, n) if rows[r][k]), None)
+                if piv is None:
+                    break
+                rows[k], rows[piv] = rows[piv], rows[k]
+                perm[k], perm[piv] = perm[piv], perm[k]
+                sign = -sign
             pivot = rows[k][k]
-            pivots.append(pivot)
-            if pivot == 0:
-                break
             tail = rows[k][k + 1:]
-            for i in range(k + 1, n):
-                row = rows[i]
+            for row in rows[k + 1:]:
                 lik = row[k]
                 row[k + 1:] = [(x * pivot - lik * y) // prev
                                for x, y in zip(row[k + 1:], tail)]
+            pivots.append(pivot)
             prev = pivot
-        self.rows, self.pivots = rows, pivots
+        self.rows, self.pivots, self.perm, self.sign = rows, pivots, perm, sign
+        self.singular = len(pivots) < n
 
     def leading_minors(self):
-        """Leading principal minors of A, up to the first zero one."""
+        """Leading principal minors of A, up to the first zero one: the
+        pivots before the first row move, then 0 if a row moved or the
+        sweep stopped."""
+        k = next((i for i, p in enumerate(self.perm) if p != i),
+                 len(self.pivots))
         out, scale = [], 1
-        for s, pivot in zip(self.scalings, self.pivots):
+        for s, pivot in zip(self.scalings, self.pivots[:k]):
             scale *= s
             out.append(Fraction(pivot, scale))
-        return out
+        return out + [Fraction(0)] * (k < len(self.rows))
 
-    def inverse_form(self, u, v) -> Fraction:
-        """u^T A^{-1} v, by fraction-free forward and back substitution.
+    def solve(self, v):
+        """(X, d): integers X and one denominator d with A^{-1} v = X / d.
 
-        With y the integer column beta S v reduced as one more column of the
-        sweep, X = det(S A) (S A)^{-1} (beta S v) is integral (Cramer), and
-        row k of the sweep gives pivot_k X_k = det y_k - sum_{j>k} U_kj X_j
-        exactly; one Fraction is formed at the end.
+        With beta the least integer that clears v and y = beta P S v,
+        reduced as one more column of the sweep, X = det (P S A)^{-1} y is
+        integral (Cramer), det the last pivot, and row k of the sweep gives
+        pivot_k X_k = det y_k - sum_{j>k} U_kj X_j exactly; d = det beta.
         """
         rows, pivots = self.rows, self.pivots
         n = len(rows)
-        if 0 in pivots:  # the sweep stopped at its first zero pivot
+        if self.singular:
             raise SingularityError("matrix is singular; cannot solve")
-        if len(u) != n or len(v) != n:
+        if len(v) != n:
             raise ShapeError("vector has wrong length")
-        y, beta = _common_denominator(
-            [rat(x) * s for x, s in zip(v, self.scalings)])
+        y, beta = _common_denominator([rat(v[i]) for i in self.perm])
+        y = [x * self.scalings[i] for x, i in zip(y, self.perm)]
         prev = 1
         for k in range(n - 1):
             pivot, yk = pivots[k], y[k]
@@ -222,8 +179,15 @@ class BareissFactor:
             row = rows[k]
             acc = det * y[k] - sum(row[j] * X[j] for j in range(k + 1, n))
             X[k] = acc // pivots[k]
+        return X, det * beta
+
+    def inverse_form(self, u, v) -> Fraction:
+        """u^T A^{-1} v, as u . X over d for (X, d) = solve(v)."""
+        X, d = self.solve(v)
+        if len(u) != len(X):
+            raise ShapeError("vector has wrong length")
         U, gamma = _common_denominator([rat(x) for x in u])
-        return Fraction(sum(a * b for a, b in zip(U, X)), det * beta * gamma)
+        return Fraction(sum(a * b for a, b in zip(U, X)), d * gamma)
 
 
 class RowEchelon:
@@ -286,8 +250,9 @@ class RowEchelon:
 def leading_principal_minors(A):
     """Determinants of the k-by-k upper-left blocks, k = 1..n.
 
-    They are the pivots of one BareissFactor sweep.  Past a zero pivot the
-    sweep cannot go on, and each remaining block takes one mat_det.
+    They are the pivots of one BareissFactor sweep up to the first zero
+    one.  There the sweep moves a row or stops, so its later pivots are no
+    leading minors, and each remaining block takes one mat_det.
     """
     M = _square(A, "leading_principal_minors")
     n = len(M)

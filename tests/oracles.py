@@ -59,8 +59,7 @@ from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                LocalizationResult)
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
-from submodcurv.linalg import (RowEchelon, leading_principal_minors, mat_det,
-                               mat_inverse, mat_mul)
+from submodcurv.linalg import RowEchelon, mat_det, mat_inverse, mat_mul
 from submodcurv.polynomials import Poly, _Tokenizer
 from submodcurv.rkhs import (DiagonalFilteredKernel, RankOneCorrectedKernel,
                              WeightedPolydiscModule, _check_point,
@@ -134,8 +133,10 @@ def mat_identity(n):
 
 
 def is_positive_definite(A) -> bool:
-    """Sylvester's criterion on a matrix assumed (real) symmetric."""
-    return all(d > 0 for d in leading_principal_minors(A))
+    """Sylvester's criterion on a matrix assumed (real) symmetric, by the
+    cofactor determinant of each leading block, not the Bareiss sweep."""
+    return all(cofactor_det([row[:k] for row in A[:k]]) > 0
+               for k in range(1, len(A) + 1))
 
 
 def monomial_norm_sq(module: WeightedPolydiscModule, alpha) -> Fraction:

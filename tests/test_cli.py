@@ -592,6 +592,17 @@ def test_compare_weights_are_checked_when_read(tmp_path, capsys, task):
         "(field 'task.compare_weights')\n")
 
 
+@pytest.mark.parametrize("task", ["curvature", "compare"])
+def test_compare_weights_length_is_checked_when_read(tmp_path, capsys, task):
+    # like its sign, the length of compare_weights is checked whatever the
+    # task: a curvature job that carries three for dimension 2 fails
+    config = (MODULE_2 + "[ideal]\ngenerators = z1\n\n[task]\n"
+              f"name = {task}\ntrunc_degree = 4\ncompare_weights = 1 2 3\n")
+    assert _config_error(tmp_path, capsys, task, config) == (
+        "config error: compare_weights must match the dimension "
+        "(field 'task.compare_weights')\n")
+
+
 def test_percent_in_a_value_is_a_config_error(tmp_path, capsys):
     # a '%' is an ordinary character of a value, not an interpolation
     config = "[task]\nname = cubic\nalpha = 1%\n"

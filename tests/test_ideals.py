@@ -185,6 +185,15 @@ def test_vanishes_at_on_ideals_without_descriptor(gens, point, on):
     assert ideal.vanishes_at(point) is on
 
 
+@pytest.mark.parametrize("point", [(0,), (0, 1, 0)])
+def test_vanishes_at_checks_the_point_arity(point):
+    # zip would drop the missing coordinate or the extra one
+    ideal = IdealSpec(2, _gens(2, "z2 - 1"))
+    with pytest.raises(DomainError, match=f"point has arity {len(point)}, "
+                       "ideal lives in 2 variables"):
+        ideal.vanishes_at(point)
+
+
 # -- localization dimensions -------------------------------------------------
 
 ORIGIN = (F(0), F(0))

@@ -179,6 +179,40 @@ def test_solve_and_inverse_match_gauss_jordan(a):
         [F(i == 0) for i in range(n)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_minors(), st.data())
+def test_inverse_form_matches_gauss_jordan(a, data):
+    """u^T A^{-1} v against the Gauss-Jordan solve, on matrices whose
+    leading blocks are often singular, so the sweep moves rows."""
+    n = len(a)
+    u = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    v = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    R, pivots = _rref([row + [x] for row, x in zip(a, v)])
+    factor = BareissFactor(a)
+    if pivots[:n] != list(range(n)):
+        assert factor.singular
+        with pytest.raises(SingularityError):
+            factor.inverse_form(u, v)
+        return
+    x = [row[n] for row in R]
+    assert factor.inverse_form(u, v) == sum(p * q for p, q in zip(u, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_minors())
+def test_leading_minors_are_the_brute_minors_to_the_first_zero(a):
+    brute = [_brute_det([row[:k] for row in a[:k]])
+             for k in range(1, len(a) + 1)]
+    stop = next((k + 1 for k, d in enumerate(brute) if d == 0), len(brute))
+    assert BareissFactor(a).leading_minors() == brute[:stop]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_with_zero_minors())
+def test_rank_matches_gauss_jordan(a):
+    assert mat_rank(a) == len(_rref([list(row) for row in a])[1])
+
+
 def test_leading_minors_past_a_zero_pivot():
     assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
     assert leading_principal_minors([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == \
@@ -191,7 +225,7 @@ def test_bareiss_inverse_form_matches_solve():
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n)
         factor = BareissFactor(a)
-        if any(p == 0 for p in factor.pivots):
+        if factor.singular:
             with pytest.raises(SingularityError):
                 factor.inverse_form([F(1)] * n, [F(1)] * n)
             continue
