@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import DomainError, ShapeError, SingularityError
@@ -139,25 +140,39 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
     return out
 
 
-def format_terms(coeffs: dict, names) -> str:
+@lru_cache(maxsize=4096)
+def _graded_monomial(names: tuple, k: tuple) -> tuple:
+    """(degree, k, text) for the monomial with exponent k: its graded-lex
+    sort key, then its text as name^e*... with unit exponents and absent
+    variables left out ("" for the constant monomial)."""
+    return sum(k), k, "*".join(name if e == 1 else f"{name}^{e}"
+                               for name, e in zip(names, k) if e)
+
+
+def format_terms(coeffs: dict, names: tuple) -> str:
     """Terms in graded-lex order, each as coefficient*name^e*..., with unit
-    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2"."""
+    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2".  Each
+    coefficient is written from its numerator and denominator."""
     if not coeffs:
         return "0"
     parts = []
-    for k in sorted(coeffs, key=lambda k: (sum(k), k)):
-        v = str(coeffs[k])
-        factors = "*".join(name if e == 1 else f"{name}^{e}"
-                           for name, e in zip(names, k) if e)
-        if not factors:
-            parts.append(v)
-        elif v == "1":
-            parts.append(factors)
-        elif v == "-1":
-            parts.append("-" + factors)
+    # the keys differ, so the sort never compares two values
+    for (_, _, factors), v in sorted([(_graded_monomial(names, k), v)
+                                      for k, v in coeffs.items()]):
+        n, d = v.as_integer_ratio()
+        if d == 1 and factors and (n == 1 or n == -1):
+            parts.append(factors if n == 1 else "-" + factors)
         else:
-            parts.append(f"{v}*" + factors)
+            c = str(n) if d == 1 else f"{n}/{d}"
+            parts.append(f"{c}*{factors}" if factors else c)
     return " + ".join(parts).replace("+ -", "- ")
+
+
+@lru_cache(maxsize=16)
+def _series_names(m: int) -> tuple:
+    """The variable names of a series in m pairs: w1..wm, then wb1..wbm."""
+    return (tuple(f"w{i+1}" for i in range(m))
+            + tuple(f"wb{i+1}" for i in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +305,7 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __str__(self):
-        m = self.npairs
-        return format_terms(self.coeffs, [f"w{i+1}" for i in range(m)]
-                            + [f"wb{i+1}" for i in range(m)])
+        return format_terms(self.coeffs, _series_names(self.npairs))
 
     def __repr__(self):
         return f"TruncSeries({self.npairs} pairs, D={self.trunc}: {self})"

@@ -296,10 +296,13 @@ def parse_config(text: str, args=None) -> JobConfig:
             raise InputError(
                 f"got {len(fields['weights'])} weights for dimension "
                 f"{fields['dimension']}", field="module.weights")
-        if ("dimension" in fields and "compare_weights" in fields
-                and len(fields["compare_weights"]) != fields["dimension"]):
-            raise InputError("compare_weights must match the dimension",
-                             field="task.compare_weights")
+        # the task's vectors match the dimension, whatever the task
+        for key, message in (
+                ("compare_weights", "compare_weights must match the dimension"),
+                ("base_point", "base point arity does not match dimension")):
+            if ("dimension" in fields and key in fields
+                    and len(fields[key]) != fields["dimension"]):
+                raise InputError(message, field=f"task.{key}")
 
     task = fields.pop("name", None)
     if task is None:
@@ -336,17 +339,17 @@ def parse_config(text: str, args=None) -> JobConfig:
 class Report:
     task: str
     input_echo: dict
-    results: list = field(default_factory=list)
+    results: list = field(default_factory=list)  # (name, value) pairs
     diagnostics: dict = field(default_factory=dict)
 
     def add(self, name, value):
-        self.results.append({"name": name, "value": value})
+        self.results.append((name, value))
 
     def add_matrix(self, name, rows):
         """One result name_ij per entry, i and j counted from 1."""
-        for i, row in enumerate(rows, 1):
-            for j, value in enumerate(row, 1):
-                self.add(f"{name}_{i}{j}", value)
+        self.results += [(f"{name}_{i}{j}", value)
+                         for i, row in enumerate(rows, 1)
+                         for j, value in enumerate(row, 1)]
 
 
 def _encode(value):
@@ -375,8 +378,8 @@ def render_report(report: Report, output: str) -> str:
         payload = {
             "task": report.task,
             "input": _encode(report.input_echo),
-            "results": [{"name": r["name"], "value": _encode(r["value"]),
-                         "units": None} for r in report.results],
+            "results": [{"name": name, "value": _encode(value),
+                         "units": None} for name, value in report.results],
             "diagnostics": _encode(report.diagnostics),
             "convention": CONVENTION,
         }
@@ -386,8 +389,11 @@ def render_report(report: Report, output: str) -> str:
     for k in sorted(report.input_echo):
         lines.append(f"  {k} = {_render_value(report.input_echo[k])}")
     lines.append("results:")
-    for r in report.results:
-        lines.append(f"  {r['name']} = {_render_value(r['value'])}")
+    # a scalar row, nearly every row, is its str(); lists and dicts recurse
+    lines += ["  %s = %s" % (name, _render_value(value)
+                             if isinstance(value, (list, tuple, dict))
+                             else value)
+              for name, value in report.results]
     lines.append("diagnostics:")
     for k in sorted(report.diagnostics):
         lines.append(f"  {k} = {_render_value(report.diagnostics[k])}")
@@ -458,12 +464,9 @@ def _build_frame(cfg: JobConfig, module, ideal):
     enters, so its frame stops at JET_DEGREE; a lower trunc_degree still
     reaches the frame builder's own check first.
     """
-    base = cfg.base_point
+    base = cfg.base_point  # its arity was checked by parse_config
     if base is None:
         base = (Fraction(0),) * module.dim
-    elif len(base) != module.dim:
-        raise InputError("base point arity does not match dimension",
-                         field="task.base_point")
     trunc = cfg.trunc_degree
     if cfg.task == "curvature":
         trunc = min(trunc, JET_DEGREE)
@@ -669,8 +672,42 @@ def _build_parser():
     return parser
 
 
+# flag -> Namespace attribute, for the flags _build_parser gives every task
+_FLAG_ATTRS = {"--config": "config", "--output": "output",
+               "--trunc-degree": "trunc_degree",
+               "--ideal-degree": "ideal_degree", "--point": "point"}
+
+
+def _canonical_args(argv):
+    """The Namespace _build_parser().parse_args(argv) returns, read without
+    argparse when argv is canonical: a task, then --config PATH and at most
+    one each of the other flags, every flag as '--flag value' with a value
+    that does not start with '-'.  None for any other argv (help, '=' or
+    abbreviated flags, repeats, a bad choice or integer), which argparse
+    then reads, so its usage and error bytes stay its own."""
+    if len(argv) % 2 != 1 or argv[0] not in TASKS:
+        return None
+    args = dict.fromkeys(_FLAG_ATTRS.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        key = _FLAG_ATTRS.get(flag)
+        if key is None or args[key] is not None or value.startswith("-"):
+            return None
+        args[key] = value
+    if args["config"] is None or args["output"] not in (None, "text", "json"):
+        return None
+    for key in ("trunc_degree", "ideal_degree"):
+        if args[key] is not None:
+            try:
+                args[key] = int(args[key])  # argparse's type=int
+            except ValueError:
+                return None
+    return argparse.Namespace(task=argv[0], **args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _canonical_args(argv) or _build_parser().parse_args(argv)
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

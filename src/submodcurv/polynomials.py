@@ -140,7 +140,7 @@ class Poly:
 
     def __str__(self):
         return format_terms(self.coeffs,
-                            [f"z{i+1}" for i in range(self.nvars)])
+                            tuple(f"z{i+1}" for i in range(self.nvars)))
 
     def __repr__(self):
         return f"Poly({self.nvars}: {self})"

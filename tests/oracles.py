@@ -18,10 +18,11 @@ coordinate Grammian and curvature blocks with Fraction splitting shares.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
 generator by evaluating it at the polynomials z_i + w_i, the config parse
-by configparser and the rational parse by Fraction(str); the Hermitian
-check as a loop over each pair's coefficients, which the Grammian builders
-meet by construction; and Gauss-Jordan elimination over Fraction, the
-nullspace reference.  The kernel routes are here
+by configparser and the rational parse by Fraction(str); the term text of
+series and polynomials by str(Fraction), the reference for format_terms;
+the Hermitian check as a loop over each pair's coefficients, which the
+Grammian builders meet by construction; and Gauss-Jordan elimination over
+Fraction, the nullspace reference.  The kernel routes are here
 too: the remainder bound, the integer-weight ambient kernel
 (ambient_kernel_exact, public until no kernel called it) and the monomial
 closed form in Fractions, the rank-one correction with all four ambient
@@ -770,6 +771,28 @@ def centre_by_eval_terms(g: Poly, point) -> Poly:
     return Poly.zero(m) + eval_terms(g.coeffs, xs)
 
 
+def format_terms_by_fraction_str(coeffs: dict, names) -> str:
+    """The format_terms that the integer route replaced: each coefficient
+    written by str(Fraction) and compared as text with "1" and "-1", each
+    monomial's factor text built again for every term."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in sorted(coeffs, key=lambda k: (sum(k), k)):
+        v = str(coeffs[k])
+        factors = "*".join(name if e == 1 else f"{name}^{e}"
+                           for name, e in zip(names, k) if e)
+        if not factors:
+            parts.append(v)
+        elif v == "1":
+            parts.append(factors)
+        elif v == "-1":
+            parts.append("-" + factors)
+        else:
+            parts.append(f"{v}*" + factors)
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def parse_rational_by_fraction_str(text: str, fieldname: str) -> Fraction:
     """The rational parse that cli._parse_rational's integer path
     replaced: every spelling through Fraction(str)."""
@@ -840,6 +863,15 @@ def parse_config_by_configparser(text: str, args=None) -> JobConfig:
             raise InputError(
                 f"got {len(fields['weights'])} weights for dimension "
                 f"{fields['dimension']}", field="module.weights")
+        if "dimension" in fields:
+            if len(fields.get("compare_weights",
+                              fields["weights"])) != fields["dimension"]:
+                raise InputError("compare_weights must match the dimension",
+                                 field="task.compare_weights")
+            if len(fields.get("base_point",
+                              fields["weights"])) != fields["dimension"]:
+                raise InputError("base point arity does not match dimension",
+                                 field="task.base_point")
 
     task = fields.pop("name", None)
     if task is None:

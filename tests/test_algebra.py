@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries,
-                                clean_terms, cofactor_det, iter_multiindices,
-                                rat, series_inverse, series_log)
+                                clean_terms, cofactor_det, format_terms,
+                                iter_multiindices, rat, series_inverse,
+                                series_log)
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
 from submodcurv.linalg import mat_det, mat_solve
@@ -17,8 +18,9 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              diag_coeff)
 
 from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
-                     geometric_sum, is_hermitian_by_pair_loop, mixed_hessian,
-                     pochhammer, series_exp, series_identity, series_matmul)
+                     format_terms_by_fraction_str, geometric_sum,
+                     is_hermitian_by_pair_loop, mixed_hessian, pochhammer,
+                     series_exp, series_identity, series_matmul)
 
 
 def test_rat_coercion():
@@ -214,6 +216,36 @@ def test_series_and_poly_share_term_arithmetic(a, b):
     for old, new in (("z1", "w1"), ("z2", "w2"), ("z3", "wb1"), ("z4", "wb2")):
         renamed = renamed.replace(old, new)
     assert renamed == str(a)
+
+
+# coefficients near the unit ones, where the text leaves out "1*"
+_coefficient = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-3),
+                                F(11, 1), F(-1, 10), F(10**20, 3)]) \
+    | st.fractions(max_denominator=50).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(
+        st.tuples(*[st.integers(0, 11)] * n), _coefficient, max_size=8))))
+def test_format_terms_matches_fraction_text(case):
+    """format_terms writes each coefficient from its integers and reuses
+    each monomial's text; the bytes are those of the str(Fraction) route,
+    for names of one or more characters."""
+    n, coeffs = case
+    for names in (tuple(f"z{i+1}" for i in range(n)),
+                  tuple("xyzt"[:n]), tuple(f"wb{i+11}" for i in range(n))):
+        assert format_terms(coeffs, names) == \
+            format_terms_by_fraction_str(coeffs, names)
+    poly = Poly(n, coeffs)
+    assert str(poly) == format_terms_by_fraction_str(
+        coeffs, [f"z{i+1}" for i in range(n)])
+    if n % 2 == 0:
+        series = TruncSeries(n // 2, 44, coeffs)
+        m = n // 2
+        assert str(series) == format_terms_by_fraction_str(
+            coeffs, [f"w{i+1}" for i in range(m)]
+            + [f"wb{i+1}" for i in range(m)])
 
 
 def _assert_clean(coeffs, width, cap=None):

@@ -93,7 +93,7 @@ def test_parse_config_syntax_error():
 
 def test_run_curvature_task_values():
     report = run_task(parse_config(BASE))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["det_bundle_curvature_11"] == F(13, 9)
     assert results["det_bundle_curvature_22"] == F(31, 18)
     assert results["closed_form_kappa1"] == F(13, 9)
@@ -120,13 +120,13 @@ def test_principal_readings_follow_the_generator_variable():
     # the transverse log curvature is 1 and the norm Hessians are
     # poch(3, 2)/2! = 6 and poch(3, 3)/3! = 10, times 1
     report = run_task(parse_config(SECOND_VARIABLE.format(task="curvature")))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["det_bundle_curvature_11"] == 1
     assert results["transverse_log_hessian"] == 1
     assert results["transverse_norm_hessian"] == 6
     report = run_task(parse_config(
         SECOND_VARIABLE.format(task="compare") + "compare_weights = 1 3\n"))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["left_transverse_log_curvature_w1"] == 1
     assert "left_transverse_log_curvature_w2" not in results
     assert results["left_norm_hessian_gen1"] == 6
@@ -156,7 +156,7 @@ def test_kernel_task_sums_to_the_echoed_trunc_degree():
     point = (F(1, 3), F(1, 4))
     for degree in (3, 12):
         report = run_task(parse_config(TRUNCATED_KERNEL.format(degree=degree)))
-        results = {r["name"]: r["value"] for r in report.results}
+        results = dict(report.results)
         want = kern.eval_truncated(point, point, degree)
         assert results["kernel_diag_1"] == want.value
         assert report.diagnostics["kernel_diag_1_remainder_bound"] == \
@@ -165,7 +165,7 @@ def test_kernel_task_sums_to_the_echoed_trunc_degree():
 
 def test_run_cubic_task():
     report = run_task(parse_config("[task]\nname = cubic\nalpha = 1\n"))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["positive_root_count"] == 1
     assert results["isolating_interval_1"] == [F(1), F(1)]
 
@@ -183,7 +183,7 @@ catalogue = product_difference
 name = dimension
 points = 0 0; 1/3 1/3
 """))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["localization_dim_1"] == 2
     assert results["stabilized_at_1"] == 3
     assert results["localization_dim_2"] == 1
@@ -204,7 +204,7 @@ generators = z1, z2
 name = compare
 compare_weights = 2 1
 """))
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["equivalent"] is False
     assert results["kappa1_left"] == F(13, 9)
     assert results["kappa1_right"] == F(31, 18)
@@ -240,7 +240,7 @@ def test_metric_task_checks_its_grammian_once(monkeypatch):
     report = run_task(parse_config(METRIC))
     assert len(calls) == 1
     assert is_hermitian_by_pair_loop(calls[0].matrix)
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert results["hermitian"] is True
     assert results["positive_definite"] is True
     base = [[results[f"metric_at_base_{i}{j}"] for j in (1, 2)]
@@ -264,7 +264,7 @@ def test_decompose_task_builds_generator_polys_once(monkeypatch):
     report = run_task(parse_config(METRIC.replace("name = metric",
                                                   "name = decompose")))
     assert len(calls) == 1
-    results = {r["name"]: r["value"] for r in report.results}
+    results = dict(report.results)
     assert [results["generator_1"], results["generator_2"]] == ["z1", "z2^2"]
     assert results["reconstruction_exact"] is True
 
@@ -414,6 +414,16 @@ base_point = {base}
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
+        "config error: base point arity does not match dimension "
+        "(field 'task.base_point')\n")
+
+
+def test_base_point_arity_is_checked_whatever_the_task(tmp_path, capsys):
+    # a kernel job reads no base point, yet a 3-entry one over dimension 2
+    # fails as it does for the frame tasks
+    config = KERNEL_JOB.replace("points = 0 0",
+                                "points = 0 0\nbase_point = 0 0 0")
+    assert _config_error(tmp_path, capsys, "kernel", config) == (
         "config error: base point arity does not match dimension "
         "(field 'task.base_point')\n")
 
@@ -942,3 +952,107 @@ def test_parse_rational_matches_fraction_str(text):
         return value
     assert outcome(cli._parse_rational) == \
         outcome(parse_rational_by_fraction_str)
+
+
+# -- the argv fast path -------------------------------------------------------
+
+
+def test_console_script_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # the submodcurv console script calls main() with no argv
+    path = _write(tmp_path, BASE)
+    for flags in ((), ("--output", "json", "--trunc-degree", "5"),
+                  ("--trunc-degree=5",), ("--point", "0 0")):
+        argv = ["curvature", "--config", path, *flags]
+        code = main(argv)
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli.sys, "argv", ["submodcurv", *argv])
+        assert main() == code
+        assert capsys.readouterr() == expected
+
+
+def test_console_script_help_is_argparse(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli.sys, "argv", ["submodcurv", "kernel", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: submodcurv kernel")
+
+
+_ARGV_TOKENS = [
+    *cli.TASKS, "dance", "--config", "--output", "--trunc-degree",
+    "--ideal-degree", "--point", "--trunc", "--conf", "--config=job.cfg",
+    "--output=json", "-h", "--help", "--", "-", "job.cfg", "", "text",
+    "json", "yaml", "4", "-3", "+5", " 6 ", "1_0", "4.5", "x", "\u0663",
+    "\u00b2", "0", "1/2 0", "-1/2 0", "--point=0 0", "-x", "=4"]
+
+
+_FLAG_VALUES = {
+    "--config": ["job.cfg", "job.cfg", "", "-", "-x", "-h"],
+    "--output": ["text", "json", "yaml"],
+    "--trunc-degree": ["4", "+5", " 6 ", "1_0", "\u0663", "-3", "4.5", "x"],
+    "--ideal-degree": ["6", "0", "\u00b2", "-1"],
+    "--point": ["1/2 0", "-1/2 0", "0", "x", "-h"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv near the canonical form: a task, --config PATH (in most
+    argvs) and flags with values in drawn order, then drawn edits that
+    may break the form."""
+    flags = draw(st.lists(st.sampled_from(list(_FLAG_VALUES)[1:]),
+                          max_size=4, unique=draw(st.booleans())))
+    if draw(st.integers(0, 4)):
+        flags.append("--config")
+    argv = [draw(st.sampled_from(cli.TASKS))]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(st.sampled_from(_ARGV_TOKENS))
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            argv[at] = token
+        else:
+            argv.insert(at, token)
+    return argv
+
+
+def _argparse_namespace(argv):
+    try:
+        return _build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([_argv(), _argv(), _argv(), st.lists(
+    st.sampled_from(_ARGV_TOKENS), max_size=7)]).flatmap(lambda argv: argv))
+def test_canonical_argv_reads_as_argparse_does(argv):
+    # the fast path declines an argv or returns argparse's Namespace, so
+    # every argv argparse refuses is declined and argparse reports it
+    fast = cli._canonical_args(argv)
+    if fast is not None:
+        assert fast == _argparse_namespace(argv)
+
+
+def test_canonical_argv_cases():
+    # the pooled jobs' forms are read; every other form goes to argparse
+    full = ["kernel", "--config", "a.cfg", "--output", "json",
+            "--trunc-degree", "5", "--ideal-degree", "\u0663",
+            "--point", "1/2 0"]
+    assert vars(cli._canonical_args(full)) == {
+        "task": "kernel", "config": "a.cfg", "output": "json",
+        "trunc_degree": 5, "ideal_degree": 3, "point": "1/2 0"}
+    assert cli._canonical_args(full) == _build_parser().parse_args(full)
+    for argv in (["kernel", "--config", "a.cfg", "--config", "b.cfg"],
+                 ["kernel", "--config=a.cfg"],
+                 ["kernel", "--conf", "a.cfg"],
+                 ["kernel", "-h"],
+                 ["kernel", "--config", "a.cfg", "--point", "-1/2 0"],
+                 ["kernel", "--config", "a.cfg", "--trunc-degree", "-3"],
+                 ["kernel", "--config", "a.cfg", "--trunc-degree", "4.5"],
+                 ["kernel", "--config", "a.cfg", "--output", "yaml"],
+                 ["kernel", "--output", "json"],
+                 ["kernel", "--config"], ["dance", "--config", "a.cfg"], []):
+        assert cli._canonical_args(argv) is None, argv

@@ -25,6 +25,10 @@ ideal through its minimal generating set: a generator with a constant
 factor, or one that another generator divides, reports what the minimal
 set reports, while the input echo keeps the generators as given.
 
+Swapping the compare task's two modules, [module] weights with
+compare_weights, swaps every left_/right_ and _left/_right row and keeps
+equivalent, on the lambda-mu path and on the rigidity battery.
+
 The dimension task's report must not depend on the presentation either:
 the generators reordered, or a redundant member appended.  Both are
 strict xfails today (ROADMAP items 4 and 13).
@@ -36,6 +40,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodcurv.cli import JobConfig, parse_config, render_report, run_task
 from submodcurv.polynomials import Poly, parse_poly
@@ -203,3 +209,49 @@ def test_frame_tasks_read_the_minimal_monomial_generators(task, given,
     echo, rows = _frame_report(task, given)
     assert rows == _frame_report(task, minimal)[1]
     assert f"generators = [{', '.join(given)}]" in echo
+
+
+def _compare_rows(dimension, generators, weights, compare_weights):
+    cfg = JobConfig(task="compare", dimension=dimension, weights=weights,
+                    generators=generators, compare_weights=compare_weights)
+    return dict(run_task(cfg).results)
+
+
+def _swap_sides(name):
+    for a, b in (("left", "right"), ("right", "left")):
+        if name.startswith(f"{a}_"):
+            return f"{b}_" + name[len(a) + 1:]
+        if name.endswith(f"_{a}"):
+            return name[:-len(a)] + b
+    return name
+
+
+# (dimension, generators): the bidisc coordinate ideal takes the lambda-mu
+# path, the others the rigidity battery
+COMPARE_IDEALS = [(2, ("z1", "z2")), (2, ("z1^2",)), (3, ("z1", "z2^2")),
+                  (3, ("z3^3",))]
+_weight = st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4)
+
+
+@pytest.mark.parametrize("dimension,generators", COMPARE_IDEALS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_compare_swapped_modules_swap_sides(dimension, generators, data):
+    weights, compare_weights = (
+        tuple(data.draw(st.lists(_weight, min_size=dimension,
+                                 max_size=dimension)))
+        for _ in range(2))
+    rows = _compare_rows(dimension, generators, weights, compare_weights)
+    swapped = _compare_rows(dimension, generators, compare_weights, weights)
+    assert {_swap_sides(name): value for name, value in rows.items()} == \
+        swapped
+    assert "equivalent" in rows
+    assert any(name != _swap_sides(name) for name in rows)
+
+
+@pytest.mark.parametrize("dimension,generators", COMPARE_IDEALS)
+def test_compare_of_a_module_with_itself(dimension, generators):
+    weights = tuple(F(k + 2, 2) for k in range(dimension))
+    rows = _compare_rows(dimension, generators, weights, weights)
+    assert rows["equivalent"] is True
+    assert {_swap_sides(name): value for name, value in rows.items()} == rows

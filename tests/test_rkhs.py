@@ -568,6 +568,47 @@ def test_gram_form_diagonal_never_decreases_in_degree(case):
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def _homogeneous(ideal):
+    return all(len({sum(k) for k in g.coeffs}) == 1
+               for g in ideal.generators)
+
+
+# the _GRAM_IDEALS cases whose generators are homogeneous, and one more
+# module for z1*z2 - z3^2
+_HOMOGENEOUS_GRAM_IDEALS = [
+    case for case in _GRAM_IDEALS if _homogeneous(case[1])] + [
+    (WeightedPolydiscModule(3, (F(1), F(2), F(1, 2))),
+     _ideal(3, "z1*z2 - z3^2"))]
+
+
+@pytest.mark.parametrize("case", range(len(_HOMOGENEOUS_GRAM_IDEALS)))
+def test_gram_form_diagonal_bracket_for_homogeneous_ideals(case):
+    """Monomials are orthogonal, so for homogeneous generators [I] is the
+    orthogonal sum of its graded pieces.  Between degrees N and 9 the
+    diagonal then gains the kernel of the pieces of degree N+1..9: at
+    least 0, and at most the ambient K_9(z, z) - K_N(z, z)."""
+    module, ideal = _HOMOGENEOUS_GRAM_IDEALS[case]
+    top = 9
+    for z in _GRAM_POINTS[module.dim]:
+        high = GramFormKernel.from_ideal(module, ideal, top).eval_exact(z, z)
+        ambient_high = ambient_kernel_bounded(module, z, z, top).value
+        for N in range(ideal.max_degree, 8):
+            low = GramFormKernel.from_ideal(module, ideal, N).eval_exact(z, z)
+            tail = ambient_high - ambient_kernel_bounded(module, z, z, N).value
+            assert low <= high <= low + tail, (N, z)
+
+
+def test_homogeneous_gram_cases():
+    # the bracket covers the named ideals, and skips inhomogeneous ones
+    cases = [(module.weights, ideal.generators)
+             for module, ideal in _HOMOGENEOUS_GRAM_IDEALS]
+    assert ((F(1), F(3, 2)),
+            _ideal(2, "z1^2 + z1*z2 + z2^2").generators) in cases
+    assert ((F(1), F(2), F(1, 2)),
+            _ideal(3, "z1*z2 - z3^2").generators) in cases
+    assert not _homogeneous(_ideal(2, "z1^2 - z2", "z1*z2"))
+
+
 # ---------------------------------------------------------------------------
 # The integer kernel routes against their references in tests/oracles.py,
 # and the remainder bound against the tail it bounds
