@@ -32,7 +32,7 @@ from typing import Optional
 
 from .algebra import iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
-from .linalg import RowEchelon
+from .linalg import RowEchelon, _common_denominator
 from .polynomials import Poly
 
 MONOMIAL = "monomial"
@@ -202,7 +202,12 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
-    centred = [(g.degree, _centre(g.coeffs, w)) for g in ideal.generators]
+    # each q_j cleared to integers once; its shifts are integer rows as is
+    centred = []
+    for g in ideal.generators:
+        q = _centre(g.coeffs, w)
+        ints, _ = _common_denominator(list(q.values()))
+        centred.append((g.degree, dict(zip(q, ints))))
 
     jp_span = RowEchelon()
     dims = []
@@ -215,7 +220,7 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
                 jp_span.add({tuple(map(add, e, beta)): c for e, c in q.items()})
         # d_N = rank(J'_N + span q_j) - rank J'_N, whatever the row order
         probe = RowEchelon(jp_span.rows)
-        dims.append((N, sum(probe.add(q) for _, q in centred)))
+        dims.append((N, sum(probe.add(dict(q)) for _, q in centred)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break

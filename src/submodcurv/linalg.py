@@ -1,18 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  ``BareissFactor`` is the one
-fraction-free (Bareiss) sweep: it runs on a copy whose rows are scaled to
-integers, so intermediate entries stay integral, and moves a row only when
-the next pivot is 0.  Its pivots give determinants and, up to the first
-row move, the leading principal minors; its one integer back-substitution
-answers solves, inverses and u^T A^{-1} v, forming one Fraction per entry.
-``RowEchelon`` tests a stream of sparse rows for independence, reducing
-each new row once, fraction-free, against the primitive integer rows kept
-so far; ranks, the Gram-form basis and the localization span ranks all
-count rows with it, and its back-substitution (one division by each lead)
-gives the null vectors of the Gram-form complement.  Determinants over
-other rings (series, polynomials, complex floats) are
-``algebra.cofactor_det``.
+Matrices are lists of lists of Fraction or int.  ``BareissFactor`` is the
+one fraction-free (Bareiss) sweep: it runs on a copy whose rows are scaled
+to integers (an integer row as it is), so intermediate entries stay
+integral, and moves a row only when the next pivot is 0.  Its pivots give
+determinants and, up to the first row move, the leading principal minors;
+its one integer back-substitution answers solves and inverses, forming one
+Fraction per entry, and gives the Gram-form kernel A^{-1} v as integers
+over one denominator.  ``RowEchelon`` tests a stream of sparse integer rows
+for independence, reducing each new row once, fraction-free, against the
+primitive rows kept so far; a caller clears a rational row once, with
+_common_denominator, and adds integer rows as they are.  Ranks, the
+Gram-form basis and the localization span ranks all count rows with it,
+and its integer back-substitution gives the null vectors of the Gram-form
+complement as integers over one denominator.  Determinants over other
+rings (series, polynomials, complex floats) are ``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from .algebra import rat
 from .errors import ShapeError, SingularityError
 
 
+def _exact(x):
+    """x as an exact rational: an int as it is, anything else through rat."""
+    return x if type(x) is int else rat(x)
+
+
 def _as_matrix(A):
-    M = [[rat(x) for x in row] for row in A]
+    M = [[_exact(x) for x in row] for row in A]
     if M and any(len(r) != len(M[0]) for r in M):
         raise ShapeError("ragged matrix")
     return M
@@ -63,7 +70,8 @@ def mat_rank(A) -> int:
     """Rank: the number of rows a RowEchelon keeps."""
     echelon = RowEchelon()
     for row in _as_matrix(A):
-        echelon.add(dict(enumerate(row)))
+        ints, _ = _common_denominator(row)
+        echelon.add({c: x for c, x in enumerate(ints) if x})
     return len(echelon.rows)
 
 
@@ -165,7 +173,7 @@ class BareissFactor:
             raise SingularityError("matrix is singular; cannot solve")
         if len(v) != n:
             raise ShapeError("vector has wrong length")
-        y, beta = _common_denominator([rat(v[i]) for i in self.perm])
+        y, beta = _common_denominator([_exact(v[i]) for i in self.perm])
         y = [x * self.scalings[i] for x, i in zip(y, self.perm)]
         prev = 1
         for k in range(n - 1):
@@ -181,27 +189,21 @@ class BareissFactor:
             X[k] = acc // pivots[k]
         return X, det * beta
 
-    def inverse_form(self, u, v) -> Fraction:
-        """u^T A^{-1} v, as u . X over d for (X, d) = solve(v)."""
-        X, d = self.solve(v)
-        if len(u) != len(X):
-            raise ShapeError("vector has wrong length")
-        U, gamma = _common_denominator([rat(x) for x in u])
-        return Fraction(sum(a * b for a, b in zip(U, X)), d * gamma)
-
 
 class RowEchelon:
-    """Rows in echelon form, grown one sparse row at a time.
+    """Rows in echelon form, grown one sparse integer row at a time.
 
-    A row is a dict {column: value} of ints or Fractions; columns are any
-    hashable, totally ordered keys (ints, or exponent tuples).  Every kept
-    row is a primitive integer row: its denominators are cleared once and
-    it is divided by its content.  No two kept rows lead at the same
-    (smallest) column, so a new row lies in the span of the kept ones iff
-    reducing it fraction-free by the rows leading at its successive smallest
-    columns leaves nothing.  The number of kept rows is the rank of the rows
-    added.  ``rows`` seeds a copy of another echelon's kept rows; ``add``
-    never mutates a kept row, so the copy may share them.
+    A row is a dict {column: nonzero int}; columns are any hashable, totally
+    ordered keys (ints, or exponent tuples).  ``add`` takes the row over: it
+    reduces it in place, and keeps it as it is when it is independent and
+    primitive, so a caller passes a row it does not read again.  Every kept
+    row is a primitive integer row, divided by its content where that is
+    not 1.  No two kept rows lead at the same (smallest) column, so a new
+    row lies in the span of the kept ones iff reducing it fraction-free by
+    the rows leading at its successive smallest columns leaves nothing.
+    The number of kept rows is the rank of the rows added.  ``rows`` seeds
+    a copy of another echelon's kept rows; ``add`` never mutates a kept
+    row, so the copy may share them.
     """
 
     def __init__(self, rows=()):
@@ -209,15 +211,15 @@ class RowEchelon:
 
     def add(self, row) -> bool:
         """Keep the row if it is independent of the kept rows; say whether."""
-        den = lcm(*(x.denominator for x in row.values()))
-        r = {c: x.numerator * (den // x.denominator)
-             for c, x in row.items() if x}
+        r = row
         while r:
             lead = min(r)
             pivot_row = self.rows.get(lead)
             if pivot_row is None:
                 content = gcd(*r.values())
-                self.rows[lead] = {c: x // content for c, x in r.items()}
+                if content != 1:
+                    r = {c: x // content for c, x in r.items()}
+                self.rows[lead] = r
                 return True
             # r <- a r - b p clears the lead; a, b coprime keep r small
             g = gcd(pivot_row[lead], r[lead])
@@ -233,18 +235,27 @@ class RowEchelon:
         return False
 
     def null_vector(self, free):
-        """The null vector of the kept rows with 1 at a free column (no row
-        leads there) and 0 at every other free column, as a sparse dict of
-        Fractions.  By back-substitution: the leads below the free column,
-        in descending order, each take the value that clears their row
-        (divided by the row's lead entry); the leads above stay 0."""
-        g = {free: Fraction(1)}
+        """(G, D): the null vector of the kept rows with 1 at a free column
+        (no row leads there) and 0 at every other free column, as a sparse
+        dict G of integers over one positive denominator D.  By integer
+        back-substitution: the leads below the free column, in descending
+        order, each take the value -s / (D p) that clears their row, where
+        s is the row against G so far and p its lead entry; with q = p /
+        gcd(s, p), made positive, G and D are scaled by q first, so the new
+        entry is the integer -s / gcd(s, p).  The leads above stay 0."""
+        G, D = {free: 1}, 1
         for lead in sorted((c for c in self.rows if c < free), reverse=True):
             row = self.rows[lead]
-            x = -sum(v * g[c] for c, v in row.items() if c in g)
-            if x:
-                g[lead] = x / row[lead]
-        return g
+            s = -sum(v * G[c] for c, v in row.items() if c in G)
+            if s:
+                p = row[lead]
+                g = gcd(s, p) if p > 0 else -gcd(s, p)
+                q = p // g
+                if q != 1:
+                    G = {c: x * q for c, x in G.items()}
+                    D *= q
+                G[lead] = s // g
+        return G, D
 
 
 def leading_principal_minors(A):

@@ -38,31 +38,38 @@ inclusion-exclusion of such products over the corners gamma_S of generator
 subsets S, and the ambient sum has the one corner 0.  Both closed-form
 kernels go through the same two corner functions: _diagonal_sum to degree
 N with its bound, and its exact twin _diagonal_exact, the full sum in
-closed form, which alone refuses fractional weights.
+closed form, which needs integer weights: each public eval_exact checks
+them once, before its corner calls.
 
-The Gram-form kernel works on the side the ideal removes.  The monomials
-are orthogonal, so it splits along the components of the graph linking the
-monomials of each generator multiple of degree <= N.  Per component, an
-echelon form picks a basis of V_N, the span of those multiples, and
-back-substitution a basis f of its orthogonal complement in the polynomials
-of degree <= N: 2 of them for product_difference at every N, 49 against 35
-in V_N for a principal ideal in three variables at N = 6.  K(z, w) is the
-ambient degree-N sum minus f(z)^T H^{-1} f(w), H the Gram matrix of f,
-built and kept as one block per component (f of different components are
-orthogonal): a division per 1x1 block, a Bareiss sweep per larger one.
+The Gram-form kernel works on the side the ideal removes, in integers
+throughout (fraction-free, as E. Bareiss, Math. Comp. 22, 1968).  The
+monomials are orthogonal, so it splits along the components of the graph
+linking the monomials of each generator multiple of degree <= N, each an
+integer row over additive column keys.  Per component, an echelon form
+picks a basis of V_N, the span of those multiples, and back-substitution
+null vectors g_j = G_j / D_j, whose f_j = c g_j are a basis of the
+orthogonal complement in the polynomials of degree <= N: 2 of them for
+product_difference at every N, 49 against 35 in V_N for a principal
+ideal in three variables at N = 6.  With c_a = C_a / den, K(z, w) is the
+ambient degree-N sum minus f(z)^T H^{-1} f(w) = F(z)^T M^{-1} F(w) / den
+for the integers F_j = sum_a C_a G_j[a] z^a and M_jk = sum_a C_a G_j[a]
+G_k[a], kept as one block per component: a sign check per 1x1 block, a
+Bareiss sweep per larger one, and one Fraction per value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import getitem, mul
 from typing import Optional
 
 from .algebra import exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
-from .linalg import BareissFactor, RowEchelon
-from .polynomials import Poly
+from .linalg import (BareissFactor, RowEchelon, _cleared_int_rows,
+                     _common_denominator)
 import math
 
 
@@ -119,7 +126,7 @@ def _check_point(module, point, label="point"):
     pt = tuple(rat(x) for x in point)
     if len(pt) != module.dim:
         raise ShapeError(f"{label} has arity {len(pt)}, expected {module.dim}")
-    if any(abs(x) >= 1 for x in pt):
+    if any(abs(x.numerator) >= x.denominator for x in pt):
         raise DomainError(f"{label} {pt} is not inside the open polydisc")
     return pt
 
@@ -230,26 +237,28 @@ def _graded_sum(series, gamma, N: int) -> int:
     return sum(ca * prefix[N - a] for a, ca in enumerate(acc) if ca)
 
 
-def _diagonal_value(module, corners, x, N: int) -> Fraction:
+def _diagonal_integers(module, corners, x, N: int):
     """Degree-N diagonal sum at x_i = z_i w_i over the exponents above some
-    corner, by inclusion-exclusion with the given signs."""
+    corner, by inclusion-exclusion with the given signs, as (total, den)
+    for the integers total and den > 0 with the sum total / den."""
     series = [_slot_series(l, xi, N) for l, xi in zip(module.weights, x)]
     total = sum(sign * _graded_sum(series, gamma, N) for gamma, sign in corners)
-    return Fraction(total, math.prod(s[0] for s in series))
+    return total, math.prod(s[0] for s in series)
 
 
 def _diagonal_sum(module, corners, z, w, N: int) -> Bounded:
     """The degree-N diagonal sum and its remainder bound: the filtered
     diagonal is dominated termwise by the full one."""
     x = [zi * wi for zi, wi in zip(z, w)]
-    return Bounded(_diagonal_value(module, corners, x, N),
+    return Bounded(Fraction(*_diagonal_integers(module, corners, x, N)),
                    _diagonal_tail_bound(sum(module.weights),
                                         max(map(abs, x)), N))
 
 
 def _diagonal_exact(module, corners, z, w) -> Fraction:
     """The full diagonal sum over the exponents above some corner, in closed
-    form: the exact twin of _diagonal_sum.
+    form: the exact twin of _diagonal_sum, at integer weights, which each
+    public caller checks once (_require_integer_weights).
 
     Over the exponents a >= g in one slot, sum poch(l, a)/a! x^a is the
     binomial series (1 - x)^(-l) minus a polynomial, which is rational iff
@@ -260,10 +269,6 @@ def _diagonal_exact(module, corners, z, w) -> Fraction:
     is then one product of integers, and the sum one Fraction.  At the
     ambient corner 0 it is prod_i d_i^l_i / (d_i - n_i)^l_i.
     """
-    if not module.has_integer_weights():
-        raise DomainError(
-            "closed-form evaluation needs integer weights; "
-            "use eval_truncated for fractional weights")
     reach = map(max, zip(*(g for g, _ in corners)))
     tails, denominator = [], 1
     for l, zi, wi, G in zip(module.weights, z, w, reach):
@@ -280,6 +285,14 @@ def _diagonal_exact(module, corners, z, w) -> Fraction:
     total = sum(sign * math.prod(row[g] for row, g in zip(tails, gamma))
                 for gamma, sign in corners)
     return Fraction(total, denominator)
+
+
+def _require_integer_weights(module):
+    """_diagonal_exact's precondition, checked once per public eval_exact."""
+    if not module.has_integer_weights():
+        raise DomainError(
+            "closed-form evaluation needs integer weights; "
+            "use eval_truncated for fractional weights")
 
 
 def _ambient_corners(module):
@@ -336,6 +349,7 @@ class DiagonalFilteredKernel:
         integer weights only."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
+        _require_integer_weights(self.module)
         return _diagonal_exact(self.module, self.corners, z, w)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
@@ -372,6 +386,7 @@ class RankOneCorrectedKernel:
     def eval_exact(self, z, w) -> Fraction:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
+        _require_integer_weights(self.module)
         return self._eval(z, w, lambda x, y: _diagonal_exact(
             self.module, self.corners, x, y), None)
 
@@ -384,10 +399,11 @@ class RankOneCorrectedKernel:
             self.module, self.corners, x, y, N), N)
 
 
-def _components(n, groups):
-    """The components of 0..n-1 once the indices of each group are joined,
-    each in increasing order, ordered by their least index (union-find)."""
-    parent = list(range(n))
+def _components(columns, groups):
+    """The components of the columns (given in increasing order) once the
+    columns of each group are joined, each in increasing order, ordered by
+    their least column (union-find)."""
+    parent = {k: k for k in columns}
 
     def find(k):
         while parent[k] != k:
@@ -398,9 +414,24 @@ def _components(n, groups):
         for r in rest:
             parent[r] = root
     out = {}
-    for k in range(n):
+    for k in columns:
         out.setdefault(find(k), []).append(k)
     return list(out.values())
+
+
+@lru_cache(maxsize=64)
+def _gram_columns(m: int, N: int):
+    """(monomials, keys, exponent_of, units): the exponents of degree <= N
+    in iter_multiindices order, their column keys, the exponent of each key
+    and the keys of the unit exponents.  key(a) = |a| B^m - sum_i a_i
+    B^(m-1-i) with B = N + 1 orders the exponents as iter_multiindices does
+    (by degree, then descending lex) and is additive, so the columns of
+    z^beta p_j are the keys of p_j's exponents plus key(beta).  Cached per
+    (m, N); callers only read the result."""
+    units = tuple((N + 1) ** m - (N + 1) ** (m - 1 - i) for i in range(m))
+    monomials = tuple(iter_multiindices(m, N))
+    keys = tuple(sum(map(mul, a, units)) for a in monomials)
+    return monomials, keys, dict(zip(keys, monomials)), units
 
 
 class GramFormKernel:
@@ -409,49 +440,52 @@ class GramFormKernel:
 
     P_N is the orthogonal sum of V_N and its complement W_N, so
     K_{V_N} = K_{P_N} - K_{W_N}: the ambient degree-N diagonal sum minus
-    the kernel f(z)^T H^{-1} f(w) of W_N, where f is a basis of W_N
-    (``complement``) and H its exact Gram matrix.  For product_difference
-    W_N has two polynomials at any N, against C(N+2, 2) - 2 in V_N.
+    the kernel f(z)^T H^{-1} f(w) of W_N, where f is a basis of W_N and H
+    its exact Gram matrix.  For product_difference W_N has two
+    polynomials at any N, against C(N+2, 2) - 2 in V_N.
+
+    All of it is kept in integers.  With g_j = G_j / D_j the j-th null
+    vector and c_a = C_a / den, f_j = C G_j / (den D_j) coefficientwise:
+    ``terms[j]`` holds F_j, the integer terms (a, C_a G_j[a]), and
+    ``scales[j]`` is D_j.  ``gram`` holds one integer block (indices, M_c)
+    per component, whose f are orthogonal to every other block's, with
+    M_jk = sum_a C_a G_j[a] G_k[a] = den D_j D_k H_jk.  So
+    f(z)^T H^{-1} f(w) = F(z)^T M^{-1} F(w) / den: evaluation reads the
+    integers as they are and forms one Fraction, at its close.  Each M_c
+    must be positive definite, as H_c is, since its leading minors are
+    those of H_c times den^k prod D_j^2: a 1x1 block needs M_jj > 0, each
+    larger one gets one Bareiss sweep, whose pivots give its check and
+    whose factors eval_exact uses.
 
     ``basis`` holds a maximal independent subset of {z^beta p_j} with
-    deg <= N, picked greedily in a deterministic order; it spans V_N
-    (len(basis) = dim V_N) and is not evaluated.  H is kept as
-    ``blocks = ((indices, H_c), ...)``, one per component, whose f are
-    orthogonal to every other's.  Each H_c must be positive definite: a
-    1x1 block is one division; each larger one gets one Bareiss sweep,
-    whose pivots give its check and whose factors eval_exact uses.
+    deg <= N, picked greedily in a deterministic order, as the pairs
+    (p_j, beta): it spans V_N, and len(basis) = dim V_N.
     """
 
     variant = "gram_form"
 
-    def __init__(self, module: WeightedPolydiscModule, basis, complement,
-                 blocks, trunc_degree: int):
+    def __init__(self, module: WeightedPolydiscModule, basis, terms, scales,
+                 gram, den: int, trunc_degree: int):
         self.module = module
         self.basis = tuple(basis)
-        self.complement = tuple(complement)
-        self.blocks = tuple(blocks)
         self.trunc_degree = trunc_degree
-        # each f as integer terms over one common denominator
-        self._den = math.lcm(*(c.denominator for f in self.complement
-                               for c in f.coeffs.values()))
-        self._terms = [[(a, c.numerator * (self._den // c.denominator))
-                        for a, c in f.coeffs.items()]
-                       for f in self.complement]
+        self.terms, self.scales = tuple(terms), tuple(scales)
+        self.gram, self.den = tuple(gram), den
+        self._exponents = {a for F in self.terms for a, _ in F}
         singles, self._factors = [], []
-        for block, H in self.blocks:
+        for block, M in self.gram:
             if len(block) == 1:
-                minors = [rat(H[0][0])]
-                singles.append((block[0], minors[0]))
+                minors = [M[0][0]]
+                singles.append((block[0], M[0][0]))
             else:
-                factor = BareissFactor(H)
+                factor = BareissFactor(M)
                 minors = factor.leading_minors()
                 self._factors.append((block, factor))
             if any(d <= 0 for d in minors):
                 raise DomainError("Gram matrix is not positive definite")
-        # 1 / H_jj over the 1x1 blocks, as integer multiples of 1 / _single_den
-        self._single_den = math.lcm(*(h.numerator for _, h in singles))
-        self._singles = [(j, self._single_den // h.numerator * h.denominator)
-                         for j, h in singles]
+        # 1 / M_jj over the 1x1 blocks, as integer multiples of 1 / _single_den
+        self._single_den = math.lcm(*(h for _, h in singles))
+        self._singles = [(j, self._single_den // h) for j, h in singles]
 
     @staticmethod
     def from_ideal(module: WeightedPolydiscModule, ideal: IdealSpec,
@@ -460,77 +494,90 @@ class GramFormKernel:
             raise TruncationError(
                 f"truncation degree {trunc_degree} is below the maximal "
                 f"generator degree {ideal.max_degree}")
-        m = module.dim
-        candidates = []
+        m, N = module.dim, trunc_degree
+        monomials, keys, exponent_of, units = _gram_columns(m, N)
+        pairs, rows = [], []
         for g in ideal.generators:
-            for beta in iter_multiindices(m, trunc_degree - g.degree):
-                candidates.append(g.shift_by_monomial(beta))
-        monomials = list(iter_multiindices(m, trunc_degree))
-        index = {a: k for k, a in enumerate(monomials)}
-        rows = [{index[k]: v for k, v in p.coeffs.items()} for p in candidates]
+            ints, _ = _common_denominator(list(g.coeffs.values()))
+            terms = [(sum(map(mul, e, units)), c)
+                     for e, c in zip(g.coeffs, ints)]
+            # the shifts beta, |beta| <= N - deg p_j, lead the column order
+            shifts = math.comb(N - g.degree + m, m)
+            for beta, shift in zip(monomials[:shifts], keys):
+                pairs.append((g, beta))
+                rows.append({k + shift: c for k, c in terms})
         # the monomials are orthogonal, so P_N, V_N and W_N split along the
         # components of the graph linking the monomials of each candidate:
         # one echelon form per component, together the one over all rows
-        components = _components(len(monomials), rows)
+        components = _components(keys, rows)
         echelon_of = {k: e for cols in components
                       for e in [RowEchelon()] for k in cols}
         # greedy maximal independent subset, deterministic given the order:
         # a candidate is kept iff it leaves a residual against those kept
-        chosen = [p for p, row in zip(candidates, rows)
+        chosen = [pair for pair, row in zip(pairs, rows)
                   if echelon_of[next(iter(row))].add(row)]
         # f is in the complement iff <f, v> = sum_a f_a v_a / c_a = 0 for
         # every row v, i.e. g = f / c is a null vector of the echelon rows;
         # one g per free column, the complement in free-column order
         position = {k: j for j, k in enumerate(
-            k for k in range(len(monomials)) if k not in echelon_of[k].rows)}
-        slots = diag_coeff_slots(module, trunc_degree)
-        complement, blocks = [None] * len(position), []
+            k for k in keys if k not in echelon_of[k].rows)}
+        # c_a = prod_i slots[i][a_i] / den from the cleared slot rows
+        slots, dens = _cleared_int_rows(diag_coeff_slots(module, N))
+        den = math.prod(dens)
+        n = len(position)
+        terms, scales, gram = [None] * n, [None] * n, []
         for cols in components:
             block = [k for k in cols if k in position]
             if not block:
                 continue
             nulls = [echelon_of[k].null_vector(k) for k in block]
-            # c_a only where some g of the component is nonzero
-            coeff = {k: math.prod(row[e] for row, e in zip(slots, monomials[k]))
-                     for k in set().union(*nulls)}
-            fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
-            for k, f in zip(block, fs):
-                complement[position[k]] = Poly(
-                    m, {monomials[a]: x for a, x in f.items()})
-            # H_c[j][k] = <f_j, f_k> = sum_a f_j[a] g_k[a]
-            blocks.append((tuple(position[k] for k in block),
-                           [[sum(x * g[a] for a, x in f.items() if a in g)
-                             for g in nulls] for f in fs]))
-        return GramFormKernel(module, chosen, complement, blocks, trunc_degree)
+            # C_a only where some G of the component is nonzero
+            coeff = {a: math.prod(map(getitem, slots, exponent_of[a]))
+                     for a in set().union(*(G for G, _ in nulls))}
+            fs = [{a: coeff[a] * x for a, x in G.items()} for G, _ in nulls]
+            for k, F, (_, D) in zip(block, fs, nulls):
+                j = position[k]
+                terms[j] = [(exponent_of[a], x) for a, x in F.items()]
+                scales[j] = D
+            # M_c[j][k] = sum_a C_a G_j[a] G_k[a] = sum_a F_j[a] G_k[a]
+            gram.append((tuple(position[k] for k in block),
+                         [[sum(x * G[a] for a, x in F.items() if a in G)
+                           for G, _ in nulls] for F in fs]))
+        return GramFormKernel(module, chosen, terms, scales, gram, den, N)
 
     def _complement_at(self, point):
-        """(F, scale) with f(point) = F / scale for integers F, from one table
+        """(F, scale) with F(point) = F / scale for integers F, from one table
         of per-slot powers: with point_i = n_i/d_i, row i holds
-        n_i^e d_i^(N-e), so that z^a is prod_i row_i[a_i] / prod_i d_i^N."""
+        n_i^e d_i^(N-e), so that z^a is prod_i row_i[a_i] / prod_i d_i^N,
+        taken once per exponent of the terms."""
         N = self.trunc_degree
-        table = [[x.numerator ** e * x.denominator ** (N - e)
-                  for e in range(N + 1)] for x in point]
-        scale = self._den * math.prod(x.denominator for x in point) ** N
-        return [sum(c * math.prod(row[e] for row, e in zip(table, a))
-                    for a, c in terms) for terms in self._terms], scale
+        table = [[n ** e * d ** (N - e) for e in range(N + 1)]
+                 for n, d in (x.as_integer_ratio() for x in point)]
+        scale = math.prod(x.denominator for x in point) ** N
+        power = {a: math.prod(map(getitem, table, a))
+                 for a in self._exponents}
+        return [sum(c * power[a] for a, c in terms)
+                for terms in self.terms], scale
 
     def eval_exact(self, z, w) -> Fraction:
-        """sum_{|a|<=N} c_a (zw)^a - f(z)^T H^{-1} f(w); exact for every
-        rational weight vector."""
+        """sum_{|a|<=N} c_a (zw)^a - F(z)^T M^{-1} F(w) / den; exact for
+        every rational weight vector."""
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
-        value = _diagonal_value(self.module, _ambient_corners(self.module),
-                                [zi * wi for zi, wi in zip(z, w)],
-                                self.trunc_degree)
+        total, value_den = _diagonal_integers(
+            self.module, _ambient_corners(self.module),
+            [zi * wi for zi, wi in zip(z, w)], self.trunc_degree)
         fz, sz = self._complement_at(z)
         fw, sw = (fz, sz) if w == z else self._complement_at(w)
-        # F(z)^T H^{-1} F(w), block by block, over the scales at the end
-        form = Fraction(sum(fz[j] * fw[j] * c for j, c in self._singles),
-                        self._single_den)
+        # F(z)^T M^{-1} F(w) = num / form_den, block by block
+        num = sum(fz[j] * fw[j] * c for j, c in self._singles)
+        form_den = self._single_den
         for block, factor in self._factors:
-            form += factor.inverse_form([fz[j] for j in block],
-                                        [fw[j] for j in block])
-        return value - form / (sz * sw)
+            X, d = factor.solve([fw[j] for j in block])
+            num = num * d + form_den * sum(fz[j] * x for j, x in zip(block, X))
+            form_den *= d
+        scale = form_den * self.den * sz * sw
+        return Fraction(total * scale - num * value_den, value_den * scale)
 
     def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
         # the Gram form *is* the degree-truncated kernel; no analytic tail

@@ -26,9 +26,13 @@ Fraction, the nullspace reference.  The kernel routes are here
 too: the remainder bound, the integer-weight ambient kernel
 (ambient_kernel_exact, public until no kernel called it) and the monomial
 closed form in Fractions, the rank-one correction with all four ambient
-evaluations, and the Gram complement from the full table of c_a; with
-them the monomial inner product that the Gram-form tests build Gram
-matrices from.  Last, the public API that nothing but the tests read:
+evaluations, the Gram complement from the full table of c_a, and the
+Gram form on the Fraction route (a Poly per candidate, the Fraction null
+vector, c_a and H in Fractions, and u^T A^{-1} v as one Fraction per
+block), with the Fraction views of an integer GramFormKernel and its
+constructor from Fraction blocks; with them the monomial inner product
+that the Gram-form tests build Gram matrices from, and the integer row
+that RowEchelon takes.  Last, the public API that nothing but the tests read:
 evaluation, coefficient lookup and conjugation of term maps, the mixed
 Hessian and line curvature of a scalar metric, the nullspace, the Hardy
 module, coordinate-power ideals, the zero-set descriptors (the reference
@@ -60,11 +64,13 @@ from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                LocalizationResult)
 from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
-from submodcurv.linalg import RowEchelon, mat_det, mat_inverse, mat_mul
+from submodcurv.linalg import (BareissFactor, RowEchelon, _common_denominator,
+                               mat_det, mat_inverse, mat_mul)
 from submodcurv.polynomials import Poly, _Tokenizer
-from submodcurv.rkhs import (DiagonalFilteredKernel, RankOneCorrectedKernel,
-                             WeightedPolydiscModule, _check_point,
-                             _components, ambient_kernel_bounded, diag_coeff,
+from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
+                             RankOneCorrectedKernel, WeightedPolydiscModule,
+                             _check_point, _components,
+                             ambient_kernel_bounded, diag_coeff,
                              diag_coeff_slots)
 
 
@@ -252,10 +258,33 @@ def nullspace(A):
     ncols = len(M[0])
     echelon = RowEchelon()
     for row in M:
-        echelon.add(dict(enumerate(row)))
+        echelon.add(cleared_row(dict(enumerate(row))))
     free = [c for c in range(ncols) if c not in echelon.rows]
-    return [[g.get(c, Fraction(0)) for c in range(ncols)]
-            for g in map(echelon.null_vector, free)]
+    return [[Fraction(G.get(c, 0), D) for c in range(ncols)]
+            for G, D in map(echelon.null_vector, free)]
+
+
+def cleared_row(row: dict) -> dict:
+    """A rational row {column: value} as the integer row that RowEchelon
+    takes: cleared by linalg._common_denominator, zeros dropped; a fresh
+    dict, which add may keep or reduce."""
+    ints, _ = _common_denominator(list(row.values()))
+    return {c: x for c, x in zip(row, ints) if x}
+
+
+def null_vector_by_fractions(echelon: RowEchelon, free) -> dict:
+    """The Fraction back-substitution that RowEchelon.null_vector's integer
+    one replaced: the null vector of the kept rows with 1 at the free column
+    and 0 at every other free column, as a sparse dict of Fractions; the
+    leads below the free column, in descending order, each take the value
+    that clears their row (divided by the row's lead entry)."""
+    g = {free: Fraction(1)}
+    for lead in sorted((c for c in echelon.rows if c < free), reverse=True):
+        row = echelon.rows[lead]
+        x = -sum(v * g[c] for c, v in row.items() if c in g)
+        if x:
+            g[lead] = x / row[lead]
+    return g
 
 
 def hardy(dim: int) -> WeightedPolydiscModule:
@@ -645,22 +674,22 @@ def gram_complement_by_full_table(module: WeightedPolydiscModule,
     """(complement, gram): GramFormKernel.from_ideal's complement and its
     full n x n Gram matrix, with c_a tabulated, as a product of Fractions,
     for every monomial of degree <= N: the same components, echelon forms
-    and null vectors, then f = c g and H_jk = sum_a f_j[a] g_k[a] inside a
-    component, 0 across components."""
+    and null vectors (in Fractions), then f = c g and H_jk = sum_a f_j[a]
+    g_k[a] inside a component, 0 across components."""
     m = module.dim
     monomials = list(iter_multiindices(m, degree))
     index = {a: k for k, a in enumerate(monomials)}
     rows = [{index[k]: v for k, v in g.shift_by_monomial(beta).coeffs.items()}
             for g in ideal.generators
             for beta in iter_multiindices(m, degree - g.degree)]
-    echelon_of = {k: e for cols in _components(len(monomials), rows)
+    echelon_of = {k: e for cols in _components(range(len(monomials)), rows)
                   for e in [RowEchelon()] for k in cols}
     for row in rows:
-        echelon_of[next(iter(row))].add(row)
+        echelon_of[next(iter(row))].add(cleared_row(row))
     slots = diag_coeff_slots(module, degree)
     coeff = [math.prod(row[e] for row, e in zip(slots, a)) for a in monomials]
     free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
-    nulls = [echelon_of[k].null_vector(k) for k in free]
+    nulls = [null_vector_by_fractions(echelon_of[k], k) for k in free]
     fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
     complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
                   for f in fs]
@@ -672,6 +701,113 @@ def gram_complement_by_full_table(module: WeightedPolydiscModule,
                 gram[j][k] = gram[k][j] = sum(
                     x * gk[a] for a, x in fj.items() if a in gk)
     return complement, gram
+
+
+def inverse_form(factor: BareissFactor, u, v) -> Fraction:
+    """u^T A^{-1} v for the factored A, as u . X over d for (X, d) =
+    factor.solve(v): the one Fraction the Gram form's blocks formed before
+    eval_exact kept them as integers to its close."""
+    X, d = factor.solve(v)
+    if len(u) != len(X):
+        raise ShapeError("vector has wrong length")
+    U, gamma = _common_denominator([rat(x) for x in u])
+    return Fraction(sum(a * b for a, b in zip(U, X)), d * gamma)
+
+
+def gram_complement(K: GramFormKernel) -> list:
+    """The complement f of a GramFormKernel as polynomials, from its
+    integers: f_j has coefficient F_j[a] / (den D_j) at z^a."""
+    return [Poly(K.module.dim, {a: Fraction(x, K.den * D) for a, x in F})
+            for F, D in zip(K.terms, K.scales)]
+
+
+def gram_blocks(K: GramFormKernel) -> list:
+    """((indices, H_c), ...) of a GramFormKernel as Fraction matrices, from
+    its integer blocks: H_jk = M_jk / (den D_j D_k)."""
+    D = K.scales
+    return [(block, [[Fraction(x, K.den * D[j] * D[k])
+                      for k, x in zip(block, row)]
+                     for j, row in zip(block, M)])
+            for block, M in K.gram]
+
+
+@dataclass
+class FractionGramForm:
+    """The Gram form on the Fraction route that GramFormKernel.from_ideal's
+    integer route replaced: a Poly per candidate z^beta p_j, the Fraction
+    null vectors, c_a and f as Fraction products, and H_c as Fraction sums.
+    ``evaluate(z, w)`` is the ambient degree-N sum minus
+    sum_c f_c(z)^T H_c^{-1} f_c(w), one BareissFactor per block."""
+    module: WeightedPolydiscModule
+    degree: int
+    basis: list
+    complement: list
+    blocks: list
+
+    def evaluate(self, z, w) -> Fraction:
+        fz = [evaluate_poly(f, z) for f in self.complement]
+        fw = [evaluate_poly(f, w) for f in self.complement]
+        form = sum(inverse_form(BareissFactor(H), [fz[j] for j in block],
+                                [fw[j] for j in block])
+                   for block, H in self.blocks)
+        return ambient_kernel_bounded(self.module, z, w,
+                                      self.degree).value - form
+
+
+def gram_form_by_fractions(module: WeightedPolydiscModule, ideal: IdealSpec,
+                           degree: int) -> FractionGramForm:
+    """GramFormKernel.from_ideal on the Fraction route: the same candidate
+    order, components, greedy basis, free columns and blocks."""
+    m = module.dim
+    candidates = [g.shift_by_monomial(beta) for g in ideal.generators
+                  for beta in iter_multiindices(m, degree - g.degree)]
+    monomials = list(iter_multiindices(m, degree))
+    index = {a: k for k, a in enumerate(monomials)}
+    rows = [{index[k]: v for k, v in p.coeffs.items()} for p in candidates]
+    components = _components(range(len(monomials)), rows)
+    echelon_of = {k: e for cols in components
+                  for e in [RowEchelon()] for k in cols}
+    basis = [p for p, row in zip(candidates, rows)
+             if echelon_of[next(iter(row))].add(cleared_row(row))]
+    position = {k: j for j, k in enumerate(
+        k for k in range(len(monomials)) if k not in echelon_of[k].rows)}
+    slots = diag_coeff_slots(module, degree)
+    complement, blocks = [None] * len(position), []
+    for cols in components:
+        block = [k for k in cols if k in position]
+        if not block:
+            continue
+        nulls = [null_vector_by_fractions(echelon_of[k], k) for k in block]
+        coeff = {k: math.prod(row[e] for row, e in zip(slots, monomials[k]))
+                 for k in set().union(*nulls)}
+        fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
+        for k, f in zip(block, fs):
+            complement[position[k]] = Poly(
+                m, {monomials[a]: x for a, x in f.items()})
+        blocks.append((tuple(position[k] for k in block),
+                       [[sum(x * g[a] for a, x in f.items() if a in g)
+                         for g in nulls] for f in fs]))
+    return FractionGramForm(module, degree, basis, complement, blocks)
+
+
+def gram_form_from_fractions(module: WeightedPolydiscModule, complement,
+                             blocks, degree: int) -> GramFormKernel:
+    """A GramFormKernel over a given complement f and Gram blocks H in
+    Fractions, as the constructor takes them in integers: D_j the least
+    denominator of f_j and den the least integer that clears every
+    H_jk D_j D_k, so that F_j = den D_j f_j and M_jk = den D_j D_k H_jk."""
+    scales = [math.lcm(*(c.denominator for c in f.coeffs.values()))
+              for f in complement]
+    den = math.lcm(*(Fraction(x * scales[j] * scales[k]).denominator
+                     for block, H in blocks
+                     for j, row in zip(block, H) for k, x in zip(block, row)))
+    terms = [[(a, int(c * den * D)) for a, c in f.coeffs.items()]
+             for f, D in zip(complement, scales)]
+    gram = [(block, [[int(x * den * scales[j] * scales[k])
+                      for k, x in zip(block, row)]
+                     for j, row in zip(block, H)])
+            for block, H in blocks]
+    return GramFormKernel(module, (), terms, scales, gram, den, degree)
 
 
 def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:

@@ -51,15 +51,15 @@ def test_golden_kernel_runs_the_remainder_bound_loop(monkeypatch, capsys):
 
 def test_golden_kernel_runs_a_gram_block(monkeypatch, capsys):
     """Some golden kernel report evaluates a Gram block larger than 1x1,
-    so BareissFactor.inverse_form runs on a pinned report."""
+    so BareissFactor.solve runs on a pinned report."""
     sizes = []
-    inverse_form = linalg.BareissFactor.inverse_form
+    solve = linalg.BareissFactor.solve
 
-    def recorded(self, u, v):
-        sizes.append(len(u))
-        return inverse_form(self, u, v)
+    def recorded(self, v):
+        sizes.append(len(v))
+        return solve(self, v)
 
-    monkeypatch.setattr(linalg.BareissFactor, "inverse_form", recorded)
+    monkeypatch.setattr(linalg.BareissFactor, "solve", recorded)
     for config in CONFIGS:
         if config.parent.name == "kernel":
             assert main(["kernel", "--config", str(config)]) == 0

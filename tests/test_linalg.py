@@ -12,7 +12,8 @@ from submodcurv.linalg import (BareissFactor, RowEchelon,
                                leading_principal_minors, mat_det, mat_inverse,
                                mat_mul, mat_rank, mat_solve)
 
-from oracles import _rref, is_positive_definite, mat_identity, nullspace
+from oracles import (_rref, cleared_row, inverse_form, is_positive_definite,
+                     mat_identity, nullspace)
 
 
 def _brute_det(m):
@@ -192,10 +193,10 @@ def test_inverse_form_matches_gauss_jordan(a, data):
     if pivots[:n] != list(range(n)):
         assert factor.singular
         with pytest.raises(SingularityError):
-            factor.inverse_form(u, v)
+            inverse_form(factor, u, v)
         return
     x = [row[n] for row in R]
-    assert factor.inverse_form(u, v) == sum(p * q for p, q in zip(u, x))
+    assert inverse_form(factor, u, v) == sum(p * q for p, q in zip(u, x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,12 +228,12 @@ def test_bareiss_inverse_form_matches_solve():
         factor = BareissFactor(a)
         if factor.singular:
             with pytest.raises(SingularityError):
-                factor.inverse_form([F(1)] * n, [F(1)] * n)
+                inverse_form(factor, [F(1)] * n, [F(1)] * n)
             continue
         u = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
         v = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
         x = mat_solve(a, v)
-        assert factor.inverse_form(u, v) == sum(p * q for p, q in zip(u, x))
+        assert inverse_form(factor, u, v) == sum(p * q for p, q in zip(u, x))
 
 
 def _is_primitive_integer_row(row):
@@ -272,7 +273,8 @@ def test_row_echelon_keeps_what_raises_the_rank():
             echelon, kept = RowEchelon(), []
             for row in rows:
                 independent = mat_rank(kept + [row]) > len(kept)
-                assert echelon.add(dict(enumerate(row))) == independent
+                assert echelon.add(cleared_row(dict(enumerate(row)))) == \
+                    independent
                 if independent:
                     kept.append(row)
             assert len(echelon.rows) == mat_rank(rows)
@@ -283,10 +285,10 @@ def test_row_echelon_keeps_what_raises_the_rank():
 def test_row_echelon_copy_shares_rows_without_growing_them():
     echelon = RowEchelon()
     echelon.add({0: 2, 1: 4, 2: 6})
-    echelon.add({1: F(3, 2), 2: 9})
+    echelon.add(cleared_row({1: F(3, 2), 2: 9}))
     before = {lead: dict(r) for lead, r in echelon.rows.items()}
     probe = RowEchelon(echelon.rows)
-    assert not probe.add({0: 1, 1: F(7, 2), 2: 12})
+    assert not probe.add(cleared_row({0: 1, 1: F(7, 2), 2: 12}))
     assert probe.add({2: 5}) and len(probe.rows) == 3
     assert echelon.rows == before and len(echelon.rows) == 2
 
@@ -300,12 +302,12 @@ def test_null_vector_with_non_unit_leads_matches_rref_reference():
               for _ in range(ncols)] for _ in range(nrows)]
         echelon = RowEchelon()
         for row in a:
-            echelon.add(dict(enumerate(row)))
+            echelon.add(cleared_row(dict(enumerate(row))))
         seen_non_unit += any(abs(r[lead]) != 1
                              for lead, r in echelon.rows.items())
         free = [c for c in range(ncols) if c not in echelon.rows]
-        got = [[g.get(c, F(0)) for c in range(ncols)]
-               for g in map(echelon.null_vector, free)]
+        got = [[F(G.get(c, 0), D) for c in range(ncols)]
+               for G, D in map(echelon.null_vector, free)]
         assert got == _rref_nullspace(a)
         for v in got:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)

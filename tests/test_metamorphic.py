@@ -31,7 +31,9 @@ equivalent, on the lambda-mu path and on the rigidity battery.
 
 The dimension task's report must not depend on the presentation either:
 the generators reordered, or a redundant member appended.  Both are
-strict xfails today (ROADMAP items 4 and 13).
+strict xfails today (ROADMAP items 4 and 13), and so is the kernel task
+with a redundant member whose degree is below the top degree of the
+generators it is built from (ROADMAP item 15).
 """
 
 import dataclasses
@@ -120,6 +122,24 @@ def test_kernel_results_depend_on_the_submodule(name):
     assert want[0] == "gram_form"
     for relation, other, points in _presentations(gens, cfg.points):
         assert _results(cfg, other, points) == want, relation
+
+
+# V_N is the span of the generator multiples of degree <= N, which can be
+# smaller than I cap P_N; a redundant member of lower degree then enlarges
+# it.  ROADMAP item 15 builds the Gram form from a reduced Groebner basis.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: appending z1^2, "
+                   "which lies in <z1 - z2^2, z2^3>, enlarges V_6 (gram "
+                   "basis 22 -> 25) and moves kernel_diag_1")
+def test_kernel_results_survive_a_redundant_member_of_lower_degree():
+    cfg = JobConfig(task="kernel", dimension=2, weights=(F(1), F(2)),
+                    generators=("z1 - z2^2", "z2^3"),
+                    points=((F(1, 3), F(1, 5)),), ideal_degree=6)
+    p, q = (parse_poly(src, 2) for src in cfg.generators)
+    z1, z2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    member = (z1 + z2 ** 2) * p + z2 * q
+    assert member == z1 ** 2
+    assert _results(cfg, [p, q, member], cfg.points) == \
+        _results(cfg, [p, q], cfg.points)
 
 
 def _permute(poly: Poly, perm) -> Poly:

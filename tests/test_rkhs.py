@@ -27,11 +27,16 @@ def _ideal(m, *srcs):
     return IdealSpec(m, tuple(parse_poly(g, m) for g in srcs))
 
 
+def _basis_polys(K):
+    """K.basis as polynomials: z^beta p_j for each pair (p_j, beta)."""
+    return [p.shift_by_monomial(beta) for p, beta in K.basis]
+
+
 def _assembled_gram(K):
-    """The full Gram matrix of K.complement, zero outside K.blocks."""
-    n = len(K.complement)
+    """The full Gram matrix of K's complement, zero outside its blocks."""
+    n = len(K.terms)
     H = [[F(0)] * n for _ in range(n)]
-    for block, Hc in K.blocks:
+    for block, Hc in oracles.gram_blocks(K):
         for j, row in zip(block, Hc):
             for k, x in zip(block, row):
                 H[j][k] = x
@@ -347,13 +352,14 @@ def test_gram_form_matches_rank_scan_and_solve(degree, case):
     the complement correction."""
     module, ideal = _GRAM_IDEALS[case]
     K = GramFormKernel.from_ideal(module, ideal, degree)
-    assert list(K.basis) == _reference_gram_basis(module, ideal, degree)
-    G = [[poly_inner(module, p, q) for q in K.basis] for p in K.basis]
+    basis = _basis_polys(K)
+    assert basis == _reference_gram_basis(module, ideal, degree)
+    G = [[poly_inner(module, p, q) for q in basis] for p in basis]
     points = _GRAM_POINTS[module.dim]
     for w in points:
-        x = mat_solve(G, [evaluate_poly(p, w) for p in K.basis])
+        x = mat_solve(G, [evaluate_poly(p, w) for p in basis])
         for z in points:
-            bz = [evaluate_poly(p, z) for p in K.basis]
+            bz = [evaluate_poly(p, z) for p in basis]
             assert K.eval_exact(z, w) == sum(a * b for a, b in zip(bz, x))
 
 
@@ -366,12 +372,13 @@ def test_gram_form_complement_fills_degree_n(case):
     m = module.dim
     for degree in _GRAM_DEGREES[m]:
         K = GramFormKernel.from_ideal(module, ideal, degree)
-        assert len(K.basis) + len(K.complement) == math.comb(degree + m, m)
+        basis, complement = _basis_polys(K), oracles.gram_complement(K)
+        assert len(K.basis) + len(complement) == math.comb(degree + m, m)
         assert all(poly_inner(module, f, b) == 0
-                   for f in K.complement for b in K.basis)
+                   for f in complement for b in basis)
         assert _assembled_gram(K) == [
-            [poly_inner(module, f, g) for g in K.complement]
-            for f in K.complement]
+            [poly_inner(module, f, g) for g in complement]
+            for f in complement]
 
 
 def test_product_difference_complement_is_two():
@@ -381,7 +388,7 @@ def test_product_difference_complement_is_two():
     ideal = IdealSpec.catalogued("product_difference", 2)
     for degree in range(2, 11):
         K = GramFormKernel.from_ideal(module, ideal, degree)
-        assert len(K.complement) == 2
+        assert len(K.terms) == 2
 
 
 def test_gram_form_rejects_indefinite_gram():
@@ -397,7 +404,7 @@ def test_gram_form_rejects_indefinite_gram():
                    (((0, 2), [[F(1), F(2)], [F(2), F(1)]]),
                     ((1,), [[F(1)]]))):
         with pytest.raises(DomainError):
-            GramFormKernel(m, [], complement, blocks, 2)
+            oracles.gram_form_from_fractions(m, complement, blocks, 2)
 
 
 def test_gram_form_interleaved_blocks():
@@ -407,8 +414,8 @@ def test_gram_form_interleaved_blocks():
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("1/2*z1*z2 - z2^2", 2)]
     H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
-    K = GramFormKernel(m, [], complement,
-                       [((0, 2), [[F(2), F(1, 3)], [F(1, 3), F(5)]]),
+    K = oracles.gram_form_from_fractions(
+        m, complement, [((0, 2), [[F(2), F(1, 3)], [F(1, 3), F(5)]]),
                         ((1,), [[F(3, 4)]])], 2)
     assert _assembled_gram(K) == H
     z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
@@ -431,9 +438,10 @@ def _gram_form_by_full_sweep(module, ideal, degree):
     basis = [p for g in ideal.generators
              for p in (g.shift_by_monomial(beta)
                        for beta in iter_multiindices(m, degree - g.degree))
-             if echelon.add({index[a]: v for a, v in p.coeffs.items()})]
-    nulls = [echelon.null_vector(k) for k in range(len(monomials))
-             if k not in echelon.rows]
+             if echelon.add(oracles.cleared_row(
+                 {index[a]: v for a, v in p.coeffs.items()}))]
+    nulls = [oracles.null_vector_by_fractions(echelon, k)
+             for k in range(len(monomials)) if k not in echelon.rows]
     complement = [Poly(m, {monomials[k]: diag_coeff(module, monomials[k]) * x
                            for k, x in g.items()}) for g in nulls]
     gram = [[poly_inner(module, f, g) for g in complement] for f in complement]
@@ -441,8 +449,8 @@ def _gram_form_by_full_sweep(module, ideal, degree):
 
     def evaluate(z, w):
         return (ambient_kernel_bounded(module, z, w, degree).value
-                - factor.inverse_form(
-                    [evaluate_poly(f, z) for f in complement],
+                - oracles.inverse_form(
+                    factor, [evaluate_poly(f, z) for f in complement],
                     [evaluate_poly(f, w) for f in complement]))
     return basis, complement, gram, evaluate
 
@@ -451,8 +459,8 @@ def _assert_matches_full_sweep(module, ideal, degree, points):
     K = GramFormKernel.from_ideal(module, ideal, degree)
     basis, complement, gram, evaluate = _gram_form_by_full_sweep(
         module, ideal, degree)
-    assert list(K.basis) == basis
-    assert list(K.complement) == complement
+    assert _basis_polys(K) == basis
+    assert oracles.gram_complement(K) == complement
     assert _assembled_gram(K) == gram
     for z in points:
         for w in points:
@@ -492,7 +500,7 @@ def test_multi_block_gram_form_matches_full_sweep(case, weights, points):
     ideal = _ideal(m, *gens)
     K = _assert_matches_full_sweep(module, ideal, degree,
                                    [tuple(p[:m]) for p in points])
-    assert any(len(block) > 1 for block, _ in K.blocks)
+    assert any(len(block) > 1 for block, _ in K.gram)
 
 
 @pytest.mark.parametrize("module,ideal,degree", [
@@ -505,12 +513,12 @@ def test_gram_blocks_partition_the_complement_orthogonally(module, ideal,
     """The blocks' indices partition range(len(complement)), and every
     inner product between the f of two different blocks is 0."""
     K = GramFormKernel.from_ideal(module, ideal, degree)
-    indices = [j for block, _ in K.blocks for j in block]
-    assert sorted(indices) == list(range(len(K.complement)))
-    for b, (block, _) in enumerate(K.blocks):
-        for other, _ in K.blocks[b + 1:]:
-            assert all(poly_inner(module, K.complement[j],
-                                  K.complement[k]) == 0
+    blocks, complement = oracles.gram_blocks(K), oracles.gram_complement(K)
+    indices = [j for block, _ in blocks for j in block]
+    assert sorted(indices) == list(range(len(complement)))
+    for b, (block, _) in enumerate(blocks):
+        for other, _ in blocks[b + 1:]:
+            assert all(poly_inner(module, complement[j], complement[k]) == 0
                        for j in block for k in other)
 
 
@@ -529,7 +537,7 @@ def test_gram_form_of_monomial_ideal_is_the_diagonal_sum(exponents):
     points = _GRAM_POINTS[3]
     for degree in (4, 6):
         K = GramFormKernel.from_ideal(module, ideal, degree)
-        assert all(len(block) == 1 for block, _ in K.blocks)
+        assert all(len(block) == 1 for block, _ in K.gram)
         for z in points:
             for w in points:
                 assert K.eval_exact(z, w) == diagonal.eval_truncated(
@@ -770,7 +778,117 @@ def test_gram_complement_from_restricted_table_equals_full_table(degree,
     K = GramFormKernel.from_ideal(module, ideal, degree)
     complement, gram = oracles.gram_complement_by_full_table(
         module, ideal, degree)
-    assert list(K.complement) == complement
-    assert [list(f.coeffs) for f in K.complement] == \
+    assert oracles.gram_complement(K) == complement
+    assert [list(f.coeffs) for f in oracles.gram_complement(K)] == \
         [list(f.coeffs) for f in complement]
     assert _assembled_gram(K) == gram
+
+
+# ---------------------------------------------------------------------------
+# The integer Gram form against the Fraction route it replaced
+
+
+def _assert_routes_agree(module, ideal, degree, points):
+    """from_ideal's integers and oracles.gram_form_by_fractions give the
+    same basis, the same complement as polynomials (with the same term
+    order), the same blocks as Fraction matrices and the same values."""
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    ref = oracles.gram_form_by_fractions(module, ideal, degree)
+    assert _basis_polys(K) == ref.basis
+    complement = oracles.gram_complement(K)
+    assert complement == ref.complement
+    assert [list(f.coeffs) for f in complement] == \
+        [list(f.coeffs) for f in ref.complement]
+    assert oracles.gram_blocks(K) == ref.blocks
+    for z in points:
+        for w in points:
+            assert K.eval_exact(z, w) == ref.evaluate(z, w)
+
+
+@pytest.mark.parametrize("degree,case", _GRAM_CASES)
+def test_gram_form_integer_route_equals_fraction_route(degree, case):
+    module, ideal = _GRAM_IDEALS[case]
+    _assert_routes_agree(module, ideal, degree, _GRAM_POINTS[module.dim])
+
+
+_SMALL_EXPONENTS = list(iter_multiindices(2, 3))
+_small_generator = st.dictionaries(
+    st.sampled_from(_SMALL_EXPONENTS), st.integers(-3, 3).filter(bool),
+    min_size=1, max_size=4).map(lambda coeffs: Poly(2, coeffs))
+_small_weight = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_small_generator, min_size=1, max_size=2),
+       st.lists(_small_weight, min_size=2, max_size=2),
+       st.lists(st.lists(_coord, min_size=2, max_size=2), min_size=2,
+                max_size=2),
+       st.data())
+def test_drawn_gram_forms_agree_on_both_routes(gens, weights, points, data):
+    """One or two generators of degree <= 3 in two variables with small
+    integer coefficients (a constant among them makes the unit ideal,
+    whose complement is empty), at N <= 6."""
+    ideal = IdealSpec(2, tuple(gens))
+    degree = data.draw(st.integers(max(ideal.max_degree, 1), 6))
+    _assert_routes_agree(WeightedPolydiscModule(2, weights), ideal, degree,
+                         [tuple(p) for p in points])
+
+
+# ---------------------------------------------------------------------------
+# K_[I] = K_N^I + (K - K_N) for an ideal that holds every monomial of some
+# degree k, with K_[I] = K - K_C built here without GramFormKernel
+
+
+def _kernel_by_orthocomplement(module, ideal, k, z):
+    """(K(z, z) - K_C(z, z), dim C) for C = [I]^perp, given that I holds
+    every monomial of degree k.  Then C lies in P_(k-1), and f = sum_a
+    c_a phi_a z^a is orthogonal to I iff phi is orthogonal to the terms of
+    degree < k of every multiple z^beta p_j, of which only |beta| < k have
+    any: phi runs over a nullspace, and K_C over a Gram-Schmidt basis."""
+    m = module.dim
+    low = list(iter_multiindices(m, k - 1))
+    rows = [[q.coeffs.get(a, F(0)) for a in low]
+            for g in ideal.generators for beta in iter_multiindices(m, k - 1)
+            for q in [g.shift_by_monomial(beta)]]
+    C = [Poly(m, {a: diag_coeff(module, a) * x for a, x in zip(low, phi)})
+         for phi in oracles.nullspace(rows)]
+    return (ambient_kernel_exact(module, z, z)
+            - _gram_schmidt_kernel(module, C, z, z)), len(C)
+
+
+_CERTIFIED_MODULE = WeightedPolydiscModule(2, (F(1), F(2)))
+_CERTIFIED_POINT = (F(1, 3), F(1, 5))
+
+
+@pytest.mark.parametrize("gens,k,colength,value,degrees", [
+    (("z1*z2", "z1 - z2"), 2, 2, F(14323, 345600), (2, 4, 6, 8, 10)),
+    # an H-basis: its multiples of degree <= N span I cap P_N from N = 3
+    (("z1 - z2^2", "z2^3", "z1^2"), 3, 3, F(257257, 2880000), range(3, 11)),
+])
+def test_gram_form_misses_exactly_the_ambient_tail(gens, k, colength, value,
+                                                   degrees):
+    module, z = _CERTIFIED_MODULE, _CERTIFIED_POINT
+    ideal = _ideal(2, *gens)
+    exact, size = _kernel_by_orthocomplement(module, ideal, k, z)
+    assert (exact, size) == (value, colength)
+    ambient = ambient_kernel_exact(module, z, z)
+    for N in degrees:
+        tail = ambient - ambient_kernel_bounded(module, z, z, N).value
+        assert GramFormKernel.from_ideal(module, ideal, N).eval_exact(
+            z, z) + tail == exact, N
+
+
+def test_gram_form_of_a_non_h_basis_misses_more_than_the_tail():
+    """<z1 - z2^2, z2^3> is the ideal above, so K_[I] is the same, but its
+    multiples of degree <= N span 3 dimensions less than I cap P_N for
+    N = 3..10 (gram basis 4 against 7 at N = 3): the Gram form plus the
+    ambient tail stays below K_[I]."""
+    module, z = _CERTIFIED_MODULE, _CERTIFIED_POINT
+    ideal = _ideal(2, "z1 - z2^2", "z2^3")
+    exact, _ = _kernel_by_orthocomplement(module, ideal, 3, z)
+    assert exact == F(257257, 2880000)
+    ambient = ambient_kernel_exact(module, z, z)
+    for N in range(3, 11):
+        tail = ambient - ambient_kernel_bounded(module, z, z, N).value
+        assert GramFormKernel.from_ideal(module, ideal, N).eval_exact(
+            z, z) + tail < exact, N
