@@ -15,10 +15,9 @@ downstream; nothing here attempts Groebner-style normal forms.  A point
 w is on V(I) exactly when every generator is 0 at w
 (IdealSpec.vanishes_at).  The localization dimension at w counts
 dim J_N - dim J'_N for spaces of generator multiples of bounded degree,
-in coordinates centred at w.  J'_N grows degree by degree in one
-linalg.RowEchelon of integer rows, and the defect is the number of
-generators a copy of it still accepts.  The defect never increases;
-stopping at two equal consecutive values is a heuristic.
+J'_N spanned by the integer rows (z_i - w_i) z^beta p_j on the Gram
+form's column keys, with no change of coordinates.  The defect never
+increases; stopping at two equal consecutive values is a heuristic.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
-from operator import add
+from math import prod
+from operator import mul
 from typing import Optional
 
 from .algebra import iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
-from .linalg import RowEchelon, _common_denominator
+from .linalg import RowEchelon, key_units, keyed_terms
 from .polynomials import Poly
 
 MONOMIAL = "monomial"
@@ -150,23 +149,6 @@ def _match_catalogue(nvars, gens) -> bool:
 # Localization dimension
 
 
-def _centre(coeffs: dict, w) -> dict:
-    """The term map of p(w + x) for the term map coeffs of p: each term
-    c z^a expands slot by slot as c prod_i sum_k C(a_i, k) w_i^(a_i-k) x_i^k."""
-    out = {}
-    for a, c in coeffs.items():
-        terms = {(): c}
-        for ai, wi in zip(a, w):
-            # a zero w_i leaves only k = a_i
-            ks = range(ai + 1) if wi else (ai,)
-            factors = [(k, comb(ai, k) * wi ** (ai - k)) for k in ks]
-            terms = {e + (k,): v * f for e, v in terms.items()
-                     for k, f in factors}
-        for e, v in terms.items():
-            out[e] = out.get(e, 0) + v
-    return {e: v for e, v in out.items() if v}
-
-
 @dataclass(frozen=True)
 class LocalizationResult:
     dim: int
@@ -178,14 +160,17 @@ class LocalizationResult:
 def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> LocalizationResult:
     """Dimension of the localization of the ideal at a point.
 
-    In the coordinates x = z - w centred at the point the generators are
-    q_j(x) = p_j(w + x).  J_N is the span of the multiples x^beta q_j of
-    total degree <= N, and J'_N the span of those with |beta| >= 1, i.e. of
-    the (z_i - w_i)-multiples of J_{N-1}.  The defect d_N = dim J_N -
-    dim J'_N counts generators surviving localization at w; it is reported
-    stabilized once two consecutive degrees agree.  J'_N only grows with N,
-    so each degree adds its new multiples to one echelon form; J_N = J'_N +
-    span(q_j) with the q_j fixed, so d_N is the number of q_j that a copy of
+    J_N is the span of the multiples z^beta p_j of degree <= N, and J'_N
+    that of the (z_i - w_i)-multiples of J_{N-1}, with no change of
+    coordinates.  Its rows are the (z_i - w_i) z^beta p_j of degree <= N
+    with beta in z_i..z_m: their top monomials z^(beta + e_i) are distinct,
+    so these (z_i - w_i) z^beta are a basis of m_w in each P_k.  With
+    w_i = n_i/d_i each is the integer row d_i z^(beta + e_i) p_j -
+    n_i z^beta p_j on the keys of linalg.key_units.  The defect d_N =
+    dim J_N - dim J'_N counts generators surviving localization at w; it
+    is reported stabilized once two consecutive degrees agree.  J'_N only
+    grows with N, so each degree adds its new rows to one echelon form;
+    J_N = J'_N + span(p_j), so d_N is the number of p_j that a copy of
     that form still accepts, and it never increases.
 
     The stopping rule is a heuristic for every family, and general ideals
@@ -202,25 +187,30 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
 
-    # each q_j cleared to integers once; its shifts are integer rows as is
-    centred = []
-    for g in ideal.generators:
-        q = _centre(g.coeffs, w)
-        ints, _ = _common_denominator(list(q.values()))
-        centred.append((g.degree, dict(zip(q, ints))))
+    units = key_units(m, max_degree + 1)
+    gens = [(g.degree, keyed_terms(g.coeffs, units)) for g in ideal.generators]
+    # d_i (z_i - w_i) p_j for w_i = n_i/d_i, as integer rows; their halves
+    # add where p_j has terms one unit apart (z1^2 + z1)
+    multiples = []
+    for dg, terms in gens:
+        for i, (u, x) in enumerate(zip(units, w)):
+            n, d = x.as_integer_ratio()
+            row = {k + u: d * c for k, c in terms}
+            for k, c in terms:
+                row[k] = row.get(k, 0) - n * c
+            multiples.append((dg, i, {k: c for k, c in row.items() if c}))
 
-    jp_span = RowEchelon()
-    dims = []
-    stabilized_at = None
+    jp_span, dims, stabilized_at = RowEchelon(), [], None
     for N in range(dmax, max_degree + 1):
-        # the multiples with |beta| >= 1 new at degree N
-        for dg, q in centred:
-            low = N - dg if N > dmax else 1
-            for beta in iter_multiindices(m, N - dg, low):
-                jp_span.add({tuple(map(add, e, beta)): c for e, c in q.items()})
-        # d_N = rank(J'_N + span q_j) - rank J'_N, whatever the row order
+        # new at degree N: |beta| = N - deg p_j - 1, and all lower at N = dmax
+        for dg, i, row in multiples:
+            top = N - dg - 1
+            for beta in iter_multiindices(m - i, top, top if N > dmax else 0):
+                shift = sum(map(mul, beta, units[i:]))
+                jp_span.add({k + shift: c for k, c in row.items()})
+        # d_N = rank(J'_N + span p_j) - rank J'_N, whatever the row order
         probe = RowEchelon(jp_span.rows)
-        dims.append((N, sum(probe.add(dict(q)) for _, q in centred)))
+        dims.append((N, sum(probe.add(dict(terms)) for _, terms in gens)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break

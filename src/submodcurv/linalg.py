@@ -11,16 +11,18 @@ over one denominator.  ``RowEchelon`` tests a stream of sparse integer rows
 for independence, reducing each new row once, fraction-free, against the
 primitive rows kept so far; a caller clears a rational row once, with
 _common_denominator, and adds integer rows as they are.  Ranks, the
-Gram-form basis and the localization span ranks all count rows with it,
-and its integer back-substitution gives the null vectors of the Gram-form
-complement as integers over one denominator.  Determinants over other
-rings (series, polynomials, complex floats) are ``algebra.cofactor_det``.
+Gram-form basis and the localization span ranks (these two on the column
+keys of key_units) all count rows with it, and its integer
+back-substitution gives the null vectors of the Gram-form complement as
+integers over one denominator.  Determinants over other rings are
+``algebra.cofactor_det``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .algebra import rat
 from .errors import ShapeError, SingularityError
@@ -69,8 +71,7 @@ def mat_det(A) -> Fraction:
 def mat_rank(A) -> int:
     """Rank: the number of rows a RowEchelon keeps."""
     echelon = RowEchelon()
-    for row in _as_matrix(A):
-        ints, _ = _common_denominator(row)
+    for ints in _cleared_int_rows(_as_matrix(A))[0]:
         echelon.add({c: x for c, x in enumerate(ints) if x})
     return len(echelon.rows)
 
@@ -190,11 +191,26 @@ class BareissFactor:
         return X, det * beta
 
 
+def key_units(m: int, B: int) -> tuple:
+    """The keys of the unit exponents.  key(a) = sum_i a_i units[i], that is
+    |a| B^m - sum_i a_i B^(m-1-i), is additive and, below degree B, distinct
+    and in iter_multiindices order, so z^beta p has p's keys + key(beta)."""
+    return tuple(B ** m - B ** (m - 1 - i) for i in range(m))
+
+
+def keyed_terms(coeffs: dict, units) -> list:
+    """A polynomial's term map cleared to integers once, as (key, int)."""
+    ints, _ = _common_denominator(list(coeffs.values()))
+    return [(sum(map(mul, e, units)), c) for e, c in zip(coeffs, ints)]
+
+
 class RowEchelon:
     """Rows in echelon form, grown one sparse integer row at a time.
 
-    A row is a dict {column: nonzero int}; columns are any hashable, totally
-    ordered keys (ints, or exponent tuples).  ``add`` takes the row over: it
+    A row is a dict {column: nonzero int}.  Every caller in the package
+    passes int columns: mat_rank its indices, the Gram form and
+    localization_dim the keys of key_units, where a row leads at its lowest
+    monomial.  ``add`` takes the row over: it
     reduces it in place, and keeps it as it is when it is independent and
     primitive, so a caller passes a row it does not read again.  Every kept
     row is a primitive integer row, divided by its content where that is

@@ -45,16 +45,13 @@ The Gram-form kernel works on the side the ideal removes, in integers
 throughout (fraction-free, as E. Bareiss, Math. Comp. 22, 1968).  The
 monomials are orthogonal, so it splits along the components of the graph
 linking the monomials of each generator multiple of degree <= N, each an
-integer row over additive column keys.  Per component, an echelon form
-picks a basis of V_N, the span of those multiples, and back-substitution
-null vectors g_j = G_j / D_j, whose f_j = c g_j are a basis of the
-orthogonal complement in the polynomials of degree <= N: 2 of them for
-product_difference at every N, 49 against 35 in V_N for a principal
-ideal in three variables at N = 6.  With c_a = C_a / den, K(z, w) is the
-ambient degree-N sum minus f(z)^T H^{-1} f(w) = F(z)^T M^{-1} F(w) / den
-for the integers F_j = sum_a C_a G_j[a] z^a and M_jk = sum_a C_a G_j[a]
-G_k[a], kept as one block per component: a sign check per 1x1 block, a
-Bareiss sweep per larger one, and one Fraction per value.
+integer row on the column keys of linalg.key_units.  Per component, an
+echelon form picks a basis of V_N, the span of those multiples, and
+back-substitution a basis of the orthogonal complement in the polynomials
+of degree <= N: 2 of them for product_difference at every N, 49 against
+35 in V_N for a principal ideal in three variables at N = 6.  K(z, w) is
+the ambient degree-N sum minus the kernel of that complement, one integer
+Gram block per component and one Fraction per value (GramFormKernel).
 """
 
 from __future__ import annotations
@@ -68,8 +65,8 @@ from typing import Optional
 from .algebra import exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
-from .linalg import (BareissFactor, RowEchelon, _cleared_int_rows,
-                     _common_denominator)
+from .linalg import (BareissFactor, RowEchelon, _cleared_int_rows, key_units,
+                     keyed_terms)
 import math
 
 
@@ -108,8 +105,9 @@ def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
     """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
     n = 0..N, by the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1), so
     c_alpha = prod_i slots[i][alpha_i].  With l_i = p/q each step is one
-    Fraction(num (p + n q), den q (n + 1)) of integers.  Every poch(l, n)/n!
-    in the package, closed forms included, is read from this table."""
+    Fraction(num (p + n q), den q (n + 1)) of integers.  The diagonal sums
+    and the tail bound run the recurrence in integers of their own; no
+    other module computes a poch(l, n)/n!."""
     slots = []
     for l in module.weights:
         p, q = l.numerator, l.denominator
@@ -423,12 +421,9 @@ def _components(columns, groups):
 def _gram_columns(m: int, N: int):
     """(monomials, keys, exponent_of, units): the exponents of degree <= N
     in iter_multiindices order, their column keys, the exponent of each key
-    and the keys of the unit exponents.  key(a) = |a| B^m - sum_i a_i
-    B^(m-1-i) with B = N + 1 orders the exponents as iter_multiindices does
-    (by degree, then descending lex) and is additive, so the columns of
-    z^beta p_j are the keys of p_j's exponents plus key(beta).  Cached per
-    (m, N); callers only read the result."""
-    units = tuple((N + 1) ** m - (N + 1) ** (m - 1 - i) for i in range(m))
+    and the keys of the unit exponents, linalg.key_units with B = N + 1.
+    Cached per (m, N); callers only read the result."""
+    units = key_units(m, N + 1)
     monomials = tuple(iter_multiindices(m, N))
     keys = tuple(sum(map(mul, a, units)) for a in monomials)
     return monomials, keys, dict(zip(keys, monomials)), units
@@ -498,9 +493,7 @@ class GramFormKernel:
         monomials, keys, exponent_of, units = _gram_columns(m, N)
         pairs, rows = [], []
         for g in ideal.generators:
-            ints, _ = _common_denominator(list(g.coeffs.values()))
-            terms = [(sum(map(mul, e, units)), c)
-                     for e, c in zip(g.coeffs, ints)]
+            terms = keyed_terms(g.coeffs, units)
             # the shifts beta, |beta| <= N - deg p_j, lead the column order
             shifts = math.comb(N - g.degree + m, m)
             for beta, shift in zip(monomials[:shifts], keys):

@@ -17,7 +17,9 @@ squarefree part, a Sturm chain and chain-count bisection, and the
 coordinate Grammian and curvature blocks with Fraction splitting shares.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
-generator by evaluating it at the polynomials z_i + w_i, the config parse
+generator by evaluating it at the polynomials z_i + w_i (the two-span
+localization works in coordinates centred at w; the library's works in
+z, with no centring), the config parse
 by configparser and the rational parse by Fraction(str); the term text of
 series and polynomials by str(Fraction), the reference for format_terms;
 the Hermitian check as a loop over each pair's coefficients, which the
@@ -899,9 +901,10 @@ def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:
 
 
 def centre_by_eval_terms(g: Poly, point) -> Poly:
-    """The centring that ideals.localization_dim replaced: g(w + x), by
-    evaluating g's terms at the polynomials x_i + w_i with Poly products
-    (Poly.zero + keeps a constant generator a Poly)."""
+    """The centring g(w + x) that the two-span localization route uses and
+    ideals.localization_dim no longer needs, by evaluating g's terms at the
+    polynomials x_i + w_i with Poly products (Poly.zero + keeps a constant
+    generator a Poly)."""
     m = g.nvars
     xs = [Poly.variable(m, i) + rat(w) for i, w in enumerate(point)]
     return Poly.zero(m) + eval_terms(g.coeffs, xs)

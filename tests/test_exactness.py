@@ -10,9 +10,11 @@ private module-level name that nothing in the package reads, and no
 module of the package, its tests, its scripts or the benchmark driver
 imports a name it never reads.
 
-Each number is computed in one place: the kernel coefficients
-poch(l, n)/n! come from rkhs.diag_coeff_slots alone, so no other module
-calls math.factorial and none defines or imports a rising factorial.
+Each number is computed in one module: the kernel coefficients
+poch(l, n)/n! are computed in rkhs.py alone (its table diag_coeff_slots
+and the ratio recurrences of its diagonal sums and tail bound), so no
+other module calls math.factorial and none defines, imports or names a
+rising factorial.
 """
 
 import ast

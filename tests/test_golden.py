@@ -67,6 +67,26 @@ def test_golden_kernel_runs_a_gram_block(monkeypatch, capsys):
     assert any(n > 1 for n in sizes)
 
 
+def test_golden_kernel_runs_a_rescaled_null_vector(monkeypatch, capsys):
+    """Some golden kernel report back-substitutes a Gram-form null vector
+    through an echelon lead that does not divide its residual, so
+    RowEchelon.null_vector rescales G and returns a denominator D > 1."""
+    scales = []
+    null_vector = linalg.RowEchelon.null_vector
+
+    def recorded(self, free):
+        G, D = null_vector(self, free)
+        scales.append(D)
+        return G, D
+
+    monkeypatch.setattr(linalg.RowEchelon, "null_vector", recorded)
+    for config in CONFIGS:
+        if config.parent.name == "kernel":
+            assert main(["kernel", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert any(D != 1 for D in scales)
+
+
 def test_golden_frame_tasks_run_no_series_product(monkeypatch, capsys):
     """The metric, curvature and decompose reports read the frame spec: the
     Grammian is a kernel-term sum or an outer product of slot tables, the

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 import submodcurv.cli as cli
 from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
-from submodcurv.ideals import IdealSpec, _centre, localization_dim
+from submodcurv.ideals import IdealSpec, localization_dim
 from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 
-from oracles import (CoordinateSubspace, PointSet, centre_by_eval_terms,
-                     codim, coordinate_powers, localization_dim_two_spans,
-                     minimality_certificate, zero_set)
+from oracles import (CoordinateSubspace, PointSet, codim, coordinate_powers,
+                     localization_dim_two_spans, minimality_certificate,
+                     zero_set)
 
 
 def _gens(dim, *srcs):
@@ -407,38 +407,32 @@ def test_localization_matches_two_span_route(case):
 
 
 @st.composite
-def _centrings(draw):
-    """A polynomial of degree <= 4 in m <= 3 variables, constants included,
-    and a rational point whose coordinates may be 0."""
+def _colliding_localizations(draw):
+    """One to three generators in m <= 3 variables with every exponent
+    <= 2, so that a generator often has two terms one unit apart and the
+    halves d_i z^(beta + e_i) p_j and n_i z^beta p_j of a row meet on one
+    column; Fraction coefficients, a point with zero and nonzero
+    coordinates, and a degree cap of 1..3 above the largest degree."""
     m = draw(st.integers(1, 3))
-    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m),
-                         min_size=1, max_size=4, unique=True))
-    g = Poly(m, {e: draw(_small.filter(bool)) for e in exps if sum(e) <= 4}
-             or {(0,) * m: draw(_small.filter(bool))})
-    coords = st.sampled_from([F(0), F(1, 2), F(-1, 3)]) | _small | \
-        st.fractions(max_denominator=50)
-    return g, tuple(draw(coords) for _ in range(m))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * m),
+                             min_size=1, max_size=4, unique=True))
+        gens.append(Poly(m, {e: draw(_small.filter(bool)) for e in exps}))
+    ideal = IdealSpec(m, tuple(gens))
+    coords = st.sampled_from([F(0), F(1), F(-1, 2)]) | _small
+    point = tuple(draw(coords) for _ in range(m))
+    cap = ideal.max_degree + draw(st.integers(1, 3))
+    return ideal, point, cap
 
 
 @settings(max_examples=200, deadline=None)
-@given(_centrings())
-def test_centring_matches_eval_terms_route(case):
-    g, w = case
-    assert _centre(g.coeffs, w) == centre_by_eval_terms(g, w).coeffs
-
-
-def test_centring_examples():
-    # a constant generator stays a one-term map wherever it is centred
-    for w in ((F(1, 2), F(-1, 3)), (F(0), F(0))):
-        assert _centre(parse_poly("-3/4", 2).coeffs, w) == {(0, 0): F(-3, 4)}
-    g = parse_poly("z1^2 z2 - z2 + 5", 2)
-    assert _centre(g.coeffs, (F(0), F(0))) == g.coeffs
-    # z1 = x1, z2 = x2 + 2/3
-    assert _centre(g.coeffs, (F(0), F(2, 3))) == {
-        (2, 1): 1, (2, 0): F(2, 3), (0, 1): -1, (0, 0): F(13, 3)}
-    # the shift cancels terms, and their zero sums are dropped
-    g = parse_poly("(z1 - 1/2)^3 + z2", 2)
-    assert _centre(g.coeffs, (F(1, 2), F(0))) == {(3, 0): 1, (0, 1): 1}
+@given(_colliding_localizations())
+@example((IdealSpec(1, (Poly(1, {(2,): F(1), (1,): F(1)}),)), (F(-1),), 3))
+@example((IdealSpec(2, (Poly(2, {(2, 0): F(1, 2), (1, 0): F(3, 4),
+                                 (0, 1): F(-1)}),)), (F(0), F(1, 3)), 4))
+def test_localization_adds_colliding_shifts(case):
+    assert localization_dim(*case) == localization_dim_two_spans(*case)
 
 
 @pytest.mark.xfail(strict=True, reason="two equal consecutive defects stop "

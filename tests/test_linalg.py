@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodcurv.algebra import iter_multiindices
 from submodcurv.errors import ShapeError, SingularityError
-from submodcurv.linalg import (BareissFactor, RowEchelon,
-                               leading_principal_minors, mat_det, mat_inverse,
-                               mat_mul, mat_rank, mat_solve)
+from submodcurv.linalg import (BareissFactor, RowEchelon, key_units,
+                               keyed_terms, leading_principal_minors, mat_det,
+                               mat_inverse, mat_mul, mat_rank, mat_solve)
 
 from oracles import (_rref, cleared_row, inverse_form, is_positive_definite,
                      mat_identity, nullspace)
@@ -291,6 +292,30 @@ def test_row_echelon_copy_shares_rows_without_growing_them():
     assert not probe.add(cleared_row({0: 1, 1: F(7, 2), 2: 12}))
     assert probe.add({2: 5}) and len(probe.rows) == 3
     assert echelon.rows == before and len(echelon.rows) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_column_keys_order_separate_and_add(m):
+    """Below degree B = N + 1 the keys of key_units follow the
+    iter_multiindices order, are distinct, and add: key(a) + key(b) =
+    key(a + b) whenever |a + b| <= N."""
+    for N in range(9):
+        units = key_units(m, N + 1)
+        monomials = list(iter_multiindices(m, N))
+        key = {a: k for (k, _), a in zip(
+            keyed_terms(dict.fromkeys(monomials, F(1)), units), monomials)}
+        keys = [key[a] for a in monomials]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        for a in monomials:
+            for b in iter_multiindices(m, N - sum(a)):
+                assert key[a] + key[b] == key[tuple(map(sum, zip(a, b)))]
+
+
+def test_keyed_terms_clear_a_polynomial_once():
+    units = key_units(2, 3)
+    assert keyed_terms({(1, 0): F(1, 2), (0, 1): F(-1, 3), (0, 0): F(2)},
+                       units) == [(units[0], 3), (units[1], -2), (0, 12)]
 
 
 def test_null_vector_with_non_unit_leads_matches_rref_reference():
