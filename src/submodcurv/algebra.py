@@ -81,11 +81,11 @@ def iter_multiindices(nvars: int, max_degree: int, min_degree: int = 0):
 # ---------------------------------------------------------------------------
 # Sparse term maps
 #
-# TruncSeries and polynomials.Poly both keep their coefficients as a dict
-# from exponent tuples (plain tuples of non-negative ints) to nonzero
-# Fractions, and both do their term arithmetic through the functions below;
-# the degree of a key is its sum, and the product of two terms is keyed by
-# the slotwise sum of their keys.
+# TruncSeries and polynomials.Poly are both TermMaps: they keep their
+# coefficients as a dict from exponent tuples (plain tuples of non-negative
+# ints) to nonzero Fractions, cleaned and multiplied by the functions below
+# and added by TermMap; the degree of a key is its sum, and the product of
+# two terms is keyed by the slotwise sum of their keys.
 
 _ZERO = Fraction(0)
 
@@ -103,18 +103,6 @@ def clean_terms(coeffs: Mapping, width: int, cap: int | None = None) -> dict:
         if v != 0 and (cap is None or sum(k) <= cap):
             clean[k] = v
     return clean
-
-
-def add_terms(a: dict, b: dict) -> dict:
-    """Sum of two term maps."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, _ZERO) + v
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
 
 
 def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
@@ -176,10 +164,85 @@ def _series_names(m: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The ring scaffold of a term map
+
+
+class TermMap:
+    """Sparse term map: coeffs maps exponent keys to nonzero Fractions.
+
+    The additive ring operations, equality and scaling are written once
+    here, on the subclass's term arithmetic.  A subclass gives its shape,
+    the tuple two maps must share to combine, which is also the leading
+    arguments of its _trusted and constant; it writes its own product.
+    Another type or shape raises ShapeError, and an int or Fraction operand
+    is coerced through the subclass's constant.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def _check(self, other):
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise ShapeError(
+                f"cannot combine {name} with {type(other).__name__}")
+        if other.shape != self.shape:
+            raise ShapeError(
+                f"{name} shape mismatch: {self.shape} vs {other.shape}")
+
+    def _operand(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.constant(*self.shape, other)
+        self._check(other)
+        return other
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in self._operand(other).coeffs.items():
+            s = out.get(k, _ZERO) + v
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return self._trusted(*self.shape, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._trusted(*self.shape,
+                             {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -self._operand(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def scale(self, c):
+        c = rat(c)
+        if c == 0:
+            return self._trusted(*self.shape, {})
+        return self._trusted(*self.shape,
+                             {k: c * v for k, v in self.coeffs.items()})
+
+
+# ---------------------------------------------------------------------------
 # Truncated multivariate series
 
 
-class TruncSeries:
+class TruncSeries(TermMap):
     """Sparse truncated series in w_1..w_m and their formal conjugates.
 
     coeffs maps exponent keys of length 2*npairs (w-half then wb-half) to
@@ -188,7 +251,7 @@ class TruncSeries:
     maintained by construction.
     """
 
-    __slots__ = ("npairs", "trunc", "coeffs")
+    __slots__ = ("npairs", "trunc")
 
     def __init__(self, npairs: int, trunc: int, coeffs: Mapping | None = None):
         if npairs < 1:
@@ -208,6 +271,10 @@ class TruncSeries:
         s.npairs, s.trunc, s.coeffs = npairs, trunc, coeffs
         return s
 
+    @property
+    def shape(self) -> tuple:
+        return self.npairs, self.trunc
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -226,75 +293,20 @@ class TruncSeries:
         return TruncSeries.constant(npairs, trunc, 1)
 
     @staticmethod
-    def w(npairs: int, trunc: int, i: int, power: int = 1) -> "TruncSeries":
-        """The monomial w_i^power (i is 0-based)."""
-        return TruncSeries(npairs, trunc, {unit(2 * npairs, i, power): 1})
-
-    @staticmethod
     def wbar(npairs: int, trunc: int, i: int, power: int = 1) -> "TruncSeries":
         """The monomial wb_i^power (i is 0-based)."""
         return TruncSeries(npairs, trunc,
                            {unit(2 * npairs, npairs + i, power): 1})
 
-    # -- basic queries -----------------------------------------------------
+    # -- queries and the product -------------------------------------------
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * (2 * self.npairs), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def _check_compat(self, other: "TruncSeries"):
-        if self.npairs != other.npairs or self.trunc != other.trunc:
-            raise ShapeError(
-                f"series mismatch: ({self.npairs} pairs, D={self.trunc}) vs "
-                f"({other.npairs} pairs, D={other.trunc})")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.npairs, self.trunc, self.coeffs) == \
-               (other.npairs, other.trunc, other.coeffs)
-
-    __hash__ = None
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(self.npairs, self.trunc, other)
-        self._check_compat(other)
-        return TruncSeries._trusted(self.npairs, self.trunc,
-                                    add_terms(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries._trusted(self.npairs, self.trunc,
-                                    {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncSeries.constant(self.npairs, self.trunc, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c) -> "TruncSeries":
-        c = rat(c)
-        if c == 0:
-            return TruncSeries.zero(self.npairs, self.trunc)
-        return TruncSeries._trusted(self.npairs, self.trunc,
-                                    {k: c * v for k, v in self.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compat(other)
+        self._check(other)
         # the smaller factor drives the outer loop
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
@@ -375,11 +387,11 @@ class SeriesMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeError("SeriesMatrix must be square and non-empty")
         first = rows[0][0]
+        if not isinstance(first, TruncSeries):
+            raise ShapeError("SeriesMatrix entries must be TruncSeries")
         for r in rows:
             for s in r:
-                if not isinstance(s, TruncSeries):
-                    raise ShapeError("SeriesMatrix entries must be TruncSeries")
-                first._check_compat(s)
+                first._check(s)
         self.n = n
         self.npairs = first.npairs
         self.trunc = first.trunc

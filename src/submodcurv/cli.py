@@ -612,9 +612,8 @@ def run_task(cfg: JobConfig) -> Report:
         report.diagnostics["metric_series"] = {
             f"H_{i+1}{j+1}": str(metric.matrix[i, j])
             for i in range(t) for j in range(t)}
-        if metric.scales:
-            report.diagnostics["diagonal_scales"] = \
-                [str(s) for s in metric.scales]
+        if metric.scale:
+            report.diagnostics["diagonal_scales"] = [metric.scale] * t
         return report
 
     if cfg.task == "curvature":

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SeriesMatrix, TruncSeries
+from .algebra import TruncSeries
 from .errors import DomainError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
@@ -57,8 +57,8 @@ JET_DEGREE = 2
 def det_bundle_curvature(metric: MetricSeries):
     """Full matrix of mixed Hessians of log det H at the base point: the
     blockwise trace of curvature_matrix(metric), by Jacobi's formula.
-    Symbolic scales on a diagonal metric multiply det H by a positive
-    constant and drop out; a non-diagonal metric with scales (grammian
+    The scale of a diagonal metric multiplies det H by a positive
+    constant and drops out; a non-diagonal metric with a scale (grammian
     never builds one) raises DomainError, and truncation degree below 2
     raises TruncationError, as in curvature_matrix."""
     return curvature_matrix(metric).trace_matrix()
@@ -77,9 +77,6 @@ class CurvatureTensor:
     blocks: tuple
     free_slots: tuple
 
-    def block(self, i: int, j: int):
-        return self.blocks[i][j]
-
     def trace_matrix(self):
         """Blockwise traces.  Only the nonzero diagonal entries are summed,
         and a zero trace is Fraction(0), as every entry is a Fraction."""
@@ -90,17 +87,6 @@ class CurvatureTensor:
 def _trace(block) -> Fraction:
     diagonal = [row[k] for k, row in enumerate(block) if row[k]]
     return sum(diagonal[1:], diagonal[0]) if diagonal else _ZERO
-
-
-def _unscaled_matrix(metric: MetricSeries) -> SeriesMatrix:
-    """The metric's series matrix, for full matrix algebra.  grammian folds
-    every rational scale, so scales left on a metric are irrational, and
-    exact matrix algebra cannot absorb them."""
-    if metric.scales is not None:
-        raise DomainError(
-            "metric carries irrational symbolic scales; "
-            "diagonal-only operations apply, not full matrix algebra")
-    return metric.matrix
 
 
 def _two_jet(s: TruncSeries):
@@ -135,8 +121,10 @@ def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
     H0^{-1} H_i H0^{-1} H_{jbar}, where H0, H_i, H_{jbar} and H_{i jbar} are
     the constant, w_i, wbar_j and w_i wbar_j coefficient matrices of H, so
     only the 2-jet of H is read: truncation degree 2 suffices and a higher
-    degree changes no value.  Symbolic scales cancel on diagonal metrics;
-    general matrices must carry rational entries only.
+    degree changes no value.  The scale of a diagonal metric cancels; a
+    non-diagonal metric with a scale raises DomainError, since grammian
+    folds every rational scale and exact matrix algebra cannot absorb an
+    irrational one.
     """
     H = metric.matrix
     m = H.npairs
@@ -144,10 +132,13 @@ def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
     if H.trunc < JET_DEGREE:
         raise TruncationError(f"curvature_matrix needs truncation degree >= "
                               f"{JET_DEGREE}, got {H.trunc}")
-    # scales on a diagonal H multiply it on the left by a constant matrix,
-    # which cancels in H^{-1} dbar H
-    matrix = H if metric.is_diagonal() else _unscaled_matrix(metric)
-    jets = [[_two_jet(s) for s in row] for row in matrix.entries]
+    # a scale multiplies H by a constant, which cancels in H^{-1} dbar H
+    # only where H is diagonal
+    if metric.scale is not None and not metric.is_diagonal():
+        raise DomainError(
+            "metric carries an irrational symbolic scale; "
+            "diagonal-only operations apply, not full matrix algebra")
+    jets = [[_two_jet(s) for s in row] for row in H.entries]
     try:
         H0inv = mat_inverse([[jet[0] for jet in row] for row in jets])
     except SingularityError:

@@ -24,10 +24,11 @@ reconstruction check read the spec alone.  The coordinate-neighborhood
 Grammian sums the kernel terms s_i(a) s_j(a) c_a, with the shares in
 integers (share_numerators); a zero-variety Grammian
 is the outer product of one finite coefficient table per free slot, with a
-positive base-point constant that may be irrational (fractional powers)
-carried symbolically, since it never influences curvature.  The base point
-vanishes on each generator variable, so conj(p_k) F^k restores exactly the
-share s_k of each kernel term, and the check sums the shares.
+positive base-point constant, folded in when rational and otherwise (a
+fractional power) kept as the metric's one scale, in text, since it never
+influences curvature.  The base point vanishes on each generator variable,
+so conj(p_k) F^k restores exactly the share s_k of each kernel term, and
+the check sums the shares.
 """
 
 from __future__ import annotations
@@ -48,42 +49,6 @@ from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
-
-
-@dataclass(frozen=True)
-class PowerProduct:
-    """Product of positive rational bases raised to rational exponents.
-
-    Keeps quantities like (1 - |w|^2)^(-3/2) exact without evaluating the
-    irrational power.  Factors with base 1 or exponent 0 are dropped.
-    """
-    factors: tuple = ()
-
-    def times(self, base, exp) -> "PowerProduct":
-        base, exp = rat(base), rat(exp)
-        if base <= 0:
-            raise DomainError(f"power-product base must be positive, got {base}")
-        if base == 1 or exp == 0:
-            return self
-        merged = dict(self.factors)
-        merged[base] = merged.get(base, Fraction(0)) + exp
-        return PowerProduct(tuple(sorted((b, e) for b, e in merged.items() if e != 0)))
-
-    def is_rational(self) -> bool:
-        return all(e.denominator == 1 for _, e in self.factors)
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError(f"{self} is irrational")
-        out = Fraction(1)
-        for b, e in self.factors:
-            out *= b ** int(e)
-        return out
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        return " * ".join(f"({b})^({e})" for b, e in self.factors)
 
 
 @dataclass(frozen=True)
@@ -270,18 +235,18 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
 class MetricSeries:
     """Grammian of a frame as a matrix of truncated series.
 
-    Entry (i, j) is <F_j, F_i> expanded around the base point.  When the
-    base-point constant of a zero-variety frame is irrational the diagonal
-    carries it symbolically (scales[k], the same for every k); scales
-    multiply the stored series and are irrelevant to every log-derivative.
-    scales None means all ones.  minors are the leading principal minors of
-    the base-point values, all positive on a metric grammian returns; empty
-    on a metric built otherwise.
+    Entry (i, j) is <F_j, F_i> expanded around the base point.  scale is
+    the irrational base-point constant of a zero-variety frame, as the text
+    "(b)^(e) * ...", one positive number that multiplies every stored
+    series and drops out of every log-derivative; None when there is none,
+    or when it was rational and folded into the series.  minors are the
+    leading principal minors of the base-point values, all positive on a
+    metric grammian returns; empty on a metric built otherwise.
     """
     matrix: SeriesMatrix
     base_point: tuple
     free_slots: tuple
-    scales: Optional[tuple] = None
+    scale: Optional[str] = None
     minors: tuple = ()
 
     @property
@@ -367,10 +332,12 @@ def _metric_by_closed_form(frame: FrameSeries):
     H_kk = lead_k prod_{free i} (1 - w_i wbar_i)^(-l_i) about the base point.
 
     The base-point constant prod_{free i} (1 - c_i^2)^(-l_i) is the same for
-    every generator.  It is folded into the series when it is rational, so
-    reported values are the true norms, and returned as each generator's
-    symbolic scale otherwise (an irrational power from fractional weights);
-    the scales are None when folded.  H is diagonal, and each slot table is
+    every generator.  Its factors are merged by base, {1 - c_i^2: -sum l_i}
+    over the free slots with c_i != 0.  When every merged exponent is an
+    integer the constant is folded into the series, so reported values are
+    the true norms, and the scale is None; otherwise (an irrational power
+    from fractional weights) it is returned as the scale, the text
+    "(b)^(e) * ..." sorted by base.  H is diagonal, and each slot table is
     symmetric in (beta, gamma), so every entry is its own key-swapped
     conjugate: H is Hermitian by construction.
     """
@@ -378,25 +345,27 @@ def _metric_by_closed_form(frame: FrameSeries):
     m = module.dim
     D = frame.trunc
     t = frame.count
-    scale = PowerProduct()
+    powers = {}
     slots = diag_coeff_slots(module, D)
     # disjoint slots: the product of their tables is the outer product
     terms = {(0,) * (2 * m): Fraction(1)}
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
-        scale = scale.times(1 - c * c, -module.weights[i])
+        if c:
+            powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
         table = _slot_coefficients(slots[i], c).items()
         terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
                  for k, a in terms.items() for room in (D - sum(k),)
                  for (b, g), x in table if b + g <= room}
     common = TruncSeries._trusted(m, D, terms)
-    if scale.is_rational():
-        fold, scales = scale.rational_value(), None
+    if all(e.denominator == 1 for e in powers.values()):
+        fold, scale = math.prod(b ** int(e) for b, e in powers.items()), None
     else:
-        fold, scales = 1, (scale,) * t
+        fold, scale = 1, " * ".join(f"({b})^({e})"
+                                    for b, e in sorted(powers.items()))
     return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold) if k == j
                           else TruncSeries.zero(m, D) for j in range(t)]
-                         for k in range(t)]), scales
+                         for k in range(t)]), scale
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
@@ -409,9 +378,9 @@ def grammian(frame: FrameSeries) -> MetricSeries:
     from the origin infinitely many kernel terms hit every series degree.
     """
     if frame.kind == COORDINATE_KIND:
-        matrix, scales = _metric_by_monomial_sum(frame), None
+        matrix, scale = _metric_by_monomial_sum(frame), None
     else:
-        matrix, scales = _metric_by_closed_form(frame)
+        matrix, scale = _metric_by_closed_form(frame)
     # both builders are Hermitian by construction; a FrameSeries built by
     # hand may carry any lead_coeffs, so positivity is checked
     minors = leading_principal_minors(matrix.value_at_base())
@@ -419,7 +388,7 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
             f"at the base point; principal minors {minors})")
-    return MetricSeries(matrix, frame.base_point, frame.free_slots, scales,
+    return MetricSeries(matrix, frame.base_point, frame.free_slots, scale,
                         tuple(minors))
 
 

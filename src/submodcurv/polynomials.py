@@ -9,15 +9,15 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
-from .algebra import (add_terms, clean_terms, exponent, format_terms,
-                      mul_terms, rat, unit)
+from .algebra import (TermMap, clean_terms, exponent, format_terms,
+                      mul_terms, unit)
 from .errors import DomainError, InputError, ShapeError
 
 
-class Poly:
+class Poly(TermMap):
     """Sparse polynomial: exponent tuple (length nvars) -> nonzero Fraction."""
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, coeffs: Mapping | None = None):
         if nvars < 1:
@@ -33,6 +33,10 @@ class Poly:
         p = object.__new__(cls)
         p.nvars, p.coeffs = nvars, coeffs
         return p
+
+    @property
+    def shape(self) -> tuple:
+        return (self.nvars,)
 
     # -- constructors -------------------------------------------------------
 
@@ -58,12 +62,6 @@ class Poly:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     @property
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
@@ -77,46 +75,11 @@ class Poly:
             raise DomainError(f"{self} is not a monomial")
         return next(iter(self.coeffs))
 
-    def _check(self, other: "Poly"):
-        if self.nvars != other.nvars:
-            raise ShapeError("polynomial variable-count mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        self._check(other)
-        return Poly._trusted(self.nvars, add_terms(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._trusted(self.nvars,
-                             {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            if c == 0:
-                return Poly.zero(self.nvars)
-            return Poly._trusted(self.nvars,
-                                 {k: c * v for k, v in self.coeffs.items()})
+            return self.scale(other)
         self._check(other)
         return Poly._trusted(self.nvars, mul_terms(self.coeffs, other.coeffs))
 

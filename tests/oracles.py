@@ -8,9 +8,10 @@ exact helpers (series exponential, series matrix product and identity,
 rational identity matrix, Sylvester's criterion, a frame vector frozen at
 its base point, the geometric sum, the rising factorial) build fixtures
 and references for the unit tests.  The reconstruction residual by full
-series products and the Horner expansion of a recentered inverse power
-are the references for the library's share-sum residual and
-coefficient-table metric.  The routes the
+series products and the Horner expansion of a recentered inverse power,
+with the power product of the base-point constant, are the references
+for the library's share-sum residual, coefficient-table metric and its
+scale.  The routes the
 integer fast paths replaced stay here as their references: the localization
 dimension by two Fraction echelon forms, the cubic's positive roots by a
 squarefree part, a Sturm chain and chain-count bisection, and the
@@ -35,7 +36,8 @@ block), with the Fraction views of an integer GramFormKernel and its
 constructor from Fraction blocks; with them the monomial inner product
 that the Gram-form tests build Gram matrices from, and the integer row
 that RowEchelon takes.  Last, the public API that nothing but the tests read:
-evaluation, coefficient lookup and conjugation of term maps, the mixed
+the monomial w_i of a series, evaluation, coefficient lookup and
+conjugation of term maps, the mixed
 Hessian and line curvature of a scalar metric, the nullspace, the Hardy
 module, coordinate-power ideals, the zero-set descriptors (the reference
 for IdealSpec.vanishes_at) with their codimension and the minimality
@@ -56,7 +58,7 @@ from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                                 exponent, iter_multiindices, rat, unit)
 from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
                             JobConfig, _check_fields, _parse_vector)
-from submodcurv.curvature import CurvatureTensor, _unscaled_matrix
+from submodcurv.curvature import CurvatureTensor
 from submodcurv.errors import (DomainError, InputError, ShapeError,
                                SingularityError, TruncationError,
                                UnsupportedIdealError)
@@ -202,6 +204,11 @@ def evaluate_series(s: TruncSeries, wvals, wbvals) -> Fraction:
     if len(wvals) != s.npairs or len(wbvals) != s.npairs:
         raise ShapeError("evaluation point has wrong arity")
     return eval_terms(s.coeffs, wvals + wbvals)
+
+
+def series_w(npairs: int, trunc: int, i: int, power: int = 1) -> TruncSeries:
+    """The monomial w_i^power of a series (i is 0-based)."""
+    return TruncSeries(npairs, trunc, {unit(2 * npairs, i, power): 1})
 
 
 def coefficient(s: TruncSeries, wexp, wbexp) -> Fraction:
@@ -401,7 +408,10 @@ def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
 
     A has rational (hence real) entries, so A* is the transpose.
     """
-    Hf = _unscaled_matrix(metric)
+    if metric.scale is not None:
+        raise DomainError("metric carries an irrational symbolic scale; "
+                          "a gauge transformation needs rational entries")
+    Hf = metric.matrix
     t = Hf.n
     M = _check_square_rational(A, t)
     rows = []
@@ -517,7 +527,7 @@ def recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
     normalized by its value there, by Horner's scheme: the series of
     (1 - v)^(-weight) with v = (c*u + c*ub + u*ub) / (1 - c^2)."""
     c = Fraction(center)
-    u = TruncSeries.w(m, trunc, slot)
+    u = series_w(m, trunc, slot)
     ub = TruncSeries.wbar(m, trunc, slot)
     v = (u.scale(c) + ub.scale(c) + u * ub).scale(1 / (1 - c * c))
     acc = TruncSeries.constant(m, trunc, pochhammer(weight, trunc)
@@ -527,6 +537,43 @@ def recentered_inverse_power(m, trunc, slot, center, weight) -> TruncSeries:
                                    pochhammer(weight, n) / math.factorial(n)) \
             + v * acc
     return acc
+
+
+@dataclass(frozen=True)
+class PowerProduct:
+    """Product of positive rational bases raised to rational exponents.
+
+    Keeps quantities like (1 - |w|^2)^(-3/2) exact without evaluating the
+    irrational power.  Factors with base 1 or exponent 0 are dropped.  The
+    reference for the zero-set metric's scale: its text is the scale's.
+    """
+    factors: tuple = ()
+
+    def times(self, base, exp) -> "PowerProduct":
+        base, exp = rat(base), rat(exp)
+        if base <= 0:
+            raise DomainError(f"power-product base must be positive, got {base}")
+        if base == 1 or exp == 0:
+            return self
+        merged = dict(self.factors)
+        merged[base] = merged.get(base, Fraction(0)) + exp
+        return PowerProduct(tuple(sorted((b, e) for b, e in merged.items() if e != 0)))
+
+    def is_rational(self) -> bool:
+        return all(e.denominator == 1 for _, e in self.factors)
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise DomainError(f"{self} is irrational")
+        out = Fraction(1)
+        for b, e in self.factors:
+            out *= b ** int(e)
+        return out
+
+    def __str__(self):
+        if not self.factors:
+            return "1"
+        return " * ".join(f"({b})^({e})" for b, e in self.factors)
 
 
 def frame_vector_at_base(frame: FrameSeries, k: int) -> dict:

@@ -28,7 +28,8 @@ from oracles import (conj, coordinate_det_fn, coordinate_powers,
                      coordinate_tensor_by_fraction_shares, fd_log_hessian,
                      fd_mixed_hessian, gauge_conjugate, gauge_equivalent,
                      gauge_transform_metric, geometric_sum, hardy,
-                     line_curvature, mixed_hessian, zero_set_metric_fn)
+                     line_curvature, mixed_hessian, series_w,
+                     zero_set_metric_fn)
 from test_frames import share_weights
 
 
@@ -108,18 +109,18 @@ def test_curvature_matrix_needs_degree_two():
 
 
 def test_det_bundle_refuses_scaled_non_diagonal_metric():
-    # grammian never builds such a metric: scales are left only on the
+    # grammian never builds such a metric: a scale is left only on the
     # diagonal closed form of a zero-set frame
     mod = WeightedPolydiscModule(3, (1, F(3, 2), F(1, 2)))
     scaled = grammian(frame_on_zero_set(
         mod, coordinate_powers(3, (1,)), (F(0), F(1, 2), F(0)),
         JET_DEGREE))
-    assert scaled.scales is not None
+    assert scaled.scale is not None
     H = _coordinate_metric(F(1), F(2), trunc=JET_DEGREE)
     assert not H.is_diagonal()
     with pytest.raises(DomainError):
         det_bundle_curvature(MetricSeries(H.matrix, H.base_point,
-                                          H.free_slots, scaled.scales[:2]))
+                                          H.free_slots, scaled.scale))
 
 
 def test_rank_one_curvature_equals_line_curvature():
@@ -129,7 +130,7 @@ def test_rank_one_curvature_equals_line_curvature():
     H = grammian(frame)
     tensor = curvature_matrix(H)
     want = line_curvature(H.matrix[0, 0], 1, 1)
-    assert tensor.block(1, 1)[0][0] == want
+    assert tensor.blocks[1][1][0][0] == want
 
 
 # -- metamorphic: the truncation degree changes no curvature value ----------
@@ -155,14 +156,14 @@ def test_raising_degree_keeps_coordinate_curvature(m, weights):
 
 @pytest.mark.parametrize("weights", ((1, 2, 3), (1, F(3, 2), F(1, 2))))
 def test_raising_degree_keeps_zero_set_curvature(weights):
-    # integer weights fold the base-point scales into the series; half-integer
-    # weights leave irrational scales carried symbolically
+    # integer weights fold the base-point constant into the series;
+    # half-integer weights leave an irrational scale carried symbolically
     mod = WeightedPolydiscModule(3, weights)
     ideal = coordinate_powers(3, (2,))
     base = (F(0), F(1, 2), F(-1, 3))
     metrics = [grammian(frame_on_zero_set(mod, ideal, base, D))
                for D in DEGREES]
-    assert all((H.scales is None) == (weights[1] == 2) for H in metrics)
+    assert all((H.scale is None) == (weights[1] == 2) for H in metrics)
     got = [_curvatures(H) for H in metrics]
     assert got[0] == got[1] == got[2]
 
@@ -476,7 +477,7 @@ def test_permuting_variables_permutes_curvature(case):
         assert K1.free_slots == tuple(sorted(sigma[i] for i in K0.free_slots))
         for i, j in itertools.product(range(m), repeat=2):
             assert det1[sigma[i]][sigma[j]] == det0[i][j]
-            block0, block1 = K0.block(i, j), K1.block(sigma[i], sigma[j])
+            block0, block1 = K0.blocks[i][j], K1.blocks[sigma[i]][sigma[j]]
             for a, b in itertools.product(range(K0.size), repeat=2):
                 assert block1[slot[a]][slot[b]] == block0[a][b]
 
@@ -501,7 +502,7 @@ def test_gauge_transformation_law():
         want = gauge_conjugate(K, A)
         for i in range(2):
             for j in range(2):
-                assert K2.block(i, j) == want.block(i, j)
+                assert K2.blocks[i][j] == want.blocks[i][j]
 
 
 def test_gauge_equivalent_round_trip():
@@ -514,7 +515,7 @@ def test_gauge_equivalent_round_trip():
     back = gauge_conjugate(K1, [list(r) for r in W])
     for i in range(2):
         for j in range(2):
-            assert back.block(i, j) == K2.block(i, j)
+            assert back.blocks[i][j] == K2.blocks[i][j]
 
 
 def test_gauge_equivalent_rejects_distinct():
@@ -593,7 +594,7 @@ _pos = st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4)
 @settings(max_examples=25, deadline=None)
 @given(_pos, _pos)
 def test_line_curvature_scale_invariance(c, d):
-    x = TruncSeries.w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
+    x = series_w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
     h = geometric_sum(x.scale(d))  # 1/(1 - d x)
     assert line_curvature(h.scale(c), 0, 0) == line_curvature(h, 0, 0)
 
@@ -603,8 +604,8 @@ def test_line_curvature_scale_invariance(c, d):
 def test_line_curvature_log_factor_invariance(c, a):
     # multiplying by f(w) conj(f)(wb) with f(0) != 0 adds zero curvature:
     # log|f|^2 is pluriharmonic
-    x = TruncSeries.w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
+    x = series_w(1, 4, 0) * TruncSeries.wbar(1, 4, 0)
     h = geometric_sum(x)  # 1/(1 - x)
-    f = TruncSeries.constant(1, 4, c) + TruncSeries.w(1, 4, 0).scale(a)
+    f = TruncSeries.constant(1, 4, c) + series_w(1, 4, 0).scale(a)
     g = h * f * conj(f)
     assert line_curvature(g, 0, 0) == line_curvature(h, 0, 0)

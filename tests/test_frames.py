@@ -24,7 +24,7 @@ import oracles
 from oracles import (coefficient, conj, coordinate_powers, evaluate_series,
                      frame_vector_at_base, full_reconstruction_residual,
                      is_hermitian_by_pair_loop, pochhammer,
-                     recentered_inverse_power)
+                     recentered_inverse_power, series_w)
 
 E1 = unit(2, 0)
 E2 = unit(2, 1)
@@ -144,7 +144,7 @@ def test_grammian_paths_agree_at_origin():
         ideal = coordinate_powers(mod.dim, powers)
         frame = frame_on_zero_set(mod, ideal, (F(0),) * mod.dim, 4)
         H = grammian(frame)
-        assert H.scales is None
+        assert H.scale is None
         assert H.matrix.entries == _paired_vectors_metric(frame)
 
 
@@ -161,7 +161,7 @@ def test_coordinate_grammian_equals_paired_vectors(weights):
     for D in range(2, 7):
         frame = decompose_coordinate_ideal(mod, D)
         H = grammian(frame)
-        assert H.scales is None
+        assert H.scale is None
         assert H.matrix.entries == _paired_vectors_metric(frame), D
 
 
@@ -254,7 +254,7 @@ def test_recentering_matches_independent_geometric_expansion():
     for b in (F(1, 3), F(1, 4), F(-2, 5)):
         frame = frame_on_zero_set(mod, ideal, (F(0), b), D)
         got = grammian(frame).matrix[0, 0]
-        u = TruncSeries.w(2, D, 1)
+        u = series_w(2, D, 1)
         ub = TruncSeries.wbar(2, D, 1)
         v = (u.scale(b) + ub.scale(b) + u * ub).scale(1 / (1 - b * b))
         acc = TruncSeries.one(2, D)
@@ -555,22 +555,23 @@ def test_recentered_monomials_factor_through_generators():
 
 
 def _closed_form_by_horner(frame):
-    """The zero-set Grammian entries and scales with each free slot's factor
-    expanded by Horner's scheme and multiplied in as a series."""
+    """The zero-set Grammian entries and scale with each free slot's factor
+    expanded by Horner's scheme and multiplied in as a series, and the
+    base-point constant kept as a PowerProduct."""
     m, D = frame.module.dim, frame.trunc
-    scale = frames.PowerProduct()
+    scale = oracles.PowerProduct()
     common = TruncSeries.one(m, D)
     for i in frame.free_slots:
         c, l = F(frame.base_point[i]), frame.module.weights[i]
         scale = scale.times(1 - c * c, -l)
         common = common * recentered_inverse_power(m, D, i, c, l)
     fold = scale.rational_value() if scale.is_rational() else 1
-    scales = None if scale.is_rational() else (scale,) * frame.count
+    text = None if scale.is_rational() else str(scale)
     entries = [[TruncSeries.zero(m, D) for _ in range(frame.count)]
                for _ in range(frame.count)]
     for k, lead in enumerate(frame.lead_coeffs):
         entries[k][k] = common.scale(lead * fold)
-    return entries, scales
+    return entries, text
 
 
 SLOT_WEIGHTS = (F(1), F(2), F(3, 2), F(5, 3))
@@ -594,9 +595,32 @@ def test_zero_set_metric_equals_horner_on_golden_configs():
         cfg = cli.parse_config(config.read_text(encoding="utf-8"))
         module = cli._build_module(cfg)
         frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
-        matrix, scales = frames._metric_by_closed_form(frame)
-        assert (matrix.entries, scales) == _closed_form_by_horner(frame), \
+        matrix, scale = frames._metric_by_closed_form(frame)
+        assert (matrix.entries, scale) == _closed_form_by_horner(frame), \
             config.stem
+
+
+# (weights, base point, metric_at_base_11, diagonal_scales) for <z1> in
+# three variables: both free slots have the base 1 - c^2 = 8/9, so their
+# exponents add before rationality is decided; -1/2 - 1/2 = -1 is folded
+MERGED_BASES = [
+    ((F(1), F(1, 2), F(1, 2)), (F(0), F(1, 3), F(-1, 3)), F(9, 8), None),
+    ((F(1), F(1, 2), F(1, 3)), (F(0), F(1, 3), F(1, 3)), F(1),
+     ["(8/9)^(-5/6)"]),
+]
+
+
+@pytest.mark.parametrize("weights,base,value,scales", MERGED_BASES)
+def test_zero_set_scale_merges_equal_bases(weights, base, value, scales):
+    cfg = cli.JobConfig(task="metric", dimension=3, weights=weights,
+                        generators=("z1",), base_point=base)
+    report = cli.run_task(cfg)
+    assert dict(report.results)["metric_at_base_11"] == value
+    assert report.diagnostics.get("diagonal_scales") == scales
+    frame = cli._build_frame(cfg, cli._build_module(cfg),
+                             cli._build_ideal(cfg))
+    matrix, scale = frames._metric_by_closed_form(frame)
+    assert (matrix.entries, scale) == _closed_form_by_horner(frame)
 
 
 _slot_weight = st.fractions(min_value=F(1, 4), max_value=F(7, 2),

@@ -25,6 +25,10 @@ ideal through its minimal generating set: a generator with a constant
 factor, or one that another generator divides, reports what the minimal
 set reports, while the input echo keeps the generators as given.
 
+The metric task on a zero-set frame keeps its result rows and its
+diagonal_scales when the free slots are permuted with their weights and
+base coordinates.
+
 Swapping the compare task's two modules, [module] weights with
 compare_weights, swaps every left_/right_ and _left/_right row and keeps
 equivalent, on the lambda-mu path and on the rigidity battery.
@@ -229,6 +233,40 @@ def test_frame_tasks_read_the_minimal_monomial_generators(task, given,
     echo, rows = _frame_report(task, given)
     assert rows == _frame_report(task, minimal)[1]
     assert f"generators = [{', '.join(given)}]" in echo
+
+
+# (generators, weights, base point) of zero-set metric jobs in four
+# variables, with c != 0 on exactly the free slots.  Their bases 1 - c^2
+# coincide in pairs, so the base-point constant merges factors:
+# (3/4)^(-2) * (8/9)^(-5/6) for the first, a rational for the second.
+FREE_SLOT_JOBS = [
+    (("z2^2",), (F(1, 2), F(3, 2), F(1, 3), F(2)),
+     (F(1, 3), F(0), F(-1, 3), F(1, 2))),
+    (("z1", "z3^2"), (F(1), F(1, 2), F(2), F(3, 2)),
+     (F(0), F(1, 2), F(0), F(-1, 2))),
+]
+
+
+def _metric_rows(generators, weights, base):
+    """The result rows and the diagonal_scales diagnostic of a metric job."""
+    report = run_task(JobConfig(task="metric", dimension=4, weights=weights,
+                                generators=generators, base_point=base))
+    return report.results, report.diagnostics.get("diagonal_scales")
+
+
+@pytest.mark.parametrize("generators,weights,base", FREE_SLOT_JOBS)
+def test_metric_survives_free_slot_permutations(generators, weights, base):
+    """Permuting the free slots with their weights and base coordinates
+    keeps metric_at_base_*, every principal minor and diagonal_scales."""
+    free = [i for i, c in enumerate(base) if c]
+    want = _metric_rows(generators, weights, base)
+    assert want[1] == (["(3/4)^(-2) * (8/9)^(-5/6)"] if len(free) == 3
+                       else None)
+    for perm in itertools.permutations(free):
+        w, b = list(weights), list(base)
+        for old, new in zip(free, perm):
+            w[new], b[new] = weights[old], base[old]
+        assert _metric_rows(generators, tuple(w), tuple(b)) == want, perm
 
 
 def _compare_rows(dimension, generators, weights, compare_weights):
