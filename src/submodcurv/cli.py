@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
@@ -346,10 +347,17 @@ class Report:
         self.results.append((name, value))
 
     def add_matrix(self, name, rows):
-        """One result name_ij per entry, i and j counted from 1."""
-        self.results += [(f"{name}_{i}{j}", value)
-                         for i, row in enumerate(rows, 1)
-                         for j, value in enumerate(row, 1)]
+        """One result name_ij per entry, i and j counted from 1.  The names
+        are formatted once per name and row lengths (_matrix_names)."""
+        self.results += zip(_matrix_names(name, tuple(map(len, rows))),
+                            chain.from_iterable(rows))
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_names(name: str, shape: tuple) -> tuple:
+    """name_ij for i from 1 to len(shape) and j from 1 to shape[i - 1]."""
+    return tuple(f"{name}_{i}{j}" for i, n in enumerate(shape, 1)
+                 for j in range(1, n + 1))
 
 
 def _encode(value):
@@ -373,6 +381,10 @@ def _render_value(value):
     return str(value)
 
 
+# the result types the text report renders by _render_value
+_CONTAINERS = frozenset((list, tuple, dict))
+
+
 def render_report(report: Report, output: str) -> str:
     if output == "json":
         payload = {
@@ -389,10 +401,10 @@ def render_report(report: Report, output: str) -> str:
     for k in sorted(report.input_echo):
         lines.append(f"  {k} = {_render_value(report.input_echo[k])}")
     lines.append("results:")
-    # a scalar row, nearly every row, is its str(); lists and dicts recurse
+    # a scalar row, nearly every row, is its str(); lists and dicts recurse.
+    # An exact type lookup is cheaper than isinstance on a Fraction.
     lines += ["  %s = %s" % (name, _render_value(value)
-                             if isinstance(value, (list, tuple, dict))
-                             else value)
+                             if type(value) in _CONTAINERS else value)
               for name, value in report.results]
     lines.append("diagnostics:")
     for k in sorted(report.diagnostics):
@@ -646,7 +658,7 @@ def run_task(cfg: JobConfig) -> Report:
 # Entry point
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built on the first call and reused by every
     later main() call in the process; argparse reads the terminal width

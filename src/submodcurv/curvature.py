@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import TruncSeries
 from .errors import DomainError, SingularityError, TruncationError
@@ -69,8 +70,10 @@ class CurvatureTensor:
     """Curvature blocks of a Grammian metric at its base point.
 
     blocks[i][j] is the t-by-t rational matrix of the (i, j) mixed
-    derivative; i, j run over all ambient variables, with blocks vanishing
-    identically in directions the metric does not move in.
+    derivative, as nested tuples; i, j run over all ambient variables, with
+    blocks vanishing identically in directions the metric does not move in.
+    curvature_tensor shares one all-zero block among those, which
+    trace_matrix reads as a zero trace without summing it.
     """
     base_point: tuple
     size: int
@@ -80,8 +83,16 @@ class CurvatureTensor:
     def trace_matrix(self):
         """Blockwise traces.  Only the nonzero diagonal entries are summed,
         and a zero trace is Fraction(0), as every entry is a Fraction."""
-        return tuple(tuple(_trace(block) for block in row)
-                     for row in self.blocks)
+        zero = _zero_block(self.size)
+        return tuple(tuple(_ZERO if block is zero else _trace(block)
+                           for block in row) for row in self.blocks)
+
+
+@lru_cache(maxsize=16)
+def _zero_block(t: int) -> tuple:
+    """The t-by-t all-zero block, one object per t, which curvature_tensor
+    puts at every block it does not write."""
+    return ((_ZERO,) * t,) * t
 
 
 def _trace(block) -> Fraction:
@@ -178,14 +189,17 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
     constant times prod_free (1 - |w_i|^2)^(-l_i), so block (k, k) is
     l_k / (1 - c_k^2)^2 times the identity for each free slot k, and every
     other block is 0; the generator powers and lead coefficients drop out.
-    Equal to curvature_matrix(grammian(frame)).
+
+    Only the blocks with a nonzero entry are written: the (k, q) that a
+    term with |a| = 2 reaches, or the free-slot diagonal, and within a
+    coordinate block only the rows with a nonzero entry.  Every other
+    block is one shared all-zero block (_zero_block), and every other row
+    its zero row.  Equal to curvature_matrix(grammian(frame)).
     """
-    module = frame.module
-    m = module.dim
+    m = frame.module.dim
     t = frame.count
-    weights = module.weights
-    blocks = [[[[_ZERO] * t for _ in range(t)] for _ in range(m)]
-              for _ in range(m)]
+    zero = _zero_block(t)
+    written = {}
     if frame.kind == COORDINATE_KIND:
         gens, scale = share_generators(frame)
         for num, den, downs in coordinate_terms(frame, 2, 2):
@@ -194,17 +208,28 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
             for i, k, xi in pairs:
                 ni, di = num * xi * scale, den * gens[i][3]
                 for j, q, xj in pairs:
-                    blocks[k][q][i][j] = Fraction(ni * xj, di)
+                    block = written.get((k, q))
+                    if block is None:
+                        block = written[k, q] = list(zero)
+                    row = block[i]
+                    if row is zero[0]:
+                        row = block[i] = list(row)
+                    row[j] = Fraction(ni * xj, di)
+        # tuple() of a row never written returns the shared zero row
+        written = {kq: tuple(map(tuple, block))
+                   for kq, block in written.items()}
     else:
+        weights = frame.module.weights
+        zeros = (_ZERO,) * (t - 1)
         for k in frame.free_slots:
             c = frame.base_point[k]
             value = weights[k] / (1 - c * c) ** 2
-            for a in range(t):
-                blocks[k][k][a][a] = value
+            written[k, k] = tuple(zeros[:a] + (value,) + zeros[a:]
+                                  for a in range(t))
     return CurvatureTensor(
         frame.base_point, t,
-        tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
-              for brow in blocks),
+        tuple(tuple(written.get((k, q), zero) for q in range(m))
+              for k in range(m)),
         frame.free_slots)
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -262,24 +262,41 @@ class MetricSeries:
         return self.matrix.value_at_base()
 
 
+@lru_cache(maxsize=64)
+def _exponents(m: int, top: int, low: int) -> tuple:
+    """The exponents a of m variables with low <= |a| <= top, in
+    iter_multiindices order; cached per (m, top, low), callers only read
+    the tuple."""
+    return tuple(iter_multiindices(m, top, low))
+
+
 def coordinate_terms(frame: FrameSeries, low: int, top: int):
     """The kernel terms c_a of a coordinate-neighborhood frame with
     low <= |a| <= top, in integers: one (num, den, downs) per a, with
     num/den = c_a / denom^2, denom the sum of the share numerators, and
     downs holding (i, x_i, a - e_i) per generator z_i dividing z^a, x_i its
-    share numerator (share_numerators).  c_a is the product of the
-    diag_coeff_slots entries of a's support, so num and den are the products
-    of their numerators and denominators."""
+    share numerator x_i = L_v a_v (share_numerators).  c_a is the product
+    of the diag_coeff_slots entries of a's support, so num and den are the
+    products of their numerators and denominators.  The exponents come
+    from one cached tuple per (m, top, low), and each one's shares, num
+    and den from one pass over the generators."""
     gens, _ = share_generators(frame)
     slots = diag_coeff_slots(frame.module, top)
     nums = [[c.numerator for c in row] for row in slots]
     dens = [[c.denominator for c in row] for row in slots]
-    for a in iter_multiindices(frame.module.dim, top, low):
-        parts, denom = share_numerators(gens, a)
-        num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
-        den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
-        yield num, den, [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
-                         for k, v, _, x in parts]
+    for a in _exponents(frame.module.dim, top, low):
+        num = den = 1
+        denom = 0
+        downs = []
+        for k, v, p, w in gens:
+            e = a[v]
+            if e >= p:
+                x = w * e
+                denom += x
+                num *= nums[v][e]
+                den *= dens[v][e]
+                downs.append((k, x, a[:v] + (e - 1,) + a[v + 1:]))
+        yield num, den * denom * denom, downs
 
 
 def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:

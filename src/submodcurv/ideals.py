@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import prod
 from operator import mul
 from typing import Optional
@@ -123,7 +123,7 @@ def _vanishing_point(nvars, gens):
 # number of variables
 
 
-@cache
+@lru_cache(maxsize=16)
 def _product_difference_gens(nvars):
     if nvars < 2:
         raise DomainError("product_difference needs at least 2 variables")

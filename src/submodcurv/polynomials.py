@@ -41,10 +41,6 @@ class Poly(TermMap):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
-
-    @staticmethod
     def constant(nvars: int, c) -> "Poly":
         return Poly(nvars, {(0,) * nvars: c})
 

@@ -15,7 +15,9 @@ scale.  The routes the
 integer fast paths replaced stay here as their references: the localization
 dimension by two Fraction echelon forms, the cubic's positive roots by a
 squarefree part, a Sturm chain and chain-count bisection, and the
-coordinate Grammian and curvature blocks with Fraction splitting shares.
+coordinate Grammian and curvature blocks with Fraction splitting shares,
+the coordinate kernel-term walk that enumerated its exponents on every
+call, and the report's matrix rows with one formatted name per entry.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
 generator by evaluating it at the polynomials z_i + w_i (the two-span
@@ -62,7 +64,8 @@ from submodcurv.curvature import CurvatureTensor
 from submodcurv.errors import (DomainError, InputError, ShapeError,
                                SingularityError, TruncationError,
                                UnsupportedIdealError)
-from submodcurv.frames import FrameSeries, MetricSeries, coordinate_power_data
+from submodcurv.frames import (FrameSeries, MetricSeries, coordinate_power_data,
+                               share_generators, share_numerators)
 from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                GENERAL, MONOMIAL, IdealSpec,
                                LocalizationResult)
@@ -472,7 +475,7 @@ def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
         return None
     r = len(basis)
     # det of sum x_i X_i as an exact polynomial in x_1..x_r
-    entries = [[Poly.zero(r) for _ in range(t)] for _ in range(t)]
+    entries = [[Poly(r) for _ in range(t)] for _ in range(t)]
     for idx, vec in enumerate(basis):
         xi = Poly.variable(r, idx)
         for a in range(t):
@@ -642,6 +645,31 @@ def coordinate_tensor_by_fraction_shares(frame: FrameSeries) -> tuple:
                 blocks[k][q][i][j] = si * sj * c / weights[i]
     return tuple(tuple(tuple(tuple(row) for row in block) for block in brow)
                  for brow in blocks)
+
+
+def coordinate_terms_by_enumeration(frame: FrameSeries, low: int, top: int):
+    """The frames.coordinate_terms walk that the cached exponent tuple and
+    the one integer pass replaced: iter_multiindices enumerated on every
+    call, share_numerators per exponent, and num and den as two math.prod
+    generators over its parts."""
+    gens, _ = share_generators(frame)
+    slots = diag_coeff_slots(frame.module, top)
+    nums = [[c.numerator for c in row] for row in slots]
+    dens = [[c.denominator for c in row] for row in slots]
+    for a in iter_multiindices(frame.module.dim, top, low):
+        parts, denom = share_numerators(gens, a)
+        num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
+        den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
+        yield num, den, [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
+                         for k, v, _, x in parts]
+
+
+def matrix_rows_by_fstring(name: str, rows) -> list:
+    """The Report.add_matrix rows before the names were cached per shape:
+    one f"{name}_{i}{j}" formatted per entry."""
+    return [(f"{name}_{i}{j}", value)
+            for i, row in enumerate(rows, 1)
+            for j, value in enumerate(row, 1)]
 
 
 def diagonal_tail_bound_by_fractions(total_weight: Fraction, rho: Fraction,
@@ -950,11 +978,11 @@ def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:
 def centre_by_eval_terms(g: Poly, point) -> Poly:
     """The centring g(w + x) that the two-span localization route uses and
     ideals.localization_dim no longer needs, by evaluating g's terms at the
-    polynomials x_i + w_i with Poly products (Poly.zero + keeps a constant
+    polynomials x_i + w_i with Poly products (Poly(m) + keeps a constant
     generator a Poly)."""
     m = g.nvars
     xs = [Poly.variable(m, i) + rat(w) for i, w in enumerate(point)]
-    return Poly.zero(m) + eval_terms(g.coeffs, xs)
+    return Poly(m) + eval_terms(g.coeffs, xs)
 
 
 def format_terms_by_fraction_str(coeffs: dict, names) -> str:

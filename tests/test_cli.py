@@ -15,7 +15,8 @@ from submodcurv.errors import InputError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
-from oracles import (is_hermitian_by_pair_loop, parse_config_by_configparser,
+from oracles import (is_hermitian_by_pair_loop, matrix_rows_by_fstring,
+                     parse_config_by_configparser,
                      parse_rational_by_fraction_str)
 
 BASE = """
@@ -1056,3 +1057,28 @@ def test_canonical_argv_cases():
                  ["kernel", "--output", "json"],
                  ["kernel", "--config"], ["dance", "--config", "a.cfg"], []):
         assert cli._canonical_args(argv) is None, argv
+
+
+def test_add_matrix_names_are_cached_per_name_and_shape():
+    """add_matrix gives the f-string rows of the reference for t x t and
+    m x m shapes.  One name at two shapes gets each shape's names, which a
+    cache keyed by the name alone would not, and a repeated (name, shape)
+    formats no name."""
+    cli._matrix_names.cache_clear()
+    t_rows = [[F(1, 2), F(0)], [F(0), F(3)]]
+    m_rows = [[F(k, 7) + j for j in range(4)] for k in range(4)]
+    ragged = [[F(1)], [F(2), F(3), F(4)]]
+    report = cli.Report("curvature", {})
+    want = []
+    for name, rows in (("curvature_block_12", t_rows),
+                       ("det_bundle_curvature", m_rows),
+                       ("curvature_block_12", m_rows),
+                       ("curvature_block_12", t_rows),
+                       ("curvature_block_12", ragged)):
+        report.add_matrix(name, rows)
+        want += matrix_rows_by_fstring(name, rows)
+    assert report.results == want
+    info = cli._matrix_names.cache_info()
+    assert (info.hits, info.misses) == (1, 4)
+    assert info.maxsize is not None
+    cli._matrix_names.cache_clear()

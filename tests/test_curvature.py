@@ -304,6 +304,48 @@ def test_coordinate_tensor_matches_metric_route(weights):
     assert curvature_tensor(frame) == _metric_route(frame)
 
 
+# (weights, generator data, base point) of frames with t = 4 or m = 5: the
+# coordinate ideal of the pooled m = 5 jobs' size, and zero-set frames with
+# four generators, with and without a free slot
+LARGE_FRAMES = [
+    ((F(1, 2), F(1), F(3, 2), F(2), F(5, 2)), None, None),
+    ((F(5, 3), F(7, 3), F(3), F(1, 2), F(2)), None, None),
+    ((F(1), F(3, 2), F(2), F(1, 2), F(5, 3)),
+     [(0, 1), (1, 2), (3, 1), (4, 2)],
+     (F(0), F(0), F(-2, 5), F(0), F(0))),
+    ((F(3, 2), F(2), F(1, 3), F(5, 2)), [(0, 2), (1, 1), (2, 1), (3, 2)],
+     (F(0),) * 4),
+]
+
+
+@pytest.mark.parametrize("weights,data,base", LARGE_FRAMES)
+def test_large_tensors_match_metric_route(weights, data, base):
+    """curvature_tensor equals the metric route at m = 5 and t = 4.  Every
+    block it does not write is one shared all-zero block, which trace_matrix
+    reads as Fraction(0), and every zero row is one shared row."""
+    m = len(weights)
+    module = WeightedPolydiscModule(m, weights)
+    if data is None:
+        frame = decompose_coordinate_ideal(module, JET_DEGREE)
+    else:
+        ideal = IdealSpec.monomial(m, [unit(m, v, p) for v, p in data])
+        frame = frame_on_zero_set(module, ideal, base, JET_DEGREE)
+    tensor = curvature_tensor(frame)
+    assert tensor == _metric_route(frame)
+    assert tensor.trace_matrix() == _trace_by_full_sum(tensor)
+    t = tensor.size
+    zero = ((F(0),) * t,) * t
+    blocks = [block for row in tensor.blocks for block in row]
+    nonzero = sum(block != zero for block in blocks)
+    shared = {id(block) for block in blocks if block == zero}
+    assert len({id(row) for block in blocks for row in block
+                if row == zero[0]}) == 1
+    if data is None:  # the coordinate frame reaches every (k, q)
+        assert nonzero == m * m and not shared
+    else:
+        assert nonzero == len(frame.free_slots) and len(shared) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(share_weights())
 def test_coordinate_tensor_equals_fraction_share_reference(weights):

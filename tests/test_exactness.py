@@ -10,6 +10,9 @@ private module-level name that nothing in the package reads, and no
 module of the package, its tests, its scripts or the benchmark driver
 imports a name it never reads.
 
+Every cache in the package is bounded: each lru_cache is given an
+integer maxsize, so a long run of jobs cannot grow one without bound.
+
 Each number is computed in one module: the kernel coefficients
 poch(l, n)/n! are computed in rkhs.py alone (its table diag_coeff_slots
 and the ratio recurrences of its diagonal sums and tail bound), so no
@@ -193,3 +196,43 @@ def test_one_module_computes_the_kernel_coefficients():
                  ast.parse(path.read_text()))}
     assert found == {("rkhs.py", "math.factorial")}
     assert not hasattr(submodcurv, "pochhammer")
+
+
+_CACHES = ("lru_cache", "cache")
+
+
+def _unbounded_caches(tree):
+    """The text of each functools cache that is not lru_cache with an
+    integer maxsize: a bare @lru_cache or @cache, maxsize=None, or no
+    maxsize at all."""
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "attr", getattr(node.func, "id", None)) \
+                == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords
+                                     if k.arg == "maxsize"]
+            if len(sizes) == 1 and isinstance(sizes[0], ast.Constant) \
+                    and type(sizes[0].value) is int:
+                bounded.add(id(node.func))
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in _CACHES and id(node) not in bounded:
+            yield ast.unparse(node)
+
+
+def test_every_cache_is_bounded():
+    found = {(path.name, text)
+             for path in MODULES
+             for text in _unbounded_caches(ast.parse(path.read_text()))}
+    assert found == set()
+    # the check sees each unbounded form and passes an integer maxsize
+    assert sorted(_unbounded_caches(ast.parse(
+        "@lru_cache\ndef f(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef g(): pass\n"
+        "@functools.cache\ndef h(): pass\n"
+        "@lru_cache()\ndef k(): pass\n"
+        "@lru_cache(maxsize=64)\ndef ok(): pass\n"
+        "@functools.lru_cache(8)\ndef ok2(): pass\n"))) == \
+        ["functools.cache", "functools.lru_cache", "lru_cache", "lru_cache"]

@@ -765,3 +765,40 @@ def test_splitting_shares_equal_fraction_ratios(weights):
     for w, row in zip(mod.weights, diag_coeff_slots(mod, 4)):
         assert list(row) == [pochhammer(w, n) / math.factorial(n)
                              for n in range(5)]
+
+
+_WALK_WEIGHT = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.lists(_WALK_WEIGHT, min_size=m, max_size=m)),
+    st.integers(0, 4), st.integers(0, 4))
+def test_coordinate_terms_equal_the_enumerating_walk(weights, low, top):
+    """The cached exponent tuple and the one integer pass give the terms
+    of the walk that enumerated the exponents per call, in order."""
+    low, top = min(low, top), max(low, top)
+    frame = decompose_coordinate_ideal(
+        WeightedPolydiscModule(len(weights), weights), 2)
+    assert list(frames.coordinate_terms(frame, low, top)) == \
+        list(oracles.coordinate_terms_by_enumeration(frame, low, top))
+
+
+def test_coordinate_terms_enumerate_once_per_shape(monkeypatch):
+    """The exponents are enumerated once per (m, top, low): a second walk,
+    of another frame of the same shape, enumerates nothing."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return iter_multiindices(*args)
+
+    monkeypatch.setattr(frames, "iter_multiindices", counting)
+    frames._exponents.cache_clear()
+    for weights in ((F(1), F(2), F(3, 2)), (F(1, 2), F(1), F(5, 2))):
+        frame = decompose_coordinate_ideal(
+            WeightedPolydiscModule(3, weights), 4)
+        list(frames.coordinate_terms(frame, 1, 3))
+        list(frames.coordinate_terms(frame, 2, 2))
+    frames._exponents.cache_clear()
+    assert calls == [(3, 3, 1), (3, 2, 2)]

@@ -27,7 +27,11 @@ set reports, while the input echo keeps the generators as given.
 
 The metric task on a zero-set frame keeps its result rows and its
 diagonal_scales when the free slots are permuted with their weights and
-base coordinates.
+base coordinates.  The curvature task, run through cli.main, moves each
+row with the permutation: a variable permutation of the coordinate ideal's
+weights, or of a zero-set job's generators, weights and base point, moves
+det_bundle_curvature_kq to the permuted (k, q) and curvature_block_kq_ij to
+the permuted block and frame indices.
 
 Swapping the compare task's two modules, [module] weights with
 compare_weights, swaps every left_/right_ and _left/_right row and keeps
@@ -40,8 +44,11 @@ with a redundant member whose degree is below the top degree of the
 generators it is built from (ROADMAP item 15).
 """
 
+import contextlib
 import dataclasses
+import io
 import itertools
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -49,7 +56,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodcurv.cli import JobConfig, parse_config, render_report, run_task
+from submodcurv.cli import (JobConfig, main, parse_config, render_report,
+                            run_task)
 from submodcurv.polynomials import Poly, parse_poly
 
 GOLDEN_KERNEL = Path(__file__).parent / "golden" / "kernel"
@@ -267,6 +275,85 @@ def test_metric_survives_free_slot_permutations(generators, weights, base):
         for old, new in zip(free, perm):
             w[new], b[new] = weights[old], base[old]
         assert _metric_rows(generators, tuple(w), tuple(b)) == want, perm
+
+
+def _curvature_rows(tmp_path, generators, weights, base=None):
+    """name -> value text of the result rows of a curvature job run through
+    cli.main on a config file, in the variables of the weights."""
+    m = len(weights)
+    lines = ["[module]", f"dimension = {m}",
+             f"weights = {' '.join(map(str, weights))}", "[ideal]",
+             f"generators = {', '.join(generators)}", "[task]",
+             "name = curvature", "trunc_degree = 4"]
+    if base is not None:
+        lines.append(f"base_point = {' '.join(map(str, base))}")
+    path = tmp_path / "curvature.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["curvature", "--config", str(path)]) == 0
+    text = out.getvalue()
+    rows = text[text.index("results:\n"):text.index("diagnostics:")]
+    return dict(line.strip().split(" = ") for line in rows.splitlines()[1:])
+
+
+_CURVATURE_ROW = re.compile(
+    r"(?:det_bundle_curvature_(\d)(\d)|curvature_block_(\d)(\d)_(\d)(\d))$")
+
+
+def _moved(name, sigma, tau):
+    """The row name with block indices k, q moved by sigma and inner frame
+    indices i, j by tau, all counted from 1."""
+    match = _CURVATURE_ROW.match(name)
+    assert match, name
+    k, q, bk, bq, i, j = (None if g is None else int(g) - 1
+                          for g in match.groups())
+    if k is not None:
+        return f"det_bundle_curvature_{sigma[k] + 1}{sigma[q] + 1}"
+    return (f"curvature_block_{sigma[bk] + 1}{sigma[bq] + 1}"
+            f"_{tau[i] + 1}{tau[j] + 1}")
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_coordinate_curvature_survives_variable_permutations(tmp_path, m):
+    """Permuting the weights of the coordinate ideal's curvature job moves
+    each det_bundle_curvature_kq row to (sigma k, sigma q) and each
+    curvature_block_kq_ij row to (sigma k, sigma q, sigma i, sigma j): frame
+    vector i is z_i's."""
+    weights = (F(1, 2), F(3, 2), F(2), F(5, 3))[:m]
+    gens = [f"z{v + 1}" for v in range(m)]
+    want = _curvature_rows(tmp_path, gens, weights)
+    assert len(want) == m * m + m ** 4
+    for sigma in itertools.permutations(range(m)):
+        moved = [None] * m
+        for old, new in enumerate(sigma):
+            moved[new] = weights[old]
+        got = _curvature_rows(tmp_path, gens, moved)
+        assert {_moved(name, sigma, sigma): value
+                for name, value in want.items()} == got, sigma
+
+
+def test_zero_set_curvature_survives_variable_permutations(tmp_path):
+    """<z1^2, z3> at (0, 1/3, 0) over (1, 3/2, 2), with its generators,
+    weights and base permuted: the block indices follow the variables and
+    the inner frame indices follow the sorted generator variables."""
+    weights, base = (F(1), F(3, 2), F(2)), (F(0), F(1, 3), F(0))
+    powers = {0: 2, 2: 1}  # generator variable -> power
+    want = _curvature_rows(tmp_path, ["z1^2", "z3"], weights, base)
+    assert want["curvature_block_22_11"] == want["curvature_block_22_22"] \
+        != "0"
+    for sigma in itertools.permutations(range(3)):
+        moved_w, moved_b = [None] * 3, [None] * 3
+        for old, new in enumerate(sigma):
+            moved_w[new], moved_b[new] = weights[old], base[old]
+        gens = [f"z{sigma[v] + 1}" + ("^2" if p == 2 else "")
+                for v, p in powers.items()]
+        # frame vector a is the generator of the a-th smallest variable
+        order = sorted(sigma[v] for v in powers)
+        tau = [order.index(sigma[v]) for v in sorted(powers)]
+        got = _curvature_rows(tmp_path, gens, moved_w, moved_b)
+        assert {_moved(name, sigma, tau): value
+                for name, value in want.items()} == got, sigma
 
 
 def _compare_rows(dimension, generators, weights, compare_weights):

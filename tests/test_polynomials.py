@@ -63,7 +63,7 @@ def test_poly_algebra():
     p = (z1 + z2) * (z1 - z2)
     assert p == z1 * z1 - z2 * z2
     assert (z1 ** 3).degree == 3
-    assert Poly.zero(2).degree == -1
+    assert Poly(2).degree == -1
     assert Poly.constant(2, F(4)).degree == 0
 
 
@@ -167,7 +167,7 @@ def test_pow_starts_from_the_base():
     assert list((p ** 1).coeffs.items()) == list(p.coeffs.items())
     assert list((p ** 3).coeffs.items()) == \
         list((Poly.constant(2, 1) * p * p * p).coeffs.items())
-    assert (Poly.zero(2) ** 0) == Poly.constant(2, 1)
-    assert (Poly.zero(2) ** 2).is_zero()
+    assert (Poly(2) ** 0) == Poly.constant(2, 1)
+    assert (Poly(2) ** 2).is_zero()
     with pytest.raises(DomainError):
         p ** -1
