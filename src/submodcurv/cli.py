@@ -37,7 +37,8 @@ from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
 from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
                          lambda_mu_invariants, polydisc_rigidity_report)
 from .polynomials import parse_poly
-from .rkhs import WeightedPolydiscModule, submodule_kernel
+from .rkhs import (WeightedPolydiscModule, in_open_polydisc,
+                   submodule_kernel)
 
 TASKS = ("kernel", "decompose", "metric", "curvature", "dimension",
          "compare", "cubic")
@@ -177,7 +178,7 @@ def _check_fields(fields: dict, labels: dict):
                      ("base_point", (fields["base_point"],)
                       if "base_point" in fields else ())):
         for pt in pts:
-            if any(abs(x) >= 1 for x in pt):
+            if not in_open_polydisc(pt):
                 raise InputError(
                     f"point ({', '.join(str(x) for x in pt)}) lies outside "
                     "the open polydisc", field=labels[key])

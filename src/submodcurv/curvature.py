@@ -32,6 +32,7 @@ above and the line curvature of a scalar metric are checked in the tests
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,8 +97,14 @@ def _zero_block(t: int) -> tuple:
 
 
 def _trace(block) -> Fraction:
+    """The sum of the nonzero diagonal entries: their numerators over the
+    lcm of their denominators, one Fraction."""
     diagonal = [row[k] for k, row in enumerate(block) if row[k]]
-    return sum(diagonal[1:], diagonal[0]) if diagonal else _ZERO
+    if len(diagonal) < 2:
+        return diagonal[0] if diagonal else _ZERO
+    den = math.lcm(*(x.denominator for x in diagonal))
+    return Fraction(sum(x.numerator * (den // x.denominator)
+                        for x in diagonal), den)
 
 
 def _two_jet(s: TruncSeries):

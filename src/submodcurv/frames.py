@@ -28,7 +28,7 @@ positive base-point constant, folded in when rational and otherwise (a
 fractional power) kept as the metric's one scale, in text, since it never
 influences curvature.  The base point vanishes on each generator variable,
 so conj(p_k) F^k restores exactly the share s_k of each kernel term, and
-the check sums the shares.
+the check sums the integer share numerators against their denominator.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .errors import (DegeneracyError, DomainError, ShapeError,
 from .ideals import MONOMIAL, IdealSpec
 from .linalg import leading_principal_minors
 from .polynomials import Poly
-from .rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
+from .rkhs import (WeightedPolydiscModule, diag_coeff, diag_coeff_rows,
+                   diag_coeff_slots, in_open_polydisc)
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
@@ -213,7 +214,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
     base = tuple(rat(x) for x in base_point)
     if len(base) != m:
         raise ShapeError(f"base point has arity {len(base)}, expected {m}")
-    if any(abs(x) >= 1 for x in base):
+    if not in_open_polydisc(base):
         raise DomainError(f"base point {base} is outside the open polydisc")
     for v in gen_vars:
         if base[v] != 0:
@@ -276,14 +277,13 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
     num/den = c_a / denom^2, denom the sum of the share numerators, and
     downs holding (i, x_i, a - e_i) per generator z_i dividing z^a, x_i its
     share numerator x_i = L_v a_v (share_numerators).  c_a is the product
-    of the diag_coeff_slots entries of a's support, so num and den are the
-    products of their numerators and denominators.  The exponents come
-    from one cached tuple per (m, top, low), and each one's shares, num
-    and den from one pass over the generators."""
+    of the poch(l, n)/n! entries of a's support, so num and den are the
+    products of their numerators and denominators, read from the integer
+    rows of diag_coeff_rows.  The exponents come from one cached tuple per
+    (m, top, low), and each one's shares, num and den from one pass over
+    the generators."""
     gens, _ = share_generators(frame)
-    slots = diag_coeff_slots(frame.module, top)
-    nums = [[c.numerator for c in row] for row in slots]
-    dens = [[c.denominator for c in row] for row in slots]
+    nums, dens = zip(*diag_coeff_rows(frame.module, top))
     for a in _exponents(frame.module.dim, top, low):
         num = den = 1
         denom = 0
@@ -322,26 +322,32 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
                           for t in row] for row in terms])
 
 
-def _slot_coefficients(row, c) -> dict:
-    """(beta, gamma) -> [u^beta ub^gamma] of ((1 - (c+u)(c+ub)) / (1 - c^2))
-    ^(-l) for beta + gamma <= trunc, zero entries left out, where row is
-    l's diag_coeff_slots row (l)_n/n!, n = 0..trunc:
+def _slot_coefficients(row, c):
+    """(table, den): table maps (beta, gamma) to the integer numerator over
+    den of [u^beta ub^gamma] ((1 - (c+u)(c+ub)) / (1 - c^2))^(-l), for
+    beta + gamma <= D, zero entries left out, where row is l's
+    diag_coeff_slots row (l)_n/n!, n = 0..D.  That coefficient is
     (l)_beta/beta! sum_{j <= min(beta, gamma)} C(beta, j) (l+beta)_{gamma-j}
     /(gamma-j)! c^(beta+gamma-2j) q^(beta+gamma-j), q = 1/(1 - c^2).  With
-    n = beta + gamma the j-th term is C(beta, j) C(n-j, beta) lq[n-j]
-    c^(n-2j), lq[k] = (l)_k/k! q^k; the table is symmetric in (beta, gamma)."""
+    c = u/d, e = d^2 - u^2, row[k] = R_k/S over one denominator S and
+    n = beta + gamma it is d^n/(e^n S) sum_j C(beta, j) C(n-j, beta) R_{n-j}
+    u^(n-2j) e^j, so over den = e^D S its numerator is that sum times
+    d^n e^(D-n).  The table is symmetric in (beta, gamma)."""
     trunc = len(row) - 1
-    q = 1 / (1 - c * c)
-    lq = [x * q ** k for k, x in enumerate(row)]
-    cpow = [c ** k for k in range(trunc + 1)]
+    S = math.lcm(*(x.denominator for x in row))
+    R = [x.numerator * (S // x.denominator) for x in row]
+    u, d = c.numerator, c.denominator
+    upow = [u ** k for k in range(trunc + 1)]
+    epow = [(d * d - u * u) ** k for k in range(trunc + 1)]
     table = {}
     for b in range(trunc // 2 + 1):
         for n in range(2 * b, trunc + 1):
-            x = sum(math.comb(b, j) * math.comb(n - j, b) * lq[n - j]
-                    * cpow[n - 2 * j] for j in range(b + 1))
+            x = sum(math.comb(b, j) * math.comb(n - j, b) * R[n - j]
+                    * upow[n - 2 * j] * epow[j] for j in range(b + 1))
             if x:
-                table[b, n - b] = table[n - b, b] = x
-    return table
+                table[b, n - b] = table[n - b, b] = \
+                    x * d ** n * epow[trunc - n]
+    return table, epow[trunc] * S
 
 
 def _metric_by_closed_form(frame: FrameSeries):
@@ -354,9 +360,12 @@ def _metric_by_closed_form(frame: FrameSeries):
     integer the constant is folded into the series, so reported values are
     the true norms, and the scale is None; otherwise (an irrational power
     from fractional weights) it is returned as the scale, the text
-    "(b)^(e) * ..." sorted by base.  H is diagonal, and each slot table is
-    symmetric in (beta, gamma), so every entry is its own key-swapped
-    conjugate: H is Hermitian by construction.
+    "(b)^(e) * ..." sorted by base.  The slot tables multiply as integer
+    numerators over the product of their denominators, and each stored
+    term of H_kk is one Fraction(a p, den q), p/q = lead_k times the folded
+    constant.  H is diagonal, and each slot table is symmetric in
+    (beta, gamma), so every entry is its own key-swapped conjugate: H is
+    Hermitian by construction.
     """
     module = frame.module
     m = module.dim
@@ -365,24 +374,31 @@ def _metric_by_closed_form(frame: FrameSeries):
     powers = {}
     slots = diag_coeff_slots(module, D)
     # disjoint slots: the product of their tables is the outer product
-    terms = {(0,) * (2 * m): Fraction(1)}
+    terms, den = {(0,) * (2 * m): 1}, 1
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         if c:
             powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
-        table = _slot_coefficients(slots[i], c).items()
+        table, slot_den = _slot_coefficients(slots[i], c)
+        den *= slot_den
+        table = table.items()
         terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
                  for k, a in terms.items() for room in (D - sum(k),)
                  for (b, g), x in table if b + g <= room}
-    common = TruncSeries._trusted(m, D, terms)
     if all(e.denominator == 1 for e in powers.values()):
         fold, scale = math.prod(b ** int(e) for b, e in powers.items()), None
     else:
         fold, scale = 1, " * ".join(f"({b})^({e})"
                                     for b, e in sorted(powers.items()))
-    return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold) if k == j
-                          else TruncSeries.zero(m, D) for j in range(t)]
-                         for k in range(t)]), scale
+    diagonal = []
+    for lead in frame.lead_coeffs:
+        r = rat(lead) * fold
+        p, q = r.numerator, r.denominator * den
+        diagonal.append(TruncSeries._trusted(
+            m, D, {k: Fraction(a * p, q) for k, a in terms.items()} if p
+            else {}))
+    return SeriesMatrix([[diagonal[k] if k == j else TruncSeries.zero(m, D)
+                          for j in range(t)] for k in range(t)]), scale
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
@@ -419,19 +435,23 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
     The kernel term at alpha is c_alpha P(alpha), P(alpha) = conj(z)^alpha
     about the base point, which vanishes on each generator variable: so
     P(alpha) = ub_v^p P(alpha - p e_v) through degree D, and the residual
-    at alpha is (sum_k s_k(alpha) - 1) c_alpha P(alpha), a series built only
-    where the shares do not sum to 1.  Only nonzero residuals are returned;
-    an empty dict certifies the identity through the truncation degree.
+    at alpha is (sum_k s_k(alpha) - 1) c_alpha P(alpha).  The shares are
+    read in integers, s_k(alpha) = x_k / denom (share_numerators), and
+    sum_k x_k != denom is the test; a Fraction and a series are built only
+    where it fails.  The test restates share_numerators, whose denom is
+    that sum, so on every frame it passes and the result is {}.  Only
+    nonzero residuals are returned; an empty dict certifies the identity
+    through the truncation degree.
     """
     gens, _ = share_generators(frame)
     residuals = {}
-    for alpha in iter_multiindices(frame.module.dim,
-                                   frame.trunc + max(frame.gen_powers)):
-        shares = _splitting_shares(gens, alpha)
-        total = sum(s for *_, s in shares)
-        if shares and total != 1:
+    for alpha in _exponents(frame.module.dim,
+                            frame.trunc + max(frame.gen_powers), 0):
+        parts, denom = share_numerators(gens, alpha)
+        total = sum(x for *_, x in parts)
+        if parts and total != denom:
             diff = frame.recentered_monomials[alpha].scale(
-                (total - 1) * diag_coeff(frame.module, alpha))
+                (Fraction(total, denom) - 1) * diag_coeff(frame.module, alpha))
             if not diff.is_zero():
                 residuals[alpha] = diff
     return residuals

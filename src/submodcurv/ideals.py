@@ -13,7 +13,7 @@ So the same generators always get the same family, whichever constructor
 built them.  The family decides which closed-form constructions apply
 downstream; nothing here attempts Groebner-style normal forms.  A point
 w is on V(I) exactly when every generator is 0 at w
-(IdealSpec.vanishes_at).  The localization dimension at w counts
+(IdealSpec.vanishes_at, in integers).  The localization dimension at w counts
 dim J_N - dim J'_N for spaces of generator multiples of bounded degree,
 J'_N spanned by the integer rows (z_i - w_i) z^beta p_j on the Gram
 form's column keys, with no change of coordinates.  The defect never
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Optional
 
@@ -78,13 +78,26 @@ class IdealSpec:
         return max(g.degree for g in self.generators)
 
     def vanishes_at(self, point) -> bool:
-        """Whether the point lies on V(I): one exact sum per generator."""
+        """Whether the point lies on V(I): one integer sum per generator.
+        With the point written as w = v/q over one denominator q, and a
+        generator g of degree deg cleared of its coefficients' denominators
+        by their lcm r, q^deg r g(w) is the sum of the integers
+        r c_e v^e q^(deg - |e|)."""
         w = [rat(x) for x in point]
         if len(w) != self.nvars:
             raise DomainError(f"point has arity {len(w)}, ideal lives in "
                               f"{self.nvars} variables")
-        return not any(sum(c * prod(map(pow, w, e)) for e, c in g.coeffs.items())
-                       for g in self.generators)
+        q = lcm(*(x.denominator for x in w))
+        v = [x.numerator * (q // x.denominator) for x in w]
+        for g in self.generators:
+            terms = [(c, sum(e), prod(map(pow, v, e)))
+                     for e, c in g.coeffs.items()]
+            deg = max(n for _, n, _ in terms)
+            r = lcm(*(c.denominator for c, _, _ in terms))
+            if sum(c.numerator * (r // c.denominator) * x * q ** (deg - n)
+                   for c, n, x in terms):
+                return False
+        return True
 
     # -- constructors --------------------------------------------------------
 

@@ -36,13 +36,18 @@ class LambdaMuInvariant:
 
 
 def lambda_mu_invariants(lam, mu) -> LambdaMuInvariant:
+    """kappa_1 = (lam + 1)/2 + lam mu^2/(lam + mu)^2 and kappa_2 =
+    (mu + 1)/2 + lam^2 mu/(lam + mu)^2.  With lam = a/b, mu = c/d and
+    s = ad + bc, kappa_1 = ((a + b) s^2 + 2 a b^2 c^2)/(2 b s^2) and
+    kappa_2 = ((c + d) s^2 + 2 a^2 c d^2)/(2 d s^2), one Fraction each."""
     lam, mu = rat(lam), rat(mu)
-    if lam <= 0 or mu <= 0:
+    a, b, c, d = lam.numerator, lam.denominator, mu.numerator, mu.denominator
+    if a <= 0 or c <= 0:
         raise DomainError(f"weights must be positive, got ({lam}, {mu})")
-    s2 = (lam + mu) ** 2
+    s2 = (a * d + b * c) ** 2
     return LambdaMuInvariant(
-        kappa1=(lam + 1) / 2 + lam * mu ** 2 / s2,
-        kappa2=(mu + 1) / 2 + lam ** 2 * mu / s2,
+        kappa1=Fraction((a + b) * s2 + 2 * a * b * b * c * c, 2 * b * s2),
+        kappa2=Fraction((c + d) * s2 + 2 * a * a * c * d * d, 2 * d * s2),
     )
 
 

@@ -101,30 +101,49 @@ def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     return math.prod(row[e] for row, e in zip(slots, a))
 
 
-def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
-    """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
-    n = 0..N, by the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1), so
-    c_alpha = prod_i slots[i][alpha_i].  With l_i = p/q each step is one
-    Fraction(num (p + n q), den q (n + 1)) of integers.  The diagonal sums
-    and the tail bound run the recurrence in integers of their own; no
-    other module computes a poch(l, n)/n!."""
-    slots = []
+def diag_coeff_rows(module: WeightedPolydiscModule, N: int) -> tuple:
+    """Per-slot factors of diag_coeff in integers: rows[i] = (nums, dens)
+    with poch(l_i, n)/n! = nums[n]/dens[n] in lowest terms, n = 0..N, by
+    the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1): with l_i = p/q
+    each step multiplies by (p + n q) / (q (n + 1)) and divides out the
+    gcd.  This is the one source of poch(l, n)/n! outside the diagonal sums
+    and the tail bound, which run the recurrence in integers of their own:
+    diag_coeff_slots builds its Fractions from these rows."""
+    rows = []
     for l in module.weights:
         p, q = l.numerator, l.denominator
-        c = Fraction(1)
-        row = [c]
+        num = den = 1
+        nums, dens = [1], [1]
         for n in range(N):
-            c = Fraction(c.numerator * (p + n * q), c.denominator * q * (n + 1))
-            row.append(c)
-        slots.append(tuple(row))
-    return tuple(slots)
+            num, den = num * (p + n * q), den * q * (n + 1)
+            g = math.gcd(num, den)
+            num //= g
+            den //= g
+            nums.append(num)
+            dens.append(den)
+        rows.append((nums, dens))
+    return tuple(rows)
+
+
+def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
+    """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
+    n = 0..N, so c_alpha = prod_i slots[i][alpha_i]; one Fraction per entry
+    of diag_coeff_rows."""
+    return tuple(tuple(map(Fraction, nums, dens))
+                 for nums, dens in diag_coeff_rows(module, N))
+
+
+def in_open_polydisc(point) -> bool:
+    """Whether every coordinate x of a rational point has |x| < 1, compared
+    in integers as |numerator| < denominator."""
+    return all(abs(x.numerator) < x.denominator for x in point)
 
 
 def _check_point(module, point, label="point"):
     pt = tuple(rat(x) for x in point)
     if len(pt) != module.dim:
         raise ShapeError(f"{label} has arity {len(pt)}, expected {module.dim}")
-    if any(abs(x.numerator) >= x.denominator for x in pt):
+    if not in_open_polydisc(pt):
         raise DomainError(f"{label} {pt} is not inside the open polydisc")
     return pt
 

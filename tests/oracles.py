@@ -17,7 +17,11 @@ dimension by two Fraction echelon forms, the cubic's positive roots by a
 squarefree part, a Sturm chain and chain-count bisection, and the
 coordinate Grammian and curvature blocks with Fraction splitting shares,
 the coordinate kernel-term walk that enumerated its exponents on every
-call, and the report's matrix rows with one formatted name per entry.
+call, and the report's matrix rows with one formatted name per entry; the
+zero-set metric from Fraction slot tables, the curvature block trace by
+pairwise Fraction sums, membership by evaluating each generator in
+Fractions, and the lambda-mu pair in Fraction arithmetic, with a guard
+that makes Fraction arithmetic raise where only integers should run.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
 generator by evaluating it at the polynomials z_i + w_i (the two-span
@@ -41,8 +45,8 @@ that RowEchelon takes.  Last, the public API that nothing but the tests read:
 the monomial w_i of a series, evaluation, coefficient lookup and
 conjugation of term maps, the mixed
 Hessian and line curvature of a scalar metric, the nullspace, the Hardy
-module, coordinate-power ideals, the zero-set descriptors (the reference
-for IdealSpec.vanishes_at) with their codimension and the minimality
+module, coordinate-power ideals, the zero-set descriptors (a second
+reference for IdealSpec.vanishes_at) with their codimension and the minimality
 certificate, and the gauge action on metrics and curvature tensors.
 """
 
@@ -662,6 +666,105 @@ def coordinate_terms_by_enumeration(frame: FrameSeries, low: int, top: int):
         den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom
         yield num, den, [(k, x, a[:v] + (a[v] - 1,) + a[v + 1:])
                          for k, v, _, x in parts]
+
+
+def slot_coefficients_by_fractions(row, c) -> dict:
+    """The frames._slot_coefficients table that integer numerators over
+    one denominator replaced: (beta, gamma) -> the Fraction [u^beta ub^gamma]
+    of ((1 - (c+u)(c+ub)) / (1 - c^2))^(-l), beta + gamma <= trunc, zero
+    entries left out, as sum_j C(beta, j) C(n-j, beta) lq[n-j] c^(n-2j),
+    n = beta + gamma, lq[k] = row[k] q^k and q = 1/(1 - c^2)."""
+    trunc = len(row) - 1
+    q = 1 / (1 - c * c)
+    lq = [x * q ** k for k, x in enumerate(row)]
+    cpow = [c ** k for k in range(trunc + 1)]
+    table = {}
+    for b in range(trunc // 2 + 1):
+        for n in range(2 * b, trunc + 1):
+            x = sum(math.comb(b, j) * math.comb(n - j, b) * lq[n - j]
+                    * cpow[n - 2 * j] for j in range(b + 1))
+            if x:
+                table[b, n - b] = table[n - b, b] = x
+    return table
+
+
+def metric_by_fraction_tables(frame: FrameSeries):
+    """The zero-set Grammian (matrix, scale) that frames.
+    _metric_by_closed_form built before its tables and outer product went
+    to integers: the Fraction slot tables multiplied entry by entry, and
+    every H_kk the common series scaled by lead_k times the folded
+    constant; the keys go in in the same order."""
+    module = frame.module
+    m = module.dim
+    D = frame.trunc
+    powers = {}
+    slots = diag_coeff_slots(module, D)
+    terms = {(0,) * (2 * m): Fraction(1)}
+    for i in frame.free_slots:
+        c = rat(frame.base_point[i])
+        if c:
+            powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
+        table = slot_coefficients_by_fractions(slots[i], c).items()
+        terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
+                 for k, a in terms.items() for room in (D - sum(k),)
+                 for (b, g), x in table if b + g <= room}
+    common = TruncSeries._trusted(m, D, terms)
+    if all(e.denominator == 1 for e in powers.values()):
+        fold, scale = math.prod(b ** int(e) for b, e in powers.items()), None
+    else:
+        fold, scale = 1, " * ".join(f"({b})^({e})"
+                                    for b, e in sorted(powers.items()))
+    t = frame.count
+    return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold)
+                          if k == j else TruncSeries.zero(m, D)
+                          for j in range(t)] for k in range(t)]), scale
+
+
+def trace_by_fraction_sum(block) -> Fraction:
+    """The curvature block trace that one Fraction over the lcm of the
+    denominators replaced: the nonzero diagonal entries added pairwise."""
+    diagonal = [row[k] for k, row in enumerate(block) if row[k]]
+    return sum(diagonal[1:], diagonal[0]) if diagonal else Fraction(0)
+
+
+def vanishes_at_by_fractions(ideal: IdealSpec, point) -> bool:
+    """The IdealSpec.vanishes_at that one integer sum per generator
+    replaced: every generator evaluated at the point in Fractions."""
+    w = [rat(x) for x in point]
+    if len(w) != ideal.nvars:
+        raise DomainError(f"point has arity {len(w)}, ideal lives in "
+                          f"{ideal.nvars} variables")
+    return not any(sum(c * math.prod(map(pow, w, e))
+                       for e, c in g.coeffs.items())
+                   for g in ideal.generators)
+
+
+def lambda_mu_by_fractions(lam, mu) -> tuple:
+    """The (kappa_1, kappa_2) that invariants.lambda_mu_invariants formed
+    before it wrote each as one Fraction of integers:
+    (lam + 1)/2 + lam mu^2/(lam + mu)^2 and (mu + 1)/2 + lam^2 mu/(lam + mu)^2
+    in Fraction arithmetic."""
+    lam, mu = rat(lam), rat(mu)
+    s2 = (lam + mu) ** 2
+    return ((lam + 1) / 2 + lam * mu ** 2 / s2,
+            (mu + 1) / 2 + lam ** 2 * mu / s2)
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                      "__pow__", "__rpow__", "__neg__", "__abs__", "__lt__",
+                      "__le__", "__gt__", "__ge__")
+
+
+def forbid_fraction_arithmetic(monkeypatch):
+    """Make every arithmetic and order operator of Fraction raise, so that a
+    call that still runs forms its values from integers alone; reading
+    numerator and denominator, testing truth and Fraction(n, d) still
+    work.  monkeypatch.undo() restores them."""
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
 
 
 def matrix_rows_by_fstring(name: str, rows) -> list:

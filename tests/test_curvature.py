@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from submodcurv import cli, invariants
 from submodcurv.algebra import SeriesMatrix, TruncSeries, unit
+from submodcurv import curvature
 from submodcurv.curvature import (JET_DEGREE, PrincipalCurvaturePair,
                                   curvature_matrix, curvature_tensor,
                                   det_bundle_curvature,
@@ -26,10 +27,11 @@ from submodcurv.rkhs import WeightedPolydiscModule
 
 from oracles import (conj, coordinate_det_fn, coordinate_powers,
                      coordinate_tensor_by_fraction_shares, fd_log_hessian,
-                     fd_mixed_hessian, gauge_conjugate, gauge_equivalent,
+                     fd_mixed_hessian, forbid_fraction_arithmetic,
+                     gauge_conjugate, gauge_equivalent,
                      gauge_transform_metric, geometric_sum, hardy,
                      line_curvature, mixed_hessian, series_w,
-                     zero_set_metric_fn)
+                     trace_by_fraction_sum, zero_set_metric_fn)
 from test_frames import share_weights
 
 
@@ -383,6 +385,24 @@ def test_trace_matrix_equals_full_diagonal_sum(weights, case):
         trace = tensor.trace_matrix()
         assert trace == _trace_by_full_sum(tensor)
         assert all(type(x) is F for row in trace for x in row)
+
+
+_block_entry = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda t: st.lists(
+    st.lists(_block_entry, min_size=t, max_size=t), min_size=t, max_size=t)))
+def test_block_trace_equals_pairwise_fraction_sum(rows):
+    """One Fraction over the lcm of the diagonal's denominators is the
+    pairwise Fraction sum it replaced, also where the entries cancel, and
+    it is formed with no Fraction arithmetic."""
+    block = tuple(map(tuple, rows))
+    want = trace_by_fraction_sum(block)
+    with pytest.MonkeyPatch.context() as patch:
+        forbid_fraction_arithmetic(patch)
+        got = curvature._trace(block)
+    assert got == want and type(got) is F
 
 
 @settings(max_examples=40, deadline=None)

@@ -510,19 +510,20 @@ DOCTORED_SHARE_CASES = [
 @pytest.mark.parametrize("weights, powers, base, alpha", DOCTORED_SHARE_CASES)
 def test_residual_equals_full_residual_on_doctored_shares(
         weights, powers, base, alpha, monkeypatch):
-    """With one splitting share doubled, the vectors built from the doctored
-    shares fail the reconstruction at alpha alone, and the share-sum
-    residual equals the full series residual and the binomial-power
-    reference, entry for entry."""
-    shares = frames._splitting_shares
+    """With one share numerator doubled and its denominator kept, the
+    integer check and the vectors built from the doctored shares both see
+    the doubled x_k: the frame fails the reconstruction at alpha alone, and
+    the share-sum residual equals the full series residual and the
+    binomial-power reference, entry for entry."""
+    numerators = frames.share_numerators
 
     def doctored(gens, a):
-        out = shares(gens, a)
+        parts, denom = numerators(gens, a)
         if a == alpha:
-            k, v, p, s = out[0]
-            out[0] = (k, v, p, 2 * s)
-        return out
-    monkeypatch.setattr(frames, "_splitting_shares", doctored)
+            k, v, p, x = parts[0]
+            parts[0] = (k, v, p, 2 * x)
+        return parts, denom
+    monkeypatch.setattr(frames, "share_numerators", doctored)
     mod = WeightedPolydiscModule(len(weights), weights)
     if powers is None:
         frame = decompose_coordinate_ideal(mod, 4)
@@ -584,8 +585,8 @@ def test_slot_coefficients_equal_horner(weight, center):
     """Each slot's coefficient table is the Horner series of the recentered
     inverse power, coefficient for coefficient, at D = 6."""
     row = diag_coeff_slots(WeightedPolydiscModule(1, (weight,)), 6)[0]
-    table = frames._slot_coefficients(row, center)
-    got = TruncSeries(1, 6, table)
+    table, den = frames._slot_coefficients(row, center)
+    got = TruncSeries(1, 6, {k: F(x, den) for k, x in table.items()})
     assert got == recentered_inverse_power(1, 6, 0, center, weight)
     assert len(got.coeffs) == len(table)  # no zero entry stored
 
@@ -650,6 +651,86 @@ def test_zero_set_metric_equals_horner_sweep(data):
                               base, D)
     matrix, scales = frames._metric_by_closed_form(frame)
     assert (matrix.entries, scales) == _closed_form_by_horner(frame)
+
+
+_table_weight = st.sampled_from((F(1, 2), F(1), F(3, 2), F(5, 3), F(2),
+                                 F(7, 2)))
+_table_center = st.fractions(min_value=-1, max_value=1,
+                             max_denominator=12).filter(lambda c: abs(c) < 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_weight, _table_center, st.integers(0, 8))
+def test_slot_coefficients_equal_the_fraction_route(weight, center, D):
+    """The integer table over one denominator e^D S is the Fraction table
+    it replaced, entry for entry and in the same key order."""
+    row = diag_coeff_slots(WeightedPolydiscModule(1, (weight,)), D)[0]
+    table, den = frames._slot_coefficients(row, center)
+    assert all(type(x) is int for x in table.values())
+    assert [(k, F(x, den)) for k, x in table.items()] == \
+        list(oracles.slot_coefficients_by_fractions(row, center).items())
+
+
+@st.composite
+def _table_frames(draw):
+    """A zero-set frame in 2 to 4 variables with weights from
+    _table_weight, generator powers 1 to 3 on any variables, free slots
+    at centres with |c| < 1 (0 and negatives included) and D = 2..8."""
+    m = draw(st.integers(2, 4))
+    weights = draw(st.lists(_table_weight, min_size=m, max_size=m))
+    t = draw(st.integers(1, m - 1))
+    gen_vars = draw(st.permutations(range(m)))[:t]
+    ideal = IdealSpec.monomial(m, [unit(m, v, draw(st.integers(1, 3)))
+                                   for v in gen_vars])
+    base = tuple(F(0) if i in gen_vars else draw(_table_center)
+                 for i in range(m))
+    D = draw(st.integers(2, 8 if m - t == 1 else 6))
+    return frame_on_zero_set(WeightedPolydiscModule(m, weights), ideal,
+                             base, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_frames())
+def test_zero_set_metric_equals_the_fraction_tables(frame):
+    """The integer outer product, with one Fraction per stored term of each
+    H_kk, equals the Fraction-table metric it replaced: every term value,
+    the key order of every entry, and the scale."""
+    matrix, scale = frames._metric_by_closed_form(frame)
+    want, want_scale = oracles.metric_by_fraction_tables(frame)
+    assert (_entry_items(matrix), scale) == (_entry_items(want), want_scale)
+
+
+def _counting_fractions(monkeypatch, module):
+    """Count the Fractions a module forms by name (module.Fraction)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return F(*args)
+    monkeypatch.setattr(module, "Fraction", counted)
+    return calls
+
+
+def test_closed_form_metric_forms_one_fraction_per_term(monkeypatch):
+    for config in ZERO_SET_METRIC_CONFIGS:
+        cfg = cli.parse_config(config.read_text(encoding="utf-8"))
+        module = cli._build_module(cfg)
+        frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
+        calls = _counting_fractions(monkeypatch, frames)
+        matrix, _ = frames._metric_by_closed_form(frame)
+        monkeypatch.undo()
+        assert len(calls) == sum(len(matrix[k, k].coeffs)
+                                 for k in range(matrix.n)), config.stem
+
+
+def test_reconstruction_check_forms_no_fraction_on_real_frames(monkeypatch):
+    """Every real frame's shares sum to 1, so the integer test passes on
+    every kernel term and no Fraction is formed."""
+    ref = list(_reference_frames())
+    calls = _counting_fractions(monkeypatch, frames)
+    for frame in ref:
+        assert reconstruction_residual(frame) == {}
+    assert calls == []
 
 
 def test_diag_coeff_slots_multiply_to_diag_coeff():

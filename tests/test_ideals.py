@@ -1,4 +1,5 @@
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -15,7 +16,8 @@ from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 
 from oracles import (CoordinateSubspace, PointSet, codim, coordinate_powers,
-                     localization_dim_two_spans, minimality_certificate,
+                     forbid_fraction_arithmetic, localization_dim_two_spans,
+                     minimality_certificate, vanishes_at_by_fractions,
                      zero_set)
 
 
@@ -183,6 +185,62 @@ def test_vanishes_at_matches_the_zero_set_descriptor(case, x, y):
 def test_vanishes_at_on_ideals_without_descriptor(gens, point, on):
     ideal = IdealSpec(len(point), _gens(len(point), *gens))
     assert ideal.vanishes_at(point) is on
+
+
+_coefficient = st.fractions(min_value=-4, max_value=4,
+                            max_denominator=9).filter(bool)
+
+
+@st.composite
+def _generators_and_point(draw):
+    """(generators, point): one to three generators in 1 to 3 variables
+    with one to four terms of degree <= 3 and non-monic Fraction
+    coefficients, and a point whose coordinates may be 0 or negative.
+    Each generator is kept as drawn or, when that leaves it nonzero, has
+    its value at the point taken off its constant term, so that it
+    vanishes there."""
+    m = draw(st.integers(1, 3))
+    point = draw(st.tuples(*[_coord] * m))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * m).filter(lambda e: sum(e) <= 3),
+            _coefficient, min_size=1, max_size=4))
+        g = Poly(m, terms)
+        if draw(st.booleans()):
+            value = vanishes_at_by_fractions(IdealSpec(m, (g,)), point)
+            shifted = g - Poly.constant(m, sum(
+                c * math.prod(map(pow, point, e))
+                for e, c in g.coeffs.items()))
+            if not value and not shifted.is_zero():
+                g = shifted
+        gens.append(g)
+    return tuple(gens), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators_and_point())
+@example(((Poly(2, {(1, 0): F(3, 2), (0, 2): F(-2, 3), (0, 0): F(2, 3)}),),
+          (F(-1, 3), F(1, 2))))
+def test_vanishes_at_equals_the_fraction_route(case):
+    """Membership by one integer sum per generator (the point over one
+    denominator, each generator cleared over the lcm of its coefficients'
+    denominators) agrees with evaluating every generator in Fractions."""
+    gens, point = case
+    ideal = IdealSpec(len(point), gens)
+    assert ideal.vanishes_at(point) is vanishes_at_by_fractions(ideal, point)
+
+
+def test_vanishes_at_runs_no_fraction_arithmetic(monkeypatch):
+    ideal = IdealSpec(3, _gens(3, "3/2*z1^2*z2 - 2/3*z3^3 + z1 - 1/5",
+                               "z1*z2 - 1/7*z3"))
+    points = [(F(1, 3), F(-2, 5), F(1, 7)), (0, 0, 0), (F(1, 5), 0, 0),
+              (F(1, 5), F(0), F(-3, 4))]
+    forbid_fraction_arithmetic(monkeypatch)
+    got = [ideal.vanishes_at(p) for p in points]
+    monkeypatch.undo()
+    assert got == [vanishes_at_by_fractions(ideal, p) for p in points] == \
+        [False, False, True, False]
 
 
 @pytest.mark.parametrize("point", [(0,), (0, 1, 0)])

@@ -13,6 +13,7 @@ from submodcurv.invariants import (cubic_positive_roots, lambda_mu_equivalent,
                                    principal_rigidity)
 
 from oracles import (count_roots_between, cubic_positive_roots_by_sturm,
+                     forbid_fraction_arithmetic, lambda_mu_by_fractions,
                      refine_by_chain_count, squarefree_part, sturm_chain,
                      upoly_divmod, upoly_eval, upoly_trim)
 
@@ -26,6 +27,26 @@ def test_kappa_closed_forms():
     lam, mu = F(1, 2), F(3, 2)
     assert inv.kappa1 == (lam + 1) / 2 + lam * mu ** 2 / (lam + mu) ** 2
     assert inv.kappa2 == (mu + 1) / 2 + lam ** 2 * mu / (lam + mu) ** 2
+
+
+_positive_weight = st.fractions(min_value=0, max_value=20,
+                                max_denominator=30).filter(lambda x: x > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive_weight, _positive_weight)
+def test_kappa_pair_equals_the_fraction_route(lam, mu):
+    """Each kappa written as one Fraction of integers, with lam = a/b,
+    mu = c/d and s = ad + bc, equals the closed form in Fractions."""
+    assert lambda_mu_invariants(lam, mu).as_pair() == \
+        lambda_mu_by_fractions(lam, mu)
+
+
+def test_kappa_pair_runs_no_fraction_arithmetic(monkeypatch):
+    forbid_fraction_arithmetic(monkeypatch)
+    got = lambda_mu_invariants(F(3, 2), F(5, 7)).as_pair()
+    monkeypatch.undo()
+    assert got == lambda_mu_by_fractions(F(3, 2), F(5, 7))
 
 
 def test_lambda_mu_equivalence_is_weight_equality():

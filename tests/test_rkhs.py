@@ -16,7 +16,8 @@ from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
                              _ambient_corners, _diagonal_exact,
                              _diagonal_tail_bound, ambient_kernel_bounded,
-                             diag_coeff, submodule_kernel)
+                             diag_coeff, diag_coeff_rows, diag_coeff_slots,
+                             in_open_polydisc, submodule_kernel)
 
 import oracles
 from oracles import (ambient_kernel_exact, evaluate_poly, monomial_norm_sq,
@@ -892,3 +893,28 @@ def test_gram_form_of_a_non_h_basis_misses_more_than_the_tail():
         tail = ambient - ambient_kernel_bounded(module, z, z, N).value
         assert GramFormKernel.from_ideal(module, ideal, N).eval_exact(
             z, z) + tail < exact, N
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=F(1, 7), max_value=6,
+                             max_denominator=12), min_size=1, max_size=4),
+       st.integers(0, 9))
+def test_diag_coeff_rows_are_the_slots_in_lowest_terms(weights, N):
+    """The integer rows hold poch(l, n)/n! in lowest terms, and the Fraction
+    slots are built from them."""
+    module = WeightedPolydiscModule(len(weights), weights)
+    rows = diag_coeff_rows(module, N)
+    for (nums, dens), row, w in zip(rows, diag_coeff_slots(module, N),
+                                    module.weights):
+        assert all(math.gcd(x, d) == 1 and d > 0 for x, d in zip(nums, dens))
+        assert [F(x, d) for x, d in zip(nums, dens)] == list(row) == \
+            [pochhammer(w, n) / math.factorial(n) for n in range(N + 1)]
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=9)
+                | st.sampled_from((F(1), F(-1), F(0))), min_size=1,
+                max_size=4))
+def test_in_open_polydisc_compares_in_integers(point):
+    """The integer test |numerator| < denominator that the point checks of
+    rkhs, cli and frames share is |x| < 1, on the boundary +-1 too."""
+    assert in_open_polydisc(point) == all(abs(x) < 1 for x in point)
