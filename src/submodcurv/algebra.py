@@ -63,19 +63,21 @@ def unit(n: int, i: int, power: int = 1) -> tuple:
     return tuple(power if k == i else 0 for k in range(n))
 
 
-def iter_multiindices(nvars: int, max_degree: int, min_degree: int = 0):
+@lru_cache(maxsize=256)
+def iter_multiindices(nvars: int, max_degree: int,
+                      min_degree: int = 0) -> tuple:
     """All exponent tuples of length nvars with total degree between
     min_degree and max_degree, by degree and, within one degree, in
-    descending lexicographic order."""
-    def of_degree(n, d):
-        if n == 1:
-            yield (d,)
-            return
-        for first in range(d, -1, -1):
-            for rest in of_degree(n - 1, d - first):
-                yield (first,) + rest
-    for d in range(min_degree, max_degree + 1):
-        yield from of_degree(nvars, d)
+    descending lexicographic order.  One tuple per (nvars, max_degree,
+    min_degree), cached; callers only read it."""
+    # by_degree[d]: the exponents of the last k slots of degree d, in order
+    by_degree = [[(d,)] for d in range(max_degree + 1)]
+    for _ in range(nvars - 1):
+        by_degree = [[(first,) + rest for first in range(d, -1, -1)
+                      for rest in by_degree[d - first]]
+                     for d in range(max_degree + 1)]
+    return tuple(a for d in range(max(min_degree, 0), max_degree + 1)
+                 for a in by_degree[d])
 
 
 # ---------------------------------------------------------------------------

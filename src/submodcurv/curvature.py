@@ -32,17 +32,16 @@ above and the line curvature of a scalar metric are checked in the tests
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import TruncSeries
+from .algebra import TruncSeries, unit
 from .errors import DomainError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
-from .linalg import mat_inverse, mat_mul
-from .rkhs import WeightedPolydiscModule, diag_coeff_slots
+from .linalg import _common_denominator, mat_inverse, mat_mul
+from .rkhs import WeightedPolydiscModule, diag_coeff
 
 CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
@@ -76,10 +75,8 @@ class CurvatureTensor:
     curvature_tensor shares one all-zero block among those, which
     trace_matrix reads as a zero trace without summing it.
     """
-    base_point: tuple
     size: int
     blocks: tuple
-    free_slots: tuple
 
     def trace_matrix(self):
         """Blockwise traces.  Only the nonzero diagonal entries are summed,
@@ -102,9 +99,8 @@ def _trace(block) -> Fraction:
     diagonal = [row[k] for k, row in enumerate(block) if row[k]]
     if len(diagonal) < 2:
         return diagonal[0] if diagonal else _ZERO
-    den = math.lcm(*(x.denominator for x in diagonal))
-    return Fraction(sum(x.numerator * (den // x.denominator)
-                        for x in diagonal), den)
+    ints, den = _common_denominator(diagonal)
+    return Fraction(sum(ints), den)
 
 
 def _two_jet(s: TruncSeries):
@@ -176,8 +172,7 @@ def curvature_matrix(metric: MetricSeries) -> CurvatureTensor:
             row_i.append(tuple(tuple(mixed[a][b] - second[a][b]
                                      for b in range(t)) for a in range(t)))
         blocks.append(tuple(row_i))
-    return CurvatureTensor(metric.base_point, t, tuple(blocks),
-                           metric.free_slots)
+    return CurvatureTensor(t, tuple(blocks))
 
 
 def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
@@ -234,10 +229,8 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
             written[k, k] = tuple(zeros[:a] + (value,) + zeros[a:]
                                   for a in range(t))
     return CurvatureTensor(
-        frame.base_point, t,
-        tuple(tuple(written.get((k, q), zero) for q in range(m))
-              for k in range(m)),
-        frame.free_slots)
+        t, tuple(tuple(written.get((k, q), zero) for q in range(m))
+                 for k in range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,5 +267,5 @@ def principal_curvature_pair(module: WeightedPolydiscModule, p: int,
                           f"{gen_var}")
     mu = module.weights[1 - gen_var]
     return PrincipalCurvaturePair(
-        raw=diag_coeff_slots(module, p)[gen_var][p] * mu, log_based=mu)
+        raw=diag_coeff(module, unit(2, gen_var, p)) * mu, log_based=mu)
 

@@ -29,24 +29,28 @@ fractional power) kept as the metric's one scale, in text, since it never
 influences curvature.  The base point vanishes on each generator variable,
 so conj(p_k) F^k restores exactly the share s_k of each kernel term, and
 the check sums the integer share numerators against their denominator.
+Every c_a and lead coefficient is read from the integer rows of
+rkhs.diag_coeff_rows, and every walk over exponents is the cached tuple of
+algebra.iter_multiindices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
+from operator import getitem
 from typing import Optional
 
 from .algebra import SeriesMatrix, TruncSeries, iter_multiindices, rat, unit
 from .errors import (DegeneracyError, DomainError, ShapeError,
                      TruncationError, UnsupportedIdealError)
 from .ideals import MONOMIAL, IdealSpec
-from .linalg import leading_principal_minors
+from .linalg import _common_denominator, leading_principal_minors
 from .polynomials import Poly
-from .rkhs import (WeightedPolydiscModule, diag_coeff, diag_coeff_rows,
-                   diag_coeff_slots, in_open_polydisc)
+from .rkhs import (WeightedPolydiscModule, cleared_row, diag_coeff,
+                   diag_coeff_rows, in_open_polydisc)
 
 COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
@@ -115,9 +119,7 @@ def share_generators(frame):
     """(gens, scale): gens holds (k, v, p, L_v) per generator z_v^p, where
     scale is the lcm of the weights' denominators and L = scale * weights,
     the weights as integers of the same ratios."""
-    weights = frame.module.weights
-    scale = math.lcm(*(w.denominator for w in weights))
-    L = [w.numerator * (scale // w.denominator) for w in weights]
+    L, scale = _common_denominator(frame.module.weights)
     return tuple((k, v, p, L[v]) for k, (v, p)
                  in enumerate(zip(frame.gen_vars, frame.gen_powers))), scale
 
@@ -142,10 +144,12 @@ def _build_splitting_frame(frame):
     kernel term alpha that generator k divides."""
     gens, _ = share_generators(frame)
     monomials = frame.recentered_monomials
-    slots = diag_coeff_slots(frame.module, frame.trunc + max(frame.gen_powers))
+    nums, dens = zip(*diag_coeff_rows(frame.module,
+                                      frame.trunc + max(frame.gen_powers)))
     vectors = [dict() for _ in gens]
     for alpha in monomials:
-        c = math.prod(row[e] for row, e in zip(slots, alpha))
+        c = Fraction(math.prod(map(getitem, nums, alpha)),
+                     math.prod(map(getitem, dens, alpha)))
         for k, v, p, s in _splitting_shares(gens, alpha):
             down = alpha[:v] + (alpha[v] - p,) + alpha[v + 1:]
             series = monomials[down].scale(s * c)
@@ -222,8 +226,8 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
                 f"base point must lie on the zero variety: z{v+1} component "
                 f"is {base[v]}, expected 0")
     free = tuple(i for i in range(m) if i not in gen_vars)
-    slots = diag_coeff_slots(module, max(gen_powers))
-    leads = tuple(slots[v][p] for v, p in data)
+    rows = diag_coeff_rows(module, max(gen_powers))
+    leads = tuple(Fraction(rows[v][0][p], rows[v][1][p]) for v, p in data)
     return FrameSeries(module, ZERO_SET_KIND, base, trunc,
                        gen_vars, gen_powers, free, leads)
 
@@ -245,8 +249,6 @@ class MetricSeries:
     metric grammian returns; empty on a metric built otherwise.
     """
     matrix: SeriesMatrix
-    base_point: tuple
-    free_slots: tuple
     scale: Optional[str] = None
     minors: tuple = ()
 
@@ -263,14 +265,6 @@ class MetricSeries:
         return self.matrix.value_at_base()
 
 
-@lru_cache(maxsize=64)
-def _exponents(m: int, top: int, low: int) -> tuple:
-    """The exponents a of m variables with low <= |a| <= top, in
-    iter_multiindices order; cached per (m, top, low), callers only read
-    the tuple."""
-    return tuple(iter_multiindices(m, top, low))
-
-
 def coordinate_terms(frame: FrameSeries, low: int, top: int):
     """The kernel terms c_a of a coordinate-neighborhood frame with
     low <= |a| <= top, in integers: one (num, den, downs) per a, with
@@ -279,12 +273,12 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
     share numerator x_i = L_v a_v (share_numerators).  c_a is the product
     of the poch(l, n)/n! entries of a's support, so num and den are the
     products of their numerators and denominators, read from the integer
-    rows of diag_coeff_rows.  The exponents come from one cached tuple per
-    (m, top, low), and each one's shares, num and den from one pass over
-    the generators."""
+    rows of diag_coeff_rows.  The exponents are iter_multiindices' cached
+    tuple, and each one's shares, num and den come from one pass over the
+    generators."""
     gens, _ = share_generators(frame)
     nums, dens = zip(*diag_coeff_rows(frame.module, top))
-    for a in _exponents(frame.module.dim, top, low):
+    for a in iter_multiindices(frame.module.dim, top, low):
         num = den = 1
         denom = 0
         downs = []
@@ -325,17 +319,16 @@ def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
 def _slot_coefficients(row, c):
     """(table, den): table maps (beta, gamma) to the integer numerator over
     den of [u^beta ub^gamma] ((1 - (c+u)(c+ub)) / (1 - c^2))^(-l), for
-    beta + gamma <= D, zero entries left out, where row is l's
-    diag_coeff_slots row (l)_n/n!, n = 0..D.  That coefficient is
+    beta + gamma <= D, zero entries left out, where row = (R, S) is l's
+    cleared_row: (l)_n/n! = R[n]/S, n = 0..D.  That coefficient is
     (l)_beta/beta! sum_{j <= min(beta, gamma)} C(beta, j) (l+beta)_{gamma-j}
     /(gamma-j)! c^(beta+gamma-2j) q^(beta+gamma-j), q = 1/(1 - c^2).  With
-    c = u/d, e = d^2 - u^2, row[k] = R_k/S over one denominator S and
-    n = beta + gamma it is d^n/(e^n S) sum_j C(beta, j) C(n-j, beta) R_{n-j}
-    u^(n-2j) e^j, so over den = e^D S its numerator is that sum times
-    d^n e^(D-n).  The table is symmetric in (beta, gamma)."""
-    trunc = len(row) - 1
-    S = math.lcm(*(x.denominator for x in row))
-    R = [x.numerator * (S // x.denominator) for x in row]
+    c = u/d, e = d^2 - u^2 and n = beta + gamma it is d^n/(e^n S) sum_j
+    C(beta, j) C(n-j, beta) R[n-j] u^(n-2j) e^j, so over den = e^D S its
+    numerator is that sum times d^n e^(D-n).  The table is symmetric in
+    (beta, gamma)."""
+    R, S = row
+    trunc = len(R) - 1
     u, d = c.numerator, c.denominator
     upow = [u ** k for k in range(trunc + 1)]
     epow = [(d * d - u * u) ** k for k in range(trunc + 1)]
@@ -372,14 +365,14 @@ def _metric_by_closed_form(frame: FrameSeries):
     D = frame.trunc
     t = frame.count
     powers = {}
-    slots = diag_coeff_slots(module, D)
+    rows = diag_coeff_rows(module, D)
     # disjoint slots: the product of their tables is the outer product
     terms, den = {(0,) * (2 * m): 1}, 1
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         if c:
             powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
-        table, slot_den = _slot_coefficients(slots[i], c)
+        table, slot_den = _slot_coefficients(cleared_row(rows[i]), c)
         den *= slot_den
         table = table.items()
         terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
@@ -421,8 +414,7 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
             f"at the base point; principal minors {minors})")
-    return MetricSeries(matrix, frame.base_point, frame.free_slots, scale,
-                        tuple(minors))
+    return MetricSeries(matrix, scale, tuple(minors))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +437,8 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
     """
     gens, _ = share_generators(frame)
     residuals = {}
-    for alpha in _exponents(frame.module.dim,
-                            frame.trunc + max(frame.gen_powers), 0):
+    for alpha in iter_multiindices(frame.module.dim,
+                                   frame.trunc + max(frame.gen_powers)):
         parts, denom = share_numerators(gens, alpha)
         total = sum(x for *_, x in parts)
         if parts and total != denom:

@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Optional
 
 from .algebra import iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
-from .linalg import RowEchelon, key_units, keyed_terms
+from .linalg import RowEchelon, _common_denominator, key_units, keyed_terms
 from .polynomials import Poly
 
 MONOMIAL = "monomial"
@@ -87,15 +87,12 @@ class IdealSpec:
         if len(w) != self.nvars:
             raise DomainError(f"point has arity {len(w)}, ideal lives in "
                               f"{self.nvars} variables")
-        q = lcm(*(x.denominator for x in w))
-        v = [x.numerator * (q // x.denominator) for x in w]
+        v, q = _common_denominator(w)
         for g in self.generators:
-            terms = [(c, sum(e), prod(map(pow, v, e)))
-                     for e, c in g.coeffs.items()]
-            deg = max(n for _, n, _ in terms)
-            r = lcm(*(c.denominator for c, _, _ in terms))
-            if sum(c.numerator * (r // c.denominator) * x * q ** (deg - n)
-                   for c, n, x in terms):
+            ints, _ = _common_denominator(g.coeffs.values())
+            deg = g.degree
+            if sum(c * prod(map(pow, v, e)) * q ** (deg - sum(e))
+                   for e, c in zip(g.coeffs, ints)):
                 return False
         return True
 

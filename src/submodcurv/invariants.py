@@ -15,13 +15,13 @@ pipeline, never by comparing the weights directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import exponent, rat
 from .errors import DomainError, UnsupportedIdealError
-from .rkhs import WeightedPolydiscModule, diag_coeff_slots
+from .linalg import _common_denominator
+from .rkhs import WeightedPolydiscModule, diag_coeff_rows
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def _refine(p, a: Fraction, b: Fraction):
     of the same sign.  Signs are read in integers: with p scaled to integer
     coefficients C_i and the endpoints kept as lo/v and hi/v, p(u/v) has
     the sign of sum_i C_i u^i v^(n-i)."""
-    den = math.lcm(*(c.denominator for c in p))
-    coeffs = [c.numerator * den // c.denominator for c in p]
+    coeffs, _ = _common_denominator(p)
 
     def sign_form(u, v):
         acc, vk = coeffs[-1], 1
@@ -100,8 +99,7 @@ def _refine(p, a: Fraction, b: Fraction):
             acc = acc * u + c * vk
         return acc
 
-    v = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * v // a.denominator, b.numerator * v // b.denominator
+    (lo, hi), v = _common_denominator((a, b))
     positive_at_a = sign_form(lo, v) > 0
     width_num, width_den = _REFINE_WIDTH.as_integer_ratio()
     while (hi - lo) * width_den > v * width_num:
@@ -161,7 +159,7 @@ def _curvature_battery(module: WeightedPolydiscModule, data):
     """Curvature invariants of the coordinate-power submodule generated by
     z_{v+1}^i, (v, i) in data (distinct v, sorted, i >= 1), at the origin
     slice point.  There the frame metric is diagonal with
-    H_kk = poch(l_{v_k}, i_k)/i_k! (a diag_coeff_slots entry) times
+    H_kk = poch(l_{v_k}, i_k)/i_k! (a diag_coeff_rows entry) times
     prod_free (1 - |w_j|^2)^(-l_j), so every invariant is a closed form in
     the weights.
 
@@ -178,12 +176,14 @@ def _curvature_battery(module: WeightedPolydiscModule, data):
     free = [i for i in range(module.dim) if i not in gen_vars]
     battery = [(f"transverse_log_curvature_w{i+1}", weights[i])
                for i in free]
-    l0 = weights[free[0]]
-    slots = diag_coeff_slots(module, max(p for _, p in data) + 1)
+    a, b = weights[free[0]].as_integer_ratio()  # l_{i0} = a / b
+    rows = diag_coeff_rows(module, max(p for _, p in data) + 1)
     for k, (v, p) in enumerate(data):
-        battery.append((f"norm_hessian_gen{k+1}", slots[v][p] * l0))
+        nums, dens = rows[v]
+        battery.append((f"norm_hessian_gen{k+1}",
+                        Fraction(nums[p] * a, dens[p] * b)))
         battery.append((f"norm_hessian_gen{k+1}_shifted",
-                        slots[v][p + 1] * l0))
+                        Fraction(nums[p + 1] * a, dens[p + 1] * b)))
     return tuple(battery)
 
 

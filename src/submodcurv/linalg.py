@@ -41,7 +41,9 @@ def _as_matrix(A):
 
 
 def _common_denominator(vec):
-    """(integer vector, d) with vec = integer vector / d."""
+    """(integer vector, d) with vec = integer vector / d, d the lcm of the
+    denominators: the package's one clear of rational values (the integer
+    rows of the poch table have rkhs.cleared_row)."""
     d = lcm(*(x.denominator for x in vec))
     return [x.numerator * (d // x.denominator) for x in vec], d
 

@@ -4,7 +4,11 @@ The ambient module with weight vector (l_1, ..., l_m), all positive
 rationals, has reproducing kernel prod_i (1 - z_i conj(w_i))^(-l_i); the
 monomials are orthogonal with ||z^alpha||^2 = 1 / diag_coeff(alpha) where
 diag_coeff(alpha) = prod_i poch(l_i, alpha_i) / alpha_i!.  Weight 1 in every
-slot is the Hardy module, weight 2 the unweighted Bergman module.
+slot is the Hardy module, weight 2 the unweighted Bergman module.  The
+factors poch(l_i, n)/n! have one table, diag_coeff_rows, integer rows in
+lowest terms: diag_coeff and every caller in the package read it, and
+cleared_row puts a row over one denominator where a caller multiplies
+entries as integers (the Gram form here, the zero-set metric in frames).
 
 Submodules generated by polynomial ideals get one of three kernel
 representations, chosen by the family that IdealSpec reads off the
@@ -65,8 +69,7 @@ from typing import Optional
 from .algebra import exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
-from .linalg import (BareissFactor, RowEchelon, _cleared_int_rows, key_units,
-                     keyed_terms)
+from .linalg import BareissFactor, RowEchelon, key_units, keyed_terms
 import math
 
 
@@ -93,12 +96,13 @@ class WeightedPolydiscModule:
 
 def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     """Kernel diagonal coefficient c_alpha = prod poch(l_i, a_i) / a_i!,
-    the product of the diag_coeff_slots entries of alpha."""
+    the product of the diag_coeff_rows entries of alpha."""
     a = exponent(alpha)
     if len(a) != module.dim:
         raise ShapeError(f"multi-index arity {len(a)} != dimension {module.dim}")
-    slots = diag_coeff_slots(module, max(a))
-    return math.prod(row[e] for row, e in zip(slots, a))
+    nums, dens = zip(*diag_coeff_rows(module, max(a)))
+    return Fraction(math.prod(map(getitem, nums, a)),
+                    math.prod(map(getitem, dens, a)))
 
 
 def diag_coeff_rows(module: WeightedPolydiscModule, N: int) -> tuple:
@@ -106,9 +110,9 @@ def diag_coeff_rows(module: WeightedPolydiscModule, N: int) -> tuple:
     with poch(l_i, n)/n! = nums[n]/dens[n] in lowest terms, n = 0..N, by
     the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1): with l_i = p/q
     each step multiplies by (p + n q) / (q (n + 1)) and divides out the
-    gcd.  This is the one source of poch(l, n)/n! outside the diagonal sums
-    and the tail bound, which run the recurrence in integers of their own:
-    diag_coeff_slots builds its Fractions from these rows."""
+    gcd.  This is the one table of poch(l, n)/n! outside the diagonal sums
+    and the tail bound, which run the recurrence in integers of their own;
+    cleared_row puts one row over one denominator."""
     rows = []
     for l in module.weights:
         p, q = l.numerator, l.denominator
@@ -125,12 +129,12 @@ def diag_coeff_rows(module: WeightedPolydiscModule, N: int) -> tuple:
     return tuple(rows)
 
 
-def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
-    """Per-slot factors of diag_coeff: slots[i][n] = poch(l_i, n)/n! for
-    n = 0..N, so c_alpha = prod_i slots[i][alpha_i]; one Fraction per entry
-    of diag_coeff_rows."""
-    return tuple(tuple(map(Fraction, nums, dens))
-                 for nums, dens in diag_coeff_rows(module, N))
+def cleared_row(row) -> tuple:
+    """(R, S): a diag_coeff_rows row (nums, dens) over S, the lcm of its
+    denominators, with poch(l, n)/n! = R[n] / S for integers R[n]."""
+    nums, dens = row
+    S = math.lcm(*dens)
+    return [x * (S // d) for x, d in zip(nums, dens)], S
 
 
 def in_open_polydisc(point) -> bool:
@@ -443,7 +447,7 @@ def _gram_columns(m: int, N: int):
     and the keys of the unit exponents, linalg.key_units with B = N + 1.
     Cached per (m, N); callers only read the result."""
     units = key_units(m, N + 1)
-    monomials = tuple(iter_multiindices(m, N))
+    monomials = iter_multiindices(m, N)
     keys = tuple(sum(map(mul, a, units)) for a in monomials)
     return monomials, keys, dict(zip(keys, monomials)), units
 
@@ -533,8 +537,8 @@ class GramFormKernel:
         # one g per free column, the complement in free-column order
         position = {k: j for j, k in enumerate(
             k for k in keys if k not in echelon_of[k].rows)}
-        # c_a = prod_i slots[i][a_i] / den from the cleared slot rows
-        slots, dens = _cleared_int_rows(diag_coeff_slots(module, N))
+        # c_a = prod_i slots[i][a_i] / den from the cleared rows
+        slots, dens = zip(*map(cleared_row, diag_coeff_rows(module, N)))
         den = math.prod(dens)
         n = len(position)
         terms, scales, gram = [None] * n, [None] * n, []

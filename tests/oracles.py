@@ -21,7 +21,11 @@ call, and the report's matrix rows with one formatted name per entry; the
 zero-set metric from Fraction slot tables, the curvature block trace by
 pairwise Fraction sums, membership by evaluating each generator in
 Fractions, and the lambda-mu pair in Fraction arithmetic, with a guard
-that makes Fraction arithmetic raise where only integers should run.
+that makes Fraction arithmetic raise where only integers should run; the
+Fraction table of poch(l, n)/n! (diag_coeff_slots, from pochhammer) that
+the integer rows of rkhs.diag_coeff_rows replaced, and the recursive
+exponent walk run on every call that the cached tuple of
+algebra.iter_multiindices replaced.
 So do the input routes that term maps and integers replaced: the
 polynomial parse by Poly arithmetic from the constant 1, the centring of a
 generator by evaluating it at the polynomials z_i + w_i (the two-span
@@ -81,8 +85,7 @@ from submodcurv.polynomials import Poly, _Tokenizer
 from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
                              _check_point, _components,
-                             ambient_kernel_bounded, diag_coeff,
-                             diag_coeff_slots)
+                             ambient_kernel_bounded, diag_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
 def pochhammer(a: Fraction, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1, as a
     product: the reference for the package's one coefficient table
-    rkhs.diag_coeff_slots, whose rows are (a)_n/n! by a ratio recurrence."""
+    rkhs.diag_coeff_rows, whose rows are (a)_n/n! by a ratio recurrence."""
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
     a = rat(a)
@@ -100,6 +103,31 @@ def pochhammer(a: Fraction, n: int) -> Fraction:
     for k in range(n):
         out *= a + k
     return out
+
+
+def diag_coeff_slots(module: WeightedPolydiscModule, N: int) -> tuple:
+    """Per-slot factors of diag_coeff as Fractions: slots[i][n] =
+    poch(l_i, n)/n! for n = 0..N, so c_alpha = prod_i slots[i][alpha_i].
+    The package's Fraction table before its callers read the integer rows
+    of rkhs.diag_coeff_rows; built here from pochhammer."""
+    return tuple(tuple(pochhammer(l, n) / math.factorial(n)
+                       for n in range(N + 1)) for l in module.weights)
+
+
+def multiindices_by_recursion(nvars: int, max_degree: int,
+                              min_degree: int = 0):
+    """The exponent walk that algebra.iter_multiindices' cached tuple
+    replaced: a recursive generator, run on every call, by degree and,
+    within one degree, in descending lexicographic order."""
+    def of_degree(n, d):
+        if n == 1:
+            yield (d,)
+            return
+        for first in range(d, -1, -1):
+            for rest in of_degree(n - 1, d - first):
+                yield (first,) + rest
+    for d in range(min_degree, max_degree + 1):
+        yield from of_degree(nvars, d)
 
 
 def series_exp(s: TruncSeries) -> TruncSeries:
@@ -433,8 +461,7 @@ def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
                         acc = acc + Hf.entries[k][l].scale(c)
             row.append(acc)
         rows.append(row)
-    return MetricSeries(SeriesMatrix(rows), metric.base_point,
-                        metric.free_slots, None)
+    return MetricSeries(SeriesMatrix(rows), None)
 
 
 def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
@@ -444,7 +471,7 @@ def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
     Minv = mat_inverse(M)
     blocks = tuple(tuple(tuple(map(tuple, mat_mul(mat_mul(Minv, block), M)))
                          for block in row) for row in K.blocks)
-    return CurvatureTensor(K.base_point, K.size, blocks, K.free_slots)
+    return CurvatureTensor(K.size, blocks)
 
 
 def gauge_equivalent(K1: CurvatureTensor, K2: CurvatureTensor):
@@ -653,14 +680,14 @@ def coordinate_tensor_by_fraction_shares(frame: FrameSeries) -> tuple:
 
 def coordinate_terms_by_enumeration(frame: FrameSeries, low: int, top: int):
     """The frames.coordinate_terms walk that the cached exponent tuple and
-    the one integer pass replaced: iter_multiindices enumerated on every
-    call, share_numerators per exponent, and num and den as two math.prod
+    the one integer pass replaced: the exponents enumerated on every call,
+    share_numerators per exponent, and num and den as two math.prod
     generators over its parts."""
     gens, _ = share_generators(frame)
     slots = diag_coeff_slots(frame.module, top)
     nums = [[c.numerator for c in row] for row in slots]
     dens = [[c.denominator for c in row] for row in slots]
-    for a in iter_multiindices(frame.module.dim, top, low):
+    for a in multiindices_by_recursion(frame.module.dim, top, low):
         parts, denom = share_numerators(gens, a)
         num = math.prod(nums[v][a[v]] for _, v, _, _ in parts)
         den = math.prod(dens[v][a[v]] for _, v, _, _ in parts) * denom * denom

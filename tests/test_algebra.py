@@ -20,8 +20,9 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
 
 from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
                      format_terms_by_fraction_str, geometric_sum,
-                     is_hermitian_by_pair_loop, mixed_hessian, pochhammer,
-                     series_exp, series_identity, series_matmul, series_w)
+                     is_hermitian_by_pair_loop, mixed_hessian,
+                     multiindices_by_recursion, pochhammer, series_exp,
+                     series_identity, series_matmul, series_w)
 
 
 def test_rat_coercion():
@@ -48,6 +49,19 @@ def test_multiindex_graded_lex_order():
     assert list(iter_multiindices(3, 3, 3)) == \
         sorted((a for a in iter_multiindices(3, 3) if sum(a) == 3),
                reverse=True)
+
+
+def test_multiindices_equal_the_recursive_walk_and_are_cached():
+    """The cached tuple is the recursive walk it replaced, for every
+    m <= 4, N <= 6 and lower degree, and a repeated call returns the same
+    tuple object."""
+    for m in range(1, 5):
+        for top in range(7):
+            for low in range(top + 2):
+                walk = iter_multiindices(m, top, low)
+                assert type(walk) is tuple
+                assert walk == tuple(multiindices_by_recursion(m, top, low))
+                assert iter_multiindices(m, top, low) is walk
 
 
 _MODULE = WeightedPolydiscModule(2, (1, 2))

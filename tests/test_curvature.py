@@ -102,8 +102,7 @@ def test_curvature_matrix_needs_degree_two():
     H = _coordinate_metric(F(1), F(1), trunc=2)
     assert curvature_matrix(H).trace_matrix() == _det_bundle_by_log_det(H)
     below = MetricSeries(SeriesMatrix([[_jet(s, 1) for s in row]
-                                       for row in H.matrix.entries]),
-                         H.base_point, H.free_slots)
+                                       for row in H.matrix.entries]))
     with pytest.raises(TruncationError):
         curvature_matrix(below)
     with pytest.raises(TruncationError):
@@ -121,8 +120,7 @@ def test_det_bundle_refuses_scaled_non_diagonal_metric():
     H = _coordinate_metric(F(1), F(2), trunc=JET_DEGREE)
     assert not H.is_diagonal()
     with pytest.raises(DomainError):
-        det_bundle_curvature(MetricSeries(H.matrix, H.base_point,
-                                          H.free_slots, scaled.scale))
+        det_bundle_curvature(MetricSeries(H.matrix, scaled.scale))
 
 
 def test_rank_one_curvature_equals_line_curvature():
@@ -189,16 +187,20 @@ def _reference_battery(module, data, degree=JET_DEGREE):
     m = module.dim
     origin = (F(0),) * m
 
-    def metric(shift=None):
+    def frame(shift=None):
         ideal = IdealSpec.monomial(m, [unit(m, v, p + (k == shift))
                                        for k, (v, p) in enumerate(data)])
-        return grammian(frame_on_zero_set(module, ideal, origin, degree))
+        return frame_on_zero_set(module, ideal, origin, degree)
 
+    def metric(shift=None):
+        return grammian(frame(shift))
+
+    free = frame().free_slots
     base = metric()
     battery = [(f"transverse_log_curvature_w{i+1}",
                 line_curvature(base.matrix[0, 0], i, i))
-               for i in base.free_slots]
-    i0 = base.free_slots[0]
+               for i in free]
+    i0 = free[0]
     for k in range(len(data)):
         battery.append((f"norm_hessian_gen{k+1}",
                         mixed_hessian(base.matrix[k, k], i0, i0)))
@@ -489,8 +491,8 @@ def test_curvature_paths_build_no_grammian(monkeypatch, capsys, tmp_path):
 # moving the generators.
 
 def _curvature_of(weights, gens, base):
-    """Det-bundle matrix and curvature tensor of the coordinate frame
-    (gens None) or of the zero-set frame of <z_{v+1}^p : (v, p) in gens>."""
+    """Det-bundle matrix, curvature tensor and frame: the coordinate frame
+    (gens None) or the zero-set frame of <z_{v+1}^p : (v, p) in gens>."""
     m = len(weights)
     mod = WeightedPolydiscModule(m, weights)
     if gens is None:
@@ -500,7 +502,7 @@ def _curvature_of(weights, gens, base):
                                        for v, p in gens])
         frame = frame_on_zero_set(mod, ideal, base, JET_DEGREE)
     H = grammian(frame)
-    return det_bundle_curvature(H), curvature_matrix(H)
+    return det_bundle_curvature(H), curvature_matrix(H), frame
 
 
 def _renamed(sigma, values):
@@ -526,17 +528,18 @@ PERMUTATION_CASES = {
 def test_permuting_variables_permutes_curvature(case):
     weights, gens, base = PERMUTATION_CASES[case]
     m = len(weights)
-    det0, K0 = _curvature_of(weights, gens, base)
+    det0, K0, frame0 = _curvature_of(weights, gens, base)
     gen_vars = range(m) if gens is None else sorted(v for v, _ in gens)
     for sigma in itertools.permutations(range(m)):
         moved = None if gens is None else [(sigma[v], p) for v, p in gens]
-        det1, K1 = _curvature_of(_renamed(sigma, weights), moved,
-                                 _renamed(sigma, base))
+        det1, K1, frame1 = _curvature_of(_renamed(sigma, weights), moved,
+                                         _renamed(sigma, base))
         # frame slot a (generator variable gen_vars[a]) becomes slot
         # slot[a], the rank of sigma[gen_vars[a]] among the new variables
         new_vars = sorted(sigma[v] for v in gen_vars)
         slot = [new_vars.index(sigma[v]) for v in gen_vars]
-        assert K1.free_slots == tuple(sorted(sigma[i] for i in K0.free_slots))
+        assert frame1.free_slots == \
+            tuple(sorted(sigma[i] for i in frame0.free_slots))
         for i, j in itertools.product(range(m), repeat=2):
             assert det1[sigma[i]][sigma[j]] == det0[i][j]
             block0, block1 = K0.blocks[i][j], K1.blocks[sigma[i]][sigma[j]]
@@ -588,10 +591,9 @@ def test_gauge_equivalent_rejects_distinct():
     # preserves the blockwise spectrum)
     from submodcurv.curvature import CurvatureTensor
     scaled = CurvatureTensor(
-        base_point=K1.base_point, size=K1.size,
+        size=K1.size,
         blocks=tuple(tuple(tuple(tuple(2 * x for x in row) for row in blk)
-                           for blk in brow) for brow in K1.blocks),
-        free_slots=K1.free_slots)
+                           for blk in brow) for brow in K1.blocks))
     assert gauge_equivalent(K1, scaled) is None
 
 

@@ -14,10 +14,13 @@ Every cache in the package is bounded: each lru_cache is given an
 integer maxsize, so a long run of jobs cannot grow one without bound.
 
 Each number is computed in one module: the kernel coefficients
-poch(l, n)/n! are computed in rkhs.py alone (its table diag_coeff_slots
+poch(l, n)/n! are computed in rkhs.py alone (its table diag_coeff_rows
 and the ratio recurrences of its diagonal sums and tail bound), so no
 other module calls math.factorial and none defines, imports or names a
-rising factorial.
+rising factorial.  Rationals are put over one denominator in one place:
+the clear x.numerator * (d // x.denominator) is written only in
+linalg._common_denominator, and its integer form, for the rows of the
+poch table, only in rkhs.cleared_row.
 """
 
 import ast
@@ -236,3 +239,46 @@ def test_every_cache_is_bounded():
         "@lru_cache(maxsize=64)\ndef ok(): pass\n"
         "@functools.lru_cache(8)\ndef ok2(): pass\n"))) == \
         ["functools.cache", "functools.lru_cache", "lru_cache", "lru_cache"]
+
+
+def _clears(tree):
+    """(function, text) for each clear in a module: a product with a
+    floor quotient as a factor, x.numerator * (d // x.denominator), or a
+    floor quotient by a denominator, x.numerator * d // x.denominator;
+    function is the innermost enclosing def, and a clear is not searched
+    again for the floor quotient inside it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.BinOp) and (
+                isinstance(node.op, ast.Mult) and any(
+                    isinstance(side, ast.BinOp) and
+                    isinstance(side.op, ast.FloorDiv)
+                    for side in (node.left, node.right))
+                or isinstance(node.op, ast.FloorDiv) and
+                getattr(node.right, "attr", None) == "denominator"):
+            found.append((where, ast.unparse(node)))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    return found
+
+
+def test_rationals_are_cleared_in_one_place():
+    found = {(path.name, where)
+             for path in MODULES
+             for where, _ in _clears(ast.parse(path.read_text()))}
+    assert found == {("linalg.py", "_common_denominator"),
+                     ("rkhs.py", "cleared_row")}
+    # the check sees each form, inside a nested def too
+    assert _clears(ast.parse(
+        "def f(x, d):\n    return x.numerator * (d // x.denominator)\n"
+        "def g(c, den):\n    def h():\n"
+        "        return c.numerator * den // c.denominator\n"
+        "    return (d // 2) * 3, n * 3 // 2\n")) == [
+        ("f", "x.numerator * (d // x.denominator)"),
+        ("h", "c.numerator * den // c.denominator"),
+        ("g", "d // 2 * 3")]

@@ -18,13 +18,14 @@ from submodcurv.frames import ZERO_SET_KIND
 from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
                                grammian, reconstruction_residual)
 from submodcurv.ideals import IdealSpec
-from submodcurv.rkhs import WeightedPolydiscModule, diag_coeff, diag_coeff_slots
+from submodcurv.rkhs import (WeightedPolydiscModule, cleared_row, diag_coeff,
+                             diag_coeff_rows)
 
 import oracles
-from oracles import (coefficient, conj, coordinate_powers, evaluate_series,
-                     frame_vector_at_base, full_reconstruction_residual,
-                     is_hermitian_by_pair_loop, pochhammer,
-                     recentered_inverse_power, series_w)
+from oracles import (coefficient, conj, coordinate_powers, diag_coeff_slots,
+                     evaluate_series, frame_vector_at_base,
+                     full_reconstruction_residual, is_hermitian_by_pair_loop,
+                     pochhammer, recentered_inverse_power, series_w)
 
 E1 = unit(2, 0)
 E2 = unit(2, 1)
@@ -582,10 +583,11 @@ SLOT_CENTERS = (F(0), F(1, 3), F(-1, 4), F(2, 7))
 @pytest.mark.parametrize("weight", SLOT_WEIGHTS, ids=str)
 @pytest.mark.parametrize("center", SLOT_CENTERS, ids=str)
 def test_slot_coefficients_equal_horner(weight, center):
-    """Each slot's coefficient table is the Horner series of the recentered
-    inverse power, coefficient for coefficient, at D = 6."""
-    row = diag_coeff_slots(WeightedPolydiscModule(1, (weight,)), 6)[0]
-    table, den = frames._slot_coefficients(row, center)
+    """Each slot's coefficient table, from the cleared integer row, is the
+    Horner series of the recentered inverse power, coefficient for
+    coefficient, at D = 6."""
+    row = diag_coeff_rows(WeightedPolydiscModule(1, (weight,)), 6)[0]
+    table, den = frames._slot_coefficients(cleared_row(row), center)
     got = TruncSeries(1, 6, {k: F(x, den) for k, x in table.items()})
     assert got == recentered_inverse_power(1, 6, 0, center, weight)
     assert len(got.coeffs) == len(table)  # no zero entry stored
@@ -662,13 +664,16 @@ _table_center = st.fractions(min_value=-1, max_value=1,
 @settings(max_examples=150, deadline=None)
 @given(_table_weight, _table_center, st.integers(0, 8))
 def test_slot_coefficients_equal_the_fraction_route(weight, center, D):
-    """The integer table over one denominator e^D S is the Fraction table
-    it replaced, entry for entry and in the same key order."""
-    row = diag_coeff_slots(WeightedPolydiscModule(1, (weight,)), D)[0]
+    """The integer table over one denominator e^D S, from the cleared
+    integer row, is the Fraction table it replaced, built from the
+    Fraction slots, entry for entry and in the same key order."""
+    module = WeightedPolydiscModule(1, (weight,))
+    row = cleared_row(diag_coeff_rows(module, D)[0])
     table, den = frames._slot_coefficients(row, center)
     assert all(type(x) is int for x in table.values())
+    slots = diag_coeff_slots(module, D)[0]
     assert [(k, F(x, den)) for k, x in table.items()] == \
-        list(oracles.slot_coefficients_by_fractions(row, center).items())
+        list(oracles.slot_coefficients_by_fractions(slots, center).items())
 
 
 @st.composite
@@ -830,8 +835,8 @@ def test_grammians_are_hermitian_by_construction(data):
 @given(share_weights())
 def test_splitting_shares_equal_fraction_ratios(weights):
     """share_numerators keeps the weights' ratios: x_k / denom is
-    l_k a_k / sum_j l_j a_j on every kernel term a, and the slots of
-    diag_coeff_slots are poch(l, n)/n!."""
+    l_k a_k / sum_j l_j a_j on every kernel term a, and the rows of
+    diag_coeff_rows are poch(l, n)/n!."""
     mod = WeightedPolydiscModule(len(weights), weights)
     frame = decompose_coordinate_ideal(mod, 2)
     gens, scale = frames.share_generators(frame)
@@ -843,9 +848,9 @@ def test_splitting_shares_equal_fraction_ratios(weights):
         assert [(k, F(x, denom)) for k, _, _, x in parts] == \
             [(k, mod.weights[k] * a[k] / total)
              for k in range(mod.dim) if a[k]]
-    for w, row in zip(mod.weights, diag_coeff_slots(mod, 4)):
-        assert list(row) == [pochhammer(w, n) / math.factorial(n)
-                             for n in range(5)]
+    for w, (nums, dens) in zip(mod.weights, diag_coeff_rows(mod, 4)):
+        assert list(map(F, nums, dens)) == \
+            [pochhammer(w, n) / math.factorial(n) for n in range(5)]
 
 
 _WALK_WEIGHT = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)))
@@ -865,21 +870,16 @@ def test_coordinate_terms_equal_the_enumerating_walk(weights, low, top):
         list(oracles.coordinate_terms_by_enumeration(frame, low, top))
 
 
-def test_coordinate_terms_enumerate_once_per_shape(monkeypatch):
+def test_coordinate_terms_enumerate_once_per_shape():
     """The exponents are enumerated once per (m, top, low): a second walk,
-    of another frame of the same shape, enumerates nothing."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return iter_multiindices(*args)
-
-    monkeypatch.setattr(frames, "iter_multiindices", counting)
-    frames._exponents.cache_clear()
+    of another frame of the same shape, reads iter_multiindices' cached
+    tuple and enumerates nothing."""
+    iter_multiindices.cache_clear()
     for weights in ((F(1), F(2), F(3, 2)), (F(1, 2), F(1), F(5, 2))):
         frame = decompose_coordinate_ideal(
             WeightedPolydiscModule(3, weights), 4)
         list(frames.coordinate_terms(frame, 1, 3))
         list(frames.coordinate_terms(frame, 2, 2))
-    frames._exponents.cache_clear()
-    assert calls == [(3, 3, 1), (3, 2, 2)]
+    info = iter_multiindices.cache_info()
+    iter_multiindices.cache_clear()
+    assert (info.misses, info.hits) == (2, 2)

@@ -27,7 +27,12 @@ set reports, while the input echo keeps the generators as given.
 
 The metric task on a zero-set frame keeps its result rows and its
 diagonal_scales when the free slots are permuted with their weights and
-base coordinates.  The curvature task, run through cli.main, moves each
+base coordinates.  The decompose and metric tasks follow a permutation
+of all the variables, generator variables included, with the weights and
+the base point: each frame vector moves to the place of its renamed
+generator in variable order, keeping its lead coefficient and its metric
+values, and every Grammian entry is the old one with its variables
+renamed.  The curvature task, run through cli.main, moves each
 row with the permutation: a variable permutation of the coordinate ideal's
 weights, or of a zero-set job's generators, weights and base point, moves
 det_bundle_curvature_kq to the permuted (k, q) and curvature_block_kq_ij to
@@ -56,8 +61,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodcurv import cli
 from submodcurv.cli import (JobConfig, main, parse_config, render_report,
                             run_task)
+from submodcurv.frames import grammian
 from submodcurv.polynomials import Poly, parse_poly
 
 GOLDEN_KERNEL = Path(__file__).parent / "golden" / "kernel"
@@ -354,6 +361,119 @@ def test_zero_set_curvature_survives_variable_permutations(tmp_path):
         got = _curvature_rows(tmp_path, gens, moved_w, moved_b)
         assert {_moved(name, sigma, tau): value
                 for name, value in want.items()} == got, sigma
+
+
+# (weights, generators as (variable, power) or None for the coordinate
+# ideal, base point) of frame jobs for the decompose and metric relations
+VARIABLE_JOBS = [
+    ((F(1), F(2), F(3, 2)), None, (F(0),) * 3),
+    ((F(1), F(2), F(3, 2)), ((0, 1), (2, 2)), (F(0), F(1, 3), F(0))),
+    ((F(1, 2), F(3, 2), F(5, 3), F(2)), ((1, 2), (3, 1)),
+     (F(1, 3), F(0), F(-1, 4), F(0))),
+]
+
+
+def _power_text(v, p):
+    return f"z{v + 1}" + (f"^{p}" if p > 1 else "")
+
+
+def _renamed_job(task, sigma, weights, gens, base):
+    """(config, tau): the job with variable i renamed sigma[i], its weight
+    and base coordinate moved with it, and tau[a] the new index of frame
+    vector a, since the frame orders its generators by variable."""
+    m = len(weights)
+    gens = tuple((v, 1) for v in range(m)) if gens is None else gens
+    moved_w, moved_b = [None] * m, [None] * m
+    for old, new in enumerate(sigma):
+        moved_w[new], moved_b[new] = weights[old], base[old]
+    order = sorted(sigma[v] for v, _ in gens)
+    tau = [order.index(sigma[v]) for v, _ in sorted(gens)]
+    cfg = JobConfig(task=task, dimension=m, weights=tuple(moved_w),
+                    generators=tuple(_power_text(sigma[v], p)
+                                     for v, p in gens),
+                    base_point=tuple(moved_b), trunc_degree=4)
+    return cfg, tau
+
+
+@pytest.mark.parametrize("weights,gens,base", VARIABLE_JOBS)
+def test_decompose_survives_variable_permutations(weights, gens, base):
+    """Renaming the variables, with the weights and the base point, moves
+    frame vector a to tau(a), with its generator renamed and its lead
+    coefficient kept; frame_count, frame_kind and reconstruction_exact stay,
+    and the base point and free variables are renamed."""
+    m = len(weights)
+    cfg, _ = _renamed_job("decompose", range(m), weights, gens, base)
+    want = run_task(cfg)
+    rows = dict(want.results)
+    data = sorted(((v, 1) for v in range(m)) if gens is None else gens)
+    free = [int(w[1:]) - 1 for w in want.diagnostics["free_variables"]]
+    for sigma in itertools.permutations(range(m)):
+        cfg, tau = _renamed_job("decompose", sigma, weights, gens, base)
+        got = run_task(cfg)
+        moved = {name: value for name, value in rows.items()
+                 if not name.startswith(("generator_", "lead_coefficient_"))}
+        for a, (v, p) in enumerate(data):
+            moved[f"generator_{tau[a] + 1}"] = _power_text(sigma[v], p)
+            moved[f"lead_coefficient_{tau[a] + 1}"] = \
+                rows[f"lead_coefficient_{a + 1}"]
+        assert [name for name, _ in got.results] == \
+            [name for name, _ in want.results]
+        assert dict(got.results) == moved, sigma
+        assert got.diagnostics["base_point"] == \
+            [str(x) for x in cfg.base_point]
+        assert got.diagnostics["free_variables"] == \
+            [f"w{i + 1}" for i in sorted(sigma[i] for i in free)]
+        assert got.diagnostics["splitting_rule"] == \
+            want.diagnostics["splitting_rule"]
+
+
+def _renamed_key(key, sigma):
+    """A series key with slot i of each half moved to slot sigma[i]."""
+    m = len(sigma)
+    out = [0] * (2 * m)
+    for i, new in enumerate(sigma):
+        out[new], out[m + new] = key[i], key[m + i]
+    return tuple(out)
+
+
+def _metric_of(cfg):
+    module = cli._build_module(cfg)
+    return grammian(cli._build_frame(cfg, module, cli._build_ideal(cfg)))
+
+
+@pytest.mark.parametrize("weights,gens,base", VARIABLE_JOBS)
+def test_metric_survives_variable_permutations(weights, gens, base):
+    """Renaming the variables, generator variables included, with the
+    weights and the base point, moves metric_at_base_ab to (tau a, tau b)
+    and diagonal_scales entry a to tau a, and keeps hermitian,
+    positive_definite and the last principal minor; the others are the
+    running products of the moved diagonal.  Grammian entry (tau a, tau b)
+    is entry (a, b) with its variables renamed."""
+    m = len(weights)
+    cfg, _ = _renamed_job("metric", range(m), weights, gens, base)
+    want, H = run_task(cfg), _metric_of(cfg)
+    rows = dict(want.results)
+    t = H.size
+    assert t >= 2
+    for sigma in itertools.permutations(range(m)):
+        cfg, tau = _renamed_job("metric", sigma, weights, gens, base)
+        report, H1 = run_task(cfg), _metric_of(cfg)
+        got = dict(report.results)
+        for a, b in itertools.product(range(t), repeat=2):
+            assert got[f"metric_at_base_{tau[a] + 1}{tau[b] + 1}"] == \
+                rows[f"metric_at_base_{a + 1}{b + 1}"]
+            assert H1.matrix[tau[a], tau[b]].coeffs == {
+                _renamed_key(k, sigma): x
+                for k, x in H.matrix[a, b].coeffs.items()}, sigma
+        for name in ("hermitian", "positive_definite", f"principal_minor_{t}"):
+            assert got[name] == rows[name], (sigma, name)
+        diagonal = [got[f"metric_at_base_{k}{k}"] for k in range(1, t + 1)]
+        assert [got[f"principal_minor_{k}"] for k in range(1, t + 1)] == \
+            list(itertools.accumulate(diagonal, lambda x, y: x * y))
+        scales = report.diagnostics.get("diagonal_scales")
+        want_scales = want.diagnostics.get("diagonal_scales")
+        assert scales == (None if want_scales is None else
+                          [want_scales[tau.index(k)] for k in range(t)])
 
 
 def _compare_rows(dimension, generators, weights, compare_weights):

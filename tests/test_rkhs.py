@@ -16,12 +16,12 @@ from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
                              _ambient_corners, _diagonal_exact,
                              _diagonal_tail_bound, ambient_kernel_bounded,
-                             diag_coeff, diag_coeff_rows, diag_coeff_slots,
+                             cleared_row, diag_coeff, diag_coeff_rows,
                              in_open_polydisc, submodule_kernel)
 
 import oracles
-from oracles import (ambient_kernel_exact, evaluate_poly, monomial_norm_sq,
-                     pochhammer, poly_inner)
+from oracles import (ambient_kernel_exact, diag_coeff_slots, evaluate_poly,
+                     monomial_norm_sq, pochhammer, poly_inner)
 
 
 def _ideal(m, *srcs):
@@ -900,15 +900,18 @@ def test_gram_form_of_a_non_h_basis_misses_more_than_the_tail():
                              max_denominator=12), min_size=1, max_size=4),
        st.integers(0, 9))
 def test_diag_coeff_rows_are_the_slots_in_lowest_terms(weights, N):
-    """The integer rows hold poch(l, n)/n! in lowest terms, and the Fraction
-    slots are built from them."""
+    """The integer rows hold the Fraction slots poch(l, n)/n! in lowest
+    terms, and cleared_row puts each row over the lcm S of its
+    denominators as the integers R[n] = S poch(l, n)/n!."""
     module = WeightedPolydiscModule(len(weights), weights)
     rows = diag_coeff_rows(module, N)
-    for (nums, dens), row, w in zip(rows, diag_coeff_slots(module, N),
-                                    module.weights):
+    for (nums, dens), row in zip(rows, diag_coeff_slots(module, N)):
         assert all(math.gcd(x, d) == 1 and d > 0 for x, d in zip(nums, dens))
-        assert [F(x, d) for x, d in zip(nums, dens)] == list(row) == \
-            [pochhammer(w, n) / math.factorial(n) for n in range(N + 1)]
+        assert [F(x, d) for x, d in zip(nums, dens)] == list(row)
+        R, S = cleared_row((nums, dens))
+        assert S == math.lcm(*(x.denominator for x in row))
+        assert all(type(x) is int for x in R)
+        assert [F(x, S) for x in R] == list(row)
 
 
 @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=9)
