@@ -89,7 +89,9 @@ def iter_multiindices(nvars: int, max_degree: int,
 # and added by TermMap; the degree of a key is its sum, and the product of
 # two terms is keyed by the slotwise sum of their keys.
 
-_ZERO = Fraction(0)
+# the package's one zero Fraction: every zero that the curvature report
+# writes is this object, which cli.render_report prints as "0"
+ZERO = Fraction(0)
 
 
 def clean_terms(coeffs: Mapping, width: int, cap: int | None = None) -> dict:
@@ -122,7 +124,7 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
             row = [(kb, vb) for kb, vb, d in graded if d <= room]
         for kb, vb in row:
             k = tuple(map(operator.add, ka, kb))
-            s = out.get(k, _ZERO) + va * vb
+            s = out.get(k, ZERO) + va * vb
             if s == 0:
                 out.pop(k, None)
             else:
@@ -131,31 +133,42 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
 
 
 @lru_cache(maxsize=4096)
-def _graded_monomial(names: tuple, k: tuple) -> tuple:
-    """(degree, k, text) for the monomial with exponent k: its graded-lex
-    sort key, then its text as name^e*... with unit exponents and absent
-    variables left out ("" for the constant monomial)."""
-    return sum(k), k, "*".join(name if e == 1 else f"{name}^{e}"
-                               for name, e in zip(names, k) if e)
+def _monomial_text(names: tuple, k: tuple) -> str:
+    """The text of the monomial with exponent k, name^e*..., with unit
+    exponents and absent variables left out ("" for the constant
+    monomial)."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, k) if e)
 
 
-def format_terms(coeffs: dict, names: tuple) -> str:
+def format_ratios(table: dict, names: tuple) -> str:
     """Terms in graded-lex order, each as coefficient*name^e*..., with unit
-    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2".  Each
-    coefficient is written from its numerator and denominator."""
-    if not coeffs:
+    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2".  table
+    maps each exponent key to its coefficient as a (numerator,
+    denominator) pair in lowest terms with a positive denominator, and the
+    coefficient is written from those integers as str(Fraction) writes
+    it.  The package's one term formatter."""
+    if not table:
         return "0"
+    # graded lex: lex order, then a stable sort by degree
+    keys = sorted(table)
+    keys.sort(key=sum)
     parts = []
-    # the keys differ, so the sort never compares two values
-    for (_, _, factors), v in sorted([(_graded_monomial(names, k), v)
-                                      for k, v in coeffs.items()]):
-        n, d = v.as_integer_ratio()
+    for k in keys:
+        n, d = table[k]
+        factors = _monomial_text(names, k)
         if d == 1 and factors and (n == 1 or n == -1):
             parts.append(factors if n == 1 else "-" + factors)
         else:
             c = str(n) if d == 1 else f"{n}/{d}"
             parts.append(f"{c}*{factors}" if factors else c)
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def format_terms(coeffs: dict, names: tuple) -> str:
+    """format_ratios of a term map with Fraction values."""
+    return format_ratios({k: v.as_integer_ratio() for k, v in coeffs.items()},
+                         names)
 
 
 @lru_cache(maxsize=16)
@@ -213,7 +226,7 @@ class TermMap:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in self._operand(other).coeffs.items():
-            s = out.get(k, _ZERO) + v
+            s = out.get(k, ZERO) + v
             if s == 0:
                 out.pop(k, None)
             else:
@@ -402,10 +415,6 @@ class SeriesMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def value_at_base(self):
-        """Constant-term matrix as a list of lists of Fractions."""
-        return [[s.constant_term() for s in row] for row in self.entries]
 
     def det(self) -> TruncSeries:
         return cofactor_det(self.entries)

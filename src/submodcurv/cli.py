@@ -25,13 +25,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
+from .algebra import ZERO
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
                         principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
                      UnsupportedIdealError)
-from .frames import (COORDINATE_KIND, coordinate_power_data,
-                     decompose_coordinate_ideal, frame_on_zero_set, grammian,
-                     reconstruction_residual)
+from .frames import (COORDINATE_KIND, decompose_coordinate_ideal,
+                     frame_on_zero_set, grammian, reconstruction_residual)
 from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
                      localization_dim)
 from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
@@ -65,6 +65,7 @@ class JobConfig:
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_rational(text: str, fieldname: str) -> Fraction:
     """A rational as Fraction(text) reads it.  The plain spelling with a
     nonzero denominator is built from its integers; every other one
@@ -86,6 +87,7 @@ def _parse_rational(text: str, fieldname: str) -> Fraction:
                          field=fieldname)
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_vector(text: str, fieldname: str) -> tuple:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -164,6 +166,7 @@ SCHEMA = {
 }
 FLAG_LABELS = {"output": "--output", "trunc_degree": "--trunc-degree",
                "ideal_degree": "--ideal-degree", "points": "--point"}
+TASK_LABELS = {key: f"task.{key}" for key in SCHEMA["task"]}
 
 
 def _check_fields(fields: dict, labels: dict):
@@ -197,8 +200,12 @@ def _read_config(text: str):
     lower-cased and end at the first '=' or ':'.  A line indented deeper
     than the key's line continues its value, blank lines inside a value
     are kept, and each value is joined by '\n' and rstripped.  Errors are
-    configparser's own, with its source name and line numbers.
+    configparser's own, with its source name and line numbers.  A text of
+    plain lines alone is read by _read_plain_config.
     """
+    sections = _read_plain_config(text)
+    if sections is not None:
+        return sections
     sections = {}
     cursect = sectname = optname = error = None
     indent_level = 0
@@ -258,6 +265,39 @@ def _read_config(text: str):
     return sections
 
 
+# a plain config line, other than a blank one: '[section]', or 'key = value'
+# with ':' or '=' as the delimiter, starting with no space; no comment.
+# Compiled on the first read (re's own cache), not at import.
+_PLAIN_LINE = r"\[([^#]+)\]|([^\s#;\[=:][^=:#]*)[=:]([^#]*)"
+
+
+def _read_plain_config(text: str):
+    """_read_config's sections for a text whose lines are all blank or
+    plain (_PLAIN_LINE), with no section or key given twice; None for any
+    other text.  Such a text has no comment, continuation or error, so
+    each value is the stripped text after the first delimiter."""
+    sections = {}
+    cursect = None
+    match = re.compile(_PLAIN_LINE).fullmatch
+    for line in text.split("\n"):
+        if not line:
+            continue
+        plain = match(line)
+        if plain is None:
+            return None
+        name, key, value = plain.groups()
+        if name:
+            if name in sections:
+                return None
+            cursect = sections[name] = {}
+        else:
+            key = key.rstrip().lower()
+            if cursect is None or key in cursect:
+                return None
+            cursect[key] = value.strip()
+    return sections
+
+
 def parse_config(text: str, args=None) -> JobConfig:
     """Parse sectioned key=value config source into a JobConfig; args, the
     parsed command line, overrides the task and the fields its flags set.
@@ -281,7 +321,11 @@ def parse_config(text: str, args=None) -> JobConfig:
 
     fields = {}
     for section, parsers in SCHEMA.items():
-        sec = sections.get(section, {})
+        sec = sections.get(section)
+        if not sec:
+            # nothing new to check: the checks below passed on the fields
+            # of the sections before
+            continue
         for key in sec:
             if key not in parsers:
                 raise InputError(f"unknown key {key!r} in [{section}]",
@@ -289,8 +333,9 @@ def parse_config(text: str, args=None) -> JobConfig:
         if "catalogue" in sec and "generators" in sec:
             raise InputError("give either generators or a catalogue name, "
                              "not both", field="ideal")
-        fields.update((key, parse(sec[key], f"{section}.{key}"))
-                      for key, parse in parsers.items() if key in sec)
+        for key, parse in parsers.items():
+            if key in sec:
+                fields[key] = parse(sec[key], f"{section}.{key}")
         if ("dimension" in fields) != ("weights" in fields):
             raise InputError("[module] needs both dimension and weights",
                              field="module")
@@ -313,7 +358,7 @@ def parse_config(text: str, args=None) -> JobConfig:
     if task not in TASKS:
         raise InputError(f"unknown task {task!r}; choose from "
                          f"{', '.join(TASKS)}", field="task.name")
-    labels = {key: f"task.{key}" for key in SCHEMA["task"]}
+    labels = dict(TASK_LABELS)
     if args is not None:
         task = args.task
         flags = {"output": args.output, "trunc_degree": args.trunc_degree,
@@ -353,12 +398,30 @@ class Report:
         self.results += zip(_matrix_names(name, tuple(map(len, rows))),
                             chain.from_iterable(rows))
 
+    def add_blocks(self, name, blocks):
+        """The rows of add_matrix(f"{name}_{i}{j}", block) for every block
+        of a square matrix of t-by-t blocks, block by block; the names are
+        formatted once per name and shape (_block_names)."""
+        entries = chain.from_iterable(chain.from_iterable(
+            chain.from_iterable(blocks)))
+        self.results += zip(_block_names(name, len(blocks), len(blocks[0][0])),
+                            entries)
+
 
 @functools.lru_cache(maxsize=256)
 def _matrix_names(name: str, shape: tuple) -> tuple:
     """name_ij for i from 1 to len(shape) and j from 1 to shape[i - 1]."""
     return tuple(f"{name}_{i}{j}" for i, n in enumerate(shape, 1)
                  for j in range(1, n + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _block_names(name: str, m: int, t: int) -> tuple:
+    """name_ij_ab for the blocks (i, j) of an m-by-m matrix of t-by-t
+    blocks, block by block, each block's names as _matrix_names'."""
+    return tuple(chain.from_iterable(
+        _matrix_names(f"{name}_{i}{j}", (t,) * t)
+        for i in range(1, m + 1) for j in range(1, m + 1)))
 
 
 def _encode(value):
@@ -374,6 +437,8 @@ def _encode(value):
 
 
 def _render_value(value):
+    if type(value) is str:
+        return value
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render_value(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -403,8 +468,11 @@ def render_report(report: Report, output: str) -> str:
         lines.append(f"  {k} = {_render_value(report.input_echo[k])}")
     lines.append("results:")
     # a scalar row, nearly every row, is its str(); lists and dicts recurse.
-    # An exact type lookup is cheaper than isinstance on a Fraction.
-    lines += ["  %s = %s" % (name, _render_value(value)
+    # An exact type lookup is cheaper than isinstance on a Fraction, and
+    # the package's one zero, most rows of a curvature report, is "0"
+    # without Fraction.__str__.
+    lines += ["  %s = %s" % (name, "0" if value is ZERO
+                             else _render_value(value)
                              if type(value) in _CONTAINERS else value)
               for name, value in report.results]
     lines.append("diagnostics:")
@@ -431,28 +499,38 @@ def _build_module(cfg: JobConfig) -> WeightedPolydiscModule:
 
 def _build_ideal(cfg: JobConfig) -> IdealSpec:
     _require(cfg, "dimension")
-    if cfg.catalogue:
-        return IdealSpec.catalogued(cfg.catalogue, cfg.dimension)
-    if not cfg.generators:
+    if not cfg.catalogue and not cfg.generators:
         raise InputError(f"task {cfg.task!r} requires an [ideal] section",
                          field="ideal")
+    return _ideal(cfg.catalogue, cfg.generators, cfg.dimension)
+
+
+@functools.lru_cache(maxsize=256)
+def _ideal(catalogue, generators, nvars) -> IdealSpec:
+    """The ideal of a catalogue name or of generator texts in nvars
+    variables, built once per (catalogue, generators, nvars) and shared by
+    every job that names it: no caller mutates an IdealSpec or its Polys
+    (tests/test_cli.py checks the memoized ones across jobs)."""
+    if catalogue:
+        return IdealSpec.catalogued(catalogue, nvars)
     gens = []
-    for src in cfg.generators:
+    for src in generators:
         try:
-            gens.append(parse_poly(src, cfg.dimension))
+            gens.append(parse_poly(src, nvars))
         except InputError as e:
             raise InputError(f"bad generator {src!r}: {e}",
                              field="ideal.generators")
     try:
-        return IdealSpec(cfg.dimension, tuple(gens))
+        return IdealSpec(nvars, tuple(gens))
     except DomainError as e:
         raise InputError(str(e), field="ideal")
 
 
 def _echo_value(value):
-    if isinstance(value, tuple):
+    # exact types: isinstance on Fraction goes through the ABC machinery
+    if type(value) is tuple:
         return [_echo_value(v) for v in value]
-    return str(value) if isinstance(value, Fraction) else value
+    return str(value) if type(value) is Fraction else value
 
 
 def _input_echo(cfg: JobConfig) -> dict:
@@ -483,7 +561,7 @@ def _build_frame(cfg: JobConfig, module, ideal):
     trunc = cfg.trunc_degree
     if cfg.task == "curvature":
         trunc = min(trunc, JET_DEGREE)
-    data = coordinate_power_data(ideal)
+    data = ideal.coordinate_powers
     if len(data) == module.dim and all(p == 1 for _, p in data):
         if any(x != 0 for x in base):
             raise DomainError(
@@ -513,7 +591,7 @@ def run_task(cfg: JobConfig) -> Report:
     if cfg.task == "compare":
         _require(cfg, "compare_weights")
         ideal = _build_ideal(cfg)
-        data = coordinate_power_data(ideal)
+        data = ideal.coordinate_powers
         gen_vars, powers = zip(*data)
         t = len(data)
         if t == module.dim:
@@ -622,9 +700,9 @@ def run_task(cfg: JobConfig) -> Report:
         for k, d in enumerate(metric.minors, 1):
             report.add(f"principal_minor_{k}", d)
         t = metric.size
-        report.diagnostics["metric_series"] = {
-            f"H_{i+1}{j+1}": str(metric.matrix[i, j])
-            for i in range(t) for j in range(t)}
+        report.diagnostics["metric_series"] = dict(zip(
+            _matrix_names("H", (t,) * t),
+            [metric.entry_text(i, j) for i in range(t) for j in range(t)]))
         if metric.scale:
             report.diagnostics["diagonal_scales"] = [metric.scale] * t
         return report
@@ -634,9 +712,7 @@ def run_task(cfg: JobConfig) -> Report:
             raise DomainError("curvature task needs trunc_degree >= 4")
         tensor = curvature_tensor(frame)
         report.add_matrix("det_bundle_curvature", tensor.trace_matrix())
-        for i, row in enumerate(tensor.blocks, 1):
-            for j, block in enumerate(row, 1):
-                report.add_matrix(f"curvature_block_{i}{j}", block)
+        report.add_blocks("curvature_block", tensor.blocks)
         t = tensor.size
         if frame.kind == COORDINATE_KIND and module.dim == 2 and t == 2:
             inv = lambda_mu_invariants(*module.weights)
@@ -722,10 +798,13 @@ def main(argv=None) -> int:
     args = _canonical_args(argv) or _build_parser().parse_args(argv)
     try:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
+            with open(args.config, "rb") as fh:
+                text = fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read config: {e}")
+        # the newlines of text mode: '\r\n' and a lone '\r' end a line
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         cfg = parse_config(text, args)
         report = run_task(cfg)
         sys.stdout.write(render_report(report, cfg.output))

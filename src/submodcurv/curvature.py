@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import TruncSeries, unit
+from .algebra import ZERO, TruncSeries, unit
 from .errors import DomainError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
@@ -47,8 +47,6 @@ CONVENTION = ("metric H_ij = <F_j, F_i>; curvature block (i,j) = "
               "d_{w_i}(H^{-1} d_{wbar_j} H) at the base point; "
               "det-bundle curvature = mixed Hessian of log det H "
               "(= blockwise trace of the curvature matrix)")
-
-_ZERO = Fraction(0)
 
 # Every curvature value reads only the terms of degree <= 2 of a metric, so
 # frames built only for curvature are truncated here.
@@ -79,28 +77,31 @@ class CurvatureTensor:
     blocks: tuple
 
     def trace_matrix(self):
-        """Blockwise traces.  Only the nonzero diagonal entries are summed,
-        and a zero trace is Fraction(0), as every entry is a Fraction."""
+        """Blockwise traces.  Only the diagonal entries other than the
+        package's zero, algebra.ZERO, are summed, and a zero trace is that
+        zero, as every entry is a Fraction."""
         zero = _zero_block(self.size)
-        return tuple(tuple(_ZERO if block is zero else _trace(block)
-                           for block in row) for row in self.blocks)
+        return tuple(tuple([ZERO if block is zero else _trace(block)
+                            for block in row]) for row in self.blocks)
 
 
 @lru_cache(maxsize=16)
 def _zero_block(t: int) -> tuple:
     """The t-by-t all-zero block, one object per t, which curvature_tensor
     puts at every block it does not write."""
-    return ((_ZERO,) * t,) * t
+    return ((ZERO,) * t,) * t
 
 
 def _trace(block) -> Fraction:
-    """The sum of the nonzero diagonal entries: their numerators over the
-    lcm of their denominators, one Fraction."""
-    diagonal = [row[k] for k, row in enumerate(block) if row[k]]
+    """The sum of the diagonal entries other than ZERO: their numerators
+    over the lcm of their denominators, one Fraction, and ZERO for a zero
+    sum."""
+    diagonal = [row[k] for k, row in enumerate(block) if row[k] is not ZERO]
     if len(diagonal) < 2:
-        return diagonal[0] if diagonal else _ZERO
+        return diagonal[0] if diagonal and diagonal[0] else ZERO
     ints, den = _common_denominator(diagonal)
-    return Fraction(sum(ints), den)
+    total = sum(ints)
+    return Fraction(total, den) if total else ZERO
 
 
 def _two_jet(s: TruncSeries):
@@ -222,7 +223,7 @@ def curvature_tensor(frame: FrameSeries) -> CurvatureTensor:
                    for kq, block in written.items()}
     else:
         weights = frame.module.weights
-        zeros = (_ZERO,) * (t - 1)
+        zeros = (ZERO,) * (t - 1)
         for k in frame.free_slots:
             c = frame.base_point[k]
             value = weights[k] / (1 - c * c) ** 2

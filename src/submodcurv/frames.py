@@ -26,7 +26,9 @@ integers (share_numerators); a zero-variety Grammian
 is the outer product of one finite coefficient table per free slot, with a
 positive base-point constant, folded in when rational and otherwise (a
 fractional power) kept as the metric's one scale, in text, since it never
-influences curvature.  The base point vanishes on each generator variable,
+influences curvature.  Both keep each term as an integer pair in lowest
+terms (MetricSeries.tables); the series matrix of Fractions is built only
+when read.  The base point vanishes on each generator variable,
 so conj(p_k) F^k restores exactly the share s_k of each kernel term, and
 the check sums the integer share numerators against their denominator.
 Every c_a and lead coefficient is read from the integer rows of
@@ -37,16 +39,16 @@ algebra.iter_multiindices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import getitem
 from typing import Optional
 
-from .algebra import SeriesMatrix, TruncSeries, iter_multiindices, rat, unit
-from .errors import (DegeneracyError, DomainError, ShapeError,
-                     TruncationError, UnsupportedIdealError)
-from .ideals import MONOMIAL, IdealSpec
+from .algebra import (ZERO, SeriesMatrix, TruncSeries, _series_names,
+                      format_ratios, iter_multiindices, rat, unit)
+from .errors import DegeneracyError, DomainError, ShapeError, TruncationError
+from .ideals import IdealSpec
 from .linalg import _common_denominator, leading_principal_minors
 from .polynomials import Poly
 from .rkhs import (WeightedPolydiscModule, cleared_row, diag_coeff,
@@ -174,33 +176,6 @@ def decompose_coordinate_ideal(module: WeightedPolydiscModule,
                        module.weights)
 
 
-def coordinate_power_data(ideal: IdealSpec):
-    """(var, power) per minimal generator, sorted by variable.  Constant
-    factors are dropped, and so is every generator that another one
-    divides: 3*z1^2 and z1^2, z1^3 both give the data of z1^2."""
-    if ideal.family != MONOMIAL:
-        raise UnsupportedIdealError(
-            "zero-set frames need a monomial ideal of coordinate powers")
-    gens = {}
-    for g in ideal.generators:
-        e = g.monomial_exponent()
-        if not any(e):
-            raise UnsupportedIdealError(
-                f"generator {g} is a constant, so the ideal is the whole "
-                "ring; no zero-set frame")
-        gens.setdefault(e, g)
-    data = []
-    for e, g in gens.items():
-        if any(f != e and all(a <= b for a, b in zip(f, e)) for f in gens):
-            continue
-        support = [i for i, x in enumerate(e) if x > 0]
-        if len(support) != 1:
-            raise UnsupportedIdealError(
-                f"generator {g} mixes variables; no closed-form frame")
-        data.append((support[0], e[support[0]]))
-    return sorted(data)
-
-
 def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
                       base_point, trunc: int) -> FrameSeries:
     """Frame for a coordinate-power ideal at a point of its zero variety.
@@ -212,7 +187,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
     if trunc < 2:
         raise TruncationError("frame truncation degree must be >= 2")
     m = module.dim
-    data = coordinate_power_data(ideal)
+    data = ideal.coordinate_powers
     gen_vars = tuple(v for v, _ in data)
     gen_powers = tuple(p for _, p in data)
     base = tuple(rat(x) for x in base_point)
@@ -240,29 +215,72 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
 class MetricSeries:
     """Grammian of a frame as a matrix of truncated series.
 
-    Entry (i, j) is <F_j, F_i> expanded around the base point.  scale is
-    the irrational base-point constant of a zero-variety frame, as the text
+    Entry (i, j) is <F_j, F_i> expanded around the base point, kept as the
+    integer table tables[i][j]: a dict from exponent keys (w-half then
+    wbar-half, npairs slots each, total degree <= trunc) to the nonzero
+    coefficient as a (numerator, denominator) pair in lowest terms with a
+    positive denominator.  matrix, the same entries as a SeriesMatrix of
+    TruncSeries with one Fraction per term, is built on first read; the
+    metric task reads the tables alone.  scale is the irrational
+    base-point constant of a zero-variety frame, as the text
     "(b)^(e) * ...", one positive number that multiplies every stored
     series and drops out of every log-derivative; None when there is none,
     or when it was rational and folded into the series.  minors are the
     leading principal minors of the base-point values, all positive on a
     metric grammian returns; empty on a metric built otherwise.
     """
-    matrix: SeriesMatrix
+    tables: tuple
+    npairs: int
+    trunc: int
     scale: Optional[str] = None
     minors: tuple = ()
 
     @property
     def size(self) -> int:
-        return self.matrix.n
+        return len(self.tables)
+
+    @cached_property
+    def matrix(self) -> SeriesMatrix:
+        return SeriesMatrix([[TruncSeries._trusted(
+            self.npairs, self.trunc,
+            {k: Fraction(n, d) for k, (n, d) in table.items()})
+            for table in row] for row in self.tables])
 
     def is_diagonal(self) -> bool:
-        n = self.matrix.n
-        return all(self.matrix[i, j].is_zero()
-                   for i in range(n) for j in range(n) if i != j)
+        return not any(table for i, row in enumerate(self.tables)
+                       for j, table in enumerate(row) if i != j)
 
     def value_at_base(self):
-        return self.matrix.value_at_base()
+        """Constant-term matrix as a list of lists of Fractions."""
+        zero = (0,) * (2 * self.npairs)
+        return [[Fraction(*table[zero]) if zero in table else ZERO
+                 for table in row] for row in self.tables]
+
+    def entry_text(self, i: int, j: int) -> str:
+        """Entry (i, j) as text, str() of matrix[i, j], written from the
+        integer table."""
+        return format_ratios(self.tables[i][j], _series_names(self.npairs))
+
+
+@lru_cache(maxsize=32)
+def _coordinate_walk(m: int, low: int, top: int, gen_vars: tuple,
+                     gen_powers: tuple) -> tuple:
+    """What coordinate_terms and the coordinate Grammian read of each
+    exponent a of iter_multiindices(m, top, low), which no weight changes:
+    (divs, pairs) per a, divs holding (k, v, a_v, a - e_v) per generator
+    k = z_v^p that divides z^a, and pairs holding (y, z, d_y + d_z,
+    d_z + d_y) for y <= z indexing divs, d_y = a - e_v of divs[y]: the
+    keys of the two Grammian terms the pair writes.  One tuple per shape,
+    cached; callers only read it."""
+    walk = []
+    for a in iter_multiindices(m, top, low):
+        divs = tuple((k, v, a[v], a[:v] + (a[v] - 1,) + a[v + 1:])
+                     for k, (v, p) in enumerate(zip(gen_vars, gen_powers))
+                     if a[v] >= p)
+        pairs = tuple((y, z, divs[y][3] + divs[z][3], divs[z][3] + divs[y][3])
+                      for y in range(len(divs)) for z in range(y, len(divs)))
+        walk.append((divs, pairs))
+    return tuple(walk)
 
 
 def coordinate_terms(frame: FrameSeries, low: int, top: int):
@@ -273,47 +291,53 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
     share numerator x_i = L_v a_v (share_numerators).  c_a is the product
     of the poch(l, n)/n! entries of a's support, so num and den are the
     products of their numerators and denominators, read from the integer
-    rows of diag_coeff_rows.  The exponents are iter_multiindices' cached
-    tuple, and each one's shares, num and den come from one pass over the
-    generators."""
+    rows of diag_coeff_rows.  The exponents and which generators divide
+    each are _coordinate_walk's cached tuple, so each a takes one pass over
+    its dividing generators."""
     gens, _ = share_generators(frame)
     nums, dens = zip(*diag_coeff_rows(frame.module, top))
-    for a in iter_multiindices(frame.module.dim, top, low):
+    for divs, _ in _coordinate_walk(frame.module.dim, low, top,
+                                    frame.gen_vars, frame.gen_powers):
         num = den = 1
         denom = 0
         downs = []
-        for k, v, p, w in gens:
-            e = a[v]
-            if e >= p:
-                x = w * e
-                denom += x
-                num *= nums[v][e]
-                den *= dens[v][e]
-                downs.append((k, x, a[:v] + (e - 1,) + a[v + 1:]))
+        for k, v, e, down in divs:
+            x = gens[k][3] * e
+            denom += x
+            num *= nums[v][e]
+            den *= dens[v][e]
+            downs.append((k, x, down))
         yield num, den * denom * denom, downs
 
 
-def _metric_by_monomial_sum(frame: FrameSeries) -> SeriesMatrix:
-    """Grammian of a coordinate-neighborhood frame, summed over the kernel
-    terms: each c_a with a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at
-    w^(a - e_i) wbar^(a - e_j) of H_ij.  That term has degree 2|a| - 2, so
-    1 <= |a| <= D//2 + 1 reaches the truncation degree D.  Each term is one
-    reduced Fraction(num x_i x_j, den) of coordinate_terms.  The value is
-    symmetric in (i, j), and one write puts it at the key of H_ij and at the
-    key-swapped key of H_ji, so H is Hermitian by construction."""
+def _metric_by_monomial_sum(frame: FrameSeries) -> list:
+    """Grammian tables of a coordinate-neighborhood frame (the tables of a
+    MetricSeries), summed over the kernel terms: each c_a with
+    a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at w^(a - e_i) wbar^(a - e_j) of
+    H_ij.  That term has degree 2|a| - 2, so 1 <= |a| <= D//2 + 1 reaches
+    the truncation degree D.  Each term is num x_i x_j / den of
+    coordinate_terms, reduced by one gcd, at the pair's cached keys of
+    _coordinate_walk.  The value is symmetric in (i, j), and one write puts
+    it at the key of H_ij and at the key-swapped key of H_ji, so H is
+    Hermitian by construction."""
     m = frame.module.dim
+    top = frame.trunc // 2 + 1
     terms = [[{} for _ in range(m)] for _ in range(m)]
-    for num, den, downs in coordinate_terms(frame, 1, frame.trunc // 2 + 1):
+    # coordinate_terms walks the same cached tuple, so the two stay aligned
+    walk = _coordinate_walk(m, 1, top, frame.gen_vars, frame.gen_powers)
+    for (num, den, downs), (_, pairs) in zip(
+            coordinate_terms(frame, 1, top), walk):
         # a key concatenates the w-half and the wbar-half
-        for y, (i, xi, di) in enumerate(downs):
-            ni = num * xi
-            for j, xj, dj in downs[y:]:
-                v = Fraction(ni * xj, den)
-                terms[i][j][di + dj] = v
-                terms[j][i][dj + di] = v
-    # nonzero Fractions at keys of degree 2|a| - 2 <= D: already clean
-    return SeriesMatrix([[TruncSeries._trusted(m, frame.trunc, t)
-                          for t in row] for row in terms])
+        for y, z, key, swapped in pairs:
+            i, xi, _ = downs[y]
+            j, xj, _ = downs[z]
+            n = num * xi * xj
+            g = math.gcd(n, den)
+            terms[i][j][key] = value = (n // g, den // g)
+            if j != i:
+                terms[j][i][swapped] = value
+    # nonzero terms at keys of degree 2|a| - 2 <= D
+    return terms
 
 
 def _slot_coefficients(row, c):
@@ -344,7 +368,7 @@ def _slot_coefficients(row, c):
 
 
 def _metric_by_closed_form(frame: FrameSeries):
-    """Diagonal zero-variety metric from the recentered product form
+    """(tables, scale): the diagonal zero-variety metric from the recentered product form
     H_kk = lead_k prod_{free i} (1 - w_i wbar_i)^(-l_i) about the base point.
 
     The base-point constant prod_{free i} (1 - c_i^2)^(-l_i) is the same for
@@ -355,8 +379,8 @@ def _metric_by_closed_form(frame: FrameSeries):
     from fractional weights) it is returned as the scale, the text
     "(b)^(e) * ..." sorted by base.  The slot tables multiply as integer
     numerators over the product of their denominators, and each stored
-    term of H_kk is one Fraction(a p, den q), p/q = lead_k times the folded
-    constant.  H is diagonal, and each slot table is symmetric in
+    term of H_kk is a p / (den q) reduced by one gcd, p/q = lead_k times the
+    folded constant.  H is diagonal, and each slot table is symmetric in
     (beta, gamma), so every entry is its own key-swapped conjugate: H is
     Hermitian by construction.
     """
@@ -383,15 +407,16 @@ def _metric_by_closed_form(frame: FrameSeries):
     else:
         fold, scale = 1, " * ".join(f"({b})^({e})"
                                     for b, e in sorted(powers.items()))
-    diagonal = []
-    for lead in frame.lead_coeffs:
-        r = rat(lead) * fold
-        p, q = r.numerator, r.denominator * den
-        diagonal.append(TruncSeries._trusted(
-            m, D, {k: Fraction(a * p, q) for k, a in terms.items()} if p
-            else {}))
-    return SeriesMatrix([[diagonal[k] if k == j else TruncSeries.zero(m, D)
-                          for j in range(t)] for k in range(t)]), scale
+    tables = [[{} for _ in range(t)] for _ in range(t)]
+    for k, lead in enumerate(frame.lead_coeffs):
+        p, q = (rat(lead) * fold).as_integer_ratio()
+        if p:
+            q *= den
+            table = tables[k][k]
+            for key, a in terms.items():
+                g = math.gcd(a * p, q)
+                table[key] = (a * p // g, q // g)
+    return tables, scale
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
@@ -404,17 +429,19 @@ def grammian(frame: FrameSeries) -> MetricSeries:
     from the origin infinitely many kernel terms hit every series degree.
     """
     if frame.kind == COORDINATE_KIND:
-        matrix, scale = _metric_by_monomial_sum(frame), None
+        tables, scale = _metric_by_monomial_sum(frame), None
     else:
-        matrix, scale = _metric_by_closed_form(frame)
+        tables, scale = _metric_by_closed_form(frame)
+    metric = MetricSeries(tuple(map(tuple, tables)), frame.module.dim,
+                          frame.trunc, scale)
     # both builders are Hermitian by construction; a FrameSeries built by
     # hand may carry any lead_coeffs, so positivity is checked
-    minors = leading_principal_minors(matrix.value_at_base())
+    minors = leading_principal_minors(metric.value_at_base())
     if any(d <= 0 for d in minors):
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
             f"at the base point; principal minors {minors})")
-    return MetricSeries(matrix, scale, tuple(minors))
+    return replace(metric, minors=tuple(minors))
 
 
 # ---------------------------------------------------------------------------

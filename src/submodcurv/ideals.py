@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
-from operator import mul
+from operator import le, mul
 from typing import Optional
 
 from .algebra import iter_multiindices, rat
@@ -76,6 +76,44 @@ class IdealSpec:
     @property
     def max_degree(self) -> int:
         return max(g.degree for g in self.generators)
+
+    @cached_property
+    def coordinate_powers(self) -> tuple:
+        """(var, power) per minimal generator of a monomial ideal, sorted
+        by variable: the data of a zero-set frame.  Constant factors are
+        dropped, and so is every generator that another one divides:
+        3*z1^2 and z1^2, z1^3 both give the data of z1^2.  So the data are
+        the least power of each variable that a pure power z_v^p reaches,
+        read in one pass.  A generator that mixes variables and that no
+        pure power divides raises, named by the first such one no other
+        generator divides; a constant generator raises first, the first
+        one named."""
+        if self.family != MONOMIAL:
+            raise UnsupportedIdealError(
+                "zero-set frames need a monomial ideal of coordinate powers")
+        least, mixed = {}, {}
+        for g in self.generators:
+            (e,) = g.coeffs
+            support = [i for i, x in enumerate(e) if x]
+            if not support:
+                raise UnsupportedIdealError(
+                    f"generator {g} is a constant, so the ideal is the "
+                    "whole ring; no zero-set frame")
+            if len(support) == 1:
+                v = support[0]
+                if e[v] < least.get(v, e[v] + 1):
+                    least[v] = e[v]
+            else:
+                mixed.setdefault(e, (support, g))
+        # a mixed generator that no pure power divides; if another one
+        # divides it, that one is open too
+        open_ = [(e, g) for e, (support, g) in mixed.items()
+                 if all(e[v] < least.get(v, e[v] + 1) for v in support)]
+        for e, g in open_:
+            if not any(f != e and all(map(le, f, e)) for f, _ in open_):
+                raise UnsupportedIdealError(
+                    f"generator {g} mixes variables; no closed-form frame")
+        return tuple(sorted(least.items()))
 
     def vanishes_at(self, point) -> bool:
         """Whether the point lies on V(I): one integer sum per generator.

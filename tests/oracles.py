@@ -72,8 +72,8 @@ from submodcurv.curvature import CurvatureTensor
 from submodcurv.errors import (DomainError, InputError, ShapeError,
                                SingularityError, TruncationError,
                                UnsupportedIdealError)
-from submodcurv.frames import (FrameSeries, MetricSeries, coordinate_power_data,
-                               share_generators, share_numerators)
+from submodcurv.frames import (FrameSeries, MetricSeries, share_generators,
+                               share_numerators)
 from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                GENERAL, MONOMIAL, IdealSpec,
                                LocalizationResult)
@@ -461,7 +461,16 @@ def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
                         acc = acc + Hf.entries[k][l].scale(c)
             row.append(acc)
         rows.append(row)
-    return MetricSeries(SeriesMatrix(rows), None)
+    return metric_from_series(SeriesMatrix(rows))
+
+
+def metric_from_series(H: SeriesMatrix, scale=None) -> MetricSeries:
+    """The MetricSeries whose matrix is H, for metrics the tests build by
+    hand: each coefficient as its (numerator, denominator) pair."""
+    return MetricSeries(
+        tuple(tuple({k: v.as_integer_ratio() for k, v in s.coeffs.items()}
+                    for s in row) for row in H.entries),
+        H.npairs, H.trunc, scale)
 
 
 def gauge_conjugate(K: CurvatureTensor, A) -> CurvatureTensor:
@@ -745,6 +754,35 @@ def metric_by_fraction_tables(frame: FrameSeries):
     return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold)
                           if k == j else TruncSeries.zero(m, D)
                           for j in range(t)] for k in range(t)]), scale
+
+
+def coordinate_power_data_by_pair_scan(ideal: IdealSpec) -> list:
+    """The zero-set frame data that IdealSpec.coordinate_powers reads in
+    one pass: (var, power) per minimal generator, sorted, found by testing
+    every distinct exponent against every other for divisibility.  A
+    constant generator raises first, the first one named; then the first
+    undivided exponent that mixes variables raises."""
+    if ideal.family != MONOMIAL:
+        raise UnsupportedIdealError(
+            "zero-set frames need a monomial ideal of coordinate powers")
+    gens = {}
+    for g in ideal.generators:
+        e = g.monomial_exponent()
+        if not any(e):
+            raise UnsupportedIdealError(
+                f"generator {g} is a constant, so the ideal is the whole "
+                "ring; no zero-set frame")
+        gens.setdefault(e, g)
+    data = []
+    for e, g in gens.items():
+        if any(f != e and all(a <= b for a, b in zip(f, e)) for f in gens):
+            continue
+        support = [i for i, x in enumerate(e) if x > 0]
+        if len(support) != 1:
+            raise UnsupportedIdealError(
+                f"generator {g} mixes variables; no closed-form frame")
+        data.append((support[0], e[support[0]]))
+    return sorted(data)
 
 
 def trace_by_fraction_sum(block) -> Fraction:
@@ -1551,7 +1589,7 @@ def zero_set_metric_fn(module: WeightedPolydiscModule, ideal: IdealSpec,
 
     Independent of the exact series machinery by construction.
     """
-    data = coordinate_power_data(ideal)
+    data = ideal.coordinate_powers
     gen_vars = [v for v, _ in data]
     v, p = data[k]
     lead = float(pochhammer(module.weights[v], p) / math.factorial(p))

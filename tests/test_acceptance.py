@@ -286,7 +286,7 @@ def test_criterion_8_property_suites():
         frame = frame_on_zero_set(mod, ideal, (F(0), F(0), b3), 4)
         H = grammian(frame)  # raises DegeneracyError unless PD
         assert is_hermitian_by_pair_loop(H.matrix)
-        vals = H.matrix.value_at_base()
+        vals = H.value_at_base()
         assert all(vals[i][j] == vals[j][i] for i in range(2)
                    for j in range(2))
         assert vals[0][0] > 0

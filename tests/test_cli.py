@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli
+from submodcurv.algebra import ZERO
 from submodcurv.cli import (_build_parser, main, parse_config, render_report,
                             run_task)
-from submodcurv.errors import InputError
+from submodcurv.errors import InputError, UnsupportedIdealError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
@@ -1082,3 +1083,148 @@ def test_add_matrix_names_are_cached_per_name_and_shape():
     assert (info.hits, info.misses) == (1, 4)
     assert info.maxsize is not None
     cli._matrix_names.cache_clear()
+
+
+@pytest.mark.parametrize("m,t", [(1, 1), (2, 3), (3, 1), (5, 2)])
+def test_add_blocks_writes_add_matrix_rows_block_by_block(m, t):
+    """add_blocks gives the f-string rows of the reference for each block
+    in turn, as one add_matrix call per block did, shared zero blocks and
+    rows included."""
+    zero = ((F(0),) * t,) * t
+    blocks = tuple(tuple(zero if (i + j) % 2 else tuple(
+        tuple(F(i + a, j + b + 1) for b in range(t)) for a in range(t))
+        for j in range(m)) for i in range(m))
+    report = cli.Report("curvature", {})
+    report.add_blocks("curvature_block", blocks)
+    want = []
+    for i, row in enumerate(blocks, 1):
+        for j, block in enumerate(row, 1):
+            want += matrix_rows_by_fstring(f"curvature_block_{i}{j}", block)
+    assert report.results == want
+
+
+# -- the config bytes, the memoized ideals and the zero rows -------------------
+
+GOLDEN_CONFIGS = sorted((Path(__file__).parent / "golden").glob("*/*.ini"))
+
+
+def _run_golden(config, capsys):
+    """(exit code, stdout, stderr) of a golden config's job."""
+    code = main([config.parent.name, "--config", str(config)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[task]\nname = cubic\nalpha = 7/3 \xff\n")
+    assert main(["cubic", "--config", str(path)]) == 2
+    assert tuple(capsys.readouterr()) == (
+        "", "config error: cannot read config: 'utf-8' codec can't decode "
+        "byte 0xff in position 32: invalid start byte\n")
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_endings_give_the_lf_bytes(tmp_path, capsys, newline):
+    """A config read as bytes ends its lines at '\\r\\n' and at a lone '\\r'
+    as text mode does: every golden config with either line ending gives
+    the bytes of its LF file."""
+    for config in GOLDEN_CONFIGS:
+        copy = tmp_path / config.parent.name / config.name
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_bytes(config.read_bytes().replace(b"\n", newline))
+        assert _run_golden(copy, capsys) == _run_golden(config, capsys), \
+            config
+
+
+def _ideal_snapshot(ideal):
+    """Everything a job reads of an IdealSpec, as new objects."""
+    try:
+        powers = ideal.coordinate_powers
+    except UnsupportedIdealError as e:
+        powers = str(e)
+    return (ideal.nvars, ideal.family, ideal.point, powers,
+            [(g.nvars, list(g.coeffs.items())) for g in ideal.generators])
+
+
+def test_cross_job_caches_keep_reports_and_ideals(capsys):
+    """Every golden job run twice in one process, the second pass in
+    reverse order, gives the same bytes, and no job changes an ideal that
+    the memo hands to the next: each memoized IdealSpec and its Polys
+    keep every coefficient, and the memo still returns the same object."""
+    cli._ideal.cache_clear()
+    ideals = {}
+    for config in GOLDEN_CONFIGS:
+        cfg = parse_config(config.read_text(encoding="utf-8"))
+        if cfg.dimension and (cfg.generators or cfg.catalogue):
+            ideal = cli._build_ideal(cfg)
+            ideals[config] = cfg, ideal, _ideal_snapshot(ideal)
+    assert len(ideals) >= 30
+    first = [_run_golden(config, capsys) for config in GOLDEN_CONFIGS]
+    second = [_run_golden(config, capsys)
+              for config in reversed(GOLDEN_CONFIGS)][::-1]
+    assert second == first
+    for config, (cfg, ideal, snapshot) in ideals.items():
+        assert cli._build_ideal(cfg) is ideal, config
+        assert _ideal_snapshot(ideal) == snapshot, config
+    assert cli._ideal.cache_info().maxsize >= len(ideals)
+
+
+def test_zero_rows_are_written_without_fraction_str(monkeypatch):
+    """The m = 5 coordinate curvature report: each zero row is the
+    package's one zero, written as "0" with no call of Fraction.__str__,
+    which the nonzero rows still get once each."""
+    config = Path(__file__).parent / "golden/curvature/coordinate-m5-frac.ini"
+    report = run_task(parse_config(config.read_text(encoding="utf-8")))
+    values = [value for _, value in report.results]
+    zeros = sum(value is ZERO for value in values)
+    assert zeros == sum(value == 0 for value in values) == 600
+    calls = []
+    to_text = F.__str__
+
+    def counted(self):
+        calls.append(self)
+        return to_text(self)
+    monkeypatch.setattr(F, "__str__", counted)
+    text = render_report(report, "text")
+    monkeypatch.undo()
+    assert len(calls) == len(values) - zeros
+    assert text.encode("utf-8") == config.with_suffix(".out").read_bytes()
+
+
+_PLAIN_KEY = st.sampled_from(["name", "Name", "dimension", "weights",
+                              "generators", "alpha", "trunc_degree", "x"])
+_PLAIN_VALUE = st.sampled_from(["cubic", "2", "1 2", "z1, z2", "7/3", "",
+                                "a=b", "a:b", "1; 2", " x ", "\x0c1"])
+_plain_line = st.one_of(
+    st.builds(lambda key, s1, d, s2, value: f"{key}{s1}{d}{s2}{value}",
+              _PLAIN_KEY, st.sampled_from(["", " ", "\t"]),
+              st.sampled_from("=:"), st.sampled_from(["", " "]),
+              _PLAIN_VALUE),
+    st.builds("[{}]".format, st.sampled_from(
+        ["task", "module", "ideal", "Task", "a]b", " x "])),
+    st.just(""))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_plain_line, max_size=8).map("\n".join),
+       st.sampled_from(["", "\n"]))
+def test_plain_config_reader_matches_configparser(body, end):
+    """_read_config's reader of plain lines reads a text as configparser
+    does, or leaves it to the line reader (a repeated section or key);
+    either way the config parses as configparser's does."""
+    text = body + end
+    plain = cli._read_plain_config(text)
+    if plain is not None:
+        assert plain == _sections_by_configparser(text)
+    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+    assert _outcome(parse_config, text) == \
+        _outcome(parse_config_by_configparser, text)
+
+
+def test_plain_config_reader_reads_the_job_configs(perfbench_jobs):
+    """Every pooled job config is plain, so none takes the line reader."""
+    for workload in perfbench_jobs.WORKLOADS:
+        for job in perfbench_jobs.pool(workload).values():
+            assert cli._read_plain_config(job.config) == \
+                _sections_by_configparser(job.config), job.key

@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, invariants
-from submodcurv.algebra import SeriesMatrix, TruncSeries, unit
+from submodcurv.algebra import ZERO, SeriesMatrix, TruncSeries, unit
 from submodcurv import curvature
-from submodcurv.curvature import (JET_DEGREE, PrincipalCurvaturePair,
-                                  curvature_matrix, curvature_tensor,
-                                  det_bundle_curvature,
+from submodcurv.curvature import (JET_DEGREE, CurvatureTensor,
+                                  PrincipalCurvaturePair, curvature_matrix,
+                                  curvature_tensor, det_bundle_curvature,
                                   principal_curvature_pair)
 from submodcurv.errors import DomainError, TruncationError
-from submodcurv.frames import (COORDINATE_KIND, MetricSeries,
-                               coordinate_power_data,
-                               decompose_coordinate_ideal,
+from submodcurv.frames import (COORDINATE_KIND, decompose_coordinate_ideal,
                                frame_on_zero_set, grammian)
 from submodcurv.ideals import IdealSpec
 from submodcurv.invariants import (lambda_mu_invariants,
@@ -30,8 +28,8 @@ from oracles import (conj, coordinate_det_fn, coordinate_powers,
                      fd_mixed_hessian, forbid_fraction_arithmetic,
                      gauge_conjugate, gauge_equivalent,
                      gauge_transform_metric, geometric_sum, hardy,
-                     line_curvature, mixed_hessian, series_w,
-                     trace_by_fraction_sum, zero_set_metric_fn)
+                     line_curvature, metric_from_series, mixed_hessian,
+                     series_w, trace_by_fraction_sum, zero_set_metric_fn)
 from test_frames import share_weights
 
 
@@ -101,8 +99,8 @@ def test_det_bundle_matches_log_det_on_golden_configs(config):
 def test_curvature_matrix_needs_degree_two():
     H = _coordinate_metric(F(1), F(1), trunc=2)
     assert curvature_matrix(H).trace_matrix() == _det_bundle_by_log_det(H)
-    below = MetricSeries(SeriesMatrix([[_jet(s, 1) for s in row]
-                                       for row in H.matrix.entries]))
+    below = metric_from_series(SeriesMatrix([[_jet(s, 1) for s in row]
+                                             for row in H.matrix.entries]))
     with pytest.raises(TruncationError):
         curvature_matrix(below)
     with pytest.raises(TruncationError):
@@ -120,7 +118,7 @@ def test_det_bundle_refuses_scaled_non_diagonal_metric():
     H = _coordinate_metric(F(1), F(2), trunc=JET_DEGREE)
     assert not H.is_diagonal()
     with pytest.raises(DomainError):
-        det_bundle_curvature(MetricSeries(H.matrix, scaled.scale))
+        det_bundle_curvature(metric_from_series(H.matrix, scaled.scale))
 
 
 def test_rank_one_curvature_equals_line_curvature():
@@ -249,7 +247,7 @@ def test_closed_forms_match_metric_route_on_golden_configs(config):
             args = (module, frame.gen_powers[0], frame.gen_vars[0])
             assert principal_curvature_pair(*args) == _reference_pair(*args)
         return
-    data = coordinate_power_data(ideal)
+    data = ideal.coordinate_powers
     for weights in (module.weights, cfg.compare_weights):
         other = WeightedPolydiscModule(module.dim, weights)
         if len(data) == module.dim:  # the bidisc coordinate ideal
@@ -673,3 +671,34 @@ def test_line_curvature_log_factor_invariance(c, a):
     f = TruncSeries.constant(1, 4, c) + series_w(1, 4, 0).scale(a)
     g = h * f * conj(f)
     assert line_curvature(g, 0, 0) == line_curvature(h, 0, 0)
+
+
+@pytest.mark.parametrize("weights,data,base", LARGE_FRAMES)
+def test_every_reported_zero_is_the_package_zero(weights, data, base):
+    """Each zero entry of curvature_tensor's blocks and of its
+    trace_matrix is algebra.ZERO itself, which the text report writes as
+    "0" without Fraction.__str__."""
+    m = len(weights)
+    module = WeightedPolydiscModule(m, weights)
+    if data is None:
+        frame = decompose_coordinate_ideal(module, JET_DEGREE)
+    else:
+        ideal = IdealSpec.monomial(m, [unit(m, v, p) for v, p in data])
+        frame = frame_on_zero_set(module, ideal, base, JET_DEGREE)
+    tensor = curvature_tensor(frame)
+    values = [x for brow in tensor.blocks for block in brow
+              for row in block for x in row]
+    values += [x for row in tensor.trace_matrix() for x in row]
+    assert all(x is ZERO for x in values if x == 0)
+    assert any(x is ZERO for x in values)
+
+
+def test_a_cancelling_trace_is_the_package_zero():
+    """A diagonal that sums to zero, as a metric-route block can, gives
+    algebra.ZERO too, alone or cancelling."""
+    for block in (((F(1, 2), F(3)), (F(1), F(-1, 2))),
+                  ((F(0), F(3)), (F(1), F(0))),
+                  ((F(2, 3), F(0), F(1)), (F(0), F(1, 3), F(1)),
+                   (F(1), F(1), F(-1)))):
+        (trace,), = CurvatureTensor(len(block), ((block,),)).trace_matrix()
+        assert trace is ZERO

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, frames
-from submodcurv.algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
-                                unit)
+from submodcurv.algebra import TruncSeries, iter_multiindices, unit
 from submodcurv.cli import main
 from submodcurv.curvature import curvature_matrix, det_bundle_curvature
 from submodcurv.errors import (DegeneracyError, DomainError,
                                TruncationError)
 from submodcurv.frames import ZERO_SET_KIND
-from submodcurv.frames import (decompose_coordinate_ideal, frame_on_zero_set,
-                               grammian, reconstruction_residual)
+from submodcurv.frames import (MetricSeries, decompose_coordinate_ideal,
+                               frame_on_zero_set, grammian,
+                               reconstruction_residual)
 from submodcurv.ideals import IdealSpec
 from submodcurv.rkhs import (WeightedPolydiscModule, cleared_row, diag_coeff,
                              diag_coeff_rows)
@@ -598,7 +598,7 @@ def test_zero_set_metric_equals_horner_on_golden_configs():
         cfg = cli.parse_config(config.read_text(encoding="utf-8"))
         module = cli._build_module(cfg)
         frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
-        matrix, scale = frames._metric_by_closed_form(frame)
+        matrix, scale = _closed_form(frame)
         assert (matrix.entries, scale) == _closed_form_by_horner(frame), \
             config.stem
 
@@ -622,7 +622,7 @@ def test_zero_set_scale_merges_equal_bases(weights, base, value, scales):
     assert report.diagnostics.get("diagonal_scales") == scales
     frame = cli._build_frame(cfg, cli._build_module(cfg),
                              cli._build_ideal(cfg))
-    matrix, scale = frames._metric_by_closed_form(frame)
+    matrix, scale = _closed_form(frame)
     assert (matrix.entries, scale) == _closed_form_by_horner(frame)
 
 
@@ -651,7 +651,7 @@ def test_zero_set_metric_equals_horner_sweep(data):
     D = data.draw(st.integers(2, 6))
     frame = frame_on_zero_set(WeightedPolydiscModule(m, weights), ideal,
                               base, D)
-    matrix, scales = frames._metric_by_closed_form(frame)
+    matrix, scales = _closed_form(frame)
     assert (matrix.entries, scales) == _closed_form_by_horner(frame)
 
 
@@ -700,7 +700,7 @@ def test_zero_set_metric_equals_the_fraction_tables(frame):
     """The integer outer product, with one Fraction per stored term of each
     H_kk, equals the Fraction-table metric it replaced: every term value,
     the key order of every entry, and the scale."""
-    matrix, scale = frames._metric_by_closed_form(frame)
+    matrix, scale = _closed_form(frame)
     want, want_scale = oracles.metric_by_fraction_tables(frame)
     assert (_entry_items(matrix), scale) == (_entry_items(want), want_scale)
 
@@ -717,12 +717,16 @@ def _counting_fractions(monkeypatch, module):
 
 
 def test_closed_form_metric_forms_one_fraction_per_term(monkeypatch):
+    """The closed form builds integer tables with no Fraction; reading the
+    metric's matrix forms one per stored term."""
     for config in ZERO_SET_METRIC_CONFIGS:
         cfg = cli.parse_config(config.read_text(encoding="utf-8"))
         module = cli._build_module(cfg)
         frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
         calls = _counting_fractions(monkeypatch, frames)
-        matrix, _ = frames._metric_by_closed_form(frame)
+        tables, scale = frames._metric_by_closed_form(frame)
+        assert calls == [], config.stem
+        matrix = MetricSeries(tables, module.dim, frame.trunc, scale).matrix
         monkeypatch.undo()
         assert len(calls) == sum(len(matrix[k, k].coeffs)
                                  for k in range(matrix.n)), config.stem
@@ -776,18 +780,33 @@ def _entry_items(matrix):
     return [[list(s.coeffs.items()) for s in row] for row in matrix.entries]
 
 
+def _closed_form(frame):
+    """frames._metric_by_closed_form as (SeriesMatrix, scale): its integer
+    tables read through MetricSeries.matrix."""
+    tables, scale = frames._metric_by_closed_form(frame)
+    return MetricSeries(tables, frame.module.dim, frame.trunc,
+                        scale).matrix, scale
+
+
+def _is_reduced_pair(pair):
+    n, d = pair
+    return type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(share_weights(), st.integers(2, 8))
 def test_coordinate_grammian_equals_fraction_share_reference(weights, D):
-    """The integer-share Grammian equals the Fraction-share reference in
-    every term value and in the key order of every entry."""
+    """The integer-share Grammian tables equal the Fraction-share reference
+    in every term value and in the key order of every entry, each term a
+    nonzero integer pair in lowest terms."""
     frame = decompose_coordinate_ideal(
         WeightedPolydiscModule(len(weights), weights), D)
     got = frames._metric_by_monomial_sum(frame)
     want = oracles.metric_by_fraction_shares(frame)
-    assert _entry_items(got) == _entry_items(want)
-    assert all(type(v) is F for row in got.entries for s in row
-               for v in s.coeffs.values())
+    assert [[[(k, F(*v)) for k, v in table.items()] for table in row]
+            for row in got] == _entry_items(want)
+    assert all(_is_reduced_pair(v) and v[0] for row in got for table in row
+               for v in table.values())
 
 
 def _metric_without_mirror(frame):
@@ -798,9 +817,8 @@ def _metric_without_mirror(frame):
                                                    frame.trunc // 2 + 1):
         for y, (i, xi, di) in enumerate(downs):
             for j, xj, dj in downs[y:]:
-                terms[i][j][di + dj] = F(num * xi * xj, den)
-    return SeriesMatrix([[TruncSeries(m, frame.trunc, t) for t in row]
-                         for row in terms])
+                terms[i][j][di + dj] = F(num * xi * xj, den).as_integer_ratio()
+    return terms
 
 
 @settings(max_examples=40, deadline=None)
@@ -872,14 +890,61 @@ def test_coordinate_terms_equal_the_enumerating_walk(weights, low, top):
 
 def test_coordinate_terms_enumerate_once_per_shape():
     """The exponents are enumerated once per (m, top, low): a second walk,
-    of another frame of the same shape, reads iter_multiindices' cached
-    tuple and enumerates nothing."""
+    of another frame of the same shape, reads _coordinate_walk's cached
+    tuple, and neither it nor iter_multiindices enumerates anything."""
     iter_multiindices.cache_clear()
+    frames._coordinate_walk.cache_clear()
     for weights in ((F(1), F(2), F(3, 2)), (F(1, 2), F(1), F(5, 2))):
         frame = decompose_coordinate_ideal(
             WeightedPolydiscModule(3, weights), 4)
         list(frames.coordinate_terms(frame, 1, 3))
         list(frames.coordinate_terms(frame, 2, 2))
     info = iter_multiindices.cache_info()
+    walks = frames._coordinate_walk.cache_info()
     iter_multiindices.cache_clear()
-    assert (info.misses, info.hits) == (2, 2)
+    frames._coordinate_walk.cache_clear()
+    assert (info.misses, info.hits) == (2, 0)
+    assert (walks.misses, walks.hits) == (2, 2)
+
+
+def _metric_texts_agree(metric, reference):
+    """Each entry's text from the metric's integer tables equals str() of
+    its lazily built series and the str(Fraction) text of the reference
+    route's entry; the matrix is built only on that read."""
+    t = metric.size
+    texts = [[metric.entry_text(i, j) for j in range(t)] for i in range(t)]
+    assert "matrix" not in vars(metric)
+    names = [f"w{i+1}" for i in range(metric.npairs)] \
+        + [f"wb{i+1}" for i in range(metric.npairs)]
+    assert texts == [[str(s) for s in row] for row in metric.matrix.entries]
+    assert texts == [[oracles.format_terms_by_fraction_str(s.coeffs, names)
+                      for s in row] for row in reference.entries]
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("D", range(2, 7))
+def test_coordinate_metric_text_equals_series_text(m, D):
+    weights = (F(1), F(3, 2), F(2), F(1, 3), F(5, 2))[:m]
+    frame = decompose_coordinate_ideal(WeightedPolydiscModule(m, weights), D)
+    _metric_texts_agree(grammian(frame),
+                        oracles.metric_by_fraction_shares(frame))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_table_frames())
+def test_zero_set_metric_text_equals_series_text(frame):
+    metric = grammian(frame)
+    reference, scale = oracles.metric_by_fraction_tables(frame)
+    assert metric.scale == scale
+    _metric_texts_agree(metric, reference)
+
+
+def test_zero_set_metric_text_with_an_irrational_scale():
+    # (8/9)^(-5/6): fractional weights off the origin leave a scale
+    ideal = IdealSpec.monomial(3, [(2, 0, 0)])
+    module = WeightedPolydiscModule(3, (F(1), F(1, 2), F(1, 3)))
+    frame = frame_on_zero_set(module, ideal, (F(0), F(1, 3), F(1, 3)), 6)
+    metric = grammian(frame)
+    reference, scale = oracles.metric_by_fraction_tables(frame)
+    assert metric.scale == scale == "(8/9)^(-5/6)"
+    _metric_texts_agree(metric, reference)

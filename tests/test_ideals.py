@@ -15,7 +15,8 @@ from submodcurv.linalg import mat_rank
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 
-from oracles import (CoordinateSubspace, PointSet, codim, coordinate_powers,
+from oracles import (CoordinateSubspace, PointSet, codim,
+                     coordinate_power_data_by_pair_scan, coordinate_powers,
                      forbid_fraction_arithmetic, localization_dim_two_spans,
                      minimality_certificate, vanishes_at_by_fractions,
                      zero_set)
@@ -79,6 +80,54 @@ def test_coordinate_powers_rejects_non_integer_powers():
     for p in (F(5, 2), 1.9, "2", F(2)):  # 5/2 once built z1^2
         with pytest.raises(DomainError):
             coordinate_powers(2, (p,))
+
+
+@st.composite
+def _monomial_generators(draw):
+    """1 to 7 monomial generators in 1 to 4 variables, drawn from a small
+    pool so that they repeat: pure powers, mixed monomials (some divided
+    by a pure power, some not), the constant and a scaled copy of any of
+    them (3*z1^2); now and then one sum, which is no monomial ideal."""
+    m = draw(st.integers(1, 4))
+    pool = [unit(m, v, p) for v in range(m) for p in (1, 2, 3)]
+    pool += [tuple(draw(st.integers(0, 2)) for _ in range(m))
+             for _ in range(3)]
+    gens = []
+    for _ in range(draw(st.integers(1, 7))):
+        e = draw(st.sampled_from(pool))
+        c = draw(st.sampled_from([F(1), F(1), F(3), F(-1, 2)]))
+        gens.append(Poly(m, {e: c}))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(Poly(m, {unit(m, 0): F(1), (0,) * m: F(1)}))
+    return IdealSpec(m, tuple(gens))
+
+
+def _powers_outcome(read, ideal):
+    try:
+        return list(read(ideal))
+    except UnsupportedIdealError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_monomial_generators())
+@example(IdealSpec(2, (Poly(2, {(1, 1): F(3)}), Poly(2, {(0, 0): F(2)}))))
+@example(IdealSpec(3, (Poly(3, {(1, 1, 0): F(1)}), Poly(3, {(0, 1, 1): F(1)}),
+                       Poly(3, {(1, 1, 1): F(1)}), Poly(3, {(2, 0, 0): F(1)}))))
+@example(IdealSpec(2, (Poly(2, {(2, 1): F(1)}), Poly(2, {(1, 0): F(-3)}))))
+def test_coordinate_powers_equal_the_pair_scan(ideal):
+    """The one-pass coordinate_powers equals the divisibility scan of every
+    exponent against every other: the same data, or the same error text
+    naming the same first offending generator."""
+    assert _powers_outcome(lambda i: i.coordinate_powers, ideal) == \
+        _powers_outcome(coordinate_power_data_by_pair_scan, ideal)
+
+
+def test_coordinate_powers_are_read_once_per_ideal():
+    ideal = IdealSpec(3, tuple(parse_poly(g, 3) for g in ("z3^2", "3*z1",
+                                                          "z1^2", "z1*z3")))
+    assert ideal.coordinate_powers == ((0, 1), (2, 2))
+    assert ideal.coordinate_powers is ideal.coordinate_powers
 
 
 def test_zero_sets():
