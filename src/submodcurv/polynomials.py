@@ -5,7 +5,6 @@ coefficients, plus a small parser for the textual syntax used in config files
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import add
 from typing import Mapping
@@ -165,69 +164,8 @@ class _Tokenizer:
         return int(self.text[start:self.pos])
 
 
-# A sum of signed monomial terms, read in one pass by _scan_sum: the
-# grammar above without parentheses, tokenized as _Tokenizer does (runs of
-# ASCII digits, ' ' and tab as the only spaces).  The quantifiers are
-# possessive, so a match never splits a run the tokenizer reads whole.  The
-# patterns are compiled on the first parse (re's own cache), not at import.
-_FACTOR = (r"(?:[0-9]++(?:/[0-9]++)?+|z[0-9]++)"
-           r"(?:[ \t]*+(?:\^|\*\*)[ \t]*+[0-9]++)?+")
-_TERM = rf"[ \t]*+{_FACTOR}(?:(?:[ \t]*+\*)?+[ \t]*+{_FACTOR})*+"
-_SUM = rf"[ \t]*+[+-]?+{_TERM}(?:[ \t]*+[+-]{_TERM})*+[ \t]*+"
-# in a text _SUM matches: a sign, a number or a variable, each with its power
-_PART = (r"([+-])|([0-9]+)(?:/([0-9]+))?"
-         r"(?:[ \t]*(?:\^|\*\*)[ \t]*([0-9]+))?"
-         r"|z([0-9]+)(?:[ \t]*(?:\^|\*\*)[ \t]*([0-9]+))?")
-
-
-def _scan_sum(text: str, nvars: int):
-    """The term map parse_poly builds for a sum of signed monomial terms,
-    in the same key order, or None for any other text, a zero denominator
-    or a variable out of range, which the recursive parser then reads.
-    Each term is one Fraction; terms add into the map as Poly addition
-    does, a sum of zero leaving it."""
-    if re.fullmatch(_SUM, text) is None:
-        return None
-    # each term is sign * num / den * z^exps, added at the next sign and
-    # at the end of the text
-    terms = []
-    for op, n, d, npow, var, vpow in re.findall(_PART, text):
-        if op or not terms:
-            terms.append([-1 if op == "-" else 1, 1, 1, [0] * nvars])
-            if op:
-                continue
-        term = terms[-1]
-        if var:
-            i = int(var) - 1
-            if not 0 <= i < nvars:
-                return None
-            term[3][i] += int(vpow) if vpow else 1
-        else:
-            p = int(npow) if npow else 1
-            term[1] *= int(n) ** p
-            if d:
-                if not int(d):
-                    return None
-                term[2] *= int(d) ** p
-    out = {}
-    for sign, num, den, exps in terms:
-        if num:
-            key = tuple(exps)
-            s = out.get(key, 0) + Fraction(sign * num, den)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
 def parse_poly(text: str, nvars: int) -> Poly:
-    """Parse polynomial source into a Poly over z1..z{nvars}: a sum of
-    signed monomial terms in one pass (_scan_sum), anything else by the
-    recursive parser, whose errors are the only ones raised."""
-    terms = _scan_sum(text, nvars)
-    if terms is not None:
-        return Poly._trusted(nvars, terms)
+    """Parse polynomial source into a Poly over z1..z{nvars}."""
     tk = _Tokenizer(text, nvars)
     zero = (0,) * nvars
 

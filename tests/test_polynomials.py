@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv.errors import DomainError, InputError, ShapeError
-from submodcurv.polynomials import Poly, _scan_sum, parse_poly
+from submodcurv.polynomials import Poly, parse_poly
 
 from oracles import evaluate_poly, parse_poly_by_poly_arithmetic
 
@@ -171,52 +171,3 @@ def test_pow_starts_from_the_base():
     assert (Poly(2) ** 2).is_zero()
     with pytest.raises(DomainError):
         p ** -1
-
-
-# sums of signed monomial terms in the scanner's grammar, with the spacing,
-# implicit products, powers and zero coefficients the parser accepts
-_MONOMIAL_SOURCE = _expr(_PLAIN_ATOM)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_MONOMIAL_SOURCE, st.integers(1, 3))
-def test_scanner_reads_sums_as_the_parser_does(text, nvars):
-    """The one-pass scanner reads every sum of monomial terms, or leaves
-    it (a variable out of range, a zero denominator) to the parser; what
-    it reads is the reference parse, term for term and in order."""
-    terms = _scan_sum(text, nvars)
-    want = _parse_outcome(parse_poly_by_poly_arithmetic, text, nvars)
-    if terms is None:
-        assert isinstance(want, str)
-    else:
-        assert list(terms.items()) == want
-    assert _parse_outcome(parse_poly, text, nvars) == want
-
-
-@pytest.mark.parametrize("text", [
-    "0*", "z1*", "z1 ^", "z1**", "2/", "1/0 z1", "z3", "z0", "z1 - - z2",
-    "z1 +", "(z1)", "z1^2^3", "1/2/3", "z 1", "z1 \n", "\u0663 z1", ""])
-def test_scanner_leaves_other_text_to_the_parser(text):
-    """Anything outside the scanner's grammar, and its two semantic
-    faults, reach the recursive parser, whose error bytes stand."""
-    assert _scan_sum(text, 2) is None
-    assert _parse_outcome(parse_poly, text, 2) == \
-        _parse_outcome(parse_poly_by_poly_arithmetic, text, 2)
-    if text == "0*":
-        assert _parse_outcome(parse_poly, text, 2) == \
-            "polynomial syntax: unexpected end of input (column 3)"
-
-
-def test_scanner_reads_every_pooled_generator(perfbench_jobs):
-    """Every generator of the benchmark's valid jobs is a sum the scanner
-    reads, so none of them takes the recursive parser."""
-    seen = set()
-    for workload in perfbench_jobs.WORKLOADS:
-        for job in perfbench_jobs.pool(workload).values():
-            m, gens = job.meta.get("m"), job.meta.get("gens")
-            for text in gens if job.valid and gens else ():
-                if (text, m) not in seen:
-                    seen.add((text, m))
-                    assert list(_scan_sum(text, m).items()) == list(
-                        parse_poly_by_poly_arithmetic(text, m).coeffs.items())
-    assert len(seen) > 20
