@@ -61,25 +61,9 @@ class JobConfig:
     compare_weights: Optional[tuple] = None
 
 
-# the spelling nearly every value uses: ASCII [+-]digits[/digits]
-_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
 @functools.lru_cache(maxsize=256)
 def _parse_rational(text: str, fieldname: str) -> Fraction:
-    """A rational as Fraction(text) reads it.  The plain spelling with a
-    nonzero denominator is built from its integers; every other one
-    (decimals, exponents, underscores, non-ASCII digits, a zero
-    denominator) goes to Fraction(text), so the values and the errors
-    are Fraction's own."""
     text = text.strip()
-    plain = _PLAIN_RATIONAL.fullmatch(text)
-    if plain:
-        num, den = plain.groups()
-        if den is None:
-            return Fraction(int(num))
-        if int(den):
-            return Fraction(int(num), int(den))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -193,76 +177,20 @@ def _read_config(text: str):
     section -> {key: value} in file order.  [DEFAULT] is an ordinary
     section here, which parse_config refuses as unknown.
 
-    Lines split on '\n' alone, as configparser's StringIO does.  A line
-    whose stripped text starts with '#' or ';' is a comment, and a '#'
-    at the start or after whitespace opens an inline comment (';' is an
-    ordinary character in a value, where it separates points).  Keys are
-    lower-cased and end at the first '=' or ':'.  A line indented deeper
-    than the key's line continues its value, blank lines inside a value
-    are kept, and each value is joined by '\n' and rstripped.  Errors are
-    configparser's own, with its source name and line numbers.  A text of
-    plain lines alone is read by _read_plain_config.
+    A text of plain lines alone is read by _read_plain_config.  Any other
+    goes to a RawConfigParser built for the call, whose default section
+    has a name with a '\n' in it, which no header, being one line, can
+    spell.  Only '#' opens an inline comment: ';' separates points in a
+    value, and opens a comment only at the start of a line.  Errors are
+    configparser's own, with its source name and line numbers.
     """
     sections = _read_plain_config(text)
     if sections is not None:
         return sections
-    sections = {}
-    cursect = sectname = optname = error = None
-    indent_level = 0
-    lines = text.split("\n")
-    for lineno, line in enumerate(lines, 1):
-        value = line.strip()
-        if not value:
-            if cursect is not None and optname:
-                cursect[optname] += "\n"
-            continue
-        if value[0] in "#;":
-            continue
-        at = line.find("#")  # not at 0, where the line is a comment
-        while at != -1 and not line[at - 1].isspace():
-            at = line.find("#", at + 1)
-        if at != -1:
-            value = line[:at].strip()
-        indent = len(line) - len(line.lstrip())
-        if cursect is not None and optname and indent > indent_level:
-            cursect[optname] += "\n" + value
-            continue
-        indent_level = indent
-        close = value.rfind("]")
-        if value[0] == "[" and close > 1:
-            sectname = value[1:close]
-            if sectname in sections:
-                raise configparser.DuplicateSectionError(
-                    sectname, "<string>", lineno)
-            cursect = sections[sectname] = {}
-            optname = None
-            continue
-        eq, colon = value.find("="), value.find(":")
-        cut = eq if colon == -1 or -1 < eq < colon else colon
-        if cursect is None or cut <= 0:
-            # a line before any section, or one with no delimiter or no
-            # key before it; the errors quote the line with its '\n', as
-            # configparser reads it
-            raw = line + "\n" if lineno < len(lines) else line
-            if cursect is None:
-                raise configparser.MissingSectionHeaderError(
-                    "<string>", lineno, raw)
-            if error is None:
-                error = configparser.ParsingError("<string>")
-            error.append(lineno, repr(raw))
-            if cut == -1:
-                continue
-        optname = value[:cut].rstrip().lower()
-        if optname in cursect:
-            raise configparser.DuplicateOptionError(
-                sectname, optname, "<string>", lineno)
-        cursect[optname] = value[cut + 1:].strip()
-    if error is not None:
-        raise error
-    for sect in sections.values():
-        for key, value in sect.items():
-            sect[key] = value.rstrip()
-    return sections
+    reader = configparser.RawConfigParser(inline_comment_prefixes=("#",),
+                                          default_section="\n")
+    reader.read_string(text)
+    return {name: dict(reader.items(name)) for name in reader.sections()}
 
 
 # a plain config line, other than a blank one: '[section]', or 'key = value'

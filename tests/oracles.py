@@ -1176,8 +1176,8 @@ def format_terms_by_fraction_str(coeffs: dict, names) -> str:
 
 
 def parse_rational_by_fraction_str(text: str, fieldname: str) -> Fraction:
-    """The rational parse that cli._parse_rational's integer path
-    replaced: every spelling through Fraction(str)."""
+    """The rational parse of cli._parse_rational without its memo: every
+    spelling through Fraction(str)."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
@@ -1197,11 +1197,11 @@ def _config_reader() -> configparser.ConfigParser:
 
 
 def parse_config_by_configparser(text: str, args=None) -> JobConfig:
-    """The parse_config that cli's line reader replaced: the same schema
-    checks over configparser's read of the text.  configparser still
-    spreads a [DEFAULT] section over the others, where parse_config
-    refuses it as an unknown section, so the two agree on texts without
-    one.
+    """The reference for parse_config: the same schema checks over a
+    ConfigParser's read of the text, with configparser's own default
+    section.  That reader spreads a [DEFAULT] section over the others,
+    where parse_config's reads it as an ordinary section and refuses it
+    as unknown, so the two agree on texts without one.
 
     Every call empties and reuses the process's one config reader, so
     calls must not run in concurrent threads.

@@ -785,9 +785,9 @@ def test_main_builds_no_config_parser(tmp_path, capsys, monkeypatch):
     assert main(["metric", "--config", path]) == 0
 
 
-# The line reader against configparser, its reference: drawn config texts,
-# well formed and malformed, must give the same JobConfig or the same
-# error text and line.
+# cli's config reader against configparser with its own default section,
+# the reference: drawn config texts, well formed and malformed, must give
+# the same sections and JobConfig or the same error text and line.
 _VALUES = {
     "dimension": ["2"],
     "weights": ["1 2", "1/2 3", "3/2, 5/2"],
@@ -885,6 +885,8 @@ def _sections_by_configparser(text):
 
 
 def _sections_by_line_reader(text):
+    """cli._read_config's read of the text, the plain reader's or
+    configparser's, or its error."""
     try:
         return cli._read_config(text)
     except configparser.Error as e:
@@ -1137,6 +1139,24 @@ def test_line_endings_give_the_lf_bytes(tmp_path, capsys, newline):
             config
 
 
+def test_goldens_read_by_the_plain_reader_give_their_bytes(tmp_path, capsys):
+    """Every golden config opens with '#' lines, so test_golden reads it by
+    configparser.  With those lines removed each is plain, and the plain
+    reader's sections give the same report bytes."""
+    for config in GOLDEN_CONFIGS:
+        text = "".join(line for line in config.read_text(
+            encoding="utf-8").splitlines(keepends=True)
+            if not line.startswith("#"))
+        assert cli._read_plain_config(text) is not None, config
+        copy = tmp_path / config.parent.name / config.name
+        copy.parent.mkdir(exist_ok=True)
+        copy.write_text(text, encoding="utf-8")
+        code, out, err = _run_golden(copy, capsys)
+        assert (code, err) == (0, ""), config
+        assert out.encode("utf-8") == \
+            config.with_suffix(".out").read_bytes(), config
+
+
 def _ideal_snapshot(ideal):
     """Everything a job reads of an IdealSpec, as new objects."""
     try:
@@ -1211,7 +1231,7 @@ _plain_line = st.one_of(
        st.sampled_from(["", "\n"]))
 def test_plain_config_reader_matches_configparser(body, end):
     """_read_config's reader of plain lines reads a text as configparser
-    does, or leaves it to the line reader (a repeated section or key);
+    does, or leaves it to configparser (a repeated section or key);
     either way the config parses as configparser's does."""
     text = body + end
     plain = cli._read_plain_config(text)
@@ -1223,7 +1243,7 @@ def test_plain_config_reader_matches_configparser(body, end):
 
 
 def test_plain_config_reader_reads_the_job_configs(perfbench_jobs):
-    """Every pooled job config is plain, so none takes the line reader."""
+    """Every pooled job config is plain, so none builds a configparser."""
     for workload in perfbench_jobs.WORKLOADS:
         for job in perfbench_jobs.pool(workload).values():
             assert cli._read_plain_config(job.config) == \

@@ -18,7 +18,9 @@ so a drift in machine speed falls on both sides alike.  Each job is one
 the process CPU clock.  Any difference in stdout, stderr or exit code
 stops the run with exit status 1.  The tool prints the change/parent CPU
 ratio of every rep and of every slot (summed over all reps), then the
-median of the rep ratios; a ratio below 1 means the change is faster.
+median of the rep ratios, their quartiles (``statistics.quantiles``) and
+how many reps fell above and below 1; a ratio below 1 means the change is
+faster.
 
 The first pass of a rep warms both trees' caches as the benchmark
 worker's earlier passes do; it is timed like every other pass.
@@ -131,6 +133,13 @@ def main(argv=None):
               f"{change / 1e6:9.1f} ms  ratio {change / parent:.3f}")
     print(f"median ratio over {len(rep_ratios)} reps: "
           f"{statistics.median(rep_ratios):.3f}")
+    # quantiles needs two points; one rep is its own quartiles
+    q1, _, q3 = (statistics.quantiles(rep_ratios, n=4)
+                 if len(rep_ratios) > 1 else rep_ratios * 3)
+    above = sum(r > 1 for r in rep_ratios)
+    below = sum(r < 1 for r in rep_ratios)
+    print(f"quartiles of the rep ratios: q1 {q1:.3f}, q3 {q3:.3f}; "
+          f"{above} reps above 1, {below} below")
     return 0
 
 
