@@ -14,18 +14,58 @@ series matrices and polynomial matrices expand through it, and so do the
 complex matrices of the floating-point oracle, which lives in the tests.
 Rational matrices use linalg.mat_det.
 
+Record is the base of the package's immutable records that are not
+typing.NamedTuples.
+
 No floating point enters any function in this module.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 from .errors import DomainError, ShapeError, SingularityError
+
+
+class Record:
+    """An immutable record with an instance dictionary, which a
+    cached_property needs, and an __init__ of its own, which can check the
+    fields: __init__ stores them with self.__dict__.update, and no
+    attribute is set or deleted after that.  Two records of one class are
+    equal when the fields named in _fields are, and hash alike; _replace
+    copies a record with some of those fields changed, through __init__,
+    as a NamedTuple's _replace does."""
+
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot "
+                             f"set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values())))
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()),
+                                 **changes))
 
 
 def rat(x) -> Fraction:
@@ -354,16 +394,20 @@ def series_inverse(s: TruncSeries) -> TruncSeries:
     return acc.scale(Fraction(1) / c)
 
 
-@dataclass(frozen=True)
-class LogSeries:
+class LogSeries(Record):
     """log s split as log(scale) + series, with series(0) = 0.
 
     scale is the (positive rational) constant term of s; its logarithm is
     irrational in general, so it is kept symbolically.  Mixed derivatives of
-    log s never see it, which is why curvature stays exact.
+    log s never see it, which is why curvature stays exact.  A Record, not
+    a NamedTuple, whose fields would be class attributes: no code outside
+    the tests reads series (ROADMAP item 5 removes series_log).
     """
-    series: TruncSeries
-    scale: Fraction
+
+    _fields = ("series", "scale")
+
+    def __init__(self, series: TruncSeries, scale: Fraction):
+        self.__dict__.update(series=series, scale=scale)
 
 
 def series_log(s: TruncSeries) -> LogSeries:

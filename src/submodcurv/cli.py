@@ -14,16 +14,13 @@ Exit codes: 0 success, 2 config error, 3 violated mathematical precondition,
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import functools
-import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 from .algebra import ZERO
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
@@ -45,8 +42,7 @@ TASKS = ("kernel", "decompose", "metric", "curvature", "dimension",
 POINT_TASKS = ("kernel", "dimension")  # the tasks that read task.points
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     task: str
     output: str = "text"
     dimension: Optional[int] = None
@@ -181,15 +177,25 @@ def _read_config(text: str):
     goes to a RawConfigParser built for the call, whose default section
     has a name with a '\n' in it, which no header, being one line, can
     spell.  Only '#' opens an inline comment: ';' separates points in a
-    value, and opens a comment only at the start of a line.  Errors are
-    configparser's own, with its source name and line numbers.
+    value, and opens a comment only at the start of a line.  A
+    configparser error becomes an InputError with its message and line,
+    raised from it; configparser is imported here, on the first text that
+    is not plain.
     """
     sections = _read_plain_config(text)
     if sections is not None:
         return sections
+    import configparser
     reader = configparser.RawConfigParser(inline_comment_prefixes=("#",),
                                           default_section="\n")
-    reader.read_string(text)
+    try:
+        reader.read_string(text)
+    except configparser.ParsingError as e:
+        line = e.errors[0][0] if getattr(e, "errors", None) else None
+        raise InputError(f"config syntax: {e.message.splitlines()[0]}",
+                         line=line) from e
+    except configparser.Error as e:
+        raise InputError(f"config syntax: {e}") from e
     return {name: dict(reader.items(name)) for name in reader.sections()}
 
 
@@ -234,15 +240,7 @@ def parse_config(text: str, args=None) -> JobConfig:
     when the underlying reader reports one).  The output, degrees and
     points are checked after the overrides, each under its key or flag.
     """
-    try:
-        sections = _read_config(text)
-    except configparser.ParsingError as e:
-        line = e.errors[0][0] if getattr(e, "errors", None) else None
-        raise InputError(f"config syntax: {e.message.splitlines()[0]}",
-                         line=line)
-    except configparser.Error as e:
-        raise InputError(f"config syntax: {e}")
-
+    sections = _read_config(text)
     for section in sections:
         if section not in SCHEMA:
             raise InputError(f"unknown section [{section}]", field=section)
@@ -310,12 +308,12 @@ def parse_config(text: str, args=None) -> JobConfig:
 # Report structure and rendering
 
 
-@dataclass
 class Report:
-    task: str
-    input_echo: dict
-    results: list = field(default_factory=list)  # (name, value) pairs
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, task: str, input_echo: dict):
+        self.task = task
+        self.input_echo = input_echo
+        self.results = []  # (name, value) pairs
+        self.diagnostics = {}
 
     def add(self, name, value):
         self.results.append((name, value))
@@ -381,6 +379,7 @@ _CONTAINERS = frozenset((list, tuple, dict))
 
 def render_report(report: Report, output: str) -> str:
     if output == "json":
+        import json
         payload = {
             "task": report.task,
             "input": _encode(report.input_echo),
@@ -422,7 +421,16 @@ def _require(cfg: JobConfig, *fields):
 
 def _build_module(cfg: JobConfig) -> WeightedPolydiscModule:
     _require(cfg, "dimension", "weights")
-    return WeightedPolydiscModule(cfg.dimension, cfg.weights)
+    return _module(cfg.dimension, cfg.weights)
+
+
+@functools.lru_cache(maxsize=256)
+def _module(dimension, weights) -> WeightedPolydiscModule:
+    """The module of a dimension and weights, built and checked once per
+    (dimension, weights) and shared by every job that names it, as _ideal
+    shares an ideal: a WeightedPolydiscModule is immutable.  A bad pair
+    raises on every call, as lru_cache keeps no exception."""
+    return WeightedPolydiscModule(dimension, weights)
 
 
 def _build_ideal(cfg: JobConfig) -> IdealSpec:
@@ -462,7 +470,7 @@ def _echo_value(value):
 
 
 def _input_echo(cfg: JobConfig) -> dict:
-    return {key: _echo_value(value) for key, value in vars(cfg).items()
+    return {key: _echo_value(value) for key, value in zip(cfg._fields, cfg)
             if key != "output" and value not in (None, ())}
 
 
@@ -667,7 +675,9 @@ def run_task(cfg: JobConfig) -> Report:
 def _build_parser():
     """The argument parser, built on the first call and reused by every
     later main() call in the process; argparse reads the terminal width
-    when it formats a message, not here."""
+    when it formats a message, not here.  argparse is imported here, on
+    the first argv that _canonical_args declines."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="submodcurv",
         description="exact curvature invariants of polydisc submodules")
@@ -695,12 +705,13 @@ _FLAG_ATTRS = {"--config": "config", "--output": "output",
 
 
 def _canonical_args(argv):
-    """The Namespace _build_parser().parse_args(argv) returns, read without
-    argparse when argv is canonical: a task, then --config PATH and at most
-    one each of the other flags, every flag as '--flag value' with a value
-    that does not start with '-'.  None for any other argv (help, '=' or
-    abbreviated flags, repeats, a bad choice or integer), which argparse
-    then reads, so its usage and error bytes stay its own."""
+    """The attributes of the Namespace _build_parser().parse_args(argv)
+    returns, in a SimpleNamespace read without argparse when argv is
+    canonical: a task, then --config PATH and at most one each of the
+    other flags, every flag as '--flag value' with a value that does not
+    start with '-'.  None for any other argv (help, '=' or abbreviated
+    flags, repeats, a bad choice or integer), which argparse then reads,
+    so its usage and error bytes stay its own."""
     if len(argv) % 2 != 1 or argv[0] not in TASKS:
         return None
     args = dict.fromkeys(_FLAG_ATTRS.values())
@@ -717,7 +728,7 @@ def _canonical_args(argv):
                 args[key] = int(args[key])  # argparse's type=int
             except ValueError:
                 return None
-    return argparse.Namespace(task=argv[0], **args)
+    return SimpleNamespace(task=argv[0], **args)
 
 
 def main(argv=None) -> int:

@@ -32,9 +32,9 @@ above and the line curvature of a scalar metric are checked in the tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import ZERO, TruncSeries, unit
 from .errors import DomainError, SingularityError, TruncationError
@@ -63,8 +63,7 @@ def det_bundle_curvature(metric: MetricSeries):
     return curvature_matrix(metric).trace_matrix()
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(NamedTuple):
     """Curvature blocks of a Grammian metric at its base point.
 
     blocks[i][j] is the t-by-t rational matrix of the (i, j) mixed
@@ -246,8 +245,7 @@ EQCC_NOTE = ("two readings of the transverse curvature of a principal "
              "where the log-derivative convention would give mu")
 
 
-@dataclass(frozen=True)
-class PrincipalCurvaturePair:
+class PrincipalCurvaturePair(NamedTuple):
     raw: Fraction        # mixed Hessian of ||F_1||^2 itself
     log_based: Fraction  # mixed Hessian of log ||F_1||^2
     note: str = EQCC_NOTE

@@ -39,14 +39,14 @@ algebra.iter_multiindices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import getitem
 from typing import Optional
 
-from .algebra import (ZERO, SeriesMatrix, TruncSeries, _series_names,
-                      format_ratios, iter_multiindices, rat, unit)
+from .algebra import (ZERO, Record, SeriesMatrix, TruncSeries,
+                      _series_names, format_ratios, iter_multiindices, rat,
+                      unit)
 from .errors import DegeneracyError, DomainError, ShapeError, TruncationError
 from .ideals import IdealSpec
 from .linalg import _common_denominator, leading_principal_minors
@@ -58,8 +58,7 @@ COORDINATE_KIND = "coordinate_neighborhood"
 ZERO_SET_KIND = "zero_set_slice"
 
 
-@dataclass(frozen=True)
-class FrameSeries:
+class FrameSeries(Record):
     """The spec of a finite frame for a submodule kernel near a base point.
 
     Generator k is the monomial z_{gen_vars[k]+1} to the power
@@ -71,18 +70,20 @@ class FrameSeries:
     read; no task reads the vectors, and the reconstruction check reads the
     table only where the splitting shares fail to sum to 1.
     """
-    module: WeightedPolydiscModule
-    kind: str
-    base_point: tuple
-    trunc: int
-    gen_vars: tuple
-    gen_powers: tuple
-    free_slots: tuple
-    lead_coeffs: tuple
-    # not annotated, so a class constant rather than a field
+
+    _fields = ("module", "kind", "base_point", "trunc", "gen_vars",
+               "gen_powers", "free_slots", "lead_coeffs")
     splitting_note = ("kernel terms split over generators proportionally to "
                       "weight*exponent on the generator variable, restricted "
                       "to generators whose power divides the term")
+
+    def __init__(self, module: WeightedPolydiscModule, kind: str,
+                 base_point: tuple, trunc: int, gen_vars: tuple,
+                 gen_powers: tuple, free_slots: tuple, lead_coeffs: tuple):
+        self.__dict__.update(
+            module=module, kind=kind, base_point=base_point, trunc=trunc,
+            gen_vars=gen_vars, gen_powers=gen_powers, free_slots=free_slots,
+            lead_coeffs=lead_coeffs)
 
     @property
     def count(self) -> int:
@@ -211,8 +212,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
 # Grammian metric
 
 
-@dataclass(frozen=True)
-class MetricSeries:
+class MetricSeries(Record):
     """Grammian of a frame as a matrix of truncated series.
 
     Entry (i, j) is <F_j, F_i> expanded around the base point, kept as the
@@ -229,11 +229,13 @@ class MetricSeries:
     leading principal minors of the base-point values, all positive on a
     metric grammian returns; empty on a metric built otherwise.
     """
-    tables: tuple
-    npairs: int
-    trunc: int
-    scale: Optional[str] = None
-    minors: tuple = ()
+
+    _fields = ("tables", "npairs", "trunc", "scale", "minors")
+
+    def __init__(self, tables: tuple, npairs: int, trunc: int,
+                 scale: Optional[str] = None, minors: tuple = ()):
+        self.__dict__.update(tables=tables, npairs=npairs, trunc=trunc,
+                             scale=scale, minors=minors)
 
     @property
     def size(self) -> int:
@@ -441,7 +443,7 @@ def grammian(frame: FrameSeries) -> MetricSeries:
         raise DegeneracyError(
             "frame is linearly dependent (Grammian not positive definite "
             f"at the base point; principal minors {minors})")
-    return replace(metric, minors=tuple(minors))
+    return metric._replace(minors=tuple(minors))
 
 
 # ---------------------------------------------------------------------------

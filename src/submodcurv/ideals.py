@@ -22,14 +22,13 @@ increases; stopping at two equal consecutive values is a heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
 from operator import le, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .algebra import iter_multiindices, rat
+from .algebra import Record, iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
 from .linalg import RowEchelon, _common_denominator, key_units, keyed_terms
 from .polynomials import Poly
@@ -44,34 +43,34 @@ GENERAL = "general"
 # The ideal specification
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    nvars: int
-    generators: tuple
-    family: str = field(init=False)
-    point: Optional[tuple] = field(init=False)  # coordinate_vanishing only
+class IdealSpec(Record):
+    """The ideal of nvars variables spanned by the Poly generators.  family
+    and point are read off the generators: point is the common zero of a
+    coordinate_vanishing ideal, None for the other families."""
 
-    def __post_init__(self):
-        if not self.generators:
+    _fields = ("nvars", "generators")
+
+    def __init__(self, nvars: int, generators: tuple):
+        if not generators:
             raise DomainError("ideal needs at least one generator")
-        for g in self.generators:
-            if not isinstance(g, Poly) or g.nvars != self.nvars:
+        for g in generators:
+            if not isinstance(g, Poly) or g.nvars != nvars:
                 raise DomainError("generators must be Poly over the same variables")
             if g.is_zero():
                 raise DomainError("zero polynomial is not a valid generator")
         # monomial wins over vanishing-point: <z_1, ..., z_m> keeps the full
         # diagonal structure (frames, filtered kernels)
         point = None
-        if all(g.is_monomial() for g in self.generators):
+        if all(g.is_monomial() for g in generators):
             family = MONOMIAL
-        elif (point := _vanishing_point(self.nvars, self.generators)):
+        elif (point := _vanishing_point(nvars, generators)):
             family = COORDINATE_VANISHING
-        elif _match_catalogue(self.nvars, self.generators):
+        elif _match_catalogue(nvars, generators):
             family = CATALOGUED
         else:
             family = GENERAL
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "point", point)
+        self.__dict__.update(nvars=nvars, generators=generators,
+                             family=family, point=point)
 
     @property
     def max_degree(self) -> int:
@@ -197,11 +196,10 @@ def _match_catalogue(nvars, gens) -> bool:
 # Localization dimension
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     dim: int
     stabilized_at: Optional[int]
-    dims_by_degree: tuple = field(default=())
+    dims_by_degree: tuple = ()
     conditional: bool = False
 
 

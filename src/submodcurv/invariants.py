@@ -15,8 +15,8 @@ pipeline, never by comparing the weights directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import exponent, rat
 from .errors import DomainError, UnsupportedIdealError
@@ -24,8 +24,7 @@ from .linalg import _common_denominator
 from .rkhs import WeightedPolydiscModule, diag_coeff_rows
 
 
-@dataclass(frozen=True)
-class LambdaMuInvariant:
+class LambdaMuInvariant(NamedTuple):
     """Determinant-bundle curvature diagonal of the coordinate ideal
     <z_1, z_2> over weights (lam, mu) on the bidisc, at the origin."""
     kappa1: Fraction
@@ -69,8 +68,7 @@ def cauchy_root_bound(p) -> Fraction:
     return 1 + max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class CubicReport:
+class CubicReport(NamedTuple):
     alpha: Fraction
     coefficients: tuple          # ascending degree
     positive_roots: int
@@ -144,8 +142,7 @@ def principal_rigidity(lam, mu, p: int, lam2, mu2) -> bool:
     return polydisc_rigidity((lam, mu), (p,), (lam2, mu2))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     equivalent: bool
     battery_left: tuple    # ((name, Fraction), ...)
     battery_right: tuple

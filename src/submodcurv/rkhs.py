@@ -60,35 +60,33 @@ Gram block per component and one Fraction per value (GramFormKernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .algebra import exponent, iter_multiindices, rat
+from .algebra import Record, exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
 from .linalg import BareissFactor, RowEchelon, key_units, keyed_terms
 import math
 
 
-@dataclass(frozen=True)
-class WeightedPolydiscModule:
+class WeightedPolydiscModule(Record):
     """The weighted analytic Hilbert module on the polydisc of dimension dim."""
-    dim: int
-    weights: tuple
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"polydisc dimension must be >= 1, got {self.dim}")
-        ws = tuple(rat(x) for x in self.weights)
-        if len(ws) != self.dim:
+    _fields = ("dim", "weights")
+
+    def __init__(self, dim: int, weights: tuple):
+        if dim < 1:
+            raise DomainError(f"polydisc dimension must be >= 1, got {dim}")
+        ws = tuple(rat(x) for x in weights)
+        if len(ws) != dim:
             raise DomainError(
-                f"need {self.dim} weights, got {len(ws)}")
+                f"need {dim} weights, got {len(ws)}")
         if any(w <= 0 for w in ws):
             raise DomainError(f"weights must be positive, got {ws}")
-        object.__setattr__(self, "weights", ws)
+        self.__dict__.update(dim=dim, weights=ws)
 
     def has_integer_weights(self) -> bool:
         return all(w.denominator == 1 for w in self.weights)
@@ -152,8 +150,7 @@ def _check_point(module, point, label="point"):
     return pt
 
 
-@dataclass(frozen=True)
-class Bounded:
+class Bounded(NamedTuple):
     """An exact partial-sum value together with a rational remainder bound:
     the true value lies in [value - bound, value + bound]."""
     value: Fraction

@@ -11,12 +11,18 @@ from submodcurv.algebra import (SeriesMatrix, TruncSeries,
                                 clean_terms, cofactor_det, format_terms,
                                 iter_multiindices, rat, series_inverse,
                                 series_log)
+from submodcurv.cli import parse_config
+from submodcurv.curvature import curvature_tensor, principal_curvature_pair
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
+from submodcurv.frames import decompose_coordinate_ideal, grammian
+from submodcurv.ideals import IdealSpec, localization_dim
+from submodcurv.invariants import (cubic_positive_roots, lambda_mu_invariants,
+                                   polydisc_rigidity_report)
 from submodcurv.linalg import mat_det, mat_solve
 from submodcurv.polynomials import Poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
-                             diag_coeff)
+                             ambient_kernel_bounded, diag_coeff)
 
 from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
                      format_terms_by_fraction_str, geometric_sum,
@@ -513,3 +519,54 @@ def test_cofactor_det_of_complex_matrices():
                                   for ra, rb in zip(re_rows, im_rows)])
             real, imag = _det_at_i(re_rows, im_rows)
             assert (value.real, value.imag) == (real, imag)
+
+
+# -- the package's records -----------------------------------------------------
+
+_MODULE = WeightedPolydiscModule(2, (1, F(1, 2)))
+_FRAME = decompose_coordinate_ideal(_MODULE, 4)
+_IDEAL = IdealSpec.catalogued("product_difference", 2)
+# one record of each immutable record type, as the package builds it, and
+# a valid change of one of its fields
+RECORDS = {
+    "LogSeries": (lambda: series_log(TruncSeries.one(1, 2) + series_w(1, 2, 0)),
+                  {"scale": F(2)}),
+    "JobConfig": (lambda: parse_config("[task]\nname = cubic\nalpha = 2\n"),
+                  {"alpha": F(3)}),
+    "CurvatureTensor": (lambda: curvature_tensor(_FRAME), {"size": 3}),
+    "PrincipalCurvaturePair": (lambda: principal_curvature_pair(_MODULE, 2),
+                               {"note": ""}),
+    "FrameSeries": (lambda: _FRAME, {"trunc": 5}),
+    "MetricSeries": (lambda: grammian(_FRAME), {"minors": ()}),
+    "IdealSpec": (lambda: _IDEAL, {"generators": _IDEAL.generators[:1]}),
+    "LocalizationResult": (lambda: localization_dim(_IDEAL, (0, 0), 4),
+                           {"conditional": None}),
+    "LambdaMuInvariant": (lambda: lambda_mu_invariants(1, 2), {"kappa1": 0}),
+    "CubicReport": (lambda: cubic_positive_roots(F(7, 3)),
+                    {"positive_roots": 0}),
+    "RigidityReport": (lambda: polydisc_rigidity_report((1, 2), (1,), (1, 2)),
+                       {"equivalent": False}),
+    "WeightedPolydiscModule": (lambda: _MODULE, {"weights": (1, 1)}),
+    "Bounded": (lambda: ambient_kernel_bounded(
+        _MODULE, (F(1, 3), 0), (F(1, 3), 0), 4), {"bound": F(1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    """No field of a record is assigned or deleted; _replace copies one,
+    equal to it and of its type, and a changed field makes it unequal."""
+    build, change = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    copy = record._replace()
+    assert copy == record and copy is not record
+    assert type(copy) is type(record)
+    assert record._replace(**change) != record

@@ -1,6 +1,8 @@
 import configparser
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from submodcurv import cli
 from submodcurv.algebra import ZERO
 from submodcurv.cli import (_build_parser, main, parse_config, render_report,
                             run_task)
-from submodcurv.errors import InputError, UnsupportedIdealError
+from submodcurv.errors import DomainError, InputError, UnsupportedIdealError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
@@ -276,8 +278,7 @@ def test_metric_task_degenerate_frame_exit_3(tmp_path, capsys, monkeypatch):
 
     def null_second_generator(cfg, module, ideal):
         frame = build(cfg, module, ideal)
-        return dataclasses.replace(
-            frame, lead_coeffs=(frame.lead_coeffs[0], F(0)))
+        return frame._replace(lead_coeffs=(frame.lead_coeffs[0], F(0)))
 
     monkeypatch.setattr(cli, "_build_frame", null_second_generator)
     assert main(["metric", "--config", _write(tmp_path, METRIC)]) == 3
@@ -777,9 +778,9 @@ def test_section_keys_come_before_default_keys():
 
 def test_main_builds_no_config_parser(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a ConfigParser was built")
+        raise AssertionError("a RawConfigParser was built")
 
-    monkeypatch.setattr(cli.configparser, "ConfigParser", refuse)
+    monkeypatch.setattr(configparser, "RawConfigParser", refuse)
     path = _write(tmp_path, BASE)
     assert main(["curvature", "--config", path]) == 0
     assert main(["metric", "--config", path]) == 0
@@ -886,11 +887,13 @@ def _sections_by_configparser(text):
 
 def _sections_by_line_reader(text):
     """cli._read_config's read of the text, the plain reader's or
-    configparser's, or its error."""
+    configparser's, or the configparser error its InputError is raised
+    from."""
     try:
         return cli._read_config(text)
-    except configparser.Error as e:
-        return type(e), str(e)
+    except InputError as e:
+        assert isinstance(e.__cause__, configparser.Error)
+        return type(e.__cause__), str(e.__cause__)
 
 
 @settings(max_examples=600, deadline=None)
@@ -1033,11 +1036,13 @@ def _argparse_namespace(argv):
 @given(st.sampled_from([_argv(), _argv(), _argv(), st.lists(
     st.sampled_from(_ARGV_TOKENS), max_size=7)]).flatmap(lambda argv: argv))
 def test_canonical_argv_reads_as_argparse_does(argv):
-    # the fast path declines an argv or returns argparse's Namespace, so
-    # every argv argparse refuses is declined and argparse reports it
+    # the fast path declines an argv or returns the attributes of
+    # argparse's Namespace, so every argv argparse refuses is declined and
+    # argparse reports it
     fast = cli._canonical_args(argv)
     if fast is not None:
-        assert fast == _argparse_namespace(argv)
+        namespace = _argparse_namespace(argv)
+        assert namespace is not None and vars(fast) == vars(namespace)
 
 
 def test_canonical_argv_cases():
@@ -1048,7 +1053,8 @@ def test_canonical_argv_cases():
     assert vars(cli._canonical_args(full)) == {
         "task": "kernel", "config": "a.cfg", "output": "json",
         "trunc_degree": 5, "ideal_degree": 3, "point": "1/2 0"}
-    assert cli._canonical_args(full) == _build_parser().parse_args(full)
+    assert vars(cli._canonical_args(full)) == \
+        vars(_build_parser().parse_args(full))
     for argv in (["kernel", "--config", "a.cfg", "--config", "b.cfg"],
                  ["kernel", "--config=a.cfg"],
                  ["kernel", "--conf", "a.cfg"],
@@ -1188,6 +1194,59 @@ def test_cross_job_caches_keep_reports_and_ideals(capsys):
         assert cli._build_ideal(cfg) is ideal, config
         assert _ideal_snapshot(ideal) == snapshot, config
     assert cli._ideal.cache_info().maxsize >= len(ideals)
+
+
+def test_jobs_with_equal_weights_share_one_module(tmp_path, capsys):
+    """_build_module builds and checks each (dimension, weights) once, so
+    two jobs with equal weights read one module object.  A bad weight
+    raises on every call, as lru_cache keeps no exception, and a config
+    with one exits 2 on every run."""
+    cli._module.cache_clear()
+    module = cli._build_module(parse_config(BASE))
+    assert module == WeightedPolydiscModule(2, (1, 2))
+    metric = parse_config(BASE.replace("name = curvature", "name = metric"))
+    assert cli._build_module(metric) is module
+    bad = cli.JobConfig(task="metric", dimension=2, weights=(F(1), F(0)))
+    path = _write(tmp_path, BASE.replace("weights = 1 2", "weights = 1 0"))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="weights must be positive"):
+            cli._build_module(bad)
+        assert main(["curvature", "--config", path]) == 2
+        assert capsys.readouterr() == ("", "config error: weights must be "
+                                       "positive (field 'module.weights')\n")
+
+
+# the standard modules a job imports only on the path that reads them:
+# dataclasses (which imports inspect) on none, argparse for an argv that is
+# not canonical, configparser for a config that is not plain, json for
+# --output json
+LAZY_MODULES = ("dataclasses", "inspect", "argparse", "configparser", "json")
+
+_IMPORT_GUARD = """
+import sys
+bare = set(sys.modules)
+from submodcurv import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)))
+sys.exit(code)
+"""
+
+
+def test_a_text_job_imports_no_lazy_module(tmp_path, capsys):
+    """A fresh interpreter imports submodcurv.cli and runs one canonical
+    text job through cli.main.  None of LAZY_MODULES is then loaded that
+    the bare interpreter, site's imports included, had not loaded, and the
+    report has the bytes of the same job run in this process."""
+    argv = ["curvature", "--config", _write(tmp_path, BASE)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=60)
+    assert main(argv) == 0
+    assert (child.returncode, child.stdout) == (0, capsys.readouterr().out)
+    loaded = set(child.stderr.split())
+    assert "submodcurv.cli" in loaded
+    assert loaded.isdisjoint(LAZY_MODULES)
 
 
 def test_zero_rows_are_written_without_fraction_str(monkeypatch):

@@ -50,7 +50,6 @@ generators it is built from (ROADMAP item 15).
 """
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import re
@@ -96,8 +95,8 @@ def _results(cfg, gens, points, weights=None):
     """The kernel variant and the result rows of the kernel task's text
     report for cfg with the generators, the points and, when given, the
     weights replaced."""
-    cfg = dataclasses.replace(
-        cfg, generators=tuple(str(g) for g in gens), points=tuple(points),
+    cfg = cfg._replace(
+        generators=tuple(str(g) for g in gens), points=tuple(points),
         weights=cfg.weights if weights is None else tuple(weights))
     report = run_task(cfg)
     out = render_report(report, "text")

@@ -49,10 +49,14 @@ def test_module_validation():
     assert m.weights == (F(1), F(2))
     assert m.has_integer_weights()
     assert not WeightedPolydiscModule(2, (F(1, 2), 1)).has_integer_weights()
-    with pytest.raises(DomainError):
-        WeightedPolydiscModule(2, (1, 0))
-    with pytest.raises(DomainError):
-        WeightedPolydiscModule(2, (1, 1, 1))
+    for dim, weights, message in (
+            (0, (), "polydisc dimension must be >= 1, got 0"),
+            (2, (1, 1, 1), "need 2 weights, got 3"),
+            (2, (1, 0), "weights must be positive, got "
+                        "(Fraction(1, 1), Fraction(0, 1))")):
+        with pytest.raises(DomainError) as exc:
+            WeightedPolydiscModule(dim, weights)
+        assert str(exc.value) == message
     assert oracles.hardy(3).weights == (F(1),) * 3
 
 

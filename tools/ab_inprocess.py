@@ -2,6 +2,7 @@
 
     python3 tools/ab_inprocess.py --parent DIR --change DIR \
         --workload curvature-sweep --reps 5 [--seed N]
+    python3 tools/ab_inprocess.py --parent DIR --change DIR --setup 15
 
 Each DIR is the root of a source checkout: its ``src/submodcurv`` is
 imported under its own package name (``submodcurv_parent`` and
@@ -24,6 +25,17 @@ faster.
 
 The first pass of a rep warms both trees' caches as the benchmark
 worker's earlier passes do; it is timed like every other pass.
+
+With ``--setup N`` the tool times the benchmark's setup_s instead: N
+fresh-interpreter imports of ``submodcurv.cli`` from each tree, launched
+alternately, parent first, after one uncounted launch per tree that writes
+the bytecode cache.  Each launch is ``measure_setup`` of the change
+tree's ``perfbench/run.py``, loaded by path and not changed: its
+SETUP_CODE, scaled by calibration.SPIN_REFERENCE_NS over the spin()
+times around the import.  The tool prints each tree's median and
+quartiles in seconds, the change/parent ratio of the medians and how many
+pairs the change won.  One DIR given as both trees is an A/A run, whose
+spread is the noise a real difference must clear.
 """
 
 from __future__ import annotations
@@ -63,6 +75,41 @@ def load_jobs(root):
     return module
 
 
+def load_setup_timer(root):
+    """measure_setup of ROOT/perfbench/run.py, which imports its sibling
+    modules by their bare names."""
+    bench = str(Path(root, "perfbench").resolve())
+    sys.path.insert(0, bench)
+    spec = importlib.util.spec_from_file_location("ab_run",
+                                                  Path(bench, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.measure_setup
+
+
+def compare_setup(parent, change, launches):
+    """Time setup_s of both trees, alternating launches, and print it."""
+    measure = load_setup_timer(change)
+    roots = (parent, change)
+    for root in roots:
+        measure(root, 1)  # writes the bytecode cache, as run.py discards it
+    times = ([], [])
+    for _ in range(launches):
+        for side, root in enumerate(roots):
+            times[side].extend(measure(root, 1))
+    print(f"setup_s over {launches} launches per tree, alternating:")
+    for label, values in zip(("parent", "change"), times):
+        q1, _, q3 = (statistics.quantiles(values, n=4)
+                     if launches > 1 else values * 3)
+        print(f"  {label}: median {statistics.median(values):.4f} s, "
+              f"q1 {q1:.4f}, q3 {q3:.4f}")
+    wins = sum(c < p for p, c in zip(*times))
+    print(f"median ratio change/parent "
+          f"{statistics.median(times[1]) / statistics.median(times[0]):.3f}; "
+          f"change lower in {wins} of {launches} pairs")
+    return 0
+
+
 def run_job(cli, argv):
     """(cpu_ns, exit code, stdout, stderr) of one cli.main(argv) call."""
     out, err = io.StringIO(), io.StringIO()
@@ -80,10 +127,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload")
     ap.add_argument("--reps", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--setup", type=int, metavar="N",
+                    help="time N fresh-interpreter imports per tree "
+                         "instead of a workload")
     args = ap.parse_args(argv)
+    if args.setup:
+        return compare_setup(args.parent, args.change, args.setup)
+    if args.workload is None:
+        ap.error("give --workload or --setup")
 
     # argparse wraps its usage message to the terminal width; the pinned
     # bytes are those at 80 columns
