@@ -421,16 +421,7 @@ def _require(cfg: JobConfig, *fields):
 
 def _build_module(cfg: JobConfig) -> WeightedPolydiscModule:
     _require(cfg, "dimension", "weights")
-    return _module(cfg.dimension, cfg.weights)
-
-
-@functools.lru_cache(maxsize=256)
-def _module(dimension, weights) -> WeightedPolydiscModule:
-    """The module of a dimension and weights, built and checked once per
-    (dimension, weights) and shared by every job that names it, as _ideal
-    shares an ideal: a WeightedPolydiscModule is immutable.  A bad pair
-    raises on every call, as lru_cache keeps no exception."""
-    return WeightedPolydiscModule(dimension, weights)
+    return WeightedPolydiscModule(cfg.dimension, cfg.weights)
 
 
 def _build_ideal(cfg: JobConfig) -> IdealSpec:

@@ -63,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem, mul
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .algebra import Record, exponent, iter_multiindices, rat
 from .errors import DomainError, ShapeError, TruncationError
@@ -150,11 +150,16 @@ def _check_point(module, point, label="point"):
     return pt
 
 
-class Bounded(NamedTuple):
+class Bounded(Record):
     """An exact partial-sum value together with a rational remainder bound:
-    the true value lies in [value - bound, value + bound]."""
-    value: Fraction
-    bound: Fraction
+    the true value lies in [value - bound, value + bound].  A Record, not a
+    NamedTuple, so that tuple + and * never stand in for the interval
+    arithmetic below, and it equals no tuple."""
+
+    _fields = ("value", "bound")
+
+    def __init__(self, value: Fraction, bound: Fraction):
+        self.__dict__.update(value=value, bound=bound)
 
     def __sub__(self, other):
         return Bounded(self.value - other.value, self.bound + other.bound)

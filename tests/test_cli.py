@@ -14,7 +14,7 @@ from submodcurv import cli
 from submodcurv.algebra import ZERO
 from submodcurv.cli import (_build_parser, main, parse_config, render_report,
                             run_task)
-from submodcurv.errors import DomainError, InputError, UnsupportedIdealError
+from submodcurv.errors import InputError, UnsupportedIdealError
 from submodcurv.linalg import leading_principal_minors
 from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
@@ -1194,26 +1194,6 @@ def test_cross_job_caches_keep_reports_and_ideals(capsys):
         assert cli._build_ideal(cfg) is ideal, config
         assert _ideal_snapshot(ideal) == snapshot, config
     assert cli._ideal.cache_info().maxsize >= len(ideals)
-
-
-def test_jobs_with_equal_weights_share_one_module(tmp_path, capsys):
-    """_build_module builds and checks each (dimension, weights) once, so
-    two jobs with equal weights read one module object.  A bad weight
-    raises on every call, as lru_cache keeps no exception, and a config
-    with one exits 2 on every run."""
-    cli._module.cache_clear()
-    module = cli._build_module(parse_config(BASE))
-    assert module == WeightedPolydiscModule(2, (1, 2))
-    metric = parse_config(BASE.replace("name = curvature", "name = metric"))
-    assert cli._build_module(metric) is module
-    bad = cli.JobConfig(task="metric", dimension=2, weights=(F(1), F(0)))
-    path = _write(tmp_path, BASE.replace("weights = 1 2", "weights = 1 0"))
-    for _ in range(2):
-        with pytest.raises(DomainError, match="weights must be positive"):
-            cli._build_module(bad)
-        assert main(["curvature", "--config", path]) == 2
-        assert capsys.readouterr() == ("", "config error: weights must be "
-                                       "positive (field 'module.weights')\n")
 
 
 # the standard modules a job imports only on the path that reads them:

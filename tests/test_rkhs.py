@@ -705,6 +705,18 @@ def test_bounded_sum_contains_the_kernel_below_unit_weight():
         assert (b.value - b.bound) ** 2 <= F(16, 7) <= (b.value + b.bound) ** 2
 
 
+def test_bounded_has_no_tuple_arithmetic():
+    """A Bounded defines -, * and / on intervals only: + and a repeat by an
+    int raise rather than concatenate, and it equals no tuple."""
+    b = Bounded(F(1, 2), F(1, 8))
+    for op in (lambda: b + b, lambda: 2 * b):
+        with pytest.raises(TypeError):
+            op()
+    assert b != (F(1, 2), F(1, 8))
+    assert b == Bounded(F(1, 2), F(1, 8))
+    assert b - b == Bounded(F(0), F(1, 4))
+
+
 def test_integer_ambient_kernel_equals_fraction_powers():
     for m in (1, 2, 3, 4):
         for ws in (_WEIGHTS[m][0], tuple(F(k) for k in (3, 1, 4, 2)[:m])):
