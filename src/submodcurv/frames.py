@@ -462,7 +462,8 @@ def reconstruction_residual(frame: FrameSeries) -> dict:
     where it fails.  The test restates share_numerators, whose denom is
     that sum, so on every frame it passes and the result is {}.  Only
     nonzero residuals are returned; an empty dict certifies the identity
-    through the truncation degree.
+    through the truncation degree.  No task calls it; ROADMAP item 10
+    moves it once item 1b releases the tracer's binding.
     """
     gens, _ = share_generators(frame)
     residuals = {}

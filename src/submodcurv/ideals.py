@@ -23,7 +23,7 @@ increases; stopping at two equal consecutive values is a heuristic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import prod
 from operator import le, mul
 from typing import NamedTuple, Optional
@@ -166,11 +166,9 @@ def _vanishing_point(nvars, gens):
 
 
 # ---------------------------------------------------------------------------
-# Catalogue of named ideals: name -> generator builder, built once per
-# number of variables
+# Catalogue of named ideals: name -> generator builder
 
 
-@lru_cache(maxsize=16)
 def _product_difference_gens(nvars):
     if nvars < 2:
         raise DomainError("product_difference needs at least 2 variables")

@@ -52,6 +52,8 @@ Hessian and line curvature of a scalar metric, the nullspace, the Hardy
 module, coordinate-power ideals, the zero-set descriptors (a second
 reference for IdealSpec.vanishes_at) with their codimension and the minimality
 certificate, and the gauge action on metrics and curvature tensors.
+The reduced Groebner basis by Buchberger's algorithm in Fractions is the
+reference for one presentation per ideal (ROADMAP item 15).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
                                    cauchy_root_bound)
 from submodcurv.linalg import (BareissFactor, RowEchelon, _common_denominator,
                                mat_det, mat_inverse, mat_mul)
-from submodcurv.polynomials import Poly, _Tokenizer
+from submodcurv.polynomials import Poly, _Tokenizer, parse_poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
                              _check_point, _components,
@@ -1538,6 +1540,91 @@ def cubic_positive_roots_by_sturm(alpha) -> CubicReport:
     _isolate(chain, Fraction(0), bound, intervals)
     intervals.sort()
     return CubicReport(a, coeffs, count, tuple(intervals))
+
+
+# ---------------------------------------------------------------------------
+# Reduced Groebner basis: one presentation per ideal (ROADMAP item 15)
+
+
+def _grevlex(exps) -> tuple:
+    """Sort key of a monomial in graded reverse lex, z1 > z2 > ... ."""
+    return sum(exps), tuple(-e for e in reversed(exps))
+
+
+def _lead(terms: dict) -> tuple:
+    return max(terms, key=_grevlex)
+
+
+def _monic(terms: dict) -> dict:
+    c = terms[_lead(terms)]
+    return {e: v / c for e, v in terms.items()}
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _sub_multiple(f: dict, c, shift, g: dict):
+    """f -= c z^shift g, in place."""
+    for e, v in g.items():
+        key = tuple(map(sum, zip(e, shift)))
+        value = f.get(key, 0) - c * v
+        if value:
+            f[key] = value
+        else:
+            f.pop(key, None)
+
+
+def _remainder(f: dict, basis: list) -> dict:
+    """The remainder of f on division by the monic term maps of basis: no
+    term of it is divisible by the lead of any of them."""
+    f, rest = dict(f), {}
+    leads = [(_lead(g), g) for g in basis]
+    while f:
+        top = _lead(f)
+        for lead, g in leads:
+            if _divides(lead, top):
+                _sub_multiple(f, f[top],
+                              tuple(x - y for x, y in zip(top, lead)), g)
+                break
+        else:
+            rest[top] = f.pop(top)
+    return rest
+
+
+def reduced_groebner_basis(generators, nvars: int) -> tuple:
+    """The reduced Groebner basis, for graded reverse lex, of the ideal
+    the polynomial sources generate in nvars variables: monic, each
+    element reduced by the others, as Polys by descending lead.
+
+    Buchberger's algorithm in Fractions; a pair whose leads are coprime
+    is skipped, its S-polynomial reducing to 0 (Buchberger's first
+    criterion; Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 2).
+    """
+    basis = [_monic(p.coeffs) for p in
+             (parse_poly(src, nvars) for src in generators) if p.coeffs]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        a, b = _lead(basis[i]), _lead(basis[j])
+        if not any(x and y for x, y in zip(a, b)):
+            continue
+        lcm = tuple(map(max, a, b))
+        s = {}
+        _sub_multiple(s, -1, tuple(x - y for x, y in zip(lcm, a)), basis[i])
+        _sub_multiple(s, 1, tuple(x - y for x, y in zip(lcm, b)), basis[j])
+        r = _remainder(s, basis)
+        if r:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_monic(r))
+    minimal = []
+    for g in sorted(basis, key=lambda g: _grevlex(_lead(g))):
+        if not any(_divides(_lead(h), _lead(g)) for h in minimal):
+            minimal.append(g)
+    reduced = [_remainder(g, minimal[:k] + minimal[k + 1:])
+               for k, g in enumerate(minimal)]
+    return tuple(Poly(nvars, g) for g in reversed(reduced))
 
 
 # ---------------------------------------------------------------------------

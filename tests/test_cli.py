@@ -632,6 +632,15 @@ def test_readme_key_table_matches_schema():
                     for key in keys}
 
 
+def test_schema_keys_are_the_jobconfig_fields():
+    # parse_config builds JobConfig(task=task, **fields) from SCHEMA's keys,
+    # task.name giving task
+    keys = [key for section, keys in cli.SCHEMA.items() for key in keys
+            if (section, key) != ("task", "name")]
+    assert sorted(keys) == sorted(set(cli.JobConfig._fields) - {"task"})
+    assert len(cli.JobConfig._fields) == len(keys) + 1
+
+
 def test_main_subcommand_overrides_config_task(tmp_path, capsys):
     # one config reused for several tasks: the subcommand wins
     path = _write(tmp_path, BASE)

@@ -206,14 +206,15 @@ ZERO_SET_METRIC_CONFIGS = sorted(GOLDEN.glob("metric/zero-set-*.ini"))
 @pytest.mark.parametrize("config", DECOMPOSE_CONFIGS + ZERO_SET_METRIC_CONFIGS,
                          ids=lambda c: f"{c.parent.name}/{c.stem}")
 def test_decompose_task_builds_no_frame_vectors(config, monkeypatch, capsys):
-    """The decompose task checks the reconstruction and the zero-set
-    metric task fills its coefficient tables with the vector builder, the
-    monomial table and the Horner reference all disabled; the reports stay
-    byte-identical."""
+    """The decompose task and the zero-set metric task read the frame spec
+    alone: with the vector builder, the monomial table, the share walk and
+    the Horner reference all disabled, the reports stay byte-identical."""
     def refuse(*args):
-        raise AssertionError("frame vectors, monomial table or Horner built")
+        raise AssertionError("frame vectors, monomial table, share walk or "
+                             "Horner built")
     monkeypatch.setattr(frames, "_build_splitting_frame", refuse)
     monkeypatch.setattr(frames, "_recentered_monomials", refuse)
+    monkeypatch.setattr(frames, "share_numerators", refuse)
     monkeypatch.setattr(oracles, "recentered_inverse_power", refuse)
     assert main([config.parent.name, "--config", str(config)]) == 0
     out = capsys.readouterr().out

@@ -18,8 +18,8 @@ from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 from oracles import (CoordinateSubspace, PointSet, codim,
                      coordinate_power_data_by_pair_scan, coordinate_powers,
                      forbid_fraction_arithmetic, localization_dim_two_spans,
-                     minimality_certificate, vanishes_at_by_fractions,
-                     zero_set)
+                     minimality_certificate, reduced_groebner_basis,
+                     vanishes_at_by_fractions, zero_set)
 
 
 def _gens(dim, *srcs):
@@ -548,3 +548,36 @@ def test_localization_off_the_zero_set_is_one():
     ideal = IdealSpec(3, _gens(3, "z1^2", "z2^2"))
     loc = localization_dim(ideal, (F(1, 3), F(1, 2), F(0)), 9)
     assert loc.dim == 1
+
+
+def _basis_text(generators):
+    return [str(g) for g in reduced_groebner_basis(generators, 2)]
+
+
+# pairs of presentations of one ideal and its reduced basis for graded
+# reverse lex, descending by lead (cross-checked with a computer algebra
+# system); the Gram-form kernel reads the presentation (ROADMAP item 15)
+SAME_IDEAL = [
+    (("z1 - z2^2", "z2^3"), ("z1 - z2^2", "z2^3", "z1^2"),
+     ["z1^2", "z1*z2", "z2^2 - z1"]),
+    (("z1*z2", "z1 - z2"), ("z1 - z2", "z1*z2"), ["z2^2", "z1 - z2"]),
+    (("z1^2", "z2"), ("z1^2", "z2", "z1*z2"), ["z1^2", "z2"]),
+]
+
+
+@pytest.mark.parametrize("first,second,basis", SAME_IDEAL)
+def test_presentations_of_one_ideal_share_a_reduced_basis(first, second,
+                                                          basis):
+    want = [str(parse_poly(src, 2)) for src in basis]
+    assert _basis_text(first) == _basis_text(second) == want
+
+
+@pytest.mark.parametrize("generators,basis", [
+    (("z1^2 - z2", "z1*z2"), ["z1^2 - z2", "z1*z2", "z2^2"]),
+    (("z1 - z2^2", "z1*z2"), ["z1^2", "z1*z2", "z2^2 - z1"]),
+])
+def test_reduced_basis_adds_the_missing_member(generators, basis):
+    """The two pooled Gram-form ideals whose generator multiples miss an
+    element of I cap P_N: the basis gains z2^2, and z1^2."""
+    assert _basis_text(generators) == \
+        [str(parse_poly(src, 2)) for src in basis]

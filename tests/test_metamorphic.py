@@ -38,6 +38,13 @@ weights, or of a zero-set job's generators, weights and base point, moves
 det_bundle_curvature_kq to the permuted (k, q) and curvature_block_kq_ij to
 the permuted block and frame indices.
 
+A disc automorphism phi_c(z) = (z - c)/(1 - c z) on each free slot of a
+coordinate-power ideal fixes the ideal and maps the origin slice to the
+base point c (ROADMAP item 22): each curvature row over the free slots k,
+q at c is the origin row over (1 - c_k^2)(1 - c_q^2).  The principal
+pair's log reading does not follow it yet, a strict xfail (ROADMAP
+item 2).
+
 Swapping the compare task's two modules, [module] weights with
 compare_weights, swaps every left_/right_ and _left/_right row and keeps
 equivalent, on the lambda-mu path and on the rigidity battery.
@@ -360,6 +367,67 @@ def test_zero_set_curvature_survives_variable_permutations(tmp_path):
         got = _curvature_rows(tmp_path, gens, moved_w, moved_b)
         assert {_moved(name, sigma, tau): value
                 for name, value in want.items()} == got, sigma
+
+
+MOBIUS_WEIGHTS = (F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2))
+
+
+def _zero_set_curvature(weights, generators, base):
+    """name -> value of the result rows of a curvature job."""
+    return dict(run_task(JobConfig(
+        task="curvature", dimension=len(weights), weights=weights,
+        generators=generators, base_point=base)).results)
+
+
+@st.composite
+def _mobius_jobs(draw):
+    """(weights, generators, base): t < m <= 4 coordinate powers z_v^p with
+    p <= 3, and a base point that is 0 on the generator variables and a
+    rational in (-1, 1) on each free slot."""
+    m = draw(st.integers(2, 4))
+    gen_vars = draw(st.lists(st.integers(0, m - 1), min_size=1,
+                             max_size=m - 1, unique=True))
+    gens = tuple(_power_text(v, draw(st.integers(1, 3))) for v in gen_vars)
+    weights = tuple(draw(st.sampled_from(MOBIUS_WEIGHTS)) for _ in range(m))
+    base = []
+    for v in range(m):
+        den = draw(st.integers(2, 9))
+        base.append(F(0) if v in gen_vars else
+                    F(draw(st.integers(1 - den, den - 1)), den))
+    return weights, gens, tuple(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(job=_mobius_jobs())
+def test_zero_set_curvature_follows_the_disc_automorphisms(job):
+    """phi_c(z) = (z - c)/(1 - c z) on each free slot fixes the ideal, so
+    the bundle at base c is the pull-back of the bundle at the origin
+    slice: each det_bundle_curvature_kq and curvature_block_kq_ij row at c
+    is the origin row times 1/((1 - c_k^2)(1 - c_q^2))."""
+    weights, gens, base = job
+    at_c = _zero_set_curvature(weights, gens, base)
+    at_0 = _zero_set_curvature(weights, gens, (F(0),) * len(weights))
+    rows = [name for name in at_0 if _CURVATURE_ROW.match(name)]
+    assert len(rows) == len(weights) ** 2 * (1 + len(gens) ** 2)
+    for name in rows:
+        k, q = [int(g) - 1 for g in _CURVATURE_ROW.match(name).groups()
+                if g][:2]
+        assert at_c[name] == at_0[name] / (
+            (1 - base[k] ** 2) * (1 - base[q] ** 2)), name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the principal pair "
+                   "prints its origin value off the base point")
+def test_transverse_log_hessian_follows_the_disc_automorphisms():
+    """The relation above for the principal pair's log reading on the
+    bidisc: transverse_log_hessian at (0, c) is its origin value over
+    (1 - c^2)^2."""
+    weights, base = (F(1), F(5, 2)), (F(0), F(3, 8))
+    for gens in (("z1",), ("z1^2",), ("z1^3",)):
+        at_c = _zero_set_curvature(weights, gens, base)
+        at_0 = _zero_set_curvature(weights, gens, (F(0), F(0)))
+        assert at_c["transverse_log_hessian"] == \
+            at_0["transverse_log_hessian"] / (1 - base[1] ** 2) ** 2, gens
 
 
 # (weights, generators as (variable, power) or None for the coordinate
