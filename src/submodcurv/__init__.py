@@ -20,9 +20,9 @@ from .frames import (FrameSeries, MetricSeries, decompose_coordinate_ideal,
 from .ideals import (CATALOGUE, IdealSpec, LocalizationResult,
                      localization_dim)
 from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
-                         cubic_positive_roots, lambda_mu_equivalent,
-                         lambda_mu_invariants, polydisc_rigidity,
-                         polydisc_rigidity_report, principal_rigidity)
+                         cubic_positive_roots, lambda_mu_invariants,
+                         polydisc_rigidity, polydisc_rigidity_report,
+                         principal_rigidity)
 from .polynomials import Poly, parse_poly
 from .rkhs import (DiagonalFilteredKernel, GramFormKernel,
                    RankOneCorrectedKernel, WeightedPolydiscModule,
@@ -42,7 +42,7 @@ __all__ = [
     "cubic_positive_roots", "curvature_matrix", "curvature_tensor",
     "decompose_coordinate_ideal", "det_bundle_curvature", "diag_coeff",
     "frame_on_zero_set", "grammian", "iter_multiindices",
-    "lambda_mu_equivalent", "lambda_mu_invariants", "localization_dim",
+    "lambda_mu_invariants", "localization_dim",
     "parse_poly", "polydisc_rigidity", "polydisc_rigidity_report",
     "principal_curvature_pair", "principal_rigidity", "rat",
     "reconstruction_residual", "series_inverse", "series_log",

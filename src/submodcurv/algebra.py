@@ -83,6 +83,14 @@ def rat(x) -> Fraction:
     raise DomainError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def rats(values) -> tuple:
+    """tuple(map(rat, values)); a tuple of Fractions, as a parsed config
+    gives, is returned as it is."""
+    if type(values) is tuple and all(type(x) is Fraction for x in values):
+        return values
+    return tuple(map(rat, values))
+
+
 def exponent(exps) -> tuple:
     """exps as a tuple of non-negative ints: the one check an exponent gets
     where it enters from outside the term arithmetic, whose sums, slices

@@ -31,8 +31,8 @@ from .frames import (COORDINATE_KIND, decompose_coordinate_ideal,
                      frame_on_zero_set, grammian)
 from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
                      localization_dim)
-from .invariants import (cubic_positive_roots, lambda_mu_equivalent,
-                         lambda_mu_invariants, polydisc_rigidity_report)
+from .invariants import (cubic_positive_roots, lambda_mu_invariants,
+                         polydisc_rigidity_report)
 from .polynomials import parse_poly
 from .rkhs import (WeightedPolydiscModule, in_open_polydisc,
                    submodule_kernel)
@@ -57,14 +57,35 @@ class JobConfig(NamedTuple):
     compare_weights: Optional[tuple] = None
 
 
+# the spellings str(Fraction) writes: 0, or a nonzero integer, or a nonzero
+# numerator over a denominator, in ASCII digits with no '+' and no leading 0
+_CANONICAL = r"0|-?[1-9][0-9]*(?:/([1-9][0-9]*))?"
+
+
+def _echo_text(text: str, value: Fraction) -> str:
+    """str(value) for the value read from text (stripped): text itself when
+    it is that spelling, that is, canonical and, as a ratio, in lowest
+    terms over a denominator above 1."""
+    canonical = re.fullmatch(_CANONICAL, text)
+    if canonical and (canonical[1] is None
+                      or value.denominator == int(canonical[1]) != 1):
+        return text
+    return str(value)
+
+
+# Each parser reads one key's text into (value, echo): the JobConfig value
+# and the report's echo of it, which for rationals is their text
+# (_echo_text).  Each checks its own value.
+
 @functools.lru_cache(maxsize=256)
-def _parse_rational(text: str, fieldname: str) -> Fraction:
+def _parse_rational(text: str, fieldname: str) -> tuple:
     text = text.strip()
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"not a rational number: {text!r} ({e})",
                          field=fieldname)
+    return value, _echo_text(text, value)
 
 
 @functools.lru_cache(maxsize=256)
@@ -72,66 +93,66 @@ def _parse_vector(text: str, fieldname: str) -> tuple:
     parts = text.replace(",", " ").split()
     if not parts:
         raise InputError("empty vector", field=fieldname)
-    return tuple(_parse_rational(p, fieldname) for p in parts)
+    # (values, echo): the first and second entries of each part's read
+    return tuple(zip(*[_parse_rational(p, fieldname) for p in parts]))
+
+
+def _parse_weights(text: str, fieldname: str) -> tuple:
+    read = _parse_vector(text, fieldname)
+    # a Fraction's denominator is positive: its sign is its numerator's
+    if not all(x.numerator > 0 for x in read[0]):
+        raise InputError(f"{fieldname.partition('.')[2]} must be positive",
+                         field=fieldname)
+    return read
 
 
 def _parse_points(text: str, fieldname: str) -> tuple:
-    return tuple(_parse_vector(chunk, fieldname)
-                 for chunk in text.split(";") if chunk.strip())
+    read = [_parse_vector(chunk, fieldname)
+            for chunk in text.split(";") if chunk.strip()]
+    return tuple([v for v, _ in read]), tuple([e for _, e in read])
 
 
-def _parse_int(text: str, fieldname: str) -> int:
+def _parse_int(text: str, fieldname: str) -> tuple:
     try:
-        return int(text.strip())
+        n = int(text.strip())
     except ValueError:
         raise InputError(f"not an integer: {text.strip()!r}", field=fieldname)
+    return n, n
 
 
-def _parse_name(text: str, fieldname: str) -> str:
-    return text.strip()
+def _parse_dimension(text: str, fieldname: str) -> tuple:
+    read = _parse_int(text, fieldname)
+    if read[0] < 1:
+        raise InputError("dimension must be >= 1", field=fieldname)
+    return read
+
+
+def _parse_name(text: str, fieldname: str) -> tuple:
+    name = text.strip()
+    return name, name
 
 
 def _parse_generators(text: str, fieldname: str) -> tuple:
-    return tuple(g.strip() for g in text.split(",") if g.strip())
+    gens = tuple(filter(None, map(str.strip, text.split(","))))
+    if not gens:
+        raise InputError("empty generator list", field=fieldname)
+    return gens, gens
 
 
-def _parse_catalogue(text: str, fieldname: str) -> str:
+def _parse_catalogue(text: str, fieldname: str) -> tuple:
     name = text.strip()
     if name not in CATALOGUE:
         raise InputError(f"unknown catalogue ideal {name!r}; known: "
                          f"{', '.join(sorted(CATALOGUE))}", field=fieldname)
-    return name
+    return name, name
 
 
-def _checked(parse, ok, message):
-    """parse, then reject a value for which ok(value) is false."""
-    def parser(text, fieldname):
-        value = parse(text, fieldname)
-        if not ok(value):
-            raise InputError(message, field=fieldname)
-        return value
-    return parser
-
-
-def _positive(vector) -> bool:
-    return all(x > 0 for x in vector)
-
-
-# section -> key -> parser(text, "section.key"), each parser checking its
-# own value.  Keys are read in this order; every key but task.name is the
+# section -> key -> parser(text, "section.key").  Keys are read in this
+# order, and no key is in two sections; every key but task.name is the
 # JobConfig field of the same name.
 SCHEMA = {
-    "module": {
-        "dimension": _checked(_parse_int, lambda n: n >= 1,
-                              "dimension must be >= 1"),
-        "weights": _checked(_parse_vector, _positive,
-                            "weights must be positive"),
-    },
-    "ideal": {
-        "generators": _checked(_parse_generators, bool,
-                               "empty generator list"),
-        "catalogue": _parse_catalogue,
-    },
+    "module": {"dimension": _parse_dimension, "weights": _parse_weights},
+    "ideal": {"generators": _parse_generators, "catalogue": _parse_catalogue},
     "task": {
         "name": _parse_name,
         "points": _parse_points,
@@ -139,8 +160,7 @@ SCHEMA = {
         "trunc_degree": _parse_int,
         "ideal_degree": _parse_int,
         "alpha": _parse_rational,
-        "compare_weights": _checked(_parse_vector, _positive,
-                                    "compare_weights must be positive"),
+        "compare_weights": _parse_weights,
         "output": _parse_name,
     },
 }
@@ -149,22 +169,27 @@ FLAG_LABELS = {"output": "--output", "trunc_degree": "--trunc-degree",
 TASK_LABELS = {key: f"task.{key}" for key in SCHEMA["task"]}
 
 
+def _check_point(point, label):
+    if not in_open_polydisc(point):
+        raise InputError(f"point ({', '.join(str(x) for x in point)}) lies "
+                         "outside the open polydisc", field=label)
+
+
 def _check_fields(fields: dict, labels: dict):
     """The checks a field gets whether it comes from the config file or
     from a flag; labels maps each field to its name in messages."""
     if fields.get("output", "text") not in ("text", "json"):
         raise InputError("output must be text or json", field=labels["output"])
-    for key in ("trunc_degree", "ideal_degree"):
-        if fields.get(key, 1) < 1:
-            raise InputError(f"{key} must be >= 1", field=labels[key])
-    for key, pts in (("points", fields.get("points", ())),
-                     ("base_point", (fields["base_point"],)
-                      if "base_point" in fields else ())):
-        for pt in pts:
-            if not in_open_polydisc(pt):
-                raise InputError(
-                    f"point ({', '.join(str(x) for x in pt)}) lies outside "
-                    "the open polydisc", field=labels[key])
+    if fields.get("trunc_degree", 1) < 1:
+        raise InputError("trunc_degree must be >= 1",
+                         field=labels["trunc_degree"])
+    if fields.get("ideal_degree", 1) < 1:
+        raise InputError("ideal_degree must be >= 1",
+                         field=labels["ideal_degree"])
+    for point in fields.get("points", ()):
+        _check_point(point, labels["points"])
+    if "base_point" in fields:
+        _check_point(fields["base_point"], labels["base_point"])
 
 
 def _read_config(text: str):
@@ -199,37 +224,71 @@ def _read_config(text: str):
     return {name: dict(reader.items(name)) for name in reader.sections()}
 
 
-# a plain config line, other than a blank one: '[section]', or 'key = value'
-# with ':' or '=' as the delimiter, starting with no space; no comment.
-# Compiled on the first read (re's own cache), not at import.
-_PLAIN_LINE = r"\[([^#]+)\]|([^\s#;\[=:][^=:#]*)[=:]([^#]*)"
-
-
 def _read_plain_config(text: str):
-    """_read_config's sections for a text whose lines are all blank or
-    plain (_PLAIN_LINE), with no section or key given twice; None for any
-    other text.  Such a text has no comment, continuation or error, so
-    each value is the stripped text after the first delimiter."""
+    """_read_config's sections for a text with no '#' whose lines are all
+    empty or plain, with no section or key given twice; None for any other
+    text.  A plain line is '[name]', or 'key = value' with ':' or '=' as
+    the delimiter, its key starting with no space, ';' or '['.  Such a
+    text has no comment, continuation or error, so configparser would read
+    each value as the stripped text after the first delimiter, and each
+    key as the lowered text before it, right-stripped.  One pass of str
+    methods over the lines: a regex per line, or one over the text, costs
+    more."""
+    if "#" in text:
+        return None
     sections = {}
     cursect = None
-    match = re.compile(_PLAIN_LINE).fullmatch
     for line in text.split("\n"):
         if not line:
             continue
-        plain = match(line)
-        if plain is None:
-            return None
-        name, key, value = plain.groups()
-        if name:
-            if name in sections:
+        if line[0] == "[":
+            name = line[1:-1]
+            if line[-1] != "]" or not name or name in sections:
                 return None
             cursect = sections[name] = {}
-        else:
-            key = key.rstrip().lower()
-            if cursect is None or key in cursect:
-                return None
-            cursect[key] = value.strip()
+            continue
+        key, delimiter, value = line.partition("=")
+        if ":" in key:  # the first delimiter is a ':'
+            key, colon, head = key.partition(":")
+            value = head + delimiter + value
+            delimiter = colon
+        if (not delimiter or not key or cursect is None
+                or key[0] in ";[" or key[0].isspace()):
+            return None
+        key = key.rstrip().lower()
+        if key in cursect:
+            return None
+        cursect[key] = value.strip()
     return sections
+
+
+# [cfg, echo] of the config parse_config returned last, echo the report's
+# input section read from the text: one entry, overwritten in place by
+# every parse.  _input_echo reads it for that JobConfig alone.
+_last_read = [None, {}]
+# the JobConfig defaults that the input section echoes when no key sets
+# them: those that are set, output aside
+_ECHOED_DEFAULTS = {key: value for key, value in
+                    JobConfig._field_defaults.items()
+                    if key != "output" and value not in (None, ())}
+
+
+def _parse_section(sections, section, fields, echoes):
+    """Parse the keys given in one section of the config into fields and
+    their echoes, each by its SCHEMA parser, in SCHEMA order."""
+    sec = sections.get(section)
+    if not sec:
+        return
+    parsers = SCHEMA[section]
+    if not sec.keys() <= parsers.keys():
+        raise next(InputError(f"unknown key {key!r} in [{section}]", field=key)
+                   for key in sec if key not in parsers)
+    if "catalogue" in sec and "generators" in sec:
+        raise InputError("give either generators or a catalogue name, "
+                         "not both", field="ideal")
+    for key, parse in parsers.items():
+        if key in sec:
+            fields[key], echoes[key] = parse(sec[key], f"{section}.{key}")
 
 
 def parse_config(text: str, args=None) -> JobConfig:
@@ -237,45 +296,37 @@ def parse_config(text: str, args=None) -> JobConfig:
     parsed command line, overrides the task and the fields its flags set.
 
     All validation failures raise InputError carrying the field (and line
-    when the underlying reader reports one).  The output, degrees and
-    points are checked after the overrides, each under its key or flag.
+    when the underlying reader reports one).  The sections are parsed in
+    SCHEMA order, [module] checked before [ideal] is read.  The output,
+    degrees and points are checked after the overrides, each under its key
+    or flag.
     """
     sections = _read_config(text)
-    for section in sections:
-        if section not in SCHEMA:
-            raise InputError(f"unknown section [{section}]", field=section)
+    if not sections.keys() <= SCHEMA.keys():
+        raise next(InputError(f"unknown section [{section}]", field=section)
+                   for section in sections if section not in SCHEMA)
 
-    fields = {}
-    for section, parsers in SCHEMA.items():
-        sec = sections.get(section)
-        if not sec:
-            # nothing new to check: the checks below passed on the fields
-            # of the sections before
-            continue
-        for key in sec:
-            if key not in parsers:
-                raise InputError(f"unknown key {key!r} in [{section}]",
-                                 field=key)
-        if "catalogue" in sec and "generators" in sec:
-            raise InputError("give either generators or a catalogue name, "
-                             "not both", field="ideal")
-        for key, parse in parsers.items():
-            if key in sec:
-                fields[key] = parse(sec[key], f"{section}.{key}")
-        if ("dimension" in fields) != ("weights" in fields):
-            raise InputError("[module] needs both dimension and weights",
-                             field="module")
-        if len(fields.get("weights", ())) != fields.get("dimension", 0):
-            raise InputError(
-                f"got {len(fields['weights'])} weights for dimension "
-                f"{fields['dimension']}", field="module.weights")
-        # the task's vectors match the dimension, whatever the task
-        for key, message in (
-                ("compare_weights", "compare_weights must match the dimension"),
-                ("base_point", "base point arity does not match dimension")):
-            if ("dimension" in fields and key in fields
-                    and len(fields[key]) != fields["dimension"]):
-                raise InputError(message, field=f"task.{key}")
+    fields, echoes = {}, {}
+    _parse_section(sections, "module", fields, echoes)
+    if ("dimension" in fields) != ("weights" in fields):
+        raise InputError("[module] needs both dimension and weights",
+                         field="module")
+    if len(fields.get("weights", ())) != fields.get("dimension", 0):
+        raise InputError(
+            f"got {len(fields['weights'])} weights for dimension "
+            f"{fields['dimension']}", field="module.weights")
+    _parse_section(sections, "ideal", fields, echoes)
+    _parse_section(sections, "task", fields, echoes)
+    # the task's vectors match the dimension, whatever the task
+    if "dimension" in fields:
+        if len(fields.get("compare_weights",
+                          fields["weights"])) != fields["dimension"]:
+            raise InputError("compare_weights must match the dimension",
+                             field="task.compare_weights")
+        if len(fields.get("base_point",
+                          fields["weights"])) != fields["dimension"]:
+            raise InputError("base point arity does not match dimension",
+                             field="task.base_point")
 
     task = fields.pop("name", None)
     if task is None:
@@ -284,24 +335,35 @@ def parse_config(text: str, args=None) -> JobConfig:
     if task not in TASKS:
         raise InputError(f"unknown task {task!r}; choose from "
                          f"{', '.join(TASKS)}", field="task.name")
-    labels = dict(TASK_LABELS)
+    labels = TASK_LABELS
     if args is not None:
         task = args.task
-        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
-                 "ideal_degree": args.ideal_degree}
+        for key, value in (("output", args.output),
+                           ("trunc_degree", args.trunc_degree),
+                           ("ideal_degree", args.ideal_degree)):
+            if value is not None:
+                fields[key] = echoes[key] = value
+                labels = {**labels, key: FLAG_LABELS[key]}
         if args.point is not None:
             if task not in POINT_TASKS:
                 raise InputError(
                     f"task {task!r} reads no points; --point applies "
                     f"only to the {' and '.join(POINT_TASKS)} tasks",
                     field="--point")
-            flags["points"] = (_parse_vector(args.point, "--point"),)
-        for key, value in flags.items():
-            if value is not None:
-                fields[key] = value
-                labels[key] = FLAG_LABELS[key]
+            point, echo = _parse_vector(args.point, "--point")
+            fields["points"], echoes["points"] = (point,), (echo,)
+            labels = {**labels, "points": FLAG_LABELS["points"]}
     _check_fields(fields, labels)
-    return JobConfig(task=task, **fields)
+    cfg = JobConfig(task=task, **fields)
+    # every field set but output, as _input_echo writes it: the defaults,
+    # then the fields read, rationals by their text
+    echo = {**_ECHOED_DEFAULTS, **echoes, "task": task}
+    del echo["name"]
+    echo.pop("output", None)
+    if fields.get("points") == ():
+        del echo["points"]
+    _last_read[:] = cfg, echo
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +424,36 @@ def _encode(value):
     return str(value)
 
 
-def _render_value(value):
-    if type(value) is str:
-        return value
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_render_value(v)}"
-                               for k, v in sorted(value.items())) + "}"
-    return str(value)
-
-
-# the result types the text report renders by _render_value
+# the report values written as [a, b] or {k: v}: every other value is its
+# str(), and the package's one zero, most rows of a curvature report, is
+# "0" without Fraction.__str__
 _CONTAINERS = frozenset((list, tuple, dict))
+
+
+def _render_value(value):
+    """The text of a list, tuple or dict report value: [a, b] or {k: v}
+    with the keys sorted, each entry written as a row's value is.  Entries
+    that are all str, as the echo's texts and most diagnostics are, are
+    joined as they are."""
+    if type(value) is dict:
+        return "{%s}" % ", ".join([
+            "%s: %s" % (k, _render_value(v) if type(v) in _CONTAINERS else v)
+            for k, v in sorted(value.items())])
+    if value and type(value[0]) is str:
+        try:
+            return "[%s]" % ", ".join(value)
+        except TypeError:  # an entry after the first is no str
+            pass
+    return "[%s]" % ", ".join([
+        _render_value(v) if type(v) in _CONTAINERS else str(v) for v in value])
+
+
+def _rows(pairs) -> list:
+    """The report line "  name = value" of each (name, value) pair."""
+    return ["  %s = %s" % (name, "0" if value is ZERO
+                           else _render_value(value)
+                           if type(value) in _CONTAINERS else value)
+            for name, value in pairs]
 
 
 def render_report(report: Report, output: str) -> str:
@@ -389,24 +468,12 @@ def render_report(report: Report, output: str) -> str:
             "convention": CONVENTION,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = [f"task: {report.task}"]
-    lines.append("input:")
-    for k in sorted(report.input_echo):
-        lines.append(f"  {k} = {_render_value(report.input_echo[k])}")
-    lines.append("results:")
-    # a scalar row, nearly every row, is its str(); lists and dicts recurse.
-    # An exact type lookup is cheaper than isinstance on a Fraction, and
-    # the package's one zero, most rows of a curvature report, is "0"
-    # without Fraction.__str__.
-    lines += ["  %s = %s" % (name, "0" if value is ZERO
-                             else _render_value(value)
-                             if type(value) in _CONTAINERS else value)
-              for name, value in report.results]
-    lines.append("diagnostics:")
-    for k in sorted(report.diagnostics):
-        lines.append(f"  {k} = {_render_value(report.diagnostics[k])}")
-    lines.append(f"convention: {CONVENTION}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([
+        "task: " + report.task, "input:",
+        *_rows(sorted(report.input_echo.items())), "results:",
+        *_rows(report.results), "diagnostics:",
+        *_rows(sorted(report.diagnostics.items())),
+        "convention: " + CONVENTION, ""])
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +528,13 @@ def _echo_value(value):
 
 
 def _input_echo(cfg: JobConfig) -> dict:
+    """Every field of cfg but output that is set: for the config
+    parse_config returned last, the echo it read from the text, rationals
+    by their text; for any other, such as one built in code, each value as
+    _echo_value writes it."""
+    read, echo = _last_read
+    if read is cfg:
+        return dict(echo)
     return {key: _echo_value(value) for key, value in zip(cfg._fields, cfg)
             if key != "output" and value not in (None, ())}
 
@@ -523,10 +597,10 @@ def run_task(cfg: JobConfig) -> Report:
         t = len(data)
         if t == module.dim:
             if module.dim == 2 and powers == (1, 1):
+                # each side's pair once, read by the decision and the rows
                 a = lambda_mu_invariants(*module.weights)
                 b = lambda_mu_invariants(*cfg.compare_weights)
-                report.add("equivalent", lambda_mu_equivalent(
-                    *module.weights, *cfg.compare_weights))
+                report.add("equivalent", a.as_pair() == b.as_pair())
                 report.add("kappa1_left", a.kappa1)
                 report.add("kappa2_left", a.kappa2)
                 report.add("kappa1_right", b.kappa1)
@@ -728,7 +802,7 @@ def main(argv=None) -> int:
     args = _canonical_args(argv) or _build_parser().parse_args(argv)
     try:
         try:
-            with open(args.config, "rb") as fh:
+            with open(args.config, "rb", buffering=0) as fh:
                 text = fh.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read config: {e}")

@@ -46,7 +46,7 @@ from typing import Optional
 
 from .algebra import (ZERO, Record, SeriesMatrix, TruncSeries,
                       _series_names, format_ratios, iter_multiindices, rat,
-                      unit)
+                      rats, unit)
 from .errors import DegeneracyError, DomainError, ShapeError, TruncationError
 from .ideals import IdealSpec
 from .linalg import _common_denominator, leading_principal_minors
@@ -98,8 +98,11 @@ class FrameSeries(Record):
         return _build_splitting_frame(self)
 
     def generator_polys(self):
+        """The monic monomial z_{v+1}^p of each generator, its term map
+        clean as built."""
         m = self.module.dim
-        return tuple(Poly.monomial(m, unit(m, v, p))
+        one = Fraction(1)
+        return tuple(Poly._trusted(m, {unit(m, v, p): one})
                      for v, p in zip(self.gen_vars, self.gen_powers))
 
 
@@ -147,7 +150,7 @@ def _build_splitting_frame(frame):
     kernel term alpha that generator k divides."""
     gens, _ = share_generators(frame)
     monomials = frame.recentered_monomials
-    nums, dens = zip(*diag_coeff_rows(frame.module,
+    nums, dens = zip(*diag_coeff_rows(frame.module.weights,
                                       frame.trunc + max(frame.gen_powers)))
     vectors = [dict() for _ in gens]
     for alpha in monomials:
@@ -191,7 +194,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
     data = ideal.coordinate_powers
     gen_vars = tuple(v for v, _ in data)
     gen_powers = tuple(p for _, p in data)
-    base = tuple(rat(x) for x in base_point)
+    base = rats(base_point)
     if len(base) != m:
         raise ShapeError(f"base point has arity {len(base)}, expected {m}")
     if not in_open_polydisc(base):
@@ -202,7 +205,7 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
                 f"base point must lie on the zero variety: z{v+1} component "
                 f"is {base[v]}, expected 0")
     free = tuple(i for i in range(m) if i not in gen_vars)
-    rows = diag_coeff_rows(module, max(gen_powers))
+    rows = diag_coeff_rows(module.weights, max(gen_powers))
     leads = tuple(Fraction(rows[v][0][p], rows[v][1][p]) for v, p in data)
     return FrameSeries(module, ZERO_SET_KIND, base, trunc,
                        gen_vars, gen_powers, free, leads)
@@ -297,7 +300,7 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
     each are _coordinate_walk's cached tuple, so each a takes one pass over
     its dividing generators."""
     gens, _ = share_generators(frame)
-    nums, dens = zip(*diag_coeff_rows(frame.module, top))
+    nums, dens = zip(*diag_coeff_rows(frame.module.weights, top))
     for divs, _ in _coordinate_walk(frame.module.dim, low, top,
                                     frame.gen_vars, frame.gen_powers):
         num = den = 1
@@ -391,7 +394,7 @@ def _metric_by_closed_form(frame: FrameSeries):
     D = frame.trunc
     t = frame.count
     powers = {}
-    rows = diag_coeff_rows(module, D)
+    rows = diag_coeff_rows(module.weights, D)
     # disjoint slots: the product of their tables is the outer product
     terms, den = {(0,) * (2 * m): 1}, 1
     for i in frame.free_slots:

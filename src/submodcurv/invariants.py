@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import exponent, rat
+from .algebra import exponent, rat, rats
 from .errors import DomainError, UnsupportedIdealError
-from .linalg import _common_denominator
-from .rkhs import WeightedPolydiscModule, diag_coeff_rows
+from .rkhs import check_positive_weights, diag_coeff_rows
 
 
 class LambdaMuInvariant(NamedTuple):
@@ -50,22 +49,8 @@ def lambda_mu_invariants(lam, mu) -> LambdaMuInvariant:
     )
 
 
-def lambda_mu_equivalent(lam1, mu1, lam2, mu2) -> bool:
-    """Whether the two weighted bidisc modules have matching coordinate-ideal
-    curvature invariants (as an ordered pair)."""
-    a = lambda_mu_invariants(lam1, mu1)
-    b = lambda_mu_invariants(lam2, mu2)
-    return a.as_pair() == b.as_pair()
-
-
 # ---------------------------------------------------------------------------
 # The cubic family's positive root (coefficient tuples, ascending order)
-
-
-def cauchy_root_bound(p) -> Fraction:
-    """1 + max |c_i / c_n|: every root of p lies strictly inside it."""
-    lead = p[-1]
-    return 1 + max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
 
 
 class CubicReport(NamedTuple):
@@ -75,43 +60,6 @@ class CubicReport(NamedTuple):
     isolating_intervals: tuple   # (lo, hi) pairs; lo == hi marks an exact root
 
 
-_REFINE_WIDTH = Fraction(1, 16)
-
-
-def _refine(p, a: Fraction, b: Fraction):
-    """Narrow a one-root interval below _REFINE_WIDTH, collapsing to a
-    degenerate (r, r) pair when a bisection midpoint is an exact root.
-
-    p has one root in (a, b), a simple one, and neither endpoint is a
-    root, so the root lies in (a, mid) iff p changes sign there.  The
-    sign at the left end never changes, since a only moves to a midpoint
-    of the same sign.  Signs are read in integers: with p scaled to integer
-    coefficients C_i and the endpoints kept as lo/v and hi/v, p(u/v) has
-    the sign of sum_i C_i u^i v^(n-i)."""
-    coeffs, _ = _common_denominator(p)
-
-    def sign_form(u, v):
-        acc, vk = coeffs[-1], 1
-        for c in reversed(coeffs[:-1]):
-            vk *= v
-            acc = acc * u + c * vk
-        return acc
-
-    (lo, hi), v = _common_denominator((a, b))
-    positive_at_a = sign_form(lo, v) > 0
-    width_num, width_den = _REFINE_WIDTH.as_integer_ratio()
-    while (hi - lo) * width_den > v * width_num:
-        mid, v = lo + hi, 2 * v  # the midpoint, over the doubled denominator
-        value = sign_form(mid, v)
-        if value == 0:
-            return (Fraction(mid, v),) * 2
-        if (value > 0) != positive_at_a:
-            lo, hi = 2 * lo, mid
-        else:
-            lo, hi = mid, 2 * hi
-    return (Fraction(lo, v), Fraction(hi, v))
-
-
 def cubic_positive_roots(alpha) -> CubicReport:
     """Exact count and isolation of the positive roots of
     p = x^3 - (3a-2) x^2 - (2a-3) x - a for a rational parameter a > 0.
@@ -119,13 +67,37 @@ def cubic_positive_roots(alpha) -> CubicReport:
     The discriminant of p is -8 (9a^4 + 2a^3 - 20a^2 + 2a + 9), and with
     t = a + 1/a >= 2 the bracket is a^2 (9t^2 + 2t - 38) >= 2a^2 > 0.  So p
     is squarefree with one real root, which is positive because the
-    product of the roots is a > 0: the count is 1, and bisection on
-    (0, Cauchy bound) isolates the root (p(0) = -a != 0)."""
+    product of the roots is a > 0: the count is 1.  Bisection isolates it
+    on (0, B), B = 1 + max(a, |2a - 3|, |3a - 2|) the Cauchy bound of p,
+    until the interval is no wider than 1/16, and stops at a midpoint that
+    is the root.
+
+    All of it runs in integers over the one denominator d of a = n/d: d p
+    has the integer coefficients (-n, 3d - 2n, 2d - 3n, d), the ends are
+    kept as lo/v and hi/v, and d p(u/v) v^3 has the sign of the integer
+    ((d u + c_2 v) u + c_1 v^2) u + c_0 v^3.  p(0) = -a < 0, so the root
+    lies left of a midpoint where that integer is positive.  Fractions are
+    built for the reported coefficients and interval ends alone."""
     a = rat(alpha)
-    if a <= 0:
+    n, d = a.numerator, a.denominator
+    if n <= 0:
         raise DomainError(f"the cubic family is parametrized by alpha > 0, got {a}")
-    coeffs = (-a, -(2 * a - 3), -(3 * a - 2), Fraction(1))
-    interval = _refine(coeffs, Fraction(0), cauchy_root_bound(coeffs))
+    c0, c1, c2 = -n, 3 * d - 2 * n, 2 * d - 3 * n
+    lo, hi, v = 0, d + max(n, abs(c1), abs(c2)), d
+    while (hi - lo) * 16 > v:
+        mid, v = lo + hi, 2 * v  # the midpoint, over the doubled denominator
+        vv = v * v
+        value = ((d * mid + c2 * v) * mid + c1 * vv) * mid + c0 * vv * v
+        if value == 0:
+            interval = (Fraction(mid, v),) * 2
+            break
+        if value > 0:
+            lo, hi = 2 * lo, mid
+        else:
+            lo, hi = mid, 2 * hi
+    else:
+        interval = (Fraction(lo, v), Fraction(hi, v))
+    coeffs = (Fraction(c0, d), Fraction(c1, d), Fraction(c2, d), Fraction(1))
     return CubicReport(a, coeffs, 1, (interval,))
 
 
@@ -152,10 +124,11 @@ class RigidityReport(NamedTuple):
         return self.equivalent
 
 
-def _curvature_battery(module: WeightedPolydiscModule, data):
+def _curvature_battery(weights, data):
     """Curvature invariants of the coordinate-power submodule generated by
-    z_{v+1}^i, (v, i) in data (distinct v, sorted, i >= 1), at the origin
-    slice point.  There the frame metric is diagonal with
+    z_{v+1}^i, (v, i) in data (distinct v, sorted, i >= 1), over positive
+    weights (Fractions) at the origin slice point.  There the frame metric
+    is diagonal with
     H_kk = poch(l_{v_k}, i_k)/i_k! (a diag_coeff_rows entry) times
     prod_free (1 - |w_j|^2)^(-l_j), so every invariant is a closed form in
     the weights.
@@ -168,15 +141,14 @@ def _curvature_battery(module: WeightedPolydiscModule, data):
                   (the shifted companion scales by (l_k + i_k)/(i_k + 1),
                   pinning the k-th weight).
     """
-    weights = module.weights
     gen_vars = {v for v, _ in data}
-    free = [i for i in range(module.dim) if i not in gen_vars]
+    free = [i for i in range(len(weights)) if i not in gen_vars]
     battery = [(f"transverse_log_curvature_w{i+1}", weights[i])
                for i in free]
     a, b = weights[free[0]].as_integer_ratio()  # l_{i0} = a / b
-    rows = diag_coeff_rows(module, max(p for _, p in data) + 1)
-    for k, (v, p) in enumerate(data):
-        nums, dens = rows[v]
+    rows = diag_coeff_rows([weights[v] for v, _ in data],
+                           max(p for _, p in data) + 1)
+    for k, ((v, p), (nums, dens)) in enumerate(zip(data, rows)):
         battery.append((f"norm_hessian_gen{k+1}",
                         Fraction(nums[p] * a, dens[p] * b)))
         battery.append((f"norm_hessian_gen{k+1}_shifted",
@@ -194,8 +166,8 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
     Requires one or more exponents, each >= 1, on distinct variables, and a
     free (transverse) variable: fewer exponents than variables.
     """
-    w1 = tuple(rat(x) for x in weights1)
-    w2 = tuple(rat(x) for x in weights2)
+    w1 = rats(weights1)
+    w2 = rats(weights2)
     m = len(w1)
     if len(w2) != m:
         raise DomainError("weight vectors must share the dimension")
@@ -218,10 +190,10 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
         raise UnsupportedIdealError(
             "two generators share a variable; the generating set is redundant")
     data = sorted(zip(gen_vars, exponents))
-    mod1 = WeightedPolydiscModule(m, w1)
-    mod2 = WeightedPolydiscModule(m, w2)
-    left = _curvature_battery(mod1, data)
-    right = _curvature_battery(mod2, data)
+    check_positive_weights(w1)
+    check_positive_weights(w2)
+    left = _curvature_battery(w1, data)
+    right = _curvature_battery(w2, data)
     names = tuple(name for name, _ in left)
     equivalent = [v for _, v in left] == [v for _, v in right]
     return RigidityReport(equivalent, left, right, names)

@@ -65,7 +65,7 @@ from functools import lru_cache
 from operator import getitem, mul
 from typing import Optional
 
-from .algebra import Record, exponent, iter_multiindices, rat
+from .algebra import Record, exponent, iter_multiindices, rats
 from .errors import DomainError, ShapeError, TruncationError
 from .ideals import COORDINATE_VANISHING, MONOMIAL, IdealSpec
 from .linalg import BareissFactor, RowEchelon, key_units, keyed_terms
@@ -80,16 +80,23 @@ class WeightedPolydiscModule(Record):
     def __init__(self, dim: int, weights: tuple):
         if dim < 1:
             raise DomainError(f"polydisc dimension must be >= 1, got {dim}")
-        ws = tuple(rat(x) for x in weights)
+        ws = rats(weights)
         if len(ws) != dim:
             raise DomainError(
                 f"need {dim} weights, got {len(ws)}")
-        if any(w <= 0 for w in ws):
-            raise DomainError(f"weights must be positive, got {ws}")
+        check_positive_weights(ws)
         self.__dict__.update(dim=dim, weights=ws)
 
     def has_integer_weights(self) -> bool:
         return all(w.denominator == 1 for w in self.weights)
+
+
+def check_positive_weights(weights):
+    """Raise DomainError unless every weight, a Fraction, is positive.  Its
+    sign is its numerator's, the denominator being positive, so no Fraction
+    is compared."""
+    if not all(w.numerator > 0 for w in weights):
+        raise DomainError(f"weights must be positive, got {weights}")
 
 
 def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
@@ -98,21 +105,22 @@ def diag_coeff(module: WeightedPolydiscModule, alpha) -> Fraction:
     a = exponent(alpha)
     if len(a) != module.dim:
         raise ShapeError(f"multi-index arity {len(a)} != dimension {module.dim}")
-    nums, dens = zip(*diag_coeff_rows(module, max(a)))
+    nums, dens = zip(*diag_coeff_rows(module.weights, max(a)))
     return Fraction(math.prod(map(getitem, nums, a)),
                     math.prod(map(getitem, dens, a)))
 
 
-def diag_coeff_rows(module: WeightedPolydiscModule, N: int) -> tuple:
-    """Per-slot factors of diag_coeff in integers: rows[i] = (nums, dens)
-    with poch(l_i, n)/n! = nums[n]/dens[n] in lowest terms, n = 0..N, by
-    the ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1): with l_i = p/q
-    each step multiplies by (p + n q) / (q (n + 1)) and divides out the
-    gcd.  This is the one table of poch(l, n)/n! outside the diagonal sums
-    and the tail bound, which run the recurrence in integers of their own;
+def diag_coeff_rows(weights, N: int) -> tuple:
+    """Per-slot factors of diag_coeff in integers, for positive rational
+    weights l_i (a module's, or some of them): rows[i] = (nums, dens) with
+    poch(l_i, n)/n! = nums[n]/dens[n] in lowest terms, n = 0..N, by the
+    ratio recurrence c_{n+1} = c_n (l_i + n)/(n + 1): with l_i = p/q each
+    step multiplies by (p + n q) / (q (n + 1)) and divides out the gcd.
+    This is the one table of poch(l, n)/n! outside the diagonal sums and
+    the tail bound, which run the recurrence in integers of their own;
     cleared_row puts one row over one denominator."""
     rows = []
-    for l in module.weights:
+    for l in weights:
         p, q = l.numerator, l.denominator
         num = den = 1
         nums, dens = [1], [1]
@@ -142,7 +150,7 @@ def in_open_polydisc(point) -> bool:
 
 
 def _check_point(module, point, label="point"):
-    pt = tuple(rat(x) for x in point)
+    pt = rats(point)
     if len(pt) != module.dim:
         raise ShapeError(f"{label} has arity {len(pt)}, expected {module.dim}")
     if not in_open_polydisc(pt):
@@ -540,7 +548,8 @@ class GramFormKernel:
         position = {k: j for j, k in enumerate(
             k for k in keys if k not in echelon_of[k].rows)}
         # c_a = prod_i slots[i][a_i] / den from the cleared rows
-        slots, dens = zip(*map(cleared_row, diag_coeff_rows(module, N)))
+        slots, dens = zip(*map(cleared_row,
+                               diag_coeff_rows(module.weights, N)))
         den = math.prod(dens)
         n = len(position)
         terms, scales, gram = [None] * n, [None] * n, []

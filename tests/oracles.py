@@ -62,14 +62,15 @@ import configparser
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                                 exponent, iter_multiindices, rat, unit)
-from submodcurv.cli import (FLAG_LABELS, POINT_TASKS, SCHEMA, TASKS,
-                            JobConfig, _check_fields, _parse_vector)
+from submodcurv.cli import (CONVENTION, FLAG_LABELS, POINT_TASKS, TASKS,
+                            JobConfig, Report, _check_fields, _read_config)
 from submodcurv.curvature import CurvatureTensor
 from submodcurv.errors import (DomainError, InputError, ShapeError,
                                SingularityError, TruncationError,
@@ -79,8 +80,8 @@ from submodcurv.frames import (FrameSeries, MetricSeries, share_generators,
 from submodcurv.ideals import (CATALOGUE, CATALOGUED, COORDINATE_VANISHING,
                                GENERAL, MONOMIAL, IdealSpec,
                                LocalizationResult)
-from submodcurv.invariants import (_REFINE_WIDTH, CubicReport,
-                                   cauchy_root_bound)
+from submodcurv.invariants import (CubicReport, RigidityReport,
+                                   _curvature_battery, lambda_mu_invariants)
 from submodcurv.linalg import (BareissFactor, RowEchelon, _common_denominator,
                                mat_det, mat_inverse, mat_mul)
 from submodcurv.polynomials import Poly, _Tokenizer, parse_poly
@@ -806,6 +807,66 @@ def vanishes_at_by_fractions(ideal: IdealSpec, point) -> bool:
                    for g in ideal.generators)
 
 
+def lambda_mu_equivalent(lam1, mu1, lam2, mu2) -> bool:
+    """Whether the two weighted bidisc modules have matching coordinate-ideal
+    curvature invariants (as an ordered pair): the decision the compare
+    task's equivalent row made by this call, which computed both pairs
+    again after the task had computed them for its rows."""
+    a = lambda_mu_invariants(lam1, mu1)
+    b = lambda_mu_invariants(lam2, mu2)
+    return a.as_pair() == b.as_pair()
+
+
+def module_weights_by_rat(dim, weights) -> tuple:
+    """The weights WeightedPolydiscModule kept, and the errors it raised,
+    before it kept a tuple of Fractions as it is and read each sign from
+    the numerator: rat on every weight, then a Fraction comparison with 0."""
+    if dim < 1:
+        raise DomainError(f"polydisc dimension must be >= 1, got {dim}")
+    ws = tuple(rat(x) for x in weights)
+    if len(ws) != dim:
+        raise DomainError(f"need {dim} weights, got {len(ws)}")
+    if any(w <= 0 for w in ws):
+        raise DomainError(f"weights must be positive, got {ws}")
+    return ws
+
+
+def polydisc_rigidity_report_by_modules(weights1, exponents, weights2,
+                                        gen_vars=None) -> RigidityReport:
+    """invariants.polydisc_rigidity_report as it checked both weight
+    vectors, by building a WeightedPolydiscModule of each, before the
+    battery read checked weights."""
+    w1 = tuple(rat(x) for x in weights1)
+    w2 = tuple(rat(x) for x in weights2)
+    m = len(w1)
+    if len(w2) != m:
+        raise DomainError("weight vectors must share the dimension")
+    exponents = exponent(exponents)
+    if len(exponents) >= m:
+        raise DomainError(
+            "the battery needs a transverse direction: fewer exponents "
+            "than variables")
+    if not exponents or min(exponents) < 1:
+        raise DomainError(f"need one or more generator exponents, each >= 1, "
+                          f"got {exponents}")
+    gen_vars = tuple(range(len(exponents)) if gen_vars is None else gen_vars)
+    if len(gen_vars) != len(exponents):
+        raise DomainError(f"need one generator variable per exponent, got "
+                          f"{len(gen_vars)} for {len(exponents)} exponents")
+    if not all(isinstance(v, int) and 0 <= v < m for v in gen_vars):
+        raise DomainError(f"generator variables must be integers in "
+                          f"0..{m - 1}, got {gen_vars}")
+    if len(set(gen_vars)) != len(gen_vars):
+        raise UnsupportedIdealError(
+            "two generators share a variable; the generating set is redundant")
+    data = sorted(zip(gen_vars, exponents))
+    left = _curvature_battery(WeightedPolydiscModule(m, w1).weights, data)
+    right = _curvature_battery(WeightedPolydiscModule(m, w2).weights, data)
+    names = tuple(name for name, _ in left)
+    equivalent = [v for _, v in left] == [v for _, v in right]
+    return RigidityReport(equivalent, left, right, names)
+
+
 def lambda_mu_by_fractions(lam, mu) -> tuple:
     """The (kappa_1, kappa_2) that invariants.lambda_mu_invariants formed
     before it wrote each as one Fraction of integers:
@@ -1187,6 +1248,155 @@ def parse_rational_by_fraction_str(text: str, fieldname: str) -> Fraction:
                          field=fieldname)
 
 
+def parse_vector_by_fraction_str(text: str, fieldname: str) -> tuple:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise InputError("empty vector", field=fieldname)
+    return tuple(parse_rational_by_fraction_str(p, fieldname) for p in parts)
+
+
+def _parse_points(text: str, fieldname: str) -> tuple:
+    return tuple(parse_vector_by_fraction_str(chunk, fieldname)
+                 for chunk in text.split(";") if chunk.strip())
+
+
+def _parse_int(text: str, fieldname: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise InputError(f"not an integer: {text.strip()!r}", field=fieldname)
+
+
+def _parse_name(text: str, fieldname: str) -> str:
+    return text.strip()
+
+
+def _parse_generators(text: str, fieldname: str) -> tuple:
+    return tuple(g.strip() for g in text.split(",") if g.strip())
+
+
+def _parse_catalogue(text: str, fieldname: str) -> str:
+    name = text.strip()
+    if name not in CATALOGUE:
+        raise InputError(f"unknown catalogue ideal {name!r}; known: "
+                         f"{', '.join(sorted(CATALOGUE))}", field=fieldname)
+    return name
+
+
+def _checked(parse, ok, message):
+    """parse, then reject a value for which ok(value) is false."""
+    def parser(text, fieldname):
+        value = parse(text, fieldname)
+        if not ok(value):
+            raise InputError(message, field=fieldname)
+        return value
+    return parser
+
+
+def _positive(vector) -> bool:
+    return all(x > 0 for x in vector)
+
+
+# cli.SCHEMA as it was before each parser checked its own value and wrote
+# its echo: one parser per key, a _checked closure around those that check
+SCHEMA_OF_CHECKED_PARSERS = {
+    "module": {
+        "dimension": _checked(_parse_int, lambda n: n >= 1,
+                              "dimension must be >= 1"),
+        "weights": _checked(parse_vector_by_fraction_str, _positive,
+                            "weights must be positive"),
+    },
+    "ideal": {
+        "generators": _checked(_parse_generators, bool,
+                               "empty generator list"),
+        "catalogue": _parse_catalogue,
+    },
+    "task": {
+        "name": _parse_name,
+        "points": _parse_points,
+        "base_point": parse_vector_by_fraction_str,
+        "trunc_degree": _parse_int,
+        "ideal_degree": _parse_int,
+        "alpha": parse_rational_by_fraction_str,
+        "compare_weights": _checked(parse_vector_by_fraction_str, _positive,
+                                    "compare_weights must be positive"),
+        "output": _parse_name,
+    },
+}
+
+
+def parse_sections_by_schema_walk(sections, args=None) -> JobConfig:
+    """The checks parse_config made before it parsed only the keys given:
+    every SCHEMA_OF_CHECKED_PARSERS entry of a section walked in order,
+    over sections read from a config text (section -> {key: value})."""
+    for section in sections:
+        if section not in SCHEMA_OF_CHECKED_PARSERS:
+            raise InputError(f"unknown section [{section}]", field=section)
+
+    fields = {}
+    for section, parsers in SCHEMA_OF_CHECKED_PARSERS.items():
+        sec = sections.get(section)
+        if not sec:
+            continue
+        for key in sec:
+            if key not in parsers:
+                raise InputError(f"unknown key {key!r} in [{section}]",
+                                 field=key)
+        if "catalogue" in sec and "generators" in sec:
+            raise InputError("give either generators or a catalogue name, "
+                             "not both", field="ideal")
+        for key, parse in parsers.items():
+            if key in sec:
+                fields[key] = parse(sec[key], f"{section}.{key}")
+        if ("dimension" in fields) != ("weights" in fields):
+            raise InputError("[module] needs both dimension and weights",
+                             field="module")
+        if len(fields.get("weights", ())) != fields.get("dimension", 0):
+            raise InputError(
+                f"got {len(fields['weights'])} weights for dimension "
+                f"{fields['dimension']}", field="module.weights")
+        for key, message in (
+                ("compare_weights", "compare_weights must match the dimension"),
+                ("base_point", "base point arity does not match dimension")):
+            if ("dimension" in fields and key in fields
+                    and len(fields[key]) != fields["dimension"]):
+                raise InputError(message, field=f"task.{key}")
+
+    task = fields.pop("name", None)
+    if task is None:
+        raise InputError("missing task name ([task] name = ...)",
+                         field="task.name")
+    if task not in TASKS:
+        raise InputError(f"unknown task {task!r}; choose from "
+                         f"{', '.join(TASKS)}", field="task.name")
+    labels = {key: f"task.{key}"
+              for key in SCHEMA_OF_CHECKED_PARSERS["task"]}
+    if args is not None:
+        task = args.task
+        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
+                 "ideal_degree": args.ideal_degree}
+        if args.point is not None:
+            if task not in POINT_TASKS:
+                raise InputError(
+                    f"task {task!r} reads no points; --point applies "
+                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    field="--point")
+            flags["points"] = (parse_vector_by_fraction_str(args.point,
+                                                            "--point"),)
+        for key, value in flags.items():
+            if value is not None:
+                fields[key] = value
+                labels[key] = FLAG_LABELS[key]
+    _check_fields(fields, labels)
+    return JobConfig(task=task, **fields)
+
+
+def parse_config_by_schema_walk(text: str, args=None) -> JobConfig:
+    """The reference for parse_config's checks: cli's read of the text,
+    then the schema walk of parse_sections_by_schema_walk."""
+    return parse_sections_by_schema_walk(_read_config(text), args)
+
+
 @functools.cache
 def _config_reader() -> configparser.ConfigParser:
     """The config reader, built on the first parse_config call and reused
@@ -1199,7 +1409,7 @@ def _config_reader() -> configparser.ConfigParser:
 
 
 def parse_config_by_configparser(text: str, args=None) -> JobConfig:
-    """The reference for parse_config: the same schema checks over a
+    """The reference for parse_config: the schema walk over a
     ConfigParser's read of the text, with configparser's own default
     section.  That reader spreads a [DEFAULT] section over the others,
     where parse_config's reads it as an ordinary section and refuses it
@@ -1221,67 +1431,84 @@ def parse_config_by_configparser(text: str, args=None) -> JobConfig:
                          line=line)
     except configparser.Error as e:
         raise InputError(f"config syntax: {e}")
+    # each section read once: its own keys first, then [DEFAULT]'s
+    return parse_sections_by_schema_walk(
+        {section: {key: cp.get(section, key) for key in cp.options(section)}
+         for section in cp.sections()}, args)
 
-    for section in cp.sections():
-        if section not in SCHEMA:
-            raise InputError(f"unknown section [{section}]", field=section)
 
-    fields = {}
-    for section, parsers in SCHEMA.items():
-        # each section read once: its own keys first, then [DEFAULT]'s
-        vals = dict(cp.items(section)) if cp.has_section(section) else {}
-        sec = {k: vals[k] for k in cp.options(section)} if vals else {}
-        for key in sec:
-            if key not in parsers:
-                raise InputError(f"unknown key {key!r} in [{section}]",
-                                 field=key)
-        if "catalogue" in sec and "generators" in sec:
-            raise InputError("give either generators or a catalogue name, "
-                             "not both", field="ideal")
-        fields.update((key, parse(sec[key], f"{section}.{key}"))
-                      for key, parse in parsers.items() if key in sec)
-        if ("dimension" in fields) != ("weights" in fields):
-            raise InputError("[module] needs both dimension and weights",
-                             field="module")
-        if len(fields.get("weights", ())) != fields.get("dimension", 0):
-            raise InputError(
-                f"got {len(fields['weights'])} weights for dimension "
-                f"{fields['dimension']}", field="module.weights")
-        if "dimension" in fields:
-            if len(fields.get("compare_weights",
-                              fields["weights"])) != fields["dimension"]:
-                raise InputError("compare_weights must match the dimension",
-                                 field="task.compare_weights")
-            if len(fields.get("base_point",
-                              fields["weights"])) != fields["dimension"]:
-                raise InputError("base point arity does not match dimension",
-                                 field="task.base_point")
+# a plain config line, other than a blank one: '[section]', or 'key = value'
+# with ':' or '=' as the delimiter, starting with no space; no comment
+_PLAIN_LINE = r"\[([^#]+)\]|([^\s#;\[=:][^=:#]*)[=:]([^#]*)"
 
-    task = fields.pop("name", None)
-    if task is None:
-        raise InputError("missing task name ([task] name = ...)",
-                         field="task.name")
-    if task not in TASKS:
-        raise InputError(f"unknown task {task!r}; choose from "
-                         f"{', '.join(TASKS)}", field="task.name")
-    labels = {key: f"task.{key}" for key in SCHEMA["task"]}
-    if args is not None:
-        task = args.task
-        flags = {"output": args.output, "trunc_degree": args.trunc_degree,
-                 "ideal_degree": args.ideal_degree}
-        if args.point is not None:
-            if task not in POINT_TASKS:
-                raise InputError(
-                    f"task {task!r} reads no points; --point applies "
-                    f"only to the {' and '.join(POINT_TASKS)} tasks",
-                    field="--point")
-            flags["points"] = (_parse_vector(args.point, "--point"),)
-        for key, value in flags.items():
-            if value is not None:
-                fields[key] = value
-                labels[key] = FLAG_LABELS[key]
-    _check_fields(fields, labels)
-    return JobConfig(task=task, **fields)
+
+def read_plain_config_by_regex(text: str):
+    """cli._read_plain_config as one regex match per line: the sections of
+    a text whose lines are all blank or plain (_PLAIN_LINE), with no
+    section or key given twice; None for any other text."""
+    sections = {}
+    cursect = None
+    match = re.compile(_PLAIN_LINE).fullmatch
+    for line in text.split("\n"):
+        if not line:
+            continue
+        plain = match(line)
+        if plain is None:
+            return None
+        name, key, value = plain.groups()
+        if name:
+            if name in sections:
+                return None
+            cursect = sections[name] = {}
+        else:
+            key = key.rstrip().lower()
+            if cursect is None or key in cursect:
+                return None
+            cursect[key] = value.strip()
+    return sections
+
+
+def _echo_value(value):
+    if type(value) is tuple:
+        return [_echo_value(v) for v in value]
+    return str(value) if type(value) is Fraction else value
+
+
+def input_echo_by_fraction_str(cfg: JobConfig) -> dict:
+    """The report's input section as cli._input_echo wrote it before the
+    echo came from the text: str() of every Fraction, tuples as lists."""
+    return {key: _echo_value(value) for key, value in zip(cfg._fields, cfg)
+            if key != "output" and value not in (None, ())}
+
+
+def render_value_by_recursion(value):
+    if type(value) is str:
+        return value
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(render_value_by_recursion(v)
+                               for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {render_value_by_recursion(v)}"
+                               for k, v in sorted(value.items())) + "}"
+    return str(value)
+
+
+def render_text_by_recursion(report: Report) -> str:
+    """cli.render_report's text report as each echo and diagnostics row's
+    render_value_by_recursion, line by line."""
+    lines = [f"task: {report.task}", "input:"]
+    for k in sorted(report.input_echo):
+        lines.append(f"  {k} = "
+                     f"{render_value_by_recursion(report.input_echo[k])}")
+    lines.append("results:")
+    lines += ["  %s = %s" % (name, render_value_by_recursion(value))
+              for name, value in report.results]
+    lines.append("diagnostics:")
+    for k in sorted(report.diagnostics):
+        lines.append(f"  {k} = "
+                     f"{render_value_by_recursion(report.diagnostics[k])}")
+    lines.append(f"convention: {CONVENTION}")
+    return "\n".join(lines) + "\n"
 
 
 def is_hermitian_by_pair_loop(matrix: SeriesMatrix) -> bool:
@@ -1394,7 +1621,9 @@ def localization_dim_two_spans(ideal: IdealSpec, point,
                               conditional=(ideal.family == GENERAL))
 
 
-# Univariate polynomials are dense coefficient tuples, ascending order.
+# Univariate polynomials are dense coefficient tuples, ascending order.  The
+# cubic's isolating intervals are refined below this width.
+_REFINE_WIDTH = Fraction(1, 16)
 
 
 def upoly_trim(p):
@@ -1523,8 +1752,64 @@ def _isolate(chain, a: Fraction, b: Fraction, out):
     _isolate(chain, mid, b, out)
 
 
+def cauchy_root_bound(p) -> Fraction:
+    """1 + max |c_i / c_n|: every root of p lies strictly inside it."""
+    lead = p[-1]
+    return 1 + max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
+
+
+def refine_by_integer_signs(p, a: Fraction, b: Fraction):
+    """Narrow a one-root interval below _REFINE_WIDTH, collapsing to a
+    degenerate (r, r) pair when a bisection midpoint is an exact root.
+
+    p has one root in (a, b), a simple one, and neither endpoint is a
+    root, so the root lies in (a, mid) iff p changes sign there.  The
+    sign at the left end never changes, since a only moves to a midpoint
+    of the same sign.  Signs are read in integers: with p scaled to integer
+    coefficients C_i and the endpoints kept as lo/v and hi/v, p(u/v) has
+    the sign of sum_i C_i u^i v^(n-i)."""
+    coeffs, _ = _common_denominator(p)
+
+    def sign_form(u, v):
+        acc, vk = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            vk *= v
+            acc = acc * u + c * vk
+        return acc
+
+    (lo, hi), v = _common_denominator((a, b))
+    positive_at_a = sign_form(lo, v) > 0
+    width_num, width_den = _REFINE_WIDTH.as_integer_ratio()
+    while (hi - lo) * width_den > v * width_num:
+        mid, v = lo + hi, 2 * v  # the midpoint, over the doubled denominator
+        value = sign_form(mid, v)
+        if value == 0:
+            return (Fraction(mid, v),) * 2
+        if (value > 0) != positive_at_a:
+            lo, hi = 2 * lo, mid
+        else:
+            lo, hi = mid, 2 * hi
+    return (Fraction(lo, v), Fraction(hi, v))
+
+
+def cubic_positive_roots_by_refine(alpha) -> CubicReport:
+    """The cubic route that the integer bisection of
+    invariants.cubic_positive_roots replaced: the coefficients and the
+    Cauchy bound in Fractions, then refine_by_integer_signs on
+    (0, bound)."""
+    a = rat(alpha)
+    if a <= 0:
+        raise DomainError(
+            f"the cubic family is parametrized by alpha > 0, got {a}")
+    coeffs = (-a, -(2 * a - 3), -(3 * a - 2), Fraction(1))
+    interval = refine_by_integer_signs(coeffs, Fraction(0),
+                                       cauchy_root_bound(coeffs))
+    return CubicReport(a, coeffs, 1, (interval,))
+
+
 def cubic_positive_roots_by_sturm(alpha) -> CubicReport:
-    """The cubic route that invariants.cubic_positive_roots replaced: the
+    """The cubic route that the bisection of cubic_positive_roots_by_refine
+    replaced: the
     squarefree part, its Sturm chain, the root count on (0, Cauchy bound)
     and isolation by chain counts, for any alpha > 0."""
     a = rat(alpha)

@@ -966,8 +966,8 @@ def test_parse_rational_matches_fraction_str(text):
             return str(e)
         assert type(value) is F
         return value
-    assert outcome(cli._parse_rational) == \
-        outcome(parse_rational_by_fraction_str)
+    assert outcome(lambda text, field: cli._parse_rational(text, field)[0]) \
+        == outcome(parse_rational_by_fraction_str)
 
 
 # -- the argv fast path -------------------------------------------------------

@@ -222,7 +222,7 @@ def test_raising_degree_keeps_principal_pair_and_battery():
     for module, data in battery_cases:
         got = [_reference_battery(module, data, D) for D in DEGREES]
         assert got[0] == got[1] == got[2] == \
-            invariants._curvature_battery(module, data)
+            invariants._curvature_battery(module.weights, data)
 
 
 # -- the closed forms against the metric route ------------------------------
@@ -258,7 +258,7 @@ def test_closed_forms_match_metric_route_on_golden_configs(config):
             assert (trace[0][0], trace[1][1]) == \
                 lambda_mu_invariants(*weights).as_pair()
         else:
-            assert invariants._curvature_battery(other, data) == \
+            assert invariants._curvature_battery(other.weights, data) == \
                 _reference_battery(other, data)
 
 
@@ -410,7 +410,7 @@ def test_block_trace_equals_pairwise_fraction_sum(rows):
 def test_battery_matches_metric_route(case):
     weights, data, _ = case
     module = WeightedPolydiscModule(len(weights), weights)
-    assert invariants._curvature_battery(module, data) == \
+    assert invariants._curvature_battery(module.weights, data) == \
         _reference_battery(module, data)
 
 

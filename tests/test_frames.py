@@ -586,7 +586,8 @@ def test_slot_coefficients_equal_horner(weight, center):
     """Each slot's coefficient table, from the cleared integer row, is the
     Horner series of the recentered inverse power, coefficient for
     coefficient, at D = 6."""
-    row = diag_coeff_rows(WeightedPolydiscModule(1, (weight,)), 6)[0]
+    module = WeightedPolydiscModule(1, (weight,))
+    row = diag_coeff_rows(module.weights, 6)[0]
     table, den = frames._slot_coefficients(cleared_row(row), center)
     got = TruncSeries(1, 6, {k: F(x, den) for k, x in table.items()})
     assert got == recentered_inverse_power(1, 6, 0, center, weight)
@@ -668,7 +669,7 @@ def test_slot_coefficients_equal_the_fraction_route(weight, center, D):
     integer row, is the Fraction table it replaced, built from the
     Fraction slots, entry for entry and in the same key order."""
     module = WeightedPolydiscModule(1, (weight,))
-    row = cleared_row(diag_coeff_rows(module, D)[0])
+    row = cleared_row(diag_coeff_rows(module.weights, D)[0])
     table, den = frames._slot_coefficients(row, center)
     assert all(type(x) is int for x in table.values())
     slots = diag_coeff_slots(module, D)[0]
@@ -866,7 +867,8 @@ def test_splitting_shares_equal_fraction_ratios(weights):
         assert [(k, F(x, denom)) for k, _, _, x in parts] == \
             [(k, mod.weights[k] * a[k] / total)
              for k in range(mod.dim) if a[k]]
-    for w, (nums, dens) in zip(mod.weights, diag_coeff_rows(mod, 4)):
+    for w, (nums, dens) in zip(mod.weights,
+                               diag_coeff_rows(mod.weights, 4)):
         assert list(map(F, nums, dens)) == \
             [pochhammer(w, n) / math.factorial(n) for n in range(5)]
 

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from submodcurv import invariants
+from submodcurv.cli import JobConfig, run_task
 from submodcurv.errors import DomainError, UnsupportedIdealError
-from submodcurv.invariants import (cubic_positive_roots, lambda_mu_equivalent,
-                                   lambda_mu_invariants, polydisc_rigidity,
-                                   polydisc_rigidity_report,
+from submodcurv.invariants import (cubic_positive_roots, lambda_mu_invariants,
+                                   polydisc_rigidity, polydisc_rigidity_report,
                                    principal_rigidity)
 
-from oracles import (count_roots_between, cubic_positive_roots_by_sturm,
-                     forbid_fraction_arithmetic, lambda_mu_by_fractions,
-                     refine_by_chain_count, squarefree_part, sturm_chain,
-                     upoly_divmod, upoly_eval, upoly_trim)
+from oracles import (count_roots_between, cubic_positive_roots_by_refine,
+                     cubic_positive_roots_by_sturm, forbid_fraction_arithmetic,
+                     lambda_mu_by_fractions, lambda_mu_equivalent,
+                     refine_by_chain_count, refine_by_integer_signs,
+                     squarefree_part, sturm_chain, upoly_divmod, upoly_eval,
+                     upoly_trim)
 
 
 def test_kappa_closed_forms():
@@ -54,6 +55,28 @@ def test_lambda_mu_equivalence_is_weight_equality():
     for l1, m1, l2, m2 in itertools.product(vals, repeat=4):
         want = (l1, m1) == (l2, m2)
         assert lambda_mu_equivalent(l1, m1, l2, m2) == want
+
+
+_pool_weight = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3),
+                                F(2, 7), F(11, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_weight, _pool_weight, _pool_weight, _pool_weight, st.booleans())
+def test_compare_row_agrees_with_lambda_mu_equivalent(l1, m1, l2, m2, same):
+    """The compare task's equivalent row, decided on the pairs it computes
+    once for its kappa rows, is lambda_mu_equivalent's answer, and the rows
+    are the pairs."""
+    if same:
+        l2, m2 = l1, m1
+    cfg = JobConfig(task="compare", dimension=2, weights=(l1, m1),
+                    generators=("z1", "z2"), compare_weights=(l2, m2))
+    rows = dict(run_task(cfg).results)
+    assert rows["equivalent"] is lambda_mu_equivalent(l1, m1, l2, m2)
+    assert (rows["kappa1_left"], rows["kappa2_left"]) == \
+        lambda_mu_invariants(l1, m1).as_pair()
+    assert (rows["kappa1_right"], rows["kappa2_right"]) == \
+        lambda_mu_invariants(l2, m2).as_pair()
 
 
 # -- the Sturm route kept as the cubic's reference -----------------------------
@@ -189,7 +212,8 @@ def test_refine_matches_chain_count_sweep(n, d):
 @given(_rationals, _rationals, _rationals, _rationals,
        st.integers(1, 3))
 def test_refine_matches_chain_count_on_one_root_intervals(r, s, a, w, k):
-    """_refine on (x - r)(x - s)^k, rational ends around r alone."""
+    """refine_by_integer_signs on (x - r)(x - s)^k, rational ends around r
+    alone."""
     width = abs(w) + F(1, 7)
     a, b = r - width * F(1, 3) - abs(a) / 5, r + width
     assume(not a <= s <= b)
@@ -199,7 +223,33 @@ def test_refine_matches_chain_count_on_one_root_intervals(r, s, a, w, k):
     p = tuple(x * F(3, 7) for x in p)
     chain = sturm_chain(squarefree_part(p))
     assert count_roots_between(chain, a, b) == 1
-    assert invariants._refine(p, a, b) == refine_by_chain_count(chain, a, b)
+    assert refine_by_integer_signs(p, a, b) == \
+        refine_by_chain_count(chain, a, b)
+
+
+_alphas = st.fractions(min_value=0, max_value=500,
+                      max_denominator=400).filter(lambda a: a > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alphas | st.sampled_from([F(1), F(2, 3), F(3, 2), F(1, 400), F(500)]))
+def test_cubic_routes_agree(alpha):
+    """The integer bisection, the bisection over Fraction coefficients and
+    Cauchy bound that it replaced, and the Sturm route give one report."""
+    want = cubic_positive_roots_by_sturm(alpha)
+    assert cubic_positive_roots(alpha) == want
+    assert cubic_positive_roots_by_refine(alpha) == want
+
+
+@pytest.mark.parametrize("alpha", [F(1), F(115, 41), F(7, 3), F(200)])
+def test_cubic_runs_in_integers(monkeypatch, alpha):
+    """No Fraction arithmetic or comparison runs in cubic_positive_roots:
+    it builds the four coefficients and the interval ends from integers."""
+    want = cubic_positive_roots_by_sturm(alpha)
+    forbid_fraction_arithmetic(monkeypatch)
+    got = cubic_positive_roots(alpha)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_cubic_rejects_nonpositive_alpha():

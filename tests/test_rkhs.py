@@ -920,7 +920,7 @@ def test_diag_coeff_rows_are_the_slots_in_lowest_terms(weights, N):
     terms, and cleared_row puts each row over the lcm S of its
     denominators as the integers R[n] = S poch(l, n)/n!."""
     module = WeightedPolydiscModule(len(weights), weights)
-    rows = diag_coeff_rows(module, N)
+    rows = diag_coeff_rows(module.weights, N)
     for (nums, dens), row in zip(rows, diag_coeff_slots(module, N)):
         assert all(math.gcd(x, d) == 1 and d > 0 for x, d in zip(nums, dens))
         assert [F(x, d) for x, d in zip(nums, dens)] == list(row)

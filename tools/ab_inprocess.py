@@ -13,18 +13,23 @@ workload's seeded schedule (``jobs.schedule``) that a benchmark run of
 ``jobs.RUN_SECONDS`` times (``jobs.timed_passes``), with the seed of rep r
 being ``--seed + r``.
 
+Every rep runs in a fresh interpreter (this file with ``--rep-seed``),
+as the benchmark's worker does, so no cache a rep fills, in either tree,
+is there at the start of the next: the first pass of each rep runs cold
+for both trees, as the worker's first pass does, and is timed like every
+other pass.  The interpreter prints the rep's job times as one JSON line.
+
 Jobs alternate one by one, and which tree runs first swaps on every job,
 so a drift in machine speed falls on both sides alike.  Each job is one
 ``cli.main(argv)`` call per tree with stdout and stderr captured, timed by
 the process CPU clock.  Any difference in stdout, stderr or exit code
-stops the run with exit status 1.  The tool prints the change/parent CPU
-ratio of every rep and of every slot (summed over all reps), then the
-median of the rep ratios, their quartiles (``statistics.quantiles``) and
-how many reps fell above and below 1; a ratio below 1 means the change is
-faster.
-
-The first pass of a rep warms both trees' caches as the benchmark
-worker's earlier passes do; it is timed like every other pass.
+stops the run with exit status 1.  For every rep the tool prints three
+change/parent ratios: of the summed CPU, and of the per-job 50th and 90th
+percentiles (``statistics.quantiles``, as the benchmark reads job_p50_ms
+and job_p90_ms).  Then the CPU ratio of every slot (summed over all reps),
+and for each of the three ratios the median over the reps, the quartiles
+and how many reps fell above and below 1; a ratio below 1 means the change
+is faster.
 
 With ``--setup N`` the tool times the benchmark's setup_s instead: N
 fresh-interpreter imports of ``submodcurv.cli`` from each tree, launched
@@ -43,8 +48,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -123,6 +130,72 @@ def run_job(cli, argv):
     return cpu, code, out.getvalue(), err.getvalue()
 
 
+def percentiles(values) -> tuple:
+    """(p50, p90) of job times, read as the benchmark reads them."""
+    deciles = statistics.quantiles(values, n=10)
+    return deciles[4], deciles[8]
+
+
+def run_rep(parent, change, workload, seed):
+    """One rep in this interpreter: (per-job (parent, change) CPU ns, slot
+    -> [parent, change] ns), or a mismatch message."""
+    # argparse wraps its usage message to the terminal width; the pinned
+    # bytes are those at 80 columns
+    os.environ["COLUMNS"] = "80"
+    jobs = load_jobs(change)
+    pool = jobs.pool(workload)
+    passes = jobs.timed_passes(workload, jobs.RUN_SECONDS)
+    sides = (load_package(parent, "submodcurv_parent"),
+             load_package(change, "submodcurv_change"))
+    times, slots = [], defaultdict(lambda: [0, 0])
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as workdir:
+        paths = {}
+        for name, job in pool.items():
+            path = Path(workdir, name.replace("/", "__") + ".cfg")
+            path.write_text(job.config, encoding="utf-8")
+            paths[name] = str(path)
+        flip = 0
+        for p in range(passes):
+            for name in jobs.schedule(workload, seed, p):
+                job_argv = pool[name].argv(paths[name])
+                order = (0, 1) if flip else (1, 0)
+                flip ^= 1
+                runs = {}
+                for side in order:
+                    runs[side] = run_job(sides[side], job_argv)
+                differ = [what for what, a, b in zip(
+                    ("exit code", "stdout", "stderr"), runs[0][1:],
+                    runs[1][1:]) if a != b]
+                if differ:
+                    return f"MISMATCH on {name}: {', '.join(differ)}"
+                times.append((runs[0][0], runs[1][0]))
+                slot = slots[name.rsplit("/", 1)[0]]
+                slot[0] += runs[0][0]
+                slot[1] += runs[1][0]
+    return times, dict(slots)
+
+
+def run_rep_in_fresh_interpreter(args, seed):
+    """run_rep in a new interpreter running this file, read from the JSON
+    line it prints."""
+    cmd = [sys.executable, __file__, "--parent", args.parent, "--change",
+           args.change, "--workload", args.workload, "--rep-seed",
+           str(seed)]
+    out = subprocess.run(cmd, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    return json.loads(out)
+
+
+def summarize(label, ratios):
+    # quantiles needs two points; one rep is its own quartiles
+    q1, _, q3 = (statistics.quantiles(ratios, n=4)
+                 if len(ratios) > 1 else ratios * 3)
+    above = sum(r > 1 for r in ratios)
+    below = sum(r < 1 for r in ratios)
+    print(f"{label}: median {statistics.median(ratios):.3f}, quartiles "
+          f"q1 {q1:.3f}, q3 {q3:.3f}; {above} reps above 1, {below} below")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -133,67 +206,46 @@ def main(argv=None):
     ap.add_argument("--setup", type=int, metavar="N",
                     help="time N fresh-interpreter imports per tree "
                          "instead of a workload")
+    ap.add_argument("--rep-seed", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.setup:
         return compare_setup(args.parent, args.change, args.setup)
     if args.workload is None:
         ap.error("give --workload or --setup")
+    if args.rep_seed is not None:
+        print(json.dumps(run_rep(args.parent, args.change, args.workload,
+                                 args.rep_seed)))
+        return 0
 
-    # argparse wraps its usage message to the terminal width; the pinned
-    # bytes are those at 80 columns
-    os.environ["COLUMNS"] = "80"
-    jobs = load_jobs(args.change)
-    pool = jobs.pool(args.workload)
-    passes = jobs.timed_passes(args.workload, jobs.RUN_SECONDS)
-    sides = (load_package(args.parent, "submodcurv_parent"),
-             load_package(args.change, "submodcurv_change"))
     slot_cpu = defaultdict(lambda: [0, 0])
-    rep_ratios = []
-    with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as workdir:
-        paths = {}
-        for name, job in pool.items():
-            path = Path(workdir, name.replace("/", "__") + ".cfg")
-            path.write_text(job.config, encoding="utf-8")
-            paths[name] = str(path)
-        flip = 0
-        for rep in range(args.reps):
-            totals = [0, 0]
-            for p in range(passes):
-                for name in jobs.schedule(args.workload, args.seed + rep, p):
-                    job_argv = pool[name].argv(paths[name])
-                    order = (0, 1) if flip else (1, 0)
-                    flip ^= 1
-                    runs = {}
-                    for side in order:
-                        runs[side] = run_job(sides[side], job_argv)
-                    differ = [what for what, a, b in zip(
-                        ("exit code", "stdout", "stderr"), runs[0][1:],
-                        runs[1][1:]) if a != b]
-                    if differ:
-                        print(f"MISMATCH on {name}: {', '.join(differ)}")
-                        return 1
-                    slot = name.rsplit("/", 1)[0]
-                    for side in (0, 1):
-                        totals[side] += runs[side][0]
-                        slot_cpu[slot][side] += runs[side][0]
-            ratio = totals[1] / totals[0]
-            rep_ratios.append(ratio)
-            print(f"rep {rep} (seed {args.seed + rep}): parent "
-                  f"{totals[0] / 1e6:.1f} ms, change {totals[1] / 1e6:.1f} "
-                  f"ms, ratio {ratio:.3f}", flush=True)
+    ratios = {"CPU": [], "job p50": [], "job p90": []}
+    for rep in range(args.reps):
+        seed = args.seed + rep
+        result = run_rep_in_fresh_interpreter(args, seed)
+        if isinstance(result, str):
+            print(result)
+            return 1
+        times, slots = result
+        parent, change = zip(*times)
+        rep_ratios = (sum(change) / sum(parent),
+                      *(c / p for p, c in zip(percentiles(parent),
+                                              percentiles(change))))
+        for values, ratio in zip(ratios.values(), rep_ratios):
+            values.append(ratio)
+        for slot, (p, c) in slots.items():
+            slot_cpu[slot][0] += p
+            slot_cpu[slot][1] += c
+        print(f"rep {rep} (seed {seed}): parent {sum(parent) / 1e6:.1f} ms, "
+              f"change {sum(change) / 1e6:.1f} ms, ratio "
+              f"{rep_ratios[0]:.3f}; job p50 ratio {rep_ratios[1]:.3f}, "
+              f"job p90 ratio {rep_ratios[2]:.3f}", flush=True)
     print("per slot (all reps):")
     for slot, (parent, change) in sorted(slot_cpu.items()):
         print(f"  {slot:32s} parent {parent / 1e6:9.1f} ms  change "
               f"{change / 1e6:9.1f} ms  ratio {change / parent:.3f}")
-    print(f"median ratio over {len(rep_ratios)} reps: "
-          f"{statistics.median(rep_ratios):.3f}")
-    # quantiles needs two points; one rep is its own quartiles
-    q1, _, q3 = (statistics.quantiles(rep_ratios, n=4)
-                 if len(rep_ratios) > 1 else rep_ratios * 3)
-    above = sum(r > 1 for r in rep_ratios)
-    below = sum(r < 1 for r in rep_ratios)
-    print(f"quartiles of the rep ratios: q1 {q1:.3f}, q3 {q3:.3f}; "
-          f"{above} reps above 1, {below} below")
+    print(f"over {args.reps} reps:")
+    for label, values in ratios.items():
+        summarize(f"  {label} ratio", values)
     return 0
 
 
