@@ -779,21 +779,23 @@ def _canonical_args(argv):
     so its usage and error bytes stay its own."""
     if len(argv) % 2 != 1 or argv[0] not in TASKS:
         return None
-    args = dict.fromkeys(_FLAG_ATTRS.values())
+    args = SimpleNamespace(task=argv[0], config=None, output=None,
+                           trunc_degree=None, ideal_degree=None, point=None)
+    given = vars(args)
     for flag, value in zip(argv[1::2], argv[2::2]):
         key = _FLAG_ATTRS.get(flag)
-        if key is None or args[key] is not None or value.startswith("-"):
+        if key is None or given[key] is not None or value.startswith("-"):
             return None
-        args[key] = value
-    if args["config"] is None or args["output"] not in (None, "text", "json"):
+        given[key] = value
+    if args.config is None or args.output not in (None, "text", "json"):
         return None
     for key in ("trunc_degree", "ideal_degree"):
-        if args[key] is not None:
+        if given[key] is not None:
             try:
-                args[key] = int(args[key])  # argparse's type=int
+                given[key] = int(given[key])  # argparse's type=int
             except ValueError:
                 return None
-    return SimpleNamespace(task=argv[0], **args)
+    return args
 
 
 def main(argv=None) -> int:
