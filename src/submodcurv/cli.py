@@ -169,27 +169,22 @@ FLAG_LABELS = {"output": "--output", "trunc_degree": "--trunc-degree",
 TASK_LABELS = {key: f"task.{key}" for key in SCHEMA["task"]}
 
 
-def _check_point(point, label):
-    if not in_open_polydisc(point):
-        raise InputError(f"point ({', '.join(str(x) for x in point)}) lies "
-                         "outside the open polydisc", field=label)
-
-
 def _check_fields(fields: dict, labels: dict):
     """The checks a field gets whether it comes from the config file or
     from a flag; labels maps each field to its name in messages."""
     if fields.get("output", "text") not in ("text", "json"):
         raise InputError("output must be text or json", field=labels["output"])
-    if fields.get("trunc_degree", 1) < 1:
-        raise InputError("trunc_degree must be >= 1",
-                         field=labels["trunc_degree"])
-    if fields.get("ideal_degree", 1) < 1:
-        raise InputError("ideal_degree must be >= 1",
-                         field=labels["ideal_degree"])
-    for point in fields.get("points", ()):
-        _check_point(point, labels["points"])
-    if "base_point" in fields:
-        _check_point(fields["base_point"], labels["base_point"])
+    for key in ("trunc_degree", "ideal_degree"):
+        if fields.get(key, 1) < 1:
+            raise InputError(f"{key} must be >= 1", field=labels[key])
+    for key, pts in (("points", fields.get("points", ())),
+                     ("base_point", (fields["base_point"],)
+                      if "base_point" in fields else ())):
+        for pt in pts:
+            if not in_open_polydisc(pt):
+                raise InputError(
+                    f"point ({', '.join(str(x) for x in pt)}) lies outside "
+                    "the open polydisc", field=labels[key])
 
 
 def _read_config(text: str):

@@ -6,12 +6,19 @@ coefficients, plus a small parser for the textual syntax used in config files
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Mapping
 
 from .algebra import (TermMap, clean_terms, exponent, format_terms,
                       mul_terms, unit)
 from .errors import DomainError, InputError, ShapeError
+
+
+@lru_cache(maxsize=16)
+def _poly_names(nvars: int) -> tuple:
+    """The variable names of a polynomial in nvars variables: z1..zn."""
+    return tuple(f"z{i+1}" for i in range(nvars))
 
 
 class Poly(TermMap):
@@ -98,8 +105,7 @@ class Poly(TermMap):
                                           for k, v in self.coeffs.items()})
 
     def __str__(self):
-        return format_terms(self.coeffs,
-                            tuple(f"z{i+1}" for i in range(self.nvars)))
+        return format_terms(self.coeffs, _poly_names(self.nvars))
 
     def __repr__(self):
         return f"Poly({self.nvars}: {self})"
