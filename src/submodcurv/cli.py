@@ -88,7 +88,6 @@ def _parse_rational(text: str, fieldname: str) -> tuple:
     return value, _echo_text(text, value)
 
 
-@functools.lru_cache(maxsize=256)
 def _parse_vector(text: str, fieldname: str) -> tuple:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -281,9 +280,18 @@ def _parse_section(sections, section, fields, echoes):
     if "catalogue" in sec and "generators" in sec:
         raise InputError("give either generators or a catalogue name, "
                          "not both", field="ideal")
-    for key, parse in parsers.items():
+    for key in parsers:
         if key in sec:
-            fields[key], echoes[key] = parse(sec[key], f"{section}.{key}")
+            fields[key], echoes[key] = _read_key(section, key, sec[key])
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_key(section: str, key: str, text: str) -> tuple:
+    """(value, echo) of one key's text, by its SCHEMA parser: a function
+    of the text alone, so each (section, key, text) is parsed once and
+    shared by every job that gives it.  A value that fails its check
+    raises every time, as lru_cache keeps no exception."""
+    return SCHEMA[section][key](text, f"{section}.{key}")
 
 
 def parse_config(text: str, args=None) -> JobConfig:
