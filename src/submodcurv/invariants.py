@@ -195,8 +195,8 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
     left = _curvature_battery(w1, data)
     right = _curvature_battery(w2, data)
     names = tuple(name for name, _ in left)
-    equivalent = [v for _, v in left] == [v for _, v in right]
-    return RigidityReport(equivalent, left, right, names)
+    # the batteries share their names: equal exactly when their values are
+    return RigidityReport(left == right, left, right, names)
 
 
 def polydisc_rigidity(weights1, exponents, weights2) -> bool:

@@ -226,6 +226,23 @@ def test_parse_is_the_schema_walk(text, args):
         _outcome(parse_config_by_schema_walk, text, args)
 
 
+def test_key_reads_are_shared_and_bounded():
+    """Each (section, key, text) is parsed once and its value shared by
+    every config that gives it; a bad value raises every time, under its
+    own key."""
+    cli._read_key.cache_clear()
+    text = ("[module]\ndimension = 2\nweights = 1 3/2\n[task]\nname = cubic\n"
+            "alpha = 2/4\n")
+    first, second = parse_config(text), parse_config(text)
+    assert first == second and first.weights is second.weights
+    info = cli._read_key.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+    assert info.maxsize is not None
+    for _ in range(2):
+        with pytest.raises(InputError, match="task.alpha"):
+            parse_config("[task]\nname = cubic\nalpha = x\n")
+
+
 # -- the report text ----------------------------------------------------------
 
 _scalar = st.one_of(
