@@ -782,13 +782,12 @@ def _canonical_args(argv):
     so its usage and error bytes stay its own."""
     if len(argv) % 2 != 1 or argv[0] not in TASKS:
         return None
-    if len(argv) == 3 and argv[1] == "--config" and argv[2][:1] != "-":
-        # the most common argv: its one flag is --config
-        return SimpleNamespace(task=argv[0], config=argv[2], output=None,
-                               trunc_degree=None, ideal_degree=None,
-                               point=None)
     args = SimpleNamespace(task=argv[0], config=None, output=None,
                            trunc_degree=None, ideal_degree=None, point=None)
+    if len(argv) == 3 and argv[1] == "--config" and argv[2][:1] != "-":
+        # the argv of nearly every job: --config alone needs no flag loop
+        args.config = argv[2]
+        return args
     given = vars(args)
     for flag, value in zip(argv[1::2], argv[2::2]):
         key = _FLAG_ATTRS.get(flag)
