@@ -54,6 +54,14 @@ reference for IdealSpec.vanishes_at) with their codimension and the minimality
 certificate, and the gauge action on metrics and curvature tensors.
 The reduced Groebner basis by Buchberger's algorithm in Fractions is the
 reference for one presentation per ideal (ROADMAP item 15).
+The routes of the job envelope that ROADMAP item 19 replaced are here
+too: the config parse by the walk over every schema entry with its
+_checked closures, the plain config reader by one regex per line, the
+input echo by str() of each Fraction, the report text by a recursive
+render of every row, the module weights by rat and a Fraction sign test,
+the rigidity battery checked through two modules, lambda_mu_equivalent,
+and the cubic over Fraction coefficients and a Cauchy bound with its
+integer bisection (refine_by_integer_signs).
 """
 
 from __future__ import annotations
