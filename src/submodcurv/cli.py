@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 config error, 3 violated mathematical precondition,
 from __future__ import annotations
 
 import functools
-import re
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -57,35 +56,20 @@ class JobConfig(NamedTuple):
     compare_weights: Optional[tuple] = None
 
 
-# the spellings str(Fraction) writes: 0, or a nonzero integer, or a nonzero
-# numerator over a denominator, in ASCII digits with no '+' and no leading 0
-_CANONICAL = r"0|-?[1-9][0-9]*(?:/([1-9][0-9]*))?"
-
-
-def _echo_text(text: str, value: Fraction) -> str:
-    """str(value) for the value read from text (stripped): text itself when
-    it is that spelling, that is, canonical and, as a ratio, in lowest
-    terms over a denominator above 1."""
-    canonical = re.fullmatch(_CANONICAL, text)
-    if canonical and (canonical[1] is None
-                      or value.denominator == int(canonical[1]) != 1):
-        return text
-    return str(value)
-
-
 # Each parser reads one key's text into (value, echo): the JobConfig value
-# and the report's echo of it, which for rationals is their text
-# (_echo_text).  Each checks its own value.
+# and the report's echo of it, which for rationals is str(value), written
+# once per text behind the memo.  Each checks its own value.
 
 @functools.lru_cache(maxsize=256)
 def _parse_rational(text: str, fieldname: str) -> tuple:
     text = text.strip()
     try:
         value = Fraction(text)
+        # str() raises on more digits than sys.get_int_max_str_digits()
+        return value, str(value)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"not a rational number: {text!r} ({e})",
                          field=fieldname)
-    return value, _echo_text(text, value)
 
 
 def _parse_vector(text: str, fieldname: str) -> tuple:
@@ -257,7 +241,7 @@ def _read_plain_config(text: str):
 
 
 # [cfg, echo] of the config parse_config returned last, echo the report's
-# input section read from the text: one entry, overwritten in place by
+# input section as the key reads wrote it: one entry, overwritten in place by
 # every parse.  _input_echo reads it for that JobConfig alone.
 _last_read = [None, {}]
 # the JobConfig defaults that the input section echoes when no key sets
@@ -359,7 +343,7 @@ def parse_config(text: str, args=None) -> JobConfig:
     _check_fields(fields, labels)
     cfg = JobConfig(task=task, **fields)
     # every field set but output, as _input_echo writes it: the defaults,
-    # then the fields read, rationals by their text
+    # then the fields read, each as its key read wrote it
     echo = {**_ECHOED_DEFAULTS, **echoes, "task": task}
     del echo["name"]
     echo.pop("output", None)
@@ -532,9 +516,9 @@ def _echo_value(value):
 
 def _input_echo(cfg: JobConfig) -> dict:
     """Every field of cfg but output that is set: for the config
-    parse_config returned last, the echo it read from the text, rationals
-    by their text; for any other, such as one built in code, each value as
-    _echo_value writes it."""
+    parse_config returned last, the echo its key reads wrote; for any
+    other, such as one built in code, each value as _echo_value writes
+    it."""
     read, echo = _last_read
     if read is cfg:
         return dict(echo)
@@ -683,8 +667,10 @@ def run_task(cfg: JobConfig) -> Report:
     if cfg.task == "decompose":
         report.add("frame_count", frame.count)
         report.add("frame_kind", frame.kind)
-        for k, gen in enumerate(frame.generator_polys()):
-            report.add(f"generator_{k+1}", str(gen))
+        for k, (v, p) in enumerate(zip(frame.gen_vars, frame.gen_powers)):
+            # the monic monomial z_{v+1}^p, as str(Poly) writes it
+            report.add(f"generator_{k+1}",
+                       f"z{v+1}" if p == 1 else f"z{v+1}^{p}")
             report.add(f"lead_coefficient_{k+1}", frame.lead_coeffs[k])
         # by share_numerators, shares sum to 1 on every divided kernel term
         report.add("reconstruction_exact", True)
@@ -766,43 +752,17 @@ def _build_parser():
     return parser
 
 
-# flag -> Namespace attribute, for the flags _build_parser gives every task
-_FLAG_ATTRS = {"--config": "config", "--output": "output",
-               "--trunc-degree": "trunc_degree",
-               "--ideal-degree": "ideal_degree", "--point": "point"}
-
-
 def _canonical_args(argv):
     """The attributes of the Namespace _build_parser().parse_args(argv)
-    returns, in a SimpleNamespace read without argparse when argv is
-    canonical: a task, then --config PATH and at most one each of the
-    other flags, every flag as '--flag value' with a value that does not
-    start with '-'.  None for any other argv (help, '=' or abbreviated
-    flags, repeats, a bad choice or integer), which argparse then reads,
-    so its usage and error bytes stay its own."""
-    if len(argv) % 2 != 1 or argv[0] not in TASKS:
+    returns, in a SimpleNamespace read without argparse, for the argv of
+    nearly every job: a task, then --config PATH, PATH not starting with
+    '-'.  None for any other argv, flags included, which argparse then
+    reads, so its values, usage and error bytes stay its own."""
+    if (len(argv) != 3 or argv[0] not in TASKS or argv[1] != "--config"
+            or argv[2][:1] == "-"):
         return None
-    args = SimpleNamespace(task=argv[0], config=None, output=None,
+    return SimpleNamespace(task=argv[0], config=argv[2], output=None,
                            trunc_degree=None, ideal_degree=None, point=None)
-    if len(argv) == 3 and argv[1] == "--config" and argv[2][:1] != "-":
-        # the argv of nearly every job: --config alone needs no flag loop
-        args.config = argv[2]
-        return args
-    given = vars(args)
-    for flag, value in zip(argv[1::2], argv[2::2]):
-        key = _FLAG_ATTRS.get(flag)
-        if key is None or given[key] is not None or value.startswith("-"):
-            return None
-        given[key] = value
-    if args.config is None or args.output not in (None, "text", "json"):
-        return None
-    for key in ("trunc_degree", "ideal_degree"):
-        if given[key] is not None:
-            try:
-                given[key] = int(given[key])  # argparse's type=int
-            except ValueError:
-                return None
-    return args
 
 
 def main(argv=None) -> int:

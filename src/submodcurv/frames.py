@@ -46,11 +46,10 @@ from typing import Optional
 
 from .algebra import (ZERO, Record, SeriesMatrix, TruncSeries,
                       _series_names, format_ratios, iter_multiindices, rat,
-                      rats, unit)
+                      rats)
 from .errors import DegeneracyError, DomainError, ShapeError, TruncationError
 from .ideals import IdealSpec
 from .linalg import _common_denominator, leading_principal_minors
-from .polynomials import Poly
 from .rkhs import (WeightedPolydiscModule, cleared_row, diag_coeff,
                    diag_coeff_rows, in_open_polydisc)
 
@@ -96,14 +95,6 @@ class FrameSeries(Record):
     @cached_property
     def vectors(self) -> tuple:
         return _build_splitting_frame(self)
-
-    def generator_polys(self):
-        """The monic monomial z_{v+1}^p of each generator, its term map
-        clean as built."""
-        m = self.module.dim
-        one = Fraction(1)
-        return tuple(Poly._trusted(m, {unit(m, v, p): one})
-                     for v, p in zip(self.gen_vars, self.gen_powers))
 
 
 def _recentered_monomials(frame) -> dict:

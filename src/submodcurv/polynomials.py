@@ -6,19 +6,12 @@ coefficients, plus a small parser for the textual syntax used in config files
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Mapping
 
 from .algebra import (TermMap, clean_terms, exponent, format_terms,
                       mul_terms, unit)
 from .errors import DomainError, InputError, ShapeError
-
-
-@lru_cache(maxsize=16)
-def _poly_names(nvars: int) -> tuple:
-    """The variable names of a polynomial in nvars variables: z1..zn."""
-    return tuple(f"z{i+1}" for i in range(nvars))
 
 
 class Poly(TermMap):
@@ -105,7 +98,8 @@ class Poly(TermMap):
                                           for k, v in self.coeffs.items()})
 
     def __str__(self):
-        return format_terms(self.coeffs, _poly_names(self.nvars))
+        return format_terms(self.coeffs,
+                            tuple(f"z{i+1}" for i in range(self.nvars)))
 
     def __repr__(self):
         return f"Poly({self.nvars}: {self})"
@@ -139,35 +133,41 @@ class _Tokenizer:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_number(self) -> Fraction:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        num = int(self.text[start:self.pos])
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            save = self.pos
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                # a '/' not followed by digits is not division we support
-                self.pos = save
-                return Fraction(num)
-            den = int(self.text[dstart:self.pos])
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def take_int(self) -> int:
-        self.skip_ws()
+    def take_digits(self):
+        """The int of the digits at pos, read past them; None for none.  An
+        InputError at their column when int() refuses them (a superscript
+        digit, or more than sys.get_int_max_str_digits())."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
+            return None
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as e:
+            raise InputError(f"polynomial syntax: bad number ({e})",
+                             column=start + 1) from None
+
+    def take_number(self) -> Fraction:
+        num = self.take_digits()
+        if self.text[self.pos:self.pos + 1] != "/":
+            return Fraction(num)
+        self.pos += 1
+        den = self.take_digits()
+        if den is None:
+            # a '/' not followed by digits is not division we support
+            self.pos -= 1
+            return Fraction(num)
+        if den == 0:
+            raise self.error("zero denominator")
+        return Fraction(num, den)
+
+    def take_int(self) -> int:
+        self.skip_ws()
+        n = self.take_digits()
+        if n is None:
             raise self.error("expected an integer exponent")
-        return int(self.text[start:self.pos])
+        return n
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
@@ -231,11 +231,9 @@ def parse_poly(text: str, nvars: int) -> Poly:
         if c == "z":
             tk.pos += 1
             start = tk.pos
-            while tk.pos < len(tk.text) and tk.text[tk.pos].isdigit():
-                tk.pos += 1
-            if start == tk.pos:
+            idx = tk.take_digits()
+            if idx is None:
                 raise tk.error("expected a variable index after 'z'")
-            idx = int(tk.text[start:tk.pos])
             if not 1 <= idx <= nvars:
                 raise InputError(
                     f"variable z{idx} out of range for {nvars} variables",

@@ -1248,9 +1248,12 @@ def format_terms_by_fraction_str(coeffs: dict, names) -> str:
 
 def parse_rational_by_fraction_str(text: str, fieldname: str) -> Fraction:
     """The rational parse of cli._parse_rational without its memo: every
-    spelling through Fraction(str)."""
+    spelling through Fraction(str), and a value that str() cannot write
+    (more digits than sys.get_int_max_str_digits()) refused as it is."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
+        str(value)
+        return value
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"not a rational number: {text.strip()!r} ({e})",
                          field=fieldname)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli
@@ -255,22 +255,44 @@ def test_metric_task_checks_its_grammian_once(monkeypatch):
     assert all(d > 0 for d in minors)
 
 
-def test_decompose_task_builds_generator_polys_once(monkeypatch):
-    from submodcurv.frames import FrameSeries
-    calls = []
-    generator_polys = FrameSeries.generator_polys
+def test_decompose_rows_are_written_without_poly(perfbench_jobs,
+                                                 monkeypatch):
+    """decompose writes each generator_k from the frame's variable and
+    power: no Poly.__str__ and no format_terms runs while run_task runs.
+    Each row is str(Poly.monomial(...)) of that generator, the reference,
+    on every golden and pooled decompose config."""
+    from submodcurv import algebra, polynomials
+    from submodcurv.algebra import unit
+    from submodcurv.polynomials import Poly
+    texts = [METRIC.replace("name = metric", "name = decompose")]
+    texts += [config.read_text(encoding="utf-8") for config in sorted(
+        (Path(__file__).parent / "golden" / "decompose").glob("*.ini"))]
+    texts += [job.config for workload in perfbench_jobs.WORKLOADS
+              for job in perfbench_jobs.pool(workload).values()
+              if job.task == "decompose" and job.valid]
 
-    def counted(self):
-        calls.append(self)
-        return generator_polys(self)
+    def refuse(*args):
+        raise AssertionError("a decompose row written through Poly")
 
-    monkeypatch.setattr(FrameSeries, "generator_polys", counted)
-    report = run_task(parse_config(METRIC.replace("name = metric",
-                                                  "name = decompose")))
-    assert len(calls) == 1
-    results = dict(report.results)
+    for text in texts:
+        cfg = parse_config(text)
+        assert cfg.task == "decompose"
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__str__", refuse)
+            patch.setattr(algebra, "format_terms", refuse)
+            patch.setattr(polynomials, "format_terms", refuse)
+            report = run_task(cfg)
+        frame = cli._build_frame(cfg, cli._build_module(cfg),
+                                 cli._build_ideal(cfg))
+        m = cfg.dimension
+        results = dict(report.results)
+        assert [results[f"generator_{k}"]
+                for k in range(1, results["frame_count"] + 1)] == [
+            str(Poly.monomial(m, unit(m, v, p)))
+            for v, p in zip(frame.gen_vars, frame.gen_powers)], text
+    results = dict(run_task(parse_config(texts[0])).results)
     assert [results["generator_1"], results["generator_2"]] == ["z1", "z2^2"]
-    assert results["reconstruction_exact"] is True
+    assert len(texts) > 100
 
 
 def test_metric_task_degenerate_frame_exit_3(tmp_path, capsys, monkeypatch):
@@ -463,6 +485,34 @@ def _config_error(tmp_path, capsys, task, config, flags=()):
     captured = capsys.readouterr()
     assert captured.out == ""
     return captured.err
+
+
+# Numbers past sys.get_int_max_str_digits(): a value that str() cannot
+# write, or digits that int() cannot read, are config errors naming the
+# field or the column, not a traceback.
+HUGE_NUMBERS = [
+    ("cubic", "[task]\nname = cubic\nalpha = 1e4300\n", "field 'task.alpha'"),
+    ("cubic", "[task]\nname = cubic\nalpha = -1e-4400\n",
+     "field 'task.alpha'"),
+    ("kernel", KERNEL_JOB.replace("weights = 1 1", "weights = 1 1e5000"),
+     "field 'module.weights'"),
+    ("kernel", KERNEL_JOB.replace("generators = z1",
+                                  "generators = " + "7" * 4400 + "*z1"),
+     "column 1) (field 'ideal.generators'"),
+    ("kernel", KERNEL_JOB.replace("generators = z1", "generators = z1^\u00b2"),
+     "column 4) (field 'ideal.generators'"),
+]
+
+
+@pytest.mark.parametrize("task, config, where", HUGE_NUMBERS,
+                         ids=["alpha", "alpha-denominator", "weight",
+                              "coefficient", "superscript-exponent"])
+def test_unwritable_numbers_are_config_errors(tmp_path, capsys, task, config,
+                                              where):
+    err = _config_error(tmp_path, capsys, task, config)
+    assert err.startswith("config error: ")
+    assert err.endswith(f"({where})\n")
+    assert "Traceback" not in err
 
 
 # One fault each, given by a flag and by the config key it overrides: both
@@ -954,6 +1004,7 @@ def test_default_section_is_a_config_error(tmp_path, capsys, config, error):
 
 
 @settings(max_examples=400, deadline=None)
+@example("1E4300")
 @given(st.from_regex(r"[ \t]*[+-]?[0-9]{1,4}(/[0-9]{1,3})?[ \t]*",
                      fullmatch=True)
        | st.text(st.sampled_from("0123456789+-/._eE \x0c\u0663\u00b2"),
@@ -1055,19 +1106,22 @@ def test_canonical_argv_reads_as_argparse_does(argv):
 
 
 def test_canonical_argv_cases():
-    # the pooled jobs' forms are read; every other form goes to argparse
+    # the pooled jobs' form, a task and --config PATH, is read; every other
+    # form goes to argparse, flags included
+    job = ["kernel", "--config", "a.cfg"]
+    assert vars(cli._canonical_args(job)) == \
+        vars(_build_parser().parse_args(job))
     full = ["kernel", "--config", "a.cfg", "--output", "json",
             "--trunc-degree", "5", "--ideal-degree", "\u0663",
             "--point", "1/2 0"]
-    assert vars(cli._canonical_args(full)) == {
+    assert vars(_build_parser().parse_args(full)) == {
         "task": "kernel", "config": "a.cfg", "output": "json",
         "trunc_degree": 5, "ideal_degree": 3, "point": "1/2 0"}
-    assert vars(cli._canonical_args(full)) == \
-        vars(_build_parser().parse_args(full))
-    for argv in (["kernel", "--config", "a.cfg", "--config", "b.cfg"],
+    for argv in (full, ["kernel", "--config", "a.cfg", "--output", "text"],
+                 ["kernel", "--config", "a.cfg", "--config", "b.cfg"],
                  ["kernel", "--config=a.cfg"],
                  ["kernel", "--conf", "a.cfg"],
-                 ["kernel", "-h"],
+                 ["kernel", "-h"], ["kernel", "--config", "-h"],
                  ["kernel", "--config", "a.cfg", "--point", "-1/2 0"],
                  ["kernel", "--config", "a.cfg", "--trunc-degree", "-3"],
                  ["kernel", "--config", "a.cfg", "--trunc-degree", "4.5"],
@@ -1075,6 +1129,26 @@ def test_canonical_argv_cases():
                  ["kernel", "--output", "json"],
                  ["kernel", "--config"], ["dance", "--config", "a.cfg"], []):
         assert cli._canonical_args(argv) is None, argv
+
+
+def test_canonical_argv_reads_the_pooled_jobs(perfbench_jobs, capsys):
+    """The shortcut reads the argv of every pooled job that passes no flag
+    as argparse does, and declines the 17 that pass flags, all of which
+    argparse refuses: a pool that adds a valid flag shows up here."""
+    flagged = []
+    for workload in perfbench_jobs.WORKLOADS:
+        for job in perfbench_jobs.pool(workload).values():
+            argv = job.argv("job.cfg")
+            if not job.extra:
+                assert vars(cli._canonical_args(argv)) == \
+                    vars(_build_parser().parse_args(argv)), job.key
+                continue
+            assert cli._canonical_args(argv) is None, job.key
+            with pytest.raises(SystemExit):
+                _build_parser().parse_args(argv)
+            flagged.append(job.key)
+    capsys.readouterr()
+    assert len(flagged) == 17
 
 
 def test_add_matrix_names_are_cached_per_name_and_shape():

@@ -1,6 +1,6 @@
 """The job envelope against the routes it replaced (tests/oracles.py): the
-plain config reader, the parse, the echo of rational inputs from their
-text, the report text, and the weight checks of the module constructor and
+plain config reader, the parse, the echo of rational inputs written with
+their parse, the report text, and the weight checks of the module constructor and
 the rigidity battery.  Each fast route must give the same values, the same
 errors and the same bytes."""
 
@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli
@@ -73,7 +73,7 @@ def test_plain_reader_reads_every_golden_and_pooled_config(perfbench_jobs):
         assert sections == read_plain_config_by_regex(text)
 
 
-# -- the echo of rationals from their text ------------------------------------
+# -- the echo of rationals, written with their parse --------------------------
 
 _SPELLINGS = ["2/4", "+1", "-0", "1/1", "007", " 3 ", "0/5", "-6/4", "3/1",
               "+2/3", "1_0", "1.5", "2e1", "-1/3", "0", "٣", "10/20"]
@@ -83,11 +83,21 @@ _rational_text = (st.sampled_from(_SPELLINGS) | _canonical
                                   r"[0-9]?)?[ ]?", fullmatch=True))
 
 
+def _examples(texts):
+    """@example(text) for each of texts."""
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return apply
+
+
 @settings(max_examples=500, deadline=None)
 @given(_rational_text)
+@_examples(_SPELLINGS + ["115/41", "-7", "12"])
 def test_rational_echo_is_the_str_echo(text):
-    """A rational's echo is its text when the text is canonical, else the
-    str() of its value: the old echo either way."""
+    """A rational's echo is the str() of its value, written once per text
+    by the memoized parse: the text itself when it is that spelling."""
     read = _outcome(cli._parse_rational, text, "task.alpha")
     if read[0] != "raised":
         value, echo = read
@@ -96,14 +106,14 @@ def test_rational_echo_is_the_str_echo(text):
 
 @pytest.mark.parametrize("text", _SPELLINGS + ["115/41", "-7", "12"])
 def test_the_echo_is_the_text_itself_when_canonical(text):
-    """_echo_text hands back the text itself exactly when it is the
-    spelling str() writes, and writes str() of the value otherwise."""
-    text = text.strip()
-    value = _outcome(F, text)
+    """The report's input section writes alpha as the text itself when it
+    is the spelling str() writes of its value, and as that spelling
+    otherwise."""
+    value = _outcome(F, text.strip())
     if isinstance(value, F):
-        echo = cli._echo_text(text, value)
-        assert echo == str(value)
-        assert (echo is text) == (str(value) == text)
+        cfg = parse_config(f"[task]\nname = cubic\nalpha = {text}\n")
+        report = render_report(Report("cubic", cli._input_echo(cfg)), "text")
+        assert f"  alpha = {value}" in report.splitlines()
 
 
 _positive_text = st.sampled_from(["2/4", "+1", "1/1", "007", "3", "1/2",
@@ -150,9 +160,9 @@ def _echo_outcome(text, args=None):
 @given(_rational_config(),
        st.sampled_from([None, "1/2 0", "2/4 -0", "0 0", "+1/3 1/7"]))
 def test_echo_from_text_is_the_str_echo(text, point):
-    """The echo parse_config reads from the text, canonical spellings or
-    not and with a --point override, is the echo of str() of every value
-    that the report wrote before."""
+    """The echo parse_config writes with its key reads, canonical
+    spellings or not and with a --point override, is the echo of str() of
+    every value that the report wrote before."""
     args = None
     if point is not None:
         cfg = _outcome(parse_config, text)
@@ -189,7 +199,7 @@ def test_echo_of_a_config_built_in_code():
 
 
 def test_echo_writes_no_fraction_str(monkeypatch):
-    """A canonical plain config: its echo is its text, so no
+    """A plain config: its echo was written by its key reads, so no
     Fraction.__str__ runs while _input_echo writes it."""
     text = ("[module]\ndimension = 3\nweights = 4 11/2 1/2\n\n[ideal]\n"
             "generators = z1^2, z2^2\n\n[task]\nname = kernel\n"
