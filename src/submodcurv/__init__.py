@@ -14,7 +14,7 @@ from .curvature import (CONVENTION, CurvatureTensor, PrincipalCurvaturePair,
                         det_bundle_curvature, principal_curvature_pair)
 from .errors import (DegeneracyError, DomainError, InputError, ShapeError,
                      SingularityError, SubmodcurvError, TruncationError,
-                     UnsupportedIdealError)
+                     UnsupportedIdealError, WorkLimitError)
 from .frames import (FrameSeries, MetricSeries, decompose_coordinate_ideal,
                      frame_on_zero_set, grammian, reconstruction_residual)
 from .ideals import (CATALOGUE, IdealSpec, LocalizationResult,
@@ -39,6 +39,7 @@ __all__ = [
     "RankOneCorrectedKernel", "RigidityReport", "SeriesMatrix",
     "ShapeError", "SingularityError", "SubmodcurvError", "TruncSeries",
     "TruncationError", "UnsupportedIdealError", "WeightedPolydiscModule",
+    "WorkLimitError",
     "cubic_positive_roots", "curvature_matrix", "curvature_tensor",
     "decompose_coordinate_ideal", "det_bundle_curvature", "diag_coeff",
     "frame_on_zero_set", "grammian", "iter_multiindices",

@@ -180,13 +180,22 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _monomial_text(names: tuple, k: tuple) -> str:
-    """The text of the monomial with exponent k, name^e*..., with unit
-    exponents and absent variables left out ("" for the constant
-    monomial)."""
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in zip(names, k) if e)
+@lru_cache(maxsize=128)
+def _term_layout(names: tuple, keys: tuple) -> tuple:
+    """(key, text, tail) per key, in graded-lex order: all that
+    format_ratios writes of a table but its coefficients, laid out once per
+    key set.  text is the monomial's name^e*..., with unit exponents and
+    absent variables left out, and tail is "*" + text; both are "" for the
+    constant monomial."""
+    # graded lex: lex order, then a stable sort by degree
+    ordered = sorted(keys)
+    ordered.sort(key=sum)
+    out = []
+    for k in ordered:
+        text = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, k) if e)
+        out.append((k, text, "*" + text if text else ""))
+    return tuple(out)
 
 
 def format_ratios(table: dict, names: tuple) -> str:
@@ -195,21 +204,19 @@ def format_ratios(table: dict, names: tuple) -> str:
     maps each exponent key to its coefficient as a (numerator,
     denominator) pair in lowest terms with a positive denominator, and the
     coefficient is written from those integers as str(Fraction) writes
-    it.  The package's one term formatter."""
+    it.  The order and the monomial texts come from _term_layout, once
+    per key set.  The package's one term formatter."""
     if not table:
         return "0"
-    # graded lex: lex order, then a stable sort by degree
-    keys = sorted(table)
-    keys.sort(key=sum)
     parts = []
-    for k in keys:
+    for k, text, tail in _term_layout(names, tuple(table)):
         n, d = table[k]
-        factors = _monomial_text(names, k)
-        if d == 1 and factors and (n == 1 or n == -1):
-            parts.append(factors if n == 1 else "-" + factors)
+        if d != 1:
+            parts.append(f"{n}/{d}{tail}")
+        elif text and (n == 1 or n == -1):
+            parts.append(text if n == 1 else "-" + text)
         else:
-            c = str(n) if d == 1 else f"{n}/{d}"
-            parts.append(f"{c}*{factors}" if factors else c)
+            parts.append(f"{n}{tail}")
     return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -32,6 +32,11 @@ class DegeneracyError(SubmodcurvError):
     """A frame is linearly dependent at its base point."""
 
 
+class WorkLimitError(SubmodcurvError):
+    """An input whose size, read before the work starts, passes the
+    documented limit of that work."""
+
+
 class UnsupportedIdealError(SubmodcurvError):
     """The ideal family is outside what the requested operation supports."""
 

@@ -17,7 +17,9 @@ w is on V(I) exactly when every generator is 0 at w
 dim J_N - dim J'_N for spaces of generator multiples of bounded degree,
 J'_N spanned by the integer rows (z_i - w_i) z^beta p_j on the Gram
 form's column keys, with no change of coordinates.  The defect never
-increases; stopping at two equal consecutive values is a heuristic.
+increases; stopping at two equal consecutive values is a heuristic.  Each
+ideal keeps the results it gave, per (point, max_degree), in a bounded
+memo of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ MONOMIAL = "monomial"
 COORDINATE_VANISHING = "coordinate_vanishing"
 CATALOGUED = "catalogued"
 GENERAL = "general"
+
+# the most localization results one IdealSpec keeps
+LOCALIZATION_MEMO_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,15 @@ class IdealSpec(Record):
                 raise UnsupportedIdealError(
                     f"generator {g} mixes variables; no closed-form frame")
         return tuple(sorted(least.items()))
+
+    @cached_property
+    def _localizations(self) -> dict:
+        """localization_dim's memo on this ideal: (point as Fractions,
+        max_degree) -> LocalizationResult, at most LOCALIZATION_MEMO_SIZE
+        entries, the oldest dropped first.  A module-level lru_cache could
+        not hold it: an IdealSpec hashes through its Polys, which do not
+        hash.  The results are immutable, so every caller may share one."""
+        return {}
 
     def vanishes_at(self, point) -> bool:
         """Whether the point lies on V(I): one integer sum per generator.
@@ -221,15 +235,22 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
     are flagged conditional: equal consecutive defects do not rule out a
     later drop (<z1^2, z2^2> in three variables at (1/3, 1/2, 0) has
     d_2 = d_3 = 2 and d_N = 1 from N = 4).
+
+    The ideal keeps each result in its memo (IdealSpec._localizations), so
+    a later call at the same point and max_degree returns it unbuilt.
     """
     m = ideal.nvars
-    w = [rat(x) for x in point]
+    w = tuple(map(rat, point))
     if len(w) != m:
         raise DomainError(f"point has arity {len(w)}, ideal lives in {m} variables")
     dmax = ideal.max_degree
     if max_degree < dmax + 1:
         raise DomainError(
             f"max_degree {max_degree} too small; need at least {dmax + 1}")
+    memo = ideal._localizations
+    result = memo.get((w, max_degree))
+    if result is not None:
+        return result
 
     units = key_units(m, max_degree + 1)
     gens = [(g.degree, keyed_terms(g.coeffs, units)) for g in ideal.generators]
@@ -259,5 +280,9 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
             stabilized_at = N
             break
 
-    return LocalizationResult(dims[-1][1], stabilized_at, tuple(dims),
-                              conditional=(ideal.family == GENERAL))
+    result = LocalizationResult(dims[-1][1], stabilized_at, tuple(dims),
+                                conditional=(ideal.family == GENERAL))
+    if len(memo) >= LOCALIZATION_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[w, max_degree] = result
+    return result

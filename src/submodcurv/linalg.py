@@ -279,12 +279,22 @@ class RowEchelon:
 def leading_principal_minors(A):
     """Determinants of the k-by-k upper-left blocks, k = 1..n.
 
-    They are the pivots of one BareissFactor sweep up to the first zero
-    one.  There the sweep moves a row or stops, so its later pivots are no
-    leading minors, and each remaining block takes one mat_det.
+    Of a diagonal matrix, which is every base-point matrix the Grammian
+    builders make, they are the running products of the diagonal.
+    Otherwise they are the pivots of one BareissFactor sweep up to the
+    first zero one.  There the sweep moves a row or stops, so its later
+    pivots are no leading minors, and each remaining block takes one
+    mat_det.
     """
     M = _square(A, "leading_principal_minors")
     n = len(M)
+    if not any(x for i, row in enumerate(M)
+               for j, x in enumerate(row) if i != j):
+        minors, acc = [], Fraction(1)
+        for i, row in enumerate(M):
+            acc *= row[i]
+            minors.append(acc)
+        return minors
     minors = BareissFactor(M).leading_minors()
     return minors + [mat_det([row[:k] for row in M[:k]])
                      for k in range(len(minors) + 1, n + 1)]

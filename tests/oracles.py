@@ -61,7 +61,11 @@ input echo by str() of each Fraction, the report text by a recursive
 render of every row, the module weights by rat and a Fraction sign test,
 the rigidity battery checked through two modules, lambda_mu_equivalent,
 and the cubic over Fraction coefficients and a Cauchy bound with its
-integer bisection (refine_by_integer_signs).
+integer bisection (refine_by_integer_signs).  The per-call routes that
+ROADMAP item 9's fast paths replaced close the list: the metric text by
+a sort of each table's keys on every call (format_ratios_by_sort), and
+the leading minors by one Bareiss sweep whatever the matrix
+(leading_minors_by_sweep).
 """
 
 from __future__ import annotations
@@ -194,6 +198,15 @@ def is_positive_definite(A) -> bool:
     cofactor determinant of each leading block, not the Bareiss sweep."""
     return all(cofactor_det([row[:k] for row in A[:k]]) > 0
                for k in range(1, len(A) + 1))
+
+
+def leading_minors_by_sweep(A) -> list:
+    """The linalg.leading_principal_minors that the diagonal fast path
+    shortcuts: one BareissFactor sweep's minors up to the first zero one,
+    then one mat_det per remaining leading block, whatever the matrix."""
+    minors = BareissFactor(A).leading_minors()
+    return minors + [mat_det([row[:k] for row in A[:k]])
+                     for k in range(len(minors) + 1, len(A) + 1)]
 
 
 def monomial_norm_sq(module: WeightedPolydiscModule, alpha) -> Fraction:
@@ -1243,6 +1256,28 @@ def format_terms_by_fraction_str(coeffs: dict, names) -> str:
             parts.append("-" + factors)
         else:
             parts.append(f"{v}*" + factors)
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def format_ratios_by_sort(table: dict, names) -> str:
+    """The algebra.format_ratios that the per-key-set layout replaced: the
+    table's keys sorted into graded-lex order and each monomial's text
+    built again on every call, each coefficient written from its
+    (numerator, denominator) pair."""
+    if not table:
+        return "0"
+    keys = sorted(table)
+    keys.sort(key=sum)
+    parts = []
+    for k in keys:
+        n, d = table[k]
+        factors = "*".join(name if e == 1 else f"{name}^{e}"
+                           for name, e in zip(names, k) if e)
+        if d == 1 and factors and (n == 1 or n == -1):
+            parts.append(factors if n == 1 else "-" + factors)
+        else:
+            c = str(n) if d == 1 else f"{n}/{d}"
+            parts.append(f"{c}*{factors}" if factors else c)
     return " + ".join(parts).replace("+ -", "- ")
 
 

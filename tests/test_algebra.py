@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodcurv import algebra
 from submodcurv.algebra import (SeriesMatrix, TruncSeries,
-                                clean_terms, cofactor_det, format_terms,
+                                clean_terms, cofactor_det, format_ratios,
+                                format_terms,
                                 iter_multiindices, rat, series_inverse,
                                 series_log)
 from submodcurv.cli import parse_config
@@ -25,7 +27,8 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              ambient_kernel_bounded, diag_coeff)
 
 from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
-                     format_terms_by_fraction_str, geometric_sum,
+                     format_ratios_by_sort, format_terms_by_fraction_str,
+                     geometric_sum,
                      is_hermitian_by_pair_loop, mixed_hessian,
                      multiindices_by_recursion, pochhammer, series_exp,
                      series_identity, series_matmul, series_w)
@@ -279,6 +282,57 @@ def test_format_terms_matches_fraction_text(case):
         assert str(series) == format_terms_by_fraction_str(
             coeffs, [f"w{i+1}" for i in range(m)]
             + [f"wb{i+1}" for i in range(m)])
+
+
+@st.composite
+def _tables_over_one_key_set(draw):
+    """Three coefficient tables over one key set in n <= 4 variables, each
+    inserted in the same drawn order, as a builder writes them on every
+    job of one shape; the constant key is in about half of the sets, and
+    the coefficients are often 1, -1 or integers."""
+    n = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1,
+                         max_size=8, unique=True))
+    if draw(st.booleans()) and (0,) * n not in keys:
+        keys.append((0,) * n)
+    keys = draw(st.permutations(keys))
+    return n, [{k: draw(_coefficient).as_integer_ratio() for k in keys}
+               for _ in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_over_one_key_set())
+def test_format_ratios_lays_out_each_key_set_once(case):
+    """format_ratios writes what the per-call sort wrote and what the
+    str(Fraction) route writes, for every table over a key set it has laid
+    out before, with new coefficients; the later tables reuse the
+    layout."""
+    n, tables = case
+    names = tuple(f"w{i+1}" for i in range(n))
+    algebra._term_layout.cache_clear()
+    for table in tables:
+        text = format_ratios(table, names)
+        assert text == format_ratios_by_sort(table, names)
+        assert text == format_terms_by_fraction_str(
+            {k: F(*v) for k, v in table.items()}, names)
+    info = algebra._term_layout.cache_info()
+    assert (info.misses, info.hits) == (1, len(tables) - 1)
+
+
+@pytest.mark.parametrize("table,text", [
+    ({}, "0"),
+    ({(0, 0): (1, 1)}, "1"),
+    ({(0, 0): (-1, 1)}, "-1"),
+    ({(0, 0): (-1, 2)}, "-1/2"),
+    ({(1, 0): (1, 1)}, "w1"),
+    ({(1, 0): (-1, 1), (0, 0): (1, 1)}, "1 - w1"),
+    ({(0, 2): (-1, 1), (1, 1): (3, 1), (0, 0): (-7, 3)},
+     "-7/3 - w2^2 + 3*w1*w2"),
+    ({(1, 0): (-1, 2), (0, 1): (1, 2)}, "1/2*w2 - 1/2*w1"),
+])
+def test_format_ratios_writes_unit_integer_and_constant_terms(table, text):
+    assert format_ratios(table, ("w1", "w2")) == text
+    assert format_ratios_by_sort(table, ("w1", "w2")) == text
 
 
 def _assert_clean(coeffs, width, cap=None):

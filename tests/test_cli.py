@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -513,6 +514,21 @@ def test_unwritable_numbers_are_config_errors(tmp_path, capsys, task, config,
     assert err.startswith("config error: ")
     assert err.endswith(f"({where})\n")
     assert "Traceback" not in err
+
+
+def test_an_alpha_past_the_cubic_limit_exits_3_at_once(tmp_path, capsys):
+    """alpha = 1e4000 parses, but its bisection would take seconds and its
+    interval ends would pass the digits str() writes: the job exits 3
+    before the bisection, naming alpha's size and the limit."""
+    path = _write(tmp_path, "[task]\nname = cubic\nalpha = 1e4000\n")
+    start = time.process_time()
+    assert main(["cubic", "--config", path]) == 3
+    assert time.process_time() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: alpha has 13289 bits in its numerator and "
+        "denominator, past the cubic's limit of 4096\n")
 
 
 # One fault each, given by a flag and by the config key it overrides: both

@@ -347,6 +347,44 @@ def test_dependent_frame_fails_positivity():
         grammian(doctored)
 
 
+@pytest.mark.parametrize("lead", [F(0), F(-2, 3)])
+def test_degenerate_frame_names_the_minors_of_the_sweep(monkeypatch, lead):
+    """A zero or negative lead coefficient puts an entry <= 0 on the
+    diagonal base-point matrix; the running products of the diagonal give
+    the DegeneracyError text of the Bareiss sweep route, byte for byte."""
+    mod = WeightedPolydiscModule(3, (1, 1, 1))
+    good = frame_on_zero_set(mod, coordinate_powers(3, (1, 2)),
+                             (F(0), F(0), F(1, 3)), 3)
+    doctored = good._replace(lead_coeffs=(good.lead_coeffs[0], lead))
+    with pytest.raises(DegeneracyError) as fast:
+        grammian(doctored)
+    monkeypatch.setattr(frames, "leading_principal_minors",
+                        oracles.leading_minors_by_sweep)
+    with pytest.raises(DegeneracyError) as swept:
+        grammian(doctored)
+    assert str(fast.value) == str(swept.value)
+    assert "principal minors [Fraction(" in str(fast.value)
+
+
+@pytest.mark.parametrize("m,weights,trunc", [
+    (2, (1, 1), 3), (3, (F(1, 2), 2, F(3, 4)), 4), (4, (1, 2, 3, 4), 3)])
+def test_both_builders_make_a_diagonal_base_point_matrix(m, weights, trunc):
+    """The coordinate and the zero-set Grammian are diagonal at the base
+    point, so grammian takes the running products of the diagonal, and
+    they are the minors of the Bareiss sweep."""
+    mod = WeightedPolydiscModule(m, weights)
+    base = (F(0), F(0)) + (F(1, 3),) * (m - 2)
+    for frame in (decompose_coordinate_ideal(mod, trunc),
+                  frame_on_zero_set(mod, coordinate_powers(m, (1, 2)),
+                                    base, trunc)):
+        metric = grammian(frame)
+        at_base = metric.value_at_base()
+        assert all(not x for i, row in enumerate(at_base)
+                   for j, x in enumerate(row) if i != j)
+        assert list(metric.minors) == \
+            oracles.leading_minors_by_sweep(at_base)
+
+
 def test_base_point_outside_polydisc_rejected():
     mod = WeightedPolydiscModule(2, (1, 1))
     with pytest.raises(DomainError):

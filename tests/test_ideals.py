@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import submodcurv.cli as cli
+from submodcurv import ideals
 from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import IdealSpec, localization_dim
@@ -540,6 +541,47 @@ def _colliding_localizations(draw):
                                  (0, 1): F(-1)}),)), (F(0), F(1, 3)), 4))
 def test_localization_adds_colliding_shifts(case):
     assert localization_dim(*case) == localization_dim_two_spans(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_localizations(), _small.filter(bool))
+def test_localization_memo_answers_as_a_fresh_ideal(case, step):
+    """A repeated call returns the memo's entry, which is what a fresh
+    IdealSpec of the same generators and the two-span route give; another
+    point, another max_degree and another IdealSpec never share it."""
+    ideal, point, cap = case
+    first = localization_dim(ideal, point, cap)
+    assert localization_dim(ideal, point, cap) is first
+    fresh = IdealSpec(ideal.nvars, ideal.generators)
+    assert fresh._localizations == {}
+    assert localization_dim(fresh, point, cap) == first == \
+        localization_dim_two_spans(ideal, point, cap)
+    moved = (point[0] + step,) + point[1:]
+    for other, other_cap in ((moved, cap), (point, cap + 1)):
+        got = localization_dim(ideal, other, other_cap)
+        assert got == localization_dim_two_spans(ideal, other, other_cap)
+    assert list(ideal._localizations) == [
+        (point, cap), (moved, cap), (point, cap + 1)]
+    assert ideal._localizations[point, cap] is first
+    assert list(fresh._localizations) == [(point, cap)]
+
+
+def test_localization_memo_keeps_its_bound():
+    """The memo holds at most LOCALIZATION_MEMO_SIZE results, dropping the
+    oldest first; a dropped point is answered again, equal.  A float
+    point equal to a kept key is still refused."""
+    ideal = IdealSpec(1, _gens(1, "z1"))
+    size = ideals.LOCALIZATION_MEMO_SIZE
+    points = [(F(k, 2 * size),) for k in range(size + 5)]
+    results = [localization_dim(ideal, p, 2) for p in points]
+    assert list(ideal._localizations) == [(p, 2) for p in points[5:]]
+    again = localization_dim(ideal, points[0], 2)
+    assert again is not results[0]
+    assert again == results[0] == \
+        localization_dim_two_spans(ideal, points[0], 2)
+    assert len(ideal._localizations) == size
+    with pytest.raises(DomainError):
+        localization_dim(ideal, (0.5,), 2)
 
 
 @pytest.mark.xfail(strict=True, reason="two equal consecutive defects stop "

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from submodcurv.cli import JobConfig, run_task
-from submodcurv.errors import DomainError, UnsupportedIdealError
-from submodcurv.invariants import (cubic_positive_roots, lambda_mu_invariants,
+from submodcurv.errors import (DomainError, UnsupportedIdealError,
+                               WorkLimitError)
+from submodcurv.invariants import (CUBIC_ALPHA_BITS, cubic_positive_roots,
+                                   lambda_mu_invariants,
                                    polydisc_rigidity, polydisc_rigidity_report,
                                    principal_rigidity)
 
@@ -17,6 +19,22 @@ from oracles import (count_roots_between, cubic_positive_roots_by_refine,
                      refine_by_chain_count, refine_by_integer_signs,
                      squarefree_part, sturm_chain, upoly_divmod, upoly_eval,
                      upoly_trim)
+
+
+def test_cubic_size_limit_is_the_bits_of_alpha():
+    """An alpha with CUBIC_ALPHA_BITS bits in its numerator and denominator
+    together is bisected, and one bit more is refused before the
+    bisection, naming the size and the limit; at a denominator past the
+    limit the bisection is short, so the bits, not the steps, decide."""
+    at_limit = F(1, 2 ** (CUBIC_ALPHA_BITS - 2))
+    assert cubic_positive_roots(at_limit) == \
+        cubic_positive_roots_by_refine(at_limit)
+    for past in (at_limit / 2, F(2 ** CUBIC_ALPHA_BITS - 1)):
+        with pytest.raises(WorkLimitError) as err:
+            cubic_positive_roots(past)
+        assert str(err.value) == (
+            f"alpha has {CUBIC_ALPHA_BITS + 1} bits in its numerator and "
+            f"denominator, past the cubic's limit of {CUBIC_ALPHA_BITS}")
 
 
 def test_kappa_closed_forms():

@@ -14,7 +14,7 @@ from submodcurv.linalg import (BareissFactor, RowEchelon, key_units,
                                mat_inverse, mat_mul, mat_rank, mat_solve)
 
 from oracles import (_rref, cleared_row, inverse_form, is_positive_definite,
-                     mat_identity, nullspace)
+                     leading_minors_by_sweep, mat_identity, nullspace)
 
 
 def _brute_det(m):
@@ -213,6 +213,35 @@ def test_leading_minors_are_the_brute_minors_to_the_first_zero(a):
 @given(_matrices_with_zero_minors())
 def test_rank_matches_gauss_jordan(a):
     assert mat_rank(a) == len(_rref([list(row) for row in a])[1])
+
+
+@st.composite
+def _diagonal_matrices(draw):
+    """Small diagonal matrices of Fractions or of ints, entries <= 0
+    included, and in about half of the draws one nonzero entry off the
+    diagonal, which sends them through the sweep."""
+    n = draw(st.integers(1, 5))
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(_ENTRIES)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i][j] = draw(_ENTRIES.filter(bool))
+    if draw(st.booleans()):
+        a = [[int(x) if x.denominator == 1 else x for x in row] for row in a]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagonal_matrices())
+def test_leading_minors_of_diagonal_matrices_match_the_sweep(a):
+    """The running products of a diagonal are the minors of the Bareiss
+    sweep and of mat_det on each block, with the same types, so an error
+    that prints them prints the same text."""
+    got = leading_principal_minors(a)
+    assert got == [mat_det([row[:k] for row in a[:k]])
+                   for k in range(1, len(a) + 1)]
+    assert repr(got) == repr(leading_minors_by_sweep(a))
 
 
 def test_leading_minors_past_a_zero_pivot():
