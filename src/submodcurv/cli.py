@@ -25,7 +25,7 @@ from .algebra import ZERO
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
                         principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
-                     UnsupportedIdealError)
+                     UnsupportedIdealError, WorkLimitError)
 from .frames import (COORDINATE_KIND, decompose_coordinate_ideal,
                      frame_on_zero_set, grammian)
 from .ideals import (CATALOGUE, GENERAL, MONOMIAL, IdealSpec,
@@ -780,7 +780,17 @@ def main(argv=None) -> int:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         cfg = parse_config(text, args)
         report = run_task(cfg)
-        sys.stdout.write(render_report(report, cfg.output))
+        try:
+            out = render_report(report, cfg.output)
+        except ValueError as e:
+            # str() and json write no int past sys.get_int_max_str_digits()
+            if not str(e).startswith("Exceeds the limit"):
+                raise
+            raise WorkLimitError(
+                "a result has more digits than the limit of "
+                f"{sys.get_int_max_str_digits()} that Python writes "
+                "(sys.get_int_max_str_digits())") from e
+        sys.stdout.write(out)
         return 0
     except InputError as e:
         sys.stderr.write(f"config error: {e}\n")

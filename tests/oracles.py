@@ -1,71 +1,48 @@
 """Independent oracles and helpers that only the tests use.
 
-The library computes every invariant in exact rational arithmetic.  The
-floating-point finite-difference oracles here check it from outside: they
-evaluate the frame norms and the coordinate Grammian determinant directly
-in floats and difference them, with no truncated-series arithmetic.  The
-exact helpers (series exponential, series matrix product and identity,
-rational identity matrix, Sylvester's criterion, a frame vector frozen at
-its base point, the geometric sum, the rising factorial) build fixtures
-and references for the unit tests.  The reconstruction residual by full
-series products and the Horner expansion of a recentered inverse power,
-with the power product of the base-point constant, are the references
-for the library's share-sum residual, coefficient-table metric and its
-scale.  The routes the
-integer fast paths replaced stay here as their references: the localization
-dimension by two Fraction echelon forms, the cubic's positive roots by a
-squarefree part, a Sturm chain and chain-count bisection, and the
-coordinate Grammian and curvature blocks with Fraction splitting shares,
-the coordinate kernel-term walk that enumerated its exponents on every
-call, and the report's matrix rows with one formatted name per entry; the
-zero-set metric from Fraction slot tables, the curvature block trace by
-pairwise Fraction sums, membership by evaluating each generator in
-Fractions, and the lambda-mu pair in Fraction arithmetic, with a guard
-that makes Fraction arithmetic raise where only integers should run; the
-Fraction table of poch(l, n)/n! (diag_coeff_slots, from pochhammer) that
-the integer rows of rkhs.diag_coeff_rows replaced, and the recursive
-exponent walk run on every call that the cached tuple of
-algebra.iter_multiindices replaced.
-So do the input routes that term maps and integers replaced: the
-polynomial parse by Poly arithmetic from the constant 1, the centring of a
-generator by evaluating it at the polynomials z_i + w_i (the two-span
-localization works in coordinates centred at w; the library's works in
-z, with no centring), the config parse
-by configparser and the rational parse by Fraction(str); the term text of
-series and polynomials by str(Fraction), the reference for format_terms;
-the Hermitian check as a loop over each pair's coefficients, which the
-Grammian builders meet by construction; and Gauss-Jordan elimination over
-Fraction, the nullspace reference.  The kernel routes are here
-too: the remainder bound, the integer-weight ambient kernel
-(ambient_kernel_exact, public until no kernel called it) and the monomial
-closed form in Fractions, the rank-one correction with all four ambient
-evaluations, the Gram complement from the full table of c_a, and the
-Gram form on the Fraction route (a Poly per candidate, the Fraction null
-vector, c_a and H in Fractions, and u^T A^{-1} v as one Fraction per
-block), with the Fraction views of an integer GramFormKernel and its
-constructor from Fraction blocks; with them the monomial inner product
-that the Gram-form tests build Gram matrices from, and the integer row
-that RowEchelon takes.  Last, the public API that nothing but the tests read:
-the monomial w_i of a series, evaluation, coefficient lookup and
-conjugation of term maps, the mixed
-Hessian and line curvature of a scalar metric, the nullspace, the Hardy
-module, coordinate-power ideals, the zero-set descriptors (a second
-reference for IdealSpec.vanishes_at) with their codimension and the minimality
-certificate, and the gauge action on metrics and curvature tensors.
-The reduced Groebner basis by Buchberger's algorithm in Fractions is the
-reference for one presentation per ideal (ROADMAP item 15).
-The routes of the job envelope that ROADMAP item 19 replaced are here
-too: the config parse by the walk over every schema entry with its
-_checked closures, the plain config reader by one regex per line, the
-input echo by str() of each Fraction, the report text by a recursive
-render of every row, the module weights by rat and a Fraction sign test,
-the rigidity battery checked through two modules, lambda_mu_equivalent,
-and the cubic over Fraction coefficients and a Cauchy bound with its
-integer bisection (refine_by_integer_signs).  The per-call routes that
-ROADMAP item 9's fast paths replaced close the list: the metric text by
-a sort of each table's keys on every call (format_ratios_by_sort), and
-the leading minors by one Bareiss sweep whatever the matrix
-(leading_minors_by_sweep).
+Each layer of the library is checked against one reference, the one
+furthest from src/ (a second only where a test says why), one line each:
+
+- poch(l, n)/n! rows: pochhammer and diag_coeff_slots, as products.
+- algebra.iter_multiindices: multiindices_by_recursion.
+- term text (format_ratios, format_terms): format_terms_by_fraction_str.
+- linalg.leading_principal_minors: leading_minors_by_sweep.
+- RowEchelon rank and null vectors: _rref, Gauss-Jordan over Fraction.
+- IdealSpec.vanishes_at: zero_set and its descriptors, with codim and
+  minimality_certificate.
+- IdealSpec.coordinate_powers: coordinate_power_data_by_pair_scan.
+- localization_dim: localization_dim_two_spans over FractionRowEchelon.
+- reduced presentation (ROADMAP item 15): reduced_groebner_basis.
+- frames.reconstruction_residual: full_reconstruction_residual.
+- zero-set metric and scale: recentered_inverse_power (Horner), PowerProduct.
+- coordinate Grammian: metric_by_fraction_shares.
+- curvature blocks: coordinate_tensor_by_fraction_shares.
+- frames.coordinate_terms: coordinate_terms_by_enumeration.
+- curvature block trace: trace_by_fraction_sum.
+- Hermitian rows: is_hermitian_by_pair_loop.
+- lambda-mu pair and compare row: lambda_mu_by_fractions, lambda_mu_equivalent.
+- rigidity battery: polydisc_rigidity_report_by_modules, module_weights_by_rat.
+- cubic: cubic_positive_roots_by_sturm (squarefree part, Sturm chain).
+- diagonal tail bound: diagonal_tail_bound_by_fractions.
+- ambient and filtered kernels: ambient_kernel_exact,
+  filtered_kernel_by_corner_loop.
+- rank-one kernel: rank_one_by_four_calls.
+- BareissFactor.solve: inverse_form.
+- polynomial parse and centring: parse_poly_by_poly_arithmetic,
+  centre_by_eval_terms.
+- rational parse: parse_rational_by_fraction_str, parse_vector_by_fraction_str.
+- parse_config: parse_config_by_configparser and parse_config_by_schema_walk.
+- plain config reader: sections_by_configparser.
+- input echo and report text: input_echo_by_fraction_str,
+  render_text_by_recursion, matrix_rows_by_fstring.
+- curvature from outside: fd_mixed_hessian and fd_log_hessian, in floats.
+
+The Gram form's reference, a Gram-Schmidt run, is in tests/test_rkhs.py;
+gram_complement and gram_blocks only read a GramFormKernel as Fractions.
+The rest are helpers and fixtures: series and matrix builders, term-map
+evaluation, the gauge action, the Hardy module, coordinate-power ideals,
+the monomial inner product, and forbid_fraction_arithmetic, a guard that
+makes Fraction arithmetic raise where only integers should run.
 """
 
 from __future__ import annotations
@@ -74,7 +51,6 @@ import configparser
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -99,8 +75,7 @@ from submodcurv.linalg import (BareissFactor, RowEchelon, _common_denominator,
 from submodcurv.polynomials import Poly, _Tokenizer, parse_poly
 from submodcurv.rkhs import (DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
-                             _check_point, _components,
-                             ambient_kernel_bounded, diag_coeff)
+                             _check_point, ambient_kernel_bounded, diag_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +313,6 @@ def cleared_row(row: dict) -> dict:
     dict, which add may keep or reduce."""
     ints, _ = _common_denominator(list(row.values()))
     return {c: x for c, x in zip(row, ints) if x}
-
-
-def null_vector_by_fractions(echelon: RowEchelon, free) -> dict:
-    """The Fraction back-substitution that RowEchelon.null_vector's integer
-    one replaced: the null vector of the kept rows with 1 at the free column
-    and 0 at every other free column, as a sparse dict of Fractions; the
-    leads below the free column, in descending order, each take the value
-    that clears their row (divided by the row's lead entry)."""
-    g = {free: Fraction(1)}
-    for lead in sorted((c for c in echelon.rows if c < free), reverse=True):
-        row = echelon.rows[lead]
-        x = -sum(v * g[c] for c, v in row.items() if c in g)
-        if x:
-            g[lead] = x / row[lead]
-    return g
 
 
 def hardy(dim: int) -> WeightedPolydiscModule:
@@ -728,58 +688,6 @@ def coordinate_terms_by_enumeration(frame: FrameSeries, low: int, top: int):
                          for k, v, _, x in parts]
 
 
-def slot_coefficients_by_fractions(row, c) -> dict:
-    """The frames._slot_coefficients table that integer numerators over
-    one denominator replaced: (beta, gamma) -> the Fraction [u^beta ub^gamma]
-    of ((1 - (c+u)(c+ub)) / (1 - c^2))^(-l), beta + gamma <= trunc, zero
-    entries left out, as sum_j C(beta, j) C(n-j, beta) lq[n-j] c^(n-2j),
-    n = beta + gamma, lq[k] = row[k] q^k and q = 1/(1 - c^2)."""
-    trunc = len(row) - 1
-    q = 1 / (1 - c * c)
-    lq = [x * q ** k for k, x in enumerate(row)]
-    cpow = [c ** k for k in range(trunc + 1)]
-    table = {}
-    for b in range(trunc // 2 + 1):
-        for n in range(2 * b, trunc + 1):
-            x = sum(math.comb(b, j) * math.comb(n - j, b) * lq[n - j]
-                    * cpow[n - 2 * j] for j in range(b + 1))
-            if x:
-                table[b, n - b] = table[n - b, b] = x
-    return table
-
-
-def metric_by_fraction_tables(frame: FrameSeries):
-    """The zero-set Grammian (matrix, scale) that frames.
-    _metric_by_closed_form built before its tables and outer product went
-    to integers: the Fraction slot tables multiplied entry by entry, and
-    every H_kk the common series scaled by lead_k times the folded
-    constant; the keys go in in the same order."""
-    module = frame.module
-    m = module.dim
-    D = frame.trunc
-    powers = {}
-    slots = diag_coeff_slots(module, D)
-    terms = {(0,) * (2 * m): Fraction(1)}
-    for i in frame.free_slots:
-        c = rat(frame.base_point[i])
-        if c:
-            powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
-        table = slot_coefficients_by_fractions(slots[i], c).items()
-        terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
-                 for k, a in terms.items() for room in (D - sum(k),)
-                 for (b, g), x in table if b + g <= room}
-    common = TruncSeries._trusted(m, D, terms)
-    if all(e.denominator == 1 for e in powers.values()):
-        fold, scale = math.prod(b ** int(e) for b, e in powers.items()), None
-    else:
-        fold, scale = 1, " * ".join(f"({b})^({e})"
-                                    for b, e in sorted(powers.items()))
-    t = frame.count
-    return SeriesMatrix([[common.scale(frame.lead_coeffs[k] * fold)
-                          if k == j else TruncSeries.zero(m, D)
-                          for j in range(t)] for k in range(t)]), scale
-
-
 def coordinate_power_data_by_pair_scan(ideal: IdealSpec) -> list:
     """The zero-set frame data that IdealSpec.coordinate_powers reads in
     one pass: (var, power) per minimal generator, sorted, found by testing
@@ -814,18 +722,6 @@ def trace_by_fraction_sum(block) -> Fraction:
     denominators replaced: the nonzero diagonal entries added pairwise."""
     diagonal = [row[k] for k, row in enumerate(block) if row[k]]
     return sum(diagonal[1:], diagonal[0]) if diagonal else Fraction(0)
-
-
-def vanishes_at_by_fractions(ideal: IdealSpec, point) -> bool:
-    """The IdealSpec.vanishes_at that one integer sum per generator
-    replaced: every generator evaluated at the point in Fractions."""
-    w = [rat(x) for x in point]
-    if len(w) != ideal.nvars:
-        raise DomainError(f"point has arity {len(w)}, ideal lives in "
-                          f"{ideal.nvars} variables")
-    return not any(sum(c * math.prod(map(pow, w, e))
-                       for e, c in g.coeffs.items())
-                   for g in ideal.generators)
 
 
 def lambda_mu_equivalent(lam1, mu1, lam2, mu2) -> bool:
@@ -998,40 +894,6 @@ def rank_one_by_four_calls(kernel: RankOneCorrectedKernel, z, w, N=None):
     return K(z, w) - K(z, a) * K(a, w) / K(a, a)
 
 
-def gram_complement_by_full_table(module: WeightedPolydiscModule,
-                                  ideal: IdealSpec, degree: int) -> tuple:
-    """(complement, gram): GramFormKernel.from_ideal's complement and its
-    full n x n Gram matrix, with c_a tabulated, as a product of Fractions,
-    for every monomial of degree <= N: the same components, echelon forms
-    and null vectors (in Fractions), then f = c g and H_jk = sum_a f_j[a]
-    g_k[a] inside a component, 0 across components."""
-    m = module.dim
-    monomials = list(iter_multiindices(m, degree))
-    index = {a: k for k, a in enumerate(monomials)}
-    rows = [{index[k]: v for k, v in g.shift_by_monomial(beta).coeffs.items()}
-            for g in ideal.generators
-            for beta in iter_multiindices(m, degree - g.degree)]
-    echelon_of = {k: e for cols in _components(range(len(monomials)), rows)
-                  for e in [RowEchelon()] for k in cols}
-    for row in rows:
-        echelon_of[next(iter(row))].add(cleared_row(row))
-    slots = diag_coeff_slots(module, degree)
-    coeff = [math.prod(row[e] for row, e in zip(slots, a)) for a in monomials]
-    free = [k for k in range(len(monomials)) if k not in echelon_of[k].rows]
-    nulls = [null_vector_by_fractions(echelon_of[k], k) for k in free]
-    fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
-    complement = [Poly(m, {monomials[k]: x for k, x in f.items()})
-                  for f in fs]
-    n = len(nulls)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for j, fj in enumerate(fs):
-        for k, gk in enumerate(nulls[j:], j):
-            if echelon_of[free[k]] is echelon_of[free[j]]:
-                gram[j][k] = gram[k][j] = sum(
-                    x * gk[a] for a, x in fj.items() if a in gk)
-    return complement, gram
-
-
 def inverse_form(factor: BareissFactor, u, v) -> Fraction:
     """u^T A^{-1} v for the factored A, as u . X over d for (X, d) =
     factor.solve(v): the one Fraction the Gram form's blocks formed before
@@ -1058,85 +920,6 @@ def gram_blocks(K: GramFormKernel) -> list:
                       for k, x in zip(block, row)]
                      for j, row in zip(block, M)])
             for block, M in K.gram]
-
-
-@dataclass
-class FractionGramForm:
-    """The Gram form on the Fraction route that GramFormKernel.from_ideal's
-    integer route replaced: a Poly per candidate z^beta p_j, the Fraction
-    null vectors, c_a and f as Fraction products, and H_c as Fraction sums.
-    ``evaluate(z, w)`` is the ambient degree-N sum minus
-    sum_c f_c(z)^T H_c^{-1} f_c(w), one BareissFactor per block."""
-    module: WeightedPolydiscModule
-    degree: int
-    basis: list
-    complement: list
-    blocks: list
-
-    def evaluate(self, z, w) -> Fraction:
-        fz = [evaluate_poly(f, z) for f in self.complement]
-        fw = [evaluate_poly(f, w) for f in self.complement]
-        form = sum(inverse_form(BareissFactor(H), [fz[j] for j in block],
-                                [fw[j] for j in block])
-                   for block, H in self.blocks)
-        return ambient_kernel_bounded(self.module, z, w,
-                                      self.degree).value - form
-
-
-def gram_form_by_fractions(module: WeightedPolydiscModule, ideal: IdealSpec,
-                           degree: int) -> FractionGramForm:
-    """GramFormKernel.from_ideal on the Fraction route: the same candidate
-    order, components, greedy basis, free columns and blocks."""
-    m = module.dim
-    candidates = [g.shift_by_monomial(beta) for g in ideal.generators
-                  for beta in iter_multiindices(m, degree - g.degree)]
-    monomials = list(iter_multiindices(m, degree))
-    index = {a: k for k, a in enumerate(monomials)}
-    rows = [{index[k]: v for k, v in p.coeffs.items()} for p in candidates]
-    components = _components(range(len(monomials)), rows)
-    echelon_of = {k: e for cols in components
-                  for e in [RowEchelon()] for k in cols}
-    basis = [p for p, row in zip(candidates, rows)
-             if echelon_of[next(iter(row))].add(cleared_row(row))]
-    position = {k: j for j, k in enumerate(
-        k for k in range(len(monomials)) if k not in echelon_of[k].rows)}
-    slots = diag_coeff_slots(module, degree)
-    complement, blocks = [None] * len(position), []
-    for cols in components:
-        block = [k for k in cols if k in position]
-        if not block:
-            continue
-        nulls = [null_vector_by_fractions(echelon_of[k], k) for k in block]
-        coeff = {k: math.prod(row[e] for row, e in zip(slots, monomials[k]))
-                 for k in set().union(*nulls)}
-        fs = [{k: coeff[k] * x for k, x in g.items()} for g in nulls]
-        for k, f in zip(block, fs):
-            complement[position[k]] = Poly(
-                m, {monomials[a]: x for a, x in f.items()})
-        blocks.append((tuple(position[k] for k in block),
-                       [[sum(x * g[a] for a, x in f.items() if a in g)
-                         for g in nulls] for f in fs]))
-    return FractionGramForm(module, degree, basis, complement, blocks)
-
-
-def gram_form_from_fractions(module: WeightedPolydiscModule, complement,
-                             blocks, degree: int) -> GramFormKernel:
-    """A GramFormKernel over a given complement f and Gram blocks H in
-    Fractions, as the constructor takes them in integers: D_j the least
-    denominator of f_j and den the least integer that clears every
-    H_jk D_j D_k, so that F_j = den D_j f_j and M_jk = den D_j D_k H_jk."""
-    scales = [math.lcm(*(c.denominator for c in f.coeffs.values()))
-              for f in complement]
-    den = math.lcm(*(Fraction(x * scales[j] * scales[k]).denominator
-                     for block, H in blocks
-                     for j, row in zip(block, H) for k, x in zip(block, row)))
-    terms = [[(a, int(c * den * D)) for a, c in f.coeffs.items()]
-             for f, D in zip(complement, scales)]
-    gram = [(block, [[int(x * den * scales[j] * scales[k])
-                      for k, x in zip(block, row)]
-                     for j, row in zip(block, H)])
-            for block, H in blocks]
-    return GramFormKernel(module, (), terms, scales, gram, den, degree)
 
 
 def parse_poly_by_poly_arithmetic(text: str, nvars: int) -> Poly:
@@ -1256,28 +1039,6 @@ def format_terms_by_fraction_str(coeffs: dict, names) -> str:
             parts.append("-" + factors)
         else:
             parts.append(f"{v}*" + factors)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def format_ratios_by_sort(table: dict, names) -> str:
-    """The algebra.format_ratios that the per-key-set layout replaced: the
-    table's keys sorted into graded-lex order and each monomial's text
-    built again on every call, each coefficient written from its
-    (numerator, denominator) pair."""
-    if not table:
-        return "0"
-    keys = sorted(table)
-    keys.sort(key=sum)
-    parts = []
-    for k in keys:
-        n, d = table[k]
-        factors = "*".join(name if e == 1 else f"{name}^{e}"
-                           for name, e in zip(names, k) if e)
-        if d == 1 and factors and (n == 1 or n == -1):
-            parts.append(factors if n == 1 else "-" + factors)
-        else:
-            c = str(n) if d == 1 else f"{n}/{d}"
-            parts.append(f"{c}*{factors}" if factors else c)
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -1483,35 +1244,18 @@ def parse_config_by_configparser(text: str, args=None) -> JobConfig:
          for section in cp.sections()}, args)
 
 
-# a plain config line, other than a blank one: '[section]', or 'key = value'
-# with ':' or '=' as the delimiter, starting with no space; no comment
-_PLAIN_LINE = r"\[([^#]+)\]|([^\s#;\[=:][^=:#]*)[=:]([^#]*)"
-
-
-def read_plain_config_by_regex(text: str):
-    """cli._read_plain_config as one regex match per line: the sections of
-    a text whose lines are all blank or plain (_PLAIN_LINE), with no
-    section or key given twice; None for any other text."""
-    sections = {}
-    cursect = None
-    match = re.compile(_PLAIN_LINE).fullmatch
-    for line in text.split("\n"):
-        if not line:
-            continue
-        plain = match(line)
-        if plain is None:
-            return None
-        name, key, value = plain.groups()
-        if name:
-            if name in sections:
-                return None
-            cursect = sections[name] = {}
-        else:
-            key = key.rstrip().lower()
-            if cursect is None or key in cursect:
-                return None
-            cursect[key] = value.strip()
-    return sections
+def sections_by_configparser(text):
+    """configparser's read of the text as a section -> {key: value} view,
+    or its error: the reference for cli._read_plain_config."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as e:
+        return type(e), str(e)
+    return {section: {key: cp.get(section, key)
+                      for key in cp.options(section)}
+            for section in cp.sections()}
 
 
 def _echo_value(value):
@@ -1804,60 +1548,10 @@ def cauchy_root_bound(p) -> Fraction:
     return 1 + max((abs(c / lead) for c in p[:-1]), default=Fraction(0))
 
 
-def refine_by_integer_signs(p, a: Fraction, b: Fraction):
-    """Narrow a one-root interval below _REFINE_WIDTH, collapsing to a
-    degenerate (r, r) pair when a bisection midpoint is an exact root.
-
-    p has one root in (a, b), a simple one, and neither endpoint is a
-    root, so the root lies in (a, mid) iff p changes sign there.  The
-    sign at the left end never changes, since a only moves to a midpoint
-    of the same sign.  Signs are read in integers: with p scaled to integer
-    coefficients C_i and the endpoints kept as lo/v and hi/v, p(u/v) has
-    the sign of sum_i C_i u^i v^(n-i)."""
-    coeffs, _ = _common_denominator(p)
-
-    def sign_form(u, v):
-        acc, vk = coeffs[-1], 1
-        for c in reversed(coeffs[:-1]):
-            vk *= v
-            acc = acc * u + c * vk
-        return acc
-
-    (lo, hi), v = _common_denominator((a, b))
-    positive_at_a = sign_form(lo, v) > 0
-    width_num, width_den = _REFINE_WIDTH.as_integer_ratio()
-    while (hi - lo) * width_den > v * width_num:
-        mid, v = lo + hi, 2 * v  # the midpoint, over the doubled denominator
-        value = sign_form(mid, v)
-        if value == 0:
-            return (Fraction(mid, v),) * 2
-        if (value > 0) != positive_at_a:
-            lo, hi = 2 * lo, mid
-        else:
-            lo, hi = mid, 2 * hi
-    return (Fraction(lo, v), Fraction(hi, v))
-
-
-def cubic_positive_roots_by_refine(alpha) -> CubicReport:
-    """The cubic route that the integer bisection of
-    invariants.cubic_positive_roots replaced: the coefficients and the
-    Cauchy bound in Fractions, then refine_by_integer_signs on
-    (0, bound)."""
-    a = rat(alpha)
-    if a <= 0:
-        raise DomainError(
-            f"the cubic family is parametrized by alpha > 0, got {a}")
-    coeffs = (-a, -(2 * a - 3), -(3 * a - 2), Fraction(1))
-    interval = refine_by_integer_signs(coeffs, Fraction(0),
-                                       cauchy_root_bound(coeffs))
-    return CubicReport(a, coeffs, 1, (interval,))
-
-
 def cubic_positive_roots_by_sturm(alpha) -> CubicReport:
-    """The cubic route that the bisection of cubic_positive_roots_by_refine
-    replaced: the
-    squarefree part, its Sturm chain, the root count on (0, Cauchy bound)
-    and isolation by chain counts, for any alpha > 0."""
+    """The cubic's reference: the squarefree part, its Sturm chain, the
+    root count on (0, Cauchy bound) and isolation by chain counts, for any
+    alpha > 0."""
     a = rat(alpha)
     if a <= 0:
         raise DomainError(

@@ -27,8 +27,7 @@ from submodcurv.rkhs import (DiagonalFilteredKernel, WeightedPolydiscModule,
                              ambient_kernel_bounded, diag_coeff)
 
 from oracles import (coefficient, conj, evaluate_poly, evaluate_series,
-                     format_ratios_by_sort, format_terms_by_fraction_str,
-                     geometric_sum,
+                     format_terms_by_fraction_str, geometric_sum,
                      is_hermitian_by_pair_loop, mixed_hessian,
                      multiindices_by_recursion, pochhammer, series_exp,
                      series_identity, series_matmul, series_w)
@@ -303,17 +302,14 @@ def _tables_over_one_key_set(draw):
 @settings(max_examples=200, deadline=None)
 @given(_tables_over_one_key_set())
 def test_format_ratios_lays_out_each_key_set_once(case):
-    """format_ratios writes what the per-call sort wrote and what the
-    str(Fraction) route writes, for every table over a key set it has laid
-    out before, with new coefficients; the later tables reuse the
-    layout."""
+    """format_ratios writes what the str(Fraction) route writes, for every
+    table over a key set it has laid out before, with new coefficients;
+    the later tables reuse the layout."""
     n, tables = case
     names = tuple(f"w{i+1}" for i in range(n))
     algebra._term_layout.cache_clear()
     for table in tables:
-        text = format_ratios(table, names)
-        assert text == format_ratios_by_sort(table, names)
-        assert text == format_terms_by_fraction_str(
+        assert format_ratios(table, names) == format_terms_by_fraction_str(
             {k: F(*v) for k, v in table.items()}, names)
     info = algebra._term_layout.cache_info()
     assert (info.misses, info.hits) == (1, len(tables) - 1)
@@ -332,7 +328,6 @@ def test_format_ratios_lays_out_each_key_set_once(case):
 ])
 def test_format_ratios_writes_unit_integer_and_constant_terms(table, text):
     assert format_ratios(table, ("w1", "w2")) == text
-    assert format_ratios_by_sort(table, ("w1", "w2")) == text
 
 
 def _assert_clean(coeffs, width, cap=None):

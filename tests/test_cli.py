@@ -21,7 +21,7 @@ from submodcurv.rkhs import DiagonalFilteredKernel, WeightedPolydiscModule
 
 from oracles import (is_hermitian_by_pair_loop, matrix_rows_by_fstring,
                      parse_config_by_configparser,
-                     parse_rational_by_fraction_str)
+                     parse_rational_by_fraction_str, sections_by_configparser)
 
 BASE = """
 [module]
@@ -531,6 +531,31 @@ def test_an_alpha_past_the_cubic_limit_exits_3_at_once(tmp_path, capsys):
         "denominator, past the cubic's limit of 4096\n")
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_result_past_the_digit_limit_exits_3(tmp_path, capsys, output):
+    """The point 1/(10^3000 + 7) is within the digit limit, but the kernel
+    value there is not: in either format the job exits 3 naming the
+    limit, and writes nothing to stdout."""
+    config = KERNEL_JOB.replace("weights = 1 1", "weights = 1 2").replace(
+        "points = 0 0", f"points = 1/{10 ** 3000 + 7} 1/3")
+    path = _write(tmp_path, config + f"output = {output}\n")
+    assert main(["kernel", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: a result has more digits than the limit of "
+        f"{sys.get_int_max_str_digits()} that Python writes "
+        "(sys.get_int_max_str_digits())\n")
+
+
+def test_other_value_errors_of_the_report_propagate(tmp_path, monkeypatch):
+    def fail(report, output):
+        raise ValueError("another fault")
+    monkeypatch.setattr(cli, "render_report", fail)
+    with pytest.raises(ValueError, match="another fault"):
+        main(["kernel", "--config", _write(tmp_path, KERNEL_JOB)])
+
+
 # One fault each, given by a flag and by the config key it overrides: both
 # get the same check and message, and the --point message names the point.
 SHARED_CHECKS = [
@@ -946,20 +971,6 @@ def _outcome(parse, text):
         return str(e), e.line
 
 
-def _sections_by_configparser(text):
-    """configparser's read of the text as a section -> {key: value} view,
-    or its error."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as e:
-        return type(e), str(e)
-    return {section: {key: cp.get(section, key)
-                      for key in cp.options(section)}
-            for section in cp.sections()}
-
-
 def _sections_by_line_reader(text):
     """cli._read_config's read of the text, the plain reader's or
     configparser's, or the configparser error its InputError is raised
@@ -974,7 +985,7 @@ def _sections_by_line_reader(text):
 @settings(max_examples=600, deadline=None)
 @given(_config_text())
 def test_line_reader_matches_configparser(text):
-    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+    assert _sections_by_line_reader(text) == sections_by_configparser(text)
     assert _outcome(parse_config, text) == \
         _outcome(parse_config_by_configparser, text)
 
@@ -991,7 +1002,7 @@ def test_line_reader_matches_configparser(text):
     "[task]\nname = cubic\n\x0calpha = 1\n",
 ])
 def test_line_reader_matches_configparser_on_edge_cases(text):
-    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+    assert _sections_by_line_reader(text) == sections_by_configparser(text)
     assert _outcome(parse_config, text) == \
         _outcome(parse_config_by_configparser, text)
 
@@ -1374,8 +1385,8 @@ def test_plain_config_reader_matches_configparser(body, end):
     text = body + end
     plain = cli._read_plain_config(text)
     if plain is not None:
-        assert plain == _sections_by_configparser(text)
-    assert _sections_by_line_reader(text) == _sections_by_configparser(text)
+        assert plain == sections_by_configparser(text)
+    assert _sections_by_line_reader(text) == sections_by_configparser(text)
     assert _outcome(parse_config, text) == \
         _outcome(parse_config_by_configparser, text)
 
@@ -1385,4 +1396,4 @@ def test_plain_config_reader_reads_the_job_configs(perfbench_jobs):
     for workload in perfbench_jobs.WORKLOADS:
         for job in perfbench_jobs.pool(workload).values():
             assert cli._read_plain_config(job.config) == \
-                _sections_by_configparser(job.config), job.key
+                sections_by_configparser(job.config), job.key

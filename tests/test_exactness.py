@@ -7,8 +7,8 @@ which is reported next to an exact value, never in place of one.
 The package holds only what runs: a public name that nothing outside the
 tests reaches is a test helper and belongs in tests/oracles.py, so does a
 private module-level name that nothing in the package reads, and no
-module of the package, its tests, its scripts or the benchmark driver
-imports a name it never reads.
+module of the package, its tests, its scripts, its tools or the benchmark
+driver imports a name it never reads.
 
 Every cache in the package is bounded: each lru_cache is given an
 integer maxsize, so a long run of jobs cannot grow one without bound.
@@ -128,7 +128,8 @@ def _unread_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    dirs = [ROOT / name for name in ("tests", "scripts", "perfbench")]
+    dirs = [ROOT / name
+            for name in ("tests", "scripts", "perfbench", "tools")]
     paths = [*MODULES, *(path for d in dirs for path in d.glob("*.py"))]
     assert {path.parent for path in paths} == {PACKAGE, *dirs}
     found = {(str(path.relative_to(ROOT)), name)

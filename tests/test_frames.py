@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import cli, frames
-from submodcurv.algebra import TruncSeries, iter_multiindices, unit
+from submodcurv.algebra import (SeriesMatrix, TruncSeries, iter_multiindices,
+                               unit)
 from submodcurv.cli import main
 from submodcurv.curvature import curvature_matrix, det_bundle_curvature
 from submodcurv.errors import (DegeneracyError, DomainError,
@@ -704,15 +705,15 @@ _table_center = st.fractions(min_value=-1, max_value=1,
 @given(_table_weight, _table_center, st.integers(0, 8))
 def test_slot_coefficients_equal_the_fraction_route(weight, center, D):
     """The integer table over one denominator e^D S, from the cleared
-    integer row, is the Fraction table it replaced, built from the
-    Fraction slots, entry for entry and in the same key order."""
+    integer row, is the Horner series of the recentered inverse power,
+    entry for entry, with no zero entry stored."""
     module = WeightedPolydiscModule(1, (weight,))
     row = cleared_row(diag_coeff_rows(module.weights, D)[0])
     table, den = frames._slot_coefficients(row, center)
     assert all(type(x) is int for x in table.values())
-    slots = diag_coeff_slots(module, D)[0]
-    assert [(k, F(x, den)) for k, x in table.items()] == \
-        list(oracles.slot_coefficients_by_fractions(slots, center).items())
+    got = TruncSeries(1, D, {k: F(x, den) for k, x in table.items()})
+    assert got == recentered_inverse_power(1, D, 0, center, weight)
+    assert len(got.coeffs) == len(table)
 
 
 @st.composite
@@ -737,11 +738,10 @@ def _table_frames(draw):
 @given(_table_frames())
 def test_zero_set_metric_equals_the_fraction_tables(frame):
     """The integer outer product, with one Fraction per stored term of each
-    H_kk, equals the Fraction-table metric it replaced: every term value,
-    the key order of every entry, and the scale."""
+    H_kk, equals the Horner-series metric on frames with centres up to
+    |c| < 1 and D up to 8: every entry and the scale."""
     matrix, scale = _closed_form(frame)
-    want, want_scale = oracles.metric_by_fraction_tables(frame)
-    assert (_entry_items(matrix), scale) == (_entry_items(want), want_scale)
+    assert (matrix.entries, scale) == _closed_form_by_horner(frame)
 
 
 def _counting_fractions(monkeypatch, module):
@@ -974,9 +974,9 @@ def test_coordinate_metric_text_equals_series_text(m, D):
 @given(_table_frames())
 def test_zero_set_metric_text_equals_series_text(frame):
     metric = grammian(frame)
-    reference, scale = oracles.metric_by_fraction_tables(frame)
+    entries, scale = _closed_form_by_horner(frame)
     assert metric.scale == scale
-    _metric_texts_agree(metric, reference)
+    _metric_texts_agree(metric, SeriesMatrix(entries))
 
 
 def test_zero_set_metric_text_with_an_irrational_scale():
@@ -985,6 +985,6 @@ def test_zero_set_metric_text_with_an_irrational_scale():
     module = WeightedPolydiscModule(3, (F(1), F(1, 2), F(1, 3)))
     frame = frame_on_zero_set(module, ideal, (F(0), F(1, 3), F(1, 3)), 6)
     metric = grammian(frame)
-    reference, scale = oracles.metric_by_fraction_tables(frame)
+    entries, scale = _closed_form_by_horner(frame)
     assert metric.scale == scale == "(8/9)^(-5/6)"
-    _metric_texts_agree(metric, reference)
+    _metric_texts_agree(metric, SeriesMatrix(entries))

@@ -1,5 +1,4 @@
 import io
-import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -18,9 +17,9 @@ from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
 
 from oracles import (CoordinateSubspace, PointSet, codim,
                      coordinate_power_data_by_pair_scan, coordinate_powers,
-                     forbid_fraction_arithmetic, localization_dim_two_spans,
-                     minimality_certificate, reduced_groebner_basis,
-                     vanishes_at_by_fractions, zero_set)
+                     evaluate_poly, forbid_fraction_arithmetic,
+                     localization_dim_two_spans, minimality_certificate,
+                     reduced_groebner_basis, zero_set)
 
 
 def _gens(dim, *srcs):
@@ -243,42 +242,40 @@ _coefficient = st.fractions(min_value=-4, max_value=4,
 
 @st.composite
 def _generators_and_point(draw):
-    """(generators, point): one to three generators in 1 to 3 variables
-    with one to four terms of degree <= 3 and non-monic Fraction
-    coefficients, and a point whose coordinates may be 0 or negative.
-    Each generator is kept as drawn or, when that leaves it nonzero, has
-    its value at the point taken off its constant term, so that it
-    vanishes there."""
+    """(generators, point, on): one to three generators in 1 to 3
+    variables with one to four terms of degree 1 to 3 and non-monic
+    Fraction coefficients, and a point whose coordinates may be 0 or
+    negative.  Each generator's constant term is set so that its value at
+    the point is 0 or a drawn nonzero Fraction; on says whether the point
+    is on V(I), that is, whether every value is 0."""
     m = draw(st.integers(1, 3))
     point = draw(st.tuples(*[_coord] * m))
-    gens = []
+    gens, on = [], True
     for _ in range(draw(st.integers(1, 3))):
         terms = draw(st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * m).filter(lambda e: sum(e) <= 3),
+            st.tuples(*[st.integers(0, 3)] * m).filter(
+                lambda e: 0 < sum(e) <= 3),
             _coefficient, min_size=1, max_size=4))
         g = Poly(m, terms)
-        if draw(st.booleans()):
-            value = vanishes_at_by_fractions(IdealSpec(m, (g,)), point)
-            shifted = g - Poly.constant(m, sum(
-                c * math.prod(map(pow, point, e))
-                for e, c in g.coeffs.items()))
-            if not value and not shifted.is_zero():
-                g = shifted
-        gens.append(g)
-    return tuple(gens), point
+        value = draw(st.just(F(0)) | _coefficient)
+        gens.append(g + Poly.constant(m, value - evaluate_poly(g, point)))
+        on = on and not value
+    return tuple(gens), point, on
 
 
 @settings(max_examples=200, deadline=None)
 @given(_generators_and_point())
 @example(((Poly(2, {(1, 0): F(3, 2), (0, 2): F(-2, 3), (0, 0): F(2, 3)}),),
-          (F(-1, 3), F(1, 2))))
+          (F(-1, 3), F(1, 2)), True))
+@example(((Poly(2, {(1, 0): F(1), (0, 0): F(1, 3)}),
+           Poly.constant(2, F(2, 3))), (F(-1, 3), F(1, 2)), False))
 def test_vanishes_at_equals_the_fraction_route(case):
     """Membership by one integer sum per generator (the point over one
     denominator, each generator cleared over the lcm of its coefficients'
-    denominators) agrees with evaluating every generator in Fractions."""
-    gens, point = case
-    ideal = IdealSpec(len(point), gens)
-    assert ideal.vanishes_at(point) is vanishes_at_by_fractions(ideal, point)
+    denominators) agrees with the values the generators were built to
+    take, a constant generator among them."""
+    gens, point, on = case
+    assert IdealSpec(len(point), gens).vanishes_at(point) is on
 
 
 def test_vanishes_at_runs_no_fraction_arithmetic(monkeypatch):
@@ -289,8 +286,7 @@ def test_vanishes_at_runs_no_fraction_arithmetic(monkeypatch):
     forbid_fraction_arithmetic(monkeypatch)
     got = [ideal.vanishes_at(p) for p in points]
     monkeypatch.undo()
-    assert got == [vanishes_at_by_fractions(ideal, p) for p in points] == \
-        [False, False, True, False]
+    assert got == [False, False, True, False]
 
 
 @pytest.mark.parametrize("point", [(0,), (0, 1, 0)])

@@ -360,8 +360,9 @@ def test_null_vector_with_non_unit_leads_matches_rref_reference():
         seen_non_unit += any(abs(r[lead]) != 1
                              for lead, r in echelon.rows.items())
         free = [c for c in range(ncols) if c not in echelon.rows]
-        got = [[F(G.get(c, 0), D) for c in range(ncols)]
-               for G, D in map(echelon.null_vector, free)]
+        vectors = [echelon.null_vector(c) for c in free]
+        assert all(D > 0 for _, D in vectors)
+        got = [[F(G.get(c, 0), D) for c in range(ncols)] for G, D in vectors]
         assert got == _rref_nullspace(a)
         for v in got:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)

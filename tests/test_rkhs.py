@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from submodcurv.algebra import iter_multiindices
 from submodcurv.errors import DomainError, TruncationError
 from submodcurv.ideals import IdealSpec
-from submodcurv.linalg import (BareissFactor, RowEchelon,
-                               leading_principal_minors, mat_rank,
-                               mat_solve)
+from submodcurv.linalg import leading_principal_minors, mat_rank, mat_solve
 from submodcurv.polynomials import Poly, parse_poly
 from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              RankOneCorrectedKernel, WeightedPolydiscModule,
@@ -20,8 +18,8 @@ from submodcurv.rkhs import (Bounded, DiagonalFilteredKernel, GramFormKernel,
                              in_open_polydisc, submodule_kernel)
 
 import oracles
-from oracles import (ambient_kernel_exact, diag_coeff_slots, evaluate_poly,
-                     monomial_norm_sq, pochhammer, poly_inner)
+from oracles import (ambient_kernel_exact, diag_coeff_slots, eval_terms,
+                     evaluate_poly, monomial_norm_sq, pochhammer, poly_inner)
 
 
 def _ideal(m, *srcs):
@@ -180,36 +178,50 @@ def test_rank_one_bounded_correction():
         (F(1, 2),), (F(1, 2),)) == 0
 
 
-def _gram_schmidt_kernel(module, polys, z, w):
-    """Orthogonal-basis oracle: K(z, w) = sum o_i(z) o_i(w) / <o_i, o_i>
-    over an unnormalized Gram-Schmidt run, for real rational points."""
+def _candidates(ideal, degree):
+    """Every monomial multiple z^beta p_j of degree <= N, in the order
+    from_ideal scans them."""
+    return [g.shift_by_monomial(beta) for g in ideal.generators
+            for beta in iter_multiindices(ideal.nvars, degree - g.degree)]
+
+
+def _gram_schmidt_kernel(module, polys):
+    """The Gram form's reference: the kernel (z, w) -> sum_i o_i(z) o_i(w)
+    / <o_i, o_i> of the span of polys, over an unnormalized Gram-Schmidt
+    run in the monomial inner product <z^a, z^a> = 1 / c_a, for real
+    rational points.  It shares no echelon form, null vector or Bareiss
+    sweep with GramFormKernel."""
+    norm = {}
+
+    def inner(p, q):
+        return sum(x * q[a] * norm[a] for a, x in p.items() if a in q)
     basis = []
-    for p in polys:
-        for q in basis:
-            p = p - q * Poly.constant(
-                module.dim, poly_inner(module, p, q) / poly_inner(module, q, q))
-        if not p.is_zero():
-            basis.append(p)
-    total = F(0)
-    for q in basis:
-        total += (evaluate_poly(q, z) * evaluate_poly(q, w)
-                  / poly_inner(module, q, q))
-    return total
+    for poly in polys:
+        p = dict(poly.coeffs)
+        for a in p:
+            if a not in norm:
+                norm[a] = 1 / diag_coeff(module, a)
+        for q, qq in basis:
+            c = inner(p, q) / qq
+            for a, x in q.items():
+                p[a] = p.get(a, 0) - c * x
+        p = {a: x for a, x in p.items() if x}
+        if p:
+            basis.append((p, inner(p, p)))
+
+    def kernel(z, w):
+        return sum(eval_terms(q, z) * eval_terms(q, w) / qq
+                   for q, qq in basis)
+    return kernel
 
 
 def test_gram_form_matches_gram_schmidt_oracle():
     m = WeightedPolydiscModule(2, (1, 2))
     ideal = IdealSpec.catalogued("product_difference", 2)
     gf = GramFormKernel.from_ideal(m, ideal, 4)
-    # candidate list: all monomial multiples z^beta p_j with degree <= 4
-    polys = []
-    from submodcurv.algebra import iter_multiindices
-    for g in ideal.generators:
-        for beta in iter_multiindices(2, 4 - g.degree):
-            polys.append(g.shift_by_monomial(beta))
     z = (F(1, 3), F(1, 7))
     w = (F(-1, 4), F(2, 5))
-    want = _gram_schmidt_kernel(m, polys, z, w)
+    want = _gram_schmidt_kernel(m, _candidates(ideal, 4))(z, w)
     assert gf.eval_exact(z, w) == want
 
 
@@ -398,18 +410,17 @@ def test_product_difference_complement_is_two():
 
 def test_gram_form_rejects_indefinite_gram():
     m = oracles.hardy(2)
-    complement = [parse_poly("z1", 2), parse_poly("z2", 2),
-                  parse_poly("z1*z2", 2)]
-    for blocks in ((((0, 1), [[F(1), F(2)], [F(2), F(1)]]), ((2,), [[F(1)]])),
-                   (((0, 1), [[F(1), F(1)], [F(1), F(1)]]), ((2,), [[F(1)]])),
-                   (((0, 1), [[F(0), F(1)], [F(1), F(2)]]), ((2,), [[F(1)]])),
-                   (((0,), [[F(1)]]), ((1,), [[F(2)]]), ((2,), [[F(-1)]])),
-                   (((0,), [[F(1)]]), ((1,), [[F(0)]]), ((2,), [[F(1)]])),
+    # the complement z1, z2, z1*z2 in integers: D_j = 1 and den = 1
+    terms = [[((1, 0), 1)], [((0, 1), 1)], [((1, 1), 1)]]
+    for blocks in ((((0, 1), [[1, 2], [2, 1]]), ((2,), [[1]])),
+                   (((0, 1), [[1, 1], [1, 1]]), ((2,), [[1]])),
+                   (((0, 1), [[0, 1], [1, 2]]), ((2,), [[1]])),
+                   (((0,), [[1]]), ((1,), [[2]]), ((2,), [[-1]])),
+                   (((0,), [[1]]), ((1,), [[0]]), ((2,), [[1]])),
                    # block {0, 2} with determinant -3 around the 1x1 block {1}
-                   (((0, 2), [[F(1), F(2)], [F(2), F(1)]]),
-                    ((1,), [[F(1)]]))):
+                   (((0, 2), [[1, 2], [2, 1]]), ((1,), [[1]]))):
         with pytest.raises(DomainError):
-            oracles.gram_form_from_fractions(m, complement, blocks, 2)
+            GramFormKernel(m, (), terms, (1, 1, 1), blocks, 1, 2)
 
 
 def test_gram_form_interleaved_blocks():
@@ -419,9 +430,11 @@ def test_gram_form_interleaved_blocks():
     complement = [parse_poly("z1", 2), parse_poly("z2", 2),
                   parse_poly("1/2*z1*z2 - z2^2", 2)]
     H = [[F(2), F(0), F(1, 3)], [F(0), F(3, 4), F(0)], [F(1, 3), F(0), F(5)]]
-    K = oracles.gram_form_from_fractions(
-        m, complement, [((0, 2), [[F(2), F(1, 3)], [F(1, 3), F(5)]]),
-                        ((1,), [[F(3, 4)]])], 2)
+    # in integers, with D = (1, 1, 2) and den = 12: F_j = den D_j f_j and
+    # M_jk = den D_j D_k H_jk
+    K = GramFormKernel(m, (), [[((1, 0), 12)], [((0, 1), 12)],
+                               [((1, 1), 12), ((0, 2), -24)]], (1, 1, 2),
+                       [((0, 2), [[24, 8], [8, 240]]), ((1,), [[9]])], 12, 2)
     assert _assembled_gram(K) == H
     z, w = (F(1, 3), F(-2, 5)), (F(1, 2), F(1, 7))
     x = mat_solve(H, [evaluate_poly(f, w) for f in complement])
@@ -430,54 +443,25 @@ def test_gram_form_interleaved_blocks():
                                   - form)
 
 
-def _gram_form_by_full_sweep(module, ideal, degree):
-    """The Gram form as one global computation: one echelon form over every
-    candidate, one null vector per free column over all columns, the full
-    Gram matrix by poly_inner and one BareissFactor sweep over all of it.
-    Returns (basis, complement, gram, evaluate), where
-    evaluate(z, w) is the ambient degree-N sum minus f(z)^T H^{-1} f(w)."""
-    m = module.dim
-    monomials = list(iter_multiindices(m, degree))
-    index = {a: k for k, a in enumerate(monomials)}
-    echelon = RowEchelon()
-    basis = [p for g in ideal.generators
-             for p in (g.shift_by_monomial(beta)
-                       for beta in iter_multiindices(m, degree - g.degree))
-             if echelon.add(oracles.cleared_row(
-                 {index[a]: v for a, v in p.coeffs.items()}))]
-    nulls = [oracles.null_vector_by_fractions(echelon, k)
-             for k in range(len(monomials)) if k not in echelon.rows]
-    complement = [Poly(m, {monomials[k]: diag_coeff(module, monomials[k]) * x
-                           for k, x in g.items()}) for g in nulls]
-    gram = [[poly_inner(module, f, g) for g in complement] for f in complement]
-    factor = BareissFactor(gram)
-
-    def evaluate(z, w):
-        return (ambient_kernel_bounded(module, z, w, degree).value
-                - oracles.inverse_form(
-                    factor, [evaluate_poly(f, z) for f in complement],
-                    [evaluate_poly(f, w) for f in complement]))
-    return basis, complement, gram, evaluate
-
-
-def _assert_matches_full_sweep(module, ideal, degree, points):
+def _assert_matches_gram_schmidt(module, ideal, degree, points):
     K = GramFormKernel.from_ideal(module, ideal, degree)
-    basis, complement, gram, evaluate = _gram_form_by_full_sweep(
-        module, ideal, degree)
-    assert _basis_polys(K) == basis
-    assert oracles.gram_complement(K) == complement
-    assert _assembled_gram(K) == gram
+    kernel = _gram_schmidt_kernel(module, _candidates(ideal, degree))
     for z in points:
         for w in points:
-            assert K.eval_exact(z, w) == evaluate(z, w)
+            assert K.eval_exact(z, w) == kernel(z, w)
     return K
 
 
 @pytest.mark.parametrize("degree,case", _GRAM_CASES)
 def test_gram_form_by_components_matches_full_sweep(degree, case):
+    """The basis picked component by component spans V_N: its own
+    Gram-Schmidt kernel is the Gram form."""
     module, ideal = _GRAM_IDEALS[case]
-    _assert_matches_full_sweep(module, ideal, degree,
-                               _GRAM_POINTS[module.dim][:2])
+    K = GramFormKernel.from_ideal(module, ideal, degree)
+    kernel = _gram_schmidt_kernel(module, _basis_polys(K))
+    points = _GRAM_POINTS[module.dim][:2]
+    assert [K.eval_exact(z, w) for z in points for w in points] == \
+        [kernel(z, w) for z in points for w in points]
 
 
 # ideals whose components hold several complement polynomials, so that H
@@ -503,8 +487,8 @@ def test_multi_block_gram_form_matches_full_sweep(case, weights, points):
     m, gens, degree = case
     module = WeightedPolydiscModule(m, weights[:m])
     ideal = _ideal(m, *gens)
-    K = _assert_matches_full_sweep(module, ideal, degree,
-                                   [tuple(p[:m]) for p in points])
+    K = _assert_matches_gram_schmidt(module, ideal, degree,
+                                     [tuple(p[:m]) for p in points])
     assert any(len(block) > 1 for block, _ in K.gram)
 
 
@@ -791,41 +775,24 @@ _PRINCIPAL_M3 = (WeightedPolydiscModule(3, (F(5, 2), F(1, 3), F(2))),
                          _GRAM_CASES + [(6, len(_GRAM_IDEALS))])
 def test_gram_complement_from_restricted_table_equals_full_table(degree,
                                                                   case):
+    """The complement f, with c_a read only where a null vector is
+    nonzero, spans the orthogonal complement of V_N in P_N: its
+    Gram-Schmidt kernel is the ambient degree-N sum minus K."""
     module, ideal = [*_GRAM_IDEALS, _PRINCIPAL_M3][case]
     K = GramFormKernel.from_ideal(module, ideal, degree)
-    complement, gram = oracles.gram_complement_by_full_table(
-        module, ideal, degree)
-    assert oracles.gram_complement(K) == complement
-    assert [list(f.coeffs) for f in oracles.gram_complement(K)] == \
-        [list(f.coeffs) for f in complement]
-    assert _assembled_gram(K) == gram
-
-
-# ---------------------------------------------------------------------------
-# The integer Gram form against the Fraction route it replaced
-
-
-def _assert_routes_agree(module, ideal, degree, points):
-    """from_ideal's integers and oracles.gram_form_by_fractions give the
-    same basis, the same complement as polynomials (with the same term
-    order), the same blocks as Fraction matrices and the same values."""
-    K = GramFormKernel.from_ideal(module, ideal, degree)
-    ref = oracles.gram_form_by_fractions(module, ideal, degree)
-    assert _basis_polys(K) == ref.basis
-    complement = oracles.gram_complement(K)
-    assert complement == ref.complement
-    assert [list(f.coeffs) for f in complement] == \
-        [list(f.coeffs) for f in ref.complement]
-    assert oracles.gram_blocks(K) == ref.blocks
-    for z in points:
-        for w in points:
-            assert K.eval_exact(z, w) == ref.evaluate(z, w)
+    kernel = _gram_schmidt_kernel(module, oracles.gram_complement(K))
+    z, w = _GRAM_POINTS[module.dim][:2]
+    assert kernel(z, w) == \
+        ambient_kernel_bounded(module, z, w, degree).value - K.eval_exact(z, w)
 
 
 @pytest.mark.parametrize("degree,case", _GRAM_CASES)
 def test_gram_form_integer_route_equals_fraction_route(degree, case):
+    """The integer Gram form at every pair of the three points, against
+    the Gram-Schmidt kernel of the candidates."""
     module, ideal = _GRAM_IDEALS[case]
-    _assert_routes_agree(module, ideal, degree, _GRAM_POINTS[module.dim])
+    _assert_matches_gram_schmidt(module, ideal, degree,
+                                 _GRAM_POINTS[module.dim])
 
 
 _SMALL_EXPONENTS = list(iter_multiindices(2, 3))
@@ -847,8 +814,8 @@ def test_drawn_gram_forms_agree_on_both_routes(gens, weights, points, data):
     whose complement is empty), at N <= 6."""
     ideal = IdealSpec(2, tuple(gens))
     degree = data.draw(st.integers(max(ideal.max_degree, 1), 6))
-    _assert_routes_agree(WeightedPolydiscModule(2, weights), ideal, degree,
-                         [tuple(p) for p in points])
+    _assert_matches_gram_schmidt(WeightedPolydiscModule(2, weights), ideal,
+                                 degree, [tuple(p) for p in points])
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +837,7 @@ def _kernel_by_orthocomplement(module, ideal, k, z):
     C = [Poly(m, {a: diag_coeff(module, a) * x for a, x in zip(low, phi)})
          for phi in oracles.nullspace(rows)]
     return (ambient_kernel_exact(module, z, z)
-            - _gram_schmidt_kernel(module, C, z, z)), len(C)
+            - _gram_schmidt_kernel(module, C)(z, z)), len(C)
 
 
 _CERTIFIED_MODULE = WeightedPolydiscModule(2, (F(1), F(2)))
