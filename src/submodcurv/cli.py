@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebra import ZERO
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
@@ -35,11 +35,6 @@ from .invariants import (cubic_positive_roots, lambda_mu_invariants,
 from .polynomials import parse_poly
 from .rkhs import (WeightedPolydiscModule, in_open_polydisc,
                    submodule_kernel)
-
-TASKS = ("kernel", "decompose", "metric", "curvature", "dimension",
-         "compare", "cubic")
-POINT_TASKS = ("kernel", "dimension")  # the tasks that read task.points
-
 
 class JobConfig(NamedTuple):
     task: str
@@ -332,10 +327,12 @@ def parse_config(text: str, args=None) -> JobConfig:
                 fields[key] = echoes[key] = value
                 labels = {**labels, key: FLAG_LABELS[key]}
         if args.point is not None:
-            if task not in POINT_TASKS:
+            if "points" not in TASKS[task].reads:
+                point_tasks = [name for name, t in TASKS.items()
+                               if "points" in t.reads]
                 raise InputError(
                     f"task {task!r} reads no points; --point applies "
-                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    f"only to the {' and '.join(point_tasks)} tasks",
                     field="--point")
             point, echo = _parse_vector(args.point, "--point")
             fields["points"], echoes["points"] = (point,), (echo,)
@@ -526,13 +523,6 @@ def _input_echo(cfg: JobConfig) -> dict:
             if key != "output" and value not in (None, ())}
 
 
-def _require_points(cfg: JobConfig, module):
-    _require(cfg, "points")
-    if any(len(p) != module.dim for p in cfg.points):
-        raise InputError("point arity does not match dimension",
-                         field="task.points")
-
-
 def _build_frame(cfg: JobConfig, module, ideal):
     """Frame for the decompose/metric/curvature tasks.
 
@@ -558,167 +548,207 @@ def _build_frame(cfg: JobConfig, module, ideal):
     return frame_on_zero_set(module, ideal, base, trunc)
 
 
-def run_task(cfg: JobConfig) -> Report:
-    report = Report(task=cfg.task, input_echo=_input_echo(cfg))
-
-    if cfg.task == "cubic":
-        if cfg.alpha is None:
-            raise InputError("task 'cubic' requires alpha", field="task.alpha")
-        cr = cubic_positive_roots(cfg.alpha)
-        report.add("positive_root_count", cr.positive_roots)
-        for k, (lo, hi) in enumerate(cr.isolating_intervals, 1):
-            report.add(f"isolating_interval_{k}", [lo, hi])
-        report.diagnostics["cubic_coefficients_ascending"] = \
-            [str(c) for c in cr.coefficients]
-        report.diagnostics["method"] = \
-            "exact Sturm chain over the rationals with bisection isolation"
-        return report
-
+def _point_task_inputs(cfg: JobConfig):
+    """(module, ideal) of the kernel and dimension tasks, once the points
+    are checked: given, each with one coordinate per variable."""
     module = _build_module(cfg)
-
-    if cfg.task == "compare":
-        _require(cfg, "compare_weights")
-        ideal = _build_ideal(cfg)
-        data = ideal.coordinate_powers
-        gen_vars, powers = zip(*data)
-        t = len(data)
-        if t == module.dim:
-            if module.dim == 2 and powers == (1, 1):
-                # each side's pair once, read by the decision and the rows
-                a = lambda_mu_invariants(*module.weights)
-                b = lambda_mu_invariants(*cfg.compare_weights)
-                report.add("equivalent", a.as_pair() == b.as_pair())
-                report.add("kappa1_left", a.kappa1)
-                report.add("kappa2_left", a.kappa2)
-                report.add("kappa1_right", b.kappa1)
-                report.add("kappa2_right", b.kappa2)
-                report.diagnostics["invariants_used"] = [
-                    "det-bundle curvature diagonal of the coordinate ideal"]
-                return report
-            raise UnsupportedIdealError(
-                "comparison needs a transverse direction (fewer generators "
-                "than variables) or the bidisc coordinate ideal")
-        rr = polydisc_rigidity_report(module.weights, powers,
-                                      cfg.compare_weights, gen_vars)
-        report.add("equivalent", rr.equivalent)
-        for name, v in rr.battery_left:
-            report.add(f"left_{name}", v)
-        for name, v in rr.battery_right:
-            report.add(f"right_{name}", v)
-        report.diagnostics["invariants_used"] = list(rr.invariants_used)
-        return report
-
-    if cfg.task == "kernel":
-        ideal = _build_ideal(cfg)
-        _require_points(cfg, module)
-        kern = submodule_kernel(module, ideal, cfg.ideal_degree)
-        report.diagnostics["kernel_variant"] = kern.variant
-        exact_ok = module.has_integer_weights() or kern.variant == "gram_form"
-
-        def add_value(name, z, w):
-            if exact_ok:
-                report.add(name, kern.eval_exact(z, w))
-            else:
-                bounded = kern.eval_truncated(z, w)
-                report.add(name, bounded.value)
-                report.diagnostics[f"{name}_remainder_bound"] = \
-                    float(bounded.bound)
-
-        for k, p in enumerate(cfg.points, 1):
-            add_value(f"kernel_diag_{k}", p, p)
-        if len(cfg.points) >= 2:
-            add_value("kernel_offdiag_12", cfg.points[0], cfg.points[1])
-        if kern.variant == "gram_form":
-            report.diagnostics["gram_basis_size"] = len(kern.basis)
-            report.diagnostics["gram_truncation_degree"] = kern.trunc_degree
-            report.diagnostics["truncation_note"] = (
-                "gram-form values are the degree-truncated kernel; raise "
-                "ideal_degree to check stabilization")
-        return report
-
-    if cfg.task == "dimension":
-        ideal = _build_ideal(cfg)
-        _require_points(cfg, module)
-        # point_k_on_variety only for point ideals, the catalogue and powers of
-        # single variables, as pinned; ROADMAP item 13's re-pin drops this rule
-        on_variety_rows = ideal.family != GENERAL and (
-            ideal.family != MONOMIAL or all(
-                sum(map(bool, g.monomial_exponent())) == 1
-                for g in ideal.generators))
-        max_deg = max(cfg.ideal_degree, ideal.max_degree + 1)
-        for k, p in enumerate(cfg.points, 1):
-            loc = localization_dim(ideal, p, max_deg)
-            report.add(f"localization_dim_{k}", loc.dim)
-            report.add(f"stabilized_at_{k}", loc.stabilized_at)
-            report.diagnostics[f"dims_by_degree_{k}"] = \
-                [[n, d] for n, d in loc.dims_by_degree]
-            if on_variety_rows:
-                report.diagnostics[f"point_{k}_on_variety"] = \
-                    ideal.vanishes_at(p)
-            if loc.conditional:
-                report.diagnostics[f"conditional_{k}"] = (
-                    "general-family result; stabilization is heuristic")
-        return report
-
-    # decompose / metric / curvature all need a frame
     ideal = _build_ideal(cfg)
-    frame = _build_frame(cfg, module, ideal)
+    _require(cfg, "points")
+    if any(len(p) != module.dim for p in cfg.points):
+        raise InputError("point arity does not match dimension",
+                         field="task.points")
+    return module, ideal
 
-    if cfg.task == "decompose":
-        report.add("frame_count", frame.count)
-        report.add("frame_kind", frame.kind)
-        for k, (v, p) in enumerate(zip(frame.gen_vars, frame.gen_powers)):
-            # the monic monomial z_{v+1}^p, as str(Poly) writes it
-            report.add(f"generator_{k+1}",
-                       f"z{v+1}" if p == 1 else f"z{v+1}^{p}")
-            report.add(f"lead_coefficient_{k+1}", frame.lead_coeffs[k])
-        # by share_numerators, shares sum to 1 on every divided kernel term
-        report.add("reconstruction_exact", True)
-        report.diagnostics["free_variables"] = \
-            [f"w{i+1}" for i in frame.free_slots]
-        report.diagnostics["splitting_rule"] = frame.splitting_note
-        report.diagnostics["base_point"] = [str(x) for x in frame.base_point]
-        return report
 
-    if cfg.task == "metric":
-        metric = grammian(frame)
-        report.add_matrix("metric_at_base", metric.value_at_base())
-        # grammian's builders are Hermitian by construction, and it returns
-        # only metrics with positive leading principal minors, which it keeps
-        report.add("hermitian", True)
-        report.add("positive_definite", True)
-        for k, d in enumerate(metric.minors, 1):
-            report.add(f"principal_minor_{k}", d)
-        t = metric.size
-        report.diagnostics["metric_series"] = dict(zip(
-            _matrix_names("H", (t,) * t),
-            [metric.entry_text(i, j) for i in range(t) for j in range(t)]))
-        if metric.scale:
-            report.diagnostics["diagonal_scales"] = [metric.scale] * t
-        return report
+def _frame_task_inputs(cfg: JobConfig):
+    """(module, frame) of the decompose, metric and curvature tasks."""
+    module = _build_module(cfg)
+    ideal = _build_ideal(cfg)
+    return module, _build_frame(cfg, module, ideal)
 
-    if cfg.task == "curvature":
-        if cfg.trunc_degree < 4:
-            raise DomainError("curvature task needs trunc_degree >= 4")
-        tensor = curvature_tensor(frame)
-        report.add_matrix("det_bundle_curvature", tensor.trace_matrix())
-        report.add_blocks("curvature_block", tensor.blocks)
-        t = tensor.size
-        if frame.kind == COORDINATE_KIND and module.dim == 2 and t == 2:
-            inv = lambda_mu_invariants(*module.weights)
-            report.add("closed_form_kappa1", inv.kappa1)
-            report.add("closed_form_kappa2", inv.kappa2)
-        if frame.kind != COORDINATE_KIND and t == 1 and module.dim == 2:
-            pair = principal_curvature_pair(module, frame.gen_powers[0],
-                                            frame.gen_vars[0])
-            report.add("transverse_norm_hessian", pair.raw)
-            report.add("transverse_log_hessian", pair.log_based)
-            report.diagnostics["transverse_convention_note"] = pair.note
-        report.diagnostics["free_variables"] = \
-            [f"w{i+1}" for i in frame.free_slots]
-        return report
 
-    raise InputError(f"unhandled task {cfg.task!r}", field="task.name")
+def _run_kernel(cfg: JobConfig, report: Report):
+    module, ideal = _point_task_inputs(cfg)
+    kern = submodule_kernel(module, ideal, cfg.ideal_degree)
+    report.diagnostics["kernel_variant"] = kern.variant
+    exact_ok = module.has_integer_weights() or kern.variant == "gram_form"
+
+    def add_value(name, z, w):
+        if exact_ok:
+            report.add(name, kern.eval_exact(z, w))
+        else:
+            bounded = kern.eval_truncated(z, w)
+            report.add(name, bounded.value)
+            report.diagnostics[f"{name}_remainder_bound"] = \
+                float(bounded.bound)
+
+    for k, p in enumerate(cfg.points, 1):
+        add_value(f"kernel_diag_{k}", p, p)
+    if len(cfg.points) >= 2:
+        add_value("kernel_offdiag_12", cfg.points[0], cfg.points[1])
+    if kern.variant == "gram_form":
+        report.diagnostics["gram_basis_size"] = len(kern.basis)
+        report.diagnostics["gram_truncation_degree"] = kern.trunc_degree
+        report.diagnostics["truncation_note"] = (
+            "gram-form values are the degree-truncated kernel; raise "
+            "ideal_degree to check stabilization")
+
+
+def _run_decompose(cfg: JobConfig, report: Report):
+    _, frame = _frame_task_inputs(cfg)
+    report.add("frame_count", frame.count)
+    report.add("frame_kind", frame.kind)
+    for k, (v, p) in enumerate(zip(frame.gen_vars, frame.gen_powers)):
+        # the monic monomial z_{v+1}^p, as str(Poly) writes it
+        report.add(f"generator_{k+1}",
+                   f"z{v+1}" if p == 1 else f"z{v+1}^{p}")
+        report.add(f"lead_coefficient_{k+1}", frame.lead_coeffs[k])
+    # by share_numerators, shares sum to 1 on every divided kernel term
+    report.add("reconstruction_exact", True)
+    report.diagnostics["free_variables"] = \
+        [f"w{i+1}" for i in frame.free_slots]
+    report.diagnostics["splitting_rule"] = frame.splitting_note
+    report.diagnostics["base_point"] = [str(x) for x in frame.base_point]
+
+
+def _run_metric(cfg: JobConfig, report: Report):
+    _, frame = _frame_task_inputs(cfg)
+    metric = grammian(frame)
+    report.add_matrix("metric_at_base", metric.value_at_base())
+    # grammian's builders are Hermitian by construction, and it returns
+    # only metrics with positive leading principal minors, which it keeps
+    report.add("hermitian", True)
+    report.add("positive_definite", True)
+    for k, d in enumerate(metric.minors, 1):
+        report.add(f"principal_minor_{k}", d)
+    t = metric.size
+    report.diagnostics["metric_series"] = dict(zip(
+        _matrix_names("H", (t,) * t),
+        [metric.entry_text(i, j) for i in range(t) for j in range(t)]))
+    if metric.scale:
+        report.diagnostics["diagonal_scales"] = [metric.scale] * t
+
+
+def _run_curvature(cfg: JobConfig, report: Report):
+    module, frame = _frame_task_inputs(cfg)
+    if cfg.trunc_degree < 4:
+        raise DomainError("curvature task needs trunc_degree >= 4")
+    tensor = curvature_tensor(frame)
+    report.add_matrix("det_bundle_curvature", tensor.trace_matrix())
+    report.add_blocks("curvature_block", tensor.blocks)
+    t = tensor.size
+    if frame.kind == COORDINATE_KIND and module.dim == 2 and t == 2:
+        inv = lambda_mu_invariants(*module.weights)
+        report.add("closed_form_kappa1", inv.kappa1)
+        report.add("closed_form_kappa2", inv.kappa2)
+    if frame.kind != COORDINATE_KIND and t == 1 and module.dim == 2:
+        pair = principal_curvature_pair(module, frame.gen_powers[0],
+                                        frame.gen_vars[0])
+        report.add("transverse_norm_hessian", pair.raw)
+        report.add("transverse_log_hessian", pair.log_based)
+        report.diagnostics["transverse_convention_note"] = pair.note
+    report.diagnostics["free_variables"] = \
+        [f"w{i+1}" for i in frame.free_slots]
+
+
+def _run_dimension(cfg: JobConfig, report: Report):
+    module, ideal = _point_task_inputs(cfg)
+    # point_k_on_variety only for point ideals, the catalogue and powers of
+    # single variables, as pinned; ROADMAP item 13's re-pin drops this rule
+    on_variety_rows = ideal.family != GENERAL and (
+        ideal.family != MONOMIAL or all(
+            sum(map(bool, g.monomial_exponent())) == 1
+            for g in ideal.generators))
+    max_deg = max(cfg.ideal_degree, ideal.max_degree + 1)
+    for k, p in enumerate(cfg.points, 1):
+        loc = localization_dim(ideal, p, max_deg)
+        report.add(f"localization_dim_{k}", loc.dim)
+        report.add(f"stabilized_at_{k}", loc.stabilized_at)
+        report.diagnostics[f"dims_by_degree_{k}"] = \
+            [[n, d] for n, d in loc.dims_by_degree]
+        if on_variety_rows:
+            report.diagnostics[f"point_{k}_on_variety"] = \
+                ideal.vanishes_at(p)
+        if loc.conditional:
+            report.diagnostics[f"conditional_{k}"] = (
+                "general-family result; stabilization is heuristic")
+
+
+def _run_compare(cfg: JobConfig, report: Report):
+    module = _build_module(cfg)
+    _require(cfg, "compare_weights")
+    ideal = _build_ideal(cfg)
+    data = ideal.coordinate_powers
+    gen_vars, powers = zip(*data)
+    t = len(data)
+    if t == module.dim:
+        if module.dim == 2 and powers == (1, 1):
+            # each side's pair once, read by the decision and the rows
+            a = lambda_mu_invariants(*module.weights)
+            b = lambda_mu_invariants(*cfg.compare_weights)
+            report.add("equivalent", a.as_pair() == b.as_pair())
+            report.add("kappa1_left", a.kappa1)
+            report.add("kappa2_left", a.kappa2)
+            report.add("kappa1_right", b.kappa1)
+            report.add("kappa2_right", b.kappa2)
+            report.diagnostics["invariants_used"] = [
+                "det-bundle curvature diagonal of the coordinate ideal"]
+            return
+        raise UnsupportedIdealError(
+            "comparison needs a transverse direction (fewer generators "
+            "than variables) or the bidisc coordinate ideal")
+    rr = polydisc_rigidity_report(module.weights, powers,
+                                  cfg.compare_weights, gen_vars)
+    report.add("equivalent", rr.equivalent)
+    for name, v in rr.battery_left:
+        report.add(f"left_{name}", v)
+    for name, v in rr.battery_right:
+        report.add(f"right_{name}", v)
+    report.diagnostics["invariants_used"] = list(rr.invariants_used)
+
+
+def _run_cubic(cfg: JobConfig, report: Report):
+    if cfg.alpha is None:
+        raise InputError("task 'cubic' requires alpha", field="task.alpha")
+    cr = cubic_positive_roots(cfg.alpha)
+    report.add("positive_root_count", cr.positive_roots)
+    for k, (lo, hi) in enumerate(cr.isolating_intervals, 1):
+        report.add(f"isolating_interval_{k}", [lo, hi])
+    report.diagnostics["cubic_coefficients_ascending"] = \
+        [str(c) for c in cr.coefficients]
+    report.diagnostics["method"] = \
+        "exact Sturm chain over the rationals with bisection isolation"
+
+
+class Task(NamedTuple):
+    reads: frozenset  # the config keys the task reads, named as in SCHEMA
+    run: Callable     # run(cfg, report) adds the task's results to report
+
+
+# the keys every task reads, then those of every task on a module and an
+# ideal; a key a task does not read is still checked and echoed
+_JOB_KEYS = frozenset({"name", "output"})
+_IDEAL_KEYS = _JOB_KEYS | {"dimension", "weights", "generators", "catalogue"}
+_POINT_KEYS = _IDEAL_KEYS | {"points", "ideal_degree"}
+_FRAME_KEYS = _IDEAL_KEYS | {"base_point", "trunc_degree"}
+
+# the tasks in the order of the subcommands and of the unknown-task message
+TASKS = {
+    "kernel": Task(_POINT_KEYS, _run_kernel),
+    "decompose": Task(_FRAME_KEYS, _run_decompose),
+    "metric": Task(_FRAME_KEYS, _run_metric),
+    "curvature": Task(_FRAME_KEYS, _run_curvature),
+    "dimension": Task(_POINT_KEYS, _run_dimension),
+    "compare": Task(_IDEAL_KEYS | {"compare_weights"}, _run_compare),
+    "cubic": Task(_JOB_KEYS | {"alpha"}, _run_cubic),
+}
+
+
+def run_task(cfg: JobConfig) -> Report:
+    """cfg's report: its input echo, then its task's results."""
+    report = Report(task=cfg.task, input_echo=_input_echo(cfg))
+    TASKS[cfg.task].run(cfg, report)
+    return report
 
 
 # ---------------------------------------------------------------------------

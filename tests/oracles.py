@@ -57,8 +57,8 @@ from typing import Callable
 
 from submodcurv.algebra import (SeriesMatrix, TruncSeries, cofactor_det,
                                 exponent, iter_multiindices, rat, unit)
-from submodcurv.cli import (CONVENTION, FLAG_LABELS, POINT_TASKS, TASKS,
-                            JobConfig, Report, _check_fields, _read_config)
+from submodcurv.cli import (CONVENTION, FLAG_LABELS, TASKS, JobConfig,
+                            Report, _check_fields, _read_config)
 from submodcurv.curvature import CurvatureTensor
 from submodcurv.errors import (DomainError, InputError, ShapeError,
                                SingularityError, TruncationError,
@@ -1183,10 +1183,12 @@ def parse_sections_by_schema_walk(sections, args=None) -> JobConfig:
         flags = {"output": args.output, "trunc_degree": args.trunc_degree,
                  "ideal_degree": args.ideal_degree}
         if args.point is not None:
-            if task not in POINT_TASKS:
+            point_tasks = [name for name in TASKS
+                           if "points" in TASKS[name].reads]
+            if task not in point_tasks:
                 raise InputError(
                     f"task {task!r} reads no points; --point applies "
-                    f"only to the {' and '.join(POINT_TASKS)} tasks",
+                    f"only to the {' and '.join(point_tasks)} tasks",
                     field="--point")
             flags["points"] = (parse_vector_by_fraction_str(args.point,
                                                             "--point"),)

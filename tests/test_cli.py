@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -723,6 +724,23 @@ def test_readme_key_table_matches_schema():
                     for key in keys}
 
 
+def test_readme_read_by_column_is_the_task_table():
+    # each key's "Read by" cell names the tasks whose TASKS row reads it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    every = set(cli.TASKS)
+    spelled = {"every task": every, "every task but `cubic`": every - {"cubic"}}
+    keys = set()
+    for line in readme.splitlines():
+        if line.startswith("| `["):
+            _, key, _, read_by = (cell.strip() for cell in line.split("|")[1:5])
+            key = key.strip("`")
+            keys.add(key)
+            named = spelled.get(read_by) or set(re.findall(r"`(\w+)`", read_by))
+            assert named == {name for name, task in cli.TASKS.items()
+                             if key in task.reads}, key
+    assert set().union(*(task.reads for task in cli.TASKS.values())) <= keys
+
+
 def test_schema_keys_are_the_jobconfig_fields():
     # parse_config builds JobConfig(task=task, **fields) from SCHEMA's keys,
     # task.name giving task
@@ -1099,7 +1117,7 @@ def _argv(draw):
                           max_size=4, unique=draw(st.booleans())))
     if draw(st.integers(0, 4)):
         flags.append("--config")
-    argv = [draw(st.sampled_from(cli.TASKS))]
+    argv = [draw(st.sampled_from(list(cli.TASKS)))]
     for flag in draw(st.permutations(flags)):
         argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
