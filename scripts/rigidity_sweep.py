@@ -5,7 +5,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from submodcurv import polydisc_rigidity, principal_rigidity
+from submodcurv import polydisc_rigidity_report
 
 
 def main(argv=None):
@@ -28,7 +28,8 @@ def main(argv=None):
                 for mu2 in pool:
                     for p in powers:
                         combos += 1
-                        got = principal_rigidity(lam, mu, p, lam2, mu2)
+                        got = polydisc_rigidity_report(
+                            (lam, mu), (p,), (lam2, mu2)).equivalent
                         if got != ((lam, mu) == (lam2, mu2)):
                             mismatches += 1
                             print(f"MISMATCH principal ({lam},{mu}) "
@@ -41,7 +42,7 @@ def main(argv=None):
     for w1 in tuples:
         for w2 in tuples:
             combos3 += 1
-            got = polydisc_rigidity(w1, (1,), w2)
+            got = polydisc_rigidity_report(w1, (1,), w2).equivalent
             if got != (w1 == w2):
                 mismatches3 += 1
                 print(f"MISMATCH polydisc {w1} vs {w2}: {got}")

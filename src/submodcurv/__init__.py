@@ -21,8 +21,7 @@ from .ideals import (CATALOGUE, IdealSpec, LocalizationResult,
                      localization_dim)
 from .invariants import (CubicReport, LambdaMuInvariant, RigidityReport,
                          cubic_positive_roots, lambda_mu_invariants,
-                         polydisc_rigidity, polydisc_rigidity_report,
-                         principal_rigidity)
+                         polydisc_rigidity_report)
 from .polynomials import Poly, parse_poly
 from .rkhs import (DiagonalFilteredKernel, GramFormKernel,
                    RankOneCorrectedKernel, WeightedPolydiscModule,
@@ -44,8 +43,8 @@ __all__ = [
     "decompose_coordinate_ideal", "det_bundle_curvature", "diag_coeff",
     "frame_on_zero_set", "grammian", "iter_multiindices",
     "lambda_mu_invariants", "localization_dim",
-    "parse_poly", "polydisc_rigidity", "polydisc_rigidity_report",
-    "principal_curvature_pair", "principal_rigidity", "rat",
+    "parse_poly", "polydisc_rigidity_report",
+    "principal_curvature_pair", "rat",
     "reconstruction_residual", "series_inverse", "series_log",
     "submodule_kernel",
 ]

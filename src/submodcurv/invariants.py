@@ -120,15 +120,6 @@ def cubic_positive_roots(alpha) -> CubicReport:
 # Rigidity deciders
 
 
-def principal_rigidity(lam, mu, p: int, lam2, mu2) -> bool:
-    """Whether <z_1^p> over weights (lam, mu) and the same ideal over
-    (lam2, mu2) are equivalent, decided on the curvature battery of
-    polydisc_rigidity: the transverse curvature mu and the norm Hessians
-    mu poch(lam, p)/p! and mu poch(lam, p+1)/(p+1)! of the frame and of its
-    degree-shifted companion."""
-    return polydisc_rigidity((lam, mu), (p,), (lam2, mu2))
-
-
 class RigidityReport(NamedTuple):
     equivalent: bool
     battery_left: tuple    # ((name, Fraction), ...)
@@ -212,7 +203,3 @@ def polydisc_rigidity_report(weights1, exponents, weights2,
     names = tuple(name for name, _ in left)
     # the batteries share their names: equal exactly when their values are
     return RigidityReport(left == right, left, right, names)
-
-
-def polydisc_rigidity(weights1, exponents, weights2) -> bool:
-    return polydisc_rigidity_report(weights1, exponents, weights2).equivalent

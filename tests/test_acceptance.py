@@ -21,8 +21,8 @@ from submodcurv import (DiagonalFilteredKernel, GramFormKernel, IdealSpec,
                         curvature_matrix, decompose_coordinate_ideal,
                         det_bundle_curvature, frame_on_zero_set, grammian,
                         lambda_mu_invariants, localization_dim,
-                        principal_curvature_pair, principal_rigidity,
-                        polydisc_rigidity, reconstruction_residual)
+                        polydisc_rigidity_report, principal_curvature_pair,
+                        reconstruction_residual)
 from submodcurv.algebra import TruncSeries
 from oracles import (conj, coordinate_det_fn, coordinate_powers,
                      fd_log_hessian, full_reconstruction_residual,
@@ -101,7 +101,8 @@ def test_criterion_3_rigidity_iff_equal_weights():
                 for mu2 in pool:
                     for p in (1, 2):
                         combos += 1
-                        got = principal_rigidity(lam, mu, p, lam2, mu2)
+                        got = polydisc_rigidity_report(
+                            (lam, mu), (p,), (lam2, mu2)).equivalent
                         want = (lam, mu) == (lam2, mu2)
                         if got != want:
                             failures.append(
@@ -113,7 +114,7 @@ def test_criterion_3_rigidity_iff_equal_weights():
         for w2 in tuples:
             for exps in ((1,), (2,)):
                 combos += 1
-                got = polydisc_rigidity(w1, exps, w2)
+                got = polydisc_rigidity_report(w1, exps, w2).equivalent
                 want = w1 == w2
                 if got != want:
                     failures.append(f"polydisc {w1} vs {w2} exps={exps}: {got}")

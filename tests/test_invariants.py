@@ -10,8 +10,7 @@ from submodcurv.errors import (DomainError, UnsupportedIdealError,
                                WorkLimitError)
 from submodcurv.invariants import (CUBIC_ALPHA_BITS, cubic_positive_roots,
                                    lambda_mu_invariants,
-                                   polydisc_rigidity, polydisc_rigidity_report,
-                                   principal_rigidity)
+                                   polydisc_rigidity_report)
 
 from oracles import (count_roots_between, cubic_positive_roots_by_sturm,
                      forbid_fraction_arithmetic, lambda_mu_by_fractions,
@@ -259,14 +258,15 @@ def test_cubic_rejects_nonpositive_alpha():
 
 def test_principal_rigidity_reference_cases():
     # (1,2) vs (2,1) at p=1: batteries (2, 2, 2) vs (1, 2, 3)
-    assert principal_rigidity(1, 2, 1, 2, 1) is False
+    assert polydisc_rigidity_report((1, 2), (1,), (2, 1)).equivalent is False
     # (3,1) vs (1,3) at p=1: batteries (1, 3, 6) vs (3, 3, 3)
-    assert principal_rigidity(3, 1, 1, 1, 3) is False
-    assert principal_rigidity(2, 3, 2, 2, 3) is True
-    assert principal_rigidity(F(1, 2), F(5, 2), 3, F(1, 2), F(5, 2)) is True
+    assert polydisc_rigidity_report((3, 1), (1,), (1, 3)).equivalent is False
+    assert polydisc_rigidity_report((2, 3), (2,), (2, 3)).equivalent is True
+    assert polydisc_rigidity_report(
+        (F(1, 2), F(5, 2)), (3,), (F(1, 2), F(5, 2))).equivalent is True
     for lam, mu, lam2, mu2 in ((0, 1, 1, 1), (1, 1, 1, -2)):
         with pytest.raises(DomainError):
-            principal_rigidity(lam, mu, 1, lam2, mu2)
+            polydisc_rigidity_report((lam, mu), (1,), (lam2, mu2))
 
 
 def test_principal_rigidity_iff_equal_weights():
@@ -274,8 +274,8 @@ def test_principal_rigidity_iff_equal_weights():
     for l1, m1, l2, m2 in itertools.product(vals, repeat=4):
         for p in (1, 2):
             want = (l1, m1) == (l2, m2)
-            assert principal_rigidity(l1, m1, p, l2, m2) == want, \
-                (l1, m1, p, l2, m2)
+            got = polydisc_rigidity_report((l1, m1), (p,), (l2, m2))
+            assert got.equivalent == want, (l1, m1, p, l2, m2)
 
 
 def test_polydisc_rigidity_iff_equal_weights():
@@ -283,10 +283,11 @@ def test_polydisc_rigidity_iff_equal_weights():
             (F(1, 2), F(2), F(1)), (F(2), F(2), F(1))]
     for w1 in pool:
         for w2 in pool:
-            got = polydisc_rigidity(w1, (1,), w2)
+            got = polydisc_rigidity_report(w1, (1,), w2).equivalent
             assert got == (w1 == w2), (w1, w2)
-    assert polydisc_rigidity((1, 2, 1), (1, 2), (1, 2, 1))
-    assert not polydisc_rigidity((1, 2, 1), (1, 2), (1, 1, 2))
+    assert polydisc_rigidity_report((1, 2, 1), (1, 2), (1, 2, 1)).equivalent
+    assert not polydisc_rigidity_report((1, 2, 1), (1, 2),
+                                        (1, 1, 2)).equivalent
 
 
 def test_rigidity_battery_closed_forms():
@@ -333,8 +334,6 @@ def test_rigidity_rejects_non_integer_exponents(p):
     and 1.9 once ran as p = 1, and "2" as p = 2."""
     with pytest.raises(DomainError):
         polydisc_rigidity_report((1, 2), (p,), (1, 2))
-    with pytest.raises(DomainError):
-        principal_rigidity(1, 2, p, 1, 2)
 
 
 def test_rigidity_needs_transverse_direction():
@@ -372,4 +371,4 @@ def test_rigidity_rejects_a_shared_variable():
 
 def test_principal_rigidity_needs_p_at_least_one():
     with pytest.raises(DomainError, match="each >= 1"):
-        principal_rigidity(1, 2, 0, 1, 2)
+        polydisc_rigidity_report((1, 2), (0,), (1, 2))
