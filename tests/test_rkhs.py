@@ -2,10 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from submodcurv.algebra import iter_multiindices
+from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, TruncationError
 from submodcurv.ideals import IdealSpec
 from submodcurv.linalg import leading_principal_minors, mat_rank, mat_solve
@@ -765,6 +765,35 @@ def test_rank_one_sums_each_kernel_value_once(monkeypatch):
     # K(z, a), K(a, a), K(z, z); then K(a, a) is kept; K(a, w) is one more;
     # a new degree sums its own K(a, a)
     assert counts == [3, 5, 8, 11]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       st.lists(st.lists(_coord, min_size=3, max_size=3), min_size=3,
+                max_size=3))
+@example([1, 2], [[F(1, 2), F(-1, 3)], [F(1, 4), F(2, 3)], [F(-3, 4), 0]])
+@example([2, 3], [[F(-1, 5), F(3, 4)], [F(1, 2), F(1, 2)], [0, F(-1, 8)]])
+@example([1, 1, 3], [[F(1, 3), F(-1, 2), F(2, 7)], [F(3, 4), 0, F(-1, 4)],
+                     [F(-5, 8), F(1, 6), F(1, 2)]])
+def test_point_ideal_kernel_follows_the_disc_automorphisms(weights, points):
+    """At integer weights l the kernel of the point ideal at c is the one
+    at the origin moved by phi_c(x) = (x - c)/(1 - c x) in each slot:
+    K_c(z, w) = prod_i (1 - c_i^2)^l_i (1 - c_i z_i)^-l_i (1 - c_i w_i)^-l_i
+    K_0(phi_c z, phi_c w), as the slot kernels (1 - z w)^-l are (M. J.
+    Cowen and R. G. Douglas, Acta Math. 141, 1978)."""
+    m = len(weights)
+    module = WeightedPolydiscModule(m, weights)
+    c, z, w = (tuple(F(x) for x in p[:m]) for p in points)
+    multiplier = F(1)
+    for l, a, x, y in zip(weights, c, z, w):
+        multiplier *= ((1 - a * a) / ((1 - a * x) * (1 - a * y))) ** l
+
+    def phi(point):
+        return tuple((x - a) / (1 - a * x) for x, a in zip(point, c))
+
+    at_origin = DiagonalFilteredKernel(module, [unit(m, i) for i in range(m)])
+    assert RankOneCorrectedKernel(module, c).eval_exact(z, w) == \
+        multiplier * at_origin.eval_exact(phi(z), phi(w))
 
 
 _PRINCIPAL_M3 = (WeightedPolydiscModule(3, (F(5, 2), F(1, 3), F(2))),
