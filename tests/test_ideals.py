@@ -162,8 +162,14 @@ def test_minimality_certificate():
 
 # -- membership in V(I) by evaluating the generators -------------------------
 
-_coord = st.fractions(min_value=-1, max_value=1, max_denominator=6).filter(
-    lambda x: abs(x) < 1)
+# st.fractions(min_value=-1, max_value=1, max_denominator=6) as hypothesis
+# builds it, a denominator d in 1..6 and then a numerator in -d..d, but with
+# each denominator's strategy built once: st.fractions builds it anew on
+# every draw, which cost most of the time of the tests that draw points
+_BY_DENOMINATOR = {d: st.builds(F, st.integers(-d, d), st.just(d))
+                   for d in range(1, 7)}
+_coord = st.integers(1, 6).flatmap(_BY_DENOMINATOR.__getitem__).map(
+    lambda f: f.limit_denominator(6)).filter(lambda x: abs(x) < 1)
 _nonzero = _coord.filter(bool)
 
 
@@ -171,6 +177,16 @@ def _powers(m, *terms):
     """The ideal of the monomials c z_i^p for terms (c, i, p)."""
     return IdealSpec(
         m, tuple(Poly.monomial(m, unit(m, i, p), c) for c, i, p in terms))
+
+
+# _described_ideal's strategies, built and validated once rather than on
+# every draw: the points and the power terms (c, i, p) in m variables
+_POINTS = {m: st.tuples(*[_coord] * m) for m in range(2, 5)}
+_POWER_TERMS = {m: st.lists(st.tuples(
+    _nonzero | st.integers(-3, 3).filter(bool),
+    st.integers(0, m - 1), st.integers(1, 3)), min_size=1, max_size=3)
+    for m in range(2, 5)}
+_KINDS = st.sampled_from(["powers", "point", "catalogue"])
 
 
 @st.composite
@@ -181,12 +197,10 @@ def _described_ideal(draw):
     variables.  The point on V(I) zeroes the vanishing coordinates of a
     drawn point; the point off it moves one of them."""
     m = draw(st.integers(2, 4))
-    w = list(draw(st.tuples(*[_coord] * m)))
-    kind = draw(st.sampled_from(["powers", "point", "catalogue"]))
+    w = list(draw(_POINTS[m]))
+    kind = draw(_KINDS)
     if kind == "powers":
-        terms = draw(st.lists(st.tuples(
-            _nonzero | st.integers(-3, 3).filter(bool),
-            st.integers(0, m - 1), st.integers(1, 3)), min_size=1, max_size=3))
+        terms = draw(_POWER_TERMS[m])
         ideal = _powers(m, *terms)
         vanishing, target = {i for _, i, _ in terms}, [F(0)] * m
     elif kind == "point":
