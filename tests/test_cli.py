@@ -216,6 +216,27 @@ compare_weights = 2 1
     assert results["kappa1_right"] == F(31, 18)
 
 
+def test_compare_refuses_other_ideals_with_no_free_variable():
+    # on the bidisc only <z1, z2> has closed-form invariants; <z1, z2^2>
+    # leaves no transverse direction for the battery either
+    cfg = parse_config(MODULE_2 + "[ideal]\ngenerators = z1, z2^2\n\n"
+                       "[task]\nname = compare\ncompare_weights = 1 2\n")
+    with pytest.raises(UnsupportedIdealError, match="transverse direction"):
+        run_task(cfg)
+
+
+def test_dimension_task_scans_one_degree_past_the_generators_at_least():
+    # an ideal_degree below the generators' degree 2 is raised to 3, so the
+    # scan reads degrees 2 and 3, where the defect has not settled yet
+    report = run_task(parse_config(
+        MODULE_2 + "[ideal]\ncatalogue = product_difference\n\n[task]\n"
+        "name = dimension\npoints = 1/2 1/3\nideal_degree = 1\n"))
+    results = dict(report.results)
+    assert results["localization_dim_1"] == 1
+    assert results["stabilized_at_1"] is None
+    assert report.diagnostics["dims_by_degree_1"] == [[2, 2], [3, 1]]
+
+
 METRIC = """
 [module]
 dimension = 3
