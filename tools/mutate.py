@@ -18,12 +18,21 @@ module's source in the copy and runs ``python -m pytest -x -q`` with
 ``--hypothesis-seed=0`` over the test modules that import the mutated
 module (``tests/test_<module>.py`` first), then ``tests/test_golden.py``
 and ``tests/test_pins.py``, with no bytecode written and no hypothesis
-database carried from one mutant to the next.  The mutant is killed if
-pytest fails, timed out if it runs past twice the unmutated run of the
-same modules plus 20 s, and survives otherwise.  Two copies run the
-unmutated modules and then the mutants side by side.  The tool prints
-the killed, survived and timed-out counts of each target and lists each
-survivor by file, line and change.
+database carried from one mutant to the next.
+
+Each copy holds a pytest plugin, written there by the tool and loaded
+with ``-p``.  In the unmutated run it records each test's time.  In a
+mutant's run it arms ``faulthandler.dump_traceback_later`` around each
+test, at WATCHDOG_FACTOR times that test's recorded time plus
+WATCHDOG_FLOOR seconds, so a mutant that loops ends in seconds with
+every thread's stack; pytest's own faulthandler_timeout is off in that
+run alone.  The mutant is timed out if the watchdog fires, or if the run
+goes past twice the unmutated run of the same modules plus 20 s; killed
+if pytest fails otherwise; and survives if it passes.  Two copies run
+the unmutated modules and then the mutants side by side.  The tool
+prints the killed, survived and timed-out counts of each target, lists
+each mutant not killed by file, line and change, and prints the stacks
+of each one the watchdog stopped.
 """
 
 from __future__ import annotations
@@ -52,6 +61,48 @@ SYMBOLS = {ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=",
            ast.In: "in", ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-",
            ast.Mult: "*", ast.FloorDiv: "//", ast.And: "and", ast.Or: "or"}
 WORKERS = 2
+WATCHDOG_FACTOR = 5
+WATCHDOG_FLOOR = 2.0  # seconds
+# the plugin each copy loads: MUTATE_TIMES names the file of test times,
+# which the unmutated run writes; MUTATE_STACKS, set in a mutant's run
+# alone, names the file the watchdog writes its stacks to
+PLUGIN = f'''\
+import faulthandler
+import json
+import os
+import time
+
+import pytest
+
+TIMES = os.environ["MUTATE_TIMES"]
+STACKS = os.environ.get("MUTATE_STACKS")
+times = {{}}
+if STACKS:
+    with open(TIMES, encoding="utf-8") as fh:
+        times = json.load(fh)
+    stacks = open(STACKS, "w", encoding="utf-8")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if not STACKS:
+        start = time.perf_counter()
+        yield
+        times[item.nodeid] = time.perf_counter() - start
+        return
+    if item.nodeid in times:
+        faulthandler.dump_traceback_later(
+            {WATCHDOG_FACTOR} * times[item.nodeid] + {WATCHDOG_FLOOR},
+            exit=True, file=stacks)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def pytest_sessionfinish(session):
+    if not STACKS:
+        with open(TIMES, "w", encoding="utf-8") as fh:
+            json.dump(times, fh)
+'''
 
 
 def find_target(tree, qualname):
@@ -146,27 +197,40 @@ def suite_for(module):
     return files
 
 
-def run_tests(tree, files, timeout=None):
-    """'killed', 'survived' or 'timed out', and the seconds taken."""
+def run_tests(tree, files, times, timeout=None, mutant=True):
+    """('killed', 'survived' or 'timed out', the seconds taken, the
+    watchdog's stacks or ''): the unmutated run (mutant False) writes the
+    test times to the file times, which a mutant's run reads."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTATE_TIMES=times)
+    options = []
+    stacks = tree / ".mutant_stacks"
+    stacks.unlink(missing_ok=True)
+    if mutant:
+        env["MUTATE_STACKS"] = str(stacks)
+        options = ["-o", "faulthandler_timeout=0"]
     start = time.perf_counter()
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", "--hypothesis-seed=0", *files],
+             "no:cacheprovider", "-p", "mutant_watchdog", *options,
+             "--hypothesis-seed=0", *files],
             cwd=tree, env=env, timeout=timeout, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
-        return "timed out", time.perf_counter() - start
-    return ("killed" if done.returncode else "survived",
-            time.perf_counter() - start)
+        return "timed out", time.perf_counter() - start, ""
+    seconds = time.perf_counter() - start
+    text = stacks.read_text(encoding="utf-8") if stacks.exists() else ""
+    if text:
+        return "timed out", seconds, text
+    return ("killed" if done.returncode else "survived"), seconds, ""
 
 
 def copy_tree(into):
     tree = Path(into)
     shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work"))
+    (tree / "mutant_watchdog.py").write_text(PLUGIN, encoding="utf-8")
     return tree
 
 
@@ -183,9 +247,11 @@ def main(argv=None):
             tree = trees.get()
             path = tree / "src" / "submodcurv" / f"{module}.py"
             original = path.read_bytes()
+            times = str(Path(scratch) / f"{module}.times.json")
             try:
                 path.write_bytes(source or original)
-                return run_tests(tree, suite_for(module), timeout)
+                return run_tests(tree, suite_for(module), times, timeout,
+                                 mutant=source is not None)
             finally:
                 path.write_bytes(original)
                 trees.put(tree)
@@ -193,25 +259,28 @@ def main(argv=None):
         with ThreadPoolExecutor(WORKERS) as pool:
             modules = sorted({t.split(".", 1)[0] for t in targets})
             timeouts = {}
-            for module, (verdict, seconds) in zip(modules,
-                                                  pool.map(run, modules)):
+            for module, (verdict, seconds, _) in zip(modules,
+                                                     pool.map(run, modules)):
                 if verdict != "survived":
                     sys.exit(f"the unmutated tests of {module} fail")
                 timeouts[module] = 2 * seconds + 20
             found = [(target, *mutant) for target in targets
                      for mutant in mutants(target)]
-            verdicts = pool.map(
-                lambda m: run(m[1], m[3], timeouts[m[1]])[0], found)
-            for target, group in groupby(zip(found, verdicts),
+            outcomes = pool.map(
+                lambda m: run(m[1], m[3], timeouts[m[1]]), found)
+            for target, group in groupby(zip(found, outcomes),
                                          key=lambda r: r[0][0]):
-                group = [(mutant[2], verdict) for mutant, verdict in group]
-                counts = [sum(v == verdict for _, v in group)
+                group = [(mutant[2], verdict, stacks)
+                         for mutant, (verdict, _, stacks) in group]
+                counts = [sum(v == verdict for _, v, _ in group)
                           for verdict in ("killed", "survived", "timed out")]
                 print("%s: %d mutants, %d killed, %d survived, %d timed out"
                       % (target, len(group), *counts), flush=True)
-                for change, verdict in group:
+                for change, verdict, stacks in group:
                     if verdict != "killed":
                         print(f"  {verdict}: {change}", flush=True)
+                    for line in stacks.splitlines():
+                        print(f"    {line}", flush=True)
 
 
 if __name__ == "__main__":
