@@ -46,7 +46,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
+from itertools import chain
 from pathlib import Path
 from queue import Queue
 
@@ -264,19 +264,17 @@ def main(argv=None):
                 if verdict != "survived":
                     sys.exit(f"the unmutated tests of {module} fail")
                 timeouts[module] = 2 * seconds + 20
-            found = [(target, *mutant) for target in targets
-                     for mutant in mutants(target)]
+            found = {target: mutants(target) for target in targets}
             outcomes = pool.map(
-                lambda m: run(m[1], m[3], timeouts[m[1]]), found)
-            for target, group in groupby(zip(found, outcomes),
-                                         key=lambda r: r[0][0]):
-                group = [(mutant[2], verdict, stacks)
-                         for mutant, (verdict, _, stacks) in group]
-                counts = [sum(v == verdict for _, v, _ in group)
+                lambda m: run(m[0], m[2], timeouts[m[0]]),
+                chain.from_iterable(found.values()))
+            for target, group in found.items():
+                group = [(change, *next(outcomes)) for _, change, _ in group]
+                counts = [sum(v == verdict for _, v, _, _ in group)
                           for verdict in ("killed", "survived", "timed out")]
                 print("%s: %d mutants, %d killed, %d survived, %d timed out"
                       % (target, len(group), *counts), flush=True)
-                for change, verdict, stacks in group:
+                for change, verdict, _, stacks in group:
                     if verdict != "killed":
                         print(f"  {verdict}: {change}", flush=True)
                     for line in stacks.splitlines():
