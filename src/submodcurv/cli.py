@@ -720,9 +720,15 @@ def _run_cubic(cfg: JobConfig, report: Report):
         "exact Sturm chain over the rationals with bisection isolation"
 
 
-class Task(NamedTuple):
-    reads: frozenset  # the config keys the task reads, named as in SCHEMA
-    run: Callable     # run(cfg, report) adds the task's results to report
+class Task:
+    """A row of TASKS, a plain class: a NamedTuple class costs more to
+    create on every import, and nothing reads a Task as a tuple."""
+
+    __slots__ = ("reads", "run")
+
+    def __init__(self, reads: frozenset, run: Callable):
+        self.reads = reads  # the config keys the task reads, as in SCHEMA
+        self.run = run      # run(cfg, report) adds the task's results
 
 
 # the keys every task reads, then those of every task on a module and an

@@ -13,13 +13,15 @@ So the same generators always get the same family, whichever constructor
 built them.  The family decides which closed-form constructions apply
 downstream; nothing here attempts Groebner-style normal forms.  A point
 w is on V(I) exactly when every generator is 0 at w
-(IdealSpec.vanishes_at, in integers).  The localization dimension at w counts
-dim J_N - dim J'_N for spaces of generator multiples of bounded degree,
-J'_N spanned by the integer rows (z_i - w_i) z^beta p_j on the Gram
-form's column keys, with no change of coordinates.  The defect never
-increases; stopping at two equal consecutive values is a heuristic.  Each
-ideal keeps the results it gave, per (point, max_degree), in a bounded
-memo of its own.
+(IdealSpec.vanishes_at, in integers, on generators cleared once per
+ideal).  The localization dimension at w counts dim J_N - dim J'_N for
+spaces of generator multiples of bounded degree: J_N does not depend on w,
+so each ideal ranks it once per N (IdealSpec.multiples_dim), and J'_N is
+spanned by the integer rows (z_i - w_i) z^beta p_j on the negated column
+keys of the Gram form, so that each row leads at its top-degree monomial,
+with no change of coordinates.  The defect never increases; stopping at
+two equal consecutive values is a heuristic.  Each ideal keeps the results
+it gave, per (point, max_degree), in a bounded memo of its own.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class IdealSpec(Record):
         self.__dict__.update(nvars=nvars, generators=generators,
                              family=family, point=point)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max(g.degree for g in self.generators)
 
@@ -128,6 +130,45 @@ class IdealSpec(Record):
         hash.  The results are immutable, so every caller may share one."""
         return {}
 
+    @cached_property
+    def _multiples_dims(self) -> dict:
+        """multiples_dim's memo on this ideal: N -> dim J_N.  It holds one
+        int per degree a caller asked for, so it needs no bound."""
+        return {}
+
+    def multiples_dim(self, degree: int) -> int:
+        """dim J_N for N = degree: the rank of the multiples z^beta p_j of
+        degree <= N.  It does not depend on a point, so the ideal ranks it
+        once per N and keeps it.  The rows are keyed on the negated keys of
+        linalg.key_units, as localization_dim keys J'_N, so each leads at
+        its top-degree monomial, z^beta times the top of p_j: the rows of
+        one generator lead at distinct columns, and only a row whose lead
+        meets another generator's is reduced."""
+        dims = self._multiples_dims
+        if degree not in dims:
+            m = self.nvars
+            units = tuple(-u for u in key_units(m, degree + 1))
+            span = RowEchelon()
+            for g in self.generators:
+                terms = keyed_terms(g.coeffs, units)
+                for beta in iter_multiindices(m, degree - g.degree):
+                    shift = sum(map(mul, beta, units))
+                    span.add({k + shift: c for k, c in terms})
+            dims[degree] = len(span.rows)
+        return dims[degree]
+
+    @cached_property
+    def _cleared_terms(self) -> tuple:
+        """vanishes_at's generators, cleared once: per generator g of
+        degree deg, with r the lcm of its coefficients' denominators, the
+        triples (r c_e, e, deg - |e|)."""
+        cleared = []
+        for g in self.generators:
+            ints, _ = _common_denominator(g.coeffs.values())
+            cleared.append(tuple((c, e, g.degree - sum(e))
+                                 for e, c in zip(g.coeffs, ints)))
+        return tuple(cleared)
+
     def vanishes_at(self, point) -> bool:
         """Whether the point lies on V(I): one integer sum per generator.
         With the point written as w = v/q over one denominator q, and a
@@ -139,11 +180,8 @@ class IdealSpec(Record):
             raise DomainError(f"point has arity {len(w)}, ideal lives in "
                               f"{self.nvars} variables")
         v, q = _common_denominator(w)
-        for g in self.generators:
-            ints, _ = _common_denominator(g.coeffs.values())
-            deg = g.degree
-            if sum(c * prod(map(pow, v, e)) * q ** (deg - sum(e))
-                   for e, c in zip(g.coeffs, ints)):
+        for terms in self._cleared_terms:
+            if sum(c * prod(map(pow, v, e)) * q ** k for c, e, k in terms):
                 return False
         return True
 
@@ -224,12 +262,16 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
     with beta in z_i..z_m: their top monomials z^(beta + e_i) are distinct,
     so these (z_i - w_i) z^beta are a basis of m_w in each P_k.  With
     w_i = n_i/d_i each is the integer row d_i z^(beta + e_i) p_j -
-    n_i z^beta p_j on the keys of linalg.key_units.  The defect d_N =
-    dim J_N - dim J'_N counts generators surviving localization at w; it
-    is reported stabilized once two consecutive degrees agree.  J'_N only
-    grows with N, so each degree adds its new rows to one echelon form;
-    J_N = J'_N + span(p_j), so d_N is the number of p_j that a copy of
-    that form still accepts, and it never increases.
+    n_i z^beta p_j on the negated keys of linalg.key_units, so that it
+    leads at its top-degree monomial z^(beta + e_i) (top of p_j): the rows
+    of one generator are kept unreduced, and only rows whose tops meet
+    another generator's are reduced.  The defect d_N = dim J_N - dim J'_N
+    counts generators surviving localization at w; it is reported
+    stabilized once two consecutive degrees agree.  J'_N only grows with
+    N, so each degree adds its new rows to one echelon form, and dim J'_N
+    is the number of rows it keeps.  J_N = J'_N + span(p_j) does not
+    depend on w: the ideal ranks it once per N (IdealSpec.multiples_dim).
+    d_N never increases.
 
     The stopping rule is a heuristic for every family, and general ideals
     are flagged conditional: equal consecutive defects do not rule out a
@@ -252,7 +294,8 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
     if result is not None:
         return result
 
-    units = key_units(m, max_degree + 1)
+    # negated keys: each row leads at its top-degree monomial
+    units = tuple(-u for u in key_units(m, max_degree + 1))
     gens = [(g.degree, keyed_terms(g.coeffs, units)) for g in ideal.generators]
     # d_i (z_i - w_i) p_j for w_i = n_i/d_i, as integer rows; their halves
     # add where p_j has terms one unit apart (z1^2 + z1)
@@ -273,9 +316,8 @@ def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> Localizati
             for beta in iter_multiindices(m - i, top, top if N > dmax else 0):
                 shift = sum(map(mul, beta, units[i:]))
                 jp_span.add({k + shift: c for k, c in row.items()})
-        # d_N = rank(J'_N + span p_j) - rank J'_N, whatever the row order
-        probe = RowEchelon(jp_span.rows)
-        dims.append((N, sum(probe.add(dict(terms)) for _, terms in gens)))
+        # d_N = dim J_N - dim J'_N, whatever the row order
+        dims.append((N, ideal.multiples_dim(N) - len(jp_span.rows)))
         if len(dims) >= 2 and dims[-1][1] == dims[-2][1]:
             stabilized_at = N
             break

@@ -210,9 +210,10 @@ class RowEchelon:
     """Rows in echelon form, grown one sparse integer row at a time.
 
     A row is a dict {column: nonzero int}.  Every caller in the package
-    passes int columns: mat_rank its indices, the Gram form and
-    localization_dim the keys of key_units, where a row leads at its lowest
-    monomial.  ``add`` takes the row over: it
+    passes int columns: mat_rank its indices, the Gram form the keys of
+    key_units, where a row leads at its lowest monomial, and the
+    localization spans those keys negated, where it leads at its top one.
+    ``add`` takes the row over: it
     reduces it in place, and keeps it as it is when it is independent and
     primitive, so a caller passes a row it does not read again.  Every kept
     row is a primitive integer row, divided by its content where that is

@@ -11,9 +11,10 @@ from submodcurv import ideals
 from submodcurv.algebra import iter_multiindices, unit
 from submodcurv.errors import DomainError, UnsupportedIdealError
 from submodcurv.ideals import IdealSpec, localization_dim
-from submodcurv.linalg import mat_rank
+from submodcurv.linalg import RowEchelon, mat_rank
 from submodcurv.polynomials import Poly, parse_poly
-from submodcurv.rkhs import WeightedPolydiscModule, submodule_kernel
+from submodcurv.rkhs import (GramFormKernel, WeightedPolydiscModule,
+                             submodule_kernel)
 
 from oracles import (CoordinateSubspace, PointSet, codim,
                      coordinate_power_data_by_pair_scan, coordinate_powers,
@@ -223,6 +224,10 @@ def _described_ideal(draw):
          F(0), F(0))
 @example((_powers(3, (1, 0, 2), (1, 0, 3)), (F(0), F(-1, 2), F(1, 5)),
           (F(-1, 4), F(0), F(0))), F(1, 2), F(0))
+# terms of two degrees, so each is scaled by its own power of q
+@example((IdealSpec(2, (Poly.variable(2, 0) - F(1, 3),
+                        Poly.variable(2, 1) - F(1, 2))),
+          (F(1, 3), F(1, 2)), (F(1, 4), F(1, 2))), F(0), F(0))
 def test_vanishes_at_matches_the_zero_set_descriptor(case, x, y):
     ideal, on, off = case
     variety = zero_set(ideal)
@@ -359,6 +364,15 @@ def test_localization_point_arity():
         localization_dim(ideal, (F(0),))
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_localization_needs_a_degree_past_the_generators(cap):
+    # a scan of the generator degree alone has no two defects to compare
+    ideal = IdealSpec.catalogued("product_difference", 2)
+    with pytest.raises(DomainError, match=f"max_degree {cap} too small; "
+                       "need at least 3"):
+        localization_dim(ideal, OFF, cap)
+
+
 def test_general_family_flagged_conditional():
     ideal = IdealSpec(2, _gens(2, "z1 + z2^2"))
     loc = localization_dim(ideal, ORIGIN)
@@ -374,6 +388,19 @@ def test_dims_by_degree_regression():
     assert loc2.dims_by_degree == ((2, 2), (3, 1), (4, 1))
 
 
+def _dense_rank(m, N, polys):
+    """The rank of polynomials of degree <= N in m variables, one dense row
+    each over the monomials of degree <= N."""
+    index = {a: k for k, a in enumerate(iter_multiindices(m, N))}
+    rows = []
+    for p in polys:
+        row = [F(0)] * len(index)
+        for k, v in p.coeffs.items():
+            row[index[k]] = v
+        rows.append(row)
+    return mat_rank(rows) if rows else 0
+
+
 def _dense_dims_by_degree(ideal, point, max_degree):
     """Reference: one dense row per generator multiple over the monomials of
     degree <= N and one mat_rank per span, degree by degree until two
@@ -382,26 +409,16 @@ def _dense_dims_by_degree(ideal, point, max_degree):
     w = [F(x) for x in point]
 
     def defect(N):
-        index = {a: k for k, a in enumerate(iter_multiindices(m, N))}
-
-        def row(p):
-            out = [F(0)] * len(index)
-            for k, v in p.coeffs.items():
-                out[index[k]] = v
-            return out
-
-        j_rows, jp_rows = [], []
+        j_polys, jp_polys = [], []
         for g in ideal.generators:
             for beta in iter_multiindices(m, max(N - g.degree, 0)):
                 f = g.shift_by_monomial(beta)
-                j_rows.append(row(f))
+                j_polys.append(f)
                 if sum(beta) + g.degree <= N - 1:
                     for i in range(m):
-                        jp_rows.append(row(
-                            f.shift_by_monomial(unit(m, i))
-                            - f * w[i]))
-        return ((mat_rank(j_rows) if j_rows else 0)
-                - (mat_rank(jp_rows) if jp_rows else 0))
+                        jp_polys.append(f.shift_by_monomial(unit(m, i))
+                                        - f * w[i])
+        return _dense_rank(m, N, j_polys) - _dense_rank(m, N, jp_polys)
 
     dims = []
     for N in range(ideal.max_degree, max_degree + 1):
@@ -458,6 +475,66 @@ def test_dims_by_degree_never_increase(gens, nvars, points, max_degree):
     for pt in points:
         values = [d for _, d in localization_dim(ideal, pt, max_degree).dims_by_degree]
         assert all(b <= a for a, b in zip(values, values[1:])), (gens, pt)
+
+
+def _reference_ideal(gens, nvars):
+    if isinstance(gens, str):
+        return IdealSpec.catalogued(gens, nvars)
+    return IdealSpec(nvars, _gens(nvars, *gens))
+
+
+@pytest.mark.parametrize("gens,nvars,points,max_degree", _REFERENCE_CASES,
+                         ids=[f"case{k}" for k in range(len(_REFERENCE_CASES))])
+def test_multiples_dim_matches_dense_rank_and_gram_basis(gens, nvars, points,
+                                                         max_degree):
+    """dim J_N, from N = max_degree to the cap, is the dense rank of the
+    multiples z^beta p_j of degree <= N, and the size of the Gram-form
+    kernel's basis of V_N, the same span, at two sets of weights."""
+    ideal = _reference_ideal(gens, nvars)
+    modules = [WeightedPolydiscModule(nvars, weights) for weights in
+               ((1,) * nvars, tuple(F(k + 2, 2) for k in range(nvars)))]
+    for N in range(ideal.max_degree, max_degree + 1):
+        dense = _dense_rank(nvars, N, [
+            g.shift_by_monomial(beta) for g in ideal.generators
+            for beta in iter_multiindices(nvars, N - g.degree)])
+        assert ideal.multiples_dim(N) == dense, (gens, N)
+        for module in modules:
+            kernel = GramFormKernel.from_ideal(module, ideal, N)
+            assert len(kernel.basis) == dense, (gens, N, module.weights)
+    assert sorted(ideal._multiples_dims) == \
+        list(range(ideal.max_degree, max_degree + 1))
+
+
+def test_multiples_dim_is_built_once_per_degree(monkeypatch):
+    """J_N does not depend on the point: an uncached localization builds
+    one echelon form for J'_N and one for each dim J_N the ideal does not
+    have yet, and a second point on the same ideal builds none of those."""
+    built = []
+
+    class Counted(RowEchelon):
+        def __init__(self, rows=()):
+            built.append(self)
+            super().__init__(rows)
+
+    monkeypatch.setattr(ideals, "RowEchelon", Counted)
+    ideal = IdealSpec.catalogued("product_difference", 2)
+    assert localization_dim(ideal, ORIGIN).dims_by_degree == ((2, 2), (3, 2))
+    assert len(built) == 1 + 2
+    assert sorted(ideal._multiples_dims) == [2, 3]
+    # a deeper scan builds its new degree alone
+    built.clear()
+    assert localization_dim(ideal, OFF).dims_by_degree == \
+        ((2, 2), (3, 1), (4, 1))
+    assert len(built) == 1 + 1
+    assert sorted(ideal._multiples_dims) == [2, 3, 4]
+    for point in ((F(1, 5), F(2, 5)), (F(-1, 2), F(0)), (F(0), F(1, 3))):
+        built.clear()
+        assert localization_dim(ideal, point) == \
+            localization_dim_two_spans(ideal, point)
+        assert len(built) == 1, point
+    built.clear()
+    localization_dim(ideal, OFF)
+    assert built == []
 
 
 def _outcome(localize, args):
@@ -520,6 +597,12 @@ def _small_localizations(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_small_localizations())
+# non-unit coefficients, a point on V(I) and one off it, and generators two
+# degrees apart, so that the first degree adds shifts of every |beta|
+@example((IdealSpec(2, _gens(2, "2*z1 + 3*z2 - 1", "z2^3")),
+          (F(1, 2), F(0)), 5))
+@example((IdealSpec(2, _gens(2, "2*z1 + 3*z2 - 1", "z2^3")),
+          (F(-1, 4), F(1, 2)), 5))
 def test_localization_matches_two_span_route(case):
     assert localization_dim(*case) == localization_dim_two_spans(*case)
 

@@ -29,7 +29,10 @@ percentiles (``statistics.quantiles``, as the benchmark reads job_p50_ms
 and job_p90_ms).  Then the CPU ratio of every slot (summed over all reps),
 and for each of the three ratios the median over the reps, the quartiles
 and how many reps fell above and below 1; a ratio below 1 means the change
-is faster.
+is faster.  Last, the slots that set the percentiles: for each tree, over
+the jobs of all reps pooled, how many jobs of each slot took longer than
+that tree's pooled 90th percentile and how many fell within 10% of its
+pooled 50th.
 
 With ``--setup N`` the tool times the benchmark's setup_s instead: N
 fresh-interpreter imports of ``submodcurv.cli`` from each tree, launched
@@ -137,8 +140,8 @@ def percentiles(values) -> tuple:
 
 
 def run_rep(parent, change, workload, seed):
-    """One rep in this interpreter: (per-job (parent, change) CPU ns, slot
-    -> [parent, change] ns), or a mismatch message."""
+    """One rep in this interpreter: (per-job (slot, parent, change) CPU ns,
+    slot -> [parent, change] ns), or a mismatch message."""
     # argparse wraps its usage message to the terminal width; the pinned
     # bytes are those at 80 columns
     os.environ["COLUMNS"] = "80"
@@ -168,10 +171,10 @@ def run_rep(parent, change, workload, seed):
                     runs[1][1:]) if a != b]
                 if differ:
                     return f"MISMATCH on {name}: {', '.join(differ)}"
-                times.append((runs[0][0], runs[1][0]))
-                slot = slots[name.rsplit("/", 1)[0]]
-                slot[0] += runs[0][0]
-                slot[1] += runs[1][0]
+                slot = name.rsplit("/", 1)[0]
+                times.append((slot, runs[0][0], runs[1][0]))
+                slots[slot][0] += runs[0][0]
+                slots[slot][1] += runs[1][0]
     return times, dict(slots)
 
 
@@ -194,6 +197,30 @@ def summarize(label, ratios):
     below = sum(r < 1 for r in ratios)
     print(f"{label}: median {statistics.median(ratios):.3f}, quartiles "
           f"q1 {q1:.3f}, q3 {q3:.3f}; {above} reps above 1, {below} below")
+
+
+def print_slot_mix(jobs):
+    """Per slot, how many of the pooled (slot, parent, change) jobs of each
+    tree took longer than its p90, and how many fell within 10% of its
+    p50."""
+    counts = defaultdict(lambda: [0, 0, 0, 0])
+    heads = []
+    for side in (1, 2):
+        values = [job[side] for job in jobs]
+        p50, p90 = percentiles(values)
+        heads.append((p50, p90))
+        for slot, *times in jobs:
+            t = times[side - 1]
+            counts[slot][side - 1] += t > p90
+            counts[slot][side + 1] += abs(t - p50) <= p50 / 10
+    (p50p, p90p), (p50c, p90c) = heads
+    print(f"slot mix of the {len(jobs)} pooled jobs: above p90 (parent "
+          f"{p90p / 1e6:.3f} ms, change {p90c / 1e6:.3f} ms) and within 10% "
+          f"of p50 (parent {p50p / 1e6:.3f} ms, change {p50c / 1e6:.3f} ms)")
+    print(f"  {'slot':32s} {'>p90 parent':>11s} {'change':>7s} "
+          f"{'~p50 parent':>11s} {'change':>7s}")
+    for slot, (a, b, c, d) in sorted(counts.items()):
+        print(f"  {slot:32s} {a:11d} {b:7d} {c:11d} {d:7d}")
 
 
 def main(argv=None):
@@ -219,6 +246,7 @@ def main(argv=None):
 
     slot_cpu = defaultdict(lambda: [0, 0])
     ratios = {"CPU": [], "job p50": [], "job p90": []}
+    pooled = []
     for rep in range(args.reps):
         seed = args.seed + rep
         result = run_rep_in_fresh_interpreter(args, seed)
@@ -226,7 +254,8 @@ def main(argv=None):
             print(result)
             return 1
         times, slots = result
-        parent, change = zip(*times)
+        pooled.extend(times)
+        _, parent, change = zip(*times)
         rep_ratios = (sum(change) / sum(parent),
                       *(c / p for p, c in zip(percentiles(parent),
                                               percentiles(change))))
@@ -243,6 +272,7 @@ def main(argv=None):
     for slot, (parent, change) in sorted(slot_cpu.items()):
         print(f"  {slot:32s} parent {parent / 1e6:9.1f} ms  change "
               f"{change / 1e6:9.1f} ms  ratio {change / parent:.3f}")
+    print_slot_mix(pooled)
     print(f"over {args.reps} reps:")
     for label, values in ratios.items():
         summarize(f"  {label} ratio", values)
