@@ -449,14 +449,17 @@ _REFERENCE_CASES = [
 ]
 
 
+def _reference_ideal(gens, nvars):
+    if isinstance(gens, str):
+        return IdealSpec.catalogued(gens, nvars)
+    return IdealSpec(nvars, _gens(nvars, *gens))
+
+
 @pytest.mark.parametrize("gens,nvars,points,max_degree", _REFERENCE_CASES,
                          ids=[f"case{k}" for k in range(len(_REFERENCE_CASES))])
 def test_localization_matches_dense_rank_reference(gens, nvars, points,
                                                    max_degree):
-    if isinstance(gens, str):
-        ideal = IdealSpec.catalogued(gens, nvars)
-    else:
-        ideal = IdealSpec(nvars, _gens(nvars, *gens))
+    ideal = _reference_ideal(gens, nvars)
     for pt in points:
         for cap in range(ideal.max_degree + 1, max_degree + 1):
             ref = _dense_dims_by_degree(ideal, pt, cap)
@@ -468,19 +471,10 @@ def test_localization_matches_dense_rank_reference(gens, nvars, points,
 @pytest.mark.parametrize("gens,nvars,points,max_degree", _REFERENCE_CASES,
                          ids=[f"case{k}" for k in range(len(_REFERENCE_CASES))])
 def test_dims_by_degree_never_increase(gens, nvars, points, max_degree):
-    if isinstance(gens, str):
-        ideal = IdealSpec.catalogued(gens, nvars)
-    else:
-        ideal = IdealSpec(nvars, _gens(nvars, *gens))
+    ideal = _reference_ideal(gens, nvars)
     for pt in points:
         values = [d for _, d in localization_dim(ideal, pt, max_degree).dims_by_degree]
         assert all(b <= a for a, b in zip(values, values[1:])), (gens, pt)
-
-
-def _reference_ideal(gens, nvars):
-    if isinstance(gens, str):
-        return IdealSpec.catalogued(gens, nvars)
-    return IdealSpec(nvars, _gens(nvars, *gens))
 
 
 @pytest.mark.parametrize("gens,nvars,points,max_degree", _REFERENCE_CASES,

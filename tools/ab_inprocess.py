@@ -203,16 +203,16 @@ def print_slot_mix(jobs):
     """Per slot, how many of the pooled (slot, parent, change) jobs of each
     tree took longer than its p90, and how many fell within 10% of its
     p50."""
+    # per slot: above p90 (parent, change), within 10% of p50 (the same)
     counts = defaultdict(lambda: [0, 0, 0, 0])
     heads = []
-    for side in (1, 2):
-        values = [job[side] for job in jobs]
+    for side in (0, 1):
+        values = [job[1 + side] for job in jobs]
         p50, p90 = percentiles(values)
         heads.append((p50, p90))
-        for slot, *times in jobs:
-            t = times[side - 1]
-            counts[slot][side - 1] += t > p90
-            counts[slot][side + 1] += abs(t - p50) <= p50 / 10
+        for (slot, _, _), t in zip(jobs, values):
+            counts[slot][side] += t > p90
+            counts[slot][2 + side] += abs(t - p50) <= p50 / 10
     (p50p, p90p), (p50c, p90c) = heads
     print(f"slot mix of the {len(jobs)} pooled jobs: above p90 (parent "
           f"{p90p / 1e6:.3f} ms, change {p90c / 1e6:.3f} ms) and within 10% "
