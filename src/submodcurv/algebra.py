@@ -14,8 +14,7 @@ series matrices and polynomial matrices expand through it, and so do the
 complex matrices of the floating-point oracle, which lives in the tests.
 Rational matrices use linalg.mat_det.
 
-Record is the base of the package's immutable records that are not
-typing.NamedTuples.
+Record is the base of every immutable record of the package.
 
 No floating point enters any function in this module.
 """
@@ -25,21 +24,40 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .errors import DomainError, ShapeError, SingularityError
 
 
 class Record:
     """An immutable record with an instance dictionary, which a
-    cached_property needs, and an __init__ of its own, which can check the
-    fields: __init__ stores them with self.__dict__.update, and no
-    attribute is set or deleted after that.  Two records of one class are
-    equal when the fields named in _fields are, and hash alike; _replace
-    copies a record with some of those fields changed, through __init__,
-    as a NamedTuple's _replace does."""
+    cached_property needs.  A subclass names its fields in _fields and
+    the defaults of its last ones in _defaults; its __init__ is written
+    once, when the class is created, with the fields as its parameters in
+    that order, as collections.namedtuple writes a __new__, so a missing,
+    unknown or repeated field raises TypeError.  A subclass that checks
+    its fields writes its own __init__, which stores them through
+    self.__dict__.  No attribute is set or deleted after __init__.  Two
+    records of one class are equal when the fields named in _fields are,
+    and hash alike; _replace copies a record with some of those fields
+    changed, through __init__."""
 
     _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            return
+        params = ", ".join(f"{name}=_defaults[{name!r}]"
+                           if name in cls._defaults else name
+                           for name in cls._fields)
+        # one store per field: faster than self.__dict__.update(**fields)
+        stores = "".join(f"\n    _dict[{name!r}] = {name}"
+                         for name in cls._fields)
+        namespace = {"__builtins__": {}, "_defaults": cls._defaults}
+        exec(f"def __init__(_self, {params}):\n"
+             f"    _dict = _self.__dict__{stores}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot "
@@ -142,7 +160,7 @@ def iter_multiindices(nvars: int, max_degree: int,
 ZERO = Fraction(0)
 
 
-def clean_terms(coeffs: Mapping, width: int, cap: int | None = None) -> dict:
+def clean_terms(coeffs: dict, width: int, cap: int | None = None) -> dict:
     """coeffs with exponent keys of length width and nonzero Fraction
     values; with a cap, terms of total degree above it are dropped."""
     clean = {}
@@ -323,7 +341,7 @@ class TruncSeries(TermMap):
 
     __slots__ = ("npairs", "trunc")
 
-    def __init__(self, npairs: int, trunc: int, coeffs: Mapping | None = None):
+    def __init__(self, npairs: int, trunc: int, coeffs: dict | None = None):
         if npairs < 1:
             raise DomainError(f"need at least one variable pair, got {npairs}")
         if trunc < 0:
@@ -414,15 +432,10 @@ class LogSeries(Record):
 
     scale is the (positive rational) constant term of s; its logarithm is
     irrational in general, so it is kept symbolically.  Mixed derivatives of
-    log s never see it, which is why curvature stays exact.  A Record, not
-    a NamedTuple, whose fields would be class attributes: no code outside
-    the tests reads series (ROADMAP item 5 removes series_log).
+    log s never see it, which is why curvature stays exact.
     """
 
     _fields = ("series", "scale")
-
-    def __init__(self, series: TruncSeries, scale: Fraction):
-        self.__dict__.update(series=series, scale=scale)
 
 
 def series_log(s: TruncSeries) -> LogSeries:

@@ -19,9 +19,8 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
 
-from .algebra import ZERO
+from .algebra import ZERO, Record
 from .curvature import (CONVENTION, JET_DEGREE, curvature_tensor,
                         principal_curvature_pair)
 from .errors import (DomainError, InputError, SubmodcurvError,
@@ -36,19 +35,13 @@ from .polynomials import parse_poly
 from .rkhs import (WeightedPolydiscModule, in_open_polydisc,
                    submodule_kernel)
 
-class JobConfig(NamedTuple):
-    task: str
-    output: str = "text"
-    dimension: Optional[int] = None
-    weights: Optional[tuple] = None
-    generators: Optional[tuple] = None  # polynomial source strings
-    catalogue: Optional[str] = None
-    points: tuple = ()
-    base_point: Optional[tuple] = None
-    trunc_degree: int = 6
-    ideal_degree: int = 6
-    alpha: Optional[Fraction] = None
-    compare_weights: Optional[tuple] = None
+class JobConfig(Record):
+    # generators are the polynomial source strings
+    _fields = ("task", "output", "dimension", "weights", "generators",
+               "catalogue", "points", "base_point", "trunc_degree",
+               "ideal_degree", "alpha", "compare_weights")
+    _defaults = {**dict.fromkeys(_fields[1:]), "output": "text",
+                 "points": (), "trunc_degree": 6, "ideal_degree": 6}
 
 
 # Each parser reads one key's text into (value, echo): the JobConfig value
@@ -241,8 +234,7 @@ def _read_plain_config(text: str):
 _last_read = [None, {}]
 # the JobConfig defaults that the input section echoes when no key sets
 # them: those that are set, output aside
-_ECHOED_DEFAULTS = {key: value for key, value in
-                    JobConfig._field_defaults.items()
+_ECHOED_DEFAULTS = {key: value for key, value in JobConfig._defaults.items()
                     if key != "output" and value not in (None, ())}
 
 
@@ -519,7 +511,8 @@ def _input_echo(cfg: JobConfig) -> dict:
     read, echo = _last_read
     if read is cfg:
         return dict(echo)
-    return {key: _echo_value(value) for key, value in zip(cfg._fields, cfg)
+    return {key: _echo_value(value)
+            for key, value in zip(cfg._fields, cfg._values())
             if key != "output" and value not in (None, ())}
 
 
@@ -720,15 +713,11 @@ def _run_cubic(cfg: JobConfig, report: Report):
         "exact Sturm chain over the rationals with bisection isolation"
 
 
-class Task:
-    """A row of TASKS, a plain class: a NamedTuple class costs more to
-    create on every import, and nothing reads a Task as a tuple."""
+class Task(Record):
+    """A row of TASKS: reads, the config keys the task reads, as in
+    SCHEMA, and run, where run(cfg, report) adds the task's results."""
 
-    __slots__ = ("reads", "run")
-
-    def __init__(self, reads: frozenset, run: Callable):
-        self.reads = reads  # the config keys the task reads, as in SCHEMA
-        self.run = run      # run(cfg, report) adds the task's results
+    _fields = ("reads", "run")
 
 
 # the keys every task reads, then those of every task on a module and an

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .algebra import ZERO, TruncSeries, unit
+from .algebra import ZERO, Record, TruncSeries, unit
 from .errors import DomainError, SingularityError, TruncationError
 from .frames import (COORDINATE_KIND, FrameSeries, MetricSeries,
                      coordinate_terms, share_generators)
@@ -63,7 +62,7 @@ def det_bundle_curvature(metric: MetricSeries):
     return curvature_matrix(metric).trace_matrix()
 
 
-class CurvatureTensor(NamedTuple):
+class CurvatureTensor(Record):
     """Curvature blocks of a Grammian metric at its base point.
 
     blocks[i][j] is the t-by-t rational matrix of the (i, j) mixed
@@ -72,8 +71,8 @@ class CurvatureTensor(NamedTuple):
     curvature_tensor shares one all-zero block among those, which
     trace_matrix reads as a zero trace without summing it.
     """
-    size: int
-    blocks: tuple
+
+    _fields = ("size", "blocks")
 
     def trace_matrix(self):
         """Blockwise traces.  Only the diagonal entries other than the
@@ -245,10 +244,10 @@ EQCC_NOTE = ("two readings of the transverse curvature of a principal "
              "where the log-derivative convention would give mu")
 
 
-class PrincipalCurvaturePair(NamedTuple):
-    raw: Fraction        # mixed Hessian of ||F_1||^2 itself
-    log_based: Fraction  # mixed Hessian of log ||F_1||^2
-    note: str = EQCC_NOTE
+class PrincipalCurvaturePair(Record):
+    # raw: mixed Hessian of ||F_1||^2 itself; log_based: that of its log
+    _fields = ("raw", "log_based", "note")
+    _defaults = {"note": EQCC_NOTE}
 
 
 def principal_curvature_pair(module: WeightedPolydiscModule, p: int,

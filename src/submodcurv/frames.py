@@ -42,7 +42,6 @@ import math
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from operator import getitem
-from typing import Optional
 
 from .algebra import (ZERO, Record, SeriesMatrix, TruncSeries,
                       _series_names, format_ratios, iter_multiindices, rat,
@@ -75,14 +74,6 @@ class FrameSeries(Record):
     splitting_note = ("kernel terms split over generators proportionally to "
                       "weight*exponent on the generator variable, restricted "
                       "to generators whose power divides the term")
-
-    def __init__(self, module: WeightedPolydiscModule, kind: str,
-                 base_point: tuple, trunc: int, gen_vars: tuple,
-                 gen_powers: tuple, free_slots: tuple, lead_coeffs: tuple):
-        self.__dict__.update(
-            module=module, kind=kind, base_point=base_point, trunc=trunc,
-            gen_vars=gen_vars, gen_powers=gen_powers, free_slots=free_slots,
-            lead_coeffs=lead_coeffs)
 
     @property
     def count(self) -> int:
@@ -225,11 +216,7 @@ class MetricSeries(Record):
     """
 
     _fields = ("tables", "npairs", "trunc", "scale", "minors")
-
-    def __init__(self, tables: tuple, npairs: int, trunc: int,
-                 scale: Optional[str] = None, minors: tuple = ()):
-        self.__dict__.update(tables=tables, npairs=npairs, trunc=trunc,
-                             scale=scale, minors=minors)
+    _defaults = {"scale": None, "minors": ()}
 
     @property
     def size(self) -> int:

@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import le, mul
-from typing import NamedTuple, Optional
 
 from .algebra import Record, iter_multiindices, rat
 from .errors import DomainError, UnsupportedIdealError
@@ -246,11 +245,9 @@ def _match_catalogue(nvars, gens) -> bool:
 # Localization dimension
 
 
-class LocalizationResult(NamedTuple):
-    dim: int
-    stabilized_at: Optional[int]
-    dims_by_degree: tuple = ()
-    conditional: bool = False
+class LocalizationResult(Record):
+    _fields = ("dim", "stabilized_at", "dims_by_degree", "conditional")
+    _defaults = {"dims_by_degree": (), "conditional": False}
 
 
 def localization_dim(ideal: IdealSpec, point, max_degree: int = 8) -> LocalizationResult:

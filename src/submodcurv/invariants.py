@@ -16,18 +16,17 @@ pipeline, never by comparing the weights directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .algebra import exponent, rat, rats
+from .algebra import Record, exponent, rat, rats
 from .errors import DomainError, UnsupportedIdealError, WorkLimitError
 from .rkhs import check_positive_weights, diag_coeff_rows
 
 
-class LambdaMuInvariant(NamedTuple):
+class LambdaMuInvariant(Record):
     """Determinant-bundle curvature diagonal of the coordinate ideal
     <z_1, z_2> over weights (lam, mu) on the bidisc, at the origin."""
-    kappa1: Fraction
-    kappa2: Fraction
+
+    _fields = ("kappa1", "kappa2")
 
     def as_pair(self):
         return (self.kappa1, self.kappa2)
@@ -57,11 +56,11 @@ def lambda_mu_invariants(lam, mu) -> LambdaMuInvariant:
 CUBIC_ALPHA_BITS = 4096
 
 
-class CubicReport(NamedTuple):
-    alpha: Fraction
-    coefficients: tuple          # ascending degree
-    positive_roots: int
-    isolating_intervals: tuple   # (lo, hi) pairs; lo == hi marks an exact root
+class CubicReport(Record):
+    # coefficients in ascending degree; isolating_intervals: (lo, hi)
+    # pairs, lo == hi marking an exact root
+    _fields = ("alpha", "coefficients", "positive_roots",
+               "isolating_intervals")
 
 
 def cubic_positive_roots(alpha) -> CubicReport:
@@ -120,11 +119,10 @@ def cubic_positive_roots(alpha) -> CubicReport:
 # Rigidity deciders
 
 
-class RigidityReport(NamedTuple):
-    equivalent: bool
-    battery_left: tuple    # ((name, Fraction), ...)
-    battery_right: tuple
-    invariants_used: tuple
+class RigidityReport(Record):
+    # each battery is ((name, Fraction), ...)
+    _fields = ("equivalent", "battery_left", "battery_right",
+               "invariants_used")
 
     def __bool__(self):
         return self.equivalent

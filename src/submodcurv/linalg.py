@@ -220,13 +220,11 @@ class RowEchelon:
     not 1.  No two kept rows lead at the same (smallest) column, so a new
     row lies in the span of the kept ones iff reducing it fraction-free by
     the rows leading at its successive smallest columns leaves nothing.
-    The number of kept rows is the rank of the rows added.  ``rows`` seeds
-    a copy of another echelon's kept rows; ``add`` never mutates a kept
-    row, so the copy may share them.
+    The number of kept rows is the rank of the rows added.
     """
 
-    def __init__(self, rows=()):
-        self.rows = dict(rows)  # leading column -> row
+    def __init__(self):
+        self.rows = {}  # leading column -> row
 
     def add(self, row) -> bool:
         """Keep the row if it is independent of the kept rows; say whether."""

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Mapping
 
 from .algebra import (TermMap, clean_terms, exponent, format_terms,
                       mul_terms, unit)
@@ -19,7 +18,7 @@ class Poly(TermMap):
 
     __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, coeffs: Mapping | None = None):
+    def __init__(self, nvars: int, coeffs: dict | None = None):
         if nvars < 1:
             raise DomainError(f"polynomial needs at least one variable, got {nvars}")
         self.nvars = nvars

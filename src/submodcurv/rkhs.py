@@ -63,7 +63,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem, mul
-from typing import Optional
 
 from .algebra import Record, exponent, iter_multiindices, rats
 from .errors import DomainError, ShapeError, TruncationError
@@ -160,14 +159,9 @@ def _check_point(module, point, label="point"):
 
 class Bounded(Record):
     """An exact partial-sum value together with a rational remainder bound:
-    the true value lies in [value - bound, value + bound].  A Record, not a
-    NamedTuple, so that tuple + and * never stand in for the interval
-    arithmetic below, and it equals no tuple."""
+    the true value lies in [value - bound, value + bound]."""
 
     _fields = ("value", "bound")
-
-    def __init__(self, value: Fraction, bound: Fraction):
-        self.__dict__.update(value=value, bound=bound)
 
     def __sub__(self, other):
         return Bounded(self.value - other.value, self.bound + other.bound)
@@ -383,7 +377,7 @@ class DiagonalFilteredKernel:
         _require_integer_weights(self.module)
         return _diagonal_exact(self.module, self.corners, z, w)
 
-    def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
+    def eval_truncated(self, z, w, N: int | None = None) -> Bounded:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
         if N is None:
@@ -421,7 +415,7 @@ class RankOneCorrectedKernel:
         return self._eval(z, w, lambda x, y: _diagonal_exact(
             self.module, self.corners, x, y), None)
 
-    def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
+    def eval_truncated(self, z, w, N: int | None = None) -> Bounded:
         z = _check_point(self.module, z, "z")
         w = _check_point(self.module, w, "w")
         if N is None:
@@ -606,7 +600,7 @@ class GramFormKernel:
         scale = form_den * self.den * sz * sw
         return Fraction(total * scale - num * value_den, value_den * scale)
 
-    def eval_truncated(self, z, w, N: Optional[int] = None) -> Bounded:
+    def eval_truncated(self, z, w, N: int | None = None) -> Bounded:
         # the Gram form *is* the degree-truncated kernel; no analytic tail
         # is claimed beyond the construction degree
         return Bounded(self.eval_exact(z, w), Fraction(0))

@@ -1269,7 +1269,8 @@ def _echo_value(value):
 def input_echo_by_fraction_str(cfg: JobConfig) -> dict:
     """The report's input section as cli._input_echo wrote it before the
     echo came from the text: str() of every Fraction, tuples as lists."""
-    return {key: _echo_value(value) for key, value in zip(cfg._fields, cfg)
+    return {key: _echo_value(value)
+            for key, value in zip(cfg._fields, cfg._values())
             if key != "output" and value not in (None, ())}
 
 

@@ -1,3 +1,4 @@
+import inspect
 import operator
 import random
 import re
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodcurv import algebra
-from submodcurv.algebra import (SeriesMatrix, TruncSeries,
+from submodcurv.algebra import (Record, SeriesMatrix, TruncSeries,
                                 clean_terms, cofactor_det, format_ratios,
                                 format_terms,
                                 iter_multiindices, rat, series_inverse,
                                 series_log)
-from submodcurv.cli import parse_config
+from submodcurv.cli import TASKS, parse_config
 from submodcurv.curvature import curvature_tensor, principal_curvature_pair
 from submodcurv.errors import (DomainError, ShapeError, SingularityError,
                                TruncationError)
@@ -598,13 +599,16 @@ RECORDS = {
     "WeightedPolydiscModule": (lambda: _MODULE, {"weights": (1, 1)}),
     "Bounded": (lambda: ambient_kernel_bounded(
         _MODULE, (F(1, 3), 0), (F(1, 3), 0), 4), {"bound": F(1)}),
+    "Task": (lambda: TASKS["cubic"], {"reads": frozenset()}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_are_immutable_values(name):
     """No field of a record is assigned or deleted; _replace copies one,
-    equal to it and of its type, and a changed field makes it unequal."""
+    equal to it and of its type, and a changed or unknown field makes it
+    unequal or raises.  A record equals no tuple, nor a record of another
+    class with the same fields."""
     build, change = RECORDS[name]
     record = build()
     assert type(record).__name__ == name
@@ -619,3 +623,44 @@ def test_records_are_immutable_values(name):
     assert copy == record and copy is not record
     assert type(copy) is type(record)
     assert record._replace(**change) != record
+    with pytest.raises(TypeError):
+        record._replace(unknown=None)
+    twin = type("Twin", (Record,), {"_fields": record._fields})
+    assert record != record._values()
+    assert record != twin(*record._values())
+
+
+def test_replace_checks_the_changed_field():
+    """_replace builds the copy through __init__, so a record that checks
+    its fields checks the changed one."""
+    with pytest.raises(DomainError):
+        _MODULE._replace(weights=(0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_constructors_take_the_fields_by_name(name):
+    """A record's __init__ takes its _fields, in order, positionally or by
+    name, with the defaults of _defaults: a missing, unknown or repeated
+    field raises TypeError, as a written signature does."""
+    record = RECORDS[name][0]()
+    cls = type(record)
+    values = record._values()
+    fields = dict(zip(cls._fields, values))
+    assert cls(*values) == cls(**fields) == record
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls._fields
+    assert {key: p.default for key, p in parameters.items()
+            if p.default is not p.empty} == cls._defaults
+    for key in cls._fields:
+        rest = {k: v for k, v in fields.items() if k != key}
+        if key in cls._defaults:
+            assert getattr(cls(**rest), key) is cls._defaults[key]
+        else:
+            with pytest.raises(TypeError):
+                cls(**rest)
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+    with pytest.raises(TypeError):
+        cls(*values, **{cls._fields[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, None)

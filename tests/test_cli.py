@@ -1378,6 +1378,22 @@ def test_a_text_job_imports_no_lazy_module(tmp_path, capsys):
     assert loaded.isdisjoint(LAZY_MODULES)
 
 
+def test_the_cli_imports_no_typing():
+    """An interpreter started with -S imports submodcurv.cli and has not
+    loaded typing.  Without -S, site may import typing already (a .pth
+    file can), and the guard above, which counts only the modules the
+    bare interpreter had not loaded, would not see it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\nfrom submodcurv import cli\n"
+         "sys.stdout.write(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "submodcurv.cli" in loaded and "typing" not in loaded
+
+
 def test_zero_rows_are_written_without_fraction_str(monkeypatch):
     """The m = 5 coordinate curvature report: each zero row is the
     package's one zero, written as "0" with no call of Fraction.__str__,

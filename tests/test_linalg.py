@@ -312,15 +312,16 @@ def test_row_echelon_keeps_what_raises_the_rank():
                        for lead, r in echelon.rows.items())
 
 
-def test_row_echelon_copy_shares_rows_without_growing_them():
+def test_row_echelon_dependent_add_leaves_kept_rows_as_they_were():
     echelon = RowEchelon()
     echelon.add({0: 2, 1: 4, 2: 6})
     echelon.add(cleared_row({1: F(3, 2), 2: 9}))
+    kept = dict(echelon.rows)
     before = {lead: dict(r) for lead, r in echelon.rows.items()}
-    probe = RowEchelon(echelon.rows)
-    assert not probe.add(cleared_row({0: 1, 1: F(7, 2), 2: 12}))
-    assert probe.add({2: 5}) and len(probe.rows) == 3
-    assert echelon.rows == before and len(echelon.rows) == 2
+    assert not echelon.add(cleared_row({0: 1, 1: F(7, 2), 2: 12}))
+    assert echelon.rows == before
+    assert all(echelon.rows[lead] is r for lead, r in kept.items())
+    assert echelon.add({2: 5}) and len(echelon.rows) == 3
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -26,7 +26,10 @@ mutant's run it arms ``faulthandler.dump_traceback_later`` around each
 test, at WATCHDOG_FACTOR times that test's recorded time plus
 WATCHDOG_FLOOR seconds, so a mutant that loops ends in seconds with
 every thread's stack; pytest's own faulthandler_timeout is off in that
-run alone.  The mutant is timed out if the watchdog fires, or if the run
+run alone.  A mutant's run also loads a hypothesis profile without the
+shrink phase: a failing property test kills the mutant at its first
+failing example, where shrinking it could outlast the watchdog and pass
+for a loop.  The mutant is timed out if the watchdog fires, or if the run
 goes past twice the unmutated run of the same modules plus 20 s; killed
 if pytest fails otherwise; and survives if it passes.  Two copies run
 the unmutated modules and then the mutants side by side.  The tool
@@ -73,6 +76,7 @@ import os
 import time
 
 import pytest
+from hypothesis import Phase, settings
 
 TIMES = os.environ["MUTATE_TIMES"]
 STACKS = os.environ.get("MUTATE_STACKS")
@@ -81,6 +85,9 @@ if STACKS:
     with open(TIMES, encoding="utf-8") as fh:
         times = json.load(fh)
     stacks = open(STACKS, "w", encoding="utf-8")
+    settings.register_profile(
+        "mutant", phases=[p for p in Phase if p is not Phase.shrink])
+    settings.load_profile("mutant")
 
 
 @pytest.hookimpl(hookwrapper=True)
