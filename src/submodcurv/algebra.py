@@ -198,44 +198,60 @@ def mul_terms(a: dict, b: dict, cap: int | None = None) -> dict:
     return out
 
 
+def monomial_text(names: tuple, key: tuple) -> str:
+    """The monomial of an exponent key as name^e*..., with unit exponents
+    and absent variables left out: "" for the constant monomial."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, key) if e)
+
+
+def graded_lex(keys) -> list:
+    """Exponent keys by total degree, and within one degree in lex order:
+    the order every term text is written in."""
+    return sorted(keys, key=lambda k: (sum(k), k))
+
+
 @lru_cache(maxsize=128)
 def _term_layout(names: tuple, keys: tuple) -> tuple:
-    """(key, text, tail) per key, in graded-lex order: all that
-    format_ratios writes of a table but its coefficients, laid out once per
-    key set.  text is the monomial's name^e*..., with unit exponents and
-    absent variables left out, and tail is "*" + text; both are "" for the
-    constant monomial."""
-    # graded lex: lex order, then a stable sort by degree
-    ordered = sorted(keys)
-    ordered.sort(key=sum)
-    out = []
-    for k in ordered:
-        text = "*".join(name if e == 1 else f"{name}^{e}"
-                        for name, e in zip(names, k) if e)
-        out.append((k, text, "*" + text if text else ""))
-    return tuple(out)
+    """(keys, texts): a key set in graded-lex order and each key's
+    monomial_text, all that format_ratios writes of a table but its
+    coefficients, laid out once per key set."""
+    ordered = tuple(graded_lex(keys))
+    return ordered, tuple(monomial_text(names, k) for k in ordered)
+
+
+def ratio_prefixes(pairs) -> list:
+    """What each coefficient (n, d) writes before its monomial's text:
+    "n/d*", "n*", or "" and "-" for the unit coefficients 1 and -1.  n/d
+    is in lowest terms with d > 0, so the text is str(Fraction(n, d))'s."""
+    return [f"{n}/{d}*" if d != 1 else "" if n == 1 else "-" if n == -1
+            else f"{n}*" for n, d in pairs]
+
+
+def join_terms(prefixes: list, texts: tuple) -> str:
+    """The text of the terms whose coefficients wrote prefixes
+    (ratio_prefixes) and whose monomials wrote texts, in graded-lex order,
+    so that a constant term, text "", comes first and writes its
+    coefficient alone: "1/2 + x1*y1 - 3*x1^2".  No terms write "0"."""
+    if not texts:
+        return "0"
+    parts = list(map(operator.add, prefixes, texts))
+    if not texts[0]:
+        head = prefixes[0]
+        parts[0] = head[:-1] if head[-1:] == "*" else head + "1"
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def format_ratios(table: dict, names: tuple) -> str:
-    """Terms in graded-lex order, each as coefficient*name^e*..., with unit
-    coefficients and exponents left out: "1/2 + x1*y1 - 3*x1^2".  table
-    maps each exponent key to its coefficient as a (numerator,
-    denominator) pair in lowest terms with a positive denominator, and the
-    coefficient is written from those integers as str(Fraction) writes
-    it.  The order and the monomial texts come from _term_layout, once
-    per key set.  The package's one term formatter."""
-    if not table:
-        return "0"
-    parts = []
-    for k, text, tail in _term_layout(names, tuple(table)):
-        n, d = table[k]
-        if d != 1:
-            parts.append(f"{n}/{d}{tail}")
-        elif text and (n == 1 or n == -1):
-            parts.append(text if n == 1 else "-" + text)
-        else:
-            parts.append(f"{n}{tail}")
-    return " + ".join(parts).replace("+ -", "- ")
+    """The text of a table, which maps each exponent key to its nonzero
+    coefficient as a (numerator, denominator) pair in lowest terms with a
+    positive denominator: its terms in graded-lex order, each as
+    coefficient*name^e*..., with unit coefficients and exponents left out.
+    The order and the monomial texts come from _term_layout, once per key
+    set.  The package's one term formatter is ratio_prefixes and
+    join_terms, which this and the Grammian builders call."""
+    keys, texts = _term_layout(names, tuple(table))
+    return join_terms(ratio_prefixes(map(table.__getitem__, keys)), texts)
 
 
 def format_terms(coeffs: dict, names: tuple) -> str:

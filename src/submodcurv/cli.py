@@ -352,6 +352,8 @@ class Report:
         self.input_echo = input_echo
         self.results = []  # (name, value) pairs
         self.diagnostics = {}
+        # name -> "  name = 0", the text row of a result that is ZERO
+        self.zero_lines = _NO_LINES
 
     def add(self, name, value):
         self.results.append((name, value))
@@ -365,11 +367,14 @@ class Report:
     def add_blocks(self, name, blocks):
         """The rows of add_matrix(f"{name}_{i}{j}", block) for every block
         of a square matrix of t-by-t blocks, block by block; the names are
-        formatted once per name and shape (_block_names)."""
+        formatted once per name and shape (_block_names), and so are the
+        text rows of the entries that are ZERO, most of a curvature
+        report's rows (_zero_lines)."""
+        shape = name, len(blocks), len(blocks[0][0])
         entries = chain.from_iterable(chain.from_iterable(
             chain.from_iterable(blocks)))
-        self.results += zip(_block_names(name, len(blocks), len(blocks[0][0])),
-                            entries)
+        self.results += zip(_block_names(*shape), entries)
+        self.zero_lines = _zero_lines(*shape)
 
 
 @functools.lru_cache(maxsize=256)
@@ -388,6 +393,13 @@ def _block_names(name: str, m: int, t: int) -> tuple:
         for i in range(1, m + 1) for j in range(1, m + 1)))
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_lines(name: str, m: int, t: int) -> dict:
+    """The text row "  name_ij_ab = 0" of each of _block_names(name, m, t):
+    the row of a block entry that is ZERO, written once per shape."""
+    return {n: "  %s = 0" % n for n in _block_names(name, m, t)}
+
+
 def _encode(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
@@ -399,6 +411,8 @@ def _encode(value):
         return {str(k): _encode(v) for k, v in sorted(value.items())}
     return str(value)
 
+
+_NO_LINES = {}
 
 # the report values written as [a, b] or {k: v}: every other value is its
 # str(), and the package's one zero, most rows of a curvature report, is
@@ -424,11 +438,13 @@ def _render_value(value):
         _render_value(v) if type(v) in _CONTAINERS else str(v) for v in value])
 
 
-def _rows(pairs) -> list:
-    """The report line "  name = value" of each (name, value) pair."""
-    return ["  %s = %s" % (name, "0" if value is ZERO
-                           else _render_value(value)
-                           if type(value) in _CONTAINERS else value)
+def _rows(pairs, zero_lines=_NO_LINES) -> list:
+    """The report line "  name = value" of each (name, value) pair.  The
+    line of a ZERO value is read from zero_lines where it is there."""
+    return [(zero_lines[name] if name in zero_lines else "  %s = 0" % name)
+            if value is ZERO
+            else "  %s = %s" % (name, _render_value(value)
+                                if type(value) in _CONTAINERS else value)
             for name, value in pairs]
 
 
@@ -447,7 +463,7 @@ def render_report(report: Report, output: str) -> str:
     return "\n".join([
         "task: " + report.task, "input:",
         *_rows(sorted(report.input_echo.items())), "results:",
-        *_rows(report.results), "diagnostics:",
+        *_rows(report.results, report.zero_lines), "diagnostics:",
         *_rows(sorted(report.diagnostics.items())),
         "convention: " + CONVENTION, ""])
 
@@ -616,8 +632,7 @@ def _run_metric(cfg: JobConfig, report: Report):
         report.add(f"principal_minor_{k}", d)
     t = metric.size
     report.diagnostics["metric_series"] = dict(zip(
-        _matrix_names("H", (t,) * t),
-        [metric.entry_text(i, j) for i in range(t) for j in range(t)]))
+        _matrix_names("H", (t,) * t), chain.from_iterable(metric.texts)))
     if metric.scale:
         report.diagnostics["diagonal_scales"] = [metric.scale] * t
 

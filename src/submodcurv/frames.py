@@ -22,13 +22,17 @@ in the displacement (u, ubar) from the base point, are built on first read,
 which only the tests and the benchmark's tracer do.  The Grammian and the
 reconstruction check read the spec alone.  The coordinate-neighborhood
 Grammian sums the kernel terms s_i(a) s_j(a) c_a, with the shares in
-integers (share_numerators); a zero-variety Grammian
-is the outer product of one finite coefficient table per free slot, with a
-positive base-point constant, folded in when rational and otherwise (a
-fractional power) kept as the metric's one scale, in text, since it never
-influences curvature.  Both keep each term as an integer pair in lowest
-terms (MetricSeries.tables); the series matrix of Fractions is built only
-when read.  The base point vanishes on each generator variable,
+integers (share_numerators); a zero-variety Grammian is the outer product
+of one finite coefficient table per free slot, with a positive base-point
+constant, folded in when rational and otherwise (a fractional power) kept
+as the metric's one scale, in text, since it never influences curvature.
+Both builders write each entry's terms in the order its text prints them,
+graded-lex, from a layout cached per shape (_coordinate_layout,
+_zero_set_layout): each term an integer pair in lowest terms, reduced by
+one gcd and written once as text, which the metric task prints; H_ij and
+H_ji of a coordinate frame share their coefficients and their texts'
+prefixes.  The series matrix of Fractions is built only when read.  The
+base point vanishes on each generator variable,
 so conj(p_k) F^k restores exactly the share s_k of each kernel term, and
 the check sums the integer share numerators against their denominator.
 Every c_a and lead coefficient is read from the integer rows of
@@ -41,11 +45,12 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from operator import getitem
+from itertools import islice
+from operator import getitem, mul
 
 from .algebra import (ZERO, Record, SeriesMatrix, TruncSeries,
-                      _series_names, format_ratios, iter_multiindices, rat,
-                      rats)
+                      _series_names, graded_lex, iter_multiindices,
+                      join_terms, monomial_text, rat, ratio_prefixes, rats)
 from .errors import DegeneracyError, DomainError, ShapeError, TruncationError
 from .ideals import IdealSpec
 from .linalg import _common_denominator, leading_principal_minors
@@ -200,70 +205,61 @@ def frame_on_zero_set(module: WeightedPolydiscModule, ideal: IdealSpec,
 class MetricSeries(Record):
     """Grammian of a frame as a matrix of truncated series.
 
-    Entry (i, j) is <F_j, F_i> expanded around the base point, kept as the
-    integer table tables[i][j]: a dict from exponent keys (w-half then
-    wbar-half, npairs slots each, total degree <= trunc) to the nonzero
+    Entry (i, j) is <F_j, F_i> expanded around the base point.  terms[i][j]
+    is the entry as two aligned sequences (keys, pairs): its exponent keys
+    (w-half then wbar-half, npairs slots each, total degree <= trunc) in
+    graded-lex order, the order its text writes them, and each nonzero
     coefficient as a (numerator, denominator) pair in lowest terms with a
-    positive denominator.  matrix, the same entries as a SeriesMatrix of
-    TruncSeries with one Fraction per term, is built on first read; the
-    metric task reads the tables alone.  scale is the irrational
-    base-point constant of a zero-variety frame, as the text
-    "(b)^(e) * ...", one positive number that multiplies every stored
-    series and drops out of every log-derivative; None when there is none,
-    or when it was rational and folded into the series.  minors are the
-    leading principal minors of the base-point values, all positive on a
-    metric grammian returns; empty on a metric built otherwise.
+    positive denominator.  texts[i][j] is the entry's text, str() of
+    matrix[i, j], which the builder writes with its terms.  matrix, the
+    same entries as a SeriesMatrix of TruncSeries with one Fraction per
+    term, is built on first read; the metric task does not read it.  No
+    entry is kept as a dict.  scale is the irrational base-point
+    constant of a zero-variety frame, as the text "(b)^(e) * ...", one
+    positive number that multiplies every stored series and drops out of
+    every log-derivative; None when there is none, or when it was rational
+    and folded into the series.  minors are the leading principal minors
+    of the base-point values, all positive on a metric grammian returns;
+    empty on a metric built otherwise.
     """
 
-    _fields = ("tables", "npairs", "trunc", "scale", "minors")
+    _fields = ("terms", "texts", "npairs", "trunc", "scale", "minors")
     _defaults = {"scale": None, "minors": ()}
 
     @property
     def size(self) -> int:
-        return len(self.tables)
+        return len(self.terms)
 
     @cached_property
     def matrix(self) -> SeriesMatrix:
         return SeriesMatrix([[TruncSeries._trusted(
             self.npairs, self.trunc,
-            {k: Fraction(n, d) for k, (n, d) in table.items()})
-            for table in row] for row in self.tables])
+            {k: Fraction(n, d) for k, (n, d) in zip(keys, pairs)})
+            for keys, pairs in row] for row in self.terms])
 
     def is_diagonal(self) -> bool:
-        return not any(table for i, row in enumerate(self.tables)
-                       for j, table in enumerate(row) if i != j)
+        return not any(keys for i, row in enumerate(self.terms)
+                       for j, (keys, _) in enumerate(row) if i != j)
 
     def value_at_base(self):
-        """Constant-term matrix as a list of lists of Fractions."""
+        """Constant-term matrix as a list of lists of Fractions: the first
+        term of an entry, where graded-lex order puts the constant."""
         zero = (0,) * (2 * self.npairs)
-        return [[Fraction(*table[zero]) if zero in table else ZERO
-                 for table in row] for row in self.tables]
-
-    def entry_text(self, i: int, j: int) -> str:
-        """Entry (i, j) as text, str() of matrix[i, j], written from the
-        integer table."""
-        return format_ratios(self.tables[i][j], _series_names(self.npairs))
+        return [[Fraction(*pairs[0]) if keys and keys[0] == zero else ZERO
+                 for keys, pairs in row] for row in self.terms]
 
 
 @lru_cache(maxsize=32)
 def _coordinate_walk(m: int, low: int, top: int, gen_vars: tuple,
                      gen_powers: tuple) -> tuple:
-    """What coordinate_terms and the coordinate Grammian read of each
-    exponent a of iter_multiindices(m, top, low), which no weight changes:
-    (divs, pairs) per a, divs holding (k, v, a_v, a - e_v) per generator
-    k = z_v^p that divides z^a, and pairs holding (y, z, d_y + d_z,
-    d_z + d_y) for y <= z indexing divs, d_y = a - e_v of divs[y]: the
-    keys of the two Grammian terms the pair writes.  One tuple per shape,
-    cached; callers only read it."""
-    walk = []
-    for a in iter_multiindices(m, top, low):
-        divs = tuple((k, v, a[v], a[:v] + (a[v] - 1,) + a[v + 1:])
-                     for k, (v, p) in enumerate(zip(gen_vars, gen_powers))
-                     if a[v] >= p)
-        pairs = tuple((y, z, divs[y][3] + divs[z][3], divs[z][3] + divs[y][3])
-                      for y in range(len(divs)) for z in range(y, len(divs)))
-        walk.append((divs, pairs))
-    return tuple(walk)
+    """What coordinate_terms reads of each exponent a of
+    iter_multiindices(m, top, low), which no weight changes: one tuple per
+    a of (k, v, a_v, a - e_v) per generator k = z_v^p that divides z^a.
+    One tuple per shape, cached; callers only read it."""
+    return tuple(tuple((k, v, a[v], a[:v] + (a[v] - 1,) + a[v + 1:])
+                       for k, (v, p) in enumerate(zip(gen_vars, gen_powers))
+                       if a[v] >= p)
+                 for a in iter_multiindices(m, top, low))
 
 
 def coordinate_terms(frame: FrameSeries, low: int, top: int):
@@ -279,8 +275,8 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
     its dividing generators."""
     gens, _ = share_generators(frame)
     nums, dens = zip(*diag_coeff_rows(frame.module.weights, top))
-    for divs, _ in _coordinate_walk(frame.module.dim, low, top,
-                                    frame.gen_vars, frame.gen_powers):
+    for divs in _coordinate_walk(frame.module.dim, low, top,
+                                 frame.gen_vars, frame.gen_powers):
         num = den = 1
         denom = 0
         downs = []
@@ -293,34 +289,102 @@ def coordinate_terms(frame: FrameSeries, low: int, top: int):
         yield num, den * denom * denom, downs
 
 
-def _metric_by_monomial_sum(frame: FrameSeries) -> list:
-    """Grammian tables of a coordinate-neighborhood frame (the tables of a
-    MetricSeries), summed over the kernel terms: each c_a with
+def _key_texts(m: int, keys) -> tuple:
+    """monomial_text of each exponent key (w-half then wbar-half, m slots
+    each), written from the texts of its two halves, each half written
+    once."""
+    names = _series_names(m)
+    w = {h: monomial_text(names[:m], h) for h in {k[:m] for k in keys}}
+    b = {h: monomial_text(names[m:], h) for h in {k[m:] for k in keys}}
+    return tuple(f"{tw}*{tb}" if tw and tb else tw or tb
+                 for k in keys for tw, tb in ((w[k[:m]], b[k[m:]]),))
+
+
+@lru_cache(maxsize=32)
+def _coordinate_layout(m: int, trunc: int) -> tuple:
+    """The coordinate Grammian of m variables through degree trunc as its
+    text writes it, all but what the weights give: (steps, entries).  The
+    kernel exponents a with |a| <= trunc//2 + 1 are numbered in graded-lex
+    order, 0 for a = 0.  steps holds (p, v, a_v) per a > 0, p numbering a
+    with its first nonzero slot v set to 0.  entries holds (i, j, rows,
+    keys, texts, mirror_keys, mirror_texts) per i <= j: rows has (x, a_i
+    a_j) for each a, numbered x, with a_i, a_j >= 1; keys and texts the
+    key (a - e_i, a - e_j) of each of H_ij's terms and its monomial's
+    text, and the mirrors those of H_ji at the swapped key.  Lex order on
+    either key is lex order on a, so both entries are in graded-lex order.
+    One tuple per (m, trunc), cached; callers only read it."""
+    exps = graded_lex(iter_multiindices(m, trunc // 2 + 1))
+    number = {a: x for x, a in enumerate(exps)}
+    steps = []
+    for a in exps[1:]:
+        v = next(v for v, e in enumerate(a) if e)
+        steps.append((number[a[:v] + (0,) + a[v + 1:]], v, a[v]))
+    downs = [[a[:i] + (a[i] - 1,) + a[i + 1:] for i in range(m)]
+             for a in exps]
+    entries, every_key = [], []
+    for i in range(m):
+        for j in range(i, m):
+            rows = [(x, a[i] * a[j]) for x, a in enumerate(exps)
+                    if a[i] and a[j]]
+            keys = tuple(downs[x][i] + downs[x][j] for x, _ in rows)
+            mirror = tuple(downs[x][j] + downs[x][i] for x, _ in rows)
+            entries.append((i, j, tuple(rows), keys, mirror))
+            every_key += keys + mirror
+    # one text per key, in the order of every_key
+    texts = iter(_key_texts(m, every_key))
+    return tuple(steps), tuple(
+        (i, j, rows, keys, tuple(islice(texts, len(keys))),
+         mirror, tuple(islice(texts, len(mirror))))
+        for i, j, rows, keys, mirror in entries)
+
+
+def _metric_by_monomial_sum(frame: FrameSeries):
+    """(terms, texts) of the Grammian of a coordinate-neighborhood frame
+    (those of a MetricSeries), summed over the kernel terms: each c_a with
     a_i, a_j >= 1 puts s_i(a) s_j(a) c_a at w^(a - e_i) wbar^(a - e_j) of
     H_ij.  That term has degree 2|a| - 2, so 1 <= |a| <= D//2 + 1 reaches
-    the truncation degree D.  Each term is num x_i x_j / den of
-    coordinate_terms, reduced by one gcd, at the pair's cached keys of
-    _coordinate_walk.  The value is symmetric in (i, j), and one write puts
-    it at the key of H_ij and at the key-swapped key of H_ji, so H is
-    Hermitian by construction."""
-    m = frame.module.dim
-    top = frame.trunc // 2 + 1
-    terms = [[{} for _ in range(m)] for _ in range(m)]
-    # coordinate_terms walks the same cached tuple, so the two stay aligned
-    walk = _coordinate_walk(m, 1, top, frame.gen_vars, frame.gen_powers)
-    for (num, den, downs), (_, pairs) in zip(
-            coordinate_terms(frame, 1, top), walk):
-        # a key concatenates the w-half and the wbar-half
-        for y, z, key, swapped in pairs:
-            i, xi, _ = downs[y]
-            j, xj, _ = downs[z]
-            n = num * xi * xj
-            g = math.gcd(n, den)
-            terms[i][j][key] = value = (n // g, den // g)
-            if j != i:
-                terms[j][i][swapped] = value
-    # nonzero terms at keys of degree 2|a| - 2 <= D
-    return terms
+    the truncation degree D.  With the integer shares (share_numerators)
+    the term is c_a a_i a_j L_i L_j / denom^2, denom = sum_k L_k a_k.
+    c_a is built one slot factor at a time along _coordinate_layout's
+    steps, and num/den = c_a / denom^2 is reduced once per a, so a term
+    is num s / den, s = a_i a_j L_i L_j, reduced by gcd(s, den).  The term
+    is symmetric in (i, j), so each (i <= j) pair is reduced and written
+    once and read by H_ij and H_ji at their keys: H is Hermitian by
+    construction."""
+    weights = frame.module.weights
+    m = len(weights)
+    steps, entries = _coordinate_layout(m, frame.trunc)
+    L, _ = _common_denominator(weights)
+    coeffs = diag_coeff_rows(weights, frame.trunc // 2 + 1)
+    gcd = math.gcd
+    # per a: c_a as num/den, denom, and c_a / denom^2 in lowest terms,
+    # which a = 0 has not
+    nums, dens, denoms = [1], [1], [0]
+    cn, cd = [None], [None]
+    for p, v, e in steps:
+        n = nums[p] * coeffs[v][0][e]
+        d = dens[p] * coeffs[v][1][e]
+        denom = denoms[p] + L[v] * e
+        nums.append(n)
+        dens.append(d)
+        denoms.append(denom)
+        d *= denom * denom
+        g = gcd(n, d)
+        cn.append(n // g)
+        cd.append(d // g)
+    terms = [[None] * m for _ in range(m)]
+    texts = [[None] * m for _ in range(m)]
+    for i, j, rows, keys, monos, mirror, mirror_monos in entries:
+        LL = L[i] * L[j]
+        pairs = [(cn[x] * s // g, d // g) for x, aa in rows
+                 for s, d in ((aa * LL, cd[x]),) for g in (gcd(s, d),)]
+        prefixes = ratio_prefixes(pairs)
+        terms[i][j] = keys, pairs
+        texts[i][j] = join_terms(prefixes, monos)
+        if j != i:
+            terms[j][i] = mirror, pairs
+            texts[j][i] = join_terms(prefixes, mirror_monos)
+    return terms, texts
 
 
 def _slot_coefficients(row, c):
@@ -333,7 +397,9 @@ def _slot_coefficients(row, c):
     c = u/d, e = d^2 - u^2 and n = beta + gamma it is d^n/(e^n S) sum_j
     C(beta, j) C(n-j, beta) R[n-j] u^(n-2j) e^j, so over den = e^D S its
     numerator is that sum times d^n e^(D-n).  The table is symmetric in
-    (beta, gamma)."""
+    (beta, gamma).  Every term of the sum has the sign of u^n and e > 0,
+    so the entries left out are those with beta != gamma at c = 0, which
+    are not summed."""
     R, S = row
     trunc = len(R) - 1
     u, d = c.numerator, c.denominator
@@ -341,7 +407,8 @@ def _slot_coefficients(row, c):
     epow = [(d * d - u * u) ** k for k in range(trunc + 1)]
     table = {}
     for b in range(trunc // 2 + 1):
-        for n in range(2 * b, trunc + 1):
+        # at c = 0 only u^0 survives: the one nonzero n is 2b
+        for n in range(2 * b, trunc + 1 if u else 2 * b + 1):
             x = sum(math.comb(b, j) * math.comb(n - j, b) * R[n - j]
                     * upow[n - 2 * j] * epow[j] for j in range(b + 1))
             if x:
@@ -350,9 +417,37 @@ def _slot_coefficients(row, c):
     return table, epow[trunc] * S
 
 
+@lru_cache(maxsize=32)
+def _zero_set_layout(m: int, trunc: int, slots: tuple) -> tuple:
+    """The diagonal entries of a zero-variety Grammian through degree
+    trunc as their text writes them, all but the coefficients: (keys,
+    texts, columns).  slots holds (i, centred) per free slot i, centred
+    when the base point's c_i != 0: that slot's table (_slot_coefficients)
+    then holds every (beta, gamma) with beta + gamma <= trunc, and
+    otherwise only beta == gamma.  keys are the exponent keys of the
+    product of the slot tables, the disjoint slots' outer product through
+    degree trunc, in graded-lex order, and texts their monomials' texts;
+    columns holds, per slot, the (beta, gamma) each key reads of that
+    slot's table.  One tuple per (m, trunc, slots), cached; callers only
+    read it."""
+    products = [((0,) * (2 * m), ())]
+    for i, centred in slots:
+        pairs = [(b, g) for b, g in iter_multiindices(2, trunc)
+                 if centred or b == g]
+        products = [(k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:],
+                     reads + ((b, g),))
+                    for k, reads in products for room in (trunc - sum(k),)
+                    for b, g in pairs if b + g <= room]
+    reads = dict(products)
+    keys = tuple(graded_lex(reads))
+    return (keys, _key_texts(m, keys),
+            tuple(zip(*map(reads.__getitem__, keys))))
+
+
 def _metric_by_closed_form(frame: FrameSeries):
-    """(tables, scale): the diagonal zero-variety metric from the recentered product form
-    H_kk = lead_k prod_{free i} (1 - w_i wbar_i)^(-l_i) about the base point.
+    """(terms, texts, scale): the diagonal zero-variety metric from the
+    recentered product form H_kk = lead_k prod_{free i} (1 - w_i
+    wbar_i)^(-l_i) about the base point.
 
     The base-point constant prod_{free i} (1 - c_i^2)^(-l_i) is the same for
     every generator.  Its factors are merged by base, {1 - c_i^2: -sum l_i}
@@ -361,50 +456,56 @@ def _metric_by_closed_form(frame: FrameSeries):
     the true norms, and the scale is None; otherwise (an irrational power
     from fractional weights) it is returned as the scale, the text
     "(b)^(e) * ..." sorted by base.  The slot tables multiply as integer
-    numerators over the product of their denominators, and each stored
-    term of H_kk is a p / (den q) reduced by one gcd, p/q = lead_k times the
-    folded constant.  H is diagonal, and each slot table is symmetric in
-    (beta, gamma), so every entry is its own key-swapped conjugate: H is
-    Hermitian by construction.
+    numerators over the product of their denominators, read at the keys
+    of _zero_set_layout, in the order the text writes them; each stored
+    term of H_kk is a p / (den q) reduced by one gcd, p/q = lead_k times
+    the folded constant, and written once.  H is diagonal, and each slot
+    table is symmetric in (beta, gamma), so every entry is its own
+    key-swapped conjugate: H is Hermitian by construction.
     """
     module = frame.module
-    m = module.dim
     D = frame.trunc
-    t = frame.count
     powers = {}
     rows = diag_coeff_rows(module.weights, D)
-    # disjoint slots: the product of their tables is the outer product
-    terms, den = {(0,) * (2 * m): 1}, 1
+    slots, tables = [], []
+    den = 1
     for i in frame.free_slots:
         c = rat(frame.base_point[i])
         if c:
             powers[1 - c * c] = powers.get(1 - c * c, 0) - module.weights[i]
         table, slot_den = _slot_coefficients(cleared_row(rows[i]), c)
+        slots.append((i, c != 0))
+        tables.append(table)
         den *= slot_den
-        table = table.items()
-        terms = {k[:i] + (b,) + k[i + 1:m + i] + (g,) + k[m + i + 1:]: a * x
-                 for k, a in terms.items() for room in (D - sum(k),)
-                 for (b, g), x in table if b + g <= room}
+    keys, monos, columns = _zero_set_layout(module.dim, D, tuple(slots))
+    values = [1] * len(keys)
+    for table, column in zip(tables, columns):
+        values = list(map(mul, values, map(table.__getitem__, column)))
     if all(e.denominator == 1 for e in powers.values()):
         fold, scale = math.prod(b ** int(e) for b, e in powers.items()), None
     else:
         fold, scale = 1, " * ".join(f"({b})^({e})"
                                     for b, e in sorted(powers.items()))
-    tables = [[{} for _ in range(t)] for _ in range(t)]
+    t = frame.count
+    empty = ((), ())
+    terms = [[empty] * t for _ in range(t)]
+    texts = [["0"] * t for _ in range(t)]
+    gcd = math.gcd
     for k, lead in enumerate(frame.lead_coeffs):
         p, q = (rat(lead) * fold).as_integer_ratio()
         if p:
             q *= den
-            table = tables[k][k]
-            for key, a in terms.items():
-                g = math.gcd(a * p, q)
-                table[key] = (a * p // g, q // g)
-    return tables, scale
+            pairs = [(n // g, q // g) for a in values
+                     for n in (a * p,) for g in (gcd(n, q),)]
+            terms[k][k] = keys, pairs
+            texts[k][k] = join_terms(ratio_prefixes(pairs), monos)
+    return terms, texts, scale
 
 
 def grammian(frame: FrameSeries) -> MetricSeries:
     """Grammian metric of a frame, exact through the truncation degree,
-    read from the frame's spec; no frame vector is built.
+    read from the frame's spec; no frame vector is built.  Each entry's
+    terms and its text are written together, in the text's order.
 
     A coordinate-neighborhood frame sums its kernel terms with their
     splitting shares.  A zero-variety frame, at the origin slice or any other
@@ -412,11 +513,11 @@ def grammian(frame: FrameSeries) -> MetricSeries:
     from the origin infinitely many kernel terms hit every series degree.
     """
     if frame.kind == COORDINATE_KIND:
-        tables, scale = _metric_by_monomial_sum(frame), None
+        (terms, texts), scale = _metric_by_monomial_sum(frame), None
     else:
-        tables, scale = _metric_by_closed_form(frame)
-    metric = MetricSeries(tuple(map(tuple, tables)), frame.module.dim,
-                          frame.trunc, scale)
+        terms, texts, scale = _metric_by_closed_form(frame)
+    metric = MetricSeries(tuple(map(tuple, terms)), tuple(map(tuple, texts)),
+                          frame.module.dim, frame.trunc, scale)
     # both builders are Hermitian by construction; a FrameSeries built by
     # hand may carry any lead_coeffs, so positivity is checked
     minors = leading_principal_minors(metric.value_at_base())

@@ -450,10 +450,14 @@ def gauge_transform_metric(metric: MetricSeries, A) -> MetricSeries:
 
 def metric_from_series(H: SeriesMatrix, scale=None) -> MetricSeries:
     """The MetricSeries whose matrix is H, for metrics the tests build by
-    hand: each coefficient as its (numerator, denominator) pair."""
+    hand: each entry's keys in graded-lex order, each coefficient as its
+    (numerator, denominator) pair, and its text str() of the series."""
+    def entry(s):
+        keys = tuple(sorted(s.coeffs, key=lambda k: (sum(k), k)))
+        return keys, [s.coeffs[k].as_integer_ratio() for k in keys]
     return MetricSeries(
-        tuple(tuple({k: v.as_integer_ratio() for k, v in s.coeffs.items()}
-                    for s in row) for row in H.entries),
+        tuple(tuple(map(entry, row)) for row in H.entries),
+        tuple(tuple(map(str, row)) for row in H.entries),
         H.npairs, H.trunc, scale)
 
 

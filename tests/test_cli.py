@@ -1,4 +1,5 @@
 import configparser
+import functools
 import json
 import os
 import re
@@ -951,26 +952,43 @@ _space = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\x1c"])
 _odd_text = st.lists(st.sampled_from(_ODD), max_size=4).map("".join)
 
 
+# every strategy the two builders below draw from that no drawn value
+# shapes, built once: a strategy built on every draw is validated on every
+# draw, and that cost, not the draws, set this test's time
+_VALUE_OF = {key: st.sampled_from(values) for key, values in _VALUES.items()}
+_ONE = st.sampled_from(["1"])
+_KIND = st.integers(0, 9)
+_BAD_VALUE = st.sampled_from(_BAD_VALUES) | _odd_text
+_VALUE_TAIL = st.sampled_from([" # note", "# not a comment", " ; kept", "%",
+                               " = 2", ": 3"])
+_DELIMITER = st.sampled_from("=:")
+
+
 @st.composite
 def _key_line(draw, key, pad=""):
     """key = value, its key in drawn letter case, its value good, bad or
     odd, with drawn spacing, delimiter and tail."""
-    value = draw(st.sampled_from(_VALUES.get(key, ["1"])))
-    kind = draw(st.integers(0, 9))
+    value = draw(_VALUE_OF.get(key, _ONE))
+    kind = draw(_KIND)
     if kind == 0:
-        value = draw(st.sampled_from(_BAD_VALUES) | _odd_text)
+        value = draw(_BAD_VALUE)
     elif kind == 1:
-        value += draw(st.sampled_from([" # note", "# not a comment",
-                                       " ; kept", "%", " = 2", ": 3"]))
+        value += draw(_VALUE_TAIL)
     if draw(st.booleans()):
         key = "".join(c.upper() if draw(st.booleans()) else c for c in key)
-    return (pad + key + draw(_space) + draw(st.sampled_from("=:"))
+    return (pad + key + draw(_space) + draw(_DELIMITER)
             + draw(_space) + value + draw(_space))
+
+
+@functools.lru_cache(maxsize=128)
+def _key_line_of(key, pad=""):
+    """_key_line(key, pad), one strategy object per (key, pad)."""
+    return _key_line(key, pad)
 
 
 _noise_line = st.one_of(
     st.tuples(st.sampled_from(list(_VALUES) + ["mystery", ""]),
-              _space).flatmap(lambda key_pad: _key_line(*key_pad)),
+              _space).flatmap(lambda key_pad: _key_line_of(*key_pad)),
     st.builds(lambda pad, name, tail: f"{pad}[{name}]{tail}", _space,
               st.sampled_from(_SECTIONS), st.sampled_from(["", " # c", "x"])),
     st.builds(lambda pad, c, text: pad + c + text, _space,
@@ -979,6 +997,10 @@ _noise_line = st.one_of(
     _space, _odd_text,
     st.sampled_from(["[]", "[module", "= 1", ": x", "\r", "\x0c\x0c"]),
 )
+_TASK_KEYS = st.lists(st.sampled_from(list(cli.SCHEMA["task"])[1:]),
+                      max_size=3, unique=True)
+_IDEAL_KEYS = st.sampled_from([["generators"], ["catalogue"]])
+_TEXT_END = st.sampled_from(["", "\n", "\n\n  "])
 
 
 @st.composite
@@ -987,20 +1009,18 @@ def _config_text(draw):
     drawn places: none in about half the texts."""
     lines = []
     if draw(st.integers(0, 3)):
-        keys = {"task": ["name"] + draw(st.lists(st.sampled_from(
-            list(cli.SCHEMA["task"])[1:]), max_size=3, unique=True))}
+        keys = {"task": ["name"] + draw(_TASK_KEYS)}
         if draw(st.booleans()):
             keys["module"] = ["dimension", "weights"]
         if draw(st.booleans()):
-            keys["ideal"] = draw(st.sampled_from(
-                [["generators"], ["catalogue"]]))
+            keys["ideal"] = draw(_IDEAL_KEYS)
         for section in draw(st.permutations(list(keys))):
             lines.append(f"[{section}]")
-            lines.extend(draw(_key_line(key)) for key in keys[section])
+            lines.extend(draw(_key_line_of(key)) for key in keys[section])
             lines.append("")
     for _ in range(draw(st.integers(0, 4)) * draw(st.integers(0, 1))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_noise_line))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n  "]))
+    return "\n".join(lines) + draw(_TEXT_END)
 
 
 def _outcome(parse, text):

@@ -289,6 +289,48 @@ def test_golden_reports_are_the_recursive_text():
                 render_text_by_recursion(report), config
 
 
+@st.composite
+def _curvature_blocks(draw):
+    """An m x m matrix of t x t blocks of entries that mix ZERO, another
+    zero Fraction and nonzero Fractions."""
+    m, t = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entry = st.sampled_from([ZERO, ZERO, F(0), F(1), F(-3, 4), F(7, 2)])
+    row = st.lists(entry, min_size=t, max_size=t).map(tuple)
+    block = st.lists(row, min_size=t, max_size=t).map(tuple)
+    return tuple(tuple(draw(block) for _ in range(m)) for _ in range(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_curvature_blocks(), st.integers(0, 2))
+def test_block_rows_are_the_recursive_text(blocks, before):
+    """The rows add_blocks wrote, each ZERO from its cached line, are the
+    recursive renderer's rows, with rows added before and after them
+    whose ZEROs have no cached line."""
+    report = Report("curvature", {})
+    report.add_matrix("det_bundle_curvature",
+                      [[F(1, 3) if i == j else ZERO for j in range(before)]
+                       for i in range(before)])
+    report.add_blocks("curvature_block", blocks)
+    report.add("closed_form_kappa1", ZERO)
+    assert render_report(report, "text") == render_text_by_recursion(report)
+
+
+def test_zero_lines_are_built_once_per_shape():
+    """Two curvature reports of one shape read one cached set of zero
+    lines; a report of another shape builds its own."""
+    cli._zero_lines.cache_clear()
+    for weights in ("1 2 3", "1/2 3 5/2", "1 2"):
+        cfg = parse_config(
+            "[task]\nname = curvature\ntrunc_degree = 4\n[module]\n"
+            f"dimension = {len(weights.split())}\nweights = {weights}\n"
+            "[ideal]\ngenerators = z1, z2" + ", z3" * (weights != "1 2")
+            + "\n")
+        render_report(run_task(cfg), "text")
+    info = cli._zero_lines.cache_info()
+    cli._zero_lines.cache_clear()
+    assert (info.misses, info.hits) == (2, 1)
+
+
 # -- the weight checks --------------------------------------------------------
 
 _weight = st.one_of(

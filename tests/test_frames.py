@@ -763,9 +763,10 @@ def test_closed_form_metric_forms_one_fraction_per_term(monkeypatch):
         module = cli._build_module(cfg)
         frame = cli._build_frame(cfg, module, cli._build_ideal(cfg))
         calls = _counting_fractions(monkeypatch, frames)
-        tables, scale = frames._metric_by_closed_form(frame)
+        terms, texts, scale = frames._metric_by_closed_form(frame)
         assert calls == [], config.stem
-        matrix = MetricSeries(tables, module.dim, frame.trunc, scale).matrix
+        matrix = MetricSeries(terms, texts, module.dim, frame.trunc,
+                              scale).matrix
         monkeypatch.undo()
         assert len(calls) == sum(len(matrix[k, k].coeffs)
                                  for k in range(matrix.n)), config.stem
@@ -815,15 +816,11 @@ def share_weights(draw):
     return tuple(F(draw(st.integers(1, 4 * d)), d) for d in dens)
 
 
-def _entry_items(matrix):
-    return [[list(s.coeffs.items()) for s in row] for row in matrix.entries]
-
-
 def _closed_form(frame):
     """frames._metric_by_closed_form as (SeriesMatrix, scale): its integer
-    tables read through MetricSeries.matrix."""
-    tables, scale = frames._metric_by_closed_form(frame)
-    return MetricSeries(tables, frame.module.dim, frame.trunc,
+    terms read through MetricSeries.matrix."""
+    terms, texts, scale = frames._metric_by_closed_form(frame)
+    return MetricSeries(terms, texts, frame.module.dim, frame.trunc,
                         scale).matrix, scale
 
 
@@ -835,29 +832,30 @@ def _is_reduced_pair(pair):
 @settings(max_examples=80, deadline=None)
 @given(share_weights(), st.integers(2, 8))
 def test_coordinate_grammian_equals_fraction_share_reference(weights, D):
-    """The integer-share Grammian tables equal the Fraction-share reference
-    in every term value and in the key order of every entry, each term a
-    nonzero integer pair in lowest terms."""
+    """The integer-share Grammian terms equal the Fraction-share reference
+    in every term value, each entry's keys in graded-lex order, the order
+    its text writes them, and each term a nonzero integer pair in lowest
+    terms."""
     frame = decompose_coordinate_ideal(
         WeightedPolydiscModule(len(weights), weights), D)
-    got = frames._metric_by_monomial_sum(frame)
+    got, _ = frames._metric_by_monomial_sum(frame)
     want = oracles.metric_by_fraction_shares(frame)
-    assert [[[(k, F(*v)) for k, v in table.items()] for table in row]
-            for row in got] == _entry_items(want)
-    assert all(_is_reduced_pair(v) and v[0] for row in got for table in row
-               for v in table.values())
+    assert [[[(k, F(*v)) for k, v in zip(*entry)] for entry in row]
+            for row in got] == \
+        [[sorted(s.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+          for s in row] for row in want.entries]
+    assert all(_is_reduced_pair(v) and v[0] for row in got
+               for _, pairs in row for v in pairs)
 
 
-def _metric_without_mirror(frame):
-    """_metric_by_monomial_sum with the (j, i) write left out."""
-    m = frame.module.dim
-    terms = [[{} for _ in range(m)] for _ in range(m)]
-    for num, den, downs in frames.coordinate_terms(frame, 1,
-                                                   frame.trunc // 2 + 1):
-        for y, (i, xi, di) in enumerate(downs):
-            for j, xj, dj in downs[y:]:
-                terms[i][j][di + dj] = F(num * xi * xj, den).as_integer_ratio()
-    return terms
+def _layout_without_mirror(layout):
+    """A _coordinate_layout whose H_ji terms sit at H_ij's keys, not at
+    their swap: the mirror write of the coordinate builder left out."""
+    def unmirrored(m, trunc):
+        steps, entries = layout(m, trunc)
+        return steps, tuple((i, j, rows, keys, texts, keys, texts)
+                           for i, j, rows, keys, texts, _, _ in entries)
+    return unmirrored
 
 
 @settings(max_examples=40, deadline=None)
@@ -866,7 +864,7 @@ def test_grammians_are_hermitian_by_construction(data):
     """grammian does not check the Hermitian symmetry; both builders meet
     it.  Coordinate frames with m = 2..4 and D = 2..6, and zero-set frames
     with fractional weights off the origin, pass the pair-loop oracle; a
-    monomial sum that skips the (j, i) write fails it."""
+    coordinate layout that puts H_ji's terms at H_ij's keys fails it."""
     m = data.draw(st.integers(2, 4))
     fractional = _slot_weight.filter(lambda w: w.denominator > 1)
     weights = data.draw(st.lists(fractional, min_size=m, max_size=m))
@@ -883,8 +881,8 @@ def test_grammians_are_hermitian_by_construction(data):
     zero_set = frame_on_zero_set(module, ideal, base, D)
     assert is_hermitian_by_pair_loop(grammian(zero_set).matrix)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frames, "_metric_by_monomial_sum",
-                      _metric_without_mirror)
+        patch.setattr(frames, "_coordinate_layout",
+                      _layout_without_mirror(frames._coordinate_layout))
         assert not is_hermitian_by_pair_loop(grammian(coordinate).matrix)
 
 
@@ -948,11 +946,10 @@ def test_coordinate_terms_enumerate_once_per_shape():
 
 
 def _metric_texts_agree(metric, reference):
-    """Each entry's text from the metric's integer tables equals str() of
-    its lazily built series and the str(Fraction) text of the reference
+    """Each entry's text, written by the builder, equals str() of its
+    lazily built series and the str(Fraction) text of the reference
     route's entry; the matrix is built only on that read."""
-    t = metric.size
-    texts = [[metric.entry_text(i, j) for j in range(t)] for i in range(t)]
+    texts = [list(row) for row in metric.texts]
     assert "matrix" not in vars(metric)
     names = [f"w{i+1}" for i in range(metric.npairs)] \
         + [f"wb{i+1}" for i in range(metric.npairs)]
@@ -988,3 +985,81 @@ def test_zero_set_metric_text_with_an_irrational_scale():
     entries, scale = _closed_form_by_horner(frame)
     assert metric.scale == scale == "(8/9)^(-5/6)"
     _metric_texts_agree(metric, SeriesMatrix(entries))
+
+
+_HALF_WEIGHT = st.integers(1, 8).map(lambda n: F(n, 2))
+
+
+@st.composite
+def _text_frames(draw):
+    """A coordinate frame, m = 2..5 with integer and half-integer weights
+    and D = 2..8, or a zero-set frame, m = 2..4 with t = 1..m-1 generators
+    at powers 1..3, fractional weights and every free slot off the origin,
+    D = 2..6."""
+    m = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        weights = draw(st.lists(_HALF_WEIGHT, min_size=m, max_size=m))
+        D = draw(st.integers(2, 8))
+        return decompose_coordinate_ideal(WeightedPolydiscModule(m, weights),
+                                          D)
+    m = min(m, 4)
+    weights = draw(st.lists(_slot_weight.filter(lambda w: w.denominator > 1),
+                            min_size=m, max_size=m))
+    t = draw(st.integers(1, m - 1))
+    gen_vars = draw(st.permutations(range(m)))[:t]
+    ideal = IdealSpec.monomial(m, [unit(m, v, draw(st.integers(1, 3)))
+                                   for v in gen_vars])
+    base = tuple(F(0) if i in gen_vars else draw(_center.filter(bool))
+                 for i in range(m))
+    return frame_on_zero_set(WeightedPolydiscModule(m, weights), ideal, base,
+                             draw(st.integers(2, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_text_frames())
+def test_metric_texts_equal_the_reference_routes(frame):
+    """The texts the builders write with their terms are the str(Fraction)
+    texts of the reference routes' entries: the Fraction-share sum for a
+    coordinate frame, the Horner series for a zero-set frame, whose scale
+    also agrees."""
+    metric = grammian(frame)
+    if frame.kind == ZERO_SET_KIND:
+        entries, scale = _closed_form_by_horner(frame)
+        assert metric.scale == scale
+        reference = SeriesMatrix(entries)
+    else:
+        reference = oracles.metric_by_fraction_shares(frame)
+    _metric_texts_agree(metric, reference)
+
+
+def test_coordinate_layout_is_built_once_per_shape():
+    """Two coordinate frames of one (m, D), at different weights, read one
+    cached layout; a third D builds a second."""
+    frames._coordinate_layout.cache_clear()
+    for weights, D in (((F(1), F(3, 2), F(2)), 6),
+                       ((F(1, 2), F(1), F(5, 2)), 6),
+                       ((F(1, 2), F(1), F(5, 2)), 4)):
+        grammian(decompose_coordinate_ideal(
+            WeightedPolydiscModule(3, weights), D))
+    info = frames._coordinate_layout.cache_info()
+    frames._coordinate_layout.cache_clear()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_zero_set_layout_is_built_once_per_shape():
+    """Zero-set frames with the same free slots, each at the origin or off
+    it, read one cached layout whatever the weights, the generator powers
+    and the nonzero centres; moving a free slot to the origin builds a
+    second."""
+    frames._zero_set_layout.cache_clear()
+    ideal = IdealSpec.monomial(3, [(1, 0, 0)])
+    square = IdealSpec.monomial(3, [(2, 0, 0)])
+    for weights, gens, base in (
+            ((F(1), F(1, 2), F(2)), ideal, (F(0), F(1, 3), F(0))),
+            ((F(3), F(5, 2), F(1, 3)), square, (F(0), F(-1, 2), F(0))),
+            ((F(3), F(5, 2), F(1, 3)), square, (F(0), F(0), F(0)))):
+        grammian(frame_on_zero_set(WeightedPolydiscModule(3, weights), gens,
+                                   base, 6))
+    info = frames._zero_set_layout.cache_info()
+    frames._zero_set_layout.cache_clear()
+    assert (info.misses, info.hits) == (2, 1)
